@@ -10,12 +10,19 @@ query-path trajectory, and asserts the acceptance floors:
 * the best backend >= 2x over the gather kernel (it is >= 2x even against
   today's auto-chunked gather; against the PR-1 configuration — hardcoded
   ``chunk = 32`` — the margin is wider, and both numbers are recorded);
-* where Numba is installed, the compiled ``native`` backend >= 10x over the
-  contraction kernel at Q = 128.  Without Numba the backend is registry-
-  unavailable (it would silently time its streaming fallback), so it is
-  excluded from the timing table and the floor is soft-skipped — the
-  payload records ``native_available`` either way so CI's with/without-
-  Numba jobs stay distinguishable.
+* where Numba is installed, the compiled ``native`` backend >= 25x over the
+  gather kernel at Q = 128 — the reference every floor here divides by.
+  (It used to be ">= 10x over contraction", whose denominator moves every
+  time the contraction path gets faster: contraction measured 2.9x over
+  gather on this corpus before its Top-K fold became lane-parallel and
+  6.8x after, which would have silently raised the old floor to ~68x over
+  gather.  25x asks for slightly less than the old floor did — 10 x 2.9 —
+  and has not been re-measured with Numba.  The ratio to contraction is
+  still recorded.)  Without Numba the backend is registry-unavailable (it would
+  silently time its streaming fallback), so it is excluded from the timing
+  table and the floor is soft-skipped — the payload records
+  ``native_available`` either way so CI's with/without-Numba jobs stay
+  distinguishable.
 
 A second, skewed collection (rows sorted by decaying magnitude) records the
 streaming kernel's block-skip behaviour, where provable threshold pruning
@@ -207,8 +214,7 @@ def test_kernel_backends_speedup():
         f"Q={Q} (floor: 2x)"
     )
     if "native" in timings:
-        native_speedup = timings["contraction"] / timings["native"]
-        assert native_speedup >= 10.0, (
-            f"native kernel is only {native_speedup:.1f}x over contraction "
-            f"at Q={Q} (floor: 10x)"
+        assert speedups["native"] >= 25.0, (
+            f"native kernel is only {speedups['native']:.1f}x over gather "
+            f"at Q={Q} (floor: 25x)"
         )

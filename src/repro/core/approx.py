@@ -11,10 +11,18 @@ the global top-1..top-k always survive partitioning.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.partition import partition_rows
-from repro.core.reference import TopKResult, exact_topk_spmv, topk_from_scores
+from repro.core.reference import (
+    TopKResult,
+    dense_order,
+    exact_topk_spmv,
+    results_from_dense,
+    topk_from_scores,
+)
 from repro.errors import ConfigurationError
 from repro.formats.csr import CSRMatrix
 from repro.utils.validation import check_positive_int
@@ -22,6 +30,7 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "approximate_topk_spmv",
     "merge_topk_candidates",
+    "CandidateBlock",
     "default_local_k",
 ]
 
@@ -51,6 +60,56 @@ def merge_topk_candidates(candidates: list[TopKResult], top_k: int) -> TopKResul
         return TopKResult(indices=np.empty(0, dtype=np.int64), values=np.empty(0))
     order = np.lexsort((indices, -values))[:keep]
     return TopKResult(indices=indices[order], values=values[order])
+
+
+@dataclass(frozen=True)
+class CandidateBlock:
+    """Every core's candidates for a block of queries, as dense arrays.
+
+    ``indices[p, q]`` / ``values[p, q]`` are core ``p``'s ``k`` candidates
+    for query ``q`` — global row ids and scores, ``(P, Q, k)``, each
+    ordered (desc value, asc index) with unfilled slots (``index == -1``,
+    a partition shorter than ``k``) last.  Reads as the nested list it
+    replaces: ``len(block)`` is ``Q`` and ``block[q]`` is query ``q``'s
+    per-core :class:`TopKResult` list, built on demand.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indices.shape[1]
+
+    def __getitem__(self, query: int) -> "list[TopKResult]":
+        return results_from_dense(self.indices[:, query], self.values[:, query])
+
+    def __iter__(self):
+        return (self[q] for q in range(len(self)))
+
+    @classmethod
+    def concatenate(cls, blocks: "list[CandidateBlock]") -> "CandidateBlock":
+        """Stack the cores of several boards serving the same queries."""
+        return cls(
+            indices=np.concatenate([b.indices for b in blocks]),
+            values=np.concatenate([b.values for b in blocks]),
+        )
+
+    def merge(self, top_k: int) -> "list[TopKResult]":
+        """:func:`merge_topk_candidates` for every query, in one sort.
+
+        Row ids are unique across cores, so (desc value, asc index) is a
+        total order and the batched ``lexsort`` returns exactly the
+        per-query merge.
+        """
+        top_k = check_positive_int(top_k, "top_k")
+        n_cores, n_queries, k = self.indices.shape
+        indices = self.indices.transpose(1, 0, 2).reshape(n_queries, n_cores * k)
+        values = self.values.transpose(1, 0, 2).reshape(n_queries, n_cores * k)
+        order = dense_order(indices, values)[:, :top_k]
+        return results_from_dense(
+            np.take_along_axis(indices, order, axis=1),
+            np.take_along_axis(values, order, axis=1),
+        )
 
 
 def approximate_topk_spmv(

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.approx import CandidateBlock
 from repro.core.reference import TopKResult
 from repro.core.topk_tracker import TopKTracker
 from repro.errors import ConfigurationError, SimulationError
@@ -405,6 +406,10 @@ def simulate_multicore(
     Returns the per-core candidate lists (global ids) and merged statistics.
     The final merge/truncation to K is the host's job — see
     :func:`repro.core.approx.merge_topk_candidates`.
+
+    No engine calls this any more (``query`` is a one-row
+    :func:`simulate_multicore_batch`); it stays as the independent per-query
+    oracle the property suites and benchmarks hold the batch path to.
     """
     results: list[TopKResult] = []
     totals = DataflowStats()
@@ -432,7 +437,7 @@ def simulate_multicore_batch(
     query_chunk: "int | None" = None,
     executor: "str | None" = None,
     row_map: "np.ndarray | None" = None,
-) -> tuple[list[list[TopKResult]], list[DataflowStats]]:
+) -> "tuple[CandidateBlock, list[DataflowStats]]":
     """Run a ``(Q, n_cols)`` query block through every partition's core.
 
     The vectorised counterpart of looping :func:`simulate_multicore` over the
@@ -483,10 +488,11 @@ def simulate_multicore_batch(
     Returns
     -------
     results, stats:
-        ``results[q]`` is query ``q``'s per-core candidate list with global
-        row ids (freshly allocated index arrays — backend-internal buffers
-        are never mutated); ``stats[q]`` its merged whole-accelerator
-        counters.
+        ``results`` is the block's dense
+        :class:`~repro.core.approx.CandidateBlock` — ``results[q]`` reads
+        as query ``q``'s per-core candidate list with global row ids
+        (freshly allocated index arrays — backend-internal buffers are
+        never mutated); ``stats[q]`` its merged whole-accelerator counters.
     """
     from repro.core.kernels import (
         KernelRequest,
@@ -533,26 +539,23 @@ def simulate_multicore_batch(
     )
     out = run_kernel(request, kernel_name)
 
-    n_queries = queries.shape[0]
-    results: list[list[TopKResult]] = [[] for _ in range(n_queries)]
+    # Globalise every candidate at once, into a freshly allocated array (a
+    # backend may cache or share its output buffers).  Unfilled slots keep
+    # their -1 marker.
+    offsets = np.asarray(matrix.row_offsets[: len(plans)], dtype=np.int64)
+    indices = out.rows + offsets[:, None, None]
+    if row_map is not None:
+        indices = row_map[indices]
+    unfilled = out.rows < 0
+    if unfilled.any():
+        indices[unfilled] = -1
     # The structural counters are query-independent: fold them across
     # partitions once instead of per query, then graft in each query's
     # tracker-accept total (exactly what a merge of per-stream stats yields).
     base = DataflowStats()
-    accept_totals = np.zeros(n_queries, dtype=np.int64)
-    for p, (offset, plan) in enumerate(zip(matrix.row_offsets, plans)):
-        offset = int(offset)
-        for q in range(n_queries):
-            local = out.results[p][q]
-            # Globalise into freshly allocated arrays: a backend may cache
-            # or share its local result buffers (TopKResult is frozen, its
-            # arrays are not), so in-place offsetting would be an aliasing
-            # hazard.
-            indices = local.indices + offset
-            if row_map is not None:
-                indices = row_map[indices]
-            results[q].append(TopKResult(indices=indices, values=local.values))
+    for plan in plans:
         base = base.merge(plan.stats)
-        accept_totals += out.accepts[p]
-    totals = [replace(base, tracker_accepts=int(a)) for a in accept_totals]
-    return results, totals
+    totals = [
+        replace(base, tracker_accepts=int(a)) for a in out.accepts.sum(axis=0)
+    ]
+    return CandidateBlock(indices=indices, values=out.values), totals

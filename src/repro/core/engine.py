@@ -22,10 +22,12 @@ Example
 Batched queries
 ---------------
 :meth:`TopKSpmvEngine.query_batch` takes a ``(Q, n_cols)`` block and runs the
-vectorised multi-query dataflow (one broadcast multiply + reduction sweep per
-partition, shared across the block) instead of re-walking the packet streams
-per query.  Results are bit-identical to looping :meth:`~TopKSpmvEngine.query`
-but the software hot path no longer scales with the per-query stream walk:
+vectorised multi-query dataflow on a pluggable kernel backend
+(:mod:`repro.core.kernels`): the collection is swept once for the whole block,
+every core's Top-K scratchpad advances in lockstep and all candidates are
+merged in one sort.  :meth:`~TopKSpmvEngine.query` is the same path with a
+one-row block, so looping it is bit-identical and merely pays the per-call
+cost ``Q`` times:
 
 >>> X = np.abs(np.random.default_rng(1).standard_normal((64, 512)))
 >>> X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -42,11 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.approx import merge_topk_candidates
 from repro.core.dataflow import (
     DataflowStats,
     StreamPlan,
-    simulate_multicore,
     simulate_multicore_batch,
 )
 from repro.core.reference import TopKResult, exact_topk_spmv
@@ -324,39 +324,20 @@ class TopKSpmvEngine(MutableEngineMixin):
     def query(self, x: np.ndarray, top_k: int) -> EngineResult:
         """Run one approximate Top-K query through the simulated hardware.
 
+        A one-row :meth:`query_batch`: the same kernel backend, candidate
+        merge and counters, so the two can never disagree.
+
         On a segmented collection the result is the *global* Top-K fold of
         the multi-segment driver (no ``k·c`` candidate cap); indices are
         positions in the live logical matrix — translate to stable row keys
         with ``engine.collection.keys_for(result.topk.indices)``.
         """
-        top_k = check_positive_int(top_k, "top_k")
-        if self._segmented:
-            x = self._check_query(x)
-            out = self._run_segmented(x[None, :], top_k)
-            return EngineResult(
-                topk=out.results[0],
-                timing=self.timing,
-                dataflow=out.stats_per_query()[0],
-                power_w=self._power_w,
-            )
-        if top_k > self.design.local_k * self.design.cores:
-            raise ConfigurationError(
-                f"top_k = {top_k} exceeds k*c = "
-                f"{self.design.local_k * self.design.cores} candidates; "
-                "increase local_k or cores"
-            )
-        x = self._check_query(x)
-        x_uram = self.design.quantize_query(x)
-        candidates, stats = simulate_multicore(
-            self.encoded,
-            x_uram,
-            local_k=self.design.local_k,
-            accumulate_dtype=self.design.accumulate_dtype,
-            row_map=self.collection.row_map,
-        )
-        topk = merge_topk_candidates(candidates, top_k)
+        batch = self.query_batch(self._check_query(x)[None, :], top_k)
         return EngineResult(
-            topk=topk, timing=self._timing, dataflow=stats, power_w=self._power_w
+            topk=batch.topk[0],
+            timing=self.timing,
+            dataflow=batch.dataflow[0],
+            power_w=self._power_w,
         )
 
     def query_candidates(self, x: np.ndarray) -> tuple[list[TopKResult], DataflowStats]:
@@ -367,15 +348,8 @@ class TopKSpmvEngine(MutableEngineMixin):
         :func:`repro.core.approx.merge_topk_candidates` (what the host does).
         """
         self._frozen_only("query_candidates")
-        x = self._check_query(x)
-        x_uram = self.design.quantize_query(x)
-        return simulate_multicore(
-            self.encoded,
-            x_uram,
-            local_k=self.design.local_k,
-            accumulate_dtype=self.design.accumulate_dtype,
-            row_map=self.collection.row_map,
-        )
+        candidates, stats = self._candidate_block(self._check_query(x)[None, :])
+        return candidates[0], stats[0]
 
     def query_exact(self, x: np.ndarray, top_k: int) -> TopKResult:
         """Golden float64 reference on the *original* (unquantised) matrix."""
@@ -392,10 +366,14 @@ class TopKSpmvEngine(MutableEngineMixin):
         :func:`repro.core.dataflow.simulate_multicore_batch`).  ``result[q]``
         holds query ``q``'s per-core k-candidate lists with global row ids.
         """
+        self._frozen_only("query_candidates_batch")
+        candidates, stats = self._candidate_block(self._check_query_block(queries))
+        return list(candidates), stats
+
+    def _candidate_block(self, queries: np.ndarray):
+        """The cores' dense candidates + per-query stats for a checked block."""
         from repro.core.kernels import resolve_kernel_name
 
-        self._frozen_only("query_candidates_batch")
-        queries = self._check_query_block(queries)
         x_uram = self.design.quantize_query(queries)
         # Only lower/pass the contraction operand when the resolved backend
         # can actually use it (see CompiledCollection.wants_contraction_
@@ -425,10 +403,10 @@ class TopKSpmvEngine(MutableEngineMixin):
         """Serve a batch of queries back-to-back on the simulated board.
 
         The whole ``(Q, n_cols)`` block is validated and quantised once and
-        runs through the vectorised multi-query dataflow — per query the
-        top-k (and dataflow counters) are bit-identical to
-        :meth:`query`, but the software hot path walks each partition
-        stream once per *batch* instead of once per query.
+        runs through the vectorised multi-query dataflow: each partition
+        stream is walked once per *batch*, every core's Top-K scratchpad
+        advances in lockstep, and the ``k·c`` candidates of all queries are
+        merged in one sort.  :meth:`query` is this call with one row.
 
         The modelled hardware still streams the matrix once per query
         (queries are independent scans); the batch latency is therefore
@@ -449,8 +427,8 @@ class TopKSpmvEngine(MutableEngineMixin):
                     f"{self.design.local_k * self.design.cores} candidates; "
                     "increase local_k or cores"
                 )
-            candidates, stats = self.query_candidates_batch(queries)
-            results = [merge_topk_candidates(c, top_k) for c in candidates]
+            candidates, stats = self._candidate_block(queries)
+            results = candidates.merge(top_k)
         batch_seconds = (
             len(queries) * self.timing.makespan_s + self.constants.host_overhead_s
         )

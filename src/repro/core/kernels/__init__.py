@@ -11,8 +11,9 @@ Modules
     the ``multiprocessing.shared_memory``-backed process pool
     (:class:`SharedPlanArena`) behind :func:`map_partitions`.
 ``scratchpad``
-    :class:`BatchScratchpads` — every query's k-entry Top-K scratchpad,
-    foldable block by block, bit-identical to sequential tracker inserts.
+    :class:`BatchScratchpads` — dense ``(lanes, k)`` Top-K scratchpads, one
+    lane per query or per partition × query, foldable block by block and
+    bit-identical to sequential tracker inserts.
 ``gather``
     The reference gather + ``reduceat`` backend (the universal fallback).
 ``streaming``

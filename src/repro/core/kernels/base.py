@@ -50,6 +50,7 @@ from repro.core.kernels.executor import (  # noqa: F401 - re-exported API
     resolve_executor,
     resolve_workers,
 )
+from repro.core.reference import results_from_dense
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -133,11 +134,14 @@ class KernelRequest:
 
 @dataclass
 class KernelOutput:
-    """Per-partition, per-query results of one batched sweep.
+    """Per-partition, per-query candidates of one batched sweep, dense.
 
-    ``results[p][q]`` is partition ``p``'s local
-    :class:`~repro.core.reference.TopKResult` for query ``q`` (partition-
-    local row ids); ``accepts[p, q]`` its tracker-accept count.
+    ``values[p, q]`` / ``rows[p, q]`` are partition ``p``'s local Top-K
+    for query ``q`` — ``(P, Q, local_k)`` float64 / int64 (partition-
+    local row ids), each ordered (desc value, asc row) with unfilled
+    slots (``row == -1``) last; ``accepts[p, q]`` its tracker-accept
+    count.  :attr:`results` views the same candidates as
+    :class:`~repro.core.reference.TopKResult` lists.
 
     ``skipped_rows`` / ``total_rows`` count (row, query) pairs whose
     gather the backend provably skipped vs. offered in this run —
@@ -147,10 +151,38 @@ class KernelOutput:
     partitions, unlike any state on the registered backend singleton.
     """
 
-    results: "list[list]"
+    values: np.ndarray
+    rows: np.ndarray
     accepts: np.ndarray
     skipped_rows: int = 0
     total_rows: int = 0
+
+    @classmethod
+    def from_partitions(
+        cls, per_partition: list, n_queries: int, local_k: int
+    ) -> "KernelOutput":
+        """Stack ``run_partition`` returns — ``(values, rows, accepts)``
+        plus, for backends that skip, ``(skipped, total)`` — in order."""
+        if not per_partition:
+            return cls(
+                values=np.empty((0, n_queries, local_k)),
+                rows=np.empty((0, n_queries, local_k), dtype=np.int64),
+                accepts=np.zeros((0, n_queries), dtype=np.int64),
+            )
+        values, rows, accepts, *counters = zip(*per_partition)
+        skipped, total = counters or ((), ())
+        return cls(
+            values=np.stack(values),
+            rows=np.stack(rows),
+            accepts=np.stack(accepts),
+            skipped_rows=sum(skipped),
+            total_rows=sum(total),
+        )
+
+    @property
+    def results(self) -> "list[list]":
+        """``results[p][q]``: partition ``p``'s local result for query ``q``."""
+        return [results_from_dense(r, v) for v, r in zip(self.values, self.rows)]
 
     @property
     def skip_fraction(self) -> float:
@@ -182,8 +214,10 @@ class KernelBackend:
         Partition-parallel backends implement this (and route ``run``
         through it) so the process executor can ship the bound method to
         spawn workers, which rebuild ``plan``/``X`` as zero-copy views
-        over the shared-memory arena.  Implementations must return only
-        freshly allocated arrays — never views of ``plan`` or ``X``.
+        over the shared-memory arena.  Returns the partition's dense
+        ``(values, rows, accepts)`` — see :class:`KernelOutput` — plus
+        ``(skipped, total)`` from backends that skip; only freshly
+        allocated arrays, never views of ``plan`` or ``X``.
         Collection-level backends (contraction) have no per-partition
         unit and leave this unimplemented.
         """

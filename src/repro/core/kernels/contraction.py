@@ -65,6 +65,12 @@ QUERY_GRID_BITS = 31
 #: a 2x guard band so the float64 gate arithmetic is itself conclusive).
 _EXACT_RAW_BUDGET = float(2**52)
 
+#: Byte budget of one ``(n_rows, chunk)`` float64 SpMM block.  Well under
+#: the 32 MiB above which glibc maps (and the kernel page-faults in) a fresh
+#: region on every allocation, so consecutive chunks and calls recycle one
+#: block; chunking never changes a result bit (queries are independent).
+_SCORE_BLOCK_BYTES = 20 << 20
+
 
 @dataclass
 class ContractionOperand:
@@ -86,16 +92,18 @@ class ContractionOperand:
     value_grid_bits: "int | None" = None
     #: ``max_row(Σ|v|·2^f_v)`` (0.0 when ``value_grid_bits`` is None).
     max_abs_row_raw: float = 0.0
+    #: Row boundaries per partition, ``[0, ..., n_rows]``.
+    part_offsets: np.ndarray = field(init=False, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.part_offsets = np.concatenate(
+            [[0], np.cumsum(self.part_rows)]
+        ).astype(np.int64)
 
     @property
     def n_rows(self) -> int:
         return len(self.indptr) - 1
-
-    @property
-    def part_offsets(self) -> np.ndarray:
-        """Row boundaries per partition, ``[0, ..., n_rows]``."""
-        return np.concatenate([[0], np.cumsum(self.part_rows)]).astype(np.int64)
 
     def matrix(self, n_cols: int):
         """The SciPy CSR operand at a given width (built once per width)."""
@@ -235,22 +243,32 @@ class ContractionKernel(KernelBackend):
         operand: ContractionOperand = request.operand
         n_queries = request.n_queries
         n_parts = len(request.plans)
+        local_k = request.local_k
         matrix = operand.matrix(request.X.shape[1])
-        offsets = operand.part_offsets
-        results: "list[list]" = [[None] * n_queries for _ in range(n_parts)]
-        accepts = np.zeros((n_parts, n_queries), dtype=np.int64)
-        chunk = request.query_chunk or min(max(1, n_queries), 512)
+        values = np.empty((n_parts, n_queries, local_k), dtype=np.float64)
+        rows = np.empty((n_parts, n_queries, local_k), dtype=np.int64)
+        accepts = np.empty((n_parts, n_queries), dtype=np.int64)
+        chunk = request.query_chunk
+        if not chunk:
+            # The fewest equal chunks whose block fits the byte budget.
+            widest = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, operand.n_rows)))
+            n_chunks = max(1, -(-n_queries // widest))
+            chunk = max(1, -(-n_queries // n_chunks))
         for q0 in range(0, n_queries, chunk):
             Xc = request.X[q0 : q0 + chunk]
-            scores = matrix @ Xc.T  # (n_rows_total, chunk), provably exact
-            for p in range(n_parts):
-                r0, r1 = int(offsets[p]), int(offsets[p + 1])
-                pads = BatchScratchpads(Xc.shape[0], request.local_k)
-                pads.fold(np.ascontiguousarray(scores[r0:r1].T), 0)
-                part_results, part_accepts = pads.finish()
-                results[p][q0 : q0 + Xc.shape[0]] = part_results
-                accepts[p, q0 : q0 + Xc.shape[0]] = part_accepts
-        return KernelOutput(results=results, accepts=accepts)
+            width = Xc.shape[0]
+            scores = matrix @ Xc.T  # (n_rows_total, width), provably exact
+            # Every partition x query scratchpad of the chunk is one lane
+            # of a single fold straight off the SpMM block.
+            pads = BatchScratchpads(n_parts * width, local_k)
+            pads.fold_partitions(scores, operand.part_offsets)
+            del scores  # released before the next chunk's block is allocated
+            top_values, top_rows, top_accepts = pads.finish_dense()
+            done = slice(q0, q0 + width)
+            values[:, done] = top_values.reshape(n_parts, width, local_k)
+            rows[:, done] = top_rows.reshape(n_parts, width, local_k)
+            accepts[:, done] = top_accepts.reshape(n_parts, width)
+        return KernelOutput(values=values, rows=rows, accepts=accepts)
 
 
 register_kernel(ContractionKernel())

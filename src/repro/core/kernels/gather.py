@@ -62,6 +62,14 @@ def plan_row_scores(
     return row_values
 
 
+def _fold_plan(X, plan, accumulate_dtype, local_k, query_chunk) -> BatchScratchpads:
+    """One partition plan's full score block folded into fresh scratchpads."""
+    pads = BatchScratchpads(X.shape[0], local_k)
+    if plan.n_rows:
+        pads.fold(plan_row_scores(X, plan, accumulate_dtype, query_chunk), 0)
+    return pads
+
+
 def run_plan_gather(
     X: np.ndarray,
     plan,
@@ -74,12 +82,7 @@ def run_plan_gather(
     Returns ``(results, accepts)`` for the partition — per-query local
     :class:`~repro.core.reference.TopKResult` plus accept counts.
     """
-    n_queries = X.shape[0]
-    pads = BatchScratchpads(n_queries, local_k)
-    if plan.n_rows == 0:
-        return pads.finish()
-    pads.fold(plan_row_scores(X, plan, accumulate_dtype, query_chunk), 0)
-    return pads.finish()
+    return _fold_plan(X, plan, accumulate_dtype, local_k, query_chunk).finish()
 
 
 class GatherKernel(KernelBackend):
@@ -98,8 +101,10 @@ class GatherKernel(KernelBackend):
         local_k,
         query_chunk=None,
     ):
-        """One partition: ``(results, accepts)`` (the reference computation)."""
-        return run_plan_gather(X, plan, accumulate_dtype, local_k, query_chunk)
+        """One partition: dense ``(values, rows, accepts)``."""
+        return _fold_plan(
+            X, plan, accumulate_dtype, local_k, query_chunk
+        ).finish_dense()
 
     def run(self, request: KernelRequest) -> KernelOutput:
         params = {
@@ -120,13 +125,9 @@ class GatherKernel(KernelBackend):
             process_params=params,
             X=request.X,
         )
-        results = [r for r, _ in per_partition]
-        accepts = (
-            np.stack([a for _, a in per_partition])
-            if per_partition
-            else np.zeros((0, request.n_queries), dtype=np.int64)
+        return KernelOutput.from_partitions(
+            per_partition, request.n_queries, request.local_k
         )
-        return KernelOutput(results=results, accepts=accepts)
 
 
 register_kernel(GatherKernel())

@@ -62,7 +62,6 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.scratchpad import BatchScratchpads
 from repro.core.kernels.streaming import screen_blocks
-from repro.core.reference import TopKResult
 
 __all__ = [
     "HAVE_NUMBA",
@@ -398,20 +397,6 @@ def sweep_plan_into_pads(
     return skipped, n_live
 
 
-def _finish(vals: np.ndarray, rows: np.ndarray):
-    """Scratchpad snapshot -> per-query results, exactly as
-    :meth:`BatchScratchpads.finish` orders them (desc value, asc row,
-    unfilled ``row < 0`` slots dropped)."""
-    order = np.lexsort((rows, -vals), axis=-1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    rows = np.take_along_axis(rows, order, axis=1)
-    results = []
-    for q in range(vals.shape[0]):
-        kept = rows[q] >= 0
-        results.append(TopKResult(indices=rows[q][kept], values=vals[q][kept]))
-    return results
-
-
 class NativeKernel(KernelBackend):
     """Compiled streaming-fold backend (see module docstring)."""
 
@@ -436,23 +421,23 @@ class NativeKernel(KernelBackend):
         exact=False,
         query_chunk=None,
     ):
-        """One partition: ``(results, accepts, skipped, total)``.
+        """One partition: dense ``(values, rows, accepts, skipped, total)``.
 
         ``query_chunk`` is accepted for interface parity but unused — the
         sweep holds no per-chunk intermediate, so there is nothing to
         size (and chunking is bit-neutral by contract anyway).
         """
         n_queries = X.shape[0]
-        if plan.n_rows == 0:
-            return (*BatchScratchpads(n_queries, local_k).finish(), 0, 0)
-        vals = np.full((n_queries, local_k), -np.inf, dtype=np.float64)
-        rows = np.full((n_queries, local_k), -1, dtype=np.int64)
-        accepts = np.zeros(n_queries, dtype=np.int64)
-        row_ids = np.arange(plan.n_rows, dtype=np.int64)
-        skipped = _sweep_plan(
-            X, plan, accumulate_dtype, exact, None, row_ids, vals, rows, accepts
-        )
-        return _finish(vals, rows), accepts, skipped, plan.n_rows * n_queries
+        pads = BatchScratchpads(n_queries, local_k)
+        skipped = 0
+        if plan.n_rows:
+            vals, rows, accepts = pads.export_state()
+            row_ids = np.arange(plan.n_rows, dtype=np.int64)
+            skipped = _sweep_plan(
+                X, plan, accumulate_dtype, exact, None, row_ids, vals, rows, accepts
+            )
+            pads.import_state(vals, rows, accepts)
+        return (*pads.finish_dense(), skipped, plan.n_rows * n_queries)
 
     def run(self, request: KernelRequest) -> KernelOutput:
         acc = np.dtype(request.accumulate_dtype)
@@ -478,17 +463,8 @@ class NativeKernel(KernelBackend):
             process_params=params,
             X=request.X,
         )
-        results = [p[0] for p in per_partition]
-        accepts = (
-            np.stack([p[1] for p in per_partition])
-            if per_partition
-            else np.zeros((0, request.n_queries), dtype=np.int64)
-        )
-        return KernelOutput(
-            results=results,
-            accepts=accepts,
-            skipped_rows=sum(p[2] for p in per_partition),
-            total_rows=sum(p[3] for p in per_partition),
+        return KernelOutput.from_partitions(
+            per_partition, request.n_queries, request.local_k
         )
 
 

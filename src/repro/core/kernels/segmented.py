@@ -160,7 +160,7 @@ def _fold_scores(
     so ids ``first_live + j`` are exactly the live-matrix positions.
     """
     if live is not None and not live.all():
-        scores = np.ascontiguousarray(scores[:, live])
+        scores = scores[:, live]
     if scores.shape[1] == 0:
         return 0
     pads.fold(scores, first_live)
@@ -275,9 +275,10 @@ def _fold_segment_contraction(
         r0, r1 = int(offsets[p]), int(offsets[p + 1])
         if r1 == r0:
             continue
-        block = np.ascontiguousarray(scores[r0:r1].T)
         part_live = None if live is None else live[r0:r1]
-        n = _fold_scores(pads, block, part_live, first_live + int(live_cum[r0]))
+        n = _fold_scores(
+            pads, scores[r0:r1].T, part_live, first_live + int(live_cum[r0])
+        )
         counters.total += n * X.shape[0]
         folded += n
     return folded

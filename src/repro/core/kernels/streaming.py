@@ -120,7 +120,7 @@ class StreamingKernel(KernelBackend):
         local_k,
         query_chunk=None,
     ):
-        """One partition: ``(results, accepts, skipped, total)``.
+        """One partition: dense ``(values, rows, accepts, skipped, total)``.
 
         The skip counters ride the per-partition return value so pool
         workers (thread or process) never share mutable state — no lost
@@ -129,7 +129,7 @@ class StreamingKernel(KernelBackend):
         acc = np.dtype(accumulate_dtype)
         n_queries = X.shape[0]
         if plan.n_rows == 0:
-            return (*BatchScratchpads(n_queries, local_k).finish(), 0, 0)
+            return (*BatchScratchpads(n_queries, local_k).finish_dense(), 0, 0)
         skipped = 0
         values = plan.kept_values.astype(acc)
         n_lanes = len(values)
@@ -141,7 +141,8 @@ class StreamingKernel(KernelBackend):
         chunk = query_chunk or auto_query_chunk(
             min(n_lanes, _BLOCK_LANE_BUDGET), acc.itemsize, n_queries
         )
-        results = [None] * n_queries
+        top_values = np.empty((n_queries, local_k), dtype=np.float64)
+        top_rows = np.empty((n_queries, local_k), dtype=np.int64)
         accepts = np.empty(n_queries, dtype=np.int64)
         for q0 in range(0, n_queries, chunk):
             Xc = X[q0 : q0 + chunk].astype(acc)
@@ -160,10 +161,9 @@ class StreamingKernel(KernelBackend):
                 products *= values[None, l0:l1]
                 reduced = np.add.reduceat(products, starts[r0:r1] - l0, axis=1)
                 pads.fold(reduced.astype(acc).astype(np.float64), r0)
-            chunk_results, chunk_accepts = pads.finish()
-            results[q0 : q0 + Xc.shape[0]] = chunk_results
-            accepts[q0 : q0 + Xc.shape[0]] = chunk_accepts
-        return results, accepts, skipped, plan.n_rows * n_queries
+            done = slice(q0, q0 + Xc.shape[0])
+            top_values[done], top_rows[done], accepts[done] = pads.finish_dense()
+        return top_values, top_rows, accepts, skipped, plan.n_rows * n_queries
 
     def run(self, request: KernelRequest) -> KernelOutput:
         params = {
@@ -184,17 +184,8 @@ class StreamingKernel(KernelBackend):
             process_params=params,
             X=request.X,
         )
-        results = [p[0] for p in per_partition]
-        accepts = (
-            np.stack([p[1] for p in per_partition])
-            if per_partition
-            else np.zeros((0, request.n_queries), dtype=np.int64)
-        )
-        return KernelOutput(
-            results=results,
-            accepts=accepts,
-            skipped_rows=sum(p[2] for p in per_partition),
-            total_rows=sum(p[3] for p in per_partition),
+        return KernelOutput.from_partitions(
+            per_partition, request.n_queries, request.local_k
         )
 
 

@@ -20,7 +20,13 @@ from repro.errors import ConfigurationError
 from repro.formats.csr import CSRMatrix
 from repro.utils.validation import check_positive_int
 
-__all__ = ["TopKResult", "topk_from_scores", "exact_topk_spmv"]
+__all__ = [
+    "TopKResult",
+    "dense_order",
+    "results_from_dense",
+    "topk_from_scores",
+    "exact_topk_spmv",
+]
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,28 @@ class TopKResult:
     def head(self, k: int) -> "TopKResult":
         """The best ``k`` entries (already sorted)."""
         return TopKResult(indices=self.indices[:k], values=self.values[:k])
+
+
+def dense_order(indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-row sort order of ``(n, k)`` candidate arrays: the library's
+    (desc value, asc index), with unfilled slots (``index < 0``) after every
+    real candidate — an accepted ``-inf`` included, it carries a real id."""
+    tie = np.where(indices < 0, np.iinfo(np.int64).max, indices)
+    return np.lexsort((tie, -values), axis=-1)
+
+
+def results_from_dense(indices: np.ndarray, values: np.ndarray) -> "list[TopKResult]":
+    """One :class:`TopKResult` per row of sorted ``(n, k)`` candidate arrays.
+
+    The dense form batch paths carry results in: every row already ordered
+    (desc value, asc index), with its unfilled slots (``index < 0``) last —
+    they are dropped here.
+    """
+    filled = (indices >= 0).sum(axis=1).tolist()
+    return [
+        TopKResult(indices=indices[row, :n], values=values[row, :n])
+        for row, n in enumerate(filled)
+    ]
 
 
 def topk_from_scores(scores: np.ndarray, k: int) -> TopKResult:

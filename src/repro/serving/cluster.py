@@ -103,7 +103,11 @@ class ClusterReport(ServingReport):
 
     @property
     def n_rejected(self) -> int:
-        return sum(self.rejected_per_replica)
+        """Requests refused admission, counted from the trace like
+        :attr:`n_failed`: ``rejected_per_replica`` only sees a bounded
+        queue saying no, not a request that found the whole fleet down
+        (traced ``replica == -1``)."""
+        return sum(1 for t in self.trace if t.status == REJECTED)
 
     @property
     def n_failed(self) -> int:

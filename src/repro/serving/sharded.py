@@ -30,12 +30,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.approx import merge_topk_candidates
+from repro.core.approx import CandidateBlock
 from repro.core.collection import CompiledCollection, compile_collection
 from repro.core.dataflow import (
     DataflowStats,
     StreamPlan,
-    simulate_multicore,
     simulate_multicore_batch,
 )
 from repro.core.engine import (
@@ -423,44 +422,18 @@ class ShardedEngine(MutableEngineMixin):
     def query(self, x: np.ndarray, top_k: int) -> ShardedResult:
         """One scatter-gather Top-K query across every shard.
 
-        On a segmented collection every shard scans its partition range of
-        every segment; results come from the global Top-K fold (identical
-        to the unsharded engine — the fold order is segments-then-
-        partitions either way), and sharding remains a pure capacity knob.
+        A one-row :meth:`query_batch`.  On a segmented collection every
+        shard scans its partition range of every segment; results come
+        from the global Top-K fold (identical to the unsharded engine —
+        the fold order is segments-then-partitions either way), and
+        sharding remains a pure capacity knob.
         """
-        top_k = self._check_top_k(top_k)
-        x = self._check_query(x)
-        if self._segmented:
-            out = self._run_segmented(x[None, :], top_k)
-            return ShardedResult(
-                topk=out.results[0],
-                shard_timings=tuple(s.timing for s in self.shards),
-                host_overhead_s=self.constants.host_overhead_s,
-                dataflow=out.stats_per_query()[0],
-                power_w=self.total_power_w,
-            )
-        x_uram = self.design.quantize_query(x)
-        candidates: list[TopKResult] = []
-        totals = DataflowStats()
-        for shard in self.shards:
-            local, stats = simulate_multicore(
-                shard.encoded,
-                x_uram,
-                local_k=self.design.local_k,
-                accumulate_dtype=self.design.accumulate_dtype,
-                # Aligned shards slice a (possibly placed) parent artifact:
-                # stream positions are global, so the parent's row map
-                # globalises them; full-board shards compile their own
-                # identity collections (row_map is None).
-                row_map=shard.collection.row_map,
-            )
-            candidates.extend(local)
-            totals = totals.merge(stats)
+        batch = self.query_batch(self._check_query(x)[None, :], top_k)
         return ShardedResult(
-            topk=merge_topk_candidates(candidates, top_k),
+            topk=batch.topk[0],
             shard_timings=tuple(s.timing for s in self.shards),
             host_overhead_s=self.constants.host_overhead_s,
-            dataflow=totals,
+            dataflow=batch.dataflow[0],
             power_w=self.total_power_w,
         )
 
@@ -478,42 +451,44 @@ class ShardedEngine(MutableEngineMixin):
         n_queries = queries.shape[0]
         if self._segmented:
             out = self._run_segmented(queries, top_k)
-            seconds = n_queries * self.makespan_s + self.constants.host_overhead_s
-            return BatchResult(
-                topk=out.results,
-                seconds=seconds,
-                queries_per_second=n_queries / seconds if seconds else 0.0,
-                energy_j=self.total_power_w * seconds,
-                dataflow=tuple(out.stats_per_query()),
-            )
-        x_uram = self.design.quantize_query(queries)
-        # As in the single-board engine: shards only lower/slice the
-        # contraction operand for backends that can use it — one policy,
-        # owned by CompiledCollection.wants_contraction_operand.
-        pass_operand = self.collection.wants_contraction_operand(
-            resolve_kernel_name(self.kernel)
-        )
-        per_query: list[list[TopKResult]] = [[] for _ in range(n_queries)]
-        totals = [DataflowStats() for _ in range(n_queries)]
-        for shard in self.shards:
-            local, stats = simulate_multicore_batch(
-                shard.encoded,
-                x_uram,
-                local_k=self.design.local_k,
-                accumulate_dtype=self.design.accumulate_dtype,
-                plans=shard.stream_plans(),
-                kernel=self.kernel,
-                n_workers=self.kernel_workers,
-                operand=shard.contraction_operand() if pass_operand else None,
-                executor=self.kernel_executor,
-                row_map=shard.collection.row_map,
-            )
-            for q in range(n_queries):
-                per_query[q].extend(local[q])
-                totals[q] = totals[q].merge(stats[q])
+            results = out.results
+            totals = out.stats_per_query()
+        else:
+            x_uram = self.design.quantize_query(queries)
+            kernel_name = resolve_kernel_name(self.kernel)
+            blocks = []
+            totals = [DataflowStats() for _ in range(n_queries)]
+            for shard in self.shards:
+                # As in the single-board engine: shards only lower/slice the
+                # contraction operand for backends that can use it — one
+                # policy, owned by CompiledCollection.wants_contraction_operand
+                # (asked of the shard's own artifact: a full-board fleet built
+                # from a raw matrix has no parent collection).
+                pass_operand = shard.collection.wants_contraction_operand(
+                    kernel_name
+                )
+                block, stats = simulate_multicore_batch(
+                    shard.encoded,
+                    x_uram,
+                    local_k=self.design.local_k,
+                    accumulate_dtype=self.design.accumulate_dtype,
+                    plans=shard.stream_plans(),
+                    kernel=self.kernel,
+                    n_workers=self.kernel_workers,
+                    operand=shard.contraction_operand() if pass_operand else None,
+                    executor=self.kernel_executor,
+                    # Aligned shards slice a (possibly placed) parent
+                    # artifact: stream positions are global, so the parent's
+                    # row map globalises them; full-board shards compile
+                    # their own identity collections (row_map is None).
+                    row_map=shard.collection.row_map,
+                )
+                blocks.append(block)
+                totals = [total.merge(s) for total, s in zip(totals, stats)]
+            results = CandidateBlock.concatenate(blocks).merge(top_k)
         seconds = n_queries * self.makespan_s + self.constants.host_overhead_s
         return BatchResult(
-            topk=[merge_topk_candidates(c, top_k) for c in per_query],
+            topk=results,
             seconds=seconds,
             queries_per_second=n_queries / seconds if seconds else 0.0,
             energy_j=self.total_power_w * seconds,

@@ -14,7 +14,11 @@ try:  # Hypothesis profiles: `dev` (fast, default) vs `ci` (thorough).
     from hypothesis import settings as _hyp_settings
 
     _hyp_settings.register_profile("ci", max_examples=200, deadline=None)
-    _hyp_settings.register_profile("dev", max_examples=25, deadline=None)
+    # `dev` is tier-1: derandomised, so a run neither depends on nor feeds
+    # the local `.hypothesis/` example database; `ci` keeps random search.
+    _hyp_settings.register_profile(
+        "dev", max_examples=25, deadline=None, derandomize=True
+    )
     _hyp_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 except ImportError:  # property suites will skip/fail on their own imports
     pass

@@ -21,7 +21,7 @@ bit-identity property runs on real engines over a shared collection.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from serving_stubs import StubBatchEngine
 from repro.core.collection import compile_collection
@@ -82,6 +82,9 @@ def _make_runtime(params):
 
 @settings(deadline=None)
 @given(arrivals=arrival_lists, params=fault_params)
+# Three engine faults strike the only replica DOWN before request 1 arrives:
+# it is rejected with ``replica == -1`` and must still be counted.
+@example(arrivals=[0.0, 0.03125], params=(1, 0, 0, 2, 3, 2, None))
 def test_every_request_terminal_exactly_once_under_faults(arrivals, params):
     runtime = _make_runtime(params)
     n = len(arrivals)

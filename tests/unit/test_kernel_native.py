@@ -311,5 +311,5 @@ class TestNativeBitIdentity:
             local_k=3,
             query_chunk=2,
         )
-        for g, w in zip(a[0], b[0]):
-            assert g.values.tobytes() == w.values.tobytes()
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tolist() == b[1].tolist()

@@ -22,7 +22,6 @@ from repro.core.kernels import (
     resolve_workers,
     run_kernel,
 )
-from repro.core.reference import TopKResult
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix, encode_bscsr
@@ -222,6 +221,34 @@ class TestContractionGate:
                 assert g.indices.tolist() == w.indices.tolist()
                 assert g.values.tobytes() == w.values.tobytes()
 
+    def test_score_block_budget_splits_evenly_and_keeps_bits(
+        self, tiny_matrix, monkeypatch
+    ):
+        from repro.core.kernels import contraction
+
+        X = Q1_31.quantize(np.random.default_rng(5).random((9, 64)) / 8.0)
+        request = self._request(tiny_matrix, X)
+        kernel = get_kernel("contraction")
+        whole = kernel.run(request)
+        # Room for 4 queries per block: 9 queries need three chunks, and
+        # three equal chunks are 3 + 3 + 3, not 4 + 4 + 1.
+        monkeypatch.setattr(
+            contraction, "_SCORE_BLOCK_BYTES", 4 * 8 * request.operand.n_rows
+        )
+        widths = []
+        fold = BatchScratchpads.fold_partitions
+
+        def spy(self, scores, offsets, first_row=0):
+            widths.append(scores.shape[1])
+            return fold(self, scores, offsets, first_row)
+
+        monkeypatch.setattr(BatchScratchpads, "fold_partitions", spy)
+        split = kernel.run(request)
+        assert widths == [3, 3, 3]
+        assert split.values.tobytes() == whole.values.tobytes()
+        assert np.array_equal(split.rows, whole.rows)
+        assert np.array_equal(split.accepts, whole.accepts)
+
 
 class TestOperandLowering:
     def test_rows_and_lanes_cover_every_partition(self, tiny_matrix):
@@ -411,25 +438,25 @@ class TestStreamingSkip:
 
 
 class _SharedBufferKernel(KernelBackend):
-    """Stub returning the *same* TopKResult object for every partition.
+    """Stub returning the *same* candidate buffers for every partition.
 
-    Models a backend that caches its local-result buffers; the multicore
-    driver must globalise into fresh arrays instead of offsetting these in
-    place (the PR-1..3 `__iadd__` aliasing hazard).
+    Models a backend that caches its output buffers; the multicore driver
+    must globalise into fresh arrays instead of offsetting these in place
+    (the PR-1..3 `__iadd__` aliasing hazard).
     """
 
     name = "shared-buffer-stub"
 
     def run(self, request):
-        shared = TopKResult(
-            indices=np.array([0, 1], dtype=np.int64),
-            values=np.array([2.0, 1.0]),
-        )
-        self.shared = shared
         n_parts = len(request.plans)
-        results = [[shared] * request.n_queries for _ in range(n_parts)]
-        accepts = np.zeros((n_parts, request.n_queries), dtype=np.int64)
-        return KernelOutput(results=results, accepts=accepts)
+        shape = (n_parts, request.n_queries, 2)
+        self.shared_rows = np.array([0, 1], dtype=np.int64)
+        self.shared_values = np.array([2.0, 1.0])
+        return KernelOutput(
+            values=np.broadcast_to(self.shared_values, shape),
+            rows=np.broadcast_to(self.shared_rows, shape),
+            accepts=np.zeros((n_parts, request.n_queries), dtype=np.int64),
+        )
 
 
 _SHARED_STUB = register_kernel(_SharedBufferKernel())
@@ -445,7 +472,8 @@ class TestGlobalisationAliasing:
             encoded, X, local_k=2, kernel=_SHARED_STUB.name
         )
         # The stub's buffer must still hold its local ids...
-        assert _SHARED_STUB.shared.indices.tolist() == [0, 1]
+        assert _SHARED_STUB.shared_rows.tolist() == [0, 1]
+        assert _SHARED_STUB.shared_values.tolist() == [2.0, 1.0]
         # ...while every partition's returned ids carry exactly its offset
         # (in-place offsetting of the shared array would compound them).
         for q_results in results:
