@@ -5,7 +5,9 @@ assignment, so neither channel balance nor the streaming kernel's
 threshold block-skip falls out of the original row order — and, per
 placement strategy, records:
 
-* the measured streaming-kernel skip fraction over the probe block;
+* the measured streaming-kernel skip fraction over the probe block, on the
+  frozen path and through the multi-segment driver (the same artifact
+  wrapped in a ``SegmentedCollection``);
 * the per-channel nnz imbalance (max/mean);
 * wall-clock QPS of the streaming batch path at Q = 128.
 
@@ -21,6 +23,11 @@ Acceptance floors (the ISSUE-10 gate, waived under ``REPRO_BENCH_QUICK``):
   skips ~nothing, skew skips the sorted channel tails);
 * every placed engine stays bit-identical to the uniform engine on the
   measured workload at ``top_k = local_k``.
+
+Always enforced (a count, not a speed): the ``skew`` artifact skips at
+least as much through the segmented driver as on the frozen path (ROADMAP
+item 3 — a placed segment keeps its block-skip) with no query falling back
+to the ordered fold.
 """
 
 import json
@@ -33,7 +40,9 @@ import numpy as np
 from repro import PAPER_DESIGNS, compile_collection
 from repro.core.dataflow import simulate_multicore_batch
 from repro.core.engine import TopKSpmvEngine
+from repro.core.kernels import run_segmented
 from repro.core.placement import PLACEMENT_STRATEGIES
+from repro.core.segments import SegmentedCollection
 from repro.core.tune import measure_skip_fraction, tune_placement
 from repro.data.synthetic import zipf_embeddings
 from repro.utils.rng import derive_rng, sample_unit_queries
@@ -90,8 +99,16 @@ def test_placement_tuning_speedup():
         stats = collection.channel_stats()
         _stream_batch(collection, X)  # warm plans before the timed region
         seconds = _best_of(lambda c=collection: _stream_batch(c, X))
+        segmented = run_segmented(
+            SegmentedCollection.from_collection(collection),
+            X,
+            TOP_K,
+            kernel="streaming",
+        )
         strategies[strategy] = {
             "skip_fraction": measure_skip_fraction(collection, probes),
+            "segmented_skip_fraction": segmented.skip_fraction,
+            "segmented_ordered_lanes": segmented.ordered_lanes,
             "nnz_imbalance": stats["imbalance"],
             "wall_seconds": seconds,
             "wall_qps": Q / seconds,
@@ -157,6 +174,11 @@ def test_placement_tuning_speedup():
     tuned_report = report.to_payload()
     if "measured_speedup_vs_uniform" in tuned_report:
         assert tuned_report["measured_speedup_vs_uniform"] >= 1.0
+
+    # ROADMAP item 3: wrapping the placed artifact in a segmented collection
+    # must not forfeit its block-skip.
+    assert skew["segmented_skip_fraction"] >= skew["skip_fraction"], skew
+    assert skew["segmented_ordered_lanes"] == 0, skew
 
     if QUICK:
         # Toy sizes still skip plenty here, but wall-clock QPS at Q = 16

@@ -31,7 +31,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from repro.core.dataflow import StreamPlan, plan_stream
+from repro.core.dataflow import DataflowStats, StreamPlan, plan_stream
 from repro.core.kernels.contraction import (
     ContractionOperand,
     codec_grid_bits,
@@ -194,6 +194,7 @@ class CompiledCollection:
         self._plans: "list[StreamPlan | None]" = [None] * encoded.n_partitions
         self._plans_all: "list[StreamPlan] | None" = None
         self._operand: "ContractionOperand | None" = None
+        self._plan_stats: "DataflowStats | None" = None
 
     # ------------------------------------------------------------------ #
     # Shape and size
@@ -305,6 +306,16 @@ class CompiledCollection:
             if self._plans[i] is None:
                 self._plans[i] = plan_stream(self.encoded.streams[i])
         return self._plans[start:stop]
+
+    def plan_stats(self) -> "DataflowStats":
+        """Structural counters of every stream plan, merged (cached — the
+        plans are immutable, so the sum is a per-artifact constant)."""
+        if self._plan_stats is None:
+            merged = DataflowStats()
+            for plan in self.stream_plans():
+                merged = merged.merge(plan.stats)
+            self._plan_stats = merged
+        return self._plan_stats
 
     def contraction_grid_bits(self) -> "int | None":
         """Fraction bits of the design's value grid, without lowering.

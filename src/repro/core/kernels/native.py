@@ -209,6 +209,7 @@ def _sweep(
     vals,
     rows,
     accepts,
+    evicted,
     zero,
 ):
     """The whole fused sweep for one partition plan.
@@ -218,7 +219,8 @@ def _sweep(
     lane by lane (pairwise tree, or a plain sequential sum when ``exact``
     certifies order-independence), and inserts accepted scores with the
     tracker's first-argmin replace rule.  ``vals``/``rows``/``accepts``
-    are updated in place (they may arrive warm from earlier segments);
+    and ``evicted`` (the value each query's latest accept replaced) are
+    updated in place (they may arrive warm from earlier segments);
     returns the number of live (row, query) pairs provably skipped.
     """
     n_queries = X.shape[0]
@@ -267,6 +269,7 @@ def _sweep(
                     vals[q, slot] = score
                     rows[q, slot] = row_ids[r]
                     accepts[q] += 1
+                    evicted[q] = mv
                     worst = vals[q, 0]
                     for j in range(1, k):
                         if vals[q, j] < worst:
@@ -312,6 +315,7 @@ def _sweep_plan(
     vals: np.ndarray,
     rows: np.ndarray,
     accepts: np.ndarray,
+    evicted: np.ndarray,
 ) -> int:
     """Prepare buffers and run :func:`_sweep` over one plan (in place)."""
     acc = np.dtype(accumulate_dtype)
@@ -353,6 +357,7 @@ def _sweep_plan(
             vals,
             rows,
             accepts,
+            evicted,
             acc.type(0.0),
         )
     )
@@ -390,10 +395,11 @@ def sweep_plan_into_pads(
             [[0], np.cumsum(live8[:-1], dtype=np.int64)]
         ).astype(np.int64)
     vals, rows, accepts = pads.export_state()
+    evicted = pads.evicted_values()
     skipped = _sweep_plan(
-        X, plan, accumulate_dtype, False, live, row_ids, vals, rows, accepts
+        X, plan, accumulate_dtype, False, live, row_ids, vals, rows, accepts, evicted
     )
-    pads.import_state(vals, rows, accepts, seen_rows=n_live)
+    pads.import_state(vals, rows, accepts, seen_rows=n_live, evicted=evicted)
     return skipped, n_live
 
 
@@ -433,10 +439,12 @@ class NativeKernel(KernelBackend):
         if plan.n_rows:
             vals, rows, accepts = pads.export_state()
             row_ids = np.arange(plan.n_rows, dtype=np.int64)
+            evicted = pads.evicted_values()
             skipped = _sweep_plan(
-                X, plan, accumulate_dtype, exact, None, row_ids, vals, rows, accepts
+                X, plan, accumulate_dtype, exact, None, row_ids, vals, rows,
+                accepts, evicted,
             )
-            pads.import_state(vals, rows, accepts)
+            pads.import_state(vals, rows, accepts, evicted=evicted)
         return (*pads.finish_dense(), skipped, plan.n_rows * n_queries)
 
     def run(self, request: KernelRequest) -> KernelOutput:

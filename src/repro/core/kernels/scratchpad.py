@@ -39,6 +39,18 @@ arrival order in both, so the schedule never changes a bit.
 Blocks containing any non-finite value (NaN or ±inf) take a per-row
 sequential path that mirrors :meth:`TopKTracker.insert` operation for
 operation, so the guarantee holds unconditionally.
+
+What offering rows out of order can change
+------------------------------------------
+A scratchpad always holds the top-k *multiset* of the values it was
+offered, whatever the order; only *which* of several rows sharing the k-th
+value survive depends on arrival order.  Each lane therefore records the
+value its latest accept evicted (:meth:`evicted_values`) — thresholds never
+decrease, so that is the largest value the lane ever dropped, and a lane
+whose final threshold is strictly above it holds exactly the rows scoring
+at or above the threshold, in any offering order.  The multi-segment driver
+(:mod:`repro.core.kernels.segmented`) uses this to fold placed segments in
+stream order (``fold(row_ids=)``) and still return the live-order bits.
 """
 
 from __future__ import annotations
@@ -65,6 +77,10 @@ class BatchScratchpads:
         self._vals = np.full((self.n_queries, self.local_k), -np.inf)
         self._rows = np.full((self.n_queries, self.local_k), -1, dtype=np.int64)
         self._accepts = np.zeros(self.n_queries, dtype=np.int64)
+        #: The value each lane's latest accept evicted (−inf while filling).
+        self._evicted = np.full(self.n_queries, -np.inf)
+        #: Lanes that were ever offered a non-finite value.
+        self._nonfinite = np.zeros(self.n_queries, dtype=bool)
         #: Rows offered (or provably-rejected-and-skipped) so far; controls
         #: the doubling window growth only — never any result bit.
         self._seen = 0
@@ -78,6 +94,22 @@ class BatchScratchpads:
     def worst_thresholds(self) -> np.ndarray:
         """Per-lane eviction thresholds (−inf while a scratchpad is unfilled)."""
         return self._vals.min(axis=1)
+
+    def evicted_values(self) -> np.ndarray:
+        """Per-lane largest value ever dropped (a copy; −inf = none yet).
+
+        Evictions are non-decreasing, so the latest one is the largest;
+        rejected and skipped rows lie strictly below the threshold they
+        met.  ``evicted == threshold`` is therefore the only way a lane can
+        have dropped a row tied with its k-th entry.
+        """
+        return self._evicted.copy()
+
+    def nonfinite_lanes(self) -> np.ndarray:
+        """Mask (a copy) of the lanes ever offered a NaN or ±inf value —
+        the one case where more than boundary ties depends on arrival
+        order (an accepted −inf parks the argmin on its own slot)."""
+        return self._nonfinite.copy()
 
     def export_state(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Dense ``(vals, rows, accepts)`` snapshot of every scratchpad.
@@ -96,6 +128,7 @@ class BatchScratchpads:
         rows: np.ndarray,
         accepts: np.ndarray,
         seen_rows: int = 0,
+        evicted: "np.ndarray | None" = None,
     ) -> None:
         """Adopt (a copy of) a state advanced outside :meth:`fold`.
 
@@ -106,12 +139,20 @@ class BatchScratchpads:
         fill shortcut is disabled afterwards (per-lane fill levels may
         now differ); the windowed fold path remains exact regardless.
         ``seen_rows`` advances the window-growth counter by the rows
-        offered or provably skipped — never any result bit.
+        offered or provably skipped — never any result bit.  ``evicted``
+        is :meth:`evicted_values` advanced alongside; an importer that
+        does not say what it dropped is assumed to have dropped a tie
+        (``evicted`` = the imported thresholds).
         """
         shape = (self.n_queries, self.local_k)
         self._vals = np.array(vals, dtype=np.float64).reshape(shape)
         self._rows = np.array(rows, dtype=np.int64).reshape(shape)
         self._accepts = np.array(accepts, dtype=np.int64).reshape(shape[0])
+        self._evicted = (
+            self.worst_thresholds()
+            if evicted is None
+            else np.array(evicted, dtype=np.float64).reshape(shape[0])
+        )
         self._seen += int(seen_rows)
         self._uniform = False
 
@@ -127,13 +168,21 @@ class BatchScratchpads:
         """
         self._seen += int(n_rows)
 
-    def fold(self, row_values: np.ndarray, first_row: int) -> None:
+    def fold(
+        self,
+        row_values: np.ndarray,
+        first_row: int = 0,
+        row_ids: "np.ndarray | None" = None,
+    ) -> None:
         """Offer rows ``first_row + j`` with values ``row_values[:, j]``.
 
         ``row_values`` must be float64 with one row per lane, columns in
-        row order (any strides — a transposed view is screened in place).
-        Upcasting float32 scores to float64 is exact, so the float bits
-        compared downstream are unchanged.
+        arrival order (any strides — a transposed view is screened in
+        place).  Upcasting float32 scores to float64 is exact, so the float
+        bits compared downstream are unchanged.  ``row_ids`` (int64, one
+        per column) renames the rows: column ``j`` is offered as row
+        ``first_row + row_ids[j]`` — payload only, the arrival order is
+        still the column order.
         """
         n_lanes, n_block = row_values.shape
         if n_lanes != self.n_queries:
@@ -142,9 +191,14 @@ class BatchScratchpads:
             )
         if n_block == 0:
             return
+        ids = (
+            np.arange(first_row, first_row + n_block)
+            if row_ids is None
+            else first_row + row_ids
+        )
         if not np.isfinite(row_values).all():
             self._uniform = False
-            self._fold_sequential(row_values, first_row, 0)
+            self._fold_sequential(row_values, ids, 0)
             self._seen += n_block
             return
 
@@ -158,7 +212,7 @@ class BatchScratchpads:
             lo = min(local_k - self._seen, n_block)
             slots = slice(self._seen, self._seen + lo)
             self._vals[:, slots] = row_values[:, :lo]
-            self._rows[:, slots] = np.arange(first_row, first_row + lo)
+            self._rows[:, slots] = ids[:lo]
             self._accepts += lo
             self._seen += lo
 
@@ -173,9 +227,7 @@ class BatchScratchpads:
             hits = np.flatnonzero(window >= self.worst_thresholds()[:, None])
             if len(hits):
                 lanes, cols = np.divmod(hits, hi - lo)
-                self._replay(
-                    lanes, first_row + lo + cols, window[lanes, cols], True
-                )
+                self._replay(lanes, ids[lo + cols], window[lanes, cols], True)
             self._seen += hi - lo
             lo = hi
 
@@ -218,7 +270,9 @@ class BatchScratchpads:
             else:
                 for p in range(p0, p1):
                     part = scores[row0 + (p - p0) * n : row0 + (p - p0 + 1) * n]
-                    self._fold_sequential(part.T, first_row, p * n_queries)
+                    self._fold_sequential(
+                        part.T, np.arange(first_row, first_row + n), p * n_queries
+                    )
         # Lanes stay level only if every partition offered the same rows.
         self._uniform = fill and len(cuts) == 0
         self._seen += int(lengths.max())
@@ -264,8 +318,9 @@ class BatchScratchpads:
     def _replay(self, lanes, rows, values, lane_major: bool) -> None:
         """Apply screened survivors ``(lane, row, value)`` to their lanes.
 
-        Within a lane survivors arrive in ascending row order;
-        ``lane_major`` says the arrays are already sorted by lane.
+        ``lane_major`` says the arrays are already sorted by lane with
+        each lane's survivors in arrival order; otherwise arrival order
+        within a lane must be ascending row order.
         """
         if len(lanes) < _LOCKSTEP_MIN_WIDTH:  # cannot fill even one step
             self._replay_scalar(lanes, rows, values)
@@ -294,11 +349,13 @@ class BatchScratchpads:
             value = values[at]
             pad = self._vals[lane]
             slot = pad.argmin(axis=1)  # first minimum, as the tracker's
-            accept = value >= pad[ordinal[:width], slot]
+            worst = pad[ordinal[:width], slot]
+            accept = value >= worst
             lane, slot = lane[accept], slot[accept]
             self._vals[lane, slot] = value[accept]
             self._rows[lane, slot] = rows[at][accept]
             self._accepts[lane] += 1
+            self._evicted[lane] = worst[accept]
 
     def _replay_scalar(self, lanes, rows, values) -> None:
         """Survivor-by-survivor replay on list copies of the touched lanes:
@@ -309,22 +366,28 @@ class BatchScratchpads:
             state = touched.get(lane)
             if state is None:
                 pad = self._vals[lane].tolist()
-                state = touched[lane] = [pad, self._rows[lane].tolist(), min(pad), 0]
-            pad, pad_rows, worst, _ = state
+                state = touched[lane] = [
+                    pad, self._rows[lane].tolist(), min(pad), 0, None
+                ]
+            pad, pad_rows, worst, _, _ = state
             if value >= worst:
                 slot = pad.index(worst)
                 pad[slot] = value
                 pad_rows[slot] = row
                 state[2] = min(pad)
                 state[3] += 1
-        for lane, (pad, pad_rows, _, accepted) in touched.items():
-            self._vals[lane] = pad
-            self._rows[lane] = pad_rows
-            self._accepts[lane] += accepted
+                state[4] = worst
+        for lane, (pad, pad_rows, _, accepted, evicted) in touched.items():
+            if accepted:
+                self._vals[lane] = pad
+                self._rows[lane] = pad_rows
+                self._accepts[lane] += accepted
+                self._evicted[lane] = evicted
 
-    def _fold_sequential(self, row_values, first_row: int, lane0: int) -> None:
+    def _fold_sequential(self, row_values, row_ids, lane0: int) -> None:
         """Non-finite block: mirror ``TopKTracker.insert`` row by row on
-        lanes ``lane0`` onwards (one per row of ``row_values``).
+        lanes ``lane0`` onwards (one per row of ``row_values``; column
+        ``j`` is row ``row_ids[j]``).
 
         ``list.index(min(...))`` picks the first minimal slot exactly as
         the tracker's priority-encoder argmin does — including an accepted
@@ -333,23 +396,30 @@ class BatchScratchpads:
         accepted, so scratchpad values (and hence ``min``) stay NaN-free.
         """
         lanes = slice(lane0, lane0 + row_values.shape[0])
+        self._nonfinite[lanes] |= ~np.isfinite(row_values).all(axis=1)
         pads = self._vals[lanes].tolist()
         pad_rows = self._rows[lanes].tolist()
+        evicted = self._evicted[lanes].tolist()
+        ids = row_ids.tolist()
         accepts = []
-        for pad, rows, values in zip(pads, pad_rows, row_values.tolist()):
+        for i, (pad, rows, values) in enumerate(
+            zip(pads, pad_rows, row_values.tolist())
+        ):
             worst = min(pad)
             accepted = 0
-            for j, value in enumerate(values):
+            for row, value in zip(ids, values):
                 if value >= worst:
                     slot = pad.index(worst)
                     pad[slot] = value
-                    rows[slot] = first_row + j
+                    rows[slot] = row
                     accepted += 1
+                    evicted[i] = worst
                     worst = min(pad)
             accepts.append(accepted)
         self._vals[lanes] = pads
         self._rows[lanes] = pad_rows
         self._accepts[lanes] += accepts
+        self._evicted[lanes] = evicted
 
     # ------------------------------------------------------------------ #
     # Results

@@ -10,17 +10,26 @@ a row's score bits do not depend on which partition, packet or segment the
 row sits in (the PR-4 kernel suite locks every backend to those bits).
 
 The driver therefore computes per-row scores segment by segment (each with
-the kernel backend best suited to it) and folds them — in live-row order:
-segments in order, partitions in order, delta last — into **one global
-depth-K** :class:`~repro.core.kernels.scratchpad.BatchScratchpads` per
-query block.  Because incremental folding is bit-identical to a monolithic
-fold (the scratchpad invariants of PR-4), the result is bit-identical to
-querying a fresh compile of the equivalent final matrix through this same
-driver — the property ``tests/property/test_prop_segments.py`` locks.
+the kernel backend best suited to it) and folds them — segments in order,
+delta last — into **one global depth-K**
+:class:`~repro.core.kernels.scratchpad.BatchScratchpads` per query block.
+Unplaced segments and the delta are offered in live-row order; because
+incremental folding is bit-identical to a monolithic fold (the scratchpad
+invariants of PR-4), the result is bit-identical to querying a fresh
+compile of the equivalent final matrix through this same driver — the
+property ``tests/property/test_prop_segments.py`` locks.  A *placed*
+segment is offered in stream order instead (below), which changes no bit
+either — ``tests/property/test_prop_placement.py`` locks that.
 
 Per-segment kernel choice (``auto``):
 
-* **native** everywhere, whenever the compiled backend is available
+* **streaming, heaviest block first,** for every segment whose artifact
+  carries a row placement, whatever backend was asked for: the placement
+  exists to feed the threshold screen, so the segment's fine screen blocks
+  are visited by descending bound under their live-matrix ids and the walk
+  stops at the first block every query provably rejects
+  (:func:`_fold_segment_streaming` has the order-independence argument);
+* **native** everywhere else, whenever the compiled backend is available
   (Numba installed, or interpreted mode forced): the same global-fold
   semantics as streaming below — the scratchpad state is exported dense,
   advanced by the compiled sweep (per-query screens against the carried
@@ -31,18 +40,28 @@ Per-segment kernel choice (``auto``):
   grid × Q1.31 queries × the 2^52 budget — judged by the registered
   backend's own ``supports``): one SciPy SpMM per segment, provably the
   same bits;
-* **streaming** elsewhere: row blocks are screened against the *global*
-  scratchpads' eviction thresholds before any lane is touched — and since
-  the scratchpads carry the current global K-th score *across* segments,
-  later segments skip more (the LSM win: a hot head segment warms the
-  thresholds the tail segments are pruned by);
+* **streaming** elsewhere, in stream order: row blocks are screened
+  against the *global* scratchpads' eviction thresholds before any lane is
+  touched — and since the scratchpads carry the current global K-th score
+  *across* segments, later segments skip more (the LSM win: a hot head
+  segment warms the thresholds the tail segments are pruned by).  The
+  query-independent half of every screen (bounds, cast values, live-row
+  ids) is cached on the segment per tombstone state;
 * **gather** for the unsealed delta buffer (a small 1-partition snapshot)
   and as the explicit-request fallback.
 
+The one thing a stream-order fold can change is *which* rows sharing a
+query's K-th value survive, so :func:`run_segmented` ends with a
+**boundary-tie guard**: a query whose final threshold equals the largest
+value its scratchpad ever dropped, or that met a non-finite score, is
+folded again with every placed segment in live-row order
+(:func:`_fold_segment_ordered`) and counted in
+:attr:`SegmentedOutput.ordered_lanes` — never silently.
+
 Tombstoned rows are excluded from the fold (their scores are computed with
-their block but never offered), and surviving rows are renumbered to their
-positions in the live logical matrix — exactly the ids a fresh compile
-would produce.
+their block but never offered, and a block with no live row is never
+gathered), and surviving rows are renumbered to their positions in the
+live logical matrix — exactly the ids a fresh compile would produce.
 """
 
 from __future__ import annotations
@@ -60,10 +79,20 @@ from repro.core.kernels.base import (
 from repro.core.kernels.gather import plan_row_scores
 from repro.core.kernels.native import native_available, sweep_plan_into_pads
 from repro.core.kernels.scratchpad import BatchScratchpads
-from repro.core.kernels.streaming import screen_blocks
+from repro.core.kernels.streaming import (
+    _BLOCK_LANE_BUDGET,
+    block_scores,
+    screen_blocks,
+)
 from repro.errors import ConfigurationError
 
 __all__ = ["SegmentedOutput", "run_segmented", "select_segment_kernel"]
+
+#: Lanes per screen block of a placed segment.  Much finer than the
+#: streaming kernel's working-set budget: here a block is the unit the
+#: heaviest-first walk can stop at, and a 1 000-row partition would be a
+#: single 16 384-lane block.  Measured flat between 256 and 2 048.
+_PLACED_BLOCK_LANES = 1_024
 
 
 @dataclass
@@ -75,8 +104,12 @@ class SegmentedOutput:
     :meth:`~repro.core.segments.SegmentedCollection.keys_for`).
     ``segment_kernels`` records which backend served each sealed segment in
     order (the delta, when present, always runs ``gather`` and is not
-    listed).  ``skipped_rows``/``total_rows`` count live (row, query) pairs
-    the streaming screens provably pruned vs. offered — diagnostics only.
+    listed; a placed segment always reports ``streaming``).
+    ``skipped_rows``/``total_rows`` count live (row, query) pairs the
+    streaming screens provably pruned vs. offered — diagnostics only.
+    ``ordered_lanes`` counts the queries the boundary-tie / non-finite
+    guard folded a second time with placed segments in live-row order
+    (0 unless a placed segment met a K-th-value tie or a non-finite score).
     """
 
     results: list
@@ -85,6 +118,7 @@ class SegmentedOutput:
     segment_kernels: "tuple[str, ...]" = ()
     skipped_rows: int = 0
     total_rows: int = 0
+    ordered_lanes: int = 0
 
     @property
     def skip_fraction(self) -> float:
@@ -107,6 +141,50 @@ class _FoldCounters:
     skipped: int = 0
     total: int = 0
     stats: DataflowStats = field(default_factory=DataflowStats)
+
+
+@dataclass(frozen=True)
+class _Queries:
+    """The query block of one sweep and its casts, made once per sweep."""
+
+    X: np.ndarray  # (Q, n_cols) float64, as stored in URAM
+    Xc: np.ndarray  # X in the accumulate dtype
+    xmax: np.ndarray  # (Q,) float64 max |x| — the query half of the bound
+
+    @classmethod
+    def of(cls, X: np.ndarray, accumulate_dtype) -> "_Queries":
+        Xc = X.astype(accumulate_dtype)
+        return cls(X, Xc, np.abs(Xc).max(axis=1).astype(np.float64))
+
+    @property
+    def acc(self) -> np.dtype:
+        """The accumulate dtype."""
+        return self.Xc.dtype
+
+
+@dataclass(frozen=True)
+class _SegmentScreen:
+    """Query-independent screen precompute of one sealed segment.
+
+    Every partition stream cut into row blocks, each with its provable
+    ``Σ|v| · slack`` peak (:func:`~repro.core.kernels.streaming.
+    screen_blocks`, tombstones zero-weighted).  ``blocks[i]`` is
+    ``(kept_idx, values, row_starts, ids, live)``: views of one plan's
+    lanes for a run of consecutive stream rows (values in the accumulate
+    dtype), the live-matrix positions of its live rows relative to the
+    segment's first, and the mask that selects them (``None`` = all live).
+    Blocks without a live row are left out — they are never gathered.
+    ``live_from[i]`` counts the live rows of blocks ``i`` onwards.
+
+    An unplaced segment keeps stream order (= live-row order).  A placed
+    one is sorted heaviest bound first (``descending``), which is what
+    lets the fold *stop* at the first block it can skip.
+    """
+
+    peaks: "list[float]"
+    blocks: "list[tuple]"
+    live_from: "list[int]"
+    descending: bool
 
 
 def select_segment_kernel(
@@ -179,65 +257,6 @@ def _fold_plan_gather(
     return folded
 
 
-def _fold_plan_streaming(
-    X, plan, live, pads, accumulate_dtype, first_live, counters
-) -> int:
-    """Streaming fold of one partition plan against the *global* scratchpads.
-
-    Mirrors :class:`~repro.core.kernels.streaming.StreamingKernel` block by
-    block — same bound, same slack, same strict compare — except the
-    thresholds screened against belong to the shared global fold, already
-    warmed by every earlier segment, and tombstoned rows are given a zero
-    bound weight (they are never offered, so they must never inhibit a
-    skip).  The query block is not chunked: the scratchpads are shared
-    state, so every query folds together.
-    """
-    n_rows = plan.n_rows
-    if n_rows == 0:
-        return 0
-    acc = np.dtype(accumulate_dtype)
-    values = plan.kept_values.astype(acc)
-    starts = plan.starts
-    seg_ends, blocks, block_peak = screen_blocks(plan, acc, live)
-
-    live_cum = (
-        np.concatenate([[0], np.cumsum(live, dtype=np.int64)])
-        if live is not None
-        else None
-    )
-    Xc = X.astype(acc)
-    xmax = np.abs(Xc).max(axis=1).astype(np.float64)
-    n_queries = Xc.shape[0]
-    folded = 0
-    for b in range(len(blocks) - 1):
-        r0, r1 = int(blocks[b]), int(blocks[b + 1])
-        if live_cum is None:
-            n_live_block = r1 - r0
-            block_first = first_live + r0
-        else:
-            n_live_block = int(live_cum[r1] - live_cum[r0])
-            block_first = first_live + int(live_cum[r0])
-        if n_live_block == 0:
-            continue
-        counters.total += n_live_block * n_queries
-        bound = block_peak[b] * xmax
-        if np.all(bound < pads.worst_thresholds()):
-            pads.skip_rows(n_live_block)
-            counters.skipped += n_live_block * n_queries
-            folded += n_live_block
-            continue
-        l0 = int(starts[r0])
-        l1 = int(seg_ends[r1 - 1])
-        products = Xc[:, plan.kept_idx[l0:l1]]
-        products *= values[None, l0:l1]
-        reduced = np.add.reduceat(products, starts[r0:r1] - l0, axis=1)
-        scores = reduced.astype(acc).astype(np.float64)
-        folded += _fold_scores(
-            pads, scores, None if live is None else live[r0:r1], block_first
-        )
-    return folded
-
-
 def _fold_plan_native(
     X, plan, live, pads, accumulate_dtype, first_live, counters
 ) -> int:
@@ -284,28 +303,140 @@ def _fold_segment_contraction(
     return folded
 
 
-def _fold_segment_placed(
-    segment, X, pads, accumulate_dtype, first_live, counters
-) -> int:
-    """Fold one sealed segment whose artifact has a row placement.
+def _segment_screen(segment, acc) -> _SegmentScreen:
+    """Build a segment's :class:`_SegmentScreen` (cached by the caller per
+    accumulate dtype and tombstone state).
 
-    A placed artifact's streams hold *permuted* rows, but the segment's
-    ``keys``/``live`` are indexed by original artifact row — the per-plan
-    fold loop of :func:`_fold_segment` (which slices ``live`` by stream
-    position) would offer the wrong rows in the wrong order.  Per-row score
-    bits are placement-invariant (row-contiguous ``reduceat``), so this
-    path computes the full permuted score block, reorders columns through
-    ``placement.inverse`` back to original row order, and folds once —
-    offering exactly the sequence an identity compile of the same matrix
-    would, hence unconditionally bit-identical, ties and float codecs
-    included.  The streaming screens are forfeited for placed segments
-    (scores for every row are materialised); the frozen query path is
-    where a placed collection's skip win lives.
+    Stream position ``j`` of a placed artifact holds artifact row
+    ``placement.order[j]``, so its mask and live-matrix positions are
+    gathered through ``order`` once, here.  A NaN peak (NaN matrix value)
+    sorts first, so the peaks a descending walk relies on to only fall
+    never hide one.
     """
     artifact = segment.artifact
-    n_queries = X.shape[0]
+    placement = artifact.placement
+    stream_ids = segment.live_cumsum()[:-1]
+    stream_live = None if segment.all_live else segment.live
+    if placement is not None:
+        stream_ids = stream_ids[placement.order]
+        if stream_live is not None:
+            stream_live = stream_live[placement.order]
+    lane_budget = _BLOCK_LANE_BUDGET if placement is None else _PLACED_BLOCK_LANES
+    peaks, blocks, n_live = [], [], []
+    offset = 0
+    for plan in artifact.stream_plans():
+        if plan.n_rows == 0:
+            continue
+        rows = slice(offset, offset + plan.n_rows)
+        offset += plan.n_rows
+        live = None if stream_live is None else stream_live[rows]
+        ids = stream_ids[rows]
+        values = plan.kept_values.astype(acc, copy=False)
+        starts = plan.starts
+        seg_ends, cuts, plan_peaks = screen_blocks(plan, acc, live, lane_budget)
+        plan_peaks = np.where(np.isnan(plan_peaks), np.inf, plan_peaks)
+        cuts = cuts.tolist()
+        for b, peak in enumerate(plan_peaks.tolist()):
+            r0, r1 = cuts[b], cuts[b + 1]
+            mask = None if live is None else live[r0:r1]
+            if mask is not None and mask.all():
+                mask = None
+            block_ids = ids[r0:r1] if mask is None else ids[r0:r1][mask]
+            if len(block_ids) == 0:
+                continue
+            l0, l1 = int(starts[r0]), int(seg_ends[r1 - 1])
+            peaks.append(peak)
+            n_live.append(len(block_ids))
+            blocks.append(
+                (
+                    plan.kept_idx[l0:l1],
+                    values[l0:l1],
+                    starts[r0:r1] - l0,
+                    block_ids,
+                    mask,
+                )
+            )
+    if placement is not None:
+        heaviest_first = np.argsort(-np.array(peaks), kind="stable").tolist()
+        peaks, blocks, n_live = (
+            [column[i] for i in heaviest_first] for column in (peaks, blocks, n_live)
+        )
+    live_from = np.cumsum(n_live[::-1], dtype=np.int64)[::-1].tolist()
+    return _SegmentScreen(peaks, blocks, [*live_from, 0], placement is not None)
+
+
+def _fold_segment_streaming(segment, queries, pads, first_live, counters) -> int:
+    """Screened fold of one sealed segment against the *global* scratchpads.
+
+    Mirrors :class:`~repro.core.kernels.streaming.StreamingKernel` block by
+    block — same bound, same slack, same strict compare — except the
+    thresholds screened against belong to the shared global fold, already
+    warmed by every earlier segment, and tombstoned rows weigh nothing in
+    the bound (they are never offered, so they must never inhibit a skip).
+    The query block is not chunked: the scratchpads are shared state, so
+    every query folds together.
+
+    An unplaced segment is walked in stream order, which is live-row order.
+    A **placed** artifact's streams hold *permuted* rows (heavy rows first
+    under ``skew``/``norm_sorted``), which is exactly what a threshold
+    screen wants — so it is folded out of live-row order: blocks heaviest
+    bound first, each one's live rows offered under their live-matrix ids
+    (``fold(row_ids=)``), and the walk **stops** at the first block whose
+    ``peak · max|x|`` is strictly below every query's threshold — peaks
+    only fall from there and thresholds only rise, so every later block is
+    provably rejected too (accounted with ``skip_rows``, never gathered).
+
+    Why the bits do not depend on that order: a scratchpad always holds the
+    top-K *multiset* of what it was offered, ``finish`` sorts by (value
+    desc, id asc), and skipped or rejected rows lie strictly below the
+    final threshold — so the only order-dependent outcome is *which* rows
+    sharing the K-th value survive.  :func:`run_segmented` detects exactly
+    that (the boundary-tie guard on
+    :meth:`BatchScratchpads.evicted_values`) and re-runs the affected
+    queries through :func:`_fold_segment_ordered`.  ``tracker_accepts`` of
+    a placed segment are therefore stream-order counts, as on the frozen
+    placed path and on the hardware.
+    """
+    acc = queries.acc
+    screen = segment.derived(
+        ("screen", acc.str), lambda: _segment_screen(segment, acc)
+    )
+    n_queries = len(queries.xmax)
+    live_from = screen.live_from
+    counters.total += live_from[0] * n_queries
+    for b, peak in enumerate(screen.peaks):
+        if np.all(peak * queries.xmax < pads.worst_thresholds()):
+            # Descending peaks: every later block is rejected with this one.
+            rest = screen.descending
+            n_skipped = live_from[b] - (0 if rest else live_from[b + 1])
+            pads.skip_rows(n_skipped)
+            counters.skipped += n_skipped * n_queries
+            if rest:
+                break
+            continue
+        kept_idx, values, row_starts, ids, live = screen.blocks[b]
+        scores = block_scores(queries.Xc, kept_idx, values, row_starts)
+        if live is not None:
+            scores = scores[:, live]
+        pads.fold(scores, first_live, ids)
+    return live_from[0]
+
+
+def _fold_segment_ordered(segment, queries, pads, first_live, counters) -> int:
+    """Live-row-order fold of a placed segment: the tie guard's fallback.
+
+    Per-row score bits are placement-invariant (row-contiguous
+    ``reduceat``), so this computes the full permuted score block,
+    reorders columns through ``placement.inverse`` back to original row
+    order and folds once — offering exactly the sequence an identity
+    compile of the same matrix would, hence unconditionally bit-identical,
+    boundary ties and non-finite scores included.  Every row is
+    materialised; only queries :func:`run_segmented`'s guard singles out
+    come here.
+    """
+    artifact = segment.artifact
     blocks = [
-        plan_row_scores(X, plan, accumulate_dtype)
+        plan_row_scores(queries.X, plan, queries.acc)
         for plan in artifact.stream_plans()
         if plan.n_rows
     ]
@@ -315,47 +446,73 @@ def _fold_segment_placed(
     scores = np.ascontiguousarray(scores_perm[:, artifact.placement.inverse])
     live = None if segment.all_live else segment.live
     folded = _fold_scores(pads, scores, live, first_live)
-    counters.total += folded * n_queries
+    counters.total += folded * len(queries.xmax)
     return folded
 
 
 def _fold_segment(
-    segment, X, pads, accumulate_dtype, kernel_name, first_live, counters
+    segment, queries, pads, kernel_name, first_live, counters, ordered
 ) -> int:
     """Fold one sealed segment; returns its live row count."""
     artifact = segment.artifact
-    for plan in artifact.stream_plans():
-        counters.stats = counters.stats.merge(plan.stats)
-    if getattr(artifact, "placement", None) is not None:
-        return _fold_segment_placed(
-            segment, X, pads, accumulate_dtype, first_live, counters
-        )
+    counters.stats = counters.stats.merge(artifact.plan_stats())
+    if ordered and artifact.placement is not None:
+        return _fold_segment_ordered(segment, queries, pads, first_live, counters)
+    if kernel_name == "streaming":
+        return _fold_segment_streaming(segment, queries, pads, first_live, counters)
     if kernel_name == "contraction":
-        return _fold_segment_contraction(segment, X, pads, first_live, counters)
-    if kernel_name == "native":
-        fold_plan = _fold_plan_native
-    elif kernel_name == "streaming":
-        fold_plan = _fold_plan_streaming
-    else:
-        fold_plan = _fold_plan_gather
+        return _fold_segment_contraction(
+            segment, queries.X, pads, first_live, counters
+        )
+    fold_plan = _fold_plan_native if kernel_name == "native" else _fold_plan_gather
     live = None if segment.all_live else segment.live
     live_cum = segment.live_cumsum()
-    plans = artifact.stream_plans()
     folded = 0
     row = 0
-    for plan in plans:
+    for plan in artifact.stream_plans():
         part_live = None if live is None else live[row : row + plan.n_rows]
         folded += fold_plan(
-            X,
+            queries.X,
             plan,
             part_live,
             pads,
-            accumulate_dtype,
+            queries.acc,
             first_live + int(live_cum[row]),
             counters,
         )
         row += plan.n_rows
     return folded
+
+
+def _sweep(collection, X, top_k, kernel, ordered):
+    """One pass over every segment and the delta: ``(pads, counters,
+    kernels)``.  ``ordered`` folds placed segments in live-row order."""
+    queries = _Queries.of(X, collection.design.accumulate_dtype)
+    pads = BatchScratchpads(X.shape[0], top_k)
+    counters = _FoldCounters()
+    kernels_used = []
+    offset = 0
+    for segment in collection.segments:
+        # A placed segment keeps its block-skip whatever backend was asked
+        # for: it always takes the screened fold, heaviest block first.
+        if segment.artifact.placement is not None:
+            name = "streaming"
+        else:
+            name = select_segment_kernel(
+                segment.artifact, X, kernel, queries.acc, top_k
+            )
+        kernels_used.append(name)
+        offset += _fold_segment(
+            segment, queries, pads, name, offset, counters, ordered
+        )
+    delta = collection.compiled_delta()
+    if delta is not None:
+        counters.stats = counters.stats.merge(delta.plan_stats())
+        for plan in delta.stream_plans():
+            offset += _fold_plan_gather(
+                X, plan, None, pads, queries.acc, offset, counters
+            )
+    return pads, counters, tuple(kernels_used)
 
 
 def run_segmented(
@@ -388,33 +545,29 @@ def run_segmented(
         )
     if top_k < 1:
         raise ConfigurationError(f"top_k must be >= 1, got {top_k}")
-    acc = collection.design.accumulate_dtype
-    pads = BatchScratchpads(X.shape[0], int(top_k))
-    counters = _FoldCounters()
-    kernels_used = []
-    offset = 0
-    for segment in collection.segments:
-        # Placed artifacts take the dedicated inverse-reorder fold (see
-        # _fold_segment_placed) — gather semantics, recorded as such.
-        if getattr(segment.artifact, "placement", None) is not None:
-            name = "gather"
-        else:
-            name = select_segment_kernel(segment.artifact, X, kernel, acc, top_k)
-        kernels_used.append(name)
-        offset += _fold_segment(segment, X, pads, acc, name, offset, counters)
-    delta = collection.compiled_delta()
-    if delta is not None:
-        for plan in delta.stream_plans():
-            counters.stats = counters.stats.merge(plan.stats)
-            offset += _fold_plan_gather(
-                X, plan, None, pads, acc, offset, counters
-            )
+    top_k = int(top_k)
+    pads, counters, kernels_used = _sweep(collection, X, top_k, kernel, False)
     results, accepts = pads.finish()
+    redo = np.empty(0, dtype=np.int64)
+    if any(s.artifact.placement is not None for s in collection.segments):
+        # The boundary-tie guard (see _fold_segment_streaming): a query whose
+        # K-th value equals the largest value it dropped, or that met a
+        # non-finite score, may hold order-dependent rows — fold it again
+        # with every placed segment in live-row order.
+        thresholds = pads.worst_thresholds()
+        tied = (pads.evicted_values() == thresholds) & (thresholds > -np.inf)
+        redo = np.flatnonzero(tied | pads.nonfinite_lanes())
+    if len(redo):
+        ordered_pads, _, _ = _sweep(collection, X[redo], top_k, kernel, True)
+        ordered_results, accepts[redo] = ordered_pads.finish()
+        for lane, result in zip(redo.tolist(), ordered_results):
+            results[lane] = result
     return SegmentedOutput(
         results=results,
         accepts=accepts,
         base_stats=counters.stats,
-        segment_kernels=tuple(kernels_used),
+        segment_kernels=kernels_used,
         skipped_rows=counters.skipped,
         total_rows=counters.total,
+        ordered_lanes=len(redo),
     )

@@ -47,7 +47,7 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.scratchpad import BatchScratchpads
 
-__all__ = ["StreamingKernel", "screen_blocks"]
+__all__ = ["StreamingKernel", "block_scores", "screen_blocks"]
 
 #: Target lane count per row block (× query chunk × itemsize ≈ working set).
 _BLOCK_LANE_BUDGET = 16_384
@@ -72,7 +72,10 @@ def _block_bounds(starts: np.ndarray, n_lanes: int, budget: int) -> np.ndarray:
 
 
 def screen_blocks(
-    plan, accumulate_dtype, live: "np.ndarray | None" = None
+    plan,
+    accumulate_dtype,
+    live: "np.ndarray | None" = None,
+    lane_budget: int = _BLOCK_LANE_BUDGET,
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The provable-skip precompute: ``(seg_ends, blocks, block_peak)``.
 
@@ -82,7 +85,8 @@ def screen_blocks(
     per-block peaks, scaled by the slack covering the accumulate dtype's
     pairwise-summation error and the bound product's own rounding (see the
     module docstring).  ``live`` zeroes tombstoned rows' weights — they
-    are never offered, so they must never inhibit a skip.
+    are never offered, so they must never inhibit a skip.  ``lane_budget``
+    sizes the row blocks; the bound holds for any cut.
     """
     acc = np.dtype(accumulate_dtype)
     starts = plan.starts
@@ -93,9 +97,23 @@ def screen_blocks(
     seg_ends = np.concatenate([starts[1:], [n_lanes]])
     max_len = int((seg_ends - starts).max(initial=1))
     slack = 1.0 + 16.0 * (max_len + 8) * float(np.finfo(acc).eps)
-    blocks = _block_bounds(starts, n_lanes, _BLOCK_LANE_BUDGET)
+    blocks = _block_bounds(starts, n_lanes, lane_budget)
     block_peak = np.maximum.reduceat(row_abs, blocks[:-1]) * slack
     return seg_ends, blocks, block_peak
+
+
+def block_scores(Xc, kept_idx, values, row_starts) -> np.ndarray:
+    """``(Q, n_rows)`` float64 scores of a run of consecutive stream rows.
+
+    ``kept_idx``/``values`` are the rows' kept lanes (values already in
+    ``Xc``'s accumulate dtype), ``row_starts`` each row's first lane within
+    them: gather, multiply in place, reduce per row — the reference
+    kernel's float ops on the same values, hence the same bits.
+    """
+    products = Xc[:, kept_idx]
+    products *= values
+    reduced = np.add.reduceat(products, row_starts, axis=1)
+    return reduced.astype(Xc.dtype, copy=False).astype(np.float64)
 
 
 class StreamingKernel(KernelBackend):
@@ -157,10 +175,10 @@ class StreamingKernel(KernelBackend):
                     continue
                 l0 = int(starts[r0])
                 l1 = int(seg_ends[r1 - 1])
-                products = Xc[:, plan.kept_idx[l0:l1]]
-                products *= values[None, l0:l1]
-                reduced = np.add.reduceat(products, starts[r0:r1] - l0, axis=1)
-                pads.fold(reduced.astype(acc).astype(np.float64), r0)
+                scores = block_scores(
+                    Xc, plan.kept_idx[l0:l1], values[l0:l1], starts[r0:r1] - l0
+                )
+                pads.fold(scores, r0)
             done = slice(q0, q0 + Xc.shape[0])
             top_values[done], top_rows[done], accepts[done] = pads.finish_dense()
         return top_values, top_rows, accepts, skipped, plan.n_rows * n_queries

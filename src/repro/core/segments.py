@@ -116,6 +116,7 @@ class Segment:
     live: np.ndarray
     _live_cum: "np.ndarray | None" = field(default=None, repr=False)
     _n_live: "int | None" = field(default=None, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
@@ -160,11 +161,24 @@ class Segment:
             )
         return self._live_cum
 
+    def derived(self, key, build):
+        """``build()`` memoised per ``key`` and tombstone state.
+
+        Home of the query-independent precomputes the segmented driver
+        derives from the immutable artifact *and* the mask (screen bounds,
+        live-row ids); :meth:`tombstone` drops them with the other caches.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
     def tombstone(self, row: int) -> None:
         """Mark one physical row dead (idempotence is the caller's job)."""
         self.live[row] = False
         self._live_cum = None
         self._n_live = None
+        self._derived = {}
 
 
 class _DeltaBuffer:

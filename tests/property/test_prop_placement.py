@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.collection import CompiledCollection, compile_collection
+from repro.core.kernels import run_segmented
 from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
 from repro.core.segments import SegmentedCollection
 from repro.core.engine import TopKSpmvEngine
@@ -38,10 +39,11 @@ KERNELS = ["gather", "streaming", "contraction", "native"]
 
 
 @st.composite
-def sparse_matrices(draw, max_rows=40, max_cols=20):
+def sparse_matrices(draw, max_rows=40, max_cols=20, n_cols=None):
     """Small grid-valued CSR matrices; empty rows appear naturally."""
     n_rows = draw(st.integers(0, max_rows))
-    n_cols = draw(st.integers(1, max_cols))
+    if n_cols is None:
+        n_cols = draw(st.integers(1, max_cols))
     rows = []
     for _ in range(n_rows):
         length = draw(st.integers(0, min(n_cols, 8)))
@@ -176,6 +178,85 @@ class TestSegmentedInvariance:
         want = TopKSpmvEngine(base).query_batch(X, top_k)
         got = TopKSpmvEngine(placed).query_batch(X, top_k)
         assert_batches_identical(got.topk, want.topk, strategy)
+        # Continuous values never tie at the K-th score: nothing falls
+        # back to the ordered fold, and the placed segment streamed.
+        out = run_segmented(placed, PAPER_DESIGNS[design_name].quantize_query(X), top_k)
+        assert out.ordered_lanes == 0
+        assert out.segment_kernels == ("streaming",)
+
+    @pytest.mark.parametrize("strategy", NON_UNIFORM)
+    @given(
+        matrix=sparse_matrices(max_rows=40, max_cols=8),
+        design_name=st.sampled_from(["20b", "f32"]),
+        top_k=st.integers(1, 12),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tie_heavy_placed_segment_fold(
+        self, strategy, matrix, design_name, top_k, data
+    ):
+        """Grid values x grid queries tie at the K-th score all the time;
+        the stream-order fold plus the boundary-tie guard still returns the
+        identity compile's bits, tombstones on the placed segment and a
+        trailing unplaced segment + delta included."""
+        design = PAPER_DESIGNS[design_name]
+        n_cols = matrix.n_cols
+        tail = data.draw(sparse_matrices(max_rows=6, n_cols=n_cols))
+        dead = data.draw(
+            st.lists(st.integers(0, max(0, matrix.n_rows - 1)), max_size=10, unique=True)
+        )
+        flat = data.draw(
+            st.lists(st.integers(0, 2), min_size=3 * n_cols, max_size=3 * n_cols)
+        )
+        X = design.quantize_query(
+            np.array(flat, dtype=np.float64).reshape(3, n_cols) / 2
+        )
+        outs = []
+        for placement in (None, strategy):
+            collection = SegmentedCollection.from_collection(
+                compile_collection(
+                    matrix, design, n_partitions=4, placement=placement
+                )
+            )
+            if tail.n_rows:
+                collection.ingest(tail)
+                collection.seal()
+                collection.ingest(tail)
+            if matrix.n_rows:
+                collection.delete(dead)
+            outs.append(run_segmented(collection, X, top_k))
+        want, got = outs
+        assert_batches_identical(got.results, want.results, strategy)
+        assert want.ordered_lanes == 0  # nothing placed, nothing to guard
+        assert got.total_rows == want.total_rows  # every live pair accounted
+
+    @pytest.mark.parametrize("strategy", NON_UNIFORM)
+    def test_tie_guard_fires_on_grid_ties(self, strategy):
+        """Every row scores the same (rows differ only in columns the
+        queries zero out, which is what the placement sorts on): all ties
+        at the K-th score, so the guard must send every query through the
+        ordered fold."""
+        design = PAPER_DESIGNS["20b"]
+        rows = []
+        for i in range(24):
+            extra = 1 + i % 3
+            cols = np.arange(extra + 1, dtype=np.int64)
+            vals = np.concatenate([[0.5], np.full(extra, (i + 1) / 64)])
+            rows.append((cols, vals))
+        matrix = CSRMatrix.from_rows(rows, n_cols=4)
+        X = design.quantize_query(np.array([[0.5, 0, 0, 0], [0.25, 0, 0, 0]]))
+        base = SegmentedCollection.from_collection(
+            compile_collection(matrix, design, n_partitions=3)
+        )
+        placed = SegmentedCollection.from_collection(
+            compile_collection(matrix, design, n_partitions=3, placement=strategy)
+        )
+        assert placed.segments[0].artifact.placement is not None
+        want = run_segmented(base, X, 5)
+        got = run_segmented(placed, X, 5)
+        assert got.ordered_lanes == 2
+        assert_batches_identical(got.results, want.results, strategy)
+        assert got.accepts.tolist() == want.accepts.tolist()
 
 
 class TestPersistence:

@@ -226,6 +226,86 @@ class TestLaneFoldMatchesTrackers:
 
 
 # ---------------------------------------------------------------------- #
+# fold(row_ids=): renamed rows in arrival order, and the evicted-value tracker
+# ---------------------------------------------------------------------- #
+class TestRenamedRowsAndEvictedValues:
+    @pytest.mark.parametrize("min_width", SCHEDULES)
+    @given(
+        lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        n_queries=st.integers(1, 9),
+        k=st.integers(1, 6),
+        first_row=st.integers(0, 50),
+        values=st.sampled_from([small_integers, with_non_finite]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_ids_match_a_tracker_loop(
+        self, lengths, n_queries, k, first_row, values, data, min_width
+    ):
+        """Incremental ``fold(row_ids=perm)`` calls with provably-rejected
+        rows skipped in between: slots, accepts and results equal trackers
+        offered the permuted ids in column order, and ``evicted_values`` is
+        the largest value each tracker ever dropped (``nonfinite_lanes``
+        the lanes ever offered a NaN or ±inf)."""
+        trackers = [TopKTracker(k) for _ in range(n_queries)]
+        accepts = [0] * n_queries
+        dropped = [-np.inf] * n_queries
+        non_finite = [False] * n_queries
+
+        def offer(lane, row, value):
+            non_finite[lane] |= not np.isfinite(value)
+            worst = float(trackers[lane]._values.min())
+            if trackers[lane].insert(row, value):
+                accepts[lane] += 1
+                dropped[lane] = max(dropped[lane], worst)
+
+        pads = BatchScratchpads(n_queries, k)
+        for n in lengths:
+            flat = data.draw(
+                st.lists(values, min_size=n_queries * n, max_size=n_queries * n)
+            )
+            scores = np.array(flat, dtype=np.float64).reshape(n_queries, n)
+            ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+            for lane in range(n_queries):
+                for j in range(n):
+                    offer(lane, first_row + int(ids[j]), float(scores[lane, j]))
+            with forced_schedule(min_width):
+                pads.fold(scores, first_row, ids)
+            first_row += n
+            worst = float(pads.worst_thresholds().min())
+            if np.isfinite(worst):
+                for lane in range(n_queries):
+                    for j in range(3):
+                        offer(lane, first_row + j, worst - 1.0)
+                pads.skip_rows(3)
+                first_row += 3
+        vals, rows, got_accepts = pads.export_state()
+        results, _ = pads.finish()
+        assert got_accepts.tolist() == accepts
+        assert pads.evicted_values().tolist() == dropped
+        assert pads.nonfinite_lanes().tolist() == non_finite
+        for lane, tracker in enumerate(trackers):
+            assert rows[lane].tolist() == tracker._indices.tolist()
+            assert vals[lane].tobytes() == tracker._values.tobytes()
+            want = tracker.result()
+            assert results[lane].indices.tolist() == want.indices.tolist()
+            assert results[lane].values.tobytes() == want.values.tobytes()
+
+    def test_import_without_evicted_assumes_a_dropped_tie(self):
+        """An importer that does not report what it dropped must not be
+        able to hide a boundary tie from the guard."""
+        pads = BatchScratchpads(2, 2)
+        pads.fold(np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 1.0]]), 0)
+        assert pads.evicted_values().tolist() == [1.0, 1.0]
+        moved = BatchScratchpads(2, 2)
+        moved.import_state(*pads.export_state())
+        assert moved.evicted_values().tolist() == moved.worst_thresholds().tolist()
+        kept = BatchScratchpads(2, 2)
+        kept.import_state(*pads.export_state(), evicted=pads.evicted_values())
+        assert kept.evicted_values().tolist() == [1.0, 1.0]
+
+
+# ---------------------------------------------------------------------- #
 # query == one-row query_batch, on every engine shape
 # ---------------------------------------------------------------------- #
 def _matrix():

@@ -342,3 +342,100 @@ class TestEngines:
         assert "segmented" in engine.describe()
         fleet = ShardedEngine(collection, n_shards=2)
         assert "shards" in fleet.describe()
+
+
+class TestPlacedSegmentFold:
+    """The stream-order screened fold of a placed segment and its caches."""
+
+    @pytest.fixture
+    def pair(self, base_matrix):
+        """The same rows behind an identity and a skew-placed compile."""
+        return tuple(
+            SegmentedCollection.from_collection(
+                compile_collection(
+                    base_matrix, DESIGN, n_partitions=4, placement=placement
+                )
+            )
+            for placement in (None, "skew")
+        )
+
+    @staticmethod
+    def _assert_same_bits(got, want):
+        for g, w in zip(got.results, want.results):
+            assert g.indices.tolist() == w.indices.tolist()
+            assert g.values.tobytes() == w.values.tobytes()
+
+    def test_streams_and_skips_without_falling_back(self, pair):
+        base, placed = pair
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(7), 5, 96))
+        got = run_segmented(placed, X, 10)
+        self._assert_same_bits(got, run_segmented(base, X, 10))
+        assert got.segment_kernels == ("streaming",)
+        assert got.ordered_lanes == 0
+        assert got.total_rows == 600 * 5
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_query_takes_the_ordered_fold(self, pair, bad):
+        base, placed = pair
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(8), 3, 96))
+        X[1, 5] = bad
+        got = run_segmented(placed, X, 10)
+        self._assert_same_bits(got, run_segmented(base, X, 10))
+        assert got.ordered_lanes == 1  # the finite queries kept streaming
+
+    def test_an_all_tombstoned_block_is_never_gathered(self, pair, monkeypatch):
+        from repro.core.kernels import segmented
+
+        base, placed = pair
+        artifact = placed.segments[0].artifact
+        bounds = artifact.placement.boundaries
+        dead = artifact.placement.order[bounds[1] : bounds[2]]  # all of stream 1
+        for collection in pair:
+            collection.delete(dead.tolist())
+        gathered = []
+        real = segmented.block_scores
+
+        def recording(Xc, kept_idx, values, row_starts):
+            gathered.append(kept_idx)
+            return real(Xc, kept_idx, values, row_starts)
+
+        monkeypatch.setattr(segmented, "block_scores", recording)
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(9), 2, 96))
+        n_live = placed.n_live
+        got = run_segmented(placed, X, n_live)  # depth = every row: no early stop
+        dead_lanes = artifact.stream_plans()[1].kept_idx
+        assert gathered and not any(np.shares_memory(g, dead_lanes) for g in gathered)
+        monkeypatch.undo()
+        self._assert_same_bits(got, run_segmented(base, X, n_live))
+        assert got.total_rows == n_live * 2 and got.skipped_rows == 0
+
+    def test_screens_are_built_once_per_tombstone_state(self, pair, monkeypatch):
+        from repro.core.kernels import segmented
+
+        _, placed = pair
+        placed.ingest(_rows(300, 96, 3))
+        placed.seal()  # an unplaced segment behind the placed one
+        builds = []
+        real = segmented._segment_screen
+
+        def counting(segment, acc):
+            builds.append(placed.segments.index(segment))
+            return real(segment, acc)
+
+        monkeypatch.setattr(segmented, "_segment_screen", counting)
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(10), 2, 96))
+        for _ in range(3):
+            out = run_segmented(placed, X, 10, kernel="streaming")
+        assert out.segment_kernels == ("streaming", "streaming")
+        assert builds == [0, 1]
+        placed.delete([0])  # a tombstone on the placed segment only
+        for _ in range(2):
+            run_segmented(placed, X, 10, kernel="streaming")
+        assert builds == [0, 1, 0]
+
+    def test_plan_stats_are_merged_once_per_artifact(self, pair):
+        artifact = pair[1].segments[0].artifact
+        merged = artifact.plan_stats()
+        assert merged is artifact.plan_stats()
+        assert merged.packets == sum(p.stats.packets for p in artifact.stream_plans())
+        assert merged.rows_finished == 600
