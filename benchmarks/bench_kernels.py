@@ -7,9 +7,7 @@ bit-identical on the measured workload, emits
 ``benchmarks/results/kernels_speedup.json`` so successive PRs can track the
 query-path trajectory, and asserts the acceptance floors:
 
-* the best backend >= 2x over the gather kernel (it is >= 2x even against
-  today's auto-chunked gather; against the PR-1 configuration — hardcoded
-  ``chunk = 32`` — the margin is wider, and both numbers are recorded);
+* the best backend >= 2x over the (auto-chunked) gather kernel;
 * where Numba is installed, the compiled ``native`` backend >= 25x over the
   gather kernel at Q = 128 — the reference every floor here divides by.
   (It used to be ">= 10x over contraction", whose denominator moves every
@@ -74,7 +72,7 @@ def _best_of(fn, repeats=3):
     return best
 
 
-def _run(collection, X, kernel, query_chunk=None):
+def _run(collection, X, kernel):
     return simulate_multicore_batch(
         collection.encoded,
         X,
@@ -83,7 +81,6 @@ def _run(collection, X, kernel, query_chunk=None):
         plans=collection.stream_plans(),
         kernel=kernel,
         operand=collection.contraction_operand(),
-        query_chunk=query_chunk,
     )
 
 
@@ -113,9 +110,6 @@ def test_kernel_backends_speedup():
     for name in BACKENDS:
         _assert_bit_identical(reference, _run(collection, X, name), name)
         timings[name] = _best_of(lambda name=name: _run(collection, X, name))
-    # The PR-1 configuration: the gather kernel with its old hardcoded
-    # query chunk of 32 (recorded for the trajectory, not floored).
-    pr1_gather_s = _best_of(lambda: _run(collection, X, "gather", query_chunk=32))
 
     gather_s = timings["gather"]
     speedups = {name: gather_s / s for name, s in timings.items()}
@@ -190,8 +184,6 @@ def test_kernel_backends_speedup():
         "backend_seconds": timings,
         "speedup_vs_gather": speedups,
         "best_backend": best,
-        "pr1_gather_chunk32_s": pr1_gather_s,
-        "speedup_best_vs_pr1": pr1_gather_s / timings[best],
         "skewed": skewed_payload,
     }
     if "native" in timings:

@@ -233,12 +233,15 @@ class DataflowCore:
         segment starts, structural counters) so serving layers can amortise
         it across batches; omit it to derive the plan on the fly.
         """
+        from repro.core.kernels import BatchScratchpads, Queries, get_kernel
+
         X = self._query_block(stream)
         if plan is None:
             plan = plan_stream(stream)
-        results, accepts = _run_block_on_plan(
-            X, plan, self.accumulate_dtype, self.local_k
-        )
+        pads = BatchScratchpads(X.shape[0], self.local_k)
+        queries = Queries.of(X, self.accumulate_dtype)
+        get_kernel("gather").fold_plan(queries, plan, pads)
+        results, accepts = pads.finish()
         stats_list = [
             replace(plan.stats, tracker_accepts=int(a)) for a in accepts
         ]
@@ -341,38 +344,6 @@ def plan_stream(stream: BSCSRStream) -> StreamPlan:
     )
 
 
-def _run_block_on_plan(
-    X: np.ndarray,
-    plan: "StreamPlan",
-    accumulate_dtype: np.dtype,
-    local_k: int,
-) -> tuple[list[TopKResult], np.ndarray]:
-    """One stream against a query block: per-query top-k + accept counts.
-
-    Thin compatibility delegate; the implementation is the reference gather
-    kernel (:func:`repro.core.kernels.gather.run_plan_gather`).
-    """
-    from repro.core.kernels.gather import run_plan_gather
-
-    return run_plan_gather(X, plan, accumulate_dtype, local_k)
-
-
-def _batch_scratchpads(
-    row_values: np.ndarray, local_k: int
-) -> tuple[list[TopKResult], np.ndarray]:
-    """Every query's Top-K scratchpad over one partition's finished rows.
-
-    Thin compatibility delegate for
-    :func:`repro.core.kernels.scratchpad.batch_scratchpads` — bit-identical
-    to sequential per-query :class:`TopKTracker` inserts in row order,
-    including NaN/±inf row values (a NaN block takes a sequential path that
-    mirrors the tracker operation for operation).
-    """
-    from repro.core.kernels.scratchpad import batch_scratchpads
-
-    return batch_scratchpads(row_values, local_k)
-
-
 def simulate_dataflow(
     stream: BSCSRStream,
     x: np.ndarray,
@@ -434,7 +405,6 @@ def simulate_multicore_batch(
     kernel: "str | None" = None,
     n_workers: "int | str | None" = None,
     operand=None,
-    query_chunk: "int | None" = None,
     executor: "str | None" = None,
     row_map: "np.ndarray | None" = None,
 ) -> "tuple[CandidateBlock, list[DataflowStats]]":
@@ -478,8 +448,6 @@ def simulate_multicore_batch(
         with ``plans`` (compiled collections persist one).  When omitted it
         is lowered on the fly only if the contraction kernel is requested
         by name.
-    query_chunk:
-        Query chunk width override (``None`` = per-backend auto-tuning).
     row_map:
         Stream-position → original-row translation for placed (row-
         permuted) collections; candidate indices are mapped through it so
@@ -534,7 +502,6 @@ def simulate_multicore_batch(
         local_k=core.local_k,
         operand=operand,
         n_workers=resolve_workers(n_workers),
-        query_chunk=query_chunk,
         executor=resolve_executor(executor),
     )
     out = run_kernel(request, kernel_name)

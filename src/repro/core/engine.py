@@ -317,7 +317,6 @@ class TopKSpmvEngine(MutableEngineMixin):
             )
         return self.collection.encoded
 
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -438,17 +437,6 @@ class TopKSpmvEngine(MutableEngineMixin):
             queries_per_second=len(queries) / batch_seconds,
             energy_j=self._power_w * batch_seconds,
             dataflow=tuple(stats),
-        )
-
-    def _run_segmented(self, queries: np.ndarray, top_k: int):
-        """The multi-segment sweep (quantise, drive, return the raw output)."""
-        from repro.core.kernels import run_segmented
-
-        return run_segmented(
-            self.collection,
-            self.design.quantize_query(queries),
-            top_k,
-            kernel=self.kernel,
         )
 
     def _frozen_only(self, action: str) -> None:

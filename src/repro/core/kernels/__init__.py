@@ -3,9 +3,9 @@
 Modules
 -------
 ``base``
-    The :class:`KernelBackend` contract, the registry, request/output
-    types, worker/chunk auto-tuning and the gated :func:`run_kernel`
-    driver.
+    The :class:`KernelBackend` contract (a per-partition backend *is* its
+    ``fold_plan``), the registry, request/output types, the one dispatch
+    rule (:func:`resolve_backend`) and the frozen driver :func:`run_kernel`.
 ``executor``
     Partition execution: worker/executor resolution, the thread pool and
     the ``multiprocessing.shared_memory``-backed process pool
@@ -27,8 +27,8 @@ Modules
     falls back to ``streaming`` when Numba is absent), with per-query
     threshold skipping and a gated exact sequential-sum path.
 ``segmented``
-    The multi-segment driver for mutable collections: per-segment kernel
-    choice, one global Top-K fold with cross-segment threshold carry.
+    The driver for mutable collections: the same dispatch rule per segment,
+    the same ``fold_plan`` into one global Top-K with threshold carry.
 
 Selection: ``kernel=`` arguments on the engines /
 ``simulate_multicore_batch``, the ``--kernel`` CLI flag, or the
@@ -50,11 +50,13 @@ from repro.core.kernels.base import (
     KernelBackend,
     KernelOutput,
     KernelRequest,
-    auto_query_chunk,
+    Queries,
+    auto_chunk_width,
     available_kernels,
     get_kernel,
     map_partitions,
     register_kernel,
+    resolve_backend,
     resolve_executor,
     resolve_kernel_name,
     resolve_workers,
@@ -62,7 +64,7 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.executor import SharedPlanArena
 from repro.core.kernels.scratchpad import BatchScratchpads, batch_scratchpads
-from repro.core.kernels.gather import GatherKernel, run_plan_gather
+from repro.core.kernels.gather import GatherKernel
 from repro.core.kernels.streaming import StreamingKernel
 from repro.core.kernels.contraction import (
     ContractionKernel,
@@ -90,20 +92,21 @@ __all__ = [
     "KernelBackend",
     "KernelRequest",
     "KernelOutput",
+    "Queries",
     "register_kernel",
     "get_kernel",
     "available_kernels",
     "resolve_kernel_name",
     "resolve_workers",
     "resolve_executor",
-    "auto_query_chunk",
+    "auto_chunk_width",
     "map_partitions",
+    "resolve_backend",
     "run_kernel",
     "SharedPlanArena",
     "BatchScratchpads",
     "batch_scratchpads",
     "GatherKernel",
-    "run_plan_gather",
     "StreamingKernel",
     "ContractionKernel",
     "ContractionOperand",

@@ -31,15 +31,22 @@ Backends therefore differ only in *how* they compute the same bits:
     The first backend of the preference order that supports the request.
 
 A backend that cannot guarantee the accumulation order of the current
-request must say so via :meth:`KernelBackend.supports`; the driver
-(:func:`run_kernel`) then silently substitutes the backend's declared
-fallback, so callers always get the guaranteed bits.
+request must say so via :meth:`KernelBackend.supports`; the one dispatch
+rule (:func:`resolve_backend`) then silently substitutes the backend's
+declared fallback, so callers always get the guaranteed bits.
+
+A per-partition backend *is* its :meth:`KernelBackend.fold_plan`.  Two thin
+drivers decide which scratchpads a plan folds into — :func:`run_kernel`
+(frozen: fresh depth-``local_k`` pads per partition, the paper's per-core
+candidates) and :func:`~repro.core.kernels.segmented.run_segmented`
+(mutable: the shared global depth-``K`` pads) — and share the rest.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,12 +57,14 @@ from repro.core.kernels.executor import (  # noqa: F401 - re-exported API
     resolve_executor,
     resolve_workers,
 )
+from repro.core.kernels.scratchpad import BatchScratchpads
 from repro.core.reference import results_from_dense
 from repro.errors import ConfigurationError
 
 __all__ = [
     "KernelRequest",
     "KernelOutput",
+    "Queries",
     "KernelBackend",
     "register_kernel",
     "get_kernel",
@@ -63,8 +72,9 @@ __all__ = [
     "resolve_kernel_name",
     "resolve_workers",
     "resolve_executor",
-    "auto_query_chunk",
+    "auto_chunk_width",
     "map_partitions",
+    "resolve_backend",
     "run_kernel",
     "DEFAULT_KERNEL",
     "FALLBACK_KERNEL",
@@ -107,10 +117,6 @@ class KernelRequest:
     n_workers:
         Workers for partition-parallel execution (1 = inline).  Partition
         results are written by index, so scheduling cannot change any bit.
-    query_chunk:
-        Query-block chunk width; ``None`` lets each backend auto-tune it
-        against its working-set size.  Chunking is bit-neutral (queries are
-        independent rows of every intermediate).
     executor:
         ``"thread"`` or ``"process"`` partition fan-out (``None`` defers
         to ``$REPRO_KERNEL_EXECUTOR`` or the thread default); see
@@ -124,12 +130,41 @@ class KernelRequest:
     local_k: int
     operand: "object | None" = None
     n_workers: int = 1
-    query_chunk: "int | None" = None
     executor: "str | None" = None
 
     @property
     def n_queries(self) -> int:
         return int(self.X.shape[0])
+
+
+@dataclass(frozen=True)
+class Queries:
+    """The query block of one sweep and its casts, made once per sweep."""
+
+    X: np.ndarray  # (Q, n_cols) float64, as stored in URAM
+    Xc: np.ndarray  # X in the accumulate dtype
+    xmax: np.ndarray  # (Q,) float64 max |x| — the query half of the bound
+    #: The contraction gate certified this sweep's float64 accumulation
+    #: exact, hence order-independent: a backend may sum lanes in any order.
+    exact: bool = False
+
+    @classmethod
+    def of(cls, X: np.ndarray, accumulate_dtype, exact: bool = False) -> "Queries":
+        Xc = X.astype(accumulate_dtype)
+        xmax = np.abs(Xc).max(axis=1, initial=0.0).astype(np.float64)
+        return cls(X, Xc, xmax, exact)
+
+    @property
+    def acc(self) -> np.dtype:
+        """The accumulate dtype."""
+        return self.Xc.dtype
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def chunk(self, q0: int, q1: int) -> "Queries":
+        """Queries ``q0:q1`` (views — queries are independent rows)."""
+        return Queries(self.X[q0:q1], self.Xc[q0:q1], self.xmax[q0:q1], self.exact)
 
 
 @dataclass
@@ -144,7 +179,7 @@ class KernelOutput:
     :class:`~repro.core.reference.TopKResult` lists.
 
     ``skipped_rows`` / ``total_rows`` count (row, query) pairs whose
-    gather the backend provably skipped vs. offered in this run —
+    gather the backend provably skipped vs. screened in this run —
     diagnostics only (never part of any result bit), and zero for
     backends that do not skip.  Being carried on the per-run output,
     they are safe under concurrent engines and thread-parallel
@@ -156,28 +191,6 @@ class KernelOutput:
     accepts: np.ndarray
     skipped_rows: int = 0
     total_rows: int = 0
-
-    @classmethod
-    def from_partitions(
-        cls, per_partition: list, n_queries: int, local_k: int
-    ) -> "KernelOutput":
-        """Stack ``run_partition`` returns — ``(values, rows, accepts)``
-        plus, for backends that skip, ``(skipped, total)`` — in order."""
-        if not per_partition:
-            return cls(
-                values=np.empty((0, n_queries, local_k)),
-                rows=np.empty((0, n_queries, local_k), dtype=np.int64),
-                accepts=np.zeros((0, n_queries), dtype=np.int64),
-            )
-        values, rows, accepts, *counters = zip(*per_partition)
-        skipped, total = counters or ((), ())
-        return cls(
-            values=np.stack(values),
-            rows=np.stack(rows),
-            accepts=np.stack(accepts),
-            skipped_rows=sum(skipped),
-            total_rows=sum(total),
-        )
 
     @property
     def results(self) -> "list[list]":
@@ -204,24 +217,91 @@ class KernelBackend:
         """Whether this backend can serve ``request`` bit-identically."""
         return True
 
-    def run(self, request: KernelRequest) -> KernelOutput:
-        """Execute the sweep; only called when :meth:`supports` is true."""
-        raise NotImplementedError
+    def select(self, request: KernelRequest) -> "KernelBackend":
+        """The backend ``request`` actually runs on (``auto`` delegates)."""
+        return self
 
-    def run_partition(self, index: int, plan, *, X, **params):
-        """One partition's share of a sweep, as a *picklable* entry point.
+    def fold_plan(self, queries: Queries, plan, pads, first_row=0, live=None):
+        """Offer one plan's live rows, in stream order, to ``pads``.
 
-        Partition-parallel backends implement this (and route ``run``
-        through it) so the process executor can ship the bound method to
-        spawn workers, which rebuild ``plan``/``X`` as zero-copy views
-        over the shared-memory arena.  Returns the partition's dense
-        ``(values, rows, accepts)`` — see :class:`KernelOutput` — plus
-        ``(skipped, total)`` from backends that skip; only freshly
-        allocated arrays, never views of ``plan`` or ``X``.
-        Collection-level backends (contraction) have no per-partition
-        unit and leave this unimplemented.
+        The one entry point of a per-partition backend.  ``pads``
+        (:class:`BatchScratchpads`, one lane per query) may be fresh or
+        warm — thresholds already raised by earlier plans.  Live row ``j``
+        (``live``: bool mask over the plan's rows, ``None`` = all) is
+        offered as row ``first_row + j`` with the score bits ``run_fast``
+        computes, so the final state equals sequential
+        :meth:`~repro.core.topk_tracker.TopKTracker.insert` calls.  Returns
+        ``(skipped, screened)``: (row, query) pairs provably rejected
+        ungathered, of those put through a screen at all — ``(0, 0)`` from
+        a backend without one.  Collection-level backends (contraction)
+        have no per-partition unit and leave this unimplemented.
         """
         raise NotImplementedError
+
+    def fold_width(self, plan, queries: Queries) -> int:
+        """Queries per fresh-scratchpad fold of :meth:`run_partition` (all,
+        unless the backend sizes a working set by it)."""
+        return len(queries)
+
+    def run_partition(self, index, plan, *, X, accumulate_dtype, local_k, exact=False):
+        """One partition's share of a frozen sweep, as a *picklable* entry
+        point: fresh pads → :meth:`fold_plan` → ``finish_dense``, in blocks
+        of :meth:`fold_width` queries (bit-neutral: lanes are independent).
+
+        The process executor ships this bound method to spawn workers,
+        which rebuild ``plan``/``X`` as zero-copy views over the
+        shared-memory arena.  Returns the partition's dense ``(values,
+        rows, accepts)`` — see :class:`KernelOutput` — plus the summed
+        ``(skipped, screened)``: freshly allocated arrays only, never views
+        of ``plan`` or ``X``, and no state shared between pool workers.
+        """
+        queries = Queries.of(X, accumulate_dtype, exact)
+        n_queries = len(queries)
+        values = np.empty((n_queries, local_k), dtype=np.float64)
+        rows = np.empty((n_queries, local_k), dtype=np.int64)
+        accepts = np.empty(n_queries, dtype=np.int64)
+        counts = np.zeros(2, dtype=np.int64)
+        width = max(1, self.fold_width(plan, queries))
+        for q0 in range(0, n_queries, width):
+            part = queries.chunk(q0, q0 + width)
+            pads = BatchScratchpads(len(part), local_k)
+            counts += self.fold_plan(part, plan, pads)
+            done = slice(q0, q0 + width)
+            values[done], rows[done], accepts[done] = pads.finish_dense()
+        return values, rows, accepts, int(counts[0]), int(counts[1])
+
+    def run(self, request: KernelRequest) -> KernelOutput:
+        """Execute the sweep; only called when :meth:`supports` is true."""
+        params = {
+            "accumulate_dtype": np.dtype(request.accumulate_dtype),
+            "local_k": request.local_k,
+            # See Queries.exact: the contraction backend owns the gate.
+            "exact": bool(get_kernel("contraction").supports(request)),
+        }
+        per_partition = map_partitions(
+            partial(self.run_partition, X=request.X, **params),
+            request.plans,
+            request.n_workers,
+            executor=request.executor,
+            process_fn=self.run_partition,
+            process_params=params,
+            X=request.X,
+        )
+        if not per_partition:
+            shape = (0, request.n_queries, request.local_k)
+            return KernelOutput(
+                values=np.empty(shape),
+                rows=np.empty(shape, dtype=np.int64),
+                accepts=np.zeros(shape[:2], dtype=np.int64),
+            )
+        values, rows, accepts, skipped, screened = zip(*per_partition)
+        return KernelOutput(
+            values=np.stack(values),
+            rows=np.stack(rows),
+            accepts=np.stack(accepts),
+            skipped_rows=sum(skipped),
+            total_rows=sum(screened),
+        )
 
 
 _REGISTRY: "dict[str, KernelBackend]" = {}
@@ -259,38 +339,40 @@ def resolve_kernel_name(name: "str | None" = None) -> str:
     return resolved
 
 
-def auto_query_chunk(
-    n_lanes: int,
-    itemsize: int,
-    n_queries: int,
-    target_bytes: int = 4 << 20,
-) -> int:
+def auto_chunk_width(n_lanes: int, itemsize: int, n_queries: int) -> int:
     """Query chunk sized so one gathered products block stays cache-resident.
 
     Replaces the old hardcoded 32: the ``(chunk, n_lanes)`` intermediate is
-    held near ``target_bytes`` (default 4 MiB), clamped to [8, 128] and
-    rounded down to a multiple of 8.  Chunk choice never changes any result
-    bit — queries are independent rows of every intermediate — so this is a
-    pure locality knob.
+    held near 4 MiB, clamped to [8, 128] and rounded down to a multiple of
+    8.  Chunk choice never changes any result bit — queries are independent
+    rows of every intermediate — so this is purely a matter of locality.
     """
     per_query = max(1, int(n_lanes) * int(itemsize))
-    chunk = target_bytes // per_query
+    chunk = (4 << 20) // per_query
     chunk = max(8, min(128, (chunk // 8) * 8))
     return max(1, min(chunk, max(1, n_queries)))
 
 
-def run_kernel(request: KernelRequest, kernel: "str | None" = None) -> KernelOutput:
-    """Resolve, gate and execute one batched sweep.
+def resolve_backend(
+    request: KernelRequest, kernel: "str | None" = None
+) -> KernelBackend:
+    """The one dispatch rule: the backend ``request`` will run on.
 
     ``kernel`` may be a registry name or ``None`` (env var / default).  If
     the chosen backend does not support the request — e.g. the contraction
     backend on a design whose float32 accumulation order it cannot
-    reproduce — its declared fallback runs instead, so the returned bits
-    always honour the equivalence guarantee.
+    reproduce — its declared fallback stands in, so the bits always honour
+    the equivalence guarantee.  The frozen driver resolves once per sweep,
+    the segmented one per sealed segment.
     """
     backend = get_kernel(resolve_kernel_name(kernel))
     if not backend.supports(request):
         backend = get_kernel(backend.fallback)
         if not backend.supports(request):  # pragma: no cover - registry bug
             backend = get_kernel(FALLBACK_KERNEL)
-    return backend.run(request)
+    return backend.select(request)
+
+
+def run_kernel(request: KernelRequest, kernel: "str | None" = None) -> KernelOutput:
+    """Resolve (:func:`resolve_backend`) and execute one batched sweep."""
+    return resolve_backend(request, kernel).run(request)

@@ -55,6 +55,7 @@ __all__ = [
     "codec_grid_bits",
     "codecs_grid_bits",
     "lower_plans",
+    "score_chunks",
     "ContractionKernel",
 ]
 
@@ -214,6 +215,24 @@ def lower_plans(plans, codecs=None) -> ContractionOperand:
     )
 
 
+def score_chunks(operand: ContractionOperand, X: np.ndarray):
+    """Yield ``(q0, scores)``: the SpMM of ``X``'s queries in byte-budgeted chunks.
+
+    ``scores`` is the provably exact ``(n_rows, width)`` float64 block of
+    queries ``q0 : q0 + width`` — the fewest equal chunks whose block fits
+    :data:`_SCORE_BLOCK_BYTES`.  Shared by both drivers' contraction folds;
+    a consumer drops its block (``del``) before asking for the next, so one
+    block is live at a time.
+    """
+    n_queries = X.shape[0]
+    matrix = operand.matrix(X.shape[1])
+    widest = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, operand.n_rows)))
+    n_chunks = max(1, -(-n_queries // widest))
+    chunk = max(1, -(-n_queries // n_chunks))
+    for q0 in range(0, n_queries, chunk):
+        yield q0, matrix @ X[q0 : q0 + chunk].T
+
+
 class ContractionKernel(KernelBackend):
     """Sparse-contraction backend, gated on provable exactness."""
 
@@ -244,20 +263,11 @@ class ContractionKernel(KernelBackend):
         n_queries = request.n_queries
         n_parts = len(request.plans)
         local_k = request.local_k
-        matrix = operand.matrix(request.X.shape[1])
         values = np.empty((n_parts, n_queries, local_k), dtype=np.float64)
         rows = np.empty((n_parts, n_queries, local_k), dtype=np.int64)
         accepts = np.empty((n_parts, n_queries), dtype=np.int64)
-        chunk = request.query_chunk
-        if not chunk:
-            # The fewest equal chunks whose block fits the byte budget.
-            widest = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, operand.n_rows)))
-            n_chunks = max(1, -(-n_queries // widest))
-            chunk = max(1, -(-n_queries // n_chunks))
-        for q0 in range(0, n_queries, chunk):
-            Xc = request.X[q0 : q0 + chunk]
-            width = Xc.shape[0]
-            scores = matrix @ Xc.T  # (n_rows_total, width), provably exact
+        for q0, scores in score_chunks(operand, request.X):
+            width = scores.shape[1]
             # Every partition x query scratchpad of the chunk is one lane
             # of a single fold straight off the SpMM block.
             pads = BatchScratchpads(n_parts * width, local_k)

@@ -52,15 +52,7 @@ import os
 
 import numpy as np
 
-from repro.core.kernels.base import (
-    KernelBackend,
-    KernelOutput,
-    KernelRequest,
-    get_kernel,
-    map_partitions,
-    register_kernel,
-)
-from repro.core.kernels.scratchpad import BatchScratchpads
+from repro.core.kernels.base import KernelBackend, KernelRequest, register_kernel
 from repro.core.kernels.streaming import screen_blocks
 
 __all__ = [
@@ -69,7 +61,6 @@ __all__ = [
     "NativeKernel",
     "native_available",
     "reduceat_segment_sums",
-    "sweep_plan_into_pads",
 ]
 
 #: Setting this to ``1`` makes the backend available without Numba, running
@@ -305,175 +296,66 @@ def reduceat_segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_plan(
-    X: np.ndarray,
-    plan,
-    accumulate_dtype,
-    exact: bool,
-    live: "np.ndarray | None",
-    row_ids: np.ndarray,
-    vals: np.ndarray,
-    rows: np.ndarray,
-    accepts: np.ndarray,
-    evicted: np.ndarray,
-) -> int:
-    """Prepare buffers and run :func:`_sweep` over one plan (in place)."""
-    acc = np.dtype(accumulate_dtype)
-    values = plan.kept_values.astype(acc)
-    kept_idx = np.ascontiguousarray(plan.kept_idx, dtype=np.int64)
-    starts = np.ascontiguousarray(plan.starts, dtype=np.int64)
-    seg_ends, blocks, block_peak = screen_blocks(plan, acc, live)
-    Xc = np.ascontiguousarray(X.astype(acc))
-    xmax = np.abs(Xc).max(axis=1).astype(np.float64) if Xc.size else np.zeros(
-        Xc.shape[0], dtype=np.float64
-    )
-    live8 = (
-        np.ones(plan.n_rows, dtype=np.uint8)
-        if live is None
-        else np.ascontiguousarray(live, dtype=np.uint8)
-    )
-    max_seg = int((seg_ends - starts).max(initial=1))
-    prod = np.empty(max_seg, dtype=acc)
-    vstack = np.empty(_STACK_DEPTH, dtype=acc)
-    toff = np.empty(_STACK_DEPTH, dtype=np.int64)
-    tlen = np.empty(_STACK_DEPTH, dtype=np.int64)
-    return int(
-        _sweep(
-            Xc,
-            kept_idx,
-            values,
-            np.ascontiguousarray(starts, dtype=np.int64),
-            np.ascontiguousarray(seg_ends, dtype=np.int64),
-            np.ascontiguousarray(blocks, dtype=np.int64),
-            np.ascontiguousarray(block_peak, dtype=np.float64),
-            xmax,
-            live8,
-            np.ascontiguousarray(row_ids, dtype=np.int64),
-            bool(exact),
-            prod,
-            vstack,
-            toff,
-            tlen,
-            vals,
-            rows,
-            accepts,
-            evicted,
-            acc.type(0.0),
-        )
-    )
-
-
-def sweep_plan_into_pads(
-    X: np.ndarray,
-    plan,
-    pads: BatchScratchpads,
-    accumulate_dtype,
-    live: "np.ndarray | None",
-    first_live: int,
-) -> "tuple[int, int]":
-    """Native fold of one plan into existing (possibly warm) scratchpads.
-
-    The multi-segment driver's entry point: the scratchpad state is
-    exported dense, advanced by the sweep with live rows renumbered to
-    ``first_live + live-position`` (exactly the live-matrix ids), and
-    imported back — the import is sequential-tracker-exact, so the global
-    fold's cross-segment threshold carry-over is preserved bit for bit.
-    Returns ``(skipped_pairs, n_live)``.
-    """
-    n_rows = plan.n_rows
-    if n_rows == 0:
-        return 0, 0
-    if live is None:
-        n_live = n_rows
-        row_ids = np.arange(first_live, first_live + n_rows, dtype=np.int64)
-    else:
-        live8 = np.ascontiguousarray(live, dtype=np.uint8)
-        n_live = int(live8.sum())
-        if n_live == 0:
-            return 0, 0
-        row_ids = first_live + np.concatenate(
-            [[0], np.cumsum(live8[:-1], dtype=np.int64)]
-        ).astype(np.int64)
-    vals, rows, accepts = pads.export_state()
-    evicted = pads.evicted_values()
-    skipped = _sweep_plan(
-        X, plan, accumulate_dtype, False, live, row_ids, vals, rows, accepts, evicted
-    )
-    pads.import_state(vals, rows, accepts, seen_rows=n_live, evicted=evicted)
-    return skipped, n_live
-
-
 class NativeKernel(KernelBackend):
     """Compiled streaming-fold backend (see module docstring)."""
 
     name = "native"
     fallback = "streaming"
 
-    @staticmethod
-    def available() -> bool:
+    def supports(self, request: KernelRequest) -> bool:
         return native_available()
 
-    def supports(self, request: KernelRequest) -> bool:
-        return self.available()
+    def fold_plan(self, queries, plan, pads, first_row=0, live=None):
+        """Compiled fold of one plan into (possibly warm) scratchpads.
 
-    def run_partition(
-        self,
-        index,
-        plan,
-        *,
-        X,
-        accumulate_dtype,
-        local_k,
-        exact=False,
-        query_chunk=None,
-    ):
-        """One partition: dense ``(values, rows, accepts, skipped, total)``.
-
-        ``query_chunk`` is accepted for interface parity but unused — the
-        sweep holds no per-chunk intermediate, so there is nothing to
-        size (and chunking is bit-neutral by contract anyway).
+        The scratchpad state is exported dense, advanced by :func:`_sweep`
+        with live rows renumbered to ``first_row + live-position`` (exactly
+        the live-matrix ids), and imported back — the import is
+        sequential-tracker-exact, so a warm fold's cross-segment threshold
+        carry-over is preserved bit for bit.  The per-query screens refine
+        the streaming fold's all-lanes skip (each skipped pair individually
+        provably rejected).  When ``queries.exact`` certifies exact float64
+        accumulation the cheaper sequential-sum path is the same bits as the
+        pairwise tree (no partial sum ever rounds).
         """
-        n_queries = X.shape[0]
-        pads = BatchScratchpads(n_queries, local_k)
-        skipped = 0
-        if plan.n_rows:
-            vals, rows, accepts = pads.export_state()
-            row_ids = np.arange(plan.n_rows, dtype=np.int64)
-            evicted = pads.evicted_values()
-            skipped = _sweep_plan(
-                X, plan, accumulate_dtype, exact, None, row_ids, vals, rows,
-                accepts, evicted,
-            )
-            pads.import_state(vals, rows, accepts, evicted=evicted)
-        return (*pads.finish_dense(), skipped, plan.n_rows * n_queries)
-
-    def run(self, request: KernelRequest) -> KernelOutput:
-        acc = np.dtype(request.accumulate_dtype)
-        # The contraction gate certifies order-independent exact float64
-        # accumulation — then the cheaper sequential-sum path is the same
-        # bits as the pairwise tree (no partial sum ever rounds).
-        exact = bool(get_kernel("contraction").supports(request))
-        params = {
-            "accumulate_dtype": acc,
-            "local_k": request.local_k,
-            "exact": exact,
-        }
-
-        def one(i, plan):
-            return self.run_partition(i, plan, X=request.X, **params)
-
-        per_partition = map_partitions(
-            one,
-            request.plans,
-            request.n_workers,
-            executor=request.executor,
-            process_fn=self.run_partition,
-            process_params=params,
-            X=request.X,
+        if live is None:
+            n_live = plan.n_rows
+            live8 = np.ones(n_live, dtype=np.uint8)
+        else:
+            n_live = int(np.count_nonzero(live))
+            live8 = np.ascontiguousarray(live, dtype=np.uint8)
+        if n_live == 0:
+            return 0, 0
+        acc = queries.acc
+        starts = np.ascontiguousarray(plan.starts, dtype=np.int64)
+        seg_ends, blocks, block_peak = screen_blocks(plan, acc, live)
+        max_seg = int((seg_ends - starts).max(initial=1))
+        vals, rows, accepts = pads.export_state()
+        evicted = pads.evicted_values()
+        skipped = _sweep(
+            np.ascontiguousarray(queries.Xc),
+            np.ascontiguousarray(plan.kept_idx, dtype=np.int64),
+            plan.kept_values.astype(acc),
+            starts,
+            np.ascontiguousarray(seg_ends, dtype=np.int64),
+            np.ascontiguousarray(blocks, dtype=np.int64),
+            np.ascontiguousarray(block_peak, dtype=np.float64),
+            queries.xmax,
+            live8,
+            first_row + np.cumsum(live8, dtype=np.int64) - live8,
+            queries.exact,
+            np.empty(max_seg, dtype=acc),
+            np.empty(_STACK_DEPTH, dtype=acc),
+            np.empty(_STACK_DEPTH, dtype=np.int64),
+            np.empty(_STACK_DEPTH, dtype=np.int64),
+            vals,
+            rows,
+            accepts,
+            evicted,
+            acc.type(0.0),
         )
-        return KernelOutput.from_partitions(
-            per_partition, request.n_queries, request.local_k
-        )
+        pads.import_state(vals, rows, accepts, seen_rows=n_live, evicted=evicted)
+        return int(skipped), n_live * len(queries)
 
 
 register_kernel(NativeKernel())

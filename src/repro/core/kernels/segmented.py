@@ -21,34 +21,27 @@ property ``tests/property/test_prop_segments.py`` locks.  A *placed*
 segment is offered in stream order instead (below), which changes no bit
 either — ``tests/property/test_prop_placement.py`` locks that.
 
-Per-segment kernel choice (``auto``):
+Per-segment kernel choice is the registry's (:func:`select_segment_kernel`
+→ :func:`~repro.core.kernels.base.resolve_backend`, the frozen driver's
+rule), and a per-partition backend folds the segment plan by plan through
+:meth:`~repro.core.kernels.base.KernelBackend.fold_plan`.  The scratchpads
+carry the current global K-th score *across* segments, so later segments
+skip more (the LSM win: a hot head segment warms the thresholds the tail
+segments are pruned by).  The driver adds only what needs a whole segment:
 
-* **streaming, heaviest block first,** for every segment whose artifact
-  carries a row placement, whatever backend was asked for: the placement
-  exists to feed the threshold screen, so the segment's fine screen blocks
-  are visited by descending bound under their live-matrix ids and the walk
+* **a placed segment always takes the screened streaming fold, heaviest
+  block first,** whatever backend was asked for: the placement exists to
+  feed the threshold screen, so the segment's fine screen blocks are
+  visited by descending bound under their live-matrix ids and the walk
   stops at the first block every query provably rejects
-  (:func:`_fold_segment_streaming` has the order-independence argument);
-* **native** everywhere else, whenever the compiled backend is available
-  (Numba installed, or interpreted mode forced): the same global-fold
-  semantics as streaming below — the scratchpad state is exported dense,
-  advanced by the compiled sweep (per-query screens against the carried
-  thresholds, live rows renumbered to live-matrix ids) and imported back
-  sequential-tracker-exact, so the cross-segment threshold carry-over is
-  preserved bit for bit;
-* **contraction** where the segment's exactness gate passes (fixed-point
-  grid × Q1.31 queries × the 2^52 budget — judged by the registered
-  backend's own ``supports``): one SciPy SpMM per segment, provably the
-  same bits;
-* **streaming** elsewhere, in stream order: row blocks are screened
-  against the *global* scratchpads' eviction thresholds before any lane is
-  touched — and since the scratchpads carry the current global K-th score
-  *across* segments, later segments skip more (the LSM win: a hot head
-  segment warms the thresholds the tail segments are pruned by).  The
-  query-independent half of every screen (bounds, cast values, live-row
-  ids) is cached on the segment per tombstone state;
-* **gather** for the unsealed delta buffer (a small 1-partition snapshot)
-  and as the explicit-request fallback.
+  (:func:`_fold_segment_screened` has the order-independence argument);
+* an unplaced ``streaming`` segment takes the same walk in stream order —
+  either way the query-independent half of the screen (bounds, cast
+  values, live-row ids) is cached on the segment per tombstone state;
+* a ``contraction`` segment is scored from its artifact's collection-level
+  operand, one exact SpMM per byte-budgeted query chunk;
+* the unsealed delta buffer (a small 1-partition snapshot) is folded by the
+  reference backend.
 
 The one thing a stream-order fold can change is *which* rows sharing a
 query's K-th value survive, so :func:`run_segmented` ends with a
@@ -66,23 +59,27 @@ live logical matrix — exactly the ids a fresh compile would produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.dataflow import DataflowStats
 from repro.core.kernels.base import (
+    FALLBACK_KERNEL,
     KernelRequest,
+    Queries,
     get_kernel,
+    resolve_backend,
     resolve_kernel_name,
 )
+from repro.core.kernels.contraction import score_chunks
 from repro.core.kernels.gather import plan_row_scores
-from repro.core.kernels.native import native_available, sweep_plan_into_pads
 from repro.core.kernels.scratchpad import BatchScratchpads
 from repro.core.kernels.streaming import (
     _BLOCK_LANE_BUDGET,
-    block_scores,
-    screen_blocks,
+    BlockScreen,
+    build_screen,
+    fold_screen,
 )
 from repro.errors import ConfigurationError
 
@@ -127,64 +124,9 @@ class SegmentedOutput:
 
     def stats_per_query(self) -> "list[DataflowStats]":
         """Whole-collection counters per query (accepts grafted in)."""
-        from dataclasses import replace
-
         return [
             replace(self.base_stats, tracker_accepts=int(a)) for a in self.accepts
         ]
-
-
-@dataclass
-class _FoldCounters:
-    """Mutable tallies shared by the per-segment fold helpers."""
-
-    skipped: int = 0
-    total: int = 0
-    stats: DataflowStats = field(default_factory=DataflowStats)
-
-
-@dataclass(frozen=True)
-class _Queries:
-    """The query block of one sweep and its casts, made once per sweep."""
-
-    X: np.ndarray  # (Q, n_cols) float64, as stored in URAM
-    Xc: np.ndarray  # X in the accumulate dtype
-    xmax: np.ndarray  # (Q,) float64 max |x| — the query half of the bound
-
-    @classmethod
-    def of(cls, X: np.ndarray, accumulate_dtype) -> "_Queries":
-        Xc = X.astype(accumulate_dtype)
-        return cls(X, Xc, np.abs(Xc).max(axis=1).astype(np.float64))
-
-    @property
-    def acc(self) -> np.dtype:
-        """The accumulate dtype."""
-        return self.Xc.dtype
-
-
-@dataclass(frozen=True)
-class _SegmentScreen:
-    """Query-independent screen precompute of one sealed segment.
-
-    Every partition stream cut into row blocks, each with its provable
-    ``Σ|v| · slack`` peak (:func:`~repro.core.kernels.streaming.
-    screen_blocks`, tombstones zero-weighted).  ``blocks[i]`` is
-    ``(kept_idx, values, row_starts, ids, live)``: views of one plan's
-    lanes for a run of consecutive stream rows (values in the accumulate
-    dtype), the live-matrix positions of its live rows relative to the
-    segment's first, and the mask that selects them (``None`` = all live).
-    Blocks without a live row are left out — they are never gathered.
-    ``live_from[i]`` counts the live rows of blocks ``i`` onwards.
-
-    An unplaced segment keeps stream order (= live-row order).  A placed
-    one is sorted heaviest bound first (``descending``), which is what
-    lets the fold *stop* at the first block it can skip.
-    """
-
-    peaks: "list[float]"
-    blocks: "list[tuple]"
-    live_from: "list[int]"
-    descending: bool
 
 
 def select_segment_kernel(
@@ -192,199 +134,99 @@ def select_segment_kernel(
 ) -> str:
     """The backend that will sweep one sealed segment's artifact.
 
-    Resolves the requested name exactly like the frozen-collection driver
-    (:func:`~repro.core.kernels.base.run_kernel`): an explicit ``gather``/
-    ``streaming`` is honoured as-is; an explicit ``native`` runs when the
-    compiled backend is available and otherwise degrades to ``streaming``
-    (its declared fallback); ``contraction`` runs only when the registered
-    backend's exactness gate passes for this segment and query block
-    (falling back to ``gather``, its declared fallback); ``auto`` prefers
-    ``native`` when available, then the gated contraction, and streams
-    otherwise.
+    Resolved exactly like the frozen-collection driver: the segment and
+    query block are described as a :class:`KernelRequest` (the artifact's
+    contraction operand attached under the engines' own eligibility policy,
+    ``wants_contraction_operand``) and :func:`~repro.core.kernels.base.
+    resolve_backend` applies ``supports`` → declared fallback → the
+    ``auto`` preference order.
     """
     name = resolve_kernel_name(kernel)
-    if name == "native":
-        return "native" if native_available() else "streaming"
-    if name in ("gather", "streaming"):
-        return name
-    if name != "contraction" and native_available():
-        return "native"
-    gate = False
-    if artifact.wants_contraction_operand("contraction"):
-        request = KernelRequest(
-            X=X,
-            plans=tuple(artifact.stream_plans()),
-            accumulate_dtype=np.dtype(accumulate_dtype),
-            local_k=top_k,
-            operand=artifact.contraction_operand(),
-        )
-        gate = get_kernel("contraction").supports(request)
-    if name == "contraction":
-        return "contraction" if gate else "gather"
-    return "contraction" if gate else "streaming"
-
-
-def _fold_scores(
-    pads: BatchScratchpads,
-    scores: np.ndarray,
-    live: "np.ndarray | None",
-    first_live: int,
-) -> int:
-    """Fold one (Q, n_rows) float64 score block, dead rows excluded.
-
-    Returns the number of live rows folded.  Dropping dead columns before
-    the fold is bit-neutral for the equivalent matrix (those rows simply do
-    not exist in it), and the surviving columns keep their relative order,
-    so ids ``first_live + j`` are exactly the live-matrix positions.
-    """
-    if live is not None and not live.all():
-        scores = scores[:, live]
-    if scores.shape[1] == 0:
-        return 0
-    pads.fold(scores, first_live)
-    return scores.shape[1]
-
-
-def _fold_plan_gather(
-    X, plan, live, pads, accumulate_dtype, first_live, counters
-) -> int:
-    """Reference fold of one partition plan (full score block, then fold)."""
-    if plan.n_rows == 0:
-        return 0
-    scores = plan_row_scores(X, plan, accumulate_dtype)
-    folded = _fold_scores(pads, scores, live, first_live)
-    counters.total += folded * X.shape[0]
-    return folded
-
-
-def _fold_plan_native(
-    X, plan, live, pads, accumulate_dtype, first_live, counters
-) -> int:
-    """Compiled fold of one partition plan against the *global* scratchpads.
-
-    Delegates to :func:`~repro.core.kernels.native.sweep_plan_into_pads`:
-    the scratchpad state crosses the dense export/import seam around the
-    sweep, and the per-query screens refine the streaming fold's
-    chunk-consensus skip (each skipped pair individually provably
-    rejected), so the cross-segment threshold carry-over keeps the exact
-    streaming-fold bits.
-    """
-    if plan.n_rows == 0:
-        return 0
-    skipped, n_live = sweep_plan_into_pads(
-        X, plan, pads, accumulate_dtype, live, first_live
+    request = KernelRequest(
+        X=X,
+        plans=tuple(artifact.stream_plans()),
+        accumulate_dtype=np.dtype(accumulate_dtype),
+        local_k=top_k,
+        operand=(
+            artifact.contraction_operand()
+            if artifact.wants_contraction_operand(name)
+            else None
+        ),
     )
-    counters.total += n_live * X.shape[0]
-    counters.skipped += skipped
-    return n_live
+    return resolve_backend(request, name).name
 
 
-def _fold_segment_contraction(
-    segment, X, pads, first_live, counters
-) -> int:
-    """Contraction fold: one exact SpMM, partitions folded in row order."""
-    artifact = segment.artifact
-    operand = artifact.contraction_operand()
-    scores = operand.matrix(X.shape[1]) @ X.T  # (n_rows, Q), provably exact
-    offsets = operand.part_offsets
+def _fold_segment_contraction(segment, queries, pads, first_live) -> int:
+    """Contraction fold: exact SpMM blocks, partitions folded in row order.
+
+    The global scratchpads span every query but the SpMM is budgeted by
+    query chunk (:func:`~repro.core.kernels.contraction.score_chunks`), so
+    each chunk's lanes cross the dense export/import seam: advanced on
+    their own scratchpads, then adopted back in one
+    sequential-tracker-exact import.  Nothing is screened: returns 0.
+    """
+    operand = segment.artifact.contraction_operand()
+    offsets = operand.part_offsets.tolist()
     live = None if segment.all_live else segment.live
     live_cum = segment.live_cumsum()
-    folded = 0
-    for p in range(len(operand.part_rows)):
-        r0, r1 = int(offsets[p]), int(offsets[p + 1])
-        if r1 == r0:
-            continue
-        part_live = None if live is None else live[r0:r1]
-        n = _fold_scores(
-            pads, scores[r0:r1].T, part_live, first_live + int(live_cum[r0])
-        )
-        counters.total += n * X.shape[0]
-        folded += n
-    return folded
+    vals, rows, accepts = pads.export_state()
+    evicted = pads.evicted_values()
+    for q0, scores in score_chunks(operand, queries.X):
+        q = slice(q0, q0 + scores.shape[1])  # this chunk's lanes
+        part = BatchScratchpads(scores.shape[1], pads.local_k)
+        part.import_state(vals[q], rows[q], accepts[q], evicted=evicted[q])
+        for r0, r1 in zip(offsets[:-1], offsets[1:]):
+            block = scores[r0:r1].T
+            if live is not None:
+                block = block[:, live[r0:r1]]
+            part.fold(block, first_live + int(live_cum[r0]))
+        del scores  # released before the next chunk's block is allocated
+        vals[q], rows[q], accepts[q] = part.export_state()
+        evicted[q] = part.evicted_values()
+    pads.import_state(vals, rows, accepts, seen_rows=segment.n_live, evicted=evicted)
+    return 0
 
 
-def _segment_screen(segment, acc) -> _SegmentScreen:
-    """Build a segment's :class:`_SegmentScreen` (cached by the caller per
+def _segment_screen(segment, acc) -> BlockScreen:
+    """Build a segment's :class:`BlockScreen` (cached by the caller per
     accumulate dtype and tombstone state).
 
     Stream position ``j`` of a placed artifact holds artifact row
     ``placement.order[j]``, so its mask and live-matrix positions are
-    gathered through ``order`` once, here.  A NaN peak (NaN matrix value)
-    sorts first, so the peaks a descending walk relies on to only fall
-    never hide one.
+    gathered through ``order`` once, here.
     """
-    artifact = segment.artifact
-    placement = artifact.placement
+    placement = segment.artifact.placement
     stream_ids = segment.live_cumsum()[:-1]
     stream_live = None if segment.all_live else segment.live
     if placement is not None:
         stream_ids = stream_ids[placement.order]
         if stream_live is not None:
             stream_live = stream_live[placement.order]
-    lane_budget = _BLOCK_LANE_BUDGET if placement is None else _PLACED_BLOCK_LANES
-    peaks, blocks, n_live = [], [], []
-    offset = 0
-    for plan in artifact.stream_plans():
-        if plan.n_rows == 0:
-            continue
-        rows = slice(offset, offset + plan.n_rows)
-        offset += plan.n_rows
-        live = None if stream_live is None else stream_live[rows]
-        ids = stream_ids[rows]
-        values = plan.kept_values.astype(acc, copy=False)
-        starts = plan.starts
-        seg_ends, cuts, plan_peaks = screen_blocks(plan, acc, live, lane_budget)
-        plan_peaks = np.where(np.isnan(plan_peaks), np.inf, plan_peaks)
-        cuts = cuts.tolist()
-        for b, peak in enumerate(plan_peaks.tolist()):
-            r0, r1 = cuts[b], cuts[b + 1]
-            mask = None if live is None else live[r0:r1]
-            if mask is not None and mask.all():
-                mask = None
-            block_ids = ids[r0:r1] if mask is None else ids[r0:r1][mask]
-            if len(block_ids) == 0:
-                continue
-            l0, l1 = int(starts[r0]), int(seg_ends[r1 - 1])
-            peaks.append(peak)
-            n_live.append(len(block_ids))
-            blocks.append(
-                (
-                    plan.kept_idx[l0:l1],
-                    values[l0:l1],
-                    starts[r0:r1] - l0,
-                    block_ids,
-                    mask,
-                )
-            )
-    if placement is not None:
-        heaviest_first = np.argsort(-np.array(peaks), kind="stable").tolist()
-        peaks, blocks, n_live = (
-            [column[i] for i in heaviest_first] for column in (peaks, blocks, n_live)
-        )
-    live_from = np.cumsum(n_live[::-1], dtype=np.int64)[::-1].tolist()
-    return _SegmentScreen(peaks, blocks, [*live_from, 0], placement is not None)
+    return build_screen(
+        segment.artifact.stream_plans(),
+        acc,
+        stream_live,
+        stream_ids,
+        _BLOCK_LANE_BUDGET if placement is None else _PLACED_BLOCK_LANES,
+        descending=placement is not None,
+    )
 
 
-def _fold_segment_streaming(segment, queries, pads, first_live, counters) -> int:
+def _fold_segment_screened(segment, queries, pads, first_live) -> int:
     """Screened fold of one sealed segment against the *global* scratchpads.
 
-    Mirrors :class:`~repro.core.kernels.streaming.StreamingKernel` block by
-    block — same bound, same slack, same strict compare — except the
-    thresholds screened against belong to the shared global fold, already
-    warmed by every earlier segment, and tombstoned rows weigh nothing in
-    the bound (they are never offered, so they must never inhibit a skip).
-    The query block is not chunked: the scratchpads are shared state, so
-    every query folds together.
+    The streaming backend's own block walk (:func:`~repro.core.kernels.
+    streaming.fold_screen`) over the segment's cached screen: the
+    thresholds screened against are already warmed by every earlier
+    segment, and tombstoned rows weigh nothing in the bound (they are never
+    offered, so they must never inhibit a skip).  The query block is not
+    chunked: the scratchpads are shared state, so every query folds
+    together.  Returns the (row, query) pairs skipped.
 
     An unplaced segment is walked in stream order, which is live-row order.
     A **placed** artifact's streams hold *permuted* rows (heavy rows first
     under ``skew``/``norm_sorted``), which is exactly what a threshold
-    screen wants — so it is folded out of live-row order: blocks heaviest
-    bound first, each one's live rows offered under their live-matrix ids
-    (``fold(row_ids=)``), and the walk **stops** at the first block whose
-    ``peak · max|x|`` is strictly below every query's threshold — peaks
-    only fall from there and thresholds only rise, so every later block is
-    provably rejected too (accounted with ``skip_rows``, never gathered).
+    screen wants — so it is folded out of live-row order, descending.
 
     Why the bits do not depend on that order: a scratchpad always holds the
     top-K *multiset* of what it was offered, ``finish`` sorts by (value
@@ -401,28 +243,10 @@ def _fold_segment_streaming(segment, queries, pads, first_live, counters) -> int
     screen = segment.derived(
         ("screen", acc.str), lambda: _segment_screen(segment, acc)
     )
-    n_queries = len(queries.xmax)
-    live_from = screen.live_from
-    counters.total += live_from[0] * n_queries
-    for b, peak in enumerate(screen.peaks):
-        if np.all(peak * queries.xmax < pads.worst_thresholds()):
-            # Descending peaks: every later block is rejected with this one.
-            rest = screen.descending
-            n_skipped = live_from[b] - (0 if rest else live_from[b + 1])
-            pads.skip_rows(n_skipped)
-            counters.skipped += n_skipped * n_queries
-            if rest:
-                break
-            continue
-        kept_idx, values, row_starts, ids, live = screen.blocks[b]
-        scores = block_scores(queries.Xc, kept_idx, values, row_starts)
-        if live is not None:
-            scores = scores[:, live]
-        pads.fold(scores, first_live, ids)
-    return live_from[0]
+    return fold_screen(queries, screen, pads, first_live)[0]
 
 
-def _fold_segment_ordered(segment, queries, pads, first_live, counters) -> int:
+def _fold_segment_ordered(segment, queries, pads, first_live) -> None:
     """Live-row-order fold of a placed segment: the tie guard's fallback.
 
     Per-row score bits are placement-invariant (row-contiguous
@@ -436,63 +260,54 @@ def _fold_segment_ordered(segment, queries, pads, first_live, counters) -> int:
     """
     artifact = segment.artifact
     blocks = [
-        plan_row_scores(queries.X, plan, queries.acc)
+        plan_row_scores(queries, plan)
         for plan in artifact.stream_plans()
         if plan.n_rows
     ]
     if not blocks:
-        return 0
+        return
     scores_perm = np.concatenate(blocks, axis=1)
     scores = np.ascontiguousarray(scores_perm[:, artifact.placement.inverse])
-    live = None if segment.all_live else segment.live
-    folded = _fold_scores(pads, scores, live, first_live)
-    counters.total += folded * len(queries.xmax)
-    return folded
+    if not segment.all_live:
+        scores = scores[:, segment.live]
+    pads.fold(scores, first_live)
 
 
-def _fold_segment(
-    segment, queries, pads, kernel_name, first_live, counters, ordered
-) -> int:
-    """Fold one sealed segment; returns its live row count."""
-    artifact = segment.artifact
-    counters.stats = counters.stats.merge(artifact.plan_stats())
-    if ordered and artifact.placement is not None:
-        return _fold_segment_ordered(segment, queries, pads, first_live, counters)
+def _fold_segment(segment, queries, pads, kernel_name, first_live, ordered) -> int:
+    """Fold one sealed segment; returns the (row, query) pairs it skipped."""
+    if ordered and segment.artifact.placement is not None:
+        _fold_segment_ordered(segment, queries, pads, first_live)
+        return 0
+    # Two folds need the whole segment — its cached screen, its
+    # collection-level operand; every other backend folds plan by plan.
     if kernel_name == "streaming":
-        return _fold_segment_streaming(segment, queries, pads, first_live, counters)
+        return _fold_segment_screened(segment, queries, pads, first_live)
     if kernel_name == "contraction":
-        return _fold_segment_contraction(
-            segment, queries.X, pads, first_live, counters
-        )
-    fold_plan = _fold_plan_native if kernel_name == "native" else _fold_plan_gather
+        return _fold_segment_contraction(segment, queries, pads, first_live)
+    backend = get_kernel(kernel_name)
     live = None if segment.all_live else segment.live
     live_cum = segment.live_cumsum()
-    folded = 0
-    row = 0
-    for plan in artifact.stream_plans():
+    skipped = row = 0
+    for plan in segment.artifact.stream_plans():
         part_live = None if live is None else live[row : row + plan.n_rows]
-        folded += fold_plan(
-            queries.X,
-            plan,
-            part_live,
-            pads,
-            queries.acc,
-            first_live + int(live_cum[row]),
-            counters,
-        )
+        skipped += backend.fold_plan(
+            queries, plan, pads, first_live + int(live_cum[row]), part_live
+        )[0]
         row += plan.n_rows
-    return folded
+    return skipped
 
 
 def _sweep(collection, X, top_k, kernel, ordered):
-    """One pass over every segment and the delta: ``(pads, counters,
-    kernels)``.  ``ordered`` folds placed segments in live-row order."""
-    queries = _Queries.of(X, collection.design.accumulate_dtype)
+    """One pass over every segment and the delta: the scratchpads and the
+    output they finish to.  ``ordered`` folds placed segments in live-row
+    order."""
+    queries = Queries.of(X, collection.design.accumulate_dtype)
     pads = BatchScratchpads(X.shape[0], top_k)
-    counters = _FoldCounters()
+    stats = DataflowStats()
     kernels_used = []
-    offset = 0
+    skipped = offset = 0
     for segment in collection.segments:
+        stats = stats.merge(segment.artifact.plan_stats())
         # A placed segment keeps its block-skip whatever backend was asked
         # for: it always takes the screened fold, heaviest block first.
         if segment.artifact.placement is not None:
@@ -502,17 +317,19 @@ def _sweep(collection, X, top_k, kernel, ordered):
                 segment.artifact, X, kernel, queries.acc, top_k
             )
         kernels_used.append(name)
-        offset += _fold_segment(
-            segment, queries, pads, name, offset, counters, ordered
-        )
+        skipped += _fold_segment(segment, queries, pads, name, offset, ordered)
+        offset += segment.n_live
     delta = collection.compiled_delta()
     if delta is not None:
-        counters.stats = counters.stats.merge(delta.plan_stats())
+        stats = stats.merge(delta.plan_stats())
+        reference = get_kernel(FALLBACK_KERNEL)
         for plan in delta.stream_plans():
-            offset += _fold_plan_gather(
-                X, plan, None, pads, queries.acc, offset, counters
-            )
-    return pads, counters, tuple(kernels_used)
+            reference.fold_plan(queries, plan, pads, offset)
+            offset += plan.n_rows
+    results, accepts = pads.finish()
+    return pads, SegmentedOutput(
+        results, accepts, stats, tuple(kernels_used), skipped, offset * len(queries)
+    )
 
 
 def run_segmented(
@@ -546,28 +363,19 @@ def run_segmented(
     if top_k < 1:
         raise ConfigurationError(f"top_k must be >= 1, got {top_k}")
     top_k = int(top_k)
-    pads, counters, kernels_used = _sweep(collection, X, top_k, kernel, False)
-    results, accepts = pads.finish()
-    redo = np.empty(0, dtype=np.int64)
+    pads, out = _sweep(collection, X, top_k, kernel, False)
     if any(s.artifact.placement is not None for s in collection.segments):
-        # The boundary-tie guard (see _fold_segment_streaming): a query whose
+        # The boundary-tie guard (see _fold_segment_screened): a query whose
         # K-th value equals the largest value it dropped, or that met a
         # non-finite score, may hold order-dependent rows — fold it again
         # with every placed segment in live-row order.
         thresholds = pads.worst_thresholds()
         tied = (pads.evicted_values() == thresholds) & (thresholds > -np.inf)
         redo = np.flatnonzero(tied | pads.nonfinite_lanes())
-    if len(redo):
-        ordered_pads, _, _ = _sweep(collection, X[redo], top_k, kernel, True)
-        ordered_results, accepts[redo] = ordered_pads.finish()
-        for lane, result in zip(redo.tolist(), ordered_results):
-            results[lane] = result
-    return SegmentedOutput(
-        results=results,
-        accepts=accepts,
-        base_stats=counters.stats,
-        segment_kernels=kernels_used,
-        skipped_rows=counters.skipped,
-        total_rows=counters.total,
-        ordered_lanes=len(redo),
-    )
+        if len(redo):
+            _, ordered = _sweep(collection, X[redo], top_k, kernel, True)
+            out.accepts[redo] = ordered.accepts
+            for lane, result in zip(redo.tolist(), ordered.results):
+                out.results[lane] = result
+            out.ordered_lanes = len(redo)
+    return out

@@ -35,19 +35,25 @@ whole tails of every partition are never read.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.kernels.base import (
     KernelBackend,
-    KernelOutput,
-    KernelRequest,
-    auto_query_chunk,
-    map_partitions,
+    Queries,
+    auto_chunk_width,
     register_kernel,
 )
-from repro.core.kernels.scratchpad import BatchScratchpads
 
-__all__ = ["StreamingKernel", "block_scores", "screen_blocks"]
+__all__ = [
+    "StreamingKernel",
+    "BlockScreen",
+    "block_scores",
+    "build_screen",
+    "fold_screen",
+    "screen_blocks",
+]
 
 #: Target lane count per row block (× query chunk × itemsize ≈ working set).
 _BLOCK_LANE_BUDGET = 16_384
@@ -80,7 +86,7 @@ def screen_blocks(
     """The provable-skip precompute: ``(seg_ends, blocks, block_peak)``.
 
     One home for the correctness-critical screen math shared by this
-    backend and the multi-segment driver
+    backend, the native one and the multi-segment driver
     (:mod:`repro.core.kernels.segmented`): per-row |value| sums reduced to
     per-block peaks, scaled by the slack covering the accumulate dtype's
     pairwise-summation error and the bound product's own rounding (see the
@@ -116,6 +122,121 @@ def block_scores(Xc, kept_idx, values, row_starts) -> np.ndarray:
     return reduced.astype(Xc.dtype, copy=False).astype(np.float64)
 
 
+@dataclass(frozen=True)
+class BlockScreen:
+    """Query-independent screen precompute of a run of stream plans.
+
+    Every partition stream cut into row blocks, each with its provable
+    ``Σ|v| · slack`` peak (:func:`screen_blocks`, dead rows
+    zero-weighted).  ``blocks[i]`` is ``(kept_idx, values, row_starts,
+    ids, live)``: views of one plan's lanes for a run of consecutive stream
+    rows (values in the accumulate dtype), the ids of its live rows
+    relative to the fold's ``first_row``, and the mask that selects them
+    (``None`` = all live).  Blocks without a live row are left out — they
+    are never gathered.  ``live_from[i]`` counts the live rows of blocks
+    ``i`` onwards.
+
+    By default blocks keep stream order.  A ``descending`` screen is sorted
+    heaviest bound first, which is what lets the fold *stop* at the first
+    block it can skip.
+    """
+
+    peaks: "list[float]"
+    blocks: "list[tuple]"
+    live_from: "list[int]"
+    descending: bool
+
+
+def build_screen(
+    plans,
+    accumulate_dtype,
+    live: "np.ndarray | None" = None,
+    ids: "np.ndarray | None" = None,
+    lane_budget: int = _BLOCK_LANE_BUDGET,
+    descending: bool = False,
+) -> BlockScreen:
+    """Build the :class:`BlockScreen` of ``plans``' concatenated rows.
+
+    ``live`` masks those rows (``None`` = all live) and ``ids`` names them
+    (default: each row's position among the live ones).  A NaN peak (NaN
+    matrix value) sorts first, so the peaks a descending walk relies on to
+    only fall never hide one.
+    """
+    acc = np.dtype(accumulate_dtype)
+    plans = [plan for plan in plans if plan.n_rows]
+    if ids is None:
+        n_rows = sum(plan.n_rows for plan in plans)
+        ids = np.arange(n_rows) if live is None else np.cumsum(live) - live
+    peaks, blocks = [], []
+    offset = 0
+    for plan in plans:
+        rows = slice(offset, offset + plan.n_rows)
+        offset += plan.n_rows
+        plan_live = None if live is None else live[rows]
+        plan_ids = ids[rows]
+        values = plan.kept_values.astype(acc, copy=False)
+        starts = plan.starts
+        seg_ends, cuts, plan_peaks = screen_blocks(plan, acc, plan_live, lane_budget)
+        plan_peaks = np.where(np.isnan(plan_peaks), np.inf, plan_peaks)
+        cuts = cuts.tolist()
+        for b, peak in enumerate(plan_peaks.tolist()):
+            r0, r1 = cuts[b], cuts[b + 1]
+            mask = None if plan_live is None else plan_live[r0:r1]
+            if mask is not None and mask.all():
+                mask = None
+            block_ids = plan_ids[r0:r1] if mask is None else plan_ids[r0:r1][mask]
+            if len(block_ids) == 0:
+                continue
+            lanes = slice(int(starts[r0]), int(seg_ends[r1 - 1]))
+            row_starts = starts[r0:r1] - lanes.start
+            peaks.append(peak)
+            blocks.append(
+                (plan.kept_idx[lanes], values[lanes], row_starts, block_ids, mask)
+            )
+    if descending:
+        heaviest_first = np.argsort(-np.array(peaks), kind="stable").tolist()
+        peaks = [peaks[i] for i in heaviest_first]
+        blocks = [blocks[i] for i in heaviest_first]
+    n_live = [len(block[3]) for block in blocks]
+    live_from = np.cumsum(n_live[::-1], dtype=np.int64)[::-1].tolist()
+    return BlockScreen(peaks, blocks, [*live_from, 0], descending)
+
+
+def fold_screen(queries: Queries, screen: BlockScreen, pads, first_row=0):
+    """The block walk (module docstring): bound → skip, else gather → fold.
+
+    All of ``queries`` fold together against the *current* thresholds of
+    ``pads`` (fresh or warm); a skip needs every lane's consent, so a
+    narrower block of queries (:meth:`StreamingKernel.fold_width`) skips
+    more.  A stream-order screen continues past a skipped block.  A
+    descending one offers its blocks out of row order, each one's live rows
+    under their own ids (``fold(row_ids=)``), and the walk **stops** at the
+    first block it can skip — peaks only fall from there and thresholds
+    only rise, so every later block is provably rejected too (accounted
+    with ``skip_rows``, never gathered).  Returns ``(skipped, screened)``
+    (row, query) pair counts.
+    """
+    n_queries = len(queries)
+    live_from = screen.live_from
+    skipped = 0
+    for b, peak in enumerate(screen.peaks):
+        if np.all(peak * queries.xmax < pads.worst_thresholds()):
+            # Descending peaks: every later block is rejected with this one.
+            rest = screen.descending
+            n_skipped = live_from[b] - (0 if rest else live_from[b + 1])
+            pads.skip_rows(n_skipped)
+            skipped += n_skipped * n_queries
+            if rest:
+                break
+            continue
+        kept_idx, values, row_starts, ids, live = screen.blocks[b]
+        scores = block_scores(queries.Xc, kept_idx, values, row_starts)
+        if live is not None:
+            scores = scores[:, live]
+        pads.fold(scores, first_row, ids)
+    return skipped, live_from[0] * n_queries
+
+
 class StreamingKernel(KernelBackend):
     """Fused streaming backend (see module docstring).
 
@@ -128,83 +249,15 @@ class StreamingKernel(KernelBackend):
     name = "streaming"
     fallback = "gather"
 
-    def run_partition(
-        self,
-        index,
-        plan,
-        *,
-        X,
-        accumulate_dtype,
-        local_k,
-        query_chunk=None,
-    ):
-        """One partition: dense ``(values, rows, accepts, skipped, total)``.
+    def fold_width(self, plan, queries):
+        """Queries per block walk, sized to the gathered products block."""
+        n_lanes = min(len(plan.kept_values), _BLOCK_LANE_BUDGET)
+        return auto_chunk_width(n_lanes, queries.acc.itemsize, len(queries))
 
-        The skip counters ride the per-partition return value so pool
-        workers (thread or process) never share mutable state — no lost
-        updates at ``n_workers > 1``.
-        """
-        acc = np.dtype(accumulate_dtype)
-        n_queries = X.shape[0]
-        if plan.n_rows == 0:
-            return (*BatchScratchpads(n_queries, local_k).finish_dense(), 0, 0)
-        skipped = 0
-        values = plan.kept_values.astype(acc)
-        n_lanes = len(values)
-        starts = plan.starts
-        # Per-row |value| sums (float64) scaled by the provable slack:
-        # any computed row score is <= row_abs[r] * max|x| for its query.
-        seg_ends, blocks, block_peak = screen_blocks(plan, acc)
-
-        chunk = query_chunk or auto_query_chunk(
-            min(n_lanes, _BLOCK_LANE_BUDGET), acc.itemsize, n_queries
-        )
-        top_values = np.empty((n_queries, local_k), dtype=np.float64)
-        top_rows = np.empty((n_queries, local_k), dtype=np.int64)
-        accepts = np.empty(n_queries, dtype=np.int64)
-        for q0 in range(0, n_queries, chunk):
-            Xc = X[q0 : q0 + chunk].astype(acc)
-            xmax = np.abs(Xc).max(axis=1).astype(np.float64)
-            pads = BatchScratchpads(Xc.shape[0], local_k)
-            for b in range(len(blocks) - 1):
-                r0, r1 = int(blocks[b]), int(blocks[b + 1])
-                bound = block_peak[b] * xmax
-                if np.all(bound < pads.worst_thresholds()):
-                    pads.skip_rows(r1 - r0)
-                    skipped += (r1 - r0) * Xc.shape[0]
-                    continue
-                l0 = int(starts[r0])
-                l1 = int(seg_ends[r1 - 1])
-                scores = block_scores(
-                    Xc, plan.kept_idx[l0:l1], values[l0:l1], starts[r0:r1] - l0
-                )
-                pads.fold(scores, r0)
-            done = slice(q0, q0 + Xc.shape[0])
-            top_values[done], top_rows[done], accepts[done] = pads.finish_dense()
-        return top_values, top_rows, accepts, skipped, plan.n_rows * n_queries
-
-    def run(self, request: KernelRequest) -> KernelOutput:
-        params = {
-            "accumulate_dtype": np.dtype(request.accumulate_dtype),
-            "local_k": request.local_k,
-            "query_chunk": request.query_chunk,
-        }
-
-        def one(i, plan):
-            return self.run_partition(i, plan, X=request.X, **params)
-
-        per_partition = map_partitions(
-            one,
-            request.plans,
-            request.n_workers,
-            executor=request.executor,
-            process_fn=self.run_partition,
-            process_params=params,
-            X=request.X,
-        )
-        return KernelOutput.from_partitions(
-            per_partition, request.n_queries, request.local_k
-        )
+    def fold_plan(self, queries, plan, pads, first_row=0, live=None):
+        """Walk the plan's own stream-order screen (:func:`fold_screen`)."""
+        screen = build_screen([plan], queries.acc, live)
+        return fold_screen(queries, screen, pads, first_row)
 
 
 register_kernel(StreamingKernel())

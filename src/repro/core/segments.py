@@ -349,8 +349,20 @@ class MutableEngineMixin:
     :class:`~repro.serving.sharded.ShardedEngine`: both carry a
     ``collection`` attribute and a ``_segmented`` flag, and delegate every
     mutation to the collection (which bumps its generation, invalidating
-    per-generation timing/caches on the next read).
+    per-generation timing/caches on the next read).  Both also answer
+    queries on such a collection through the one multi-segment sweep below.
     """
+
+    def _run_segmented(self, queries: np.ndarray, top_k: int):
+        """The multi-segment sweep (quantise, drive, return the raw output)."""
+        from repro.core.kernels import run_segmented
+
+        return run_segmented(
+            self.collection,
+            self.design.quantize_query(queries),
+            top_k,
+            kernel=self.kernel,
+        )
 
     def _mutable(self) -> "SegmentedCollection":
         if not getattr(self, "_segmented", False):

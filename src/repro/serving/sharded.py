@@ -499,17 +499,6 @@ class ShardedEngine(MutableEngineMixin):
         """Golden float64 reference on the original (unsharded) matrix."""
         return exact_topk_spmv(self.matrix, self._check_query(x), top_k)
 
-    def _run_segmented(self, queries: np.ndarray, top_k: int):
-        """The multi-segment sweep shared with the single-board engine."""
-        from repro.core.kernels import run_segmented
-
-        return run_segmented(
-            self.collection,
-            self.design.quantize_query(queries),
-            top_k,
-            kernel=self.kernel,
-        )
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #

@@ -218,12 +218,9 @@ class TestKernelOptionsAreBitNeutral:
         kernel=st.sampled_from(KERNELS),
         executor=st.sampled_from(EXECUTORS),
         n_workers=st.integers(2, 4),
-        query_chunk=st.integers(1, 7),
     )
     @settings(max_examples=25, deadline=None)
-    def test_workers_and_chunk(
-        self, matrix, data, kernel, executor, n_workers, query_chunk
-    ):
+    def test_workers_and_chunk(self, matrix, data, kernel, executor, n_workers):
         codec = codec_for_design(20, "fixed")
         layout = solve_layout(matrix.n_cols, 20)
         encoded = BSCSRMatrix.encode(
@@ -243,7 +240,6 @@ class TestKernelOptionsAreBitNeutral:
             kernel=kernel,
             n_workers=n_workers,
             operand=operand,
-            query_chunk=query_chunk,
             executor=executor,
         )
         assert stats == base_stats

@@ -6,11 +6,11 @@ import pytest
 from repro.arithmetic.codecs import ExactCodec, codec_for_design
 from repro.core.dataflow import (
     DataflowCore,
-    _batch_scratchpads,
     plan_stream,
     simulate_dataflow,
     simulate_multicore,
 )
+from repro.core.kernels.scratchpad import batch_scratchpads
 from repro.core.reference import topk_from_scores
 from repro.core.topk_tracker import TopKTracker
 from repro.errors import ConfigurationError
@@ -126,7 +126,7 @@ class TestValidation:
 def _scratchpads_vs_trackers(row_values, local_k):
     """Assert the batched scratchpads equal per-query sequential trackers."""
     row_values = np.asarray(row_values, dtype=np.float64)
-    results, accepts = _batch_scratchpads(row_values, local_k)
+    results, accepts = batch_scratchpads(row_values, local_k)
     row_ids = np.arange(row_values.shape[1], dtype=np.int64)
     assert len(results) == row_values.shape[0]
     for q in range(row_values.shape[0]):
@@ -199,7 +199,7 @@ class TestBatchScratchpadsEdges:
 
     def test_all_nan_block(self):
         row_values = np.full((2, 6), np.nan)
-        results, accepts = _batch_scratchpads(row_values, local_k=3)
+        results, accepts = batch_scratchpads(row_values, local_k=3)
         assert accepts.tolist() == [0, 0]
         assert all(len(r) == 0 for r in results)
 
@@ -208,7 +208,7 @@ class TestBatchScratchpadsEdges:
         _scratchpads_vs_trackers(row_values, local_k=8)
 
     def test_zero_rows(self):
-        results, accepts = _batch_scratchpads(np.empty((3, 0)), local_k=4)
+        results, accepts = batch_scratchpads(np.empty((3, 0)), local_k=4)
         assert accepts.tolist() == [0, 0, 0]
         assert all(len(r) == 0 for r in results)
 

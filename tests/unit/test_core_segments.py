@@ -384,7 +384,7 @@ class TestPlacedSegmentFold:
         assert got.ordered_lanes == 1  # the finite queries kept streaming
 
     def test_an_all_tombstoned_block_is_never_gathered(self, pair, monkeypatch):
-        from repro.core.kernels import segmented
+        from repro.core.kernels import streaming
 
         base, placed = pair
         artifact = placed.segments[0].artifact
@@ -393,13 +393,13 @@ class TestPlacedSegmentFold:
         for collection in pair:
             collection.delete(dead.tolist())
         gathered = []
-        real = segmented.block_scores
+        real = streaming.block_scores
 
         def recording(Xc, kept_idx, values, row_starts):
             gathered.append(kept_idx)
             return real(Xc, kept_idx, values, row_starts)
 
-        monkeypatch.setattr(segmented, "block_scores", recording)
+        monkeypatch.setattr(streaming, "block_scores", recording)
         X = DESIGN.quantize_query(sample_unit_queries(derive_rng(9), 2, 96))
         n_live = placed.n_live
         got = run_segmented(placed, X, n_live)  # depth = every row: no early stop

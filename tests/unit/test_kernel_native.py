@@ -19,14 +19,16 @@ from repro.core.dataflow import plan_stream, simulate_multicore_batch
 from repro.core.kernels import (
     BatchScratchpads,
     KernelRequest,
+    Queries,
     get_kernel,
     lower_plans,
     native_available,
     reduceat_segment_sums,
     run_kernel,
 )
-from repro.core.kernels.native import INTERPRET_ENV_VAR, NativeKernel
+from repro.core.kernels.native import INTERPRET_ENV_VAR
 from repro.core.kernels.segmented import select_segment_kernel
+from repro.core.topk_tracker import TopKTracker
 from repro.data.synthetic import synthetic_embeddings
 from repro.formats.bscsr import BSCSRMatrix
 from repro.formats.layout import solve_layout
@@ -261,55 +263,67 @@ class TestNativeBitIdentity:
         # most of the tail (the provable-skip win the backend compiles).
         assert out.skip_fraction > 0.5
 
-    def test_warm_scratchpad_fold_matches_streaming_fold(self, interpreted):
-        # The segmented driver's seam: folding plan 2 into scratchpads
-        # already warmed by plan 1 must match the pure-Python global fold
-        # bit for bit (threshold carry-over preserved).
-        from repro.core.kernels.native import sweep_plan_into_pads
-        from repro.core.kernels.gather import plan_row_scores
-
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("backend", ["gather", "streaming", "native"])
+    def test_fold_plan_into_warm_pads_matches_tracker_inserts(
+        self, interpreted, backend, masked, dtype
+    ):
+        # The contract every per-partition backend's one entry point
+        # states (and both drivers rely on): folding plan 1's live rows
+        # into scratchpads already warmed by plan 0 equals a per-query
+        # TopKTracker offered the same rows one by one — threshold
+        # carry-over, renumbered live ids and accept counts included.
         encoded = _encoded(n_rows=180)
         plans = [plan_stream(s) for s in encoded.streams]
         X = np.linspace(0, 1, 3 * 48).reshape(3, 48)
-        acc = np.dtype(np.float64)
-
-        def warm():
-            pads = BatchScratchpads(3, 5)
-            pads.fold(plan_row_scores(X, plans[0], acc), 0)
-            return pads
-
-        want_pads = warm()
+        acc = np.dtype(dtype)
+        live = None
+        if masked:
+            live = np.random.default_rng(3).random(plans[1].n_rows) < 0.7
+        kernel = get_kernel(backend)
+        pads = BatchScratchpads(3, 5)
         offset = plans[0].n_rows
-        want_pads.fold(plan_row_scores(X, plans[1], acc), offset)
-        got_pads = warm()
-        skipped, n_live = sweep_plan_into_pads(
-            X, plans[1], got_pads, acc, None, offset
+        assert kernel.fold_plan(Queries.of(X, acc), plans[0], pads)[0] == 0
+        skipped, screened = kernel.fold_plan(
+            Queries.of(X, acc), plans[1], pads, offset, live
         )
-        assert n_live == plans[1].n_rows
-        got, got_accepts = got_pads.finish()
-        want, want_accepts = want_pads.finish()
-        assert got_accepts.tolist() == want_accepts.tolist()
-        for g, w in zip(got, want):
-            assert g.indices.tolist() == w.indices.tolist()
-            assert g.values.tobytes() == w.values.tobytes()
+        n_live = plans[1].n_rows if live is None else int(live.sum())
+        assert screened == (0 if backend == "gather" else 3 * n_live)
+        assert 0 <= skipped <= screened
+        got, got_accepts = pads.finish()
+        for q in range(3):
+            tracker = TopKTracker(5)
+            accepts = 0
+            row = 0
+            for plan, mask in ((plans[0], None), (plans[1], live)):
+                products = plan.kept_values.astype(acc) * X[q].astype(acc)[plan.kept_idx]
+                scores = np.add.reduceat(products, plan.starts).astype(acc)
+                for r, score in enumerate(scores.tolist()):
+                    if mask is None or mask[r]:
+                        accepts += tracker.insert(row, float(score))
+                        row += 1
+            want = tracker.result()
+            assert got_accepts[q] == accepts
+            assert got[q].indices.tolist() == want.indices.tolist()
+            assert got[q].values.tobytes() == want.values.tobytes()
 
-    def test_run_partition_accepts_query_chunk(self, interpreted):
-        # Interface parity with the other backends: chunking is bit-neutral
-        # by contract, the native sweep simply has nothing to chunk.
+    def test_run_partition_is_neutral_to_query_chunking(
+        self, interpreted, monkeypatch
+    ):
+        # One run_partition serves every per-partition backend: fresh pads
+        # per block of queries, fold_plan, finish.  The native sweep folds
+        # all queries at once, the streaming walk in blocks of fold_width —
+        # chunking is bit-neutral by contract.
+        from repro.core.kernels import streaming
+
         encoded = _encoded(n_rows=80)
         plan = plan_stream(encoded.streams[0])
-        X = np.linspace(0, 1, 2 * 48).reshape(2, 48)
-        backend = NativeKernel()
-        a = backend.run_partition(
-            0, plan, X=X, accumulate_dtype=np.dtype(np.float64), local_k=3
-        )
-        b = backend.run_partition(
-            0,
-            plan,
-            X=X,
-            accumulate_dtype=np.dtype(np.float64),
-            local_k=3,
-            query_chunk=2,
-        )
+        X = np.linspace(0, 1, 5 * 48).reshape(5, 48)
+        params = {"X": X, "accumulate_dtype": np.dtype(np.float64), "local_k": 3}
+        a = get_kernel("native").run_partition(0, plan, **params)
+        monkeypatch.setattr(streaming, "auto_chunk_width", lambda *args: 2)
+        b = get_kernel("streaming").run_partition(0, plan, **params)
         assert a[0].tobytes() == b[0].tobytes()
         assert a[1].tolist() == b[1].tolist()
+        assert a[2].tolist() == b[2].tolist()

@@ -8,12 +8,11 @@ from repro.arithmetic.fixed_point import Q1_31
 from repro.core.collection import compile_collection
 from repro.core.dataflow import plan_stream, simulate_multicore_batch
 from repro.core.kernels import (
-    BatchScratchpads,
     ContractionOperand,
     KernelBackend,
     KernelOutput,
     KernelRequest,
-    auto_query_chunk,
+    auto_chunk_width,
     available_kernels,
     get_kernel,
     lower_plans,
@@ -21,7 +20,9 @@ from repro.core.kernels import (
     resolve_kernel_name,
     resolve_workers,
     run_kernel,
+    run_segmented,
 )
+from repro.core.segments import SegmentedCollection
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix, encode_bscsr
@@ -102,17 +103,17 @@ class TestRegistry:
 
 class TestAutoQueryChunk:
     def test_small_lane_counts_hit_the_cap(self):
-        assert auto_query_chunk(10, 8, 1024) == 128
+        assert auto_chunk_width(10, 8, 1024) == 128
 
     def test_large_lane_counts_shrink_but_stay_vectorised(self):
-        chunk = auto_query_chunk(4_000_000, 8, 1024)
+        chunk = auto_chunk_width(4_000_000, 8, 1024)
         assert chunk == 8
 
     def test_never_exceeds_query_count(self):
-        assert auto_query_chunk(10, 8, 5) == 5
+        assert auto_chunk_width(10, 8, 5) == 5
 
     def test_multiple_of_eight_between_bounds(self):
-        chunk = auto_query_chunk(20_000, 8, 1024)
+        chunk = auto_chunk_width(20_000, 8, 1024)
         assert 8 <= chunk <= 128 and chunk % 8 == 0
 
 
@@ -221,33 +222,56 @@ class TestContractionGate:
                 assert g.indices.tolist() == w.indices.tolist()
                 assert g.values.tobytes() == w.values.tobytes()
 
+    @pytest.mark.parametrize("driver", ["frozen", "segmented"])
     def test_score_block_budget_splits_evenly_and_keeps_bits(
-        self, tiny_matrix, monkeypatch
+        self, tiny_matrix, monkeypatch, driver
     ):
-        from repro.core.kernels import contraction
+        from repro.core.kernels import contraction, segmented
 
         X = Q1_31.quantize(np.random.default_rng(5).random((9, 64)) / 8.0)
-        request = self._request(tiny_matrix, X)
-        kernel = get_kernel("contraction")
-        whole = kernel.run(request)
+        if driver == "frozen":
+            request = self._request(tiny_matrix, X)
+            n_rows = request.operand.n_rows
+            home = contraction  # the module whose fold consumes the blocks
+
+            def run():
+                out = get_kernel("contraction").run(request)
+                return out.values.tobytes(), out.rows.tolist(), out.accepts.tolist()
+
+        else:
+            collection = SegmentedCollection.from_collection(
+                compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
+            )
+            n_rows = collection.n_live
+            home = segmented
+
+            def run():
+                out = run_segmented(collection, X, 4, kernel="contraction")
+                assert out.segment_kernels == ("contraction",)
+                return (
+                    [r.values.tobytes() for r in out.results],
+                    [r.indices.tolist() for r in out.results],
+                    out.accepts.tolist(),
+                )
+
+        widths = []
+        chunks = contraction.score_chunks
+
+        def spy(operand, X):
+            for q0, scores in chunks(operand, X):
+                # No SpMM block outgrows the budget in force (20 MiB).
+                assert scores.nbytes <= contraction._SCORE_BLOCK_BYTES
+                widths.append(scores.shape[1])
+                yield q0, scores
+
+        monkeypatch.setattr(home, "score_chunks", spy)
+        whole = run()
+        assert widths == [9]
         # Room for 4 queries per block: 9 queries need three chunks, and
         # three equal chunks are 3 + 3 + 3, not 4 + 4 + 1.
-        monkeypatch.setattr(
-            contraction, "_SCORE_BLOCK_BYTES", 4 * 8 * request.operand.n_rows
-        )
-        widths = []
-        fold = BatchScratchpads.fold_partitions
-
-        def spy(self, scores, offsets, first_row=0):
-            widths.append(scores.shape[1])
-            return fold(self, scores, offsets, first_row)
-
-        monkeypatch.setattr(BatchScratchpads, "fold_partitions", spy)
-        split = kernel.run(request)
-        assert widths == [3, 3, 3]
-        assert split.values.tobytes() == whole.values.tobytes()
-        assert np.array_equal(split.rows, whole.rows)
-        assert np.array_equal(split.accepts, whole.accepts)
+        monkeypatch.setattr(contraction, "_SCORE_BLOCK_BYTES", 4 * 8 * n_rows)
+        assert run() == whole
+        assert widths == [9, 3, 3, 3]
 
 
 class TestOperandLowering:
