@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Sharded batch serving: a fleet of simulated boards behind a micro-batcher.
+"""Sharded batch serving: a fleet of simulated boards behind micro-batching.
 
 Builds a 40 000-row collection, shards it across 4 simulated boards in
 *aligned* mode (the merged top-k is identical to one big board — sharding is
-a pure capacity knob), then drives a Poisson query stream through the
-micro-batching queue and prints the modelled latency distribution.
+a pure capacity knob), then drives a Poisson query stream through a
+1-replica ``ClusterRuntime`` (the micro-batching serving loop) and prints
+the modelled latency distribution.
 
 Run:  python examples/sharded_serving.py
 """
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro import PAPER_DESIGNS, TopKSpmvEngine
 from repro.data import synthetic_embeddings
-from repro.serving import MicroBatcher, ShardedEngine, poisson_arrivals
+from repro.serving import ClusterRuntime, ShardedEngine, poisson_arrivals
 from repro.utils.rng import sample_unit_queries
 
 
@@ -36,13 +37,13 @@ def main() -> None:
     )
     print("sanity: sharded top-25 identical to the single-board engine\n")
 
-    # 3. A bursty query stream through the micro-batcher: requests coalesce
+    # 3. A bursty query stream through the serving loop: requests coalesce
     #    until the batch fills (16) or the oldest waits 1.5 ms.
     rng = np.random.default_rng(17)
     queries = sample_unit_queries(rng, 512, 512)
     arrivals = poisson_arrivals(512, rate_qps=20_000, rng=rng)
-    batcher = MicroBatcher(fleet, max_batch_size=16, max_wait_s=1.5e-3)
-    results, report = batcher.run(queries, arrivals, top_k=10)
+    runtime = ClusterRuntime([fleet], max_batch_size=16, max_wait_s=1.5e-3)
+    results, report = runtime.run(queries, arrivals, top_k=10)
 
     print(report.render())
     print()

@@ -3,18 +3,18 @@
 Everything above the single-board engine needed to model a production
 similarity-search service: :class:`~repro.serving.sharded.ShardedEngine`
 spreads one collection across N simulated boards with a scatter-gather
-merge, :class:`~repro.serving.batcher.MicroBatcher` coalesces a timed query
-stream into batches for the vectorised multi-query dataflow, and
-:class:`~repro.serving.cluster.ClusterRuntime` fronts N replica engines
-with pluggable routing (:mod:`repro.serving.router`), an exact-result LRU
+merge, and :class:`~repro.serving.cluster.ClusterRuntime` — the one
+simulated serving loop — coalesces a timed query stream into micro-batches
+(:class:`~repro.serving.batcher.BatchQueue`) for one or N replica engines
+behind pluggable routing (:mod:`repro.serving.router`), an exact-result LRU
 (:class:`~repro.serving.cache.QueryCache`) and bounded-queue admission
-control — all as one deterministic event simulation.
+control, as one deterministic event simulation reported by one
+:class:`~repro.serving.cluster.ClusterReport`.
 :mod:`repro.serving.bench` wires the stack into the ``serve-bench`` CLI.
 """
 
 from repro.serving.batcher import (
     BatchQueue,
-    MicroBatcher,
     ServedBatch,
     ServingReport,
     check_served_batch,
@@ -43,7 +43,6 @@ from repro.serving.sharded import EngineShard, ShardedEngine, ShardedResult
 
 __all__ = [
     "BatchQueue",
-    "MicroBatcher",
     "ServedBatch",
     "ServingReport",
     "check_served_batch",

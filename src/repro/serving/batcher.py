@@ -1,9 +1,10 @@
-"""Micro-batching request queue in front of a simulated engine.
+"""The micro-batching dispatch rule and the serving report's latency view.
 
 Deployments rarely see queries one at a time: a serving frontend coalesces
 requests that arrive close together into one batch so the board's scan
-amortises the host round-trip.  :class:`MicroBatcher` models exactly that as
-a deterministic event simulation — no wall clock, no threads:
+amortises the host round-trip.  :class:`BatchQueue` is that rule as a
+deterministic, *causal* per-board state machine — no wall clock, no
+threads:
 
 * requests arrive at given times (see :func:`poisson_arrivals`);
 * a batch dispatches as soon as it is **full** (``max_batch_size``) or the
@@ -13,17 +14,12 @@ a deterministic event simulation — no wall clock, no threads:
   (``query_batch(...).seconds``), so shard makespans, host overhead and
   design choice all flow into the latency distribution.
 
-The dispatch rule itself lives in :class:`BatchQueue`, a *causal* per-board
-state machine: requests are pushed in arrival order and the queue names the
-time its next batch leaves assuming no further arrival lands first.  The
-single-board :class:`MicroBatcher` drives one queue; the cluster runtime
-(:mod:`repro.serving.cluster`) drives one per replica inside a global
-event loop — same rule, same numbers, one implementation.
-
-The resulting :class:`ServingReport` carries per-request latencies and the
-derived p50/p99/QPS — the numbers a capacity planner actually wants — and
-persists via :meth:`ServingReport.save`/:meth:`ServingReport.load` so bench
-results stay replayable.
+The one event loop that drives it is
+:class:`~repro.serving.cluster.ClusterRuntime` (one queue per replica; a
+single board is a 1-replica cluster).  :class:`ServingReport` is the plain
+latency/batch view — per-request latencies and the derived p50/p99/QPS —
+used cluster-wide and per replica inside the persisted
+:class:`~repro.serving.cluster.ClusterReport`.
 """
 
 from __future__ import annotations
@@ -33,9 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.reference import TopKResult
 from repro.errors import ConfigurationError, FormatError
-from repro.formats.io import load_artifact, save_artifact
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
@@ -45,11 +39,7 @@ __all__ = [
     "BatchQueue",
     "ServedBatch",
     "ServingReport",
-    "MicroBatcher",
 ]
-
-#: Artifact ``kind`` tag of a persisted :class:`ServingReport`.
-REPORT_KIND = "serving-report"
 
 
 def check_served_batch(served, n_members: int):
@@ -117,8 +107,7 @@ class BatchQueue:
     further request arrived first*; callers must therefore only
     :meth:`pop_batch` once every arrival at or before that time has been
     pushed (arrivals win ties — a request landing exactly at the dispatch
-    instant joins the batch, matching the original array-based loop).  The
-    rule:
+    instant joins the batch).  The rule:
 
     * never dispatch before the board is free (``t_free``) or before the
       oldest queued request has arrived;
@@ -289,158 +278,3 @@ class ServingReport:
                 f"energy {self.energy_j:.3f} J",
             ]
         )
-
-    # ------------------------------------------------------------------ #
-    # Persistence — bench results must be replayable
-    # ------------------------------------------------------------------ #
-    def _payload_arrays(self) -> "dict[str, np.ndarray]":
-        sizes = np.array([b.size for b in self.batches], dtype=np.int64)
-        return {
-            "latencies_s": np.asarray(self.latencies_s, dtype=np.float64),
-            "batch_offsets": np.concatenate(
-                [[0], np.cumsum(sizes, dtype=np.int64)]
-            ).astype(np.int64),
-            "batch_indices": np.array(
-                [i for b in self.batches for i in b.indices], dtype=np.int64
-            ),
-            "batch_dispatch_s": np.array(
-                [b.dispatch_s for b in self.batches], dtype=np.float64
-            ),
-            "batch_service_s": np.array(
-                [b.service_s for b in self.batches], dtype=np.float64
-            ),
-            "totals": np.array([self.span_s, self.energy_j], dtype=np.float64),
-        }
-
-    @classmethod
-    def _artifact_kind(cls) -> str:
-        """Artifact ``kind`` tag; subclasses persist under their own kind so
-        a round trip can never silently drop their extra fields.  Class-
-        dispatched (not hard-coded) on both :meth:`save` and :meth:`load`,
-        so a subclass inheriting :meth:`load` verifies *its own* kind."""
-        return REPORT_KIND
-
-    def _artifact_header(self) -> dict:
-        return {"n_queries": self.n_queries, "n_batches": self.n_batches}
-
-    def save(self, path) -> str:
-        """Persist the report (per-request latency trace included) as one
-        digest-protected ``.npz`` artifact; returns the content digest."""
-        return save_artifact(
-            path, self._artifact_kind(), self._artifact_header(),
-            self._payload_arrays(),
-        )
-
-    @staticmethod
-    def _batches_from_arrays(arrays) -> "tuple[ServedBatch, ...]":
-        offsets = arrays["batch_offsets"]
-        indices = arrays["batch_indices"]
-        return tuple(
-            ServedBatch(
-                indices=tuple(
-                    int(i) for i in indices[offsets[b] : offsets[b + 1]]
-                ),
-                dispatch_s=float(arrays["batch_dispatch_s"][b]),
-                service_s=float(arrays["batch_service_s"][b]),
-            )
-            for b in range(len(offsets) - 1)
-        )
-
-    @classmethod
-    def load(cls, path, verify: bool = True) -> "ServingReport":
-        """Reload a report saved by :meth:`save` — floats come back bit-for-bit."""
-        header, arrays = load_artifact(path, cls._artifact_kind(), verify=verify)
-        try:
-            batches = cls._batches_from_arrays(arrays)
-            span_s, energy_j = arrays["totals"]
-            return cls(
-                latencies_s=arrays["latencies_s"],
-                batches=batches,
-                span_s=float(span_s),
-                energy_j=float(energy_j),
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise FormatError(
-                f"{path} has an incomplete serving-report buffer set"
-            ) from exc
-
-
-class MicroBatcher:
-    """Coalesce a timed query stream into batches for one engine.
-
-    ``engine`` is anything with ``query_batch(queries, top_k)`` returning an
-    object with ``topk`` (per-query results), ``seconds`` and ``energy_j`` —
-    both :class:`repro.core.engine.TopKSpmvEngine` and
-    :class:`repro.serving.sharded.ShardedEngine` qualify.
-    """
-
-    def __init__(self, engine, max_batch_size: int = 16, max_wait_s: float = 2e-3):
-        self.engine = engine
-        self.max_batch_size = check_positive_int(max_batch_size, "max_batch_size")
-        if max_wait_s < 0:
-            raise ConfigurationError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        self.max_wait_s = float(max_wait_s)
-
-    def run(
-        self,
-        queries: np.ndarray,
-        arrival_times_s: np.ndarray,
-        top_k: int,
-    ) -> tuple[list[TopKResult], ServingReport]:
-        """Simulate serving the stream; per-request results in input order."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        arrivals = np.asarray(arrival_times_s, dtype=np.float64)
-        if arrivals.ndim != 1 or len(arrivals) != len(queries):
-            raise ConfigurationError(
-                f"need one arrival time per query: {len(queries)} queries, "
-                f"arrival shape {arrivals.shape}"
-            )
-        if len(queries) == 0:
-            raise ConfigurationError("cannot serve an empty query stream")
-        order = np.argsort(arrivals, kind="stable")
-        arrivals = arrivals[order]
-
-        n = len(queries)
-        results: "list[TopKResult | None]" = [None] * n
-        latencies = np.zeros(n)
-        batches: list[ServedBatch] = []
-        energy = 0.0
-        queue = BatchQueue(self.max_batch_size, self.max_wait_s)
-        i = 0
-        while i < n or queue.queued:
-            dispatch = queue.next_dispatch_s()
-            if i < n and (dispatch is None or arrivals[i] <= dispatch):
-                # Arrivals win ties: a request landing exactly at the
-                # dispatch instant still joins the departing batch.
-                queue.push(int(order[i]), float(arrivals[i]))
-                i += 1
-                continue
-            dispatch, members = queue.pop_batch()
-            ids = [rid for rid, _ in members]
-            served = self.engine.query_batch(queries[ids], top_k)
-            topk = check_served_batch(served, len(members))
-            completion = dispatch + served.seconds
-            queue.t_free = completion
-            for pos, (rid, arrival) in enumerate(members):
-                results[rid] = topk[pos]
-                latencies[rid] = completion - arrival
-            batches.append(
-                ServedBatch(
-                    indices=tuple(ids),
-                    dispatch_s=float(dispatch),
-                    service_s=float(served.seconds),
-                )
-            )
-            energy += served.energy_j
-
-        span = float(batches[-1].completion_s - arrivals[0])
-        report = ServingReport(
-            latencies_s=latencies,
-            batches=tuple(batches),
-            span_s=span,
-            energy_j=energy,
-        )
-        # Every request was dispatched exactly once and check_served_batch
-        # pinned one result per member, so the list is fully populated — no
-        # silent filtering that could hide a short engine return.
-        return results, report

@@ -1,13 +1,13 @@
 """The ``serve-bench`` workload: end-to-end serving simulation + report.
 
 Builds a synthetic embedding collection, shards it across simulated boards,
-drives a Poisson query stream through the micro-batcher and reports the
-latency distribution, throughput and a sanity recall@K against the exact
-float64 reference.  With ``--replicas``/``--router``/``--cache-size`` the
-stream instead runs through the full cluster tier
-(:class:`~repro.serving.cluster.ClusterRuntime`): N replica fleets built
-from one shared compiled collection behind routing, an exact-result cache
-and bounded-queue admission control.  The CLI
+drives a Poisson query stream through
+:class:`~repro.serving.cluster.ClusterRuntime` and reports the latency
+distribution, throughput and a sanity recall@K against the exact float64
+reference.  The default is one replica fleet; ``--replicas``/``--router``/
+``--cache-size``/``--queue-capacity`` add replica fleets built from one
+shared compiled collection, routing, an exact-result cache and
+bounded-queue admission control.  The CLI
 (``python -m repro serve-bench``) prints the rendered report and can dump
 the raw numbers as JSON so successive PRs can track the serving trajectory.
 """
@@ -26,7 +26,7 @@ from repro.core.kernels import (
 )
 from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import design_by_name
-from repro.serving.batcher import MicroBatcher, poisson_arrivals
+from repro.serving.batcher import poisson_arrivals
 from repro.serving.cluster import ClusterRuntime
 from repro.serving.sharded import ShardedEngine
 from repro.utils.rng import derive_rng, sample_unit_queries
@@ -46,10 +46,10 @@ class ServeBenchConfig:
     across each board's own cores, which necessarily re-encodes per shard —
     only aligned mode (the default) serves the artifact's buffers as-is.
 
-    ``replicas``/``router``/``cache_size``/``queue_capacity`` engage the
-    cluster tier (see :func:`_cluster_mode`): every replica is one sharded
-    fleet over the *same* compiled collection, so replication multiplies
-    capacity without duplicating the build.
+    ``replicas``/``router``/``cache_size``/``queue_capacity`` configure the
+    cluster tier: every replica is one sharded fleet over the *same*
+    compiled collection, so replication multiplies capacity without
+    duplicating the build.
     """
 
     rows: int = 20_000
@@ -80,16 +80,6 @@ class ServeBenchConfig:
         from dataclasses import replace
 
         return replace(self, rows=4000, n_queries=64, recall_queries=8)
-
-
-def _cluster_mode(config: ServeBenchConfig) -> bool:
-    """Whether the run engages the cluster tier above the micro-batcher."""
-    return (
-        config.replicas > 1
-        or config.cache_size > 0
-        or config.queue_capacity is not None
-        or config.router != "round-robin"
-    )
 
 
 def _recall_at_k(engine: ShardedEngine, queries: np.ndarray, top_k: int) -> float:
@@ -132,9 +122,8 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
     from repro.errors import ConfigurationError
     from repro.utils.validation import check_positive_int
 
-    # Validate the cluster knobs up front: the non-cluster fallback path
-    # must not silently ignore a bad --replicas/--cache-size, and a zero
-    # replica count must not surface later as a cryptic rate error.
+    # Validate the cluster knobs up front: a zero replica count must not
+    # surface later as a cryptic rate error.
     check_positive_int(config.replicas, "replicas")
     if config.cache_size < 0:
         raise ConfigurationError(
@@ -161,27 +150,18 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
 
     engine = make_fleet()
     queries = sample_unit_queries(rng, config.n_queries, n_cols)
-    cluster = _cluster_mode(config)
-    # The frontend is built before the arrival process so batcher/cluster
-    # parameters are validated first (a zero batch size must not surface as
-    # a rate error).
-    if cluster:
-        replicas = [engine] + [make_fleet() for _ in range(config.replicas - 1)]
-        runtime = ClusterRuntime(
-            replicas,
-            router=config.router,
-            cache_size=config.cache_size or None,
-            max_batch_size=config.max_batch_size,
-            max_wait_s=config.max_wait_ms * 1e-3,
-            queue_capacity=config.queue_capacity,
-            router_seed=config.seed,
-        )
-    else:
-        batcher = MicroBatcher(
-            engine,
-            max_batch_size=config.max_batch_size,
-            max_wait_s=config.max_wait_ms * 1e-3,
-        )
+    # The runtime is built before the arrival process so its parameters are
+    # validated first (a zero batch size must not surface as a rate error).
+    replicas = [engine] + [make_fleet() for _ in range(config.replicas - 1)]
+    runtime = ClusterRuntime(
+        replicas,
+        router=config.router,
+        cache_size=config.cache_size or None,
+        max_batch_size=config.max_batch_size,
+        max_wait_s=config.max_wait_ms * 1e-3,
+        queue_capacity=config.queue_capacity,
+        router_seed=config.seed,
+    )
     rate = config.rate_qps
     if rate is None:
         # Offered load at ~80% of the deployment's *batch-amortised*
@@ -194,10 +174,7 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
         )
         rate = 0.8 * config.replicas * config.max_batch_size / full_batch_s
     arrivals = poisson_arrivals(config.n_queries, rate, rng)
-    if cluster:
-        _, report = runtime.run(queries, arrivals, top_k=config.top_k)
-    else:
-        _, report = batcher.run(queries, arrivals, top_k=config.top_k)
+    _, report = runtime.run(queries, arrivals, top_k=config.top_k)
     recall = _recall_at_k(
         engine, queries[: config.recall_queries], config.top_k
     )
@@ -233,7 +210,7 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
         "recall_at_k": recall,
         "fleet": {
             "latency_ms": engine.latency_s * 1e3,
-            "power_w": engine.total_power_w * (config.replicas if cluster else 1),
+            "power_w": engine.total_power_w * config.replicas,
             "shard_makespans_ms": [
                 s.timing.makespan_s * 1e3 for s in engine.shards
             ],
@@ -241,11 +218,9 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
     }
     frontend = (
         f"cluster: {config.replicas} replicas, {config.router} router, "
-        f"cache {config.cache_size or 'off'}, "
+        f"batches of max {config.max_batch_size} / {config.max_wait_ms:.1f} ms "
+        f"deadline, cache {config.cache_size or 'off'}, "
         f"queue capacity {config.queue_capacity or 'unbounded'}"
-        if cluster
-        else f"batcher: max {config.max_batch_size} / "
-        f"{config.max_wait_ms:.1f} ms deadline"
     )
     text = "\n".join(
         [

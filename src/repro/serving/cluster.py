@@ -25,14 +25,15 @@ Per arriving request, in simulated-time order:
    :class:`~repro.serving.batcher.BatchQueue`; a request routed to a full
    queue is *rejected* and accounted, never silently dropped.
 
-Each replica then runs exactly the single-board micro-batching dispatch
-rule (full-or-deadline, never before the board frees) via its own
-``BatchQueue`` — a 1-replica cluster reproduces
-:class:`~repro.serving.batcher.MicroBatcher` number-for-number.  The run
-returns per-request results plus a :class:`ClusterReport`: the standard
-:class:`~repro.serving.batcher.ServingReport` metrics cluster-wide and per
-replica, reject accounting, cache counters, and a per-request
-:class:`RequestTrace` — the object the deterministic-replay tests compare.
+Each replica then runs the micro-batching dispatch rule (full-or-deadline,
+never before the board frees) via its own ``BatchQueue``.  This is the one
+simulated serving loop: a single board is served as a 1-replica cluster,
+``ClusterRuntime([engine], max_batch_size=..., max_wait_s=...)``.  The run
+returns per-request results plus a :class:`ClusterReport` — the one
+persisted report type: the :class:`~repro.serving.batcher.ServingReport`
+metrics cluster-wide and per replica, reject accounting, cache counters,
+and a per-request :class:`RequestTrace` (the object the deterministic-replay
+tests compare), every view derived from the trace and the batch log.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ import numpy as np
 
 from repro.core.reference import TopKResult
 from repro.errors import ConfigurationError, FormatError
-from repro.formats.io import load_artifact
-from repro.serving.batcher import ServingReport
+from repro.formats.io import load_artifact, save_artifact
+from repro.serving.batcher import ServedBatch, ServingReport
 from repro.serving.cache import QueryCache, collection_version
 from repro.serving.faults import FaultPlan, ResilienceConfig
 from repro.serving.policy import (
@@ -60,37 +61,97 @@ from repro.utils.validation import check_positive_int
 
 __all__ = ["RequestTrace", "ClusterReport", "ClusterRuntime"]
 
-#: Artifact ``kind`` tag of a persisted :class:`ClusterReport` (distinct
-#: from the base report's so a round trip can never drop the cluster tier).
+#: Artifact ``kind`` tag of a persisted :class:`ClusterReport`.
 CLUSTER_REPORT_KIND = "cluster-report"
 
 _STATUS_CODES = {SERVED: 0, CACHE_HIT: 1, REJECTED: 2, FAILED: 3}
 _STATUS_NAMES = {code: name for name, code in _STATUS_CODES.items()}
 
-#: Trace statuses that carry no dispatch/completion/latency stamps.
-_UNTIMED_CODES = frozenset({_STATUS_CODES[REJECTED], _STATUS_CODES[FAILED]})
+#: Trace stamps stored as NaN for requests that never got them.
+_TRACE_STAMPS = ("dispatch_s", "completion_s", "latency_s")
 
 
 @dataclass(frozen=True)
 class ClusterReport(ServingReport):
-    """A :class:`ServingReport` extended with cluster-tier accounting.
+    """The report of one serving run: the :class:`ServingReport` metrics
+    cluster-wide and per replica, reject/cache/fault accounting and the
+    per-request :class:`RequestTrace`.
 
-    The inherited fields aggregate cluster-wide: ``latencies_s`` covers
-    every *completed* request (engine-served and cache hits, in request
-    order), ``batches`` is every replica's batches in dispatch order, and
-    ``span_s``/``energy_j`` cover the whole fleet.
+    Its primary records are the trace, the batch log (``batches`` in the
+    order they were recorded, ``batch_replica`` naming the replica that ran
+    each) and the per-replica routed/rejected/span/energy counters.  Every
+    other view — the cluster-wide ``latencies_s`` (completed requests, cache
+    hits included, in request order) and ``energy_j``, and
+    ``replica_reports`` — is derived from those by :meth:`from_records`, the
+    one constructor both the runtime and :meth:`load` use.
     """
 
+    batch_replica: "tuple[int, ...]" = ()
     replica_reports: "tuple[ServingReport, ...]" = ()
     routed_per_replica: "tuple[int, ...]" = ()
     rejected_per_replica: "tuple[int, ...]" = ()
-    n_cache_hits: int = 0
     cache_stats: "dict | None" = None
     trace: "tuple[RequestTrace, ...]" = ()
     #: Fault/recovery counters (``None`` for a clean, fault-free run) —
     #: batch failures, retries, rescued/failed requests, hedges, crashes
     #: and the final per-replica health states.
     fault_stats: "dict | None" = None
+
+    @classmethod
+    def from_records(
+        cls,
+        *,
+        trace,
+        batches,
+        batch_replica,
+        span_s: float,
+        replica_span_s,
+        replica_energy_j,
+        routed_per_replica,
+        rejected_per_replica,
+        cache_stats: "dict | None",
+        fault_stats: "dict | None",
+    ) -> "ClusterReport":
+        """Build the report, deriving every view from the primary records."""
+        by_rid = {t.request_id: t for t in trace}
+        own_batches = [[] for _ in replica_span_s]
+        own_latencies = [[] for _ in replica_span_s]
+        delivered = set()
+        for batch, r in zip(batches, batch_replica):
+            own_batches[r].append(batch)
+            for rid in batch.indices:
+                # The first recorded batch holding a request delivered it;
+                # a later copy (a hedge twin) was discarded.
+                if rid not in delivered:
+                    delivered.add(rid)
+                    own_latencies[r].append(by_rid[rid].latency_s)
+        replica_reports = tuple(
+            ServingReport(
+                latencies_s=np.array(latencies, dtype=np.float64),
+                batches=tuple(own),
+                span_s=float(span),
+                energy_j=float(energy),
+            )
+            for own, latencies, span, energy in zip(
+                own_batches, own_latencies, replica_span_s, replica_energy_j
+            )
+        )
+        completed = [
+            t.latency_s for t in trace if t.status in (SERVED, CACHE_HIT)
+        ]
+        return cls(
+            latencies_s=np.array(completed, dtype=np.float64),
+            batches=tuple(batches),
+            span_s=float(span_s),
+            energy_j=sum(r.energy_j for r in replica_reports),
+            batch_replica=tuple(int(r) for r in batch_replica),
+            replica_reports=replica_reports,
+            routed_per_replica=tuple(int(v) for v in routed_per_replica),
+            rejected_per_replica=tuple(int(v) for v in rejected_per_replica),
+            cache_stats=cache_stats,
+            trace=tuple(trace),
+            fault_stats=fault_stats,
+        )
 
     @property
     def n_replicas(self) -> int:
@@ -112,9 +173,12 @@ class ClusterReport(ServingReport):
     @property
     def n_failed(self) -> int:
         """Requests typed-failed after exhausting their retry budget."""
-        return sum(
-            1 for t in self.trace if t.status == FAILED
-        )
+        return sum(1 for t in self.trace if t.status == FAILED)
+
+    @property
+    def n_cache_hits(self) -> int:
+        """Requests completed straight from the result cache."""
+        return sum(1 for t in self.trace if t.status == CACHE_HIT)
 
     @property
     def n_served(self) -> int:
@@ -199,163 +263,123 @@ class ClusterReport(ServingReport):
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
-    # Persistence — the cluster tier round-trips too, under its own kind
+    # Persistence — the primary records round-trip, the views re-derive
     # ------------------------------------------------------------------ #
-    @classmethod
-    def _artifact_kind(cls) -> str:
-        return CLUSTER_REPORT_KIND
-
-    def _artifact_header(self) -> dict:
-        header = super()._artifact_header()
-        header["n_cache_hits"] = self.n_cache_hits
+    def save(self, path) -> str:
+        """Persist the report as one digest-protected ``.npz`` artifact;
+        returns the content digest."""
+        sizes = [b.size for b in self.batches]
+        arrays = {
+            "batch_offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(
+                np.int64
+            ),
+            "batch_indices": np.array(
+                [i for b in self.batches for i in b.indices], dtype=np.int64
+            ),
+            "batch_dispatch_s": np.array(
+                [b.dispatch_s for b in self.batches], dtype=np.float64
+            ),
+            "batch_service_s": np.array(
+                [b.service_s for b in self.batches], dtype=np.float64
+            ),
+            "batch_replica": np.array(self.batch_replica, dtype=np.int64),
+            "span_s": np.array([self.span_s], dtype=np.float64),
+            "routed_per_replica": np.array(
+                self.routed_per_replica, dtype=np.int64
+            ),
+            "rejected_per_replica": np.array(
+                self.rejected_per_replica, dtype=np.int64
+            ),
+            "replica_span_s": np.array(
+                [r.span_s for r in self.replica_reports], dtype=np.float64
+            ),
+            "replica_energy_j": np.array(
+                [r.energy_j for r in self.replica_reports], dtype=np.float64
+            ),
+            "trace_request_id": np.array(
+                [t.request_id for t in self.trace], dtype=np.int64
+            ),
+            "trace_arrival_s": np.array(
+                [t.arrival_s for t in self.trace], dtype=np.float64
+            ),
+            "trace_status": np.array(
+                [_STATUS_CODES[t.status] for t in self.trace], dtype=np.int8
+            ),
+            "trace_replica": np.array(
+                [t.replica for t in self.trace], dtype=np.int64
+            ),
+        }
+        for name in _TRACE_STAMPS:
+            arrays[f"trace_{name}"] = np.array(
+                [
+                    np.nan if getattr(t, name) is None else getattr(t, name)
+                    for t in self.trace
+                ],
+                dtype=np.float64,
+            )
         # JSON round-trips Python floats exactly (shortest-repr), so the
-        # cache counters stay bit-identical through the header.
-        header["cache_stats"] = self.cache_stats
-        header["fault_stats"] = self.fault_stats
-        return header
-
-    def _payload_arrays(self) -> "dict[str, np.ndarray]":
-        arrays = super()._payload_arrays()
-        # Which replica ran each cluster-wide batch (dispatch order): the
-        # per-replica reports are reconstructed from this plus the trace.
-        batch_replica = np.full(len(self.batches), -1, dtype=np.int64)
-        # Each request is served at most once, so batches are unique by
-        # their member set and value-keying is unambiguous.
-        position = {b: i for i, b in enumerate(self.batches)}
-        for r, report in enumerate(self.replica_reports):
-            for batch in report.batches:
-                batch_replica[position[batch]] = r
-        nan = float("nan")
-        arrays.update(
-            {
-                "batch_replica": batch_replica,
-                "routed_per_replica": np.array(
-                    self.routed_per_replica, dtype=np.int64
-                ),
-                "rejected_per_replica": np.array(
-                    self.rejected_per_replica, dtype=np.int64
-                ),
-                "replica_span_s": np.array(
-                    [r.span_s for r in self.replica_reports], dtype=np.float64
-                ),
-                "replica_energy_j": np.array(
-                    [r.energy_j for r in self.replica_reports], dtype=np.float64
-                ),
-                "trace_arrival_s": np.array(
-                    [t.arrival_s for t in self.trace], dtype=np.float64
-                ),
-                "trace_status": np.array(
-                    [_STATUS_CODES[t.status] for t in self.trace], dtype=np.int8
-                ),
-                "trace_replica": np.array(
-                    [t.replica for t in self.trace], dtype=np.int64
-                ),
-                "trace_dispatch_s": np.array(
-                    [nan if t.dispatch_s is None else t.dispatch_s
-                     for t in self.trace],
-                    dtype=np.float64,
-                ),
-                "trace_completion_s": np.array(
-                    [nan if t.completion_s is None else t.completion_s
-                     for t in self.trace],
-                    dtype=np.float64,
-                ),
-                "trace_latency_s": np.array(
-                    [nan if t.latency_s is None else t.latency_s
-                     for t in self.trace],
-                    dtype=np.float64,
-                ),
-            }
-        )
-        return arrays
+        # cache and fault counters stay bit-identical through the header.
+        header = {
+            "n_queries": self.n_queries,
+            "n_batches": self.n_batches,
+            "cache_stats": self.cache_stats,
+            "fault_stats": self.fault_stats,
+        }
+        return save_artifact(path, CLUSTER_REPORT_KIND, header, arrays)
 
     @classmethod
     def load(cls, path, verify: bool = True) -> "ClusterReport":
-        """Reload a cluster report saved by :meth:`save` — every tier
-        (per-replica reports, reject accounting, cache counters, trace)
-        comes back bit-for-bit."""
-        header, arrays = load_artifact(path, cls._artifact_kind(), verify=verify)
+        """Reload a report saved by :meth:`save` — every view comes back
+        bit-for-bit."""
+        header, arrays = load_artifact(path, CLUSTER_REPORT_KIND, verify=verify)
         try:
-            batches = cls._batches_from_arrays(arrays)
-            span_s, energy_j = arrays["totals"]
-            trace = tuple(
-                RequestTrace(
-                    request_id=rid,
-                    arrival_s=float(arrays["trace_arrival_s"][rid]),
-                    status=_STATUS_NAMES[int(arrays["trace_status"][rid])],
-                    replica=int(arrays["trace_replica"][rid]),
-                    dispatch_s=cls._none_if_rejected(
-                        arrays["trace_dispatch_s"][rid],
-                        arrays["trace_status"][rid],
+            offsets = arrays["batch_offsets"]
+            indices = arrays["batch_indices"]
+            batches = [
+                ServedBatch(
+                    indices=tuple(
+                        int(i) for i in indices[offsets[b] : offsets[b + 1]]
                     ),
-                    completion_s=cls._none_if_rejected(
-                        arrays["trace_completion_s"][rid],
-                        arrays["trace_status"][rid],
-                    ),
-                    latency_s=cls._none_if_rejected(
-                        arrays["trace_latency_s"][rid],
-                        arrays["trace_status"][rid],
-                    ),
+                    dispatch_s=float(arrays["batch_dispatch_s"][b]),
+                    service_s=float(arrays["batch_service_s"][b]),
                 )
-                for rid in range(len(arrays["trace_status"]))
-            )
-            batch_replica = arrays["batch_replica"]
-            n_replicas = len(arrays["routed_per_replica"])
-            replica_reports = []
-            served_code = _STATUS_CODES[SERVED]
-            for r in range(n_replicas):
-                own = [
-                    b for b, br in zip(batches, batch_replica) if int(br) == r
-                ]
-                # Per-replica latencies replay in the original accumulation
-                # order: batch by batch (dispatch order), member by member —
-                # skipping members this batch did *not* deliver (hedge twins
-                # whose other copy won carry another replica's stamps).
-                own_latencies = np.array(
-                    [
-                        float(arrays["trace_latency_s"][rid])
-                        for b in own
-                        for rid in b.indices
-                        if int(arrays["trace_status"][rid]) == served_code
-                        and int(arrays["trace_replica"][rid]) == r
-                        and float(arrays["trace_dispatch_s"][rid])
-                        == b.dispatch_s
-                    ],
-                    dtype=np.float64,
-                )
-                replica_reports.append(
-                    ServingReport(
-                        latencies_s=own_latencies,
-                        batches=tuple(own),
-                        span_s=float(arrays["replica_span_s"][r]),
-                        energy_j=float(arrays["replica_energy_j"][r]),
+                for b in range(len(offsets) - 1)
+            ]
+            trace = []
+            for pos, rid in enumerate(arrays["trace_request_id"]):
+                status = _STATUS_NAMES[int(arrays["trace_status"][pos])]
+                untimed = status in (REJECTED, FAILED)
+                stamps = {
+                    name: None
+                    if untimed
+                    else float(arrays[f"trace_{name}"][pos])
+                    for name in _TRACE_STAMPS
+                }
+                trace.append(
+                    RequestTrace(
+                        request_id=int(rid),
+                        arrival_s=float(arrays["trace_arrival_s"][pos]),
+                        status=status,
+                        replica=int(arrays["trace_replica"][pos]),
+                        **stamps,
                     )
                 )
-            return cls(
-                latencies_s=arrays["latencies_s"],
-                batches=batches,
-                span_s=float(span_s),
-                energy_j=float(energy_j),
-                replica_reports=tuple(replica_reports),
-                routed_per_replica=tuple(
-                    int(v) for v in arrays["routed_per_replica"]
-                ),
-                rejected_per_replica=tuple(
-                    int(v) for v in arrays["rejected_per_replica"]
-                ),
-                n_cache_hits=int(header["n_cache_hits"]),
-                cache_stats=header["cache_stats"],
+            return cls.from_records(
                 trace=trace,
-                fault_stats=header.get("fault_stats"),
+                batches=batches,
+                batch_replica=arrays["batch_replica"],
+                span_s=float(arrays["span_s"][0]),
+                replica_span_s=arrays["replica_span_s"],
+                replica_energy_j=arrays["replica_energy_j"],
+                routed_per_replica=arrays["routed_per_replica"],
+                rejected_per_replica=arrays["rejected_per_replica"],
+                cache_stats=header["cache_stats"],
+                fault_stats=header["fault_stats"],
             )
         except (KeyError, IndexError, ValueError) as exc:
             raise FormatError(
                 f"{path} has an incomplete cluster-report buffer set"
             ) from exc
-
-    @staticmethod
-    def _none_if_rejected(value, status_code) -> "float | None":
-        return None if int(status_code) in _UNTIMED_CODES else float(value)
 
 
 class ClusterRuntime:
@@ -391,8 +415,8 @@ class ClusterRuntime:
         (accounted as ``invalidations`` in the report's cache stats).
         Runs stay deterministic given the same starting cache state.
     max_batch_size, max_wait_s:
-        The per-replica micro-batching knobs, as for
-        :class:`~repro.serving.batcher.MicroBatcher`.
+        The per-replica micro-batching knobs of
+        :class:`~repro.serving.batcher.BatchQueue`.
     queue_capacity:
         Admission bound: maximum requests *waiting* in one replica's queue
         (the batch in service does not count).  A request routed to a full
@@ -609,9 +633,8 @@ class ClusterRuntime:
             if event is not None and (horizon is None or event <= horizon):
                 policy.run_events(event)
                 continue
-            # Arrivals win ties with dispatches at the same instant, exactly
-            # as in the single-board batcher: a request landing at the
-            # dispatch time joins the departing batch.
+            # Arrivals win ties with dispatches at the same instant: a
+            # request landing at the dispatch time joins the departing batch.
             if dispatch is not None and (arrival is None or dispatch[0] < arrival):
                 dispatch_s, r = dispatch
                 policy.drain_completions(dispatch_s)
@@ -638,25 +661,6 @@ class ClusterRuntime:
         """Assemble the per-request results and :class:`ClusterReport` of a
         finished policy run (shared with the live daemon, which builds its
         *decision report* — virtual clock — from the very same state)."""
-        replica_reports = []
-        for state in policy.states:
-            span = (
-                state.last_completion_s - state.first_arrival_s
-                if state.first_arrival_s is not None
-                else 0.0
-            )
-            replica_reports.append(
-                ServingReport(
-                    latencies_s=np.array(state.latencies, dtype=np.float64),
-                    batches=tuple(state.batches),
-                    span_s=float(span),
-                    energy_j=state.energy_j,
-                )
-            )
-        completed = np.array(
-            [policy.latencies[rid] for rid in sorted(policy.latencies)],
-            dtype=np.float64,
-        )
         traces = tuple(policy.traces[rid] for rid in sorted(policy.traces))
         results: "list[TopKResult | None]" = [
             policy.results.get(rid) for rid in sorted(policy.queries)
@@ -669,17 +673,21 @@ class ClusterRuntime:
         if policy.cache is not None:
             cache_stats = policy.cache.stats()
             cache_stats["lookups"] = policy.cache.lookups
-        report = ClusterReport(
-            latencies_s=completed,
-            batches=tuple(policy.all_batches),
-            span_s=float(last_completion - first_arrival_s),
-            energy_j=sum(s.energy_j for s in policy.states),
-            replica_reports=tuple(replica_reports),
-            routed_per_replica=tuple(s.routed for s in policy.states),
-            rejected_per_replica=tuple(s.rejected for s in policy.states),
-            n_cache_hits=policy.n_cache_hits,
-            cache_stats=cache_stats,
+        report = ClusterReport.from_records(
             trace=traces,
+            batches=policy.all_batches,
+            batch_replica=policy.batch_replica,
+            span_s=last_completion - first_arrival_s,
+            replica_span_s=[
+                s.last_completion_s - s.first_arrival_s
+                if s.first_arrival_s is not None
+                else 0.0
+                for s in policy.states
+            ],
+            replica_energy_j=[s.energy_j for s in policy.states],
+            routed_per_replica=[s.routed for s in policy.states],
+            rejected_per_replica=[s.rejected for s in policy.states],
+            cache_stats=cache_stats,
             fault_stats=policy.fault_stats(),
         )
         return results, report

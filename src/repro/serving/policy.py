@@ -52,7 +52,7 @@ dropped and never duplicated.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,8 +130,6 @@ class _ReplicaState:
     energy_j: float = 0.0
     first_arrival_s: "float | None" = None
     last_completion_s: float = 0.0
-    batches: "list[ServedBatch]" = field(default_factory=list)
-    latencies: "list[float]" = field(default_factory=list)
     #: Health state machine: healthy -> suspected -> down -> recovering.
     health: str = HEALTHY
     #: Consecutive failed batches (reset on success; SUSPECT_STRIKES -> down).
@@ -155,8 +153,8 @@ class ClusterPolicy:
     the retry/backoff/hedge knobs (defaults apply when ``None``).
 
     The policy is single-run state: build a fresh one per stream.  It holds
-    every recorded outcome — traces, per-request results and latencies,
-    batches in dispatch order — which the drivers turn into a
+    every recorded outcome — traces, per-request results, batches in
+    dispatch order with their replicas — which the drivers turn into a
     :class:`~repro.serving.cluster.ClusterReport`.
     """
 
@@ -193,8 +191,10 @@ class ClusterPolicy:
         self.queries: "dict[int, np.ndarray]" = {}
         self.results: dict = {}
         self.traces: "dict[int, RequestTrace]" = {}
-        self.latencies: "dict[int, float]" = {}
+        #: Every successful batch in the order :meth:`complete` recorded it,
+        #: and the replica that ran each one.
         self.all_batches: "list[ServedBatch]" = []
+        self.batch_replica: "list[int]" = []
         self.n_cache_hits = 0
         # Completion events: (time, seq, replica, n_members, [(key, result)]).
         # Drained strictly in time order before any arrival/dispatch at a
@@ -473,7 +473,6 @@ class ClusterPolicy:
             hit = self.cache.get(self.cache_key(rid))
             if hit is not None:
                 self.results[rid] = hit
-                self.latencies[rid] = 0.0
                 self.n_cache_hits += 1
                 self.traces[rid] = RequestTrace(
                     request_id=rid,
@@ -566,7 +565,7 @@ class ClusterPolicy:
 
         Advances the replica's board-free time by the *modelled*
         ``served.seconds`` (scaled by any slow-replica window), records
-        traces/results/latencies, and schedules the cache fill at the
+        traces/results, and schedules the cache fill at the
         completion instant (applied by a later :meth:`drain_completions` —
         results never time-travel into the cache).
 
@@ -614,8 +613,6 @@ class ClusterPolicy:
             arrival = self._arrival0[rid]
             self.results[rid] = topk[pos]
             latency = completion - arrival
-            self.latencies[rid] = latency
-            state.latencies.append(latency)
             if self._attempts.get(rid, 0) > 0:
                 self.n_rescued += 1
             self.traces[rid] = RequestTrace(
@@ -636,8 +633,8 @@ class ClusterPolicy:
             dispatch_s=float(dispatch_s),
             service_s=service_s,
         )
-        state.batches.append(batch)
         self.all_batches.append(batch)
+        self.batch_replica.append(replica)
         state.energy_j += served.energy_j
         state.last_completion_s = completion
         heapq.heappush(

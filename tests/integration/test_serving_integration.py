@@ -10,7 +10,7 @@ from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import PAPER_DESIGNS
 from repro.serving import (
-    MicroBatcher,
+    ClusterRuntime,
     ServeBenchConfig,
     ShardedEngine,
     poisson_arrivals,
@@ -30,9 +30,9 @@ def collection():
 def served_setup(collection):
     engine = ShardedEngine(collection, n_shards=4, design=PAPER_DESIGNS["20b"])
     queries = sample_unit_queries(np.random.default_rng(53), 32, 256)
-    batcher = MicroBatcher(engine, max_batch_size=8, max_wait_s=1e-3)
+    runtime = ClusterRuntime([engine], max_batch_size=8, max_wait_s=1e-3)
     arrivals = poisson_arrivals(len(queries), 10_000.0, rng=55)
-    results, report = batcher.run(queries, arrivals, top_k=10)
+    results, report = runtime.run(queries, arrivals, top_k=10)
     return engine, queries, results, report
 
 
@@ -132,11 +132,13 @@ class TestClusterServeBench:
                 ServeBenchConfig(rows=1500, cols=128, n_queries=8, cache_size=-5)
             )
 
-    def test_single_fleet_defaults_keep_the_legacy_payload(self):
+    def test_single_fleet_defaults_report_a_one_replica_cluster(self):
         _, payload = run_serve_bench(
             ServeBenchConfig(rows=1500, cols=128, n_queries=16, recall_queries=4)
         )
-        assert "cluster" not in payload["report"]
+        cluster = payload["report"]["cluster"]
+        assert cluster["n_replicas"] == 1
+        assert cluster["n_served"] == payload["report"]["n_queries"] == 16
 
     def test_cli_cluster_flags(self, tmp_path, capsys):
         json_path = tmp_path / "cluster.json"

@@ -1,8 +1,9 @@
-"""Property suite: MicroBatcher dispatch invariants (hypothesis).
+"""Property suite: micro-batching dispatch invariants (hypothesis).
 
 The example-based unit tests in ``tests/unit/test_serving_batcher.py`` pin
 known scenarios; these properties assert the dispatch *contract* over
-arbitrary arrival patterns (bursts, ties, unsorted, idle gaps):
+arbitrary arrival patterns (bursts, ties, unsorted, idle gaps), on a
+single board served as a 1-replica ``ClusterRuntime``:
 
 * no batch ever exceeds ``max_batch_size``;
 * dispatch never precedes full-or-deadline — a partial batch leaves no
@@ -18,7 +19,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from serving_stubs import StubBatchEngine
-from repro.serving.batcher import MicroBatcher
+from repro.serving.cluster import ClusterRuntime
 
 
 arrival_lists = st.lists(
@@ -38,22 +39,24 @@ batcher_params = st.tuples(
 def _run(arrivals, params):
     max_batch, max_wait, base_s, per_query_s = params
     engine = StubBatchEngine(base_s=base_s, per_query_s=per_query_s)
-    batcher = MicroBatcher(engine, max_batch_size=max_batch, max_wait_s=max_wait)
+    runtime = ClusterRuntime(
+        [engine], max_batch_size=max_batch, max_wait_s=max_wait
+    )
     queries = np.ones((len(arrivals), 8))
-    results, report = batcher.run(queries, np.array(arrivals), top_k=1)
-    return results, report, batcher
+    results, report = runtime.run(queries, np.array(arrivals), top_k=1)
+    return results, report, runtime
 
 
 @given(arrivals=arrival_lists, params=batcher_params)
 def test_no_batch_exceeds_max_batch_size(arrivals, params):
-    _, report, batcher = _run(arrivals, params)
-    assert all(b.size <= batcher.max_batch_size for b in report.batches)
+    _, report, runtime = _run(arrivals, params)
+    assert all(b.size <= runtime.max_batch_size for b in report.batches)
     assert all(b.size >= 1 for b in report.batches)
 
 
 @given(arrivals=arrival_lists, params=batcher_params)
 def test_dispatch_never_precedes_full_or_deadline(arrivals, params):
-    _, report, batcher = _run(arrivals, params)
+    _, report, runtime = _run(arrivals, params)
     arrivals = np.asarray(arrivals)
     t_free = 0.0
     for batch in report.batches:
@@ -63,9 +66,9 @@ def test_dispatch_never_precedes_full_or_deadline(arrivals, params):
         # ...never while the board still runs the previous batch...
         assert batch.dispatch_s >= t_free
         # ...and a partial batch only on (or after) the head's deadline.
-        if batch.size < batcher.max_batch_size:
+        if batch.size < runtime.max_batch_size:
             head = member_arrivals.min()
-            assert batch.dispatch_s >= head + batcher.max_wait_s
+            assert batch.dispatch_s >= head + runtime.max_wait_s
         t_free = batch.completion_s
 
 
@@ -108,8 +111,8 @@ tie_streams = st.lists(
 
 def _run_zero_wait(arrivals, max_batch, base_s):
     engine = StubBatchEngine(base_s=base_s, per_query_s=0.0)
-    batcher = MicroBatcher(engine, max_batch_size=max_batch, max_wait_s=0.0)
-    results, report = batcher.run(
+    runtime = ClusterRuntime([engine], max_batch_size=max_batch, max_wait_s=0.0)
+    results, report = runtime.run(
         np.ones((len(arrivals), 8)), np.array(arrivals), top_k=1
     )
     return results, report

@@ -9,9 +9,6 @@ asserted over arbitrary arrival patterns and configurations:
 * **Conservation** — every offered request is served exactly once (by an
   engine batch or the cache) or counted rejected; nothing is dropped or
   double-served.
-* **Single-replica regression** — a 1-replica cluster with no cache and an
-  unbounded queue reproduces :class:`~repro.serving.batcher.MicroBatcher`
-  number-for-number (the batcher rework is locked both ways).
 * **Exactness** — cache hits are bit-identical to engine results, and a
   cluster of aligned-sharded replicas returns results bit-identical to the
   unsharded single-board engine.
@@ -32,7 +29,6 @@ from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import PAPER_DESIGNS
 from repro.serving import (
     ClusterRuntime,
-    MicroBatcher,
     ShardedEngine,
     poisson_arrivals,
 )
@@ -128,32 +124,6 @@ def test_replica_work_partitions_the_admitted_requests(arrivals, params):
     per_replica = [r.n_queries for r in report.replica_reports]
     assert sum(per_replica) == len(served_by)
     assert sum(r.n_batches for r in report.replica_reports) == report.n_batches
-
-
-@given(
-    arrivals=arrival_lists,
-    max_batch=st.integers(min_value=1, max_value=8),
-    max_wait=st.sampled_from([0.0, 1e-4, 2e-3]),
-)
-def test_single_replica_cluster_equals_microbatcher(arrivals, max_batch, max_wait):
-    engine = StubBatchEngine(base_s=1e-3, per_query_s=2e-4)
-    queries = np.ones((len(arrivals), 8))
-    arrivals = np.array(arrivals)
-    cluster = ClusterRuntime(
-        [engine], max_batch_size=max_batch, max_wait_s=max_wait
-    )
-    batcher = MicroBatcher(engine, max_batch_size=max_batch, max_wait_s=max_wait)
-    c_results, c_report = cluster.run(queries, arrivals, top_k=1)
-    b_results, b_report = batcher.run(queries, arrivals, top_k=1)
-    assert [
-        (b.indices, b.dispatch_s, b.service_s) for b in c_report.batches
-    ] == [(b.indices, b.dispatch_s, b.service_s) for b in b_report.batches]
-    assert np.array_equal(c_report.latencies_s, b_report.latencies_s)
-    assert c_report.span_s == b_report.span_s
-    assert c_report.energy_j == b_report.energy_j
-    assert c_report.qps == b_report.qps
-    for a, b in zip(c_results, b_results):
-        assert a.values.tobytes() == b.values.tobytes()
 
 
 # --------------------------------------------------------------------- #

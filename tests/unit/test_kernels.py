@@ -165,22 +165,31 @@ class TestContractionGate:
         request = self._request(tiny_matrix, X, operand=operand, plans=plans)
         assert not get_kernel("contraction").supports(request)
 
-    def test_dynamic_range_overflow_falls_back(self, tiny_matrix):
+    @pytest.mark.parametrize(
+        "max_abs_row_raw, supported",
+        [(2**21 - 1, True), (2**21, False), (2**60, False)],
+        ids=["just-under-2^52", "exactly-2^52", "2^91"],
+    )
+    def test_dynamic_range_overflow_falls_back(
+        self, tiny_matrix, max_abs_row_raw, supported
+    ):
         encoded = _encoded(tiny_matrix)
         plans = [plan_stream(s) for s in encoded.streams]
         operand = lower_plans(plans, [s.codec for s in encoded.streams])
-        # Same grid, but a row magnitude that blows the 2^52 budget.
+        # Same grid, but a chosen row magnitude.  The query's max_raw_x is
+        # 2^31, so the bound products are 2^52 - 2^31 (exact), 2^52 (the
+        # strict budget edge) and 2^91.
         operand = ContractionOperand(
             data=operand.data,
             indices=operand.indices,
             indptr=operand.indptr,
             part_rows=operand.part_rows,
             value_grid_bits=operand.value_grid_bits,
-            max_abs_row_raw=float(2**60),
+            max_abs_row_raw=float(max_abs_row_raw),
         )
         X = Q1_31.quantize(np.linspace(0, 1, 64))
         request = self._request(tiny_matrix, X, operand=operand, plans=plans)
-        assert not get_kernel("contraction").supports(request)
+        assert get_kernel("contraction").supports(request) is supported
 
     def test_mismatched_operand_falls_back(self, tiny_matrix):
         encoded = _encoded(tiny_matrix)

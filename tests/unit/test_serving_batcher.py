@@ -1,4 +1,5 @@
-"""Unit tests for the micro-batching request queue."""
+"""Unit tests for micro-batching: the ``BatchQueue`` dispatch rule and a
+single board served as a 1-replica ``ClusterRuntime``."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.hw.design import PAPER_DESIGNS
-from repro.serving.batcher import BatchQueue, MicroBatcher, poisson_arrivals
+from repro.serving.batcher import BatchQueue, poisson_arrivals
+from repro.serving.cluster import ClusterRuntime
 from repro.utils.rng import sample_unit_queries
 
 
@@ -26,10 +28,10 @@ def stream_queries():
 
 class TestBatchFormation:
     def test_max_batch_size_honoured(self, engine, stream_queries):
-        # Everything arrives at t=0: the batcher must still cap batches.
-        batcher = MicroBatcher(engine, max_batch_size=7, max_wait_s=1e-3)
+        # Everything arrives at t=0: the runtime must still cap batches.
+        runtime = ClusterRuntime([engine], max_batch_size=7, max_wait_s=1e-3)
         arrivals = np.zeros(len(stream_queries))
-        _, report = batcher.run(stream_queries, arrivals, top_k=10)
+        _, report = runtime.run(stream_queries, arrivals, top_k=10)
         assert all(b.size <= 7 for b in report.batches)
         assert sum(b.size for b in report.batches) == len(stream_queries)
         # A flood of simultaneous arrivals fills every batch but the tail.
@@ -38,9 +40,9 @@ class TestBatchFormation:
     def test_deadline_honoured_when_idle(self, engine, stream_queries):
         # Requests 10 s apart: each dispatches alone after max_wait.
         max_wait = 1e-3
-        batcher = MicroBatcher(engine, max_batch_size=16, max_wait_s=max_wait)
+        runtime = ClusterRuntime([engine], max_batch_size=16, max_wait_s=max_wait)
         arrivals = np.arange(8) * 10.0
-        _, report = batcher.run(stream_queries[:8], arrivals, top_k=10)
+        _, report = runtime.run(stream_queries[:8], arrivals, top_k=10)
         assert report.n_batches == 8
         for batch, arrival in zip(report.batches, arrivals):
             assert batch.size == 1
@@ -48,33 +50,33 @@ class TestBatchFormation:
 
     def test_batch_fills_before_deadline(self, engine, stream_queries):
         # 4 requests in quick succession, huge deadline: dispatch on fill.
-        batcher = MicroBatcher(engine, max_batch_size=4, max_wait_s=10.0)
+        runtime = ClusterRuntime([engine], max_batch_size=4, max_wait_s=10.0)
         arrivals = np.array([0.0, 0.001, 0.002, 0.003])
-        _, report = batcher.run(stream_queries[:4], arrivals, top_k=10)
+        _, report = runtime.run(stream_queries[:4], arrivals, top_k=10)
         assert report.n_batches == 1
         assert report.batches[0].size == 4
         assert report.batches[0].dispatch_s == pytest.approx(0.003)
 
     def test_backlog_coalesces_while_board_busy(self, engine, stream_queries):
         # Zero deadline still batches whatever queued while the board ran.
-        batcher = MicroBatcher(engine, max_batch_size=16, max_wait_s=0.0)
+        runtime = ClusterRuntime([engine], max_batch_size=16, max_wait_s=0.0)
         arrivals = np.linspace(0.0, engine.timing.makespan_s, 16)
-        _, report = batcher.run(stream_queries[:16], arrivals, top_k=10)
+        _, report = runtime.run(stream_queries[:16], arrivals, top_k=10)
         assert report.n_batches < 16
         assert sum(b.size for b in report.batches) == 16
 
     def test_results_in_request_order(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=5, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=5, max_wait_s=1e-3)
         arrivals = np.linspace(0, 1e-3, len(stream_queries))
-        results, _ = batcher.run(stream_queries, arrivals, top_k=10)
+        results, _ = runtime.run(stream_queries, arrivals, top_k=10)
         for x, got in zip(stream_queries, results):
             want = engine.query(x, top_k=10).topk
             assert got.indices.tolist() == want.indices.tolist()
 
     def test_unsorted_arrivals_accepted(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=4, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=4, max_wait_s=1e-3)
         arrivals = np.array([3e-3, 0.0, 2e-3, 1e-3])
-        results, report = batcher.run(stream_queries[:4], arrivals, top_k=5)
+        results, report = runtime.run(stream_queries[:4], arrivals, top_k=5)
         assert len(results) == 4
         # Request 0 (latest arrival) still gets its own correct answer.
         want = engine.query(stream_queries[0], top_k=5).topk
@@ -83,9 +85,9 @@ class TestBatchFormation:
 
 class TestReport:
     def test_latency_percentiles_ordered(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=8, max_wait_s=2e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=8, max_wait_s=2e-3)
         arrivals = poisson_arrivals(len(stream_queries), 5000.0, rng=7)
-        _, report = batcher.run(stream_queries, arrivals, top_k=10)
+        _, report = runtime.run(stream_queries, arrivals, top_k=10)
         assert report.n_queries == len(stream_queries)
         assert 0 < report.p50_latency_s <= report.p99_latency_s
         assert report.p99_latency_s <= report.latencies_s.max()
@@ -93,16 +95,16 @@ class TestReport:
         assert report.energy_j > 0
 
     def test_every_latency_at_least_service_time(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=8, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=8, max_wait_s=1e-3)
         arrivals = poisson_arrivals(len(stream_queries), 20_000.0, rng=11)
-        _, report = batcher.run(stream_queries, arrivals, top_k=10)
+        _, report = runtime.run(stream_queries, arrivals, top_k=10)
         min_service = engine.timing.makespan_s
         assert (report.latencies_s >= min_service).all()
 
     def test_to_dict_roundtrips_key_metrics(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=8, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=8, max_wait_s=1e-3)
         arrivals = np.zeros(8)
-        _, report = batcher.run(stream_queries[:8], arrivals, top_k=10)
+        _, report = runtime.run(stream_queries[:8], arrivals, top_k=10)
         payload = report.to_dict()
         assert payload["n_queries"] == 8
         assert payload["p50_latency_ms"] == pytest.approx(report.p50_latency_s * 1e3)
@@ -143,24 +145,24 @@ class TestArrivalsAndValidation:
                 assert arrivals[0] == 0.0
 
     def test_mismatched_arrivals_rejected(self, engine, stream_queries):
-        batcher = MicroBatcher(engine, max_batch_size=4, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=4, max_wait_s=1e-3)
         with pytest.raises(ConfigurationError):
-            batcher.run(stream_queries, np.zeros(3), top_k=5)
+            runtime.run(stream_queries, np.zeros(3), top_k=5)
 
     def test_empty_stream_rejected(self, engine):
-        batcher = MicroBatcher(engine, max_batch_size=4, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=4, max_wait_s=1e-3)
         with pytest.raises(ConfigurationError):
-            batcher.run(np.empty((0, 256)), np.empty(0), top_k=5)
+            runtime.run(np.empty((0, 256)), np.empty(0), top_k=5)
 
     def test_bad_batcher_params_rejected(self, engine):
         with pytest.raises(ConfigurationError):
-            MicroBatcher(engine, max_batch_size=0)
+            ClusterRuntime([engine], max_batch_size=0)
         with pytest.raises(ConfigurationError):
-            MicroBatcher(engine, max_wait_s=-1.0)
+            ClusterRuntime([engine], max_wait_s=-1.0)
 
 
 class TestBatchQueue:
-    """The causal dispatch-rule state machine behind MicroBatcher/cluster."""
+    """The causal dispatch-rule state machine behind ClusterRuntime."""
 
     def test_idle_queue_has_no_dispatch(self):
         queue = BatchQueue(max_batch_size=4, max_wait_s=1e-3)
@@ -227,58 +229,46 @@ class TestShortEngineReturns:
     def _stream(self, n):
         return np.ones((n, 8)), np.zeros(n)
 
-    def test_short_return_raises_format_error(self):
+    class _NoTopk:
+        """Returns a batch result without any ``topk``."""
+
+        matrix = type("M", (), {"n_cols": 8})()
+
+        def query_batch(self, queries, top_k):
+            return type("R", (), {"seconds": 1e-3, "energy_j": 0.0})()
+
+    @pytest.mark.parametrize(
+        "make_engine, n, match",
+        [
+            (lambda cls: cls._ShortEngine(), 4, "3 result"),
+            (lambda cls: cls._ShortEngine(drop=4), 4, "0 result"),
+            (lambda cls: cls._NoTopk(), 2, "no topk attribute"),
+        ],
+        ids=["short", "empty", "topkless"],
+    )
+    @pytest.mark.parametrize("n_replicas", [1, 2])
+    def test_wrong_result_count_raises_format_error(
+        self, make_engine, n, match, n_replicas
+    ):
         from repro.errors import FormatError
-
-        batcher = MicroBatcher(
-            self._ShortEngine(), max_batch_size=4, max_wait_s=0.0
-        )
-        queries, arrivals = self._stream(4)
-        with pytest.raises(FormatError, match="3 result"):
-            batcher.run(queries, arrivals, top_k=1)
-
-    def test_empty_return_raises_format_error(self):
-        from repro.errors import FormatError
-
-        batcher = MicroBatcher(
-            self._ShortEngine(drop=4), max_batch_size=4, max_wait_s=0.0
-        )
-        queries, arrivals = self._stream(4)
-        with pytest.raises(FormatError, match="0 result"):
-            batcher.run(queries, arrivals, top_k=1)
-
-    def test_topkless_return_raises_format_error(self):
-        from repro.errors import FormatError
-
-        class NoTopk:
-            matrix = type("M", (), {"n_cols": 8})()
-
-            def query_batch(self, queries, top_k):
-                return type("R", (), {"seconds": 1e-3, "energy_j": 0.0})()
-
-        batcher = MicroBatcher(NoTopk(), max_batch_size=2, max_wait_s=0.0)
-        queries, arrivals = self._stream(2)
-        with pytest.raises(FormatError, match="no topk attribute"):
-            batcher.run(queries, arrivals, top_k=1)
-
-    def test_cluster_tier_rejects_short_returns_too(self):
-        from repro.errors import FormatError
-        from repro.serving.cluster import ClusterRuntime
 
         runtime = ClusterRuntime(
-            [self._ShortEngine()], max_batch_size=4, max_wait_s=0.0
+            [make_engine(type(self)) for _ in range(n_replicas)],
+            max_batch_size=4,
+            max_wait_s=0.0,
         )
-        queries, arrivals = self._stream(4)
-        with pytest.raises(FormatError, match="result"):
+        # Every replica gets a full batch of ``n`` requests.
+        queries, arrivals = self._stream(n * n_replicas)
+        with pytest.raises(FormatError, match=match):
             runtime.run(queries, arrivals, top_k=1)
 
     def test_well_behaved_engine_unaffected(self):
         from serving_stubs import StubBatchEngine
 
-        batcher = MicroBatcher(
-            StubBatchEngine(n_cols=8), max_batch_size=4, max_wait_s=0.0
+        runtime = ClusterRuntime(
+            [StubBatchEngine(n_cols=8)], max_batch_size=4, max_wait_s=0.0
         )
         queries, arrivals = self._stream(5)
-        results, report = batcher.run(queries, arrivals, top_k=1)
+        results, report = runtime.run(queries, arrivals, top_k=1)
         assert len(results) == 5
         assert all(r is not None for r in results)

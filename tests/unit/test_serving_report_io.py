@@ -1,4 +1,4 @@
-"""Round-trip tests for ServingReport persistence (replayable bench results)."""
+"""Round-trip tests for ClusterReport persistence (replayable bench results)."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,17 @@ import pytest
 from serving_stubs import StubBatchEngine
 from repro.errors import FormatError
 from repro.formats.io import save_artifact
-from repro.serving.batcher import MicroBatcher, ServingReport, poisson_arrivals
+from repro.serving import ClusterReport, ClusterRuntime
+from repro.serving.batcher import poisson_arrivals
+from repro.serving.faults import ResilienceConfig
 
 
 @pytest.fixture()
 def report():
     engine = StubBatchEngine(base_s=1e-3, per_query_s=3e-4)
-    batcher = MicroBatcher(engine, max_batch_size=5, max_wait_s=1e-3)
+    runtime = ClusterRuntime([engine], max_batch_size=5, max_wait_s=1e-3)
     arrivals = poisson_arrivals(37, 8_000.0, rng=17)
-    _, report = batcher.run(np.ones((37, 8)), arrivals, top_k=1)
+    _, report = runtime.run(np.ones((37, 8)), arrivals, top_k=1)
     return report
 
 
@@ -22,14 +24,14 @@ class TestRoundTrip:
     def test_latency_trace_bit_identical(self, tmp_path, report):
         path = tmp_path / "report.npz"
         report.save(path)
-        loaded = ServingReport.load(path)
+        loaded = ClusterReport.load(path)
         assert loaded.latencies_s.tobytes() == report.latencies_s.tobytes()
         assert loaded.latencies_s.dtype == report.latencies_s.dtype
 
     def test_batches_and_totals_round_trip(self, tmp_path, report):
         path = tmp_path / "report.npz"
         report.save(path)
-        loaded = ServingReport.load(path)
+        loaded = ClusterReport.load(path)
         assert loaded.batches == report.batches  # indices, dispatch, service
         assert loaded.span_s == report.span_s
         assert loaded.energy_j == report.energy_j
@@ -38,7 +40,7 @@ class TestRoundTrip:
         """A reloaded report re-derives the same p50/p99/QPS bit-for-bit."""
         path = tmp_path / "report.npz"
         report.save(path)
-        loaded = ServingReport.load(path)
+        loaded = ClusterReport.load(path)
         assert loaded.to_dict() == report.to_dict()
         assert loaded.render() == report.render()
 
@@ -48,38 +50,60 @@ class TestRoundTrip:
 
     def test_single_batch_report_round_trips(self, tmp_path):
         engine = StubBatchEngine()
-        batcher = MicroBatcher(engine, max_batch_size=8, max_wait_s=0.0)
-        _, report = batcher.run(np.ones((1, 8)), np.zeros(1), top_k=1)
+        runtime = ClusterRuntime([engine], max_batch_size=8, max_wait_s=0.0)
+        _, report = runtime.run(np.ones((1, 8)), np.zeros(1), top_k=1)
         report.save(tmp_path / "one.npz")
-        loaded = ServingReport.load(tmp_path / "one.npz")
+        loaded = ClusterReport.load(tmp_path / "one.npz")
         assert loaded.n_queries == 1
         assert loaded.batches == report.batches
 
 
-class TestClusterRoundTrip:
-    @pytest.fixture()
-    def cluster_report(self):
-        from repro.serving import ClusterRuntime
+def _bounded_cluster_report():
+    replicas = [
+        StubBatchEngine(base_s=1e-3, per_query_s=3e-4, marker=r)
+        for r in range(3)
+    ]
+    runtime = ClusterRuntime(
+        replicas,
+        router="least-outstanding",
+        max_batch_size=4,
+        max_wait_s=1e-3,
+        queue_capacity=3,
+    )
+    arrivals = poisson_arrivals(40, 6_000.0, rng=23)
+    _, report = runtime.run(np.ones((40, 8)), arrivals, top_k=1)
+    assert report.n_rejected > 0  # exercise the rejected-trace encoding
+    return report
 
-        replicas = [
-            StubBatchEngine(base_s=1e-3, per_query_s=3e-4, marker=r)
-            for r in range(3)
-        ]
-        runtime = ClusterRuntime(
-            replicas,
-            router="least-outstanding",
-            max_batch_size=4,
-            max_wait_s=1e-3,
-            queue_capacity=3,
-        )
-        arrivals = poisson_arrivals(40, 6_000.0, rng=23)
-        _, report = runtime.run(np.ones((40, 8)), arrivals, top_k=1)
-        assert report.n_rejected > 0  # exercise the rejected-trace encoding
-        return report
+
+def _hedge_twin_cluster_report():
+    # Request 2 and its hedge twin both dispatch at 1 ms as equal
+    # ServedBatch values on different replicas: the batch log must keep
+    # both, each under its own replica.
+    replicas = [
+        StubBatchEngine(base_s=1e-3, per_query_s=0.0, marker=r)
+        for r in range(2)
+    ]
+    runtime = ClusterRuntime(
+        replicas,
+        max_batch_size=1,
+        max_wait_s=0.0,
+        resilience=ResilienceConfig(hedge_after_s=1e-3),
+    )
+    _, report = runtime.run(np.ones((3, 8)), np.zeros(3), top_k=1)
+    assert report.batches[2] == report.batches[3]
+    return report
+
+
+class TestClusterRoundTrip:
+    @pytest.fixture(
+        params=[_bounded_cluster_report, _hedge_twin_cluster_report],
+        ids=["bounded", "hedge-twin"],
+    )
+    def cluster_report(self, request):
+        return request.param()
 
     def test_every_tier_round_trips(self, tmp_path, cluster_report):
-        from repro.serving import ClusterReport
-
         path = tmp_path / "cluster.npz"
         cluster_report.save(path)
         loaded = ClusterReport.load(path)
@@ -89,6 +113,7 @@ class TestClusterRoundTrip:
         assert loaded.batches == cluster_report.batches
         assert loaded.routed_per_replica == cluster_report.routed_per_replica
         assert loaded.rejected_per_replica == cluster_report.rejected_per_replica
+        assert loaded.n_replicas == cluster_report.n_replicas
         for a, b in zip(loaded.replica_reports, cluster_report.replica_reports):
             assert a.batches == b.batches
             assert a.latencies_s.tobytes() == b.latencies_s.tobytes()
@@ -99,7 +124,6 @@ class TestClusterRoundTrip:
         from repro.core.collection import compile_collection
         from repro.core.engine import TopKSpmvEngine
         from repro.data.synthetic import synthetic_embeddings
-        from repro.serving import ClusterReport, ClusterRuntime
 
         collection = compile_collection(
             synthetic_embeddings(
@@ -124,19 +148,14 @@ class TestClusterRoundTrip:
         assert loaded.n_cache_hits == report.n_cache_hits
         assert loaded.cache_stats == report.cache_stats
 
-    def test_base_loader_refuses_a_cluster_report(self, tmp_path, cluster_report):
-        # A ClusterReport persists under its own kind: reloading it as a
-        # plain ServingReport must fail loudly, never drop the cluster tier.
-        path = tmp_path / "cluster.npz"
-        cluster_report.save(path)
-        with pytest.raises(FormatError, match="cluster-report"):
-            ServingReport.load(path)
 
     def test_cluster_loader_refuses_a_base_report(self, tmp_path, report):
-        from repro.serving import ClusterReport
-
+        # Plain ``serving-report`` artifacts written by earlier builds are a
+        # retired kind: loading one must fail loudly and name it.
         path = tmp_path / "plain.npz"
-        report.save(path)
+        save_artifact(
+            path, "serving-report", {}, {"latency_s": report.latencies_s}
+        )
         with pytest.raises(FormatError, match="serving-report"):
             ClusterReport.load(path)
 
@@ -146,15 +165,15 @@ class TestCorruption:
         path = tmp_path / "other.npz"
         save_artifact(path, "not-a-report", {}, {"x": np.zeros(1)})
         with pytest.raises(FormatError, match="expected"):
-            ServingReport.load(path)
+            ClusterReport.load(path)
 
     def test_incomplete_buffer_set_rejected(self, tmp_path):
         path = tmp_path / "broken.npz"
         save_artifact(
-            path, "serving-report", {}, {"latencies_s": np.zeros(3)}
+            path, "cluster-report", {}, {"trace_latency_s": np.zeros(3)}
         )
         with pytest.raises(FormatError, match="incomplete"):
-            ServingReport.load(path)
+            ClusterReport.load(path)
 
     def test_bit_flip_caught_by_digest(self, tmp_path, report):
         import numpy as _np
@@ -165,52 +184,9 @@ class TestCorruption:
         # (and so the old digest) kept verbatim.
         with _np.load(path, allow_pickle=False) as archive:
             arrays = {name: archive[name] for name in archive.files}
-        arrays["latencies_s"] = arrays["latencies_s"].copy()
-        arrays["latencies_s"][0] += 1e-9
+        arrays["trace_latency_s"] = arrays["trace_latency_s"].copy()
+        arrays["trace_latency_s"][0] += 1e-9
         with open(path, "wb") as handle:
             _np.savez(handle, **arrays)
         with pytest.raises(FormatError, match="digest"):
-            ServingReport.load(path)
-
-
-class TestKindDispatch:
-    """Regression: the artifact kind is class-dispatched, not hard-coded.
-
-    ``load`` used to verify the literal ``REPORT_KIND`` no matter which class
-    it was called on, so a subclass persisting under its own kind could not
-    reload itself through the inherited loader.
-    """
-
-    class _TaggedReport(ServingReport):
-        @classmethod
-        def _artifact_kind(cls) -> str:
-            return "tagged-serving-report"
-
-    def _tagged(self, report):
-        return self._TaggedReport(
-            latencies_s=report.latencies_s,
-            batches=report.batches,
-            span_s=report.span_s,
-            energy_j=report.energy_j,
-        )
-
-    def test_subclass_round_trips_under_its_own_kind(self, tmp_path, report):
-        path = tmp_path / "tagged.npz"
-        self._tagged(report).save(path)
-        loaded = self._TaggedReport.load(path)
-        assert type(loaded) is self._TaggedReport
-        assert loaded.latencies_s.tobytes() == report.latencies_s.tobytes()
-        assert loaded.batches == report.batches
-        assert loaded.to_dict() == report.to_dict()
-
-    def test_base_loader_refuses_the_subclass_artifact(self, tmp_path, report):
-        path = tmp_path / "tagged.npz"
-        self._tagged(report).save(path)
-        with pytest.raises(FormatError, match="tagged-serving-report"):
-            ServingReport.load(path)
-
-    def test_subclass_loader_refuses_a_base_artifact(self, tmp_path, report):
-        path = tmp_path / "plain.npz"
-        report.save(path)
-        with pytest.raises(FormatError, match="serving-report"):
-            self._TaggedReport.load(path)
+            ClusterReport.load(path)

@@ -14,7 +14,7 @@ from repro.core.engine import TopKSpmvEngine
 from repro.core.segments import SegmentedCollection
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
-from repro.serving.batcher import MicroBatcher, poisson_arrivals
+from repro.serving.batcher import poisson_arrivals
 from repro.serving.cluster import ClusterRuntime
 from repro.serving.sharded import ShardedEngine
 from repro.utils.rng import derive_rng, sample_unit_queries
@@ -108,9 +108,9 @@ class TestBatcherAndClusterSegmented:
     def test_micro_batcher_serves_a_segmented_engine(self, collection, queries):
         _mutate(collection)
         engine = TopKSpmvEngine(collection)
-        batcher = MicroBatcher(engine, max_batch_size=4, max_wait_s=1e-3)
+        runtime = ClusterRuntime([engine], max_batch_size=4, max_wait_s=1e-3)
         arrivals = poisson_arrivals(len(queries), 5000.0, derive_rng(9))
-        results, report = batcher.run(queries, arrivals, top_k=5)
+        results, report = runtime.run(queries, arrivals, top_k=5)
         direct = engine.query_batch(queries, top_k=5)
         for got, want in zip(results, direct.topk):
             assert got.indices.tolist() == want.indices.tolist()
