@@ -83,6 +83,9 @@ def test_batched_vs_looped_query_scaling():
     ``merge_topk_candidates``, the suites' oracle) on the bench's synthetic
     collection.  ``engine.query`` is itself a one-row batch, so looping it
     is no longer the slow side; it stays in the bit-identity assertion.
+    The oracle walks the paper's per-core candidates, so it is held to the
+    engine's ``query_candidates_batch`` merged at the same K, while
+    ``query_batch`` (the exact global Top-K) is held to ``query``.
     """
     matrix = synthetic_embeddings(
         n_rows=4000, n_cols=256, avg_nnz=12, distribution="uniform", seed=99
@@ -106,11 +109,13 @@ def test_batched_vs_looped_query_scaling():
             _timed(lambda: engine.query_batch(queries, top_k))
             for _ in range(repeats)
         )
-        # The batched path must stay bit-identical while being faster.
+        # The batched paths must stay bit-identical while being faster.
         batch = engine.query_batch(queries, top_k)
-        for x, x_q, got in zip(queries, x_uram, batch.topk):
+        candidates, _ = engine.query_candidates_batch(queries)
+        for x, x_q, got, cands in zip(queries, x_uram, batch.topk, candidates):
             assert got.indices.tolist() == engine.query(x, top_k).topk.indices.tolist()
-            assert got.indices.tolist() == _oracle_query(engine, x_q, top_k).indices.tolist()
+            merged = merge_topk_candidates(cands, top_k)
+            assert merged.indices.tolist() == _oracle_query(engine, x_q, top_k).indices.tolist()
         measurements[n_queries] = {
             "looped_s": looped,
             "batched_s": batched,

@@ -70,24 +70,18 @@ def main() -> None:
         assert a.values.tobytes() == b.values.tobytes()
         print("sanity: loaded engine's top-10 bit-identical to a direct build\n")
 
-        # 4. Kernel backend and partition executor are deployment knobs on
-        #    the same artifact: `native` wants Numba (`pip install
-        #    .[native]`) and otherwise degrades to the streaming backend;
-        #    the process executor sidesteps the GIL via a shared-memory
-        #    plan arena. Every combination returns the same bits.
+        # 4. The kernel backend is a deployment knob on the same artifact:
+        #    `native` wants Numba (`pip install .[native]`) and otherwise
+        #    degrades to the streaming backend. Every backend returns the
+        #    same bits.
         from repro.core.kernels import native_available
 
-        fast = TopKSpmvEngine.from_collection(
-            loaded,
-            kernel="native",
-            kernel_executor="process",
-            kernel_workers="auto",
-        )
+        fast = TopKSpmvEngine.from_collection(loaded, kernel="native")
         c = fast.query(probe, top_k=10).topk
         assert c.indices.tolist() == b.indices.tolist()
         assert c.values.tobytes() == b.values.tobytes()
         backend = "compiled native" if native_available() else "streaming fallback"
-        print(f"kernel=native, executor=process ({backend}): same bits\n")
+        print(f"kernel=native ({backend}): same bits\n")
 
         # 5. The same artifact shards across a fleet with zero re-encode:
         #    aligned shards are slices of the loaded packet buffers.

@@ -35,7 +35,8 @@ def main() -> None:
     query = sample_unit_queries(np.random.default_rng(7), 1, 512)[0]
 
     # 4. Top-10 most similar embeddings, through the full hardware path
-    #    (quantised values, packet streams, per-core k=8 scratchpads).
+    #    (quantised values, packet streams, one global Top-K scratchpad;
+    #    the per-core k=8 candidates are engine.query_candidates).
     result = engine.query(query, top_k=10)
     exact = engine.query_exact(query, top_k=10)
 

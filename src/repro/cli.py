@@ -151,17 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "backend is bit-identical — this only changes speed",
     )
     serving.add_argument(
-        "--kernel-workers", type=str, default=None,
-        help="partition-parallel workers for the batch kernel; 'auto' or 0 "
-        "means all cores (default: $REPRO_KERNEL_WORKERS or 1)",
-    )
-    serving.add_argument(
-        "--executor", type=str, default=None, choices=["thread", "process"],
-        help="partition executor for the batch kernel: thread (default) or "
-        "process — spawned workers attaching the plan buffers via shared "
-        "memory (default: $REPRO_KERNEL_EXECUTOR or thread); bit-neutral",
-    )
-    serving.add_argument(
         "--json", type=str, default=None, metavar="PATH",
         help="also dump the serve-bench numbers as JSON",
     )
@@ -343,8 +332,6 @@ def _serve_bench_config(args: argparse.Namespace) -> "ServeBenchConfig":
         cache_size=args.cache_size,
         queue_capacity=args.queue_capacity,
         kernel=args.kernel,
-        kernel_workers=args.kernel_workers,
-        kernel_executor=args.executor,
     )
     if args.quick:
         config = config.quick()
@@ -437,8 +424,6 @@ def _build_live_runtime(args: argparse.Namespace):
             n_shards=config.n_shards,
             cores_per_shard=config.cores_per_shard,
             kernel=config.kernel,
-            kernel_workers=config.kernel_workers,
-            kernel_executor=config.kernel_executor,
         )
         for _ in range(config.replicas)
     ]

@@ -7,6 +7,10 @@ Errors occur only when some partition holds *more than k* of the true Top-K
 rows — increasingly unlikely as ``c`` grows (quantified in
 :mod:`repro.core.precision_model`).  The best-ranked rows are never lost:
 the global top-1..top-k always survive partitioning.
+
+This is the hardware's approximation, not the engines' answer: an engine's
+``query``/``query_batch`` return the exact global Top-K, and the per-core
+candidates it would merge come from ``query_candidates``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 from repro.core.partition import partition_rows
 from repro.core.reference import (
     TopKResult,
-    dense_order,
     exact_topk_spmv,
     results_from_dense,
     topk_from_scores,
@@ -69,9 +72,10 @@ class CandidateBlock:
     ``indices[p, q]`` / ``values[p, q]`` are core ``p``'s ``k`` candidates
     for query ``q`` — global row ids and scores, ``(P, Q, k)``, each
     ordered (desc value, asc index) with unfilled slots (``index == -1``,
-    a partition shorter than ``k``) last.  Reads as the nested list it
-    replaces: ``len(block)`` is ``Q`` and ``block[q]`` is query ``q``'s
-    per-core :class:`TopKResult` list, built on demand.
+    a partition shorter than ``k``) last.  Reads as a nested list:
+    ``len(block)`` is ``Q`` and ``block[q]`` is query ``q``'s per-core
+    :class:`TopKResult` list, built on demand (merge it with
+    :func:`merge_topk_candidates`).
     """
 
     indices: np.ndarray
@@ -85,31 +89,6 @@ class CandidateBlock:
 
     def __iter__(self):
         return (self[q] for q in range(len(self)))
-
-    @classmethod
-    def concatenate(cls, blocks: "list[CandidateBlock]") -> "CandidateBlock":
-        """Stack the cores of several boards serving the same queries."""
-        return cls(
-            indices=np.concatenate([b.indices for b in blocks]),
-            values=np.concatenate([b.values for b in blocks]),
-        )
-
-    def merge(self, top_k: int) -> "list[TopKResult]":
-        """:func:`merge_topk_candidates` for every query, in one sort.
-
-        Row ids are unique across cores, so (desc value, asc index) is a
-        total order and the batched ``lexsort`` returns exactly the
-        per-query merge.
-        """
-        top_k = check_positive_int(top_k, "top_k")
-        n_cores, n_queries, k = self.indices.shape
-        indices = self.indices.transpose(1, 0, 2).reshape(n_queries, n_cores * k)
-        values = self.values.transpose(1, 0, 2).reshape(n_queries, n_cores * k)
-        order = dense_order(indices, values)[:, :top_k]
-        return results_from_dense(
-            np.take_along_axis(indices, order, axis=1),
-            np.take_along_axis(values, order, axis=1),
-        )
 
 
 def approximate_topk_spmv(

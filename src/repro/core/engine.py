@@ -2,10 +2,15 @@
 
 :class:`TopKSpmvEngine` is what a downstream user touches: load an embedding
 collection once (partitioning + BS-CSR encoding + URAM feasibility check),
-then issue Top-K queries.  Every query runs the *functional* hardware path —
-quantised values, packet streams, Algorithm 1 per core, k·c candidate merge —
-and returns the result together with the simulated latency, throughput and
-power of the modelled board.
+then issue Top-K queries.  Every query runs on the *quantised* values and
+returns the exact global Top-K of the quantised scores, together with the
+simulated latency, throughput and power of the modelled board.
+
+The paper's per-core approximation (each core keeps its own depth-``k``
+scratchpad and the host merges the ``k·c`` candidates, Section III-A) is
+the hardware's, not the answer's: :meth:`TopKSpmvEngine.query_candidates`
+returns those per-core lists, and
+:func:`~repro.core.approx.merge_topk_candidates` merges them at any ``K``.
 
 Example
 -------
@@ -21,13 +26,14 @@ Example
 
 Batched queries
 ---------------
-:meth:`TopKSpmvEngine.query_batch` takes a ``(Q, n_cols)`` block and runs the
-vectorised multi-query dataflow on a pluggable kernel backend
-(:mod:`repro.core.kernels`): the collection is swept once for the whole block,
-every core's Top-K scratchpad advances in lockstep and all candidates are
-merged in one sort.  :meth:`~TopKSpmvEngine.query` is the same path with a
-one-row block, so looping it is bit-identical and merely pays the per-call
-cost ``Q`` times:
+:meth:`TopKSpmvEngine.query_batch` takes a ``(Q, n_cols)`` block and runs it
+through the one query driver,
+:func:`~repro.core.kernels.segmented.run_segmented`: a frozen artifact is
+served as a pristine one-segment collection, swept once for the whole block
+on a pluggable kernel backend (:mod:`repro.core.kernels`) into one global
+depth-``K`` scratchpad per query.  :meth:`~TopKSpmvEngine.query` is the same
+path with a one-row block, so looping it is bit-identical and merely pays
+the per-call cost ``Q`` times:
 
 >>> X = np.abs(np.random.default_rng(1).standard_normal((64, 512)))
 >>> X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -174,8 +180,6 @@ class TopKSpmvEngine(MutableEngineMixin):
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
         kernel: "str | None" = None,
-        kernel_workers: "int | str | None" = None,
-        kernel_executor: "str | None" = None,
     ):
         """Attach a board to a collection, compiling it if necessary.
 
@@ -203,15 +207,6 @@ class TopKSpmvEngine(MutableEngineMixin):
             ``None`` defers to ``$REPRO_KERNEL`` or the registry default.
             Every backend returns bit-identical results — this is a pure
             software-performance knob.
-        kernel_workers:
-            Partition-parallel worker count for the batch path
-            (``"auto"``/``0`` = all cores); ``None`` defers to
-            ``$REPRO_KERNEL_WORKERS`` or 1.  Bit-neutral.
-        kernel_executor:
-            Partition executor for the batch path, ``"thread"`` (default)
-            or ``"process"`` (spawned workers over shared-memory plan
-            buffers); ``None`` defers to ``$REPRO_KERNEL_EXECUTOR``.
-            Bit-neutral.
         """
         from repro.core.collection import (
             CompiledCollection,
@@ -255,8 +250,12 @@ class TopKSpmvEngine(MutableEngineMixin):
             collection if collection is not None else compile_collection(csr, design)
         )
         self.kernel = kernel
-        self.kernel_workers = kernel_workers
-        self.kernel_executor = kernel_executor
+        # The one query driver serves every collection: a frozen artifact is
+        # a pristine one-segment collection (keys and mask only, no copy).
+        self._query_view = (
+            self.collection if self._segmented
+            else SegmentedCollection.from_collection(self.collection)
+        )
         self.accelerator = TopKSpmvAccelerator(design, hbm, constants)
         # Timing depends only on the stream shape, not the query: cache it.
         # A segmented collection mutates, so its timing is derived lazily
@@ -276,18 +275,10 @@ class TopKSpmvEngine(MutableEngineMixin):
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
         kernel: "str | None" = None,
-        kernel_workers: "int | str | None" = None,
-        kernel_executor: "str | None" = None,
     ) -> "TopKSpmvEngine":
         """Serve a pre-compiled (or loaded) collection on a simulated board."""
         return cls(
-            collection,
-            hbm=hbm,
-            uram=uram,
-            constants=constants,
-            kernel=kernel,
-            kernel_workers=kernel_workers,
-            kernel_executor=kernel_executor,
+            collection, hbm=hbm, uram=uram, constants=constants, kernel=kernel
         )
 
     # The query-independent state lives on the compiled artifact; the engine
@@ -321,15 +312,13 @@ class TopKSpmvEngine(MutableEngineMixin):
     # Queries
     # ------------------------------------------------------------------ #
     def query(self, x: np.ndarray, top_k: int) -> EngineResult:
-        """Run one approximate Top-K query through the simulated hardware.
+        """Run one Top-K query through the simulated hardware.
 
-        A one-row :meth:`query_batch`: the same kernel backend, candidate
-        merge and counters, so the two can never disagree.
-
-        On a segmented collection the result is the *global* Top-K fold of
-        the multi-segment driver (no ``k·c`` candidate cap); indices are
-        positions in the live logical matrix — translate to stable row keys
-        with ``engine.collection.keys_for(result.topk.indices)``.
+        A one-row :meth:`query_batch`: the same driver, kernel backend and
+        counters, so the two can never disagree.  Indices are positions in
+        the (live logical) matrix; on a segmented collection translate them
+        to stable row keys with
+        ``engine.collection.keys_for(result.topk.indices)``.
         """
         batch = self.query_batch(self._check_query(x)[None, :], top_k)
         return EngineResult(
@@ -340,11 +329,14 @@ class TopKSpmvEngine(MutableEngineMixin):
         )
 
     def query_candidates(self, x: np.ndarray) -> tuple[list[TopKResult], DataflowStats]:
-        """Run the cores once and return the raw k·c candidate lists.
+        """Run the paper's cores once and return the raw k·c candidate lists.
 
-        Useful for sweeping K without re-streaming the matrix: any
-        ``top_k <= k*c`` can be merged from the same candidates with
-        :func:`repro.core.approx.merge_topk_candidates` (what the host does).
+        This is the hardware's per-core approximation (Section III-A): each
+        core keeps only its own top ``local_k``.  Merging the lists with
+        :func:`repro.core.approx.merge_topk_candidates` at any
+        ``top_k <= local_k`` gives :meth:`query`'s answer; deeper merges
+        are the approximation Table I and Figure 7 measure.
+        ``tracker_accepts`` here are per-core scratchpad accepts.
         """
         self._frozen_only("query_candidates")
         candidates, stats = self._candidate_block(self._check_query(x)[None, :])
@@ -392,9 +384,7 @@ class TopKSpmvEngine(MutableEngineMixin):
             accumulate_dtype=self.design.accumulate_dtype,
             plans=self.stream_plans(),
             kernel=self.kernel,
-            n_workers=self.kernel_workers,
             operand=operand,
-            executor=self.kernel_executor,
             row_map=self.collection.row_map,
         )
 
@@ -402,10 +392,12 @@ class TopKSpmvEngine(MutableEngineMixin):
         """Serve a batch of queries back-to-back on the simulated board.
 
         The whole ``(Q, n_cols)`` block is validated and quantised once and
-        runs through the vectorised multi-query dataflow: each partition
-        stream is walked once per *batch*, every core's Top-K scratchpad
-        advances in lockstep, and the ``k·c`` candidates of all queries are
-        merged in one sort.  :meth:`query` is this call with one row.
+        runs through :func:`~repro.core.kernels.segmented.run_segmented`:
+        every segment (a frozen artifact is one) is swept once per *batch*
+        into one global depth-``top_k`` scratchpad per query.  The answer
+        is the exact Top-K of the quantised scores at any ``top_k``, and
+        ``tracker_accepts`` counts accepts into that global scratchpad.
+        :meth:`query` is this call with one row.
 
         The modelled hardware still streams the matrix once per query
         (queries are independent scans); the batch latency is therefore
@@ -415,36 +407,24 @@ class TopKSpmvEngine(MutableEngineMixin):
         """
         top_k = check_positive_int(top_k, "top_k")
         queries = self._check_query_block(queries)
-        if self._segmented:
-            out = self._run_segmented(queries, top_k)
-            results = out.results
-            stats = out.stats_per_query()
-        else:
-            if top_k > self.design.local_k * self.design.cores:
-                raise ConfigurationError(
-                    f"top_k = {top_k} exceeds k*c = "
-                    f"{self.design.local_k * self.design.cores} candidates; "
-                    "increase local_k or cores"
-                )
-            candidates, stats = self._candidate_block(queries)
-            results = candidates.merge(top_k)
+        out = self._run_segmented(queries, top_k)
         batch_seconds = (
             len(queries) * self.timing.makespan_s + self.constants.host_overhead_s
         )
         return BatchResult(
-            topk=results,
+            topk=out.results,
             seconds=batch_seconds,
             queries_per_second=len(queries) / batch_seconds,
             energy_j=self._power_w * batch_seconds,
-            dataflow=tuple(stats),
+            dataflow=tuple(out.stats_per_query()),
         )
 
     def _frozen_only(self, action: str) -> None:
         if self._segmented:
             raise ConfigurationError(
                 f"{action} exposes the per-core candidate sweep, which only "
-                "exists for frozen collections; a segmented collection folds "
-                "a global Top-K instead (use query/query_batch)"
+                "exists for frozen collections (query/query_batch serve "
+                "every collection)"
             )
 
     # ------------------------------------------------------------------ #

@@ -36,10 +36,12 @@ rule (:func:`resolve_backend`) then silently substitutes the backend's
 declared fallback, so callers always get the guaranteed bits.
 
 A per-partition backend *is* its :meth:`KernelBackend.fold_plan`.  Two thin
-drivers decide which scratchpads a plan folds into — :func:`run_kernel`
-(frozen: fresh depth-``local_k`` pads per partition, the paper's per-core
-candidates) and :func:`~repro.core.kernels.segmented.run_segmented`
-(mutable: the shared global depth-``K`` pads) — and share the rest.
+drivers decide which scratchpads a plan folds into and share the rest:
+:func:`~repro.core.kernels.segmented.run_segmented` (the shared global
+depth-``K`` pads) answers every engine's ``query``/``query_batch``, frozen
+or segmented, and :func:`run_kernel` (fresh depth-``local_k`` pads per
+partition) models the paper's per-core candidates behind
+``query_candidates`` and :func:`~repro.core.dataflow.simulate_multicore_batch`.
 """
 
 from __future__ import annotations

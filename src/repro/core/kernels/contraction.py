@@ -117,24 +117,6 @@ class ContractionOperand:
             )
         return self._matrices[n_cols]
 
-    def partition_slice(self, start: int, stop: int) -> "ContractionOperand":
-        """Partitions ``[start, stop)`` as an operand sharing these buffers.
-
-        ``max_abs_row_raw`` is inherited (an upper bound over any subset),
-        so the slice's gate is conservative, never wrong.
-        """
-        offsets = self.part_offsets
-        r0, r1 = int(offsets[start]), int(offsets[stop])
-        l0, l1 = int(self.indptr[r0]), int(self.indptr[r1])
-        return ContractionOperand(
-            data=self.data[l0:l1],
-            indices=self.indices[l0:l1],
-            indptr=self.indptr[r0 : r1 + 1] - l0,
-            part_rows=self.part_rows[start:stop],
-            value_grid_bits=self.value_grid_bits,
-            max_abs_row_raw=self.max_abs_row_raw,
-        )
-
 
 def codec_grid_bits(codec) -> "int | None":
     """Fraction bits of a codec's value grid, if it provably has one.

@@ -1,10 +1,14 @@
-"""Multi-segment query driver: per-segment sweeps, one global Top-K fold.
+"""The one query driver: per-segment sweeps, one global Top-K fold.
 
-A :class:`~repro.core.segments.SegmentedCollection` cannot reuse the frozen
-collections' candidate path as-is: per-partition ``local_k`` candidate sets
-depend on the partition geometry, and a mutated collection's segments are
-partitioned differently from the fresh ``compile_collection`` of the same
-logical matrix.  What *is* geometry-invariant is the per-row score itself —
+Every engine's ``query``/``query_batch`` runs here, on a
+:class:`~repro.core.segments.SegmentedCollection` — a frozen artifact is
+served as a pristine one-segment collection, a full-board fleet as one
+segment per shard.  The paper's per-core candidate path cannot serve them
+all: per-partition ``local_k`` candidate sets depend on the partition
+geometry, and a mutated collection's segments are partitioned differently
+from the fresh ``compile_collection`` of the same logical matrix (that
+path lives on behind ``query_candidates``, as the hardware model).  What
+*is* geometry-invariant is the per-row score itself —
 ``run_fast`` reduces each row's kept lanes contiguously in column order, so
 a row's score bits do not depend on which partition, packet or segment the
 row sits in (the PR-4 kernel suite locks every backend to those bits).
@@ -134,8 +138,8 @@ def select_segment_kernel(
 ) -> str:
     """The backend that will sweep one sealed segment's artifact.
 
-    Resolved exactly like the frozen-collection driver: the segment and
-    query block are described as a :class:`KernelRequest` (the artifact's
+    Resolved exactly like :func:`~repro.core.kernels.base.run_kernel`: the
+    segment and query block are described as a :class:`KernelRequest` (the artifact's
     contraction operand attached under the engines' own eligibility policy,
     ``wants_contraction_operand``) and :func:`~repro.core.kernels.base.
     resolve_backend` applies ``supports`` → declared fallback → the
@@ -176,10 +180,10 @@ def _fold_segment_contraction(segment, queries, pads, first_live) -> int:
         part = BatchScratchpads(scores.shape[1], pads.local_k)
         part.import_state(vals[q], rows[q], accepts[q], evicted=evicted[q])
         for r0, r1 in zip(offsets[:-1], offsets[1:]):
-            block = scores[r0:r1].T
-            if live is not None:
-                block = block[:, live[r0:r1]]
-            part.fold(block, first_live + int(live_cum[r0]))
+            # No named view of ``scores`` may outlive the loop: it would pin
+            # the block while the next chunk's is allocated.
+            cols = slice(None) if live is None else live[r0:r1]
+            part.fold(scores[r0:r1].T[:, cols], first_live + int(live_cum[r0]))
         del scores  # released before the next chunk's block is allocated
         vals[q], rows[q], accepts[q] = part.export_state()
         evicted[q] = part.evicted_values()
@@ -236,8 +240,8 @@ def _fold_segment_screened(segment, queries, pads, first_live) -> int:
     that (the boundary-tie guard on
     :meth:`BatchScratchpads.evicted_values`) and re-runs the affected
     queries through :func:`_fold_segment_ordered`.  ``tracker_accepts`` of
-    a placed segment are therefore stream-order counts, as on the frozen
-    placed path and on the hardware.
+    a placed segment are therefore stream-order counts, as on the per-core
+    candidate path and on the hardware.
     """
     acc = queries.acc
     screen = segment.derived(
@@ -348,7 +352,7 @@ def run_segmented(
         ``(Q, n_cols)`` float64 query block *as stored in URAM* (already
         quantised by the caller; a 1-D query is promoted).
     top_k:
-        Global scratchpad depth ``K`` — unlike the frozen candidate path
+        Global scratchpad depth ``K`` — unlike the per-core candidate path
         there is no ``k·c`` cap, the fold is exact at any depth.
     kernel:
         Backend preference per segment (see :func:`select_segment_kernel`);

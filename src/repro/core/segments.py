@@ -35,7 +35,10 @@ results through the multi-segment driver
 (:func:`repro.core.kernels.segmented.run_segmented`) are bit-identical to a
 fresh ``compile_collection`` of the equivalent final matrix, for every
 kernel backend and codec — see that module for the argument, and
-``tests/property/test_prop_segments.py`` for the lock.
+``tests/property/test_prop_segments.py`` for the lock.  The same driver
+serves frozen artifacts (as one-segment collections), so an engine over
+the fresh compile returns those bits too
+(``tests/property/test_prop_one_driver.py``).
 
 Persistence
 -----------
@@ -350,7 +353,8 @@ class MutableEngineMixin:
     ``collection`` attribute and a ``_segmented`` flag, and delegate every
     mutation to the collection (which bumps its generation, invalidating
     per-generation timing/caches on the next read).  Both also answer
-    queries on such a collection through the one multi-segment sweep below.
+    every query, frozen or segmented, through the one multi-segment sweep
+    below, over the ``_query_view`` collection they build at construction.
     """
 
     def _run_segmented(self, queries: np.ndarray, top_k: int):
@@ -358,7 +362,7 @@ class MutableEngineMixin:
         from repro.core.kernels import run_segmented
 
         return run_segmented(
-            self.collection,
+            self._query_view,
             self.design.quantize_query(queries),
             top_k,
             kernel=self.kernel,
@@ -526,12 +530,13 @@ class SegmentedCollection:
         """Content identity of the *sealed* tier: the ordered segment digests
         hashed under a ``segmented-collection:`` namespace.
 
-        Deliberately distinct from a frozen artifact's digest even for a
-        pristine 1-segment wrap: frozen and segmented engines answer the
-        same query through different paths (``k·c`` candidate merge vs the
-        global fold), so their results may differ bit for bit and must
-        never share a cache entry.  The wrapped artifact itself keeps its
-        digest (``segments[0].digest``) — adoption is still migration-free.
+        Namespaced apart from a frozen artifact's digest even for a
+        pristine 1-segment wrap.  The two answer every query with the same
+        bits (one driver serves both); the namespace only keeps the two
+        kinds of identity apart — this one names an ordered segment list
+        that mutates under it, not one immutable artifact.  The wrapped
+        artifact itself keeps its digest (``segments[0].digest``) —
+        adoption is still migration-free.
         Tombstones and the delta buffer are excluded here — they are
         versioned by :attr:`generation`, and every mutation (including mask
         flips) bumps it, so ``(digest, generation)`` always changes when

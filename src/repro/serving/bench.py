@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.kernels import (
-    resolve_executor,
-    resolve_kernel_name,
-    resolve_workers,
-)
+from repro.core.kernels import resolve_kernel_name
 from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import design_by_name
 from repro.serving.batcher import poisson_arrivals
@@ -71,8 +67,6 @@ class ServeBenchConfig:
     cache_size: int = 0
     queue_capacity: "int | None" = None
     kernel: "str | None" = None
-    kernel_workers: "int | str | None" = None
-    kernel_executor: "str | None" = None
     extra: dict = field(default_factory=dict)
 
     def quick(self) -> "ServeBenchConfig":
@@ -129,11 +123,8 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
         raise ConfigurationError(
             f"cache_size must be >= 0, got {config.cache_size}"
         )
-    # Fail fast on a bad kernel/worker/executor spec before paying for the
-    # build.
+    # Fail fast on a bad kernel name before paying for the build.
     kernel_name = resolve_kernel_name(config.kernel)
-    kernel_workers = resolve_workers(config.kernel_workers)
-    kernel_executor = resolve_executor(config.kernel_executor)
     rng = derive_rng(config.seed)
     compiled, design_name = _build_collection(config)
     n_cols = compiled.n_cols
@@ -144,8 +135,6 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
             n_shards=config.n_shards,
             cores_per_shard=config.cores_per_shard,
             kernel=config.kernel,
-            kernel_workers=config.kernel_workers,
-            kernel_executor=config.kernel_executor,
         )
 
     engine = make_fleet()
@@ -203,8 +192,6 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
             "cache_size": config.cache_size,
             "queue_capacity": config.queue_capacity,
             "kernel": kernel_name,
-            "kernel_workers": kernel_workers,
-            "kernel_executor": kernel_executor,
         },
         "report": report.to_dict(),
         "recall_at_k": recall,
@@ -229,8 +216,7 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
             engine.describe(),
             "",
             f"offered load: {rate:.1f} QPS (Poisson), {frontend}",
-            f"kernel: {kernel_name}, {kernel_workers} {kernel_executor} "
-            "worker(s)",
+            f"kernel: {kernel_name}",
             report.render(),
             f"recall@{config.top_k} vs exact float64: {recall:.3f} "
             f"(over {config.recall_queries} queries)",

@@ -392,8 +392,8 @@ class ClusterRuntime:
         ``seconds``, ``energy_j``) — :class:`~repro.core.engine.TopKSpmvEngine`
         or :class:`~repro.serving.sharded.ShardedEngine`, typically all built
         from one shared compiled collection.  Each replica carries its own
-        batch-kernel selection (``kernel=``/``kernel_workers=`` at engine
-        construction, see :mod:`repro.core.kernels`); since every backend is
+        batch-kernel selection (``kernel=`` at engine construction, see
+        :mod:`repro.core.kernels`); since every backend is
         bit-identical, mixed-kernel replicas still replay deterministically.
     router:
         Policy name from :data:`repro.serving.router.ROUTERS` or a

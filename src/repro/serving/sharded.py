@@ -2,26 +2,25 @@
 
 A :class:`ShardedEngine` spreads the collection's BS-CSR partition streams
 across ``N`` simulated boards ("shards").  Every query is a scatter-gather:
-all shards stream their rows concurrently, each produces per-core k-candidate
-lists (the same Algorithm 1 cores as :class:`repro.core.engine.TopKSpmvEngine`),
-and the host merges the union with
-:func:`repro.core.approx.merge_topk_candidates`.  Per-shard timing reuses the
-:mod:`repro.hw.multicore` model, so the scatter-gather latency is the slowest
-shard's makespan plus one host invocation.
+all shards stream their rows concurrently and the host keeps the global
+Top-K.  Functionally the fleet answers through the same one query driver as
+:class:`repro.core.engine.TopKSpmvEngine`
+(:func:`~repro.core.kernels.segmented.run_segmented`), so its bits are the
+exact global Top-K of the quantised scores, identical to the unsharded
+engine.  Per-shard timing reuses the :mod:`repro.hw.multicore` model, so the
+scatter-gather latency is the slowest shard's makespan plus one host
+invocation.
 
-Two sharding modes:
+Two sharding modes, which differ only in modelled timing and power:
 
 * **aligned** (default, ``cores_per_shard=None``) — the collection is
   partitioned into ``design.cores`` streams exactly as the unsharded engine
-  does, and whole streams are dealt contiguously to shards.  Every core
-  worldwide sees the same rows as in the single-board setup, so the merged
-  top-k is *identical* to the unsharded engine on any matrix — sharding
-  becomes a pure capacity/deployment knob with zero accuracy impact.
+  does, and whole streams are dealt contiguously to shards; the driver
+  serves the parent artifact as one segment.
 * **``cores_per_shard=c``** — each shard re-partitions its row slice across
-  its own ``c`` cores (a fleet of full boards).  Candidates come from
-  ``N*c`` finer partitions; the result is the standard partitioned
-  approximation with a larger candidate pool, and each shard's makespan
-  shrinks with its share of the rows.
+  its own ``c`` cores (a fleet of full boards), so each shard's makespan
+  shrinks with its share of the rows; the driver serves one segment per
+  shard collection, in shard order.
 """
 
 from __future__ import annotations
@@ -30,13 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.approx import CandidateBlock
 from repro.core.collection import CompiledCollection, compile_collection
-from repro.core.dataflow import (
-    DataflowStats,
-    StreamPlan,
-    simulate_multicore_batch,
-)
+from repro.core.dataflow import DataflowStats, StreamPlan
 from repro.core.engine import (
     BatchResult,
     check_query_block,
@@ -44,7 +38,7 @@ from repro.core.engine import (
 )
 from repro.core.partition import partition_rows
 from repro.core.reference import TopKResult, exact_topk_spmv
-from repro.core.segments import MutableEngineMixin, SegmentedCollection
+from repro.core.segments import MutableEngineMixin, Segment, SegmentedCollection
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix
 from repro.hw.calibration import CALIBRATION, CalibrationConstants
@@ -63,11 +57,10 @@ class EngineShard:
     """One simulated board holding a contiguous slice of the collection.
 
     ``encoded`` shares its stream buffers with the compiled ``collection``
-    it was sliced from (``encoded.row_offsets`` are *global* row ids, so
-    candidate lists come out of the cores already globalised and merge
-    directly across shards), and ``stream_plans`` resolves through the
-    collection's single lazy plan cache — a shard never re-encodes or
-    re-plans anything the parent artifact already holds.
+    it was sliced from (``encoded.row_offsets`` are *global* row ids), and
+    ``stream_plans`` resolves through the collection's single lazy plan
+    cache — a shard never re-encodes or re-plans anything the parent
+    artifact already holds.
     """
 
     shard_id: int
@@ -76,7 +69,6 @@ class EngineShard:
     power_w: float
     collection: CompiledCollection
     stream_range: "tuple[int, int]"
-    _operand: "object | None" = None
 
     @property
     def n_streams(self) -> int:
@@ -91,20 +83,6 @@ class EngineShard:
     def stream_plans(self) -> "list[StreamPlan]":
         """This shard's batch plans, from the collection's shared cache."""
         return self.collection.stream_plans_range(*self.stream_range)
-
-    def contraction_operand(self):
-        """This shard's slice of the collection's contraction operand.
-
-        Cached per shard so the backend's SciPy matrix is built once; the
-        slice shares the parent operand's buffers (no copies).
-        """
-        if self._operand is None:
-            operand = self.collection.contraction_operand()
-            start, stop = self.stream_range
-            if (start, stop) != (0, self.collection.n_partitions):
-                operand = operand.partition_slice(start, stop)
-            self._operand = operand
-        return self._operand
 
 
 @dataclass(frozen=True)
@@ -166,8 +144,6 @@ class ShardedEngine(MutableEngineMixin):
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
         kernel: "str | None" = None,
-        kernel_workers: "int | str | None" = None,
-        kernel_executor: "str | None" = None,
     ):
         """Shard a collection across ``n_shards`` boards.
 
@@ -188,19 +164,14 @@ class ShardedEngine(MutableEngineMixin):
         cores_per_shard:
             ``None`` selects aligned mode (see module docstring); an integer
             gives every shard its own full board with that many cores.
-        kernel, kernel_workers, kernel_executor:
-            Batch-query kernel backend, partition worker count
-            (``"auto"``/``0`` = all cores) and partition executor
-            (``thread``/``process``) for every shard (see
-            :mod:`repro.core.kernels`); bit-neutral performance knobs,
-            ``None`` defers to ``$REPRO_KERNEL`` /
-            ``$REPRO_KERNEL_WORKERS`` / ``$REPRO_KERNEL_EXECUTOR``.
+        kernel:
+            Batch-query kernel backend (see :mod:`repro.core.kernels`),
+            resolved per segment; a bit-neutral performance knob, ``None``
+            defers to ``$REPRO_KERNEL``.
         """
         self.n_shards = check_positive_int(n_shards, "n_shards")
         self.constants = constants
         self.kernel = kernel
-        self.kernel_workers = kernel_workers
-        self.kernel_executor = kernel_executor
         self.cores_per_shard = (
             None
             if cores_per_shard is None
@@ -266,15 +237,20 @@ class ShardedEngine(MutableEngineMixin):
         #: cores, so it always re-encodes — even from a compiled artifact.
         self.collection = collection
 
+        # What the one query driver sweeps (see module docstring).
         if self._segmented:
             self._hbm = hbm
             self._shards = None
             self._shard_views: "list[SegmentedShardView] | None" = None
             self._shard_generation = None
+            self._query_view = collection
         elif self.cores_per_shard is None:
             self._shards = self._slice_aligned_shards(hbm, constants)
+            self._query_view = SegmentedCollection.from_collection(collection)
         else:
-            self._shards = self._compile_full_board_shards(hbm, constants)
+            self._shards, self._query_view = self._compile_full_board_shards(
+                hbm, constants
+            )
 
     @property
     def shards(self) -> list:
@@ -339,15 +315,16 @@ class ShardedEngine(MutableEngineMixin):
 
     def _compile_full_board_shards(
         self, hbm: HBMConfig, constants: CalibrationConstants
-    ) -> "list[EngineShard]":
+    ) -> "tuple[list[EngineShard], SegmentedCollection]":
         """One compiled collection per shard: each board re-partitions its
-        row slice across its own ``cores_per_shard`` cores."""
+        row slice across its own ``cores_per_shard`` cores.  Also returns
+        the query view: one segment per shard, keyed by its global rows."""
         design = replace(
             self.design,
             name=f"{self.design.base_name} {self.cores_per_shard}C",
             cores=self.cores_per_shard,
         )
-        shards = []
+        shards, segments = [], []
         for shard_id, part in enumerate(
             partition_rows(self.matrix.n_rows, self.n_shards)
         ):
@@ -374,7 +351,15 @@ class ShardedEngine(MutableEngineMixin):
                     stream_range=(0, local.n_partitions),
                 )
             )
-        return shards
+            if part.n_rows:
+                segments.append(
+                    Segment(
+                        artifact=local,
+                        keys=np.arange(part.start, part.stop),
+                        live=np.ones(part.n_rows, dtype=bool),
+                    )
+                )
+        return shards, SegmentedCollection(design, self.matrix.n_cols, segments)
 
     def _segmented_shards(self) -> "list[SegmentedShardView]":
         """Per-shard timing/power of the current generation (lazy)."""
@@ -422,11 +407,10 @@ class ShardedEngine(MutableEngineMixin):
     def query(self, x: np.ndarray, top_k: int) -> ShardedResult:
         """One scatter-gather Top-K query across every shard.
 
-        A one-row :meth:`query_batch`.  On a segmented collection every
-        shard scans its partition range of every segment; results come
-        from the global Top-K fold (identical to the unsharded engine —
-        the fold order is segments-then-partitions either way), and
-        sharding remains a pure capacity knob.
+        A one-row :meth:`query_batch`.  Every shard scans its rows (on a
+        segmented collection, its partition range of every segment), and
+        the result is the global Top-K fold — identical to the unsharded
+        engine in either mode, so sharding is a pure capacity knob.
         """
         batch = self.query_batch(self._check_query(x)[None, :], top_k)
         return ShardedResult(
@@ -438,61 +422,23 @@ class ShardedEngine(MutableEngineMixin):
         )
 
     def query_batch(self, queries: np.ndarray, top_k: int) -> BatchResult:
-        """Serve a query block: every shard runs the batched dataflow once.
+        """Serve a query block through the one query driver.
 
         Batch latency mirrors the single-board model per shard — ``Q`` times
         the slowest shard's makespan plus one host invocation (shards scan
         concurrently; consecutive scans overlap the host round-trip).
         """
-        from repro.core.kernels import resolve_kernel_name
-
-        top_k = self._check_top_k(top_k)
+        top_k = check_positive_int(top_k, "top_k")
         queries = self._check_query_block(queries)
         n_queries = queries.shape[0]
-        if self._segmented:
-            out = self._run_segmented(queries, top_k)
-            results = out.results
-            totals = out.stats_per_query()
-        else:
-            x_uram = self.design.quantize_query(queries)
-            kernel_name = resolve_kernel_name(self.kernel)
-            blocks = []
-            totals = [DataflowStats() for _ in range(n_queries)]
-            for shard in self.shards:
-                # As in the single-board engine: shards only lower/slice the
-                # contraction operand for backends that can use it — one
-                # policy, owned by CompiledCollection.wants_contraction_operand
-                # (asked of the shard's own artifact: a full-board fleet built
-                # from a raw matrix has no parent collection).
-                pass_operand = shard.collection.wants_contraction_operand(
-                    kernel_name
-                )
-                block, stats = simulate_multicore_batch(
-                    shard.encoded,
-                    x_uram,
-                    local_k=self.design.local_k,
-                    accumulate_dtype=self.design.accumulate_dtype,
-                    plans=shard.stream_plans(),
-                    kernel=self.kernel,
-                    n_workers=self.kernel_workers,
-                    operand=shard.contraction_operand() if pass_operand else None,
-                    executor=self.kernel_executor,
-                    # Aligned shards slice a (possibly placed) parent
-                    # artifact: stream positions are global, so the parent's
-                    # row map globalises them; full-board shards compile
-                    # their own identity collections (row_map is None).
-                    row_map=shard.collection.row_map,
-                )
-                blocks.append(block)
-                totals = [total.merge(s) for total, s in zip(totals, stats)]
-            results = CandidateBlock.concatenate(blocks).merge(top_k)
+        out = self._run_segmented(queries, top_k)
         seconds = n_queries * self.makespan_s + self.constants.host_overhead_s
         return BatchResult(
-            topk=results,
+            topk=out.results,
             seconds=seconds,
             queries_per_second=n_queries / seconds if seconds else 0.0,
             energy_j=self.total_power_w * seconds,
-            dataflow=tuple(totals),
+            dataflow=tuple(out.stats_per_query()),
         )
 
     def query_exact(self, x: np.ndarray, top_k: int) -> TopKResult:
@@ -517,11 +463,6 @@ class ShardedEngine(MutableEngineMixin):
         """Fleet power: every shard board plus nothing shared."""
         return sum(s.power_w for s in self.shards)
 
-    @property
-    def total_candidates(self) -> int:
-        """Upper bound on merged candidates: local_k per active core."""
-        return self.design.local_k * sum(s.n_streams for s in self.shards)
-
     def describe(self) -> str:
         """Multi-line summary of the sharded deployment."""
         mode = (
@@ -545,26 +486,8 @@ class ShardedEngine(MutableEngineMixin):
         )
         return "\n".join(lines)
 
-    def _check_top_k(self, top_k: int) -> int:
-        top_k = check_positive_int(top_k, "top_k")
-        if self._segmented:
-            return top_k  # the global fold has no k*c candidate cap
-        if top_k > self.total_candidates:
-            raise ConfigurationError(
-                f"top_k = {top_k} exceeds the fleet's {self.total_candidates} "
-                "candidates; increase local_k, cores or shards"
-            )
-        return top_k
-
-    def _n_cols(self) -> int:
-        return (
-            self.collection.n_cols
-            if self.collection is not None
-            else self.matrix.n_cols
-        )
-
     def _check_query(self, x: np.ndarray) -> np.ndarray:
-        return check_query_vector(x, self._n_cols())
+        return check_query_vector(x, self._query_view.n_cols)
 
     def _check_query_block(self, queries: np.ndarray) -> np.ndarray:
-        return check_query_block(queries, self._n_cols())
+        return check_query_block(queries, self._query_view.n_cols)

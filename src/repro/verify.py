@@ -9,7 +9,8 @@ release artifact should pass on any machine — each check compares two
 3. the fast packet counter equals the real encoder's packet count;
 4. the vectorised dataflow equals the per-packet reference, bit for bit,
    for fixed-point and float32 accumulation;
-5. the functional hardware path equals the algorithmic partitioned
+5. the functional hardware path's per-core candidates
+   (``query_candidates``), merged, equal the algorithmic partitioned
    approximation under a lossless codec;
 6. the Monte Carlo precision estimate matches the closed form;
 7. the vectorised timing estimate matches the exact greedy packer timing;
@@ -120,7 +121,7 @@ def _check_dataflow_equivalence(rng) -> CheckResult:
 
 
 def _check_engine_vs_algorithmic(rng) -> CheckResult:
-    from repro.core.approx import approximate_topk_spmv
+    from repro.core.approx import approximate_topk_spmv, merge_topk_candidates
     from repro.core.engine import TopKSpmvEngine
     from repro.data.synthetic import synthetic_embeddings
     from repro.hw.design import AcceleratorDesign
@@ -132,7 +133,7 @@ def _check_engine_vs_algorithmic(rng) -> CheckResult:
         cores=8, local_k=8, max_columns=256,
     )
     engine = TopKSpmvEngine(matrix, design=design)
-    got = engine.query(x, top_k=32).topk
+    got = merge_topk_candidates(engine.query_candidates(x)[0], 32)
     expected = approximate_topk_spmv(
         matrix, design.quantize_query(x), 32, n_partitions=8, local_k=8
     )

@@ -79,14 +79,14 @@ class TestKernelFlag:
         target = tmp_path / "serve.json"
         assert main([
             "serve-bench", "--rows", "2000", "--cols", "128", "--n-queries", "16",
-            "--shards", "2", "--kernel", "contraction", "--kernel-workers", "2",
+            "--shards", "2", "--kernel", "contraction",
             "--json", str(target),
         ]) == 0
         out = capsys.readouterr().out
-        assert "kernel: contraction, 2 thread worker(s)" in out
+        assert "kernel: contraction\n" in out
         payload = json.loads(target.read_text())
         assert payload["config"]["kernel"] == "contraction"
-        assert payload["config"]["kernel_workers"] == 2
+        assert "kernel_workers" not in payload["config"]
 
     def test_unknown_kernel_fails_fast(self):
         from repro.errors import ConfigurationError

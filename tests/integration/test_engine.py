@@ -24,14 +24,15 @@ class TestEngineFunctional:
     def test_engine_equals_algorithmic_approximation_for_exact_codec(
         self, small_matrix, query
     ):
-        """With a lossless codec the packet path must equal the algorithmic
-        partitioned approximation exactly (same candidates, same merge)."""
+        """With a lossless codec the packet path's per-core candidates,
+        merged, must equal the algorithmic partitioned approximation exactly
+        (same candidates, same merge)."""
         design = AcceleratorDesign(
             name="exact64", value_bits=64, arithmetic="fixed", cores=8, local_k=8,
             max_columns=small_matrix.n_cols,
         )
         engine = TopKSpmvEngine(small_matrix, design=design)
-        got = engine.query(query, top_k=40).topk
+        got = merge_topk_candidates(engine.query_candidates(query)[0], 40)
         # Quantising x at Q1.31 is the only difference; rebuild it.
         x_uram = design.quantize_query(query)
         expected = approximate_topk_spmv(
@@ -41,11 +42,15 @@ class TestEngineFunctional:
         assert np.allclose(got.values, expected.values)
 
     def test_candidates_then_merge_equals_query(self, small_matrix, query):
+        """At K <= local_k every global top-K row survives its core's
+        scratchpad, so the paper's merge is exact."""
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
-        direct = engine.query(query, top_k=30).topk
         candidates, _ = engine.query_candidates(query)
-        merged = merge_topk_candidates(candidates, 30)
-        assert direct.indices.tolist() == merged.indices.tolist()
+        for top_k in range(1, engine.design.local_k + 1):
+            direct = engine.query(query, top_k=top_k).topk
+            merged = merge_topk_candidates(candidates, top_k)
+            assert direct.indices.tolist() == merged.indices.tolist()
+            assert direct.values.tobytes() == merged.values.tobytes()
 
     def test_gamma_matrix_with_empty_rows(self, gamma_matrix, query):
         engine = TopKSpmvEngine(gamma_matrix, design=PAPER_DESIGNS["20b"])
@@ -74,10 +79,15 @@ class TestEngineFunctional:
         assert engine.design.layout.idx_bits == 12
         assert engine.design.layout.lanes < 15
 
-    def test_k_budget_enforced(self, small_matrix, query):
+    def test_top_k_has_no_k_times_c_cap(self, small_matrix, query):
+        """The global fold serves any depth: K = k·c + 1 and K = n_rows
+        return K rows ordered by (value desc, index asc)."""
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
-        with pytest.raises(ConfigurationError):
-            engine.query(query, top_k=8 * 32 + 1)
+        for top_k in (8 * 32 + 1, small_matrix.n_rows):
+            got = engine.query(query, top_k=top_k).topk
+            assert len(got) == top_k
+            order = np.lexsort((got.indices, -got.values))
+            assert order.tolist() == list(range(top_k))
 
     def test_uram_capacity_enforced(self):
         from repro.data.synthetic import synthetic_embeddings

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arithmetic.codecs import codec_for_design
+from repro.core.approx import merge_topk_candidates
 from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
 from repro.formats.bscsr import encode_bscsr
@@ -74,7 +75,7 @@ class TestEngineProperties:
         )
         engine = TopKSpmvEngine(matrix, design=design)
         x = sample_unit_queries(np.random.default_rng(seed), 1, 128)[0]
-        approx = engine.query(x, top_k=64).topk
+        approx = merge_topk_candidates(engine.query_candidates(x)[0], 64)
         quantised = matrix.with_data(engine.design.codec.quantize(matrix.data))
         scores = quantised.matvec(engine.design.quantize_query(x))
         best8 = set(np.argsort(-scores, kind="stable")[:8].tolist())

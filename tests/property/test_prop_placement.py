@@ -5,13 +5,14 @@ channels for performance — channel balance and streaming block-skip — and
 its whole contract is that top-k output is **bit-identical** to the
 unpermuted compile.  Two exactness regimes are locked:
 
-* **unconditional** — when ``local_k`` covers every partition (each core
-  returns all its rows) or the multi-segment driver runs (a global fold
-  with no candidate cap), *any* ``top_k`` must match bit-for-bit;
-* **covered** — with the paper's ``k·c`` candidate approximation, any
-  ``top_k <= local_k`` must match: every global top-``k`` row ranks
-  ``<= k`` inside its partition under **any** placement, so the candidate
-  union always covers the answer.  (``top_k > local_k`` is *inherently*
+* **unconditional** — engine queries run the multi-segment driver (a
+  global fold with no candidate cap), so *any* ``top_k`` must match
+  bit-for-bit;
+* **covered** — the paper's ``k·c`` candidate approximation
+  (``query_candidates`` then a host merge) must match at any
+  ``top_k <= local_k``: every global top-``k`` row ranks ``<= k`` inside
+  its partition under **any** placement, so the candidate union always
+  covers the answer.  (``top_k > local_k`` is *inherently*
   placement-dependent — the approximation itself changes with the
   partition contents — and is intentionally out of contract.)
 
@@ -26,6 +27,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.approx import merge_topk_candidates
 from repro.core.collection import CompiledCollection, compile_collection
 from repro.core.kernels import run_segmented
 from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
@@ -88,7 +90,7 @@ def query_block(seed: int, n_queries: int, n_cols: int) -> np.ndarray:
 
 
 class TestUnconditionalInvariance:
-    """``local_k`` covers every partition: any top_k, any placement."""
+    """Engine queries: any top_k, any placement."""
 
     @pytest.mark.parametrize("strategy", NON_UNIFORM)
     @given(
@@ -117,7 +119,7 @@ class TestUnconditionalInvariance:
 
 
 class TestCoveredInvariance:
-    """The paper's k·c approximation at ``top_k <= local_k``."""
+    """The paper's k·c candidate merge at ``top_k <= local_k``."""
 
     @pytest.mark.parametrize("strategy", NON_UNIFORM)
     @given(
@@ -139,14 +141,14 @@ class TestCoveredInvariance:
             matrix, design, n_partitions=n_partitions, placement=strategy
         )
         X = query_block(seed ^ 0x5EED, 4, matrix.n_cols)
-        want = TopKSpmvEngine.from_collection(base, kernel=kernel).query_batch(
-            X, top_k
-        )
-        got = TopKSpmvEngine.from_collection(placed, kernel=kernel).query_batch(
-            X, top_k
-        )
-        assert_batches_identical(got.topk, want.topk, f"{strategy}/{kernel}")
-        # Single-query path agrees too.
+
+        def merged(collection):
+            engine = TopKSpmvEngine.from_collection(collection, kernel=kernel)
+            candidates, _ = engine.query_candidates_batch(X)
+            return [merge_topk_candidates(c, top_k) for c in candidates]
+
+        assert_batches_identical(merged(placed), merged(base), f"{strategy}/{kernel}")
+        # The engine's own answer agrees too.
         one_want = TopKSpmvEngine.from_collection(base).query(X[0], top_k)
         one_got = TopKSpmvEngine.from_collection(placed).query(X[0], top_k)
         assert one_got.topk.indices.tolist() == one_want.topk.indices.tolist()

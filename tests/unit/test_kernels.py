@@ -1,5 +1,7 @@
 """Unit tests for the kernel backend subsystem (registry, gates, plumbing)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.arithmetic.codecs import ExactCodec, codec_for_design
 from repro.arithmetic.fixed_point import Q1_31
 from repro.core.collection import compile_collection
 from repro.core.dataflow import plan_stream, simulate_multicore_batch
+from repro.core.engine import TopKSpmvEngine
 from repro.core.kernels import (
     ContractionOperand,
     KernelBackend,
@@ -272,6 +275,11 @@ class TestContractionGate:
                 assert scores.nbytes <= contraction._SCORE_BLOCK_BYTES
                 widths.append(scores.shape[1])
                 yield q0, scores
+                # The consumer asks for the next block only after dropping
+                # every reference to this one, views included.
+                released = weakref.ref(scores)
+                del scores
+                assert released() is None
 
         monkeypatch.setattr(home, "score_chunks", spy)
         whole = run()
@@ -292,21 +300,6 @@ class TestOperandLowering:
         assert operand.part_rows.tolist() == [p.n_rows for p in plans]
         assert len(operand.data) == sum(len(p.kept_values) for p in plans)
         assert operand.value_grid_bits == 19  # Q1.19 for the 20-bit design
-
-    def test_partition_slice_shares_buffers(self, tiny_matrix):
-        encoded = _encoded(tiny_matrix, n_partitions=5)
-        plans = [plan_stream(s) for s in encoded.streams]
-        operand = lower_plans(plans, [s.codec for s in encoded.streams])
-        part = operand.partition_slice(1, 3)
-        assert part.n_rows == plans[1].n_rows + plans[2].n_rows
-        assert part.data.base is not None  # a view, not a copy
-        assert part.indptr[0] == 0
-        # Slice scores equal the full operand's row window.
-        X = Q1_31.quantize(np.linspace(0, 1, 64))
-        full = operand.matrix(64) @ X
-        sliced = part.matrix(64) @ X
-        offsets = operand.part_offsets
-        assert np.array_equal(full[offsets[1] : offsets[3]], sliced)
 
     def test_codec_count_mismatch_rejected(self, tiny_matrix):
         encoded = _encoded(tiny_matrix)
@@ -449,6 +442,25 @@ class TestStreamingSkip:
         assert inline.skipped_rows == out.skipped_rows
         assert inline.total_rows == out.total_rows
 
+    def test_screen_slack_covers_a_bound_just_above_the_threshold(self):
+        """Segment 0's row A scores 1 − 2⁻²⁰; segment 1's row B scores
+        exactly 1.0 with a screen bound Σ|v|·max|x| of exactly 1.0.  Only
+        a slack above 1 keeps B's block unskipped: one that shrinks the
+        bound (say 1 − 4(n+8)ε) would drop B and return row A."""
+        n_cols = 64
+        design = PAPER_DESIGNS["f32"]
+        row_a = CSRMatrix.from_rows(
+            [(np.array([0]), np.array([2.0 - 2.0**-19]))], n_cols=n_cols
+        )
+        collection = SegmentedCollection.from_matrix(row_a, design)
+        collection.ingest([(np.arange(8), np.full(8, 0.25))])
+        collection.seal()
+        x = np.zeros(n_cols)
+        x[:8] = 0.5
+        got = TopKSpmvEngine(collection, kernel="streaming").query(x, 1).topk
+        assert got.indices.tolist() == [1]
+        assert got.values.tolist() == [1.0]
+
     def test_non_skipping_backends_report_zero(self, tiny_matrix):
         encoded = _encoded(tiny_matrix)
         plans = tuple(plan_stream(s) for s in encoded.streams)
@@ -539,7 +551,7 @@ class TestGlobalisationAliasing:
 
 
 class TestEngineAndShardedKernelThreading:
-    """kernel=/kernel_workers= reach the engines and stay bit-neutral."""
+    """kernel= reaches the engines and stays bit-neutral."""
 
     @pytest.mark.parametrize(
         "kernel", ["gather", "streaming", "contraction", "native", "auto"]
@@ -549,7 +561,7 @@ class TestEngineAndShardedKernelThreading:
 
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
         reference = TopKSpmvEngine(collection, kernel="gather")
-        engine = TopKSpmvEngine(collection, kernel=kernel, kernel_workers=2)
+        engine = TopKSpmvEngine(collection, kernel=kernel)
         rng = np.random.default_rng(9)
         X = rng.random((5, tiny_matrix.n_cols))
         X /= np.linalg.norm(X, axis=1, keepdims=True)

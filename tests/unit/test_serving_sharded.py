@@ -129,9 +129,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ShardedEngine(collection, n_shards=64, design=PAPER_DESIGNS["20b"])
 
-    def test_top_k_capacity_enforced(self, sharded_engine):
+    def test_top_k_beyond_candidates_served(self, sharded_engine):
+        """No k·c cap: a K past every row returns every row, ranked."""
+        got = sharded_engine.query(np.ones(256) / 16.0, top_k=10_000).topk
+        assert len(got) == sharded_engine.matrix.n_rows
+        assert (np.diff(got.values) <= 0).all()
         with pytest.raises(ConfigurationError):
-            sharded_engine.query(np.ones(256) / 16.0, top_k=10_000)
+            sharded_engine.query(np.ones(256) / 16.0, top_k=0)
 
     def test_query_shape_enforced(self, sharded_engine):
         with pytest.raises(ConfigurationError):
