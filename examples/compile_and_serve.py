@@ -84,7 +84,7 @@ def main() -> None:
         print(f"kernel=native ({backend}): same bits\n")
 
         # 5. The same artifact shards across a fleet with zero re-encode:
-        #    aligned shards are slices of the loaded packet buffers.
+        #    the fleet serves the loaded buffers and deals their streams.
         fleet = ShardedEngine(loaded, n_shards=4)
         print(fleet.describe())
 

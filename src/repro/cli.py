@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--collection", type=str, default=None, metavar="PATH",
         help="serve a compiled collection artifact (output of "
         "'repro compile') instead of building a synthetic one; "
-        "--rows/--design are then taken from the artifact (aligned mode "
-        "serves its buffers as-is; --cores-per-shard re-encodes per shard)",
+        "--rows/--design are then taken from the artifact, whose buffers "
+        "are served as-is in either sharding mode)",
     )
     ingest = parser.add_argument_group("ingest options")
     ingest.add_argument(

@@ -73,9 +73,10 @@ def check_design_compatible(collection: "CompiledCollection", design, action: st
 
     ``None`` always passes (the artifact's own design is used).  Comparison
     happens post-resolution: the artifact stores the auto-widened design, so
-    re-passing the design it was compiled with is not a conflict.
+    re-passing the design it was compiled with is not a conflict.  Works on
+    any collection with ``n_cols`` and ``design`` (frozen or segmented).
     """
-    if design is not None and resolve_design(collection.matrix, design) != collection.design:
+    if design is not None and resolve_design(collection, design) != collection.design:
         raise ConfigurationError(
             f"collection was compiled for {collection.design.name!r}; "
             f"cannot {action} it as {design.name!r} — recompile instead"
@@ -293,9 +294,8 @@ class CompiledCollection:
     def stream_plans_range(self, start: int, stop: int) -> "list[StreamPlan]":
         """Plans for partitions ``[start, stop)``, sharing the same cache.
 
-        A sharded deployment only ever pays for the plans its shards
-        actually stream — and a shard slicing this collection reuses any
-        plan another consumer already built.
+        Only the requested partitions are planned, and any plan another
+        consumer already built is reused.
         """
         if not 0 <= start <= stop <= self.n_partitions:
             raise ConfigurationError(
@@ -355,25 +355,6 @@ class CompiledCollection:
             plans = self.stream_plans()
             self._operand = lower_plans(plans, [self.design.codec] * len(plans))
         return self._operand
-
-    def stream_slice(self, start: int, stop: int) -> BSCSRMatrix:
-        """Partitions ``[start, stop)`` as a BSCSRMatrix sharing this
-        collection's stream buffers (no re-encode, no copies).
-
-        ``row_offsets`` stay global, so candidates produced from the slice
-        merge directly with other slices' — the aligned-sharding contract.
-        """
-        if not 0 <= start <= stop <= self.n_partitions:
-            raise ConfigurationError(
-                f"invalid partition range [{start}, {stop}) for "
-                f"{self.n_partitions} partitions"
-            )
-        return BSCSRMatrix(
-            streams=self.encoded.streams[start:stop],
-            row_offsets=self.encoded.row_offsets[start:stop],
-            n_rows=self.encoded.n_rows,
-            n_cols=self.encoded.n_cols,
-        )
 
     # ------------------------------------------------------------------ #
     # Persistence

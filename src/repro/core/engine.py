@@ -12,6 +12,11 @@ the hardware's, not the answer's: :meth:`TopKSpmvEngine.query_candidates`
 returns those per-core lists, and
 :func:`~repro.core.approx.merge_topk_candidates` merges them at any ``K``.
 
+The engine serves frozen and segmented collections alike, including the
+mutation facade (``ingest``/``update``/``delete``/``seal``/``compact``,
+segmented only).  :class:`~repro.serving.sharded.ShardedEngine` is this
+engine with a different board model — a fleet of boards — and nothing else.
+
 Example
 -------
 >>> import numpy as np
@@ -56,7 +61,7 @@ from repro.core.dataflow import (
     simulate_multicore_batch,
 )
 from repro.core.reference import TopKResult, exact_topk_spmv
-from repro.core.segments import MutableEngineMixin, SegmentedCollection
+from repro.core.segments import SegmentedCollection
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix
 from repro.formats.csr import CSRMatrix
@@ -164,12 +169,11 @@ class EngineResult:
         return self.power_w * self.latency_s
 
 
-class TopKSpmvEngine(MutableEngineMixin):
+class TopKSpmvEngine:
     """Simulated multi-core Top-K SpMV accelerator over a loaded collection.
 
     Mutation methods (``ingest``/``update``/``delete``/``seal``/``compact``)
-    come from :class:`~repro.core.segments.MutableEngineMixin` and require
-    a segmented collection.
+    delegate to a segmented collection; a frozen one refuses them.
     """
 
     def __init__(
@@ -186,9 +190,10 @@ class TopKSpmvEngine(MutableEngineMixin):
         Parameters
         ----------
         matrix:
-            Either an already-compiled
+            An already-compiled
             :class:`~repro.core.collection.CompiledCollection` (its encoded
-            streams and plans are reused verbatim — nothing is rebuilt), or
+            streams and plans are reused verbatim — nothing is rebuilt), a
+            mutable :class:`~repro.core.segments.SegmentedCollection`, or
             the raw sparse embedding collection
             (:class:`repro.formats.csr.CSRMatrix`, SciPy sparse, dense
             array), which is run through
@@ -215,40 +220,25 @@ class TopKSpmvEngine(MutableEngineMixin):
             resolve_design,
         )
 
-        collection = None
-        self._segmented = isinstance(matrix, SegmentedCollection)
-        if self._segmented:
-            if design is not None and design != matrix.design:
-                raise ConfigurationError(
-                    f"collection was compiled for {matrix.design.name!r}; "
-                    f"cannot serve it as {design.name!r} — recompile instead"
-                )
-            collection = matrix
-            design = matrix.design
-            n_cols = matrix.n_cols
-        elif isinstance(matrix, CompiledCollection):
+        compiled = isinstance(matrix, (CompiledCollection, SegmentedCollection))
+        if compiled:
             check_design_compatible(matrix, design, "serve")
-            collection = matrix
-            csr = matrix.matrix
             design = matrix.design
-            n_cols = csr.n_cols
         else:
-            csr = as_csr_matrix(matrix)
-            design = resolve_design(csr, design)
-            n_cols = csr.n_cols
+            matrix = as_csr_matrix(matrix)
+            design = resolve_design(matrix, design)
+        self._segmented = isinstance(matrix, SegmentedCollection)
         self.constants = constants
         # Validate the board can hold the query vector *before* paying for
         # the (potentially long) build.
         check_vector_fits(
-            vector_size=max(1, n_cols),
-            cores=design.cores,
+            vector_size=max(1, matrix.n_cols),
+            cores=self._board_cores(design),
             lanes=design.layout.lanes,
             x_bits=32,
             spec=uram,
         )
-        self.collection = (
-            collection if collection is not None else compile_collection(csr, design)
-        )
+        self.collection = matrix if compiled else compile_collection(matrix, design)
         self.kernel = kernel
         # The one query driver serves every collection: a frozen artifact is
         # a pristine one-segment collection (keys and mask only, no copy).
@@ -257,15 +247,8 @@ class TopKSpmvEngine(MutableEngineMixin):
             else SegmentedCollection.from_collection(self.collection)
         )
         self.accelerator = TopKSpmvAccelerator(design, hbm, constants)
-        # Timing depends only on the stream shape, not the query: cache it.
-        # A segmented collection mutates, so its timing is derived lazily
-        # per generation (see the `timing` property) instead.
-        self._timing = (
-            None if self._segmented
-            else self.accelerator.timing_from_matrix(self.encoded)
-        )
-        self._timing_generation = None
         self._power_w = estimate_fpga_power_w(design, constants)
+        self._by_generation: dict = {}
 
     @classmethod
     def from_collection(
@@ -325,7 +308,7 @@ class TopKSpmvEngine(MutableEngineMixin):
             topk=batch.topk[0],
             timing=self.timing,
             dataflow=batch.dataflow[0],
-            power_w=self._power_w,
+            power_w=self.power_w,
         )
 
     def query_candidates(self, x: np.ndarray) -> tuple[list[TopKResult], DataflowStats]:
@@ -403,19 +386,25 @@ class TopKSpmvEngine(MutableEngineMixin):
         (queries are independent scans); the batch latency is therefore
         ``Q x makespan`` plus a single host invocation — consecutive scans
         overlap the host round-trip, which is how a real deployment would
-        drive the board.
+        drive the board (a fleet's boards scan concurrently, so its makespan
+        is the slowest board's).
         """
+        from repro.core.kernels import run_segmented
+
         top_k = check_positive_int(top_k, "top_k")
         queries = self._check_query_block(queries)
-        out = self._run_segmented(queries, top_k)
-        batch_seconds = (
-            len(queries) * self.timing.makespan_s + self.constants.host_overhead_s
+        out = run_segmented(
+            self._query_view,
+            self.design.quantize_query(queries),
+            top_k,
+            kernel=self.kernel,
         )
+        seconds = len(queries) * self.makespan_s + self.constants.host_overhead_s
         return BatchResult(
             topk=out.results,
-            seconds=batch_seconds,
-            queries_per_second=len(queries) / batch_seconds,
-            energy_j=self._power_w * batch_seconds,
+            seconds=seconds,
+            queries_per_second=len(queries) / seconds if seconds else 0.0,
+            energy_j=self.power_w * seconds,
             dataflow=tuple(out.stats_per_query()),
         )
 
@@ -428,32 +417,83 @@ class TopKSpmvEngine(MutableEngineMixin):
             )
 
     # ------------------------------------------------------------------ #
-    # Introspection
+    # Mutation (segmented collections only)
     # ------------------------------------------------------------------ #
+    def _mutable(self) -> SegmentedCollection:
+        if not self._segmented:
+            raise ConfigurationError(
+                "this deployment serves a frozen CompiledCollection; build "
+                "it from a SegmentedCollection to ingest/update/delete/compact"
+            )
+        return self.collection
+
+    def ingest(self, rows) -> np.ndarray:
+        """Append rows to the served collection; returns their stable keys."""
+        return self._mutable().ingest(rows)
+
+    def update(self, key: int, row) -> None:
+        """Replace one served row, keeping its stable key."""
+        self._mutable().update(key, row)
+
+    def delete(self, keys) -> int:
+        """Tombstone served rows by stable key; returns the count deleted."""
+        return self._mutable().delete(keys)
+
+    def seal(self) -> bool:
+        """Freeze the delta buffer into a new immutable segment."""
+        return self._mutable().seal()
+
+    def compact(self, **kwargs) -> int:
+        """Rewrite segment runs and drop tombstoned rows (see collection)."""
+        return self._mutable().compact(**kwargs)
+
+    # ------------------------------------------------------------------ #
+    # The board model
+    # ------------------------------------------------------------------ #
+    def _per_generation(self, name: str, build):
+        """``build()`` memoised until the served collection's generation
+        moves (a frozen artifact's one-segment view never moves)."""
+        generation = self._query_view.generation
+        cached = self._by_generation.get(name)
+        if cached is None or cached[0] != generation:
+            cached = self._by_generation[name] = (generation, build())
+        return cached[1]
+
+    def _board_cores(self, design: AcceleratorDesign) -> int:
+        """Cores per board, each holding its own copy of the query vector."""
+        return design.cores
+
     @property
     def timing(self) -> AcceleratorTiming:
         """Query-independent timing of one full scan.
 
-        For a segmented collection the board streams every segment's
-        partition ``p`` back to back on core ``p`` (the delta snapshot
-        rides on core 0), so per-core packet counts sum across segments;
-        tombstoned rows still stream until a compaction drops them — the
-        honest LSM read-amplification cost, and exactly what ``compact()``
-        recovers.  Recomputed when the collection's generation moves.
+        Core ``p`` streams partition ``p`` of every segment back to back (a
+        frozen artifact is one segment; the delta snapshot rides on core 0),
+        so per-core packet counts sum across segments; tombstoned rows still
+        stream until a compaction drops them — the honest LSM
+        read-amplification cost, and exactly what ``compact()`` recovers.
         """
-        if not self._segmented:
-            return self._timing
-        generation = self.collection.generation
-        if self._timing is None or self._timing_generation != generation:
-            self._timing = self.accelerator.timing_from_packets(
-                *_segmented_packets(self.collection)
-            )
-            self._timing_generation = generation
-        return self._timing
+
+        def scan() -> AcceleratorTiming:
+            packets, nnz = _partition_load(self._query_view)
+            return self.accelerator.timing_from_packets(packets, nnz=sum(nnz))
+
+        return self._per_generation("timing", scan)
+
+    @property
+    def makespan_s(self) -> float:
+        """Stream time of one query on the modelled board."""
+        return self.timing.makespan_s
+
+    @property
+    def latency_s(self) -> float:
+        """Modelled latency of a single query (makespan + host invocation)."""
+        return self.makespan_s + self.constants.host_overhead_s
 
     @property
     def power_w(self) -> float:
-        """Modelled board power of the configured design."""
+        """Modelled board power of the configured design (all its cores,
+        whatever the collection's partition count)."""
         return self._power_w
 
     def describe(self) -> str:
@@ -490,8 +530,8 @@ class TopKSpmvEngine(MutableEngineMixin):
         return check_query_block(queries, self.collection.n_cols)
 
 
-def _segmented_packets(collection) -> "tuple[list[int], int]":
-    """Per-core packet counts + total nnz of a segmented collection's scan.
+def _partition_load(collection) -> "tuple[list[int], list[int]]":
+    """Per-core packet and nnz counts of one scan of a segmented collection.
 
     Core ``p`` streams partition ``p`` of every segment back to back; the
     compiled delta snapshot (1 partition) streams on core 0.  Tombstoned
@@ -501,14 +541,13 @@ def _segmented_packets(collection) -> "tuple[list[int], int]":
     n_parts = max(
         (s.artifact.n_partitions for s in collection.segments), default=1
     )
-    packets = [0] * max(1, n_parts)
-    nnz = 0
+    packets, nnz = [0] * n_parts, [0] * n_parts
     for segment in collection.segments:
         for p, stream in enumerate(segment.artifact.encoded.streams):
             packets[p] += stream.n_packets
-        nnz += segment.artifact.nnz
+            nnz[p] += stream.nnz
     delta = collection.compiled_delta()
     if delta is not None:
         packets[0] += delta.encoded.total_packets
-        nnz += delta.nnz
+        nnz[0] += delta.nnz
     return packets, nnz

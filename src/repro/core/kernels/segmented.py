@@ -2,8 +2,8 @@
 
 Every engine's ``query``/``query_batch`` runs here, on a
 :class:`~repro.core.segments.SegmentedCollection` — a frozen artifact is
-served as a pristine one-segment collection, a full-board fleet as one
-segment per shard.  The paper's per-core candidate path cannot serve them
+served as a pristine one-segment collection, and a fleet serves its parent
+collection the same way.  The paper's per-core candidate path cannot serve them
 all: per-partition ``local_k`` candidate sets depend on the partition
 geometry, and a mutated collection's segments are partitioned differently
 from the fresh ``compile_collection`` of the same logical matrix (that

@@ -36,9 +36,11 @@ results through the multi-segment driver
 fresh ``compile_collection`` of the equivalent final matrix, for every
 kernel backend and codec — see that module for the argument, and
 ``tests/property/test_prop_segments.py`` for the lock.  The same driver
-serves frozen artifacts (as one-segment collections), so an engine over
-the fresh compile returns those bits too
-(``tests/property/test_prop_one_driver.py``).
+serves frozen artifacts (as one-segment collections) and every fleet, so an
+engine over the fresh compile returns those bits too
+(``tests/property/test_prop_one_driver.py``).  Engines also time their
+boards from this layout: core ``p`` streams partition ``p`` of every
+segment, the delta snapshot riding on core 0.
 
 Persistence
 -----------
@@ -48,7 +50,7 @@ artifact per segment — reused verbatim when a segment with the same digest
 was already saved, so compaction and delta churn never rewrite unchanged
 segments — plus a ``state.npz`` artifact (keys, tombstones, delta rows) and
 the ``MANIFEST.json`` carrying the collection *generation*.
-:meth:`SegmentedCollection.load` also accepts a plain PR-2 collection
+:meth:`SegmentedCollection.load` also accepts a plain collection
 ``.npz``, adopting it verbatim as a pristine one-segment collection (the
 artifact keeps its digest and aux buffers) — no migration needed.
 """
@@ -76,7 +78,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "Segment",
     "SegmentedCollection",
-    "MutableEngineMixin",
     "SEGMENT_MANIFEST_KIND",
     "SEGMENT_STATE_KIND",
     "DEFAULT_SEAL_ROWS",
@@ -343,58 +344,6 @@ def _as_one_row(row, n_cols: int) -> CSRMatrix:
         )
     cols = np.nonzero(dense)[0].astype(np.int64)
     return CSRMatrix.from_rows([(cols, dense[cols])], n_cols=n_cols)
-
-
-class MutableEngineMixin:
-    """The mutation facade engines expose when serving a segmented collection.
-
-    Shared by :class:`~repro.core.engine.TopKSpmvEngine` and
-    :class:`~repro.serving.sharded.ShardedEngine`: both carry a
-    ``collection`` attribute and a ``_segmented`` flag, and delegate every
-    mutation to the collection (which bumps its generation, invalidating
-    per-generation timing/caches on the next read).  Both also answer
-    every query, frozen or segmented, through the one multi-segment sweep
-    below, over the ``_query_view`` collection they build at construction.
-    """
-
-    def _run_segmented(self, queries: np.ndarray, top_k: int):
-        """The multi-segment sweep (quantise, drive, return the raw output)."""
-        from repro.core.kernels import run_segmented
-
-        return run_segmented(
-            self._query_view,
-            self.design.quantize_query(queries),
-            top_k,
-            kernel=self.kernel,
-        )
-
-    def _mutable(self) -> "SegmentedCollection":
-        if not getattr(self, "_segmented", False):
-            raise ConfigurationError(
-                "this deployment serves a frozen CompiledCollection; build "
-                "it from a SegmentedCollection to ingest/update/delete/compact"
-            )
-        return self.collection
-
-    def ingest(self, rows) -> np.ndarray:
-        """Append rows to the served collection; returns their stable keys."""
-        return self._mutable().ingest(rows)
-
-    def update(self, key: int, row) -> None:
-        """Replace one served row, keeping its stable key."""
-        self._mutable().update(key, row)
-
-    def delete(self, keys) -> int:
-        """Tombstone served rows by stable key; returns the count deleted."""
-        return self._mutable().delete(keys)
-
-    def seal(self) -> bool:
-        """Freeze the delta buffer into a new immutable segment."""
-        return self._mutable().seal()
-
-    def compact(self, **kwargs) -> int:
-        """Rewrite segment runs and drop tombstoned rows (see collection)."""
-        return self._mutable().compact(**kwargs)
 
 
 class SegmentedCollection:

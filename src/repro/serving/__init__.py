@@ -39,7 +39,7 @@ from repro.serving.router import (
     Router,
     make_router,
 )
-from repro.serving.sharded import EngineShard, ShardedEngine, ShardedResult
+from repro.serving.sharded import BoardShard, ShardedEngine, ShardedResult
 
 __all__ = [
     "BatchQueue",
@@ -68,7 +68,7 @@ __all__ = [
     "LeastOutstandingRouter",
     "PowerOfTwoChoicesRouter",
     "make_router",
-    "EngineShard",
+    "BoardShard",
     "ShardedEngine",
     "ShardedResult",
 ]

@@ -15,7 +15,7 @@ the raw numbers as JSON so successive PRs can track the serving trajectory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,9 @@ class ServeBenchConfig:
     ``collection`` names a compiled artifact (``repro compile`` output); when
     set, the serving fleet is constructed straight from the loaded buffers —
     no synthetic build, no re-encode — and ``rows``/``cols``/``avg_nnz``/
-    ``design`` are taken from the artifact instead of this config.  Caveat:
-    combining it with ``cores_per_shard`` re-partitions every row slice
-    across each board's own cores, which necessarily re-encodes per shard —
-    only aligned mode (the default) serves the artifact's buffers as-is.
+    ``design`` are taken from the artifact instead of this config.  Both
+    sharding modes serve the artifact's buffers as-is; ``cores_per_shard``
+    only changes how each board is timed.
 
     ``replicas``/``router``/``cache_size``/``queue_capacity`` configure the
     cluster tier: every replica is one sharded fleet over the *same*
@@ -67,7 +66,6 @@ class ServeBenchConfig:
     cache_size: int = 0
     queue_capacity: "int | None" = None
     kernel: "str | None" = None
-    extra: dict = field(default_factory=dict)
 
     def quick(self) -> "ServeBenchConfig":
         """A reduced-scale copy for smoke runs."""
@@ -197,7 +195,7 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
         "recall_at_k": recall,
         "fleet": {
             "latency_ms": engine.latency_s * 1e3,
-            "power_w": engine.total_power_w * config.replicas,
+            "power_w": engine.power_w * config.replicas,
             "shard_makespans_ms": [
                 s.timing.makespan_s * 1e3 for s in engine.shards
             ],

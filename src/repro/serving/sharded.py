@@ -1,26 +1,31 @@
 """Row-sharded multi-board serving of one embedding collection.
 
-A :class:`ShardedEngine` spreads the collection's BS-CSR partition streams
-across ``N`` simulated boards ("shards").  Every query is a scatter-gather:
-all shards stream their rows concurrently and the host keeps the global
-Top-K.  Functionally the fleet answers through the same one query driver as
-:class:`repro.core.engine.TopKSpmvEngine`
-(:func:`~repro.core.kernels.segmented.run_segmented`), so its bits are the
-exact global Top-K of the quantised scores, identical to the unsharded
-engine.  Per-shard timing reuses the :mod:`repro.hw.multicore` model, so the
-scatter-gather latency is the slowest shard's makespan plus one host
+A :class:`ShardedEngine` is a :class:`~repro.core.engine.TopKSpmvEngine`
+whose modelled board is a fleet of ``N`` simulated boards ("shards"): every
+query is a scatter-gather in which all shards stream their rows concurrently
+and the host keeps the global Top-K.  Collection handling, validation, the
+mutation facade and the one query driver are the engine's, so the fleet's
+bits are the unsharded engine's; only the modelled timing and power differ.
+The scatter-gather latency is the slowest shard's makespan plus one host
 invocation.
 
-Two sharding modes, which differ only in modelled timing and power:
+One board model serves both sharding modes: the :mod:`repro.hw.multicore`
+per-core packet model, in which each core streams its HBM channel's share
+of the BS-CSR stream (the paper's Figure 6), dealt over boards.
 
-* **aligned** (default, ``cores_per_shard=None``) — the collection is
-  partitioned into ``design.cores`` streams exactly as the unsharded engine
-  does, and whole streams are dealt contiguously to shards; the driver
-  serves the parent artifact as one segment.
-* **``cores_per_shard=c``** — each shard re-partitions its row slice across
-  its own ``c`` cores (a fleet of full boards), so each shard's makespan
-  shrinks with its share of the rows; the driver serves one segment per
-  shard collection, in shard order.
+* **aligned** (default, ``cores_per_shard=None``) — the served collection's
+  partition streams are dealt contiguously to shards: shard ``i`` streams
+  partitions ``[start, stop)`` of every segment (a frozen artifact is one
+  segment; the delta snapshot rides with partition 0).  A board is billed
+  for the streams it holds.
+* **full-board** (``cores_per_shard=c``) — shard ``i`` owns a contiguous
+  row slice and is timed as its own ``c``-core board re-partitioning that
+  slice, from the slice's row lengths alone.  Nothing is re-encoded: the
+  answers come from the parent artifact.
+
+Shards are recomputed whenever the served collection's generation moves.
+The single engine bills its design's full core count instead, so the two
+differ in energy when a collection has fewer partitions than cores.
 """
 
 from __future__ import annotations
@@ -29,72 +34,27 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.collection import CompiledCollection, compile_collection
-from repro.core.dataflow import DataflowStats, StreamPlan
-from repro.core.engine import (
-    BatchResult,
-    check_query_block,
-    check_query_vector,
-)
+from repro.core.dataflow import DataflowStats
+from repro.core.engine import TopKSpmvEngine, _partition_load
 from repro.core.partition import partition_rows
-from repro.core.reference import TopKResult, exact_topk_spmv
-from repro.core.segments import MutableEngineMixin, Segment, SegmentedCollection
+from repro.core.reference import TopKResult
+from repro.core.segments import SegmentedCollection
 from repro.errors import ConfigurationError
-from repro.formats.bscsr import BSCSRMatrix
 from repro.hw.calibration import CALIBRATION, CalibrationConstants
 from repro.hw.design import AcceleratorDesign
 from repro.hw.hbm import ALVEO_U280_HBM, HBMConfig
 from repro.hw.multicore import AcceleratorTiming, TopKSpmvAccelerator
 from repro.hw.power import estimate_fpga_power_w
-from repro.hw.uram import ALVEO_U280_URAM, URAMSpec, check_vector_fits
+from repro.hw.uram import ALVEO_U280_URAM, URAMSpec
 from repro.utils.validation import check_positive_int
 
-__all__ = ["EngineShard", "ShardedResult", "ShardedEngine"]
-
-
-@dataclass
-class EngineShard:
-    """One simulated board holding a contiguous slice of the collection.
-
-    ``encoded`` shares its stream buffers with the compiled ``collection``
-    it was sliced from (``encoded.row_offsets`` are *global* row ids), and
-    ``stream_plans`` resolves through the collection's single lazy plan
-    cache — a shard never re-encodes or re-plans anything the parent
-    artifact already holds.
-    """
-
-    shard_id: int
-    encoded: BSCSRMatrix
-    timing: AcceleratorTiming
-    power_w: float
-    collection: CompiledCollection
-    stream_range: "tuple[int, int]"
-
-    @property
-    def n_streams(self) -> int:
-        """Partition streams (active cores) on this shard."""
-        return len(self.encoded.streams)
-
-    @property
-    def nnz(self) -> int:
-        """Genuine non-zeros stored on this shard."""
-        return self.encoded.nnz
-
-    def stream_plans(self) -> "list[StreamPlan]":
-        """This shard's batch plans, from the collection's shared cache."""
-        return self.collection.stream_plans_range(*self.stream_range)
+__all__ = ["BoardShard", "ShardedResult", "ShardedEngine"]
 
 
 @dataclass(frozen=True)
-class SegmentedShardView:
-    """Per-board view of a segmented deployment (timing/power bookkeeping).
-
-    A segmented collection's shards are not frozen stream slices — segment
-    boundaries move under ingest/compaction — so the fleet recomputes these
-    views per collection generation: shard ``i`` owns partition streams
-    ``[start, stop)`` of *every* segment (core ``p`` scans its partition of
-    each segment back to back; the delta snapshot rides with partition 0).
-    """
+class BoardShard:
+    """One simulated board of a fleet: the streams it holds, its load,
+    timing and power for the current collection generation."""
 
     shard_id: int
     stream_range: "tuple[int, int]"
@@ -126,13 +86,8 @@ class ShardedResult:
         return self.power_w * self.latency_s
 
 
-class ShardedEngine(MutableEngineMixin):
-    """A fleet of simulated boards row-sharding one embedding collection.
-
-    Mutation methods (``ingest``/``update``/``delete``/``seal``/``compact``)
-    come from :class:`~repro.core.segments.MutableEngineMixin` and require
-    a segmented collection.
-    """
+class ShardedEngine(TopKSpmvEngine):
+    """A fleet of simulated boards row-sharding one embedding collection."""
 
     def __init__(
         self,
@@ -150,17 +105,14 @@ class ShardedEngine(MutableEngineMixin):
         Parameters
         ----------
         matrix:
-            Either an already-compiled
-            :class:`~repro.core.collection.CompiledCollection` — in aligned
-            mode its encoded streams are dealt to shards as slices, with no
-            re-encode — or the raw sparse embedding collection
-            (CSRMatrix / SciPy / dense), which is compiled first.
+            Anything :class:`~repro.core.engine.TopKSpmvEngine` serves: a
+            compiled artifact (adopted verbatim), a segmented collection
+            (aligned mode only) or a raw matrix, which is compiled once.
         n_shards:
-            Number of boards.  In aligned mode it must not exceed
-            ``design.cores`` (each shard needs at least one stream).
+            Number of boards.  In aligned mode it must not exceed the
+            collection's partition streams (each shard needs at least one).
         design:
-            Accelerator design point, as for
-            :class:`repro.core.engine.TopKSpmvEngine`.
+            Accelerator design point, as for the single engine.
         cores_per_shard:
             ``None`` selects aligned mode (see module docstring); an integer
             gives every shard its own full board with that many cores.
@@ -170,247 +122,97 @@ class ShardedEngine(MutableEngineMixin):
             defers to ``$REPRO_KERNEL``.
         """
         self.n_shards = check_positive_int(n_shards, "n_shards")
-        self.constants = constants
-        self.kernel = kernel
         self.cores_per_shard = (
             None
             if cores_per_shard is None
             else check_positive_int(cores_per_shard, "cores_per_shard")
         )
-
-        from repro.core.collection import check_design_compatible, resolve_design
-        from repro.core.engine import as_csr_matrix
-
-        collection = None
-        self._segmented = isinstance(matrix, SegmentedCollection)
-        self._matrix = None
-        if self._segmented:
-            if self.cores_per_shard is not None:
-                raise ConfigurationError(
-                    "cores_per_shard re-encodes every row slice, which a "
-                    "mutable segmented collection cannot afford; use aligned "
-                    "mode (cores_per_shard=None)"
-                )
-            if design is not None and design != matrix.design:
-                raise ConfigurationError(
-                    f"collection was compiled for {matrix.design.name!r}; "
-                    f"cannot shard it as {design.name!r} — recompile instead"
-                )
-            collection = matrix
-            self.design = matrix.design
-            n_cols = matrix.n_cols
-            if self.n_shards > self.design.cores:
-                raise ConfigurationError(
-                    f"aligned mode cannot spread {self.design.cores} partition "
-                    f"streams over {self.n_shards} shards; lower n_shards"
-                )
-        elif isinstance(matrix, CompiledCollection):
-            check_design_compatible(matrix, design, "shard")
-            collection = matrix
-            self._matrix = collection.matrix
-            self.design = collection.design
-            n_cols = self._matrix.n_cols
-        else:
-            self._matrix = as_csr_matrix(matrix)
-            self.design = resolve_design(self._matrix, design)
-            n_cols = self._matrix.n_cols
-
-        # Validate the boards can hold the query vector *before* paying for
-        # any (potentially long) build.
-        shard_cores = (
-            self.design.cores if self.cores_per_shard is None else self.cores_per_shard
-        )
-        check_vector_fits(
-            vector_size=max(1, n_cols),
-            cores=shard_cores,
-            lanes=self.design.layout.lanes,
-            x_bits=32,
-            spec=uram,
-        )
-
-        if self.cores_per_shard is None and collection is None:
-            # Aligned mode consumes the standard single-board artifact.
-            collection = compile_collection(self._matrix, self.design)
-        #: The parent compiled artifact; ``None`` only in full-board mode
-        #: from a raw matrix (each shard then owns its own collection).
-        #: Note full-board mode re-partitions every row slice across its own
-        #: cores, so it always re-encodes — even from a compiled artifact.
-        self.collection = collection
-
-        # What the one query driver sweeps (see module docstring).
-        if self._segmented:
-            self._hbm = hbm
-            self._shards = None
-            self._shard_views: "list[SegmentedShardView] | None" = None
-            self._shard_generation = None
-            self._query_view = collection
-        elif self.cores_per_shard is None:
-            self._shards = self._slice_aligned_shards(hbm, constants)
-            self._query_view = SegmentedCollection.from_collection(collection)
-        else:
-            self._shards, self._query_view = self._compile_full_board_shards(
-                hbm, constants
-            )
-
-    @property
-    def shards(self) -> list:
-        """Per-board shards: frozen stream slices, or per-generation views."""
-        if self._segmented:
-            return self._segmented_shards()
-        return self._shards
-
-    @property
-    def matrix(self) -> CSRMatrix:
-        """The original float64 collection (live logical rows if segmented)."""
-        if self._matrix is not None:
-            return self._matrix
-        return self.collection.matrix
-
-    @property
-    def segmented(self) -> bool:
-        """Whether this fleet serves a mutable segmented collection."""
-        return self._segmented
-
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
-    def _slice_aligned_shards(
-        self, hbm: HBMConfig, constants: CalibrationConstants
-    ) -> "list[EngineShard]":
-        """Deal the compiled artifact's streams to shards — zero re-encode.
-
-        Each shard's packet buffers are slices of the parent collection and
-        its plans resolve through the parent's cache, so sharding an
-        already-compiled (or loaded) collection costs only timing/power
-        bookkeeping.
-        """
-        design = self.design
-        collection = self.collection
-        n_parts = collection.n_partitions
-        if self.n_shards > n_parts:
+        if self.cores_per_shard is not None and isinstance(
+            matrix, SegmentedCollection
+        ):
             raise ConfigurationError(
-                f"aligned mode cannot spread {n_parts} partition streams "
-                f"over {self.n_shards} shards; lower n_shards or set "
-                "cores_per_shard"
+                "cores_per_shard times each board over a contiguous row "
+                "slice of one frozen layout, which a segmented collection's "
+                "segments, tombstones and delta do not have; use aligned "
+                "mode (cores_per_shard=None)"
             )
-        shards = []
-        for shard_id, deal in enumerate(partition_rows(n_parts, self.n_shards)):
-            shard_matrix = collection.stream_slice(deal.start, deal.stop)
-            accelerator = TopKSpmvAccelerator(design, hbm, constants)
-            timing = accelerator.timing_from_packets(
-                [s.n_packets for s in shard_matrix.streams], nnz=shard_matrix.nnz
-            )
-            board = replace(design, cores=max(1, len(shard_matrix.streams)))
-            shards.append(
-                EngineShard(
-                    shard_id=shard_id,
-                    encoded=shard_matrix,
-                    timing=timing,
-                    power_w=estimate_fpga_power_w(board, constants),
-                    collection=collection,
-                    stream_range=(deal.start, deal.stop),
-                )
-            )
-        return shards
-
-    def _compile_full_board_shards(
-        self, hbm: HBMConfig, constants: CalibrationConstants
-    ) -> "tuple[list[EngineShard], SegmentedCollection]":
-        """One compiled collection per shard: each board re-partitions its
-        row slice across its own ``cores_per_shard`` cores.  Also returns
-        the query view: one segment per shard, keyed by its global rows."""
-        design = replace(
-            self.design,
-            name=f"{self.design.base_name} {self.cores_per_shard}C",
-            cores=self.cores_per_shard,
+        super().__init__(
+            matrix, design, hbm=hbm, uram=uram, constants=constants, kernel=kernel
         )
-        shards, segments = [], []
-        for shard_id, part in enumerate(
-            partition_rows(self.matrix.n_rows, self.n_shards)
-        ):
-            local = compile_collection(
-                self.matrix.row_slice(part.start, part.stop), design
+        # Every board starts with a stream to scan; a later compaction into
+        # fewer partitions may leave a board idle (it stays powered).
+        n_streams = sum(s.n_streams for s in self.shards)
+        if self.cores_per_shard is None and self.n_shards > n_streams:
+            raise ConfigurationError(
+                f"aligned mode cannot spread {n_streams} partition streams "
+                f"over {self.n_shards} shards; lower n_shards"
             )
-            shard_matrix = BSCSRMatrix(
-                streams=local.encoded.streams,
-                row_offsets=local.encoded.row_offsets + part.start,
-                n_rows=self.matrix.n_rows,
-                n_cols=self.matrix.n_cols,
-            )
-            accelerator = TopKSpmvAccelerator(design, hbm, constants)
-            timing = accelerator.timing_from_packets(
-                [s.n_packets for s in shard_matrix.streams], nnz=local.nnz
-            )
-            shards.append(
-                EngineShard(
-                    shard_id=shard_id,
-                    encoded=shard_matrix,
-                    timing=timing,
-                    power_w=estimate_fpga_power_w(design, constants),
-                    collection=local,
-                    stream_range=(0, local.n_partitions),
-                )
-            )
-            if part.n_rows:
-                segments.append(
-                    Segment(
-                        artifact=local,
-                        keys=np.arange(part.start, part.stop),
-                        live=np.ones(part.n_rows, dtype=bool),
-                    )
-                )
-        return shards, SegmentedCollection(design, self.matrix.n_cols, segments)
 
-    def _segmented_shards(self) -> "list[SegmentedShardView]":
-        """Per-shard timing/power of the current generation (lazy)."""
-        collection = self.collection
-        if (
-            self._shard_views is not None
-            and self._shard_generation == collection.generation
-        ):
-            return self._shard_views
-        from repro.core.engine import _segmented_packets
+    def _board_cores(self, design: AcceleratorDesign) -> int:
+        return design.cores if self.cores_per_shard is None else self.cores_per_shard
 
-        packets, _ = _segmented_packets(collection)
-        accelerator = TopKSpmvAccelerator(self.design, self._hbm, self.constants)
-        views = []
-        for shard_id, deal in enumerate(
-            partition_rows(max(1, len(packets)), self.n_shards)
-        ):
-            own = packets[deal.start : deal.stop]
-            nnz = sum(
-                s.artifact.encoded.streams[p].nnz
-                for s in collection.segments
-                for p in range(deal.start, min(deal.stop, s.artifact.n_partitions))
+    def _frozen_only(self, action: str) -> None:
+        if self.cores_per_shard is not None:
+            raise ConfigurationError(
+                f"{action} exposes the artifact's per-core sweep, but a "
+                "full-board fleet's cores are not the artifact's partitions"
             )
-            delta = collection.compiled_delta()
-            if delta is not None and deal.start == 0:
-                nnz += delta.nnz
-            board = replace(self.design, cores=max(1, len(own)))
-            views.append(
-                SegmentedShardView(
-                    shard_id=shard_id,
-                    stream_range=(deal.start, deal.stop),
-                    n_streams=len(own),
-                    nnz=nnz,
-                    timing=accelerator.timing_from_packets(own, nnz=nnz),
-                    power_w=estimate_fpga_power_w(board, self.constants),
+        super()._frozen_only(action)
+
+    @property
+    def shards(self) -> "list[BoardShard]":
+        """Per-board load, timing and power of the current generation."""
+        return self._per_generation("shards", self._deal_shards)
+
+    def _deal_shards(self) -> "list[BoardShard]":
+        """Time every board of the current generation (see module docstring)."""
+        if self.cores_per_shard is None:
+            packets, nnz = _partition_load(self._query_view)
+            boards = [
+                (
+                    (deal.start, deal.stop),
+                    replace(self.design, cores=max(1, deal.stop - deal.start)),
+                    self.accelerator.timing_from_packets(
+                        packets[deal.start : deal.stop],
+                        nnz=sum(nnz[deal.start : deal.stop]),
+                    ),
                 )
+                for deal in partition_rows(len(packets), self.n_shards)
+            ]
+        else:
+            board = self.design.with_cores(self.cores_per_shard)
+            accelerator = TopKSpmvAccelerator(
+                board, self.accelerator.hbm, self.constants
             )
-        self._shard_views = views
-        self._shard_generation = collection.generation
-        return views
+            row_lengths = np.diff(self.matrix.indptr)
+            boards = [
+                (
+                    (0, board.cores),
+                    board,
+                    accelerator.timing_from_row_lengths(
+                        row_lengths[part.start : part.stop]
+                    ),
+                )
+                for part in partition_rows(len(row_lengths), self.n_shards)
+            ]
+        return [
+            BoardShard(
+                shard_id=shard_id,
+                stream_range=streams,
+                n_streams=streams[1] - streams[0],
+                nnz=timing.nnz,
+                timing=timing,
+                power_w=estimate_fpga_power_w(board, self.constants),
+            )
+            for shard_id, (streams, board, timing) in enumerate(boards)
+        ]
 
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
     def query(self, x: np.ndarray, top_k: int) -> ShardedResult:
         """One scatter-gather Top-K query across every shard.
 
-        A one-row :meth:`query_batch`.  Every shard scans its rows (on a
-        segmented collection, its partition range of every segment), and
-        the result is the global Top-K fold — identical to the unsharded
-        engine in either mode, so sharding is a pure capacity knob.
+        A one-row :meth:`query_batch`: the global Top-K, identical to the
+        unsharded engine in either mode, so sharding is a pure capacity
+        knob.
         """
         batch = self.query_batch(self._check_query(x)[None, :], top_k)
         return ShardedResult(
@@ -418,48 +220,16 @@ class ShardedEngine(MutableEngineMixin):
             shard_timings=tuple(s.timing for s in self.shards),
             host_overhead_s=self.constants.host_overhead_s,
             dataflow=batch.dataflow[0],
-            power_w=self.total_power_w,
+            power_w=self.power_w,
         )
 
-    def query_batch(self, queries: np.ndarray, top_k: int) -> BatchResult:
-        """Serve a query block through the one query driver.
-
-        Batch latency mirrors the single-board model per shard — ``Q`` times
-        the slowest shard's makespan plus one host invocation (shards scan
-        concurrently; consecutive scans overlap the host round-trip).
-        """
-        top_k = check_positive_int(top_k, "top_k")
-        queries = self._check_query_block(queries)
-        n_queries = queries.shape[0]
-        out = self._run_segmented(queries, top_k)
-        seconds = n_queries * self.makespan_s + self.constants.host_overhead_s
-        return BatchResult(
-            topk=out.results,
-            seconds=seconds,
-            queries_per_second=n_queries / seconds if seconds else 0.0,
-            energy_j=self.total_power_w * seconds,
-            dataflow=tuple(out.stats_per_query()),
-        )
-
-    def query_exact(self, x: np.ndarray, top_k: int) -> TopKResult:
-        """Golden float64 reference on the original (unsharded) matrix."""
-        return exact_topk_spmv(self.matrix, self._check_query(x), top_k)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def makespan_s(self) -> float:
         """Slowest shard's stream time for one query."""
         return max(s.timing.makespan_s for s in self.shards)
 
     @property
-    def latency_s(self) -> float:
-        """Modelled scatter-gather latency of a single query."""
-        return self.makespan_s + self.constants.host_overhead_s
-
-    @property
-    def total_power_w(self) -> float:
+    def power_w(self) -> float:
         """Fleet power: every shard board plus nothing shared."""
         return sum(s.power_w for s in self.shards)
 
@@ -482,12 +252,6 @@ class ShardedEngine(MutableEngineMixin):
             )
         lines.append(
             f"scatter-gather latency: {self.latency_s * 1e3:.3f} ms, "
-            f"fleet power: {self.total_power_w:.1f} W"
+            f"fleet power: {self.power_w:.1f} W"
         )
         return "\n".join(lines)
-
-    def _check_query(self, x: np.ndarray) -> np.ndarray:
-        return check_query_vector(x, self._query_view.n_cols)
-
-    def _check_query_block(self, queries: np.ndarray) -> np.ndarray:
-        return check_query_block(queries, self._query_view.n_cols)

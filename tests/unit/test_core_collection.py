@@ -1,6 +1,5 @@
 """Unit tests for the compiled-collection build pipeline and its sharing."""
 
-import numpy as np
 import pytest
 
 from repro import CompiledCollection, PAPER_DESIGNS, TopKSpmvEngine, compile_collection
@@ -100,55 +99,22 @@ class TestPlanCacheSharing:
         for i in range(4):
             assert full[i] is head[i]
 
-    def test_engine_and_shards_share_one_cache(self, collection):
-        engine = TopKSpmvEngine.from_collection(collection)
-        fleet = ShardedEngine(collection, n_shards=4)
-        engine_plans = engine.stream_plans()
-        for shard in fleet.shards:
-            start, stop = shard.stream_range
-            assert shard.stream_plans() == engine_plans[start:stop]
-            for plan, shared in zip(shard.stream_plans(), engine_plans[start:stop]):
-                assert plan is shared
-
     def test_invalid_range_rejected(self, collection):
         with pytest.raises(ConfigurationError):
             collection.stream_plans_range(0, collection.n_partitions + 1)
-        with pytest.raises(ConfigurationError):
-            collection.stream_slice(-1, 2)
 
 
 class TestAlignedShardSlices:
-    def test_shards_alias_parent_streams(self, collection):
-        fleet = ShardedEngine(collection, n_shards=4)
-        dealt = []
-        for shard in fleet.shards:
-            for stream in shard.encoded.streams:
-                dealt.append(stream)
-        # Identity, not equality: no stream was re-encoded or copied.
-        for got, parent in zip(dealt, collection.encoded.streams):
-            assert got is parent
-
-    def test_row_offsets_stay_global(self, collection):
-        fleet = ShardedEngine(collection, n_shards=3)
-        offsets = np.concatenate([s.encoded.row_offsets for s in fleet.shards])
-        assert np.array_equal(offsets, collection.encoded.row_offsets)
-
     def test_partition_override_deals_every_stream(self, matrix):
         """Sharding follows the collection's real partition count, not the
         design's core count, when n_partitions was overridden at compile."""
         compiled = compile_collection(matrix, PAPER_DESIGNS["20b"], n_partitions=8)
         fleet = ShardedEngine(compiled, n_shards=2)
+        # Both modes serve the parent artifact verbatim: no slice, no re-encode.
+        assert fleet._query_view.segments[0].artifact is compiled
+        full_board = ShardedEngine(compiled, n_shards=2, cores_per_shard=4)
+        assert full_board._query_view.segments[0].artifact is compiled
         assert sum(s.n_streams for s in fleet.shards) == 8
         assert sum(s.nnz for s in fleet.shards) == compiled.nnz
         with pytest.raises(ConfigurationError, match="8 partition streams"):
             ShardedEngine(compiled, n_shards=9)
-
-    def test_full_board_shards_own_collections(self, matrix):
-        fleet = ShardedEngine(
-            matrix, n_shards=2, design=PAPER_DESIGNS["20b"], cores_per_shard=4
-        )
-        assert fleet.collection is None
-        for shard in fleet.shards:
-            assert shard.collection.n_partitions == 4
-            assert shard.stream_range == (0, 4)
-            assert len(shard.stream_plans()) == 4

@@ -68,7 +68,7 @@ class TestShardedSegmented:
         assert fresh is not views
         assert sum(v.nnz for v in fresh) > sum(v.nnz for v in views)
         assert fleet.makespan_s >= max(v.timing.makespan_s for v in fresh) - 1e-18
-        assert fleet.total_power_w > 0
+        assert fleet.power_w > 0
 
     def test_fleet_mutation_api_and_describe(self, collection):
         fleet = ShardedEngine(collection, n_shards=2)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.collection import compile_collection
 from repro.core.engine import TopKSpmvEngine
+from repro.core.partition import partition_rows
+from repro.core.segments import SegmentedCollection
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.hw.design import PAPER_DESIGNS
+from repro.hw.multicore import TopKSpmvAccelerator
+from repro.serving.cluster import ClusterRuntime
 from repro.serving.sharded import ShardedEngine
 
 
@@ -79,7 +84,7 @@ class TestShardStructure:
     def test_every_stream_dealt_exactly_once(self, sharded_engine, flat_engine):
         dealt = sum(s.n_streams for s in sharded_engine.shards)
         assert dealt == flat_engine.encoded.n_partitions
-        assert sharded_engine.shards[0].encoded.row_offsets[0] == 0
+        assert sharded_engine.shards[0].stream_range[0] == 0
 
     def test_nnz_conserved(self, sharded_engine, collection):
         assert sum(s.nnz for s in sharded_engine.shards) == collection.nnz
@@ -90,7 +95,7 @@ class TestShardStructure:
             assert shard.timing.makespan_s > 0
 
     def test_fleet_power_exceeds_single_board_share(self, sharded_engine):
-        assert sharded_engine.total_power_w > 0
+        assert sharded_engine.power_w > 0
         assert len(sharded_engine.shards) == 4
 
     def test_describe_mentions_shards(self, sharded_engine):
@@ -113,7 +118,7 @@ class TestFullBoardMode:
 
     def test_shards_split_rows(self, collection):
         sharded = ShardedEngine(collection, n_shards=4, cores_per_shard=8)
-        assert sum(s.encoded.nnz for s in sharded.shards) == collection.nnz
+        assert sum(s.nnz for s in sharded.shards) == collection.nnz
         # Each shard re-partitions its slice across its own cores.
         for shard in sharded.shards:
             assert shard.n_streams == 8
@@ -146,3 +151,80 @@ class TestValidation:
     def test_zero_shards_rejected(self, collection):
         with pytest.raises(ConfigurationError):
             ShardedEngine(collection, n_shards=0)
+
+
+class TestBoardModel:
+    """A fleet is the single engine with per-board timing and power."""
+
+    @pytest.mark.parametrize("n_partitions", [None, 8])
+    @pytest.mark.parametrize("key", ["20b", "f32"])
+    def test_one_shard_fleet_is_the_engine(self, collection, queries, key, n_partitions):
+        art = compile_collection(
+            collection, PAPER_DESIGNS[key], n_partitions=n_partitions
+        )
+        engine = TopKSpmvEngine(art).query_batch(queries, top_k=10)
+        fleet = ShardedEngine(art, n_shards=1).query_batch(queries, top_k=10)
+        assert fleet.seconds == engine.seconds
+        if art.n_partitions == art.design.cores:
+            assert fleet.energy_j == engine.energy_j
+        else:
+            # The fleet bills only the cores holding streams.
+            assert fleet.energy_j < engine.energy_j
+
+    @pytest.mark.parametrize("cores", [1, 4, 32])
+    @pytest.mark.parametrize("key", ["20b", "25b"])
+    def test_full_board_timing_matches_a_per_shard_compile(
+        self, gamma_collection, key, cores
+    ):
+        """Row-length timing equals timing the old way: compile each row
+        slice across its board's own cores, then time its streams."""
+        design = PAPER_DESIGNS[key]
+        fleet = ShardedEngine(
+            gamma_collection, n_shards=3, design=design, cores_per_shard=cores
+        )
+        board = design.with_cores(cores)
+        oracle = TopKSpmvAccelerator(board)
+        for shard, part in zip(
+            fleet.shards, partition_rows(gamma_collection.n_rows, 3)
+        ):
+            local = compile_collection(
+                gamma_collection.row_slice(part.start, part.stop), board
+            )
+            assert shard.timing == oracle.timing_from_matrix(local.encoded)
+            assert shard.nnz == local.nnz
+            assert shard.n_streams == local.n_partitions
+
+    def test_full_board_fleet_from_raw_matrix_caches(self, collection, queries):
+        fleet = ShardedEngine(collection, n_shards=2, cores_per_shard=4)
+        runtime = ClusterRuntime([fleet], cache_size=8)
+        stream = np.vstack([queries[:3], queries[:3]])
+        results, report = runtime.run(stream, np.linspace(0.0, 1.0, 6), top_k=5)
+        assert report.n_cache_hits == 3
+        direct = fleet.query_batch(stream, top_k=5)
+        for got, want in zip(results, direct.topk):
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_full_board_fleet_has_no_per_core_candidates(self, collection, query):
+        fleet = ShardedEngine(collection, n_shards=2, cores_per_shard=4)
+        with pytest.raises(ConfigurationError, match="full-board"):
+            fleet.query_candidates(query)
+        aligned = ShardedEngine(collection, n_shards=2)
+        flat = TopKSpmvEngine(collection)
+        got, _ = aligned.query_candidates(query)
+        want, _ = flat.query_candidates(query)
+        assert [c.indices.tolist() for c in got] == [
+            c.indices.tolist() for c in want
+        ]
+
+    @pytest.mark.parametrize("segmented", [False, True])
+    def test_more_boards_than_streams_rejected(self, segmented):
+        matrix = synthetic_embeddings(n_rows=600, n_cols=64, avg_nnz=8, seed=3)
+        art = compile_collection(matrix, PAPER_DESIGNS["20b"], n_partitions=8)
+        served = SegmentedCollection.from_collection(art) if segmented else art
+        with pytest.raises(
+            ConfigurationError,
+            match="cannot spread 8 partition streams over 9 shards",
+        ):
+            ShardedEngine(served, n_shards=9)
+        assert len(ShardedEngine(served, n_shards=8).shards) == 8
