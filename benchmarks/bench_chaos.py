@@ -100,7 +100,7 @@ def test_chaos_availability_and_degradation():
     assert sum(r is not None for r in results) == degraded.n_queries
 
     stats = degraded.fault_stats or {}
-    availability = degraded.n_queries / N_QUERIES
+    availability = degraded.availability
     rescued_fraction = stats.get("n_rescued", 0) / N_QUERIES
     p99_degradation = (
         degraded.p99_latency_s / baseline.p99_latency_s

@@ -8,12 +8,17 @@ Usage::
     python -m repro figure7 --quick   # reduced scale for a fast look
     python -m repro serve-bench --shards 4 --batch-size 16 --json serve.json
     python -m repro serve-bench --replicas 4 --router power-of-two \
-        --cache-size 256 --queue-capacity 32   # the cluster tier
+        --cache-size 256 --queue-capacity 32   # N replicas, cache, admission
     python -m repro serve-bench --kernel contraction   # pick a SpMV kernel
     python -m repro bench-all                 # every benchmark + summary
     python -m repro serve-live --port 7777 --replicas 2 --cache-size 256
     python -m repro load-gen --port 7777 --n-queries 256 --rate-qps 500 \
         --duplicate-fraction 0.2 --shutdown   # real p50/p99/QPS + replay check
+
+``serve-live``'s ``wall`` section and ``load-gen``'s report are two views of
+one :class:`repro.serving.batcher.ServingMetrics`: for one run they agree on
+every count and on availability.  The fault-tolerance flags configure
+``serve-live`` only; ``serve-bench`` refuses them.
 
 Build/serve split (the production workflow)::
 
@@ -36,6 +41,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.errors import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
 
 __all__ = ["main", "build_parser", "consolidate_bench_results"]
@@ -104,11 +110,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serving.add_argument(
         "--batch-size", type=int, default=16,
-        help="micro-batcher max batch size (default 16)",
+        help="max requests per dispatched batch on each replica (default 16)",
     )
     serving.add_argument(
         "--max-wait-ms", type=float, default=2.0,
-        help="micro-batcher coalescing deadline in ms (default 2.0)",
+        help="batching deadline: the oldest queued request waits at most "
+        "this long before its batch dispatches, in ms (default 2.0)",
     )
     serving.add_argument(
         "--n-queries", type=int, default=256,
@@ -126,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     serving.add_argument(
         "--replicas", type=int, default=1,
         help="replicate the sharded fleet N times behind the cluster "
-        "runtime (default 1: single fleet, no cluster tier)",
+        "runtime (default 1: a 1-replica cluster)",
     )
     serving.add_argument(
         "--router", type=str, default="round-robin",
         choices=["round-robin", "least-outstanding", "power-of-two"],
-        help="cluster routing policy (default round-robin; any non-default "
-        "value engages the cluster tier even with --replicas 1)",
+        help="cluster routing policy (default round-robin; with one "
+        "replica every policy picks it)",
     )
     serving.add_argument(
         "--cache-size", type=int, default=0,
@@ -166,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     live.add_argument(
         "--top-k", type=int, default=10,
-        help="K the live daemon serves every request at (default 10)",
+        help="K every request is served at, by serve-bench and the live "
+        "daemon (default 10)",
     )
     live.add_argument(
         "--duplicate-fraction", type=float, default=0.0,
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-gen: overall client timeout in seconds (default 120)",
     )
     faults = parser.add_argument_group(
-        "fault tolerance options (serve-live; see README)"
+        "fault tolerance options (serve-live only; see README)"
     )
     faults.add_argument(
         "--retries", type=int, default=None, metavar="N",
@@ -322,6 +330,7 @@ def _serve_bench_config(args: argparse.Namespace) -> "ServeBenchConfig":
         n_shards=args.shards,
         cores_per_shard=args.cores_per_shard,
         n_queries=args.n_queries,
+        top_k=args.top_k,
         max_batch_size=args.batch_size,
         max_wait_ms=args.max_wait_ms,
         rate_qps=args.rate_qps,
@@ -342,26 +351,49 @@ def _serve_bench_config(args: argparse.Namespace) -> "ServeBenchConfig":
     return config
 
 
+def _write_outputs(args: argparse.Namespace, text: str, payload: dict) -> None:
+    """Write the ``--json`` payload and the ``-o`` text, when asked."""
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+        print(f"wrote {args.json}", file=sys.stderr)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {args.output}", file=sys.stderr)
+
+
+#: Fault-tolerance flags only the live daemon reads.
+_SERVE_LIVE_ONLY = (
+    "retries", "backoff_ms", "hedge_after_ms", "deadline_ms", "max_pending",
+    "max_frame_bytes", "fault_plan", "chaos_seed",
+)
+
+
 def _run_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serving.bench import run_serve_bench, write_json
+    from repro.serving.bench import run_serve_bench
 
     if args.paper_scale:
         raise SystemExit(
             "serve-bench has no paper-scale preset; size it with "
             "--rows/--n-queries instead"
         )
+    ignored = [
+        "--" + name.replace("_", "-")
+        for name in _SERVE_LIVE_ONLY
+        if getattr(args, name) is not None
+    ]
+    if ignored:
+        raise SystemExit(
+            f"serve-bench does not read {', '.join(ignored)}; the "
+            "fault-tolerance flags configure serve-live"
+        )
     started = time.perf_counter()
     text, payload = run_serve_bench(_serve_bench_config(args))
     elapsed = time.perf_counter() - started
     print(text)
     print(f"[serve-bench completed in {elapsed:.1f}s]\n", file=sys.stderr)
-    if args.json:
-        write_json(payload, args.json)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_outputs(args, text, payload)
     return 0
 
 
@@ -383,61 +415,34 @@ def _fault_options(args: argparse.Namespace):
             n_replicas=args.replicas,
             horizon_s=max(1.0, args.n_queries / (args.rate_qps or 200.0)),
         )
+    knobs = (args.retries, args.backoff_ms, args.hedge_after_ms)
+    if plan is None and all(knob is None for knob in knobs):
+        return None, None
     defaults = ResilienceConfig()
-    resilience = None
-    if (
-        args.retries is not None
-        or args.backoff_ms is not None
-        or args.hedge_after_ms is not None
-        or plan is not None
-    ):
-        resilience = ResilienceConfig(
-            max_retries=(
-                defaults.max_retries if args.retries is None else args.retries
-            ),
-            backoff_base_s=(
-                defaults.backoff_base_s
-                if args.backoff_ms is None
-                else args.backoff_ms * 1e-3
-            ),
-            hedge_after_s=(
-                None if args.hedge_after_ms is None
-                else args.hedge_after_ms * 1e-3
-            ),
-            seed=args.seed if args.seed is not None else 0,
-        )
-    return plan, resilience
+    return plan, ResilienceConfig(
+        max_retries=(
+            defaults.max_retries if args.retries is None else args.retries
+        ),
+        backoff_base_s=(
+            defaults.backoff_base_s
+            if args.backoff_ms is None
+            else args.backoff_ms * 1e-3
+        ),
+        hedge_after_s=(
+            None if args.hedge_after_ms is None else args.hedge_after_ms * 1e-3
+        ),
+        seed=args.seed if args.seed is not None else 0,
+    )
 
 
 def _build_live_runtime(args: argparse.Namespace):
     """One configured ClusterRuntime for serve-live (bench-config reuse)."""
-    from repro.serving.bench import _build_collection
-    from repro.serving.cluster import ClusterRuntime
-    from repro.serving.sharded import ShardedEngine
+    from repro.serving.bench import _build_collection, build_runtime
 
     config = _serve_bench_config(args)
     fault_plan, resilience = _fault_options(args)
     compiled, _design_name = _build_collection(config)
-    replicas = [
-        ShardedEngine(
-            compiled,
-            n_shards=config.n_shards,
-            cores_per_shard=config.cores_per_shard,
-            kernel=config.kernel,
-        )
-        for _ in range(config.replicas)
-    ]
-    return ClusterRuntime(
-        replicas,
-        router=config.router,
-        cache_size=config.cache_size or None,
-        max_batch_size=config.max_batch_size,
-        max_wait_s=config.max_wait_ms * 1e-3,
-        queue_capacity=config.queue_capacity,
-        router_seed=config.seed,
-        fault_plan=fault_plan,
-        resilience=resilience,
-    )
+    return build_runtime(config, compiled, fault_plan, resilience)
 
 
 def _run_serve_live(args: argparse.Namespace) -> int:
@@ -486,28 +491,24 @@ def _run_serve_live(args: argparse.Namespace) -> int:
         await server.serve_until_stopped()
 
     asyncio.run(runner())
-    stats = server.wall_stats()
-    payload: dict = {"wall": stats.to_dict(), "info": server.info()}
+    wall = server.wall_stats()
+    payload: dict = {"wall": wall.to_dict(), "info": server.info()}
     lines = [
-        f"wall clock: {stats.n_completed} completed | "
-        f"{stats.n_rejected} rejected | p50 "
-        f"{stats.p50_latency_s * 1e3:.3f} ms | p99 "
-        f"{stats.p99_latency_s * 1e3:.3f} ms | {stats.qps:.1f} QPS",
+        f"wall clock: {wall.n_offered} offered | {wall.n_queries} completed "
+        f"| {wall.n_rejected} rejected | {wall.n_failed} failed | "
+        f"{wall.n_errors} errors | p50 {wall.p50_latency_s * 1e3:.3f} ms | "
+        f"p99 {wall.p99_latency_s * 1e3:.3f} ms | {wall.qps:.1f} QPS",
     ]
-    if stats.n_offered:
+    try:
         _results, report = server.decision_report()
+    except ConfigurationError:
+        pass  # no request entered the decision stream
+    else:
         payload["decision"] = report.to_dict()
         lines.append(report.render())
     text = "\n".join(lines)
     print(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_outputs(args, text, payload)
     return 0
 
 
@@ -530,14 +531,7 @@ def _run_load_gen(args: argparse.Namespace) -> int:
     )
     text = result.render()
     print(text)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_outputs(args, text, result.to_dict())
     verdict = result.verify
     if verdict is not None and verdict.get("ok") and not verdict.get("equivalent"):
         print("load-gen: live decisions diverged from the simulator",
@@ -679,14 +673,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     print(text)
     print(f"wrote {out_path}", file=sys.stderr)
     print(f"[tune completed in {elapsed:.1f}s]", file=sys.stderr)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_outputs(args, text, payload)
     return 0
 
 
@@ -829,14 +816,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
     print(text)
     if args.save:
         print(f"wrote {args.save}", file=sys.stderr)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote {args.json}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
+    _write_outputs(args, text, payload)
     return 0
 
 
@@ -972,16 +952,13 @@ def main(argv: "list[str] | None" = None) -> int:
             f"unexpected positional arguments {args.rest}; only 'compile' "
             "and 'tune' take extra arguments"
         )
-    if args.experiment == "serve-bench":
-        return _run_serve_bench(args)
-    if args.experiment == "serve-live":
-        return _run_serve_live(args)
-    if args.experiment == "load-gen":
-        return _run_load_gen(args)
-    if args.experiment == "ingest":
-        return _run_ingest(args)
-    if args.experiment == "bench-all":
-        return _run_bench_all(args)
+    verbs = {
+        "serve-bench": _run_serve_bench, "serve-live": _run_serve_live,
+        "load-gen": _run_load_gen, "ingest": _run_ingest,
+        "bench-all": _run_bench_all,
+    }
+    if args.experiment in verbs:
+        return verbs[args.experiment](args)
     config = _make_config(args)
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 

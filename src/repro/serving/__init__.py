@@ -1,21 +1,27 @@
-"""Serving layer: sharded boards, micro-batching, and the cluster tier.
+"""Serving layer: sharded boards, the cluster tier and its live daemon.
 
-Everything above the single-board engine needed to model a production
-similarity-search service: :class:`~repro.serving.sharded.ShardedEngine`
-spreads one collection across N simulated boards with a scatter-gather
-merge, and :class:`~repro.serving.cluster.ClusterRuntime` — the one
-simulated serving loop — coalesces a timed query stream into micro-batches
+:class:`~repro.serving.sharded.ShardedEngine` spreads one collection across
+N simulated boards with a scatter-gather merge, and
+:class:`~repro.serving.cluster.ClusterRuntime` — the one simulated serving
+loop — coalesces a timed query stream into micro-batches
 (:class:`~repro.serving.batcher.BatchQueue`) for one or N replica engines
 behind pluggable routing (:mod:`repro.serving.router`), an exact-result LRU
 (:class:`~repro.serving.cache.QueryCache`) and bounded-queue admission
 control, as one deterministic event simulation reported by one
 :class:`~repro.serving.cluster.ClusterReport`.
+:class:`~repro.serving.live.LiveServer` serves the same decision core over
+a socket on a wall clock, and :func:`~repro.serving.loadgen.run_load_gen`
+drives it.  Every serving number — counts, rates, availability, p50/p99,
+QPS — comes from one :class:`~repro.serving.batcher.ServingMetrics`, of
+which the simulator's report, the daemon's ``wall_stats()`` and the load
+generator's :class:`~repro.serving.loadgen.LoadGenResult` are views.
 :mod:`repro.serving.bench` wires the stack into the ``serve-bench`` CLI.
 """
 
 from repro.serving.batcher import (
     BatchQueue,
     ServedBatch,
+    ServingMetrics,
     ServingReport,
     check_served_batch,
     poisson_arrivals,
@@ -23,12 +29,7 @@ from repro.serving.batcher import (
 from repro.serving.bench import ServeBenchConfig, run_serve_bench
 from repro.serving.cache import QueryCache, query_cache_key
 from repro.serving.cluster import ClusterReport, ClusterRuntime, RequestTrace
-from repro.serving.live import (
-    LiveServer,
-    LiveStats,
-    decisions_equivalent,
-    serve_collection,
-)
+from repro.serving.live import LiveServer, decisions_equivalent, serve_collection
 from repro.serving.loadgen import LoadGenResult, load_gen, run_load_gen
 from repro.serving.policy import ClusterPolicy
 from repro.serving.router import (
@@ -44,12 +45,12 @@ from repro.serving.sharded import BoardShard, ShardedEngine, ShardedResult
 __all__ = [
     "BatchQueue",
     "ServedBatch",
+    "ServingMetrics",
     "ServingReport",
     "check_served_batch",
     "poisson_arrivals",
     "ClusterPolicy",
     "LiveServer",
-    "LiveStats",
     "decisions_equivalent",
     "serve_collection",
     "LoadGenResult",

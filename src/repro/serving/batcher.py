@@ -1,4 +1,4 @@
-"""The micro-batching dispatch rule and the serving report's latency view.
+"""The micro-batching dispatch rule and the one serving metrics object.
 
 Deployments rarely see queries one at a time: a serving frontend coalesces
 requests that arrive close together into one batch so the board's scan
@@ -16,15 +16,20 @@ threads:
 
 The one event loop that drives it is
 :class:`~repro.serving.cluster.ClusterRuntime` (one queue per replica; a
-single board is a 1-replica cluster).  :class:`ServingReport` is the plain
-latency/batch view — per-request latencies and the derived p50/p99/QPS —
-used cluster-wide and per replica inside the persisted
-:class:`~repro.serving.cluster.ClusterReport`.
+single board is a 1-replica cluster).
+
+:class:`ServingMetrics` is the one place the serving stack turns outcomes
+into numbers — counts, reject/cache-hit rates, availability, p50/p99/mean
+latency and QPS.  It has three views: :class:`ServingReport` (the
+simulator's, cluster-wide and per replica inside the persisted
+:class:`~repro.serving.cluster.ClusterReport`), the live daemon's
+``LiveServer.wall_stats()`` and the load generator's
+:class:`~repro.serving.loadgen.LoadGenResult`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +39,22 @@ from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive_int
 
 __all__ = [
-    "poisson_arrivals",
-    "check_served_batch",
-    "BatchQueue",
-    "ServedBatch",
-    "ServingReport",
+    "SERVED", "CACHE_HIT", "REJECTED", "FAILED", "COMPLETED", "ERROR_PREFIX",
+    "LATENCY_KEYS", "poisson_arrivals", "check_served_batch", "percentile",
+    "share", "BatchQueue", "ServedBatch", "ServingMetrics", "ServingReport",
 ]
+
+#: Terminal outcomes of an offered request (``RequestTrace.status`` values).
+SERVED = "served"
+CACHE_HIT = "cache-hit"
+REJECTED = "rejected"
+#: Typed rejection of a request whose retry budget was exhausted by
+#: injected or real batch failures (never a silent drop or a hang).
+FAILED = "failed"
+#: The outcomes that carry a result, and so a latency.
+COMPLETED = (SERVED, CACHE_HIT)
+#: A live reply that was a typed error frame is the outcome ``error:<code>``.
+ERROR_PREFIX = "error:"
 
 
 def check_served_batch(served, n_members: int):
@@ -80,6 +95,16 @@ def poisson_arrivals(
     gaps = derive_rng(rng).exponential(1.0 / rate_qps, size=n)
     arrivals = np.cumsum(gaps)
     return arrivals - arrivals[0]
+
+
+def percentile(values, q: float) -> float:
+    """The ``q``-th percentile of a latency sample (0.0 when it is empty)."""
+    return float(np.percentile(values, q)) if len(values) else 0.0
+
+
+def share(count: int, total: int, empty: float = 0.0) -> float:
+    """``count / total``, or ``empty`` when the total is zero."""
+    return count / total if total else empty
 
 
 @dataclass(frozen=True)
@@ -202,18 +227,137 @@ class BatchQueue:
         return members
 
 
-@dataclass(frozen=True)
-class ServingReport:
-    """Latency/throughput summary of one simulated serving run."""
+#: The latency/throughput keys of :meth:`ServingMetrics.to_dict`.
+LATENCY_KEYS = (
+    "n_queries", "p50_latency_ms", "p99_latency_ms", "mean_latency_ms",
+    "qps", "span_s",
+)
 
+
+@dataclass(frozen=True)
+class ServingMetrics:
+    """What became of every offered request, and the numbers derived from it.
+
+    ``outcomes`` holds one terminal outcome per offered request —
+    ``served``, ``cache-hit``, ``rejected``, ``failed`` or, for a live reply
+    that was a typed error frame, ``error:<code>`` — and ``latencies_s``
+    one latency per completed (``served``/``cache-hit``) request.  The
+    caller supplies ``span_s`` and so keeps its own definition of the
+    measured interval.  Every count, rate, percentile and QPS figure the
+    serving stack reports is computed here, and :meth:`to_dict` is the one
+    shape they render to.
+    """
+
+    outcomes: "tuple[str, ...]"
     latencies_s: np.ndarray
-    batches: "tuple[ServedBatch, ...]"
     span_s: float
-    energy_j: float
+
+    def _count(self, outcome: str) -> int:
+        return sum(1 for o in self.outcomes if o == outcome)
+
+    @property
+    def n_offered(self) -> int:
+        """Every offered request, whatever became of it."""
+        return len(self.outcomes)
 
     @property
     def n_queries(self) -> int:
+        """Completed requests: engine-served plus cache hits."""
         return len(self.latencies_s)
+
+    @property
+    def n_served(self) -> int:
+        return self._count(SERVED)
+
+    @property
+    def n_cache_hits(self) -> int:
+        return self._count(CACHE_HIT)
+
+    @property
+    def n_rejected(self) -> int:
+        return self._count(REJECTED)
+
+    @property
+    def n_failed(self) -> int:
+        """Requests typed-failed after exhausting their retry budget."""
+        return self._count(FAILED)
+
+    @property
+    def error_codes(self) -> "dict[str, int]":
+        """Typed error replies keyed by their ``code``."""
+        errors = (o for o in self.outcomes if o.startswith(ERROR_PREFIX))
+        return dict(Counter(o[len(ERROR_PREFIX):] for o in errors))
+
+    @property
+    def n_errors(self) -> int:
+        return sum(self.error_codes.values())
+
+    @property
+    def reject_rate(self) -> float:
+        return share(self.n_rejected, self.n_offered)
+
+    @property
+    def cache_hit_rate(self) -> float:
+        return share(self.n_cache_hits, self.n_offered)
+
+    @property
+    def availability(self) -> float:
+        """Completed over offered (1.0 for an empty run): rejects, failures
+        and typed errors all count against it."""
+        return share(self.n_queries, self.n_offered, empty=1.0)
+
+    @property
+    def p50_latency_s(self) -> float:
+        return percentile(self.latencies_s, 50)
+
+    @property
+    def p99_latency_s(self) -> float:
+        return percentile(self.latencies_s, 99)
+
+    @property
+    def mean_latency_s(self) -> float:
+        return float(np.mean(self.latencies_s)) if self.n_queries else 0.0
+
+    @property
+    def qps(self) -> float:
+        """Completed requests per second over the span."""
+        return self.n_queries / self.span_s if self.span_s > 0.0 else 0.0
+
+    def to_dict(self) -> dict:
+        """JSON-ready summary: the shape every view's payload is cut from."""
+        return {
+            "n_queries": self.n_queries,
+            "n_offered": self.n_offered,
+            "n_served": self.n_served,
+            "n_cache_hits": self.n_cache_hits,
+            "n_rejected": self.n_rejected,
+            "n_failed": self.n_failed,
+            "n_errors": self.n_errors,
+            "error_codes": self.error_codes,
+            "reject_rate": self.reject_rate,
+            "cache_hit_rate": self.cache_hit_rate,
+            "availability": self.availability,
+            "p50_latency_ms": self.p50_latency_s * 1e3,
+            "p99_latency_ms": self.p99_latency_s * 1e3,
+            "mean_latency_ms": self.mean_latency_s * 1e3,
+            "qps": self.qps,
+            "span_s": self.span_s,
+        }
+
+    def view(self, *keys: str) -> dict:
+        """The named entries of :meth:`ServingMetrics.to_dict` (a view's
+        payload is a cut of the shared one, whatever it overrides)."""
+        shared = ServingMetrics.to_dict(self)
+        return {key: shared[key] for key in keys}
+
+
+@dataclass(frozen=True)
+class ServingReport(ServingMetrics):
+    """The simulator's view of one serving run: its metrics, batch log and
+    energy."""
+
+    batches: "tuple[ServedBatch, ...]"
+    energy_j: float
 
     @property
     def n_batches(self) -> int:
@@ -225,43 +369,13 @@ class ServingReport:
             return 0.0
         return float(np.mean([b.size for b in self.batches]))
 
-    @property
-    def p50_latency_s(self) -> float:
-        if self.n_queries == 0:
-            return 0.0
-        return float(np.percentile(self.latencies_s, 50))
-
-    @property
-    def p99_latency_s(self) -> float:
-        if self.n_queries == 0:
-            return 0.0
-        return float(np.percentile(self.latencies_s, 99))
-
-    @property
-    def mean_latency_s(self) -> float:
-        if self.n_queries == 0:
-            return 0.0
-        return float(np.mean(self.latencies_s))
-
-    @property
-    def qps(self) -> float:
-        """Completed queries per second over the busy span."""
-        if self.span_s <= 0.0:
-            return 0.0
-        return self.n_queries / self.span_s
-
     def to_dict(self) -> dict:
         """JSON-ready summary (used by the serve-bench CLI)."""
         return {
-            "n_queries": self.n_queries,
+            **self.view(*LATENCY_KEYS),
             "n_batches": self.n_batches,
             "mean_batch_size": self.mean_batch_size,
             "batch_sizes": [b.size for b in self.batches],
-            "p50_latency_ms": self.p50_latency_s * 1e3,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "mean_latency_ms": self.mean_latency_s * 1e3,
-            "qps": self.qps,
-            "span_s": self.span_s,
             "energy_j": self.energy_j,
         }
 

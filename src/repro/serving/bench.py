@@ -14,7 +14,6 @@ the raw numbers as JSON so successive PRs can track the serving trajectory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.serving.cluster import ClusterRuntime
 from repro.serving.sharded import ShardedEngine
 from repro.utils.rng import derive_rng, sample_unit_queries
 
-__all__ = ["ServeBenchConfig", "run_serve_bench"]
+__all__ = ["ServeBenchConfig", "build_runtime", "run_serve_bench"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,32 @@ def _build_collection(config: ServeBenchConfig):
     return compiled, config.design
 
 
+def build_runtime(
+    config: ServeBenchConfig, compiled, fault_plan=None, resilience=None
+) -> ClusterRuntime:
+    """``config.replicas`` sharded fleets over one compiled collection behind
+    one :class:`ClusterRuntime` (``serve-bench`` and ``serve-live`` alike)."""
+    return ClusterRuntime(
+        [
+            ShardedEngine(
+                compiled,
+                n_shards=config.n_shards,
+                cores_per_shard=config.cores_per_shard,
+                kernel=config.kernel,
+            )
+            for _ in range(config.replicas)
+        ],
+        router=config.router,
+        cache_size=config.cache_size or None,
+        max_batch_size=config.max_batch_size,
+        max_wait_s=config.max_wait_ms * 1e-3,
+        queue_capacity=config.queue_capacity,
+        router_seed=config.seed,
+        fault_plan=fault_plan,
+        resilience=resilience,
+    )
+
+
 def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
     """Run the serving simulation; returns (rendered report, JSON payload)."""
     from repro.errors import ConfigurationError
@@ -126,29 +151,11 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
     rng = derive_rng(config.seed)
     compiled, design_name = _build_collection(config)
     n_cols = compiled.n_cols
-
-    def make_fleet() -> ShardedEngine:
-        return ShardedEngine(
-            compiled,
-            n_shards=config.n_shards,
-            cores_per_shard=config.cores_per_shard,
-            kernel=config.kernel,
-        )
-
-    engine = make_fleet()
-    queries = sample_unit_queries(rng, config.n_queries, n_cols)
     # The runtime is built before the arrival process so its parameters are
     # validated first (a zero batch size must not surface as a rate error).
-    replicas = [engine] + [make_fleet() for _ in range(config.replicas - 1)]
-    runtime = ClusterRuntime(
-        replicas,
-        router=config.router,
-        cache_size=config.cache_size or None,
-        max_batch_size=config.max_batch_size,
-        max_wait_s=config.max_wait_ms * 1e-3,
-        queue_capacity=config.queue_capacity,
-        router_seed=config.seed,
-    )
+    runtime = build_runtime(config, compiled)
+    engine = runtime.replicas[0]
+    queries = sample_unit_queries(rng, config.n_queries, n_cols)
     rate = config.rate_qps
     if rate is None:
         # Offered load at ~80% of the deployment's *batch-amortised*
@@ -221,9 +228,3 @@ def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
         ]
     )
     return text, payload
-
-
-def write_json(payload: dict, path: str) -> None:
-    """Dump a serve-bench payload (small helper shared with the CLI)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)

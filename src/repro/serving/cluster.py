@@ -45,17 +45,19 @@ import numpy as np
 from repro.core.reference import TopKResult
 from repro.errors import ConfigurationError, FormatError
 from repro.formats.io import load_artifact, save_artifact
-from repro.serving.batcher import ServedBatch, ServingReport
-from repro.serving.cache import QueryCache, collection_version
-from repro.serving.faults import FaultPlan, ResilienceConfig
-from repro.serving.policy import (
+from repro.serving.batcher import (
     CACHE_HIT,
+    COMPLETED,
     FAILED,
     REJECTED,
     SERVED,
-    ClusterPolicy,
-    RequestTrace,
+    ServedBatch,
+    ServingReport,
+    share,
 )
+from repro.serving.cache import QueryCache, collection_version
+from repro.serving.faults import FaultPlan, ResilienceConfig
+from repro.serving.policy import ClusterPolicy, RequestTrace
 from repro.serving.router import Router, make_router
 from repro.utils.validation import check_positive_int
 
@@ -80,10 +82,12 @@ class ClusterReport(ServingReport):
     Its primary records are the trace, the batch log (``batches`` in the
     order they were recorded, ``batch_replica`` naming the replica that ran
     each) and the per-replica routed/rejected/span/energy counters.  Every
-    other view — the cluster-wide ``latencies_s`` (completed requests, cache
-    hits included, in request order) and ``energy_j``, and
-    ``replica_reports`` — is derived from those by :meth:`from_records`, the
-    one constructor both the runtime and :meth:`load` use.
+    other view — the cluster-wide ``outcomes`` (trace statuses) and
+    ``latencies_s`` (completed requests, cache hits included, in request
+    order) the :class:`~repro.serving.batcher.ServingMetrics` counts come
+    from, ``energy_j``, and ``replica_reports`` — is derived from those by
+    :meth:`from_records`, the one constructor both the runtime and
+    :meth:`load` use.
     """
 
     batch_replica: "tuple[int, ...]" = ()
@@ -115,7 +119,7 @@ class ClusterReport(ServingReport):
         """Build the report, deriving every view from the primary records."""
         by_rid = {t.request_id: t for t in trace}
         own_batches = [[] for _ in replica_span_s]
-        own_latencies = [[] for _ in replica_span_s]
+        own_delivered = [[] for _ in replica_span_s]
         delivered = set()
         for batch, r in zip(batches, batch_replica):
             own_batches[r].append(batch)
@@ -124,22 +128,24 @@ class ClusterReport(ServingReport):
                 # a later copy (a hedge twin) was discarded.
                 if rid not in delivered:
                     delivered.add(rid)
-                    own_latencies[r].append(by_rid[rid].latency_s)
+                    own_delivered[r].append(by_rid[rid])
         replica_reports = tuple(
             ServingReport(
-                latencies_s=np.array(latencies, dtype=np.float64),
-                batches=tuple(own),
+                outcomes=tuple(t.status for t in own),
+                latencies_s=np.array(
+                    [t.latency_s for t in own], dtype=np.float64
+                ),
+                batches=tuple(own_b),
                 span_s=float(span),
                 energy_j=float(energy),
             )
-            for own, latencies, span, energy in zip(
-                own_batches, own_latencies, replica_span_s, replica_energy_j
+            for own_b, own, span, energy in zip(
+                own_batches, own_delivered, replica_span_s, replica_energy_j
             )
         )
-        completed = [
-            t.latency_s for t in trace if t.status in (SERVED, CACHE_HIT)
-        ]
+        completed = [t.latency_s for t in trace if t.status in COMPLETED]
         return cls(
+            outcomes=tuple(t.status for t in trace),
             latencies_s=np.array(completed, dtype=np.float64),
             batches=tuple(batches),
             span_s=float(span_s),
@@ -157,72 +163,31 @@ class ClusterReport(ServingReport):
     def n_replicas(self) -> int:
         return len(self.replica_reports)
 
-    @property
-    def n_offered(self) -> int:
-        """Every request that arrived, completed or not."""
-        return len(self.trace)
-
-    @property
-    def n_rejected(self) -> int:
-        """Requests refused admission, counted from the trace like
-        :attr:`n_failed`: ``rejected_per_replica`` only sees a bounded
-        queue saying no, not a request that found the whole fleet down
-        (traced ``replica == -1``)."""
-        return sum(1 for t in self.trace if t.status == REJECTED)
-
-    @property
-    def n_failed(self) -> int:
-        """Requests typed-failed after exhausting their retry budget."""
-        return sum(1 for t in self.trace if t.status == FAILED)
-
-    @property
-    def n_cache_hits(self) -> int:
-        """Requests completed straight from the result cache."""
-        return sum(1 for t in self.trace if t.status == CACHE_HIT)
-
-    @property
-    def n_served(self) -> int:
-        """Requests served by an engine (completions minus cache hits)."""
-        return self.n_queries - self.n_cache_hits
-
-    @property
-    def reject_rate(self) -> float:
-        """Rejected over offered (0.0 for an empty run)."""
-        if not self.n_offered:
-            return 0.0
-        return self.n_rejected / self.n_offered
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Cache hits over offered requests (0.0 with the cache disabled)."""
-        if not self.n_offered:
-            return 0.0
-        return self.n_cache_hits / self.n_offered
-
     def to_dict(self) -> dict:
-        """JSON-ready summary: the base report plus a ``cluster`` section."""
+        """JSON-ready summary: the base report plus a ``cluster`` section.
+
+        Counts come from the trace, so ``n_rejected`` includes a request
+        that found the whole fleet down (traced ``replica == -1``), which
+        no replica's ``rejected`` counter sees; a replica's
+        ``reject_rate`` is over the requests routed to it.
+        """
         payload = super().to_dict()
         replicas = []
         for r, report in enumerate(self.replica_reports):
             entry = report.to_dict()
             entry["routed"] = self.routed_per_replica[r]
             entry["rejected"] = self.rejected_per_replica[r]
-            entry["reject_rate"] = (
-                self.rejected_per_replica[r] / self.routed_per_replica[r]
-                if self.routed_per_replica[r]
-                else 0.0
+            entry["reject_rate"] = share(
+                self.rejected_per_replica[r], self.routed_per_replica[r]
             )
             replicas.append(entry)
         payload["cluster"] = {
             "n_replicas": self.n_replicas,
-            "n_offered": self.n_offered,
-            "n_served": self.n_served,
-            "n_rejected": self.n_rejected,
-            "reject_rate": self.reject_rate,
-            "n_cache_hits": self.n_cache_hits,
-            "cache_hit_rate": self.cache_hit_rate,
+            **self.view(
+                "n_offered", "n_served", "n_rejected", "reject_rate",
+                "n_cache_hits", "cache_hit_rate", "n_failed",
+            ),
             "cache": self.cache_stats,
-            "n_failed": self.n_failed,
             "faults": self.fault_stats,
             "replicas": replicas,
         }
@@ -268,54 +233,31 @@ class ClusterReport(ServingReport):
     def save(self, path) -> str:
         """Persist the report as one digest-protected ``.npz`` artifact;
         returns the content digest."""
-        sizes = [b.size for b in self.batches]
+        batches, trace, replicas = self.batches, self.trace, self.replica_reports
+        f64, i64 = np.float64, np.int64
+        sizes = [b.size for b in batches]
         arrays = {
-            "batch_offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(
-                np.int64
-            ),
-            "batch_indices": np.array(
-                [i for b in self.batches for i in b.indices], dtype=np.int64
-            ),
-            "batch_dispatch_s": np.array(
-                [b.dispatch_s for b in self.batches], dtype=np.float64
-            ),
-            "batch_service_s": np.array(
-                [b.service_s for b in self.batches], dtype=np.float64
-            ),
-            "batch_replica": np.array(self.batch_replica, dtype=np.int64),
-            "span_s": np.array([self.span_s], dtype=np.float64),
-            "routed_per_replica": np.array(
-                self.routed_per_replica, dtype=np.int64
-            ),
-            "rejected_per_replica": np.array(
-                self.rejected_per_replica, dtype=np.int64
-            ),
-            "replica_span_s": np.array(
-                [r.span_s for r in self.replica_reports], dtype=np.float64
-            ),
-            "replica_energy_j": np.array(
-                [r.energy_j for r in self.replica_reports], dtype=np.float64
-            ),
-            "trace_request_id": np.array(
-                [t.request_id for t in self.trace], dtype=np.int64
-            ),
-            "trace_arrival_s": np.array(
-                [t.arrival_s for t in self.trace], dtype=np.float64
-            ),
+            "batch_offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(i64),
+            "batch_indices": np.array([i for b in batches for i in b.indices], i64),
+            "batch_dispatch_s": np.array([b.dispatch_s for b in batches], f64),
+            "batch_service_s": np.array([b.service_s for b in batches], f64),
+            "batch_replica": np.array(self.batch_replica, i64),
+            "span_s": np.array([self.span_s], f64),
+            "routed_per_replica": np.array(self.routed_per_replica, i64),
+            "rejected_per_replica": np.array(self.rejected_per_replica, i64),
+            "replica_span_s": np.array([r.span_s for r in replicas], f64),
+            "replica_energy_j": np.array([r.energy_j for r in replicas], f64),
+            "trace_request_id": np.array([t.request_id for t in trace], i64),
+            "trace_arrival_s": np.array([t.arrival_s for t in trace], f64),
             "trace_status": np.array(
-                [_STATUS_CODES[t.status] for t in self.trace], dtype=np.int8
+                [_STATUS_CODES[t.status] for t in trace], np.int8
             ),
-            "trace_replica": np.array(
-                [t.replica for t in self.trace], dtype=np.int64
-            ),
+            "trace_replica": np.array([t.replica for t in trace], i64),
         }
         for name in _TRACE_STAMPS:
+            stamps = [getattr(t, name) for t in trace]
             arrays[f"trace_{name}"] = np.array(
-                [
-                    np.nan if getattr(t, name) is None else getattr(t, name)
-                    for t in self.trace
-                ],
-                dtype=np.float64,
+                [np.nan if s is None else s for s in stamps], f64
             )
         # JSON round-trips Python floats exactly (shortest-repr), so the
         # cache and fault counters stay bit-identical through the header.
@@ -348,7 +290,7 @@ class ClusterReport(ServingReport):
             trace = []
             for pos, rid in enumerate(arrays["trace_request_id"]):
                 status = _STATUS_NAMES[int(arrays["trace_status"][pos])]
-                untimed = status in (REJECTED, FAILED)
+                untimed = status not in COMPLETED
                 stamps = {
                     name: None
                     if untimed

@@ -35,8 +35,10 @@ Three invariants make the lock hold under concurrency:
   would have seen.
 
 The wall-clock numbers (what a load test measures: real p50/p99/QPS,
-reject rate) are tracked separately from the virtual decision clock and
-reported by :meth:`LiveServer.wall_stats`; the virtual-clock
+reject rate, availability) are kept apart from the virtual decision clock:
+every reply to a query frame — results and typed errors alike — lands in
+one outcome log, which :meth:`LiveServer.wall_stats` turns into a
+:class:`~repro.serving.batcher.ServingMetrics`.  The virtual-clock
 :class:`~repro.serving.cluster.ClusterReport` comes from
 :meth:`LiveServer.decision_report`.
 
@@ -76,8 +78,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError, FormatError
+from repro.serving.batcher import COMPLETED, ERROR_PREFIX, ServingMetrics
 from repro.serving.cluster import ClusterRuntime
-from repro.serving.policy import FAILED, QUEUED, REJECTED
+from repro.serving.policy import QUEUED
 from repro.serving.protocol import (
     read_frame,
     result_to_wire,
@@ -88,10 +91,15 @@ from repro.utils.validation import check_positive_int
 
 __all__ = [
     "LiveServer",
-    "LiveStats",
     "decisions_equivalent",
     "serve_collection",
 ]
+
+#: Why an arrival was refused before admission, by error code.
+_REFUSALS = {
+    "overloaded": "server overloaded; retry later",
+    "shutting-down": "server is shutting down",
+}
 
 
 @dataclass
@@ -102,78 +110,6 @@ class _InFlight:
     dispatch_s: float
     members: "list[tuple[int, float]]"
     future: asyncio.Future
-
-
-@dataclass(frozen=True)
-class LiveStats:
-    """Wall-clock serving numbers of one live run (what a load test sees)."""
-
-    n_offered: int
-    n_completed: int
-    n_rejected: int
-    wall_latencies_s: np.ndarray
-    span_s: float
-    #: Typed ``overloaded`` errors returned before admission (load shed).
-    n_shed: int = 0
-    #: Typed ``deadline`` errors (the decision core still completed them).
-    n_deadline: int = 0
-
-    @property
-    def reject_rate(self) -> float:
-        if not self.n_offered:
-            return 0.0
-        return self.n_rejected / self.n_offered
-
-    @property
-    def availability(self) -> float:
-        """Completed over offered (1.0 for an empty run) — what a chaos
-        benchmark floors: typed rejects, sheds and deadline misses all
-        count against it, silent drops cannot exist to count."""
-        if not self.n_offered:
-            return 1.0
-        return self.n_completed / self.n_offered
-
-    @property
-    def p50_latency_s(self) -> float:
-        if not len(self.wall_latencies_s):
-            return 0.0
-        return float(np.percentile(self.wall_latencies_s, 50))
-
-    @property
-    def p99_latency_s(self) -> float:
-        if not len(self.wall_latencies_s):
-            return 0.0
-        return float(np.percentile(self.wall_latencies_s, 99))
-
-    @property
-    def mean_latency_s(self) -> float:
-        if not len(self.wall_latencies_s):
-            return 0.0
-        return float(np.mean(self.wall_latencies_s))
-
-    @property
-    def qps(self) -> float:
-        """Completed queries per wall second over the busy span."""
-        if self.span_s <= 0.0:
-            return 0.0
-        return self.n_completed / self.span_s
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary, keyed like a ``ServingReport`` dict."""
-        return {
-            "n_queries": self.n_completed,
-            "n_offered": self.n_offered,
-            "n_rejected": self.n_rejected,
-            "n_shed": self.n_shed,
-            "n_deadline": self.n_deadline,
-            "reject_rate": self.reject_rate,
-            "availability": self.availability,
-            "p50_latency_ms": self.p50_latency_s * 1e3,
-            "p99_latency_ms": self.p99_latency_s * 1e3,
-            "mean_latency_ms": self.mean_latency_s * 1e3,
-            "qps": self.qps,
-            "span_s": self.span_s,
-        }
 
 
 def decisions_equivalent(
@@ -187,40 +123,17 @@ def decisions_equivalent(
     returned Top-K down to the float bits.  Returns ``(ok, detail)`` where
     ``detail`` names the first divergence.
     """
-    if len(live_report.trace) != len(sim_report.trace):
-        return False, (
-            f"trace length {len(live_report.trace)} != {len(sim_report.trace)}"
-        )
-    for a, b in zip(live_report.trace, sim_report.trace):
-        if a != b:
-            return False, f"trace diverges at request {a.request_id}: {a} != {b}"
-    if live_report.batches != sim_report.batches:
-        n = min(len(live_report.batches), len(sim_report.batches))
-        for i in range(n):
-            if live_report.batches[i] != sim_report.batches[i]:
-                return False, (
-                    f"batch {i} diverges: {live_report.batches[i]} != "
-                    f"{sim_report.batches[i]}"
-                )
-        return False, (
-            f"batch count {len(live_report.batches)} != "
-            f"{len(sim_report.batches)}"
-        )
-    if live_report.routed_per_replica != sim_report.routed_per_replica:
-        return False, (
-            f"routing accounting diverges: {live_report.routed_per_replica} "
-            f"!= {sim_report.routed_per_replica}"
-        )
-    if live_report.rejected_per_replica != sim_report.rejected_per_replica:
-        return False, (
-            f"reject accounting diverges: {live_report.rejected_per_replica} "
-            f"!= {sim_report.rejected_per_replica}"
-        )
-    if live_report.cache_stats != sim_report.cache_stats:
-        return False, (
-            f"cache counters diverge: {live_report.cache_stats} != "
-            f"{sim_report.cache_stats}"
-        )
+    for name in ("trace", "batches"):
+        live, sim = getattr(live_report, name), getattr(sim_report, name)
+        if len(live) != len(sim):
+            return False, f"{name} length {len(live)} != {len(sim)}"
+        for i, (a, b) in enumerate(zip(live, sim)):
+            if a != b:
+                return False, f"{name} diverges at entry {i}: {a} != {b}"
+    for name in ("routed_per_replica", "rejected_per_replica", "cache_stats"):
+        live, sim = getattr(live_report, name), getattr(sim_report, name)
+        if live != sim:
+            return False, f"{name} diverges: {live} != {sim}"
     if len(live_results) != len(sim_results):
         return False, (
             f"result count {len(live_results)} != {len(sim_results)}"
@@ -324,13 +237,9 @@ class LiveServer:
         self._waiters: "dict[int, asyncio.Future]" = {}
         self._timer: "asyncio.TimerHandle | None" = None
         self._timer_at: "float | None" = None
-        # Wall-clock accounting (receipt/response instants per request).
-        self._wall_first: "float | None" = None
-        self._wall_last: "float | None" = None
-        self._wall_latencies: "list[float]" = []
-        self._wall_rejected = 0
-        self._wall_shed = 0
-        self._wall_deadline = 0
+        # Wall-clock accounting: one (outcome, receipt, response instant)
+        # per query reply sent; typed errors carry no response instant.
+        self._outcome_log: "list[tuple[str, float, float | None]]" = []
         self._tasks: "set[asyncio.Task]" = set()
         self._writers: "set[asyncio.StreamWriter]" = set()
 
@@ -642,7 +551,7 @@ class LiveServer:
         """
         async with self._lock:
             if self._stopping or self._failure is not None:
-                return None, "stopping", None
+                return None, "shutting-down", None
             if self.max_pending is not None:
                 pending = self._policy.n_queued + sum(
                     len(entry.members) for entry in self._inflight
@@ -661,7 +570,7 @@ class LiveServer:
             self._last_arrival_s = t
             await self._run_due(t, strict=True, settle_all=True)
             if self._stopping or self._failure is not None:
-                return None, "stopping", None
+                return None, "shutting-down", None
             status = self._policy.offer(rid, t, query)
             self._wake_done()
             waiter = None
@@ -752,7 +661,16 @@ class LiveServer:
         response = await self._serve_query(message, receipt)
         await self._respond(writer, write_lock, response)
 
+    def _error_reply(
+        self, receipt: float, client_id, code: str, error: str, **extra
+    ) -> dict:
+        """A typed error frame answering a query, logged like any reply."""
+        self._outcome_log.append((ERROR_PREFIX + code, receipt, None))
+        return {"op": "error", "id": client_id, "code": code, **extra,
+                "error": error}
+
     async def _serve_query(self, message: dict, receipt: float) -> dict:
+        """Answer one query frame; every reply lands in the outcome log."""
         client_id = message.get("id")
         raw = message.get("query")
         try:
@@ -760,26 +678,22 @@ class LiveServer:
         except (TypeError, ValueError):
             query = None
         if query is None or query.shape != (self.runtime.n_cols,):
-            return {
-                "op": "error", "id": client_id, "code": "bad-query",
-                "error": f"query must be a flat list of "
-                         f"{self.runtime.n_cols} numbers",
-            }
+            return self._error_reply(
+                receipt, client_id, "bad-query",
+                f"query must be a flat list of {self.runtime.n_cols} numbers",
+            )
         requested_k = message.get("top_k", self.top_k)
         if requested_k != self.top_k:
-            return {
-                "op": "error", "id": client_id, "code": "bad-top-k",
-                "error": f"this server serves top_k={self.top_k} "
-                         f"(got {requested_k}); restart to change K",
-            }
+            return self._error_reply(
+                receipt, client_id, "bad-top-k",
+                f"this server serves top_k={self.top_k} "
+                f"(got {requested_k}); restart to change K",
+            )
         rid, status, waiter = await self._admit(query)
         if rid is None:
-            if status == "overloaded":
-                self._wall_shed += 1
-                return {"op": "error", "id": client_id, "code": "overloaded",
-                        "error": "server overloaded; retry later"}
-            return {"op": "error", "id": client_id, "code": "shutting-down",
-                    "error": "server is shutting down"}
+            return self._error_reply(
+                receipt, client_id, status, _REFUSALS[status]
+            )
         if waiter is not None:
             try:
                 if self.deadline_s is not None:
@@ -792,35 +706,29 @@ class LiveServer:
                 else:
                     await waiter
             except asyncio.TimeoutError:
-                self._wall_deadline += 1
-                return {"op": "error", "id": client_id, "code": "deadline",
-                        "request_id": rid,
-                        "error": f"deadline of {self.deadline_s}s exceeded"}
+                return self._error_reply(
+                    receipt, client_id, "deadline",
+                    f"deadline of {self.deadline_s}s exceeded",
+                    request_id=rid,
+                )
             except BaseException as exc:
-                return {"op": "error", "id": client_id,
-                        "code": "engine-failure",
-                        "error": f"engine failure: {exc}"}
+                return self._error_reply(
+                    receipt, client_id, "engine-failure",
+                    f"engine failure: {exc}",
+                )
         trace = self._policy.traces[rid]
         done = self._loop.time()
-        wall_latency = done - receipt
-        if self._wall_first is None or receipt < self._wall_first:
-            self._wall_first = receipt
-        if self._wall_last is None or done > self._wall_last:
-            self._wall_last = done
+        self._outcome_log.append((trace.status, receipt, done))
         response = {
             "op": "result",
             "id": client_id,
             "request_id": rid,
             "status": trace.status,
-            "wall_latency_s": wall_latency,
+            "wall_latency_s": done - receipt,
             "virtual_latency_s": trace.latency_s,
         }
-        if trace.status in (REJECTED, FAILED):
-            self._wall_rejected += 1
-            return response
-        self._wall_latencies.append(wall_latency)
-        result = self._policy.results[rid]
-        response.update(result_to_wire(result))
+        if trace.status in COMPLETED:
+            response.update(result_to_wire(self._policy.results[rid]))
         return response
 
     # ------------------------------------------------------------------ #
@@ -862,22 +770,24 @@ class LiveServer:
             "wall": stats.to_dict(),
         }
 
-    def wall_stats(self) -> LiveStats:
-        """Wall-clock latencies/QPS/rejects observed so far."""
+    def wall_stats(self) -> ServingMetrics:
+        """The wall-clock metrics of every query reply sent so far.
+
+        The span runs from the earliest receipt to the latest response of
+        the ``result`` replies; typed error frames count but are untimed.
+        """
+        log = self._outcome_log
+        timed = [(receipt, done) for _, receipt, done in log if done is not None]
         span = 0.0
-        if self._wall_first is not None and self._wall_last is not None:
-            span = self._wall_last - self._wall_first
-        return LiveStats(
-            n_offered=(
-                len(self._wall_latencies) + self._wall_rejected
-                + self._wall_shed + self._wall_deadline
+        if timed:
+            span = max(done for _, done in timed) - min(r for r, _ in timed)
+        return ServingMetrics(
+            outcomes=tuple(outcome for outcome, _, _ in log),
+            latencies_s=np.array(
+                [done - r for outcome, r, done in log if outcome in COMPLETED],
+                dtype=np.float64,
             ),
-            n_completed=len(self._wall_latencies),
-            n_rejected=self._wall_rejected,
-            wall_latencies_s=np.asarray(self._wall_latencies, dtype=np.float64),
             span_s=float(span),
-            n_shed=self._wall_shed,
-            n_deadline=self._wall_deadline,
         )
 
     def decision_report(self):

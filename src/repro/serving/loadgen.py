@@ -2,12 +2,14 @@
 
 Opens one pipelined connection to a :class:`~repro.serving.live.LiveServer`,
 replays a seeded Poisson query stream *on the wall clock* (each send waits
-for its arrival offset), and collects what a load test actually measures:
-client round-trip p50/p99, achieved QPS, reject rate — plus the server-side
-wall and virtual latencies echoed in every response.  With ``verify=True``
-it finishes by asking the server to replay its recorded decision stream
-through a fresh simulator (the ``verify`` op) and carries the verdict in
-the result; with ``shutdown=True`` it stops the daemon afterwards.
+for its arrival offset), and collects what a load test actually measures —
+the outcome of every request and the completed requests' round trips, as
+a :class:`~repro.serving.batcher.ServingMetrics` view — plus the
+server-side wall and virtual latencies echoed in every response.  With
+``verify=True`` it finishes by asking the server to replay its recorded
+decision stream through a fresh simulator (the ``verify`` op) and carries
+the verdict in the result; with ``shutdown=True`` it stops the daemon
+afterwards.
 
 The stream is deterministic given ``seed`` (queries and arrival gaps), but
 the *timing* the server observes is real — two runs make the same requests,
@@ -23,7 +25,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError, FormatError
-from repro.serving.batcher import poisson_arrivals
+from repro.serving.batcher import (
+    COMPLETED,
+    ERROR_PREFIX,
+    LATENCY_KEYS,
+    ServingMetrics,
+    percentile,
+    poisson_arrivals,
+)
 from repro.serving.protocol import read_frame, write_frame
 from repro.utils.rng import derive_rng, sample_unit_queries
 from repro.utils.validation import check_positive_int
@@ -31,108 +40,37 @@ from repro.utils.validation import check_positive_int
 __all__ = ["LoadGenResult", "run_load_gen", "load_gen"]
 
 
-@dataclass
-class LoadGenResult:
-    """One load-generation run, client side."""
+def _p50_p99_ms(values: np.ndarray) -> dict:
+    return {
+        "p50_latency_ms": percentile(values, 50) * 1e3,
+        "p99_latency_ms": percentile(values, 99) * 1e3,
+    }
 
-    n_sent: int
-    statuses: "list[str]"
-    rtt_s: np.ndarray
+
+@dataclass(frozen=True)
+class LoadGenResult(ServingMetrics):
+    """One load-generation run, client side: the metrics of every reply
+    (``outcomes`` per request sent, ``latencies_s`` the completed requests'
+    round trips, ``span_s`` first send to last reply) plus what the server
+    echoed back and the ``info``/``verify`` frames."""
+
+    #: Server-side wall and virtual latencies of the completed requests.
     server_wall_s: np.ndarray
     virtual_s: np.ndarray
-    span_s: float
     info: dict = field(default_factory=dict)
     verify: "dict | None" = None
-
-    @property
-    def n_completed(self) -> int:
-        """Requests that came back with a result (served or cache hit)."""
-        return sum(s in ("served", "cache-hit") for s in self.statuses)
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(s == "rejected" for s in self.statuses)
-
-    @property
-    def n_failed(self) -> int:
-        """Typed ``failed`` results (retry budget exhausted server-side)."""
-        return sum(s == "failed" for s in self.statuses)
-
-    @property
-    def n_errors(self) -> int:
-        """Typed error frames (deadline, overloaded, shutting-down, ...)."""
-        return sum(s.startswith("error:") for s in self.statuses)
-
-    @property
-    def error_codes(self) -> "dict[str, int]":
-        """Typed-error counts keyed by the server's error ``code``."""
-        codes: "dict[str, int]" = {}
-        for s in self.statuses:
-            if s.startswith("error:"):
-                code = s.split(":", 1)[1]
-                codes[code] = codes.get(code, 0) + 1
-        return codes
-
-    @property
-    def n_cache_hits(self) -> int:
-        return sum(s == "cache-hit" for s in self.statuses)
-
-    @property
-    def reject_rate(self) -> float:
-        if not self.n_sent:
-            return 0.0
-        return self.n_rejected / self.n_sent
-
-    @property
-    def availability(self) -> float:
-        """Completed over sent (1.0 for an empty run): the chaos-benchmark
-        floor — typed rejects, failures and errors all count against it."""
-        if not self.n_sent:
-            return 1.0
-        return self.n_completed / self.n_sent
-
-    @property
-    def qps(self) -> float:
-        """Completed responses per wall second over the run's span."""
-        if self.span_s <= 0.0:
-            return 0.0
-        return self.n_completed / self.span_s
-
-    def _pct(self, array: np.ndarray, q: float) -> float:
-        if not len(array):
-            return 0.0
-        return float(np.percentile(array, q))
 
     def to_dict(self) -> dict:
         """JSON-ready summary, keyed like a cluster ``ServingReport``."""
         payload = {
-            "n_queries": self.n_completed,
-            "p50_latency_ms": self._pct(self.rtt_s, 50) * 1e3,
-            "p99_latency_ms": self._pct(self.rtt_s, 99) * 1e3,
-            "mean_latency_ms": (
-                float(np.mean(self.rtt_s)) * 1e3 if len(self.rtt_s) else 0.0
+            **self.view(*LATENCY_KEYS),
+            "cluster": self.view(
+                "n_offered", "n_served", "n_cache_hits", "n_rejected",
+                "n_failed", "n_errors", "error_codes", "reject_rate",
+                "availability",
             ),
-            "qps": self.qps,
-            "span_s": self.span_s,
-            "cluster": {
-                "n_offered": self.n_sent,
-                "n_served": self.n_completed - self.n_cache_hits,
-                "n_cache_hits": self.n_cache_hits,
-                "n_rejected": self.n_rejected,
-                "n_failed": self.n_failed,
-                "n_errors": self.n_errors,
-                "error_codes": self.error_codes,
-                "reject_rate": self.reject_rate,
-                "availability": self.availability,
-            },
-            "server_wall": {
-                "p50_latency_ms": self._pct(self.server_wall_s, 50) * 1e3,
-                "p99_latency_ms": self._pct(self.server_wall_s, 99) * 1e3,
-            },
-            "virtual": {
-                "p50_latency_ms": self._pct(self.virtual_s, 50) * 1e3,
-                "p99_latency_ms": self._pct(self.virtual_s, 99) * 1e3,
-            },
+            "server_wall": _p50_p99_ms(self.server_wall_s),
+            "virtual": _p50_p99_ms(self.virtual_s),
             "info": self.info,
         }
         if self.verify is not None:
@@ -141,17 +79,17 @@ class LoadGenResult:
 
     def render(self) -> str:
         """Human-readable block for CLI output."""
+        server = _p50_p99_ms(self.server_wall_s)
         lines = [
-            f"sent {self.n_sent} queries: {self.n_completed} completed "
+            f"sent {self.n_offered} queries: {self.n_queries} completed "
             f"({self.n_cache_hits} cache hits), {self.n_rejected} rejected "
             f"({self.reject_rate:.1%}), {self.n_failed} failed, "
             f"{self.n_errors} errors — availability {self.availability:.1%}",
-            f"client RTT p50 {self._pct(self.rtt_s, 50) * 1e3:.3f} ms | "
-            f"p99 {self._pct(self.rtt_s, 99) * 1e3:.3f} ms | "
+            f"client RTT p50 {self.p50_latency_s * 1e3:.3f} ms | "
+            f"p99 {self.p99_latency_s * 1e3:.3f} ms | "
             f"{self.qps:.1f} QPS over {self.span_s:.3f} s",
-            f"server wall p50 "
-            f"{self._pct(self.server_wall_s, 50) * 1e3:.3f} ms | "
-            f"p99 {self._pct(self.server_wall_s, 99) * 1e3:.3f} ms",
+            f"server wall p50 {server['p50_latency_ms']:.3f} ms | "
+            f"p99 {server['p99_latency_ms']:.3f} ms",
         ]
         if self.verify is not None:
             if not self.verify.get("ok", False):
@@ -244,7 +182,7 @@ async def run_load_gen(
                         )
                     i = int(message["id"])
                     recv_wall[i] = loop.time()
-                    statuses[i] = f"error:{message.get('code', 'unknown')}"
+                    statuses[i] = ERROR_PREFIX + message.get("code", "unknown")
                     continue
                 i = int(message["id"])
                 recv_wall[i] = loop.time()
@@ -258,11 +196,7 @@ async def run_load_gen(
             asyncio.gather(send_stream(), recv_stream()), timeout_s
         )
 
-        completed = np.array(
-            [s in ("served", "cache-hit") for s in statuses]
-        )
-        rtt = (recv_wall - send_wall)[completed]
-        span = float(recv_wall.max() - send_wall.min())
+        completed = np.array([s in COMPLETED for s in statuses])
 
         verdict = None
         if verify:
@@ -273,12 +207,11 @@ async def run_load_gen(
             await asyncio.wait_for(read_frame(reader), timeout_s)
 
         return LoadGenResult(
-            n_sent=n_queries,
-            statuses=statuses,
-            rtt_s=rtt,
+            outcomes=tuple(statuses),
+            latencies_s=(recv_wall - send_wall)[completed],
+            span_s=float(recv_wall.max() - send_wall.min()),
             server_wall_s=server_wall[completed],
             virtual_s=virtual[completed],
-            span_s=span,
             info=info,
             verify=verdict,
         )

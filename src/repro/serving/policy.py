@@ -57,7 +57,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serving.batcher import BatchQueue, ServedBatch, check_served_batch
+from repro.serving.batcher import (
+    CACHE_HIT,
+    FAILED,
+    REJECTED,
+    SERVED,
+    BatchQueue,
+    ServedBatch,
+    check_served_batch,
+)
 from repro.serving.cache import query_cache_key
 from repro.serving.faults import (
     DOWN,
@@ -78,14 +86,6 @@ __all__ = [
     "ClusterPolicy",
     "check_served_batch",
 ]
-
-#: ``RequestTrace.status`` values.
-SERVED = "served"
-CACHE_HIT = "cache-hit"
-REJECTED = "rejected"
-#: Typed rejection of a request whose retry budget was exhausted by
-#: injected or real batch failures (never a silent drop or a hang).
-FAILED = "failed"
 
 #: :meth:`ClusterPolicy.offer` outcome for a request that entered a queue
 #: (its trace is written later, at batch completion).
@@ -688,11 +688,6 @@ class ClusterPolicy:
     def n_queued(self) -> int:
         """Queue slots currently occupied (hedge duplicates included)."""
         return sum(s.queue.queued for s in self.states)
-
-    @property
-    def n_pending_events(self) -> int:
-        """Scheduled policy events (transitions, retries, hedges) not yet due."""
-        return len(self._events)
 
     def fault_stats(self) -> "dict | None":
         """Fault/recovery counters of the run (``None`` for a clean run)."""

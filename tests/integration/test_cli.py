@@ -110,6 +110,39 @@ class TestKernelFlag:
         assert json.loads(target.read_text())["config"]["kernel"] == "streaming"
 
 
+class TestServeBenchFlags:
+    def test_top_k_reaches_the_served_k(self, tmp_path, capsys):
+        import json
+
+        target = tmp_path / "serve.json"
+        assert main([
+            "serve-bench", "--rows", "600", "--cols", "64", "--avg-nnz", "6",
+            "--n-queries", "8", "--shards", "2", "--top-k", "25",
+            "--json", str(target),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "recall@25 vs exact" in out
+        assert json.loads(target.read_text())["config"]["top_k"] == 25
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--retries", "2"],
+            ["--backoff-ms", "1"],
+            ["--hedge-after-ms", "4"],
+            ["--deadline-ms", "50"],
+            ["--max-pending", "8"],
+            ["--max-frame-bytes", "4096"],
+            ["--fault-plan", "plan.json"],
+            ["--chaos-seed", "3", "--retries", "1"],
+        ],
+    )
+    def test_live_only_flags_are_refused(self, flags):
+        with pytest.raises(SystemExit, match=flags[0]) as excinfo:
+            main(["serve-bench", "--quick", *flags])
+        assert "serve-live" in str(excinfo.value)
+
+
 class TestBenchAll:
     def _fake_bench_dir(self, tmp_path, passing=True):
         bench_dir = tmp_path / "benchmarks"

@@ -8,6 +8,7 @@ find every decision identical.
 
 import asyncio
 import math
+from collections import Counter
 
 import pytest
 
@@ -75,8 +76,8 @@ class TestFailoverUnderPlan:
             return await _with_server(server, body)
 
         result, server = asyncio.run(run())
-        assert result.n_sent == 24
-        assert result.n_completed == 24          # failover rescued everything
+        assert result.n_offered == 24
+        assert result.n_queries == 24          # failover rescued everything
         assert result.availability == 1.0
         assert result.verify["ok"], result.verify
         assert result.verify["equivalent"], result.verify.get("detail")
@@ -117,7 +118,7 @@ class TestFailoverUnderPlan:
             return result
 
         result = asyncio.run(run())
-        assert result.n_completed + result.n_failed == 16  # all terminal
+        assert result.n_queries + result.n_failed == 16  # all terminal
         assert result.verify["equivalent"], result.verify.get("detail")
 
 
@@ -159,7 +160,8 @@ class TestDeadline:
         assert second["code"] == "deadline"
         assert second["id"] == 1
         assert "request_id" in second
-        assert stats["wall"]["n_deadline"] == 1
+        assert stats["wall"]["error_codes"] == {"deadline": 1}
+        assert stats["wall"]["n_offered"] == 2
         assert stats["wall"]["availability"] == 0.5
         # The drain completed the deadline-missed request in virtual time.
         _, report = server.decision_report()
@@ -189,12 +191,48 @@ class TestLoadShed:
 
         result = asyncio.run(run())
         assert result.error_codes.get("overloaded", 0) >= 1
-        assert result.n_completed >= 1
-        assert result.n_completed + result.n_errors == 8
+        assert result.n_queries >= 1
+        assert result.n_queries + result.n_errors == 8
         assert result.availability < 1.0
         assert result.verify["ok"], result.verify
         assert result.verify["equivalent"], result.verify.get("detail")
-        assert result.verify["checked"] == result.n_completed
+        assert result.verify["checked"] == result.n_queries
+
+
+class TestOneRunThreeViews:
+    def test_client_wall_and_decision_views_agree(self):
+        # Duplicate traffic against a cached replica, with a load-shed
+        # bound small enough that a burst is partly shed: the client's and
+        # the daemon's wall views are two views of the same replies, and
+        # the decision stream holds exactly the requests that were not
+        # refused before admission.
+        async def run():
+            runtime = ClusterRuntime(
+                [StubBatchEngine(base_s=0.05, per_query_s=0.0, n_cols=8,
+                                 digest="d")],
+                cache_size=16, max_batch_size=2, max_wait_s=0.0,
+            )
+            server = LiveServer(runtime, top_k=1, max_pending=3)
+
+            async def body(server):
+                return await run_load_gen(
+                    server.host, server.port, n_queries=32, rate_qps=400.0,
+                    seed=4, duplicate_fraction=0.5, verify=True,
+                )
+
+            result = await _with_server(server, body)
+            return result, server.wall_stats(), server.decision_report()[1]
+
+        client, wall, decision = asyncio.run(run())
+        assert wall.error_codes.get("overloaded", 0) >= 1  # some were shed
+        assert client.n_offered == wall.n_offered == 32
+        assert Counter(client.outcomes) == Counter(wall.outcomes)
+        assert client.availability == wall.availability
+        refused = wall.error_codes.get("overloaded", 0) + wall.error_codes.get(
+            "shutting-down", 0
+        )
+        assert decision.n_offered == wall.n_offered - refused
+        assert client.verify["equivalent"], client.verify.get("detail")
 
 
 class TestFrameBounds:

@@ -14,6 +14,7 @@ import pytest
 from serving_stubs import StubBatchEngine
 from repro.cli import build_parser
 from repro.data.synthetic import synthetic_embeddings
+from repro.errors import FormatError
 from repro.serving import ClusterRuntime, LiveServer, run_load_gen
 from repro.serving.live import serve_collection
 from repro.serving.protocol import read_frame, write_frame
@@ -67,8 +68,8 @@ class TestLoadGenAgainstRealEngines:
             return await _with_server(server, body)
 
         result = asyncio.run(run())
-        assert result.n_sent == 48
-        assert result.n_completed == 48  # unbounded queue: nothing rejected
+        assert result.n_offered == 48
+        assert result.n_queries == 48  # unbounded queue: nothing rejected
         assert result.verify is not None
         assert result.verify["ok"], result.verify
         assert result.verify["equivalent"], result.verify.get("detail")
@@ -99,7 +100,7 @@ class TestLoadGenAgainstRealEngines:
             return result
 
         result = asyncio.run(run())
-        assert result.n_completed == 8
+        assert result.n_queries == 8
 
 
 def _stub_runtime(base_s=0.5, n_replicas=1, **overrides):
@@ -133,10 +134,10 @@ class TestAdmissionControl:
 
         result = asyncio.run(run())
         assert result.n_rejected > 0
-        assert result.n_completed >= 1
+        assert result.n_queries >= 1
         assert result.verify["equivalent"], result.verify.get("detail")
         # Completed-request RTTs are recorded; rejects only count.
-        assert len(result.rtt_s) == result.n_completed
+        assert len(result.latencies_s) == result.n_queries
         # Virtual latencies reflect the modelled half-second batches even
         # though the wall run finishes in milliseconds.
         assert result.virtual_s.max() >= 0.5
@@ -360,12 +361,56 @@ class TestEngineFailure:
             await writer.wait_closed()
             server.request_stop()
             await serve_task  # no exception: the failure was absorbed
-            return reply
+            return reply, server.wall_stats()
 
-        reply = asyncio.run(run())
+        reply, wall = asyncio.run(run())
         assert reply["op"] == "result"
         assert reply["status"] == "failed"
         assert "indices" not in reply
+        # The wall view counts the typed failure as a failure, not a reject.
+        assert wall.n_offered == 1
+        assert wall.n_rejected == 0
+        assert wall.n_failed == 1
+        assert wall.availability == 0.0
+
+    def test_short_batch_is_counted_as_an_engine_failure(self):
+        # An engine returning fewer results than the batch has members
+        # poisons the run; the client's typed engine-failure reply must
+        # still be counted by the wall view, never dropped from it.
+        class ShortEngine(StubBatchEngine):
+            def query_batch(self, queries, top_k):
+                served = super().query_batch(queries, top_k)
+                return type(served)(served.topk[:-1], served.seconds,
+                                    served.energy_j)
+
+        async def run():
+            server = LiveServer(
+                ClusterRuntime([ShortEngine(n_cols=8)], max_batch_size=1,
+                               max_wait_s=0.0),
+                top_k=1,
+            )
+            await server.start()
+            serve_task = asyncio.create_task(server.serve_until_stopped())
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            await write_frame(
+                writer, {"op": "query", "id": 0, "query": [1.0] * 8}
+            )
+            reply = await read_frame(reader)
+            writer.close()
+            await writer.wait_closed()
+            server.request_stop()
+            with pytest.raises(FormatError, match="0 result"):
+                await serve_task  # the run was poisoned, and says so
+            return reply, server.wall_stats()
+
+        reply, wall = asyncio.run(run())
+        assert reply["op"] == "error"
+        assert reply["code"] == "engine-failure"
+        assert wall.n_offered == 1
+        assert wall.error_codes == {"engine-failure": 1}
+        assert wall.availability == 0.0
 
 
 class TestCliEndToEnd:
