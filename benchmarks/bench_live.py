@@ -17,8 +17,10 @@ import asyncio
 import json
 from pathlib import Path
 
+from repro import TopKSpmvEngine, compile_collection
 from repro.data.synthetic import synthetic_embeddings
-from repro.serving.live import serve_collection
+from repro.serving.cluster import ClusterRuntime
+from repro.serving.live import LiveServer
 from repro.serving.loadgen import run_load_gen
 
 N_QUERIES = 192
@@ -33,19 +35,17 @@ SEED = 46
 
 
 async def _bench() -> "tuple[dict, object]":
-    collection = synthetic_embeddings(
+    collection = compile_collection(synthetic_embeddings(
         n_rows=6000, n_cols=256, avg_nnz=12, distribution="uniform", seed=SEED
-    )
-    server = serve_collection(
-        collection,
-        n_replicas=N_REPLICAS,
-        top_k=TOP_K,
+    ))
+    runtime = ClusterRuntime(
+        [TopKSpmvEngine(collection) for _ in range(N_REPLICAS)],
         router="least-outstanding",
         cache_size=CACHE_SIZE,
         max_batch_size=MAX_BATCH,
         max_wait_s=MAX_WAIT_S,
-        warmup=True,
     )
+    server = LiveServer(runtime, top_k=TOP_K, warmup=True)
     await server.start()
     serve_task = asyncio.create_task(server.serve_until_stopped())
     try:

@@ -16,10 +16,9 @@ Run:  python examples/live_serve.py
 
 import asyncio
 
-from repro import compile_collection
+from repro import TopKSpmvEngine, compile_collection
 from repro.data import synthetic_embeddings
-from repro.serving.live import serve_collection
-from repro.serving.loadgen import run_load_gen
+from repro.serving import ClusterRuntime, LiveServer, run_load_gen
 
 N_ROWS = 6_000
 DIM = 256
@@ -32,15 +31,14 @@ async def main() -> None:
     collection = compile_collection(
         synthetic_embeddings(N_ROWS, DIM, avg_nnz=12, seed=7)
     )
-    server = serve_collection(
-        collection,
-        n_replicas=2,
-        top_k=10,
+    runtime = ClusterRuntime(
+        [TopKSpmvEngine(collection) for _ in range(2)],
         router="least-outstanding",
         cache_size=64,
         max_batch_size=8,
         max_wait_s=2e-3,
     )
+    server = LiveServer(runtime, top_k=10, warmup=True)
     await server.start()
     serve_task = asyncio.create_task(server.serve_until_stopped())
     print(f"live daemon up on {server.host}:{server.port} "

@@ -1,354 +1,288 @@
-"""Command-line interface: regenerate any table/figure of the paper.
+"""Command-line interface: regenerate any table/figure of the paper, and
+build, tune, mutate, serve and load-test collections.
 
-Usage::
+One subcommand per verb, and each verb accepts exactly the flags it reads:
+argparse refuses any other with exit code 2, naming it
+(``python -m repro VERB --help`` lists a verb's flags)::
 
-    python -m repro table1            # one experiment
-    python -m repro all               # everything (writes nothing)
-    python -m repro all -o EXPERIMENTS_RUN.md
-    python -m repro figure7 --quick   # reduced scale for a fast look
-    python -m repro serve-bench --shards 4 --batch-size 16 --json serve.json
-    python -m repro serve-bench --replicas 4 --router power-of-two \
-        --cache-size 256 --queue-capacity 32   # N replicas, cache, admission
-    python -m repro serve-bench --kernel contraction   # pick a SpMV kernel
-    python -m repro bench-all                 # every benchmark + summary
-    python -m repro serve-live --port 7777 --replicas 2 --cache-size 256
-    python -m repro load-gen --port 7777 --n-queries 256 --rate-qps 500 \
-        --duplicate-fraction 0.2 --shutdown   # real p50/p99/QPS + replay check
+    repro {table1,...,figure7,ablations,all} [--quick | --paper-scale]
+        [--seed N] [--rows N] [-o FILE]
+    repro compile {synthetic,zipf,glove} OUT.npz [DATASET]
+    repro tune [{synthetic,zipf,glove}] OUT.npz [--collection IN.npz]
+        [DATASET] [--partitions N] [--n-probes N] [--anneal-iters N]
+        [--no-measure] [--json PATH] [-o FILE]
+    repro ingest [--quick] [--collection PATH|DIR] [DATASET]
+        [--delta-frac F] [--updates N] [--deletes N] [--seal-rows N]
+        [--compact] [--save DIR] [--verify-queries Q] [--json PATH] [-o FILE]
+    repro serve-bench [--quick] [--collection PATH] [DATASET] [FLEET]
+        [--json PATH] [-o FILE]
+    repro serve-live [serve-bench's flags] [--host H] [--port P] [FAULTS]
+    repro load-gen --port P [--host H] [--n-queries N] [--rate-qps R]
+        [--seed N] [--duplicate-fraction F] [--no-verify] [--shutdown]
+        [--timeout-s S] [--json PATH] [-o FILE]
+    repro bench-all [--quick] [--only SUBSTRING] [--benchmarks-dir DIR]
+        [-o FILE]
+
+DATASET is ``--rows --cols --avg-nnz --design --seed``; FLEET is
+``--shards --cores-per-shard --kernel --replicas --router --cache-size
+--queue-capacity --batch-size --max-wait-ms --top-k --n-queries
+--rate-qps``; FAULTS is ``--retries --backoff-ms --hedge-after-ms
+--deadline-ms --max-pending --max-frame-bytes --fault-plan | --chaos-seed``.
+
+The DATASET and FLEET flags fill the fields of
+:class:`repro.serving.bench.ServingConfig` of the same name, the one home
+of every serving default: ``--quick`` scales those defaults down, and a
+flag given explicitly always wins.  ``--collection`` takes the dataset
+from a compiled artifact (``compile`` output, served with zero re-encode),
+so the DATASET flags it would override are refused beside it.
 
 ``serve-live``'s ``wall`` section and ``load-gen``'s report are two views of
 one :class:`repro.serving.batcher.ServingMetrics`: for one run they agree on
-every count and on availability.  The fault-tolerance flags configure
-``serve-live`` only; ``serve-bench`` refuses them.
-
-Build/serve split (the production workflow)::
-
-    python -m repro compile synthetic out.npz --rows 50000 --design 20b
-    python -m repro compile glove glove.npz --rows 20000
-    python -m repro serve-bench --collection out.npz --shards 4
-
-``compile`` runs the one-time build pipeline (partition + quantise + BS-CSR
-encode) and persists the artifact; ``serve-bench --collection`` restarts a
-serving fleet from it without re-encoding anything.
+every count and on availability.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 from repro.errors import ConfigurationError
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
+from repro.hw.design import PAPER_DESIGNS
+from repro.serving.bench import ServingConfig
+from repro.serving.faults import ResilienceConfig
+from repro.serving.loadgen import run_load_gen
+from repro.serving.router import ROUTERS
 
 __all__ = ["main", "build_parser", "consolidate_bench_results"]
 
+_SERVING_FIELDS = tuple(f.name for f in fields(ServingConfig))
+#: serve-live flag dests that are LiveServer / ResilienceConfig arguments.
+_DAEMON_ARGS = ("host", "port", "deadline_s", "max_pending", "max_frame_bytes")
+_RESILIENCE_ARGS = ("max_retries", "backoff_base_s", "hedge_after_s")
+#: Dataset flags a ``--collection`` artifact overrides.
+_ARTIFACT_FIELDS = ("rows", "cols", "avg_nnz", "design")
+_DATASETS = ("synthetic", "zipf", "glove")
+
+
+def _ms(text: str) -> float:
+    """A flag given in milliseconds, as seconds."""
+    return float(text) * 1e-3
+
+
+def _parent(**kwargs) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, **kwargs)
+
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for tests)."""
+    """The CLI argument parser, one subparser per verb (exposed for tests)."""
+    C, R = ServingConfig, ResilienceConfig
+    given_only = {"argument_default": argparse.SUPPRESS}
+
+    output = _parent()
+    output.add_argument("-o", "--output", metavar="FILE",
+                        help="also write the report to this file")
+    json_out = _parent()
+    json_out.add_argument("--json", metavar="PATH",
+                          help="also dump the numbers as JSON")
+    quick = _parent()
+    quick.add_argument("--quick", action="store_true",
+                       help="reduced scale for a fast run")
+    collection = _parent(**given_only)
+    collection.add_argument("--collection", metavar="PATH",
+                            help="start from a compiled artifact instead of "
+                            "building a synthetic dataset")
+
+    dataset = _parent(**given_only)
+    add = dataset.add_argument
+    add("--rows", type=int, help=f"rows to build (default {C.rows})")
+    add("--cols", type=int, help=f"embedding dimension (default {C.cols})")
+    add("--avg-nnz", type=int, help=f"non-zeros per row (default {C.avg_nnz})")
+    add("--design", choices=list(PAPER_DESIGNS),
+        help=f"accelerator design point (default {C.design})")
+    add("--seed", type=int, help=f"root seed (default {C.seed})")
+
+    fleet = _parent(**given_only)
+    add = fleet.add_argument
+    add("--shards", dest="n_shards", type=int,
+        help=f"simulated boards per replica (default {C.n_shards})")
+    add("--cores-per-shard", type=int, help="time each shard as a full board "
+        "with this many cores (default: deal the design's streams)")
+    add("--kernel", help="batch kernel: auto, gather, streaming, contraction "
+        "or native (default: $REPRO_KERNEL or auto); all bit-identical")
+    add("--replicas", type=int, help=f"replica fleets (default {C.replicas})")
+    add("--router", choices=list(ROUTERS),
+        help=f"routing policy (default {C.router})")
+    add("--cache-size", type=int,
+        help=f"exact-result LRU entries, 0 = off (default {C.cache_size})")
+    add("--queue-capacity", type=int,
+        help="queued requests per replica before rejects (default: no bound)")
+    add("--batch-size", dest="max_batch_size", type=int,
+        help=f"max requests per batch (default {C.max_batch_size})")
+    add("--max-wait-ms", type=float,
+        help=f"batching deadline in ms (default {C.max_wait_ms})")
+    add("--top-k", type=int, help=f"K of every request (default {C.top_k})")
+    add("--n-queries", type=int, help=f"stream length (default {C.n_queries}, "
+        f"{C().quick().n_queries} with --quick; serve-live: sizes the "
+        "--chaos-seed horizon)")
+    add("--rate-qps", type=float,
+        help="offered Poisson load (default ~80%% of fleet capacity)")
+
+    daemon = _parent(**given_only)
+    add = daemon.add_argument
+    add("--host", help="bind address (default 127.0.0.1)")
+    add("--port", type=int, help="port to bind (default: ephemeral)")
+    add("--retries", dest="max_retries", type=int, metavar="N",
+        help=f"re-dispatches per failed request (default {R.max_retries})")
+    add("--backoff-ms", dest="backoff_base_s", type=_ms, metavar="MS",
+        help=f"retry backoff base (default {R.backoff_base_s * 1e3})")
+    add("--hedge-after-ms", dest="hedge_after_s", type=_ms, metavar="MS",
+        help="hedge a request waiting this long (default: off)")
+    add("--deadline-ms", dest="deadline_s", type=_ms, metavar="MS",
+        help="per-request wall deadline (default: none)")
+    add("--max-pending", type=int, metavar="N",
+        help="load-shed bound on queued + in-flight (default: none)")
+    add("--max-frame-bytes", type=int, metavar="N",
+        help="per-frame wire cap (default: the protocol cap)")
+    plan = daemon.add_mutually_exclusive_group()
+    plan.add_argument("--fault-plan", metavar="PATH",
+                      help="replay a FaultPlan JSON file")
+    plan.add_argument("--chaos-seed", type=int, metavar="SEED",
+                      help="generate a seeded FaultPlan")
+
     parser = argparse.ArgumentParser(
         prog="repro",
-        description=(
-            "Reproduce tables and figures of 'Scaling up HBM Efficiency of "
-            "Top-K SpMV for Approximate Embedding Similarity on FPGAs' (DAC 2021)"
-        ),
+        description="Reproduce 'Scaling up HBM Efficiency of Top-K SpMV for "
+        "Approximate Embedding Similarity on FPGAs' (DAC 2021), and build, "
+        "serve and load-test collections",
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(ALL_EXPERIMENTS)
-        + ["all", "serve-bench", "compile", "tune", "bench-all", "ingest",
-           "serve-live", "load-gen"],
-        help="which experiment to regenerate (serve-bench runs the sharded "
-        "batch serving simulation; compile builds and saves a servable "
-        "collection artifact instead of a paper artifact; tune searches "
-        "row placements against the cost model + probe queries and saves "
-        "the winning layout; bench-all runs "
-        "every benchmarks/bench_*.py emitter and consolidates the results; "
-        "ingest drives a mutation workload through a segmented collection "
-        "and compares incremental ingest against a full recompile; "
-        "serve-live starts the asyncio serving daemon on a real socket; "
-        "load-gen drives a wall-clock Poisson stream at a running daemon)",
-    )
-    parser.add_argument(
-        "rest",
-        nargs="*",
-        metavar="ARG",
-        help="for compile/tune: <dataset> <out.npz> where dataset is "
-        "'synthetic', 'zipf' or 'glove'",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="reduced scale (fewer trials/queries/rows) for a fast run",
-    )
-    parser.add_argument(
-        "--paper-scale", action="store_true",
-        help="the paper's evaluation scale (30 queries; slower)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the root seed"
-    )
-    parser.add_argument(
-        "--rows", type=int, default=None,
-        help="override the functional matrix row count",
-    )
-    parser.add_argument(
-        "-o", "--output", type=str, default=None,
-        help="also write the report(s) to this file",
-    )
-    serving = parser.add_argument_group("serve-bench options")
-    serving.add_argument(
-        "--shards", type=int, default=4,
-        help="number of simulated boards to row-shard across (default 4)",
-    )
-    serving.add_argument(
-        "--cores-per-shard", type=int, default=None,
-        help="give each shard its own full board with this many cores "
-        "(default: spread the design's partition streams across shards)",
-    )
-    serving.add_argument(
-        "--batch-size", type=int, default=16,
-        help="max requests per dispatched batch on each replica (default 16)",
-    )
-    serving.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="batching deadline: the oldest queued request waits at most "
-        "this long before its batch dispatches, in ms (default 2.0)",
-    )
-    serving.add_argument(
-        "--n-queries", type=int, default=256,
-        help="length of the simulated query stream (default 256)",
-    )
-    serving.add_argument(
-        "--rate-qps", type=float, default=None,
-        help="offered Poisson load; default ~80%% of fleet scan capacity",
-    )
-    serving.add_argument(
-        "--design", type=str, default="20b",
-        choices=["20b", "25b", "32b", "f32"],
-        help="accelerator design point served (default 20b)",
-    )
-    serving.add_argument(
-        "--replicas", type=int, default=1,
-        help="replicate the sharded fleet N times behind the cluster "
-        "runtime (default 1: a 1-replica cluster)",
-    )
-    serving.add_argument(
-        "--router", type=str, default="round-robin",
-        choices=["round-robin", "least-outstanding", "power-of-two"],
-        help="cluster routing policy (default round-robin; with one "
-        "replica every policy picks it)",
-    )
-    serving.add_argument(
-        "--cache-size", type=int, default=0,
-        help="exact-result LRU cache capacity in entries (default 0: "
-        "disabled); hits are bit-identical to engine results",
-    )
-    serving.add_argument(
-        "--queue-capacity", type=int, default=None,
-        help="admission control: max queued requests per replica before "
-        "rejection (default: unbounded)",
-    )
-    serving.add_argument(
-        "--kernel", type=str, default=None,
-        help="batch-query kernel backend: auto, gather, streaming, "
-        "contraction or native (default: $REPRO_KERNEL or auto); every "
-        "backend is bit-identical — this only changes speed",
-    )
-    serving.add_argument(
-        "--json", type=str, default=None, metavar="PATH",
-        help="also dump the serve-bench numbers as JSON",
-    )
-    live = parser.add_argument_group("serve-live / load-gen options")
-    live.add_argument(
-        "--host", type=str, default="127.0.0.1",
-        help="bind/connect address for the live daemon (default 127.0.0.1)",
-    )
-    live.add_argument(
-        "--port", type=int, default=None,
-        help="serve-live: port to bind (default: ephemeral, printed at "
-        "startup); load-gen: port to connect to (required)",
-    )
-    live.add_argument(
-        "--top-k", type=int, default=10,
-        help="K every request is served at, by serve-bench and the live "
-        "daemon (default 10)",
-    )
-    live.add_argument(
-        "--duplicate-fraction", type=float, default=0.0,
-        help="load-gen: probability of resending an earlier query, to "
-        "exercise the exact-result cache (default 0.0)",
-    )
-    live.add_argument(
-        "--no-verify", action="store_true",
-        help="load-gen: skip the server-side replay equivalence check",
-    )
-    live.add_argument(
-        "--shutdown", action="store_true",
-        help="load-gen: stop the daemon after the run (the CI smoke path)",
-    )
-    live.add_argument(
-        "--timeout-s", type=float, default=120.0,
-        help="load-gen: overall client timeout in seconds (default 120)",
-    )
-    faults = parser.add_argument_group(
-        "fault tolerance options (serve-live only; see README)"
-    )
-    faults.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="max re-dispatch attempts per request after a replica failure "
-        "(default: the library default, 2)",
-    )
-    faults.add_argument(
-        "--backoff-ms", type=float, default=None, metavar="MS",
-        help="base of the seeded exponential retry backoff in ms "
-        "(default: the library default, 1.0)",
-    )
-    faults.add_argument(
-        "--hedge-after-ms", type=float, default=None, metavar="MS",
-        help="duplicate a request onto a second replica when its first "
-        "dispatch has waited this long (default: hedging off)",
-    )
-    faults.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request wall deadline; past it the client gets a typed "
-        "'deadline' error frame (default: none)",
-    )
-    faults.add_argument(
-        "--max-pending", type=int, default=None, metavar="N",
-        help="load-shed admission bound on queued + in-flight requests "
-        "(default: unbounded)",
-    )
-    faults.add_argument(
-        "--max-frame-bytes", type=int, default=None, metavar="N",
-        help="tighten the per-frame wire cap below the protocol-wide limit "
-        "(default: the protocol cap)",
-    )
-    faults.add_argument(
-        "--fault-plan", type=str, default=None, metavar="PATH",
-        help="replay a seeded fault-injection plan (JSON written by "
-        "FaultPlan.to_json or benchmarks/bench_chaos.py) against the "
-        "serving tier",
-    )
-    faults.add_argument(
-        "--chaos-seed", type=int, default=None, metavar="SEED",
-        help="generate a seeded FaultPlan (crashes + slow windows) instead "
-        "of loading one from --fault-plan",
-    )
-    bench_all = parser.add_argument_group("bench-all options")
-    bench_all.add_argument(
-        "--only", type=str, default=None, metavar="SUBSTRING",
-        help="run only the bench_*.py files whose name contains this",
-    )
-    bench_all.add_argument(
-        "--benchmarks-dir", type=str, default="benchmarks", metavar="DIR",
-        help="directory holding the bench_*.py emitters (default: benchmarks)",
-    )
-    serving.add_argument(
-        "--collection", type=str, default=None, metavar="PATH",
-        help="serve a compiled collection artifact (output of "
-        "'repro compile') instead of building a synthetic one; "
-        "--rows/--design are then taken from the artifact, whose buffers "
-        "are served as-is in either sharding mode)",
-    )
-    ingest = parser.add_argument_group("ingest options")
-    ingest.add_argument(
-        "--delta-frac", type=float, default=0.01,
-        help="ingested delta as a fraction of the base collection's rows "
-        "(default 0.01, the 1%% scenario the CI floor tracks)",
-    )
-    ingest.add_argument(
-        "--updates", type=int, default=0,
-        help="random row updates to apply after the ingest (default 0)",
-    )
-    ingest.add_argument(
-        "--deletes", type=int, default=0,
-        help="random row deletes to apply after the ingest (default 0)",
-    )
-    ingest.add_argument(
-        "--seal-rows", type=int, default=None,
-        help="delta-buffer seal threshold in live rows (default: the "
-        "library default)",
-    )
-    ingest.add_argument(
-        "--compact", action="store_true",
-        help="compact after the mutations and report the query-time change",
-    )
-    ingest.add_argument(
-        "--save", type=str, default=None, metavar="DIR",
-        help="persist the mutated collection as a segment-manifest directory",
-    )
-    ingest.add_argument(
-        "--verify-queries", type=int, default=8,
-        help="queries checked bit-identical against a fresh recompile of "
-        "the equivalent final matrix (default 8; 0 disables)",
-    )
-    tune = parser.add_argument_group("tune options")
-    tune.add_argument(
-        "--partitions", type=int, default=None,
-        help="HBM channels / partitions to place across (default: the "
-        "design's core count)",
-    )
-    tune.add_argument(
-        "--n-probes", type=int, default=32,
-        help="probe queries the skip estimator and measured ranking use "
-        "(default 32)",
-    )
-    tune.add_argument(
-        "--anneal-iters", type=int, default=64,
-        help="boundary-shift annealing iterations on the best candidate "
-        "(default 64; 0 disables)",
-    )
-    tune.add_argument(
-        "--no-measure", action="store_true",
-        help="rank by the cost model alone — skips the compile+sweep "
-        "calibration and finalist measurement (cheaper, less faithful)",
-    )
-    dataset_group = parser.add_argument_group(
-        "dataset options (compile, tune, serve-bench and ingest)"
-    )
-    dataset_group.add_argument(
-        "--cols", type=int, default=512,
-        help="embedding dimension of the built dataset (default 512)",
-    )
-    dataset_group.add_argument(
-        "--avg-nnz", type=int, default=20,
-        help="average non-zeros per row of the built dataset (default 20)",
-    )
+    verbs = parser.add_subparsers(dest="experiment", required=True,
+                                  metavar="VERB")
+    for name in sorted(ALL_EXPERIMENTS) + ["all"]:
+        verb = verbs.add_parser(name, parents=[output],
+                                help="regenerate a paper artifact (all: each)")
+        scale = verb.add_mutually_exclusive_group()
+        scale.add_argument("--quick", action="store_true",
+                           help="reduced scale (fewer trials/queries/rows)")
+        scale.add_argument("--paper-scale", action="store_true",
+                           help="the paper's evaluation scale (slower)")
+        verb.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                          help="override the root seed")
+        verb.add_argument("--rows", dest="functional_rows", type=int,
+                          default=argparse.SUPPRESS, metavar="ROWS",
+                          help="override the functional matrix row count")
+        verb.set_defaults(func=_run_experiments)
+
+    verb = verbs.add_parser("compile", parents=[dataset],
+                            help="build and save a servable collection")
+    verb.add_argument("dataset", choices=_DATASETS)
+    verb.add_argument("out", metavar="OUT.npz")
+    verb.set_defaults(func=_run_compile)
+
+    verb = verbs.add_parser("tune", help="search row placements, save the "
+                            "winning layout", parents=[collection, dataset,
+                                                       json_out, output])
+    add = verb.add_argument
+    add("dataset", nargs="?", choices=_DATASETS,
+        help="omit to re-place the --collection artifact")
+    add("out", metavar="OUT.npz")
+    add("--partitions", type=int,
+        help="HBM channels to place across (default: the design's cores)")
+    add("--n-probes", type=int, default=32,
+        help="probe queries ranking the candidates (default 32)")
+    add("--anneal-iters", type=int, default=64,
+        help="boundary-shift annealing iterations, 0 = off (default 64)")
+    add("--no-measure", action="store_true",
+        help="rank by the cost model alone (cheaper, less faithful)")
+    verb.set_defaults(func=_run_tune)
+
+    verb = verbs.add_parser("ingest", help="mutate a segmented collection, "
+                            "compare with a recompile", parents=[
+                                quick, collection, dataset, json_out, output])
+    add = verb.add_argument
+    add("--delta-frac", type=float, default=0.01,
+        help="ingested rows as a fraction of the base (default 0.01)")
+    add("--updates", type=int, default=0, help="random updates (default 0)")
+    add("--deletes", type=int, default=0, help="random deletes (default 0)")
+    add("--seal-rows", type=int,
+        help="delta-buffer seal threshold (default: the library's)")
+    add("--compact", action="store_true", help="compact afterwards, timed")
+    add("--save", metavar="DIR", help="persist as a segment manifest")
+    add("--verify-queries", type=int, default=8,
+        help="queries checked against a fresh recompile (default 8)")
+    verb.set_defaults(func=_run_ingest)
+
+    serving = [quick, collection, dataset, fleet, json_out, output]
+    verbs.add_parser(
+        "serve-bench", parents=serving, help="simulate batch serving"
+    ).set_defaults(func=_run_serve_bench)
+    verbs.add_parser(
+        "serve-live", parents=[*serving, daemon], help="serve on a socket"
+    ).set_defaults(func=_run_serve_live)
+
+    load = inspect.signature(run_load_gen).parameters
+    verb = verbs.add_parser("load-gen", parents=[json_out, output],
+                            help="drive a running daemon", **given_only)
+    add = verb.add_argument
+    add("--host", default="127.0.0.1", help="the daemon's address")
+    add("--port", type=int, required=True, help="the daemon's port")
+    for flag, kind, what in (
+        ("--n-queries", int, "stream length"),
+        ("--rate-qps", float, "offered Poisson rate"),
+        ("--seed", int, "stream seed"),
+        ("--duplicate-fraction", float, "share of resent earlier queries"),
+        ("--timeout-s", float, "client timeout"),
+    ):
+        default = load[flag[2:].replace("-", "_")].default
+        add(flag, type=kind, help=f"{what} (default {default})")
+    add("--no-verify", action="store_true", help="skip the replay check")
+    add("--shutdown", action="store_true", help="stop the daemon afterwards")
+    verb.set_defaults(func=_run_load_gen)
+
+    verb = verbs.add_parser("bench-all", parents=[quick, output],
+                            help="run every benchmarks/bench_*.py emitter")
+    verb.add_argument("--only", metavar="SUBSTRING",
+                      help="run only the files whose name contains this")
+    verb.add_argument("--benchmarks-dir", default="benchmarks", metavar="DIR",
+                      help="where the emitters live (default %(default)s)")
+    verb.set_defaults(func=_run_bench_all)
     return parser
 
 
-def _serve_bench_config(args: argparse.Namespace) -> "ServeBenchConfig":
-    from repro.serving.bench import ServeBenchConfig
+def _picked(args: argparse.Namespace, names) -> dict:
+    """The flags among ``names`` (dests) that were given explicitly."""
+    return {name: getattr(args, name) for name in names if name in args}
 
-    config = ServeBenchConfig(
-        design=args.design,
-        cols=args.cols,
-        avg_nnz=args.avg_nnz,
-        n_shards=args.shards,
-        cores_per_shard=args.cores_per_shard,
-        n_queries=args.n_queries,
-        top_k=args.top_k,
-        max_batch_size=args.batch_size,
-        max_wait_ms=args.max_wait_ms,
-        rate_qps=args.rate_qps,
-        seed=args.seed if args.seed is not None else 0,
-        collection=args.collection,
-        replicas=args.replicas,
-        router=args.router,
-        cache_size=args.cache_size,
-        queue_capacity=args.queue_capacity,
-        kernel=args.kernel,
-    )
-    if args.quick:
-        config = config.quick()
-    if args.rows is not None:
-        from dataclasses import replace
 
-        config = replace(config, rows=args.rows)
-    return config
+def _serving_config(
+    args: argparse.Namespace, overridden=_ARTIFACT_FIELDS, extra=()
+) -> ServingConfig:
+    """The :class:`ServingConfig` the flags describe.
+
+    ``--quick`` scales the defaults down and every flag given explicitly
+    wins over both.  Beside ``--collection``, the ``overridden`` dataset
+    flags (and ``extra`` arguments) would be silently ignored, so they are
+    refused.
+    """
+    given = _picked(args, _SERVING_FIELDS)
+    if "collection" in given:
+        clash = [*extra, *("--" + name.replace("_", "-")
+                           for name in overridden if name in given)]
+        if clash:
+            raise SystemExit(
+                "--collection takes the dataset from the artifact; drop "
+                + ", ".join(clash)
+            )
+    if getattr(args, "quick", False):
+        return replace(ServingConfig().quick(), **given)
+    return ServingConfig(**given)
 
 
 def _write_outputs(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -363,33 +297,11 @@ def _write_outputs(args: argparse.Namespace, text: str, payload: dict) -> None:
         print(f"wrote {args.output}", file=sys.stderr)
 
 
-#: Fault-tolerance flags only the live daemon reads.
-_SERVE_LIVE_ONLY = (
-    "retries", "backoff_ms", "hedge_after_ms", "deadline_ms", "max_pending",
-    "max_frame_bytes", "fault_plan", "chaos_seed",
-)
-
-
 def _run_serve_bench(args: argparse.Namespace) -> int:
     from repro.serving.bench import run_serve_bench
 
-    if args.paper_scale:
-        raise SystemExit(
-            "serve-bench has no paper-scale preset; size it with "
-            "--rows/--n-queries instead"
-        )
-    ignored = [
-        "--" + name.replace("_", "-")
-        for name in _SERVE_LIVE_ONLY
-        if getattr(args, name) is not None
-    ]
-    if ignored:
-        raise SystemExit(
-            f"serve-bench does not read {', '.join(ignored)}; the "
-            "fault-tolerance flags configure serve-live"
-        )
     started = time.perf_counter()
-    text, payload = run_serve_bench(_serve_bench_config(args))
+    text, payload = run_serve_bench(_serving_config(args))
     elapsed = time.perf_counter() - started
     print(text)
     print(f"[serve-bench completed in {elapsed:.1f}s]\n", file=sys.stderr)
@@ -397,52 +309,28 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fault_options(args: argparse.Namespace):
-    """(fault_plan, resilience) from the CLI fault-tolerance flags."""
-    from repro.serving.faults import FaultPlan, ResilienceConfig
+def _fault_options(args: argparse.Namespace, config: ServingConfig):
+    """(fault_plan, resilience) from the serve-live fault flags."""
+    from repro.serving.faults import FaultPlan
 
-    if args.fault_plan is not None and args.chaos_seed is not None:
-        raise SystemExit("--fault-plan and --chaos-seed are mutually exclusive")
     plan = None
-    if args.fault_plan is not None:
+    if "fault_plan" in args:
         with open(args.fault_plan, "r", encoding="utf-8") as handle:
             plan = FaultPlan.from_json(handle.read())
-    elif args.chaos_seed is not None:
-        # A virtual-time horizon wide enough to cover any realistic stream;
+    elif "chaos_seed" in args:
+        # A virtual-time horizon wide enough to cover any realistic stream,
+        # sized by the flags rather than by --quick's stream, and
         # deterministic in the seed, so a chaos run is replayable by flag.
+        n_queries = getattr(args, "n_queries", ServingConfig.n_queries)
         plan = FaultPlan.generate(
             seed=args.chaos_seed,
-            n_replicas=args.replicas,
-            horizon_s=max(1.0, args.n_queries / (args.rate_qps or 200.0)),
+            n_replicas=config.replicas,
+            horizon_s=max(1.0, n_queries / (config.rate_qps or 200.0)),
         )
-    knobs = (args.retries, args.backoff_ms, args.hedge_after_ms)
-    if plan is None and all(knob is None for knob in knobs):
+    knobs = _picked(args, _RESILIENCE_ARGS)
+    if plan is None and not knobs:
         return None, None
-    defaults = ResilienceConfig()
-    return plan, ResilienceConfig(
-        max_retries=(
-            defaults.max_retries if args.retries is None else args.retries
-        ),
-        backoff_base_s=(
-            defaults.backoff_base_s
-            if args.backoff_ms is None
-            else args.backoff_ms * 1e-3
-        ),
-        hedge_after_s=(
-            None if args.hedge_after_ms is None else args.hedge_after_ms * 1e-3
-        ),
-        seed=args.seed if args.seed is not None else 0,
-    )
-
-
-def _build_live_runtime(args: argparse.Namespace):
-    """One configured ClusterRuntime for serve-live (bench-config reuse)."""
-    from repro.serving.bench import _build_collection, build_runtime
-
-    config = _serve_bench_config(args)
-    fault_plan, resilience = _fault_options(args)
-    compiled, _design_name = _build_collection(config)
-    return build_runtime(config, compiled, fault_plan, resilience)
+    return plan, ResilienceConfig(**knobs, seed=config.seed)
 
 
 def _run_serve_live(args: argparse.Namespace) -> int:
@@ -450,9 +338,12 @@ def _run_serve_live(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
+    from repro.serving.bench import _build_collection, build_runtime
     from repro.serving.live import LiveServer
 
-    runtime = _build_live_runtime(args)
+    config = _serving_config(args)
+    compiled, _design_name = _build_collection(config)
+    runtime = build_runtime(config, compiled, *_fault_options(args, config))
     if runtime.fault_plan is not None and not runtime.fault_plan.is_empty:
         plan = runtime.fault_plan
         print(
@@ -462,16 +353,8 @@ def _run_serve_live(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     server = LiveServer(
-        runtime,
-        top_k=args.top_k,
-        host=args.host,
-        port=args.port if args.port is not None else 0,
-        warmup=True,
-        deadline_s=(
-            None if args.deadline_ms is None else args.deadline_ms * 1e-3
-        ),
-        max_pending=args.max_pending,
-        max_frame_bytes=args.max_frame_bytes,
+        runtime, top_k=config.top_k, warmup=True,
+        **_picked(args, _DAEMON_ARGS),
     )
 
     async def runner() -> None:
@@ -516,18 +399,9 @@ def _run_load_gen(args: argparse.Namespace) -> int:
     """Drive one wall-clock stream at a running daemon; report the numbers."""
     from repro.serving.loadgen import load_gen
 
-    if args.port is None:
-        raise SystemExit("load-gen needs --port (the daemon's port)")
+    parameters = inspect.signature(run_load_gen).parameters
     result = load_gen(
-        args.host,
-        args.port,
-        n_queries=args.n_queries,
-        rate_qps=args.rate_qps if args.rate_qps is not None else 200.0,
-        seed=args.seed if args.seed is not None else 0,
-        duplicate_fraction=args.duplicate_fraction,
-        verify=not args.no_verify,
-        shutdown=args.shutdown,
-        timeout_s=args.timeout_s,
+        **_picked(args, parameters), verify="no_verify" not in args
     )
     text = result.render()
     print(text)
@@ -540,57 +414,41 @@ def _run_load_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cli_matrix(dataset: str, args: argparse.Namespace):
+def _build_cli_matrix(dataset: str, config: ServingConfig):
     """The compile/tune dataset builders (synthetic | zipf | glove)."""
-    rows = args.rows if args.rows is not None else 20_000
-    seed = args.seed if args.seed is not None else 0
+    shape = dict(n_rows=config.rows, n_cols=config.cols,
+                 avg_nnz=config.avg_nnz, seed=config.seed)
     if dataset == "synthetic":
         from repro.data.synthetic import synthetic_embeddings
 
-        return synthetic_embeddings(
-            n_rows=rows, n_cols=args.cols, avg_nnz=args.avg_nnz,
-            distribution="uniform", seed=seed,
-        )
+        return synthetic_embeddings(distribution="uniform", **shape)
     if dataset == "zipf":
         from repro.data.synthetic import zipf_embeddings
 
-        return zipf_embeddings(
-            n_rows=rows, n_cols=args.cols, avg_nnz=args.avg_nnz, seed=seed,
-        )
-    if dataset == "glove":
-        from repro.data.glove import sparsified_glove_embeddings
+        return zipf_embeddings(**shape)
+    from repro.data.glove import sparsified_glove_embeddings
 
-        if args.cols < 2 * args.avg_nnz:
-            raise SystemExit(
-                f"glove needs --cols >= 2*avg-nnz ({2 * args.avg_nnz}) so the "
-                "sparse dictionary has enough atoms; got --cols "
-                f"{args.cols} with --avg-nnz {args.avg_nnz}"
-            )
-        return sparsified_glove_embeddings(
-            n_rows=rows, n_cols=args.cols, avg_nnz=args.avg_nnz, seed=seed,
+    if config.cols < 2 * config.avg_nnz:
+        raise SystemExit(
+            f"glove needs --cols >= 2*avg-nnz ({2 * config.avg_nnz}) so the "
+            "sparse dictionary has enough atoms; got --cols "
+            f"{config.cols} with --avg-nnz {config.avg_nnz}"
         )
-    raise SystemExit(
-        f"unknown dataset {dataset!r}; expected 'synthetic', 'zipf' or 'glove'"
-    )
+    return sparsified_glove_embeddings(**shape)
 
 
 def _run_compile(args: argparse.Namespace) -> int:
     from repro.core.collection import compile_collection
     from repro.hw.design import design_by_name
 
-    if len(args.rest) != 2:
-        raise SystemExit(
-            "usage: repro compile <dataset> <out.npz>  "
-            "(dataset: 'synthetic', 'zipf' or 'glove')"
-        )
-    dataset, out_path = args.rest
+    config = _serving_config(args)
     started = time.perf_counter()
-    matrix = _build_cli_matrix(dataset, args)
-    collection = compile_collection(matrix, design_by_name(args.design))
-    collection.save(out_path)
+    matrix = _build_cli_matrix(args.dataset, config)
+    collection = compile_collection(matrix, design_by_name(config.design))
+    collection.save(args.out)
     elapsed = time.perf_counter() - started
     print(collection.describe())
-    print(f"wrote {out_path}", file=sys.stderr)
+    print(f"wrote {args.out}", file=sys.stderr)
     print(f"[compile completed in {elapsed:.1f}s]", file=sys.stderr)
     return 0
 
@@ -601,34 +459,29 @@ def _run_tune(args: argparse.Namespace) -> int:
     from repro.core.tune import tune_placement
     from repro.hw.design import design_by_name
 
-    if not (
-        len(args.rest) == 2
-        or (args.collection is not None and len(args.rest) == 1)
-    ):
-        raise SystemExit(
-            "usage: repro tune <dataset> <out.npz>  "
-            "(dataset: 'synthetic', 'zipf' or 'glove'), or "
-            "repro tune <out.npz> --collection in.npz to re-place an "
-            "existing artifact"
-        )
-    dataset, out_path = (
-        args.rest if len(args.rest) == 2 else (None, args.rest[0])
+    config = _serving_config(
+        args, extra=[f"DATASET {args.dataset!r}"] if args.dataset else []
     )
     started = time.perf_counter()
-    if args.collection is not None:
+    if config.collection is not None:
         from repro.core.collection import CompiledCollection
 
-        source = CompiledCollection.load(args.collection)
+        source = CompiledCollection.load(config.collection)
         matrix, design = source.matrix, source.design
+    elif args.dataset is None:
+        raise SystemExit(
+            "tune needs a DATASET ('synthetic', 'zipf' or 'glove'), or "
+            "--collection IN.npz to re-place an existing artifact"
+        )
     else:
-        matrix = _build_cli_matrix(dataset, args)
-        design = design_by_name(args.design)
+        matrix = _build_cli_matrix(args.dataset, config)
+        design = design_by_name(config.design)
     report = tune_placement(
         matrix,
         design,
         n_partitions=args.partitions,
         n_probes=args.n_probes,
-        seed=args.seed if args.seed is not None else 0,
+        seed=config.seed,
         anneal_iters=args.anneal_iters,
         measure=not args.no_measure,
     )
@@ -638,7 +491,7 @@ def _run_tune(args: argparse.Namespace) -> int:
         n_partitions=args.partitions,
         placement=report.placement,
     )
-    collection.save(out_path)
+    collection.save(args.out)
     elapsed = time.perf_counter() - started
 
     header = (
@@ -671,7 +524,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     lines.append(collection.describe())
     text = "\n".join(lines)
     print(text)
-    print(f"wrote {out_path}", file=sys.stderr)
+    print(f"wrote {args.out}", file=sys.stderr)
     print(f"[tune completed in {elapsed:.1f}s]", file=sys.stderr)
     _write_outputs(args, text, payload)
     return 0
@@ -685,7 +538,8 @@ def _run_ingest(args: argparse.Namespace) -> int:
     ``compile_collection`` of the equivalent final matrix — the number the
     segmented layer exists to beat.  A handful of queries are checked
     bit-identical against that fresh recompile, so the run doubles as an
-    end-to-end equivalence smoke.
+    end-to-end equivalence smoke.  ``--avg-nnz`` sizes the delta rows, so
+    it stays valid beside ``--collection``.
     """
     import numpy as np
 
@@ -697,23 +551,23 @@ def _run_ingest(args: argparse.Namespace) -> int:
 
     from repro.utils.validation import check_positive_int
 
-    seed = args.seed if args.seed is not None else 0
+    config = _serving_config(args, overridden=("rows", "cols", "design"))
+    seed = config.seed
     seal_rows = check_positive_int(
         args.seal_rows if args.seal_rows is not None else DEFAULT_SEAL_ROWS,
         "seal_rows",
     )
     started = time.perf_counter()
-    if args.collection is not None:
-        collection = SegmentedCollection.load(args.collection)
+    if config.collection is not None:
+        collection = SegmentedCollection.load(config.collection)
         collection.seal_rows = seal_rows
     else:
-        rows = args.rows if args.rows is not None else (4000 if args.quick else 20_000)
         base = synthetic_embeddings(
-            n_rows=rows, n_cols=args.cols, avg_nnz=args.avg_nnz,
+            n_rows=config.rows, n_cols=config.cols, avg_nnz=config.avg_nnz,
             distribution="uniform", seed=seed,
         )
         collection = SegmentedCollection.from_matrix(
-            base, design_by_name(args.design), seal_rows=seal_rows
+            base, design_by_name(config.design), seal_rows=seal_rows
         )
     build_s = time.perf_counter() - started
     n_base = collection.n_live
@@ -722,7 +576,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
     rng = derive_rng(seed + 1)
     n_delta = max(1, int(round(args.delta_frac * n_base)))
     delta = synthetic_embeddings(
-        n_rows=n_delta, n_cols=n_cols, avg_nnz=args.avg_nnz,
+        n_rows=n_delta, n_cols=n_cols, avg_nnz=config.avg_nnz,
         distribution="uniform", seed=seed + 2,
     )
     started = time.perf_counter()
@@ -732,7 +586,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
     n_updates = min(args.updates, collection.n_live)
     for key in rng.choice(collection.live_keys(), size=n_updates, replace=False):
         dense = np.zeros(n_cols)
-        cols = rng.choice(n_cols, size=min(args.avg_nnz, n_cols), replace=False)
+        cols = rng.choice(n_cols, size=min(config.avg_nnz, n_cols), replace=False)
         dense[np.sort(cols)] = rng.random(len(cols))
         collection.update(int(key), dense)
     n_deletes = min(args.deletes, collection.n_live)
@@ -919,47 +773,14 @@ def _run_bench_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_config(args: argparse.Namespace) -> ExperimentConfig:
+def _run_experiments(args: argparse.Namespace) -> int:
     if args.quick:
         config = ExperimentConfig.quick()
     elif args.paper_scale:
         config = ExperimentConfig.paper()
     else:
         config = ExperimentConfig()
-    if args.seed is not None:
-        config = ExperimentConfig(
-            seed=args.seed,
-            monte_carlo_trials=config.monte_carlo_trials,
-            queries=config.queries,
-            functional_rows=config.functional_rows,
-        )
-    if args.rows is not None:
-        config = config.with_rows(args.rows)
-    return config
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.quick and args.paper_scale:
-        raise SystemExit("--quick and --paper-scale are mutually exclusive")
-    if args.experiment == "compile":
-        return _run_compile(args)
-    if args.experiment == "tune":
-        return _run_tune(args)
-    if args.rest:
-        raise SystemExit(
-            f"unexpected positional arguments {args.rest}; only 'compile' "
-            "and 'tune' take extra arguments"
-        )
-    verbs = {
-        "serve-bench": _run_serve_bench, "serve-live": _run_serve_live,
-        "load-gen": _run_load_gen, "ingest": _run_ingest,
-        "bench-all": _run_bench_all,
-    }
-    if args.experiment in verbs:
-        return verbs[args.experiment](args)
-    config = _make_config(args)
+    config = replace(config, **_picked(args, ("seed", "functional_rows")))
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     blocks = []
@@ -977,6 +798,12 @@ def main(argv: "list[str] | None" = None) -> int:
             handle.write("\n\n".join(blocks))
         print(f"wrote {args.output}", file=sys.stderr)
     return 0
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,12 +10,16 @@ behind pluggable routing (:mod:`repro.serving.router`), an exact-result LRU
 control, as one deterministic event simulation reported by one
 :class:`~repro.serving.cluster.ClusterReport`.
 :class:`~repro.serving.live.LiveServer` serves the same decision core over
-a socket on a wall clock, and :func:`~repro.serving.loadgen.run_load_gen`
-drives it.  Every serving number — counts, rates, availability, p50/p99,
-QPS — comes from one :class:`~repro.serving.batcher.ServingMetrics`, of
-which the simulator's report, the daemon's ``wall_stats()`` and the load
-generator's :class:`~repro.serving.loadgen.LoadGenResult` are views.
-:mod:`repro.serving.bench` wires the stack into the ``serve-bench`` CLI.
+a socket on a wall clock — build the ``ClusterRuntime`` and wrap it,
+``LiveServer(runtime, top_k=...)`` — and
+:func:`~repro.serving.loadgen.run_load_gen` drives it.  Every serving
+number — counts, rates, availability, p50/p99, QPS — comes from one
+:class:`~repro.serving.batcher.ServingMetrics`, of which the simulator's
+report, the daemon's ``wall_stats()`` and the load generator's
+:class:`~repro.serving.loadgen.LoadGenResult` are views.  One
+:class:`~repro.serving.bench.ServingConfig` holds every knob (and default)
+of a served fleet; the ``serve-bench`` and ``serve-live`` CLI verbs both
+build from it.
 """
 
 from repro.serving.batcher import (
@@ -26,10 +30,10 @@ from repro.serving.batcher import (
     check_served_batch,
     poisson_arrivals,
 )
-from repro.serving.bench import ServeBenchConfig, run_serve_bench
+from repro.serving.bench import ServingConfig, run_serve_bench
 from repro.serving.cache import QueryCache, query_cache_key
 from repro.serving.cluster import ClusterReport, ClusterRuntime, RequestTrace
-from repro.serving.live import LiveServer, decisions_equivalent, serve_collection
+from repro.serving.live import LiveServer, decisions_equivalent
 from repro.serving.loadgen import LoadGenResult, load_gen, run_load_gen
 from repro.serving.policy import ClusterPolicy
 from repro.serving.router import (
@@ -52,11 +56,10 @@ __all__ = [
     "ClusterPolicy",
     "LiveServer",
     "decisions_equivalent",
-    "serve_collection",
     "LoadGenResult",
     "load_gen",
     "run_load_gen",
-    "ServeBenchConfig",
+    "ServingConfig",
     "run_serve_bench",
     "QueryCache",
     "query_cache_key",

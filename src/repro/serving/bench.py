@@ -26,12 +26,17 @@ from repro.serving.cluster import ClusterRuntime
 from repro.serving.sharded import ShardedEngine
 from repro.utils.rng import derive_rng, sample_unit_queries
 
-__all__ = ["ServeBenchConfig", "build_runtime", "run_serve_bench"]
+__all__ = ["ServingConfig", "build_runtime", "run_serve_bench"]
 
 
 @dataclass(frozen=True)
-class ServeBenchConfig:
-    """Knobs of one serve-bench run (defaults are CLI-speed friendly).
+class ServingConfig:
+    """Knobs of one served fleet, simulated or live (defaults are CLI-speed
+    friendly).
+
+    The one home of every serving default: the ``serve-bench`` and
+    ``serve-live`` flags map onto these fields by name and declare no
+    default of their own.
 
     ``collection`` names a compiled artifact (``repro compile`` output); when
     set, the serving fleet is constructed straight from the loaded buffers —
@@ -66,7 +71,7 @@ class ServeBenchConfig:
     queue_capacity: "int | None" = None
     kernel: "str | None" = None
 
-    def quick(self) -> "ServeBenchConfig":
+    def quick(self) -> "ServingConfig":
         """A reduced-scale copy for smoke runs."""
         from dataclasses import replace
 
@@ -83,7 +88,7 @@ def _recall_at_k(engine: ShardedEngine, queries: np.ndarray, top_k: int) -> floa
     return hits / (len(queries) * top_k)
 
 
-def _build_collection(config: ServeBenchConfig):
+def _build_collection(config: ServingConfig):
     """Resolve the compiled collection the fleet(s) serve, plus labels."""
     from repro.core.collection import CompiledCollection, compile_collection
     from repro.hw.design import PAPER_DESIGNS
@@ -109,7 +114,7 @@ def _build_collection(config: ServeBenchConfig):
 
 
 def build_runtime(
-    config: ServeBenchConfig, compiled, fault_plan=None, resilience=None
+    config: ServingConfig, compiled, fault_plan=None, resilience=None
 ) -> ClusterRuntime:
     """``config.replicas`` sharded fleets over one compiled collection behind
     one :class:`ClusterRuntime` (``serve-bench`` and ``serve-live`` alike)."""
@@ -134,7 +139,7 @@ def build_runtime(
     )
 
 
-def run_serve_bench(config: ServeBenchConfig) -> tuple[str, dict]:
+def run_serve_bench(config: ServingConfig) -> tuple[str, dict]:
     """Run the serving simulation; returns (rendered report, JSON payload)."""
     from repro.errors import ConfigurationError
     from repro.utils.validation import check_positive_int

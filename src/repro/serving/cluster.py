@@ -478,6 +478,19 @@ class ClusterRuntime:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
+    def settings(self) -> dict:
+        """The constructor knobs that fix this runtime's decisions — the one
+        record the live daemon's ``info`` op and its replay both read."""
+        return {
+            "router": self.router,
+            "cache_size": self.cache_size,
+            "max_batch_size": self.max_batch_size,
+            "max_wait_s": self.max_wait_s,
+            "queue_capacity": self.queue_capacity,
+            "fault_plan": self.fault_plan,
+            "resilience": self.resilience,
+        }
+
     def _prepare_cache(self) -> "tuple[QueryCache | None, str | None, object]":
         """Resolve one run's cache: fresh or shared, keyed for this version."""
         cache = self.shared_cache

@@ -86,14 +86,9 @@ from repro.serving.protocol import (
     result_to_wire,
     write_frame,
 )
-from repro.serving.router import ROUTERS, make_router
 from repro.utils.validation import check_positive_int
 
-__all__ = [
-    "LiveServer",
-    "decisions_equivalent",
-    "serve_collection",
-]
+__all__ = ["LiveServer", "decisions_equivalent"]
 
 #: Why an arrival was refused before admission, by error code.
 _REFUSALS = {
@@ -737,24 +732,19 @@ class LiveServer:
     def info(self) -> dict:
         """Static serving configuration (the ``info`` op payload)."""
         rt = self.runtime
+        knobs = rt.settings()
+        knobs["router"] = rt.router.name
+        for name in ("fault_plan", "resilience"):
+            if knobs[name] is not None:
+                knobs[name] = knobs[name].to_dict()
         return {
             "op": "info",
             "n_cols": int(rt.n_cols),
             "top_k": self.top_k,
             "n_replicas": rt.n_replicas,
-            "router": rt.router.name,
-            "max_batch_size": rt.max_batch_size,
-            "max_wait_s": rt.max_wait_s,
-            "queue_capacity": rt.queue_capacity,
-            "cache_size": rt.cache_size,
+            **knobs,
             "deadline_s": self.deadline_s,
             "max_pending": self.max_pending,
-            "fault_plan": (
-                rt.fault_plan.to_dict() if rt.fault_plan is not None else None
-            ),
-            "resilience": (
-                rt.resilience.to_dict() if rt.resilience is not None else None
-            ),
         }
 
     def _stats_locked(self) -> dict:
@@ -809,24 +799,13 @@ class LiveServer:
         return self._policy.recorded_stream()
 
     def _replay_runtime(self) -> ClusterRuntime:
-        """A fresh runtime configured exactly like the served one."""
-        rt = self.runtime
-        if rt.router.name in ROUTERS:
-            router = make_router(
-                rt.router.name, seed=getattr(rt.router, "seed", 0)
-            )
-        else:
-            router = copy.deepcopy(rt.router)
-        return ClusterRuntime(
-            rt.replicas,
-            router=router,
-            cache_size=rt.cache_size,
-            max_batch_size=rt.max_batch_size,
-            max_wait_s=rt.max_wait_s,
-            queue_capacity=rt.queue_capacity,
-            fault_plan=rt.fault_plan,
-            resilience=rt.resilience,
-        )
+        """A fresh runtime configured exactly like the served one.
+
+        The router is a copy (the replay must not advance the served one);
+        ``build_policy`` resets it, so its state at copy time is moot."""
+        knobs = self.runtime.settings()
+        knobs["router"] = copy.deepcopy(knobs["router"])
+        return ClusterRuntime(self.runtime.replicas, **knobs)
 
     async def verify(self) -> dict:
         """Replay the recorded stream through a fresh simulator and compare.
@@ -869,46 +848,3 @@ class LiveServer:
         if not ok:
             payload["detail"] = detail
         return payload
-
-
-def serve_collection(
-    collection,
-    n_replicas: int = 1,
-    top_k: int = 10,
-    router: str = "round-robin",
-    cache_size: "int | None" = None,
-    max_batch_size: int = 16,
-    max_wait_s: float = 2e-3,
-    queue_capacity: "int | None" = None,
-    router_seed: int = 0,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    warmup: bool = True,
-    fault_plan=None,
-    resilience=None,
-    deadline_s: "float | None" = None,
-    max_pending: "int | None" = None,
-    max_frame_bytes: "int | None" = None,
-) -> LiveServer:
-    """Build a :class:`LiveServer` over fresh engines for one collection."""
-    from repro.core.engine import TopKSpmvEngine
-
-    runtime = ClusterRuntime(
-        [
-            TopKSpmvEngine.from_collection(collection)
-            for _ in range(check_positive_int(n_replicas, "n_replicas"))
-        ],
-        router=router,
-        cache_size=cache_size,
-        max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
-        queue_capacity=queue_capacity,
-        router_seed=router_seed,
-        fault_plan=fault_plan,
-        resilience=resilience,
-    )
-    return LiveServer(
-        runtime, top_k=top_k, host=host, port=port, warmup=warmup,
-        deadline_s=deadline_s, max_pending=max_pending,
-        max_frame_bytes=max_frame_bytes,
-    )

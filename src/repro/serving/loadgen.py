@@ -109,7 +109,7 @@ class LoadGenResult(ServingMetrics):
 async def run_load_gen(
     host: str,
     port: int,
-    n_queries: int = 64,
+    n_queries: int = 256,
     rate_qps: float = 200.0,
     seed: int = 0,
     duplicate_fraction: float = 0.0,

@@ -17,9 +17,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["table9"])
 
-    def test_quick_and_paper_scale_conflict(self):
-        with pytest.raises(SystemExit):
+    def test_quick_and_paper_scale_conflict(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["table1", "--quick", "--paper-scale"])
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestMain:
@@ -137,10 +139,132 @@ class TestServeBenchFlags:
             ["--chaos-seed", "3", "--retries", "1"],
         ],
     )
-    def test_live_only_flags_are_refused(self, flags):
-        with pytest.raises(SystemExit, match=flags[0]) as excinfo:
+    def test_live_only_flags_are_refused(self, flags, capsys):
+        # serve-bench's parser does not declare the fault-tolerance flags,
+        # so argparse itself refuses them.
+        with pytest.raises(SystemExit) as excinfo:
             main(["serve-bench", "--quick", *flags])
-        assert "serve-live" in str(excinfo.value)
+        assert excinfo.value.code == 2
+        assert flags[0] in capsys.readouterr().err
+
+    def test_quick_keeps_an_explicit_n_queries(self, tmp_path, capsys):
+        import json
+
+        target = tmp_path / "serve.json"
+        assert main([
+            "serve-bench", "--quick", "--rows", "600", "--cols", "64",
+            "--avg-nnz", "6", "--shards", "2", "--n-queries", "24",
+            "--json", str(target),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(target.read_text())
+        assert payload["config"]["n_queries"] == 24
+        assert payload["report"]["cluster"]["n_offered"] == 24
+        assert payload["config"]["rows"] == 600
+
+
+def _parser_for(verb: str):
+    import argparse
+
+    parser = build_parser()
+    verbs = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return verbs.choices[verb]
+
+
+def _dests(verb: str) -> set:
+    return {a.dest for a in _parser_for(verb)._actions} - {"help"}
+
+
+class TestParserContract:
+    def test_serving_dests_are_config_daemon_or_output(self):
+        import inspect
+        from dataclasses import fields
+
+        from repro.serving import LiveServer, ServingConfig
+        from repro.serving.faults import ResilienceConfig
+
+        allowed = (
+            {f.name for f in fields(ServingConfig)}
+            | set(inspect.signature(LiveServer).parameters)
+            | {f.name for f in fields(ResilienceConfig)}
+            | {"fault_plan", "chaos_seed"}  # the FaultPlan source
+            | {"json", "output", "quick"}
+        )
+        for verb in ("serve-bench", "serve-live"):
+            assert _dests(verb) <= allowed, _dests(verb) - allowed
+
+    def test_every_serving_field_is_reachable_from_serve_bench(self):
+        from dataclasses import fields
+
+        from repro.serving import ServingConfig
+
+        wanted = {f.name for f in fields(ServingConfig)} - {"recall_queries"}
+        assert wanted <= _dests("serve-bench")
+
+    def test_each_verb_accepts_only_the_flags_it_reads(self):
+        import argparse
+
+        parser = build_parser()
+        verbs = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        pairs = sum(
+            1
+            for sub in verbs.choices.values()
+            for a in sub._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)
+        )
+        assert pairs <= 150
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table1", "--json", "x.json"], "--json"),
+            (["compile", "synthetic", "a.npz", "--quick"], "--quick"),
+            (["compile", "synthetic", "a.npz", "--kernel", "gather"],
+             "--kernel"),
+            (["load-gen", "--port", "1", "--replicas", "4"], "--replicas"),
+            (["serve-bench", "--delta-frac", "0.5"], "--delta-frac"),
+            (["ingest", "--retries", "2"], "--retries"),
+            (["serve-bench", "--deadline-ms", "5"], "--deadline-ms"),
+        ],
+    )
+    def test_flags_a_verb_does_not_read_are_refused(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestCollectionFixesTheDataset:
+    @pytest.mark.parametrize("verb", ["serve-bench", "serve-live"])
+    def test_serving_verbs_refuse_dataset_flags(self, verb):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--collection", "a.npz", "--design", "32b",
+                  "--rows", "99999"])
+        message = str(excinfo.value)
+        assert "--rows" in message and "--design" in message
+
+    def test_tune_refuses_a_dataset_positional_and_flags(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "synthetic", "t.npz", "--collection", "a.npz",
+                  "--rows", "2000"])
+        message = str(excinfo.value)
+        assert "'synthetic'" in message and "--rows" in message
+
+    def test_tune_without_a_dataset_or_collection(self):
+        with pytest.raises(SystemExit, match="DATASET"):
+            main(["tune", "t.npz"])
+
+    def test_ingest_refuses_shape_flags_but_reads_avg_nnz(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--collection", "a.npz", "--cols", "64",
+                  "--avg-nnz", "4"])
+        message = str(excinfo.value)
+        assert "--cols" in message and "--avg-nnz" not in message
 
 
 class TestBenchAll:

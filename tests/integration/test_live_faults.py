@@ -311,26 +311,27 @@ class TestCliFaultFlags:
              "--hedge-after-ms", "4.0", "--deadline-ms", "250",
              "--max-pending", "128", "--chaos-seed", "9"]
         )
-        assert args.retries == 3
-        assert args.hedge_after_ms == 4.0
-        assert args.deadline_ms == 250.0
+        # The millisecond flags land in seconds, under the names of the
+        # ResilienceConfig / LiveServer arguments they configure.
+        assert args.max_retries == 3
+        assert args.hedge_after_s == 4.0 * 1e-3
+        assert args.deadline_s == 250.0 * 1e-3
         assert args.max_pending == 128
         assert args.chaos_seed == 9
 
-    def test_fault_plan_and_chaos_seed_are_exclusive(self, tmp_path):
-        from repro.cli import _fault_options
-
+    def test_fault_plan_and_chaos_seed_are_exclusive(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(FaultPlan(seed=3).to_json())
-        args = build_parser().parse_args(
-            ["serve-live", "--quick", "--fault-plan", str(plan_path),
-             "--chaos-seed", "1"]
-        )
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            _fault_options(args)
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve-live", "--quick", "--fault-plan", str(plan_path),
+                 "--chaos-seed", "1"]
+            )
+        assert excinfo.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_fault_plan_file_round_trips(self, tmp_path):
-        from repro.cli import _fault_options
+        from repro.cli import _fault_options, _serving_config
 
         plan = FaultPlan(
             crashes=(ReplicaCrash(replica=1, at_s=0.5, recover_s=2.0),),
@@ -342,6 +343,6 @@ class TestCliFaultFlags:
             ["serve-live", "--quick", "--replicas", "2",
              "--fault-plan", str(plan_path), "--retries", "1"]
         )
-        loaded, resilience = _fault_options(args)
+        loaded, resilience = _fault_options(args, _serving_config(args))
         assert loaded == plan
         assert resilience.max_retries == 1

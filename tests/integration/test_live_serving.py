@@ -12,21 +12,26 @@ import numpy as np
 import pytest
 
 from serving_stubs import StubBatchEngine
+from repro import TopKSpmvEngine, compile_collection
 from repro.cli import build_parser
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import FormatError
 from repro.serving import ClusterRuntime, LiveServer, run_load_gen
-from repro.serving.live import serve_collection
 from repro.serving.protocol import read_frame, write_frame
+from repro.serving.router import Router
 
 N_COLS = 64
 
 
 @pytest.fixture(scope="module")
 def collection():
-    return synthetic_embeddings(
+    return compile_collection(synthetic_embeddings(
         n_rows=1500, n_cols=N_COLS, avg_nnz=8, distribution="uniform", seed=71
-    )
+    ))
+
+
+def _engines(collection, n_replicas):
+    return [TopKSpmvEngine(collection) for _ in range(n_replicas)]
 
 
 async def _with_server(server, body):
@@ -43,16 +48,14 @@ async def _with_server(server, body):
 class TestLoadGenAgainstRealEngines:
     def test_load_gen_verifies_decision_locked(self, collection):
         async def run():
-            server = serve_collection(
-                collection,
-                n_replicas=2,
-                top_k=5,
+            runtime = ClusterRuntime(
+                _engines(collection, 2),
                 router="least-outstanding",
                 cache_size=32,
                 max_batch_size=4,
                 max_wait_s=1e-3,
-                warmup=True,
             )
+            server = LiveServer(runtime, top_k=5, warmup=True)
 
             async def body(server):
                 return await run_load_gen(
@@ -85,9 +88,11 @@ class TestLoadGenAgainstRealEngines:
 
     def test_shutdown_op_stops_the_daemon(self, collection):
         async def run():
-            server = serve_collection(
-                collection, n_replicas=1, top_k=3, max_batch_size=8,
-                max_wait_s=0.0, warmup=False,
+            server = LiveServer(
+                ClusterRuntime(
+                    _engines(collection, 1), max_batch_size=8, max_wait_s=0.0
+                ),
+                top_k=3,
             )
             await server.start()
             serve_task = asyncio.create_task(server.serve_until_stopped())
@@ -267,11 +272,13 @@ class TestCliVerbs:
         assert args.shutdown is True
         assert args.no_verify is True
 
-    def test_load_gen_requires_a_port(self):
+    def test_load_gen_requires_a_port(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--port"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["load-gen"])
+        assert excinfo.value.code == 2
+        assert "--port" in capsys.readouterr().err
 
 
 class TestVerifyOpGating:
@@ -326,6 +333,56 @@ class TestVerifyOpGating:
         reply = asyncio.run(run())
         assert reply["ok"] is False
         assert "per-run cache" in reply["error"]
+
+
+class _PairsRouter(Router):
+    """A custom (unregistered) policy: two requests per replica in turn."""
+
+    name = "pairs"
+
+    def __init__(self) -> None:
+        self._n = 0
+
+    def reset(self) -> None:
+        self._n = 0
+
+    def select(self, outstanding: "list[int]") -> int:
+        self._n += 1
+        return ((self._n - 1) // 2) % len(outstanding)
+
+
+class TestReplayRuntime:
+    """``verify`` replays through a copy of the served router, reset."""
+
+    def _verify(self, runtime):
+        async def run():
+            server = LiveServer(runtime, top_k=1)
+
+            async def body(server):
+                return await run_load_gen(
+                    server.host, server.port, n_queries=24,
+                    rate_qps=5_000.0, seed=13, verify=True,
+                )
+
+            return await _with_server(server, body)
+
+        return asyncio.run(run()).verify
+
+    def test_custom_router_instance_replays(self):
+        router = _PairsRouter()
+        verdict = self._verify(_stub_runtime(n_replicas=3, router=router))
+        assert verdict["ok"] and verdict["equivalent"], verdict
+        assert verdict["checked"] == 24
+
+    def test_power_of_two_replays_after_its_generator_advanced(self):
+        runtime = _stub_runtime(
+            base_s=1e-3, n_replicas=3, router="power-of-two", router_seed=5
+        )
+        # A simulated run first: it leaves the router's generator advanced.
+        queries = np.ones((16, 8))
+        runtime.run(queries, np.linspace(0.0, 1e-3, 16), top_k=1)
+        verdict = self._verify(runtime)
+        assert verdict["ok"] and verdict["equivalent"], verdict
 
 
 class TestEngineFailure:

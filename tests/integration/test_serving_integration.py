@@ -11,7 +11,7 @@ from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import PAPER_DESIGNS
 from repro.serving import (
     ClusterRuntime,
-    ServeBenchConfig,
+    ServingConfig,
     ShardedEngine,
     poisson_arrivals,
     run_serve_bench,
@@ -67,7 +67,7 @@ class TestServedRecall:
 
 class TestServeBenchRunner:
     def test_runner_returns_report_and_payload(self):
-        config = ServeBenchConfig(
+        config = ServingConfig(
             rows=1500, cols=128, n_queries=24, recall_queries=4, seed=3
         )
         text, payload = run_serve_bench(config)
@@ -78,7 +78,7 @@ class TestServeBenchRunner:
         assert payload["config"]["n_shards"] == 4
 
     def test_full_board_mode(self):
-        config = ServeBenchConfig(
+        config = ServingConfig(
             rows=1500, cols=128, n_queries=16, recall_queries=4,
             n_shards=2, cores_per_shard=16, seed=5,
         )
@@ -89,7 +89,7 @@ class TestServeBenchRunner:
 
 class TestClusterServeBench:
     def test_runner_cluster_payload(self):
-        config = ServeBenchConfig(
+        config = ServingConfig(
             rows=1500, cols=128, n_queries=32, recall_queries=4, seed=7,
             replicas=2, router="least-outstanding", cache_size=64,
         )
@@ -106,7 +106,7 @@ class TestClusterServeBench:
         assert payload["config"]["cache_size"] == 64
 
     def test_runner_admission_control(self):
-        config = ServeBenchConfig(
+        config = ServingConfig(
             rows=1500, cols=128, n_queries=48, recall_queries=4, seed=9,
             replicas=1, queue_capacity=2, max_batch_size=2,
             rate_qps=1e7,  # deliberate overload
@@ -121,20 +121,20 @@ class TestClusterServeBench:
 
         with pytest.raises(ConfigurationError, match="replicas"):
             run_serve_bench(
-                ServeBenchConfig(rows=1500, cols=128, n_queries=8, replicas=0)
+                ServingConfig(rows=1500, cols=128, n_queries=8, replicas=0)
             )
         with pytest.raises(ConfigurationError, match="replicas"):
             run_serve_bench(
-                ServeBenchConfig(rows=1500, cols=128, n_queries=8, replicas=-2)
+                ServingConfig(rows=1500, cols=128, n_queries=8, replicas=-2)
             )
         with pytest.raises(ConfigurationError, match="cache_size"):
             run_serve_bench(
-                ServeBenchConfig(rows=1500, cols=128, n_queries=8, cache_size=-5)
+                ServingConfig(rows=1500, cols=128, n_queries=8, cache_size=-5)
             )
 
     def test_single_fleet_defaults_report_a_one_replica_cluster(self):
         _, payload = run_serve_bench(
-            ServeBenchConfig(rows=1500, cols=128, n_queries=16, recall_queries=4)
+            ServingConfig(rows=1500, cols=128, n_queries=16, recall_queries=4)
         )
         cluster = payload["report"]["cluster"]
         assert cluster["n_replicas"] == 1
