@@ -399,7 +399,7 @@ class TopKSpmvEngine:
             top_k,
             kernel=self.kernel,
         )
-        seconds = len(queries) * self.makespan_s + self.constants.host_overhead_s
+        seconds = self.batch_seconds(len(queries))
         return BatchResult(
             topk=out.results,
             seconds=seconds,
@@ -488,7 +488,13 @@ class TopKSpmvEngine:
     @property
     def latency_s(self) -> float:
         """Modelled latency of a single query (makespan + host invocation)."""
-        return self.makespan_s + self.constants.host_overhead_s
+        return self.batch_seconds(1)
+
+    def batch_seconds(self, n_queries: int) -> float:
+        """Modelled service time of a ``n_queries`` batch: a function of the
+        batch size alone, so a serving policy can fix a batch's completion
+        when it dispatches it, before any data comes back."""
+        return n_queries * self.makespan_s + self.constants.host_overhead_s
 
     @property
     def power_w(self) -> float:

@@ -10,9 +10,10 @@ threads:
 * a batch dispatches as soon as it is **full** (``max_batch_size``) or the
   oldest queued request has waited ``max_wait_s`` (the deadline), whichever
   comes first — never before the board is free;
-* service time per batch is the engine's modelled batch latency
-  (``query_batch(...).seconds``), so shard makespans, host overhead and
-  design choice all flow into the latency distribution.
+* service time per batch is the engine's declared batch latency
+  (``batch_seconds(n)``, which its ``query_batch(...).seconds`` must
+  equal), so shard makespans, host overhead and design choice all flow
+  into the latency distribution.
 
 The one event loop that drives it is
 :class:`~repro.serving.cluster.ClusterRuntime` (one queue per replica; a
@@ -187,34 +188,18 @@ class BatchQueue:
             return min(fill, deadline)
         return deadline
 
-    def pop_batch(
-        self, until_s: "float | None" = None
-    ) -> "tuple[float, list[tuple[int, float]]]":
+    def pop_batch(self) -> "tuple[float, list[tuple[int, float]]]":
         """Remove the next batch; returns (dispatch time, [(id, arrival)]).
 
-        ``until_s`` caps membership at requests that arrived at or before
-        that instant (the dispatch time, for a live driver whose queue may
-        already hold arrivals from after the departing batch's virtual
-        dispatch).  An event-ordered driver — every arrival at or before
-        the dispatch time pushed first, nothing later — never needs it:
-        the default takes the oldest ``max_batch_size`` requests, which is
-        the same set.
+        The batch is the oldest ``max_batch_size`` requests: an
+        event-ordered driver has pushed every arrival at or before the
+        dispatch time, and nothing later.
         """
         dispatch = self.next_dispatch_s()
         if dispatch is None:
             raise ConfigurationError("cannot pop a batch from an empty queue")
         size = min(len(self._pending), self.max_batch_size)
-        members = []
-        while len(members) < size and (
-            until_s is None or self._pending[0][1] <= until_s
-        ):
-            members.append(self._pending.popleft())
-        if not members:
-            raise ConfigurationError(
-                f"no queued request arrived by {until_s}; the dispatch rule "
-                f"never names a time ({dispatch}) before the oldest arrival"
-            )
-        return dispatch, members
+        return dispatch, [self._pending.popleft() for _ in range(size)]
 
     def drain(self) -> "list[tuple[int, float]]":
         """Empty the queue, returning every waiting ``(id, arrival)``.

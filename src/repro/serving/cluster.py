@@ -331,7 +331,9 @@ class ClusterRuntime:
     ----------
     replicas:
         Engines with ``query_batch(queries, top_k)`` (returning ``topk``,
-        ``seconds``, ``energy_j``) — :class:`~repro.core.engine.TopKSpmvEngine`
+        ``seconds``, ``energy_j``) and ``batch_seconds(n_queries)``, the
+        service time they declare for a batch of that size (``seconds``
+        must equal it) — :class:`~repro.core.engine.TopKSpmvEngine`
         or :class:`~repro.serving.sharded.ShardedEngine`, typically all built
         from one shared compiled collection.  Each replica carries its own
         batch-kernel selection (``kernel=`` at engine construction, see
@@ -391,11 +393,13 @@ class ClusterRuntime:
         if not self.replicas:
             raise ConfigurationError("a cluster needs at least one replica")
         for i, replica in enumerate(self.replicas):
-            if not callable(getattr(replica, "query_batch", None)):
-                raise ConfigurationError(
-                    f"replica {i} ({type(replica).__name__}) has no "
-                    "query_batch(queries, top_k) method"
-                )
+            for method, args in (("query_batch", "queries, top_k"),
+                                 ("batch_seconds", "n_queries")):
+                if not callable(getattr(replica, method, None)):
+                    raise ConfigurationError(
+                        f"replica {i} ({type(replica).__name__}) has no "
+                        f"{method}({args}) method"
+                    )
         # Prefer the collection's O(1) width: reading .matrix off a
         # segmented replica would materialise its whole live matrix.
         widths = {
@@ -522,7 +526,7 @@ class ClusterRuntime:
         self.router.reset()
         cache, digest, generation = self._prepare_cache()
         return ClusterPolicy(
-            n_replicas=self.n_replicas,
+            batch_seconds=[r.batch_seconds for r in self.replicas],
             router=self.router,
             cache=cache,
             design=getattr(self.replicas[0], "design", None),
@@ -564,47 +568,24 @@ class ClusterRuntime:
                 f"queries must have shape (Q, {self.n_cols}), got {queries.shape}"
             )
         order = np.argsort(arrivals, kind="stable")
-        arrivals = arrivals[order]
-
-        n = len(queries)
         policy = self.build_policy(top_k)
-        i = 0
-        while True:
-            arrival = arrivals[i] if i < n else None
-            dispatch = policy.next_dispatch()
-            event = policy.next_event_s()
-            if arrival is None and dispatch is None and event is None:
-                break
-            # Policy events (crash/recover transitions, due retries, due
-            # hedges) win ties with both dispatches and arrivals: a crash
-            # at the dispatch instant takes the departing batch down with
-            # it, and a request arriving at a recovery instant sees the
-            # recovered replica.
-            dispatch_t = None if dispatch is None else dispatch[0]
-            horizon = min(
-                (t for t in (dispatch_t, arrival) if t is not None),
-                default=None,
+
+        def launch(batch):
+            served = self.replicas[batch.replica].query_batch(
+                batch.queries, top_k
             )
-            if event is not None and (horizon is None or event <= horizon):
-                policy.run_events(event)
-                continue
-            # Arrivals win ties with dispatches at the same instant: a
-            # request landing at the dispatch time joins the departing batch.
-            if dispatch is not None and (arrival is None or dispatch[0] < arrival):
-                dispatch_s, r = dispatch
-                policy.drain_completions(dispatch_s)
-                _, members = policy.pop(r)
-                served = self.replicas[r].query_batch(
-                    policy.batch_queries(members), top_k
-                )
-                policy.complete(r, dispatch_s, members, served)
-                continue
-            rid = int(order[i])
-            i += 1
-            policy.offer(rid, float(arrival), queries[rid])
+            policy.attach(batch, served)
+
+        for rid in order:
+            arrival = float(arrivals[rid])
+            policy.advance(arrival, launch)
+            policy.offer(int(rid), arrival, queries[rid])
+        policy.advance(float("inf"), launch)
         policy.drain_completions(float("inf"))
 
-        return self.build_report(policy, first_arrival_s=float(arrivals[0]))
+        return self.build_report(
+            policy, first_arrival_s=float(arrivals[order[0]])
+        )
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -4,35 +4,31 @@
 daemon (length-prefixed JSON, :mod:`repro.serving.protocol`) that runs the
 micro-batching deadlines, routers, exact-result cache and bounded-queue
 admission control of :class:`~repro.serving.cluster.ClusterRuntime` against
-a wall clock, with engine batches pushed through a thread executor so the
-event loop never blocks.
+a wall clock.
 
 **The decision lock.**  The daemon does not reimplement the serving policy
 — it drives the very same :class:`~repro.serving.policy.ClusterPolicy` the
 simulator drives, on a *virtual clock*: arrivals are stamped off the event
 loop's monotonic clock, but board-free times advance by the engine's
-modelled ``served.seconds``.  Decisions (batch membership, dispatch order,
+declared ``batch_seconds``.  Decisions (batch membership, dispatch order,
 route choice, cache hit/miss, rejects) therefore depend only on the
 ``(request id, arrival time, query)`` stream — replaying that recorded
 stream through a fresh ``ClusterRuntime`` reproduces every decision and
 every result bit-for-bit, which :func:`decisions_equivalent` checks and
 the replay property suite asserts.
 
-Three invariants make the lock hold under concurrency:
-
-* **arrival monotonicity** — arrivals are stamped inside the policy lock
-  and clamped strictly after the latest submitted dispatch (one float ulp
-  via ``nextafter``), so the sim's event ordering (arrivals win ties with
-  dispatches) replays exactly;
-* **dispatch-order completion** — engine batches run concurrently across
-  replicas, but their results are applied to the policy strictly in
-  dispatch order (the in-flight list is a FIFO settled from the front), so
-  completion sequence numbers — and therefore cache-fill order — match the
-  simulator's;
-* **settled past** — before an arrival is offered, every in-flight batch is
-  settled and every completion at or before the arrival instant drained,
-  so the cache and the outstanding counts never lag what the simulator
-  would have seen.
+The daemon runs two planes.  The **decision plane** is the policy, driven
+by the simulator's own loop — :meth:`ClusterPolicy.advance` to the arrival
+instant, then :meth:`ClusterPolicy.offer` — from every arrival, from a
+timer armed at the next due event or dispatch, and from :meth:`drain`.  It
+never waits for an engine: a dispatch fixes its batch's completion from the
+replica's declared ``batch_seconds``, so every decision is made as its
+instant comes, in the simulator's order.  Arrivals are stamped inside the
+admission lock and never before an earlier arrival (or a completion a
+``verify`` already drained into the cache).  The **data plane** runs each
+dispatched batch on its replica's single-worker FIFO — one engine object is
+never called from two threads at once — and attaches the answer when it
+returns, so a reply waits only for its own batch's data.
 
 The wall-clock numbers (what a load test measures: real p50/p99/QPS,
 reject rate, availability) are kept apart from the virtual decision clock:
@@ -73,14 +69,13 @@ from __future__ import annotations
 import asyncio
 import copy
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FormatError
 from repro.serving.batcher import COMPLETED, ERROR_PREFIX, ServingMetrics
 from repro.serving.cluster import ClusterRuntime
-from repro.serving.policy import QUEUED
+from repro.serving.policy import PendingBatch
 from repro.serving.protocol import (
     read_frame,
     result_to_wire,
@@ -95,16 +90,6 @@ _REFUSALS = {
     "overloaded": "server overloaded; retry later",
     "shutting-down": "server is shutting down",
 }
-
-
-@dataclass
-class _InFlight:
-    """One engine batch running in the executor (FIFO by dispatch time)."""
-
-    replica: int
-    dispatch_s: float
-    members: "list[tuple[int, float]]"
-    future: asyncio.Future
 
 
 def decisions_equivalent(
@@ -173,7 +158,8 @@ class LiveServer:
         the result is discarded), so replay is unaffected.
     max_pending:
         Optional load-shed bound: when the decision core already holds
-        this many requests (queued plus in flight), new arrivals get a
+        this many requests (queued, or dispatched with their data not yet
+        attached), new arrivals get a
         typed ``overloaded`` error *before* admission — they never enter
         the decision stream, so a shed run still replays exactly.
     max_frame_bytes:
@@ -216,26 +202,24 @@ class LiveServer:
         self.port: "int | None" = None
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self._policy = None
-        self._executor: "ThreadPoolExecutor | None" = None
+        self._workers: "list[ThreadPoolExecutor]" = []
         self._server: "asyncio.base_events.Server | None" = None
         self._lock = asyncio.Lock()
         self._stop_event = asyncio.Event()
         self._stopping = False
-        self._drained = False
         self._failure: "BaseException | None" = None
-        # Virtual clock + decision-ordering state (all under self._lock).
+        # Virtual clock: no arrival is stamped before this instant.
         self._origin = 0.0
         self._next_rid = 0
-        self._last_arrival_s = float("-inf")
-        self._max_dispatch_s = float("-inf")
-        self._inflight: "list[_InFlight]" = []
+        self._floor_s = float("-inf")
+        # Dispatched batches whose data has not been attached yet.
+        self._inflight: "dict[asyncio.Future, PendingBatch]" = {}
         self._waiters: "dict[int, asyncio.Future]" = {}
         self._timer: "asyncio.TimerHandle | None" = None
         self._timer_at: "float | None" = None
         # Wall-clock accounting: one (outcome, receipt, response instant)
         # per query reply sent; typed errors carry no response instant.
         self._outcome_log: "list[tuple[str, float, float | None]]" = []
-        self._tasks: "set[asyncio.Task]" = set()
         self._writers: "set[asyncio.StreamWriter]" = set()
 
     # ------------------------------------------------------------------ #
@@ -247,10 +231,10 @@ class LiveServer:
             raise ConfigurationError("server already started")
         self._loop = asyncio.get_running_loop()
         self._policy = self.runtime.build_policy(self.top_k)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.runtime.n_replicas,
-            thread_name_prefix="live-engine",
-        )
+        self._workers = [
+            ThreadPoolExecutor(max_workers=1, thread_name_prefix="live-engine")
+            for _ in self.runtime.replicas
+        ]
         if self.warmup:
             probe = np.zeros((1, self.runtime.n_cols), dtype=np.float64)
             probe[0, 0] = 1.0
@@ -269,7 +253,7 @@ class LiveServer:
 
     async def serve_until_stopped(self) -> None:
         """Serve until :meth:`request_stop` (or a ``shutdown`` op), then
-        drain every queued batch and release the socket and executor."""
+        drain every queued batch and release the socket and workers."""
         if self._server is None:
             raise ConfigurationError("call start() first")
         try:
@@ -281,214 +265,103 @@ class LiveServer:
             await self.drain()
             for writer in list(self._writers):
                 writer.close()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
-            self._executor.shutdown(wait=True)
+            for worker in self._workers:
+                worker.shutdown(wait=True)
             if self._failure is not None:
                 raise self._failure
 
     async def drain(self) -> None:
-        """Dispatch and settle everything still queued or in flight.
+        """Dispatch everything still queued and attach every batch's data.
 
         Dispatch instants stay the rule's virtual times even when they lie
         in the wall future — the simulator's tail does exactly the same,
-        so a drained run still replays bit-for-bit.
+        so a drained run still replays bit-for-bit.  A real engine failure
+        met on the way requeues its requests, so this loops until nothing
+        is due and nothing is in flight.
         """
         async with self._lock:
             self._stopping = True
-            if self._failure is None:
-                try:
-                    await self._run_due(
-                        float("inf"), strict=False, settle_all=True
-                    )
-                    self._policy.drain_completions(float("inf"))
-                except BaseException:
-                    pass  # recorded by _fail; serve_until_stopped re-raises
             self._cancel_timer()
-            self._drained = True
+            while self._failure is None:
+                self._policy.advance(float("inf"), self._launch)
+                self._wake_done()
+                if not self._inflight:
+                    self._policy.drain_completions(float("inf"))
+                    break
+                await asyncio.wait(list(self._inflight))
 
     # ------------------------------------------------------------------ #
-    # Virtual clock + decision core driving (everything under self._lock)
+    # The two planes
     # ------------------------------------------------------------------ #
     def _now_v(self) -> float:
         return self._loop.time() - self._origin
 
-    def _submit(self, replica: int, dispatch_s: float) -> None:
-        """Pop one due batch and launch its engine call in the executor."""
-        self._policy.drain_completions(dispatch_s)
-        _, members = self._policy.pop(replica, until_s=dispatch_s)
-        block = self._policy.batch_queries(members)
-        engine = self.runtime.replicas[replica]
+    def _launch(self, batch: PendingBatch) -> None:
+        """Queue one dispatched batch on its replica's single worker."""
         future = self._loop.run_in_executor(
-            self._executor, engine.query_batch, block, self.top_k
+            self._workers[batch.replica],
+            self.runtime.replicas[batch.replica].query_batch,
+            batch.queries,
+            self.top_k,
         )
-        self._inflight.append(
-            _InFlight(replica, float(dispatch_s), members, future)
-        )
-        self._max_dispatch_s = max(self._max_dispatch_s, float(dispatch_s))
-        future.add_done_callback(self._on_engine_done)
+        self._inflight[future] = batch
+        future.add_done_callback(self._on_data)
 
-    def _on_engine_done(self, _future: asyncio.Future) -> None:
-        if self._stop_event.is_set() and self._drained:
-            return
-        task = self._loop.create_task(self._settle_ready())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _settle_ready(self) -> None:
-        """Apply finished engine batches (front first) and run what's due."""
-        async with self._lock:
-            if self._failure is not None:
-                return
-            try:
-                while self._inflight and self._inflight[0].future.done():
-                    self._apply_front()
-                await self._run_due(self._now_v(), strict=False)
-            except BaseException:
-                return
-            self._reschedule()
-
-    def _apply_front(self) -> None:
-        """Apply the oldest in-flight batch's result to the policy.
-
-        Completions are applied strictly in dispatch order — never in
-        engine-finish order — so the policy's completion sequence (which
-        breaks cache-fill ties) matches the simulator's.
+    def _on_data(self, future: asyncio.Future) -> None:
+        """Attach one batch's engine answer to the policy.
 
         An engine call that *raised* is a real (uninjected) failure: the
-        batch is handed to :meth:`ClusterPolicy.fail_batch` — members
-        requeued with backoff, the replica struck — instead of poisoning
-        the run.  Real failures are not in any plan, so such a run trades
-        replayability for graceful degradation, by design.
+        policy retracts what the batch delivered and requeues it with
+        backoff, striking the replica, instead of poisoning the run.  An
+        answer that breaks the engine's contract (a wrong result count, an
+        undeclared service time) poisons it.
         """
-        entry = self._inflight.pop(0)
-        try:
-            served = entry.future.result()
-        except Exception:
-            # Detection is stamped no earlier than the dispatch and no
-            # earlier than the last recorded arrival, keeping the virtual
-            # clock monotone for the retry events this schedules.
-            at_s = max(entry.dispatch_s, self._last_arrival_s)
-            self._policy.fail_batch(
-                entry.replica, entry.dispatch_s, entry.members, at_s=at_s
-            )
-            self._wake_done()
+        batch = self._inflight.pop(future)
+        if self._failure is not None:
             return
         try:
-            self._policy.complete(
-                entry.replica, entry.dispatch_s, entry.members, served
-            )
-        except BaseException as exc:
-            self._fail(exc, entry.members)
-            raise
+            served = future.result()
+        except Exception:
+            self._policy.fail_batch(batch, self._now_v())
+            self._reschedule()
+        else:
+            try:
+                self._policy.attach(batch, served)
+            except Exception as exc:
+                self._fail(exc)
+                return
         self._wake_done()
 
-    def _wake_done(self) -> None:
-        """Resolve the waiter of every request that has gone terminal.
+    def _answered(self, rid: int) -> bool:
+        """Terminal, and — when it completed — its result attached."""
+        trace = self._policy.traces.get(rid)
+        return trace is not None and (
+            trace.status not in COMPLETED or rid in self._policy.results
+        )
 
-        Requests turn terminal outside their own batch's completion too —
+    def _wake_done(self) -> None:
+        """Resolve the waiter of every request that has been answered.
+
+        Requests are answered outside their own batch's attach too —
         typed-failed by an exhausted retry budget, rejected by a full queue
-        on retry, delivered by a hedge twin — so waiters are swept against
-        the trace map rather than woken per batch."""
-        done = [rid for rid in self._waiters if rid in self._policy.traces]
+        on retry, a cache hit filled with its slot — so waiters are swept
+        rather than woken per batch."""
+        done = [rid for rid in self._waiters if self._answered(rid)]
         for rid in done:
             waiter = self._waiters.pop(rid)
             if not waiter.done():
                 waiter.set_result(None)
 
-    async def _settle_front(self) -> None:
-        """Wait for the oldest in-flight engine batch and apply it."""
-        entry = self._inflight[0]
-        try:
-            await entry.future
-        except BaseException:
-            pass  # surfaced with context by _apply_front
-        # The lock stayed held across the await, so the front is unchanged.
-        self._apply_front()
-
-    def _fail(self, exc: BaseException, members) -> None:
-        """An engine batch died: poison the run and wake every waiter."""
+    def _fail(self, exc: BaseException) -> None:
+        """An engine broke its contract: poison the run, wake every waiter."""
         if self._failure is None:
             self._failure = exc
-        for rid, _arrival in members:
-            waiter = self._waiters.pop(rid, None)
-            if waiter is not None and not waiter.done():
-                waiter.set_exception(exc)
         for waiter in self._waiters.values():
             if not waiter.done():
                 waiter.set_exception(exc)
         self._waiters.clear()
         self._cancel_timer()
         self.request_stop()
-
-    async def _run_due(
-        self, until_s: float, strict: bool, settle_all: bool = False
-    ) -> None:
-        """Run every dispatch *and policy event* due by ``until_s``, in
-        virtual-time order.
-
-        ``strict`` runs dispatches strictly *before* ``until_s`` (the
-        arrival path: arrivals win ties, so a dispatch at the arrival
-        instant must wait for the arrival to join); policy events at the
-        arrival instant are left to :meth:`ClusterPolicy.offer`, which runs
-        them itself (events win ties with arrivals).  A busy replica's next
-        dispatch time is unknown until its batch settles; whenever a busy
-        replica could owe a dispatch at or before the best known one (its
-        completion is bounded below by its dispatch instant, its next batch
-        by its queue head), the front batch is settled first — this is what
-        keeps submissions monotone in virtual time, which in turn is what
-        makes the arrival clamp in :meth:`_admit` sound.  ``settle_all``
-        additionally settles every in-flight batch before returning (the
-        arrival path again: an arrival must see every completion at or
-        before it, and completion instants are unknown until settled).
-
-        Events win ties with dispatches, exactly as in the simulator's
-        loop — and before an event fires, any in-flight batch dispatched
-        at or before it is settled first: the simulator completes a batch
-        synchronously at its dispatch step, so that batch's effects
-        (strikes, requeues) are visible to every later event there and
-        must be here too.
-        """
-        while True:
-            busy = {entry.replica for entry in self._inflight}
-            nxt = self._policy.next_dispatch(exclude=busy)
-            event_t = self._policy.next_event_s()
-            bound = None
-            for entry in self._inflight:
-                pending = self._policy.states[entry.replica].queue.pending
-                if not pending:
-                    continue
-                b = max(entry.dispatch_s, pending[0][1])
-                if bound is None or b < bound:
-                    bound = b
-
-            def due(t: float) -> bool:
-                return t < until_s if strict else t <= until_s
-
-            if (
-                event_t is not None
-                and due(event_t)
-                and (nxt is None or event_t <= nxt[0])
-                and (bound is None or event_t <= bound)
-            ):
-                if self._inflight and self._inflight[0].dispatch_s <= event_t:
-                    await self._settle_front()
-                    continue
-                self._policy.run_events(event_t)
-                self._wake_done()
-                continue
-            if bound is not None and due(bound) and (
-                nxt is None or bound <= nxt[0]
-            ):
-                await self._settle_front()
-                continue
-            if nxt is not None and due(nxt[0]):
-                self._submit(nxt[1], nxt[0])
-                continue
-            if settle_all and self._inflight:
-                await self._settle_front()
-                continue
-            return
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
@@ -497,19 +370,14 @@ class LiveServer:
             self._timer_at = None
 
     def _reschedule(self) -> None:
-        """(Re-)arm the timer for the earliest known dispatch or event.
+        """(Re-)arm the timer for the earliest due dispatch or event.
 
         Policy events (plan transitions, due retries, due hedges) need a
         wake-up of their own: a retry scheduled with backoff must fire even
-        if no arrival or dispatch ever lands near it."""
+        if no arrival ever lands near it."""
         if self._stopping or self._failure is not None:
             return
-        busy = {entry.replica for entry in self._inflight}
-        nxt = self._policy.next_dispatch(exclude=busy)
-        wake = None if nxt is None else nxt[0]
-        event_t = self._policy.next_event_s()
-        if event_t is not None and (wake is None or event_t < wake):
-            wake = event_t
+        wake = self._policy.next_due_s()
         if wake is None:
             self._cancel_timer()
             return
@@ -524,32 +392,26 @@ class LiveServer:
     def _on_timer(self) -> None:
         self._timer = None
         self._timer_at = None
-        task = self._loop.create_task(self._timer_task())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _timer_task(self) -> None:
-        async with self._lock:
-            if self._stopping or self._failure is not None:
-                return
-            await self._run_due(self._now_v(), strict=False)
-            self._reschedule()
+        if self._stopping or self._failure is not None:
+            return
+        self._policy.advance(self._now_v(), self._launch)
+        self._wake_done()
+        self._reschedule()
 
     async def _admit(self, query: np.ndarray):
-        """Stamp, order and offer one arrival; returns (rid, status, waiter).
+        """Stamp and offer one arrival; returns (rid, refusal, waiter).
 
-        The arrival instant is taken *inside* the lock (so processing order
-        and timestamp order agree) and clamped one ulp past the latest
-        submitted dispatch — the simulator replays arrivals after the
-        dispatches they lost the race to, and "lost" must survive the
-        round-trip through a float timestamp.
+        The arrival instant is taken *inside* the lock, so processing order
+        and timestamp order agree.  Everything due strictly before it is
+        decided first, so the arrival wins its tie with a dispatch at the
+        same instant, as in the simulator.
         """
         async with self._lock:
             if self._stopping or self._failure is not None:
                 return None, "shutting-down", None
             if self.max_pending is not None:
                 pending = self._policy.n_queued + sum(
-                    len(entry.members) for entry in self._inflight
+                    len(batch.slots) for batch in self._inflight.values()
                 )
                 if pending >= self.max_pending:
                     # Shed *before* admission: the request never enters the
@@ -557,23 +419,15 @@ class LiveServer:
                     return None, "overloaded", None
             rid = self._next_rid
             self._next_rid += 1
-            t = self._now_v()
-            if t <= self._max_dispatch_s:
-                t = float(np.nextafter(self._max_dispatch_s, np.inf))
-            if t < self._last_arrival_s:
-                t = self._last_arrival_s
-            self._last_arrival_s = t
-            await self._run_due(t, strict=True, settle_all=True)
-            if self._stopping or self._failure is not None:
-                return None, "shutting-down", None
-            status = self._policy.offer(rid, t, query)
+            t = self._floor_s = max(self._now_v(), self._floor_s)
+            self._policy.advance(t, self._launch)
+            self._policy.offer(rid, t, query)
             self._wake_done()
             waiter = None
-            if status == QUEUED:
-                waiter = self._loop.create_future()
-                self._waiters[rid] = waiter
+            if not self._answered(rid):
+                waiter = self._waiters[rid] = self._loop.create_future()
             self._reschedule()
-            return rid, status, waiter
+            return rid, None, waiter
 
     # ------------------------------------------------------------------ #
     # Protocol surface
@@ -618,9 +472,7 @@ class LiveServer:
                 elif op == "info":
                     await self._respond(writer, write_lock, self.info())
                 elif op == "stats":
-                    async with self._lock:
-                        payload = self._stats_locked()
-                    await self._respond(writer, write_lock, payload)
+                    await self._respond(writer, write_lock, self._stats())
                 elif op == "verify":
                     payload = await self.verify()
                     await self._respond(writer, write_lock, payload)
@@ -684,10 +536,10 @@ class LiveServer:
                 f"this server serves top_k={self.top_k} "
                 f"(got {requested_k}); restart to change K",
             )
-        rid, status, waiter = await self._admit(query)
-        if rid is None:
+        rid, refusal, waiter = await self._admit(query)
+        if refusal is not None:
             return self._error_reply(
-                receipt, client_id, status, _REFUSALS[status]
+                receipt, client_id, refusal, _REFUSALS[refusal]
             )
         if waiter is not None:
             try:
@@ -747,7 +599,7 @@ class LiveServer:
             "max_pending": self.max_pending,
         }
 
-    def _stats_locked(self) -> dict:
+    def _stats(self) -> dict:
         policy = self._policy
         stats = self.wall_stats()
         return {
@@ -831,7 +683,7 @@ class LiveServer:
             # time before a completion it can now observe in the cache.
             flushed = self._policy.flush_completions()
             if flushed is not None:
-                self._last_arrival_s = max(self._last_arrival_s, flushed)
+                self._floor_s = max(self._floor_s, flushed)
             queries, arrivals = self._policy.recorded_stream()
             live_results, live_report = ClusterRuntime.build_report(
                 self._policy, first_arrival_s=float(arrivals.min())

@@ -13,37 +13,40 @@ and the replay property suites (``tests/property/test_prop_live_replay.py``,
 ``tests/property/test_prop_faults.py``) only have to check that the drivers
 deliver events in the same order.
 
-A policy instance is fed four kinds of events, always in non-decreasing
+A policy instance is driven through four calls, always in non-decreasing
 virtual time:
 
-* :meth:`offer` — a request arrives: drain due completions, try the cache,
-  route (excluding down replicas), admit (or reject), enqueue;
-* :meth:`pop` / :meth:`complete` — a batch leaves a replica's
-  :class:`~repro.serving.batcher.BatchQueue` and, once the engine has run
-  it, its modelled completion advances the board-free time and schedules
-  the cache fill.  With a fault plan, :meth:`complete` is also where
-  injected failures bite: a crash mid-service or an injected engine
-  exception discards the results and requeues the members with seeded
-  backoff;
-* :meth:`run_events` — apply scheduled *policy events* (crash/recover
-  transitions from the plan, due retries, due hedges) up to an instant;
-  :meth:`next_event_s` names the earliest pending one so drivers can
-  interleave them with dispatches and arrivals in virtual-time order
-  (events win ties with both);
+* :meth:`offer` — a request arrives: apply due events and completions, try
+  the cache, route (excluding down replicas), admit (or reject), enqueue;
+* :meth:`advance` — run every *policy event* (crash/recover transitions
+  from the plan, due retries, due hedges) and every batch dispatch strictly
+  before an instant, in virtual-time order (events win ties with
+  dispatches; an arrival offered at that instant wins its tie with a
+  dispatch and loses it to an event).  A dispatch is a whole decision: the
+  batch leaves its replica's :class:`~repro.serving.batcher.BatchQueue`,
+  its completion is fixed at the dispatch instant plus the replica's
+  declared ``batch_seconds(n)`` (scaled by any slow window), injected
+  failures bite (a crash mid-service or an injected engine exception
+  requeues the members with seeded backoff), and the traces, the batch log
+  and the cache-fill event are written.  A surviving batch goes to the
+  driver's ``launch`` callback as a :class:`PendingBatch`;
+* :meth:`attach` — the data plane hands a :class:`PendingBatch` its engine
+  answer; the only call that reads a payload;
 * :meth:`drain_completions` — apply every completion up to a given instant
   (cache inserts and outstanding-count decrements never see the future).
 
-The engine call itself stays with the driver: the simulator runs it inline,
-the daemon pushes it through an executor so the event loop never blocks.
-Either way the *policy clock* advances by the engine's modelled
-``served.seconds`` (scaled by any slow-replica window) — which is what
-locks the live daemon's decisions to the simulator even though its
-requests ride a real wall clock.
+Decisions therefore never wait for data.  The simulator's ``launch`` runs
+the engine and attaches inline; the daemon's queues the batch on the
+replica's worker and attaches when it returns.  Either way the *policy
+clock* advances by the declared service time — which locks the live
+daemon's decisions to the simulator even though its requests ride a real
+wall clock.  A cache fill holds a result *slot*, so a hit may be decided
+before its data lands; it is answered when the slot fills.
 
 **Exactly-once delivery.**  A request may be queued more than once (a
 hedge duplicate, or a requeue after a failure) but completes at most once:
-the first completion records the trace and result, later copies are
-discarded on arrival.  A request whose retry budget is exhausted gets a
+the first dispatch decided to complete it records the trace, later copies
+are discarded.  A request whose retry budget is exhausted gets a
 typed ``failed`` trace — conservation holds: every offered request ends
 ``served``, ``cache-hit``, ``rejected`` or ``failed``, never silently
 dropped and never duplicated.
@@ -52,11 +55,12 @@ dropped and never duplicated.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.core.reference import TopKResult
+from repro.errors import ConfigurationError, FormatError
 from repro.serving.batcher import (
     CACHE_HIT,
     FAILED,
@@ -83,12 +87,13 @@ __all__ = [
     "FAILED",
     "QUEUED",
     "RequestTrace",
+    "PendingBatch",
     "ClusterPolicy",
     "check_served_batch",
 ]
 
 #: :meth:`ClusterPolicy.offer` outcome for a request that entered a queue
-#: (its trace is written later, at batch completion).
+#: (its trace is written later, when a batch holding it is dispatched).
 QUEUED = "queued"
 
 #: Event-heap priorities: plan transitions fire before retries, retries
@@ -120,6 +125,38 @@ class RequestTrace:
 
 
 @dataclass
+class _Slot:
+    """One delivered request's result: decided at dispatch, filled by
+    :meth:`ClusterPolicy.attach`.  The cache fill holds the slot, so a hit
+    can be decided before the data lands; ``hits`` are the requests
+    answered from it meanwhile."""
+
+    rid: int
+    result: "TopKResult | None" = None
+    hits: "list[int]" = field(default_factory=list)
+    failed: bool = False
+
+
+@dataclass(frozen=True)
+class PendingBatch:
+    """A dispatched batch whose data has not been attached yet.
+
+    The decision plane hands it to the driver's ``launch``; the data plane
+    runs ``queries`` on replica ``replica`` and passes the answer to
+    :meth:`ClusterPolicy.attach` (or a real engine exception to
+    :meth:`ClusterPolicy.fail_batch`).  ``seconds`` is the engine's
+    declared service time, ``log`` the batch-log entry, and ``slots`` one
+    per member (``None`` where a hedge twin already delivered it).
+    """
+
+    replica: int
+    queries: np.ndarray
+    seconds: float
+    log: ServedBatch
+    slots: "tuple[_Slot | None, ...]"
+
+
+@dataclass
 class _ReplicaState:
     """Mutable per-replica bookkeeping of one run."""
 
@@ -145,8 +182,9 @@ class ClusterPolicy:
 
     Parameters mirror :class:`~repro.serving.cluster.ClusterRuntime` (which
     constructs its policy via
-    :meth:`~repro.serving.cluster.ClusterRuntime.build_policy`): ``router``
-    must already be reset, ``cache`` already keyed for ``(digest,
+    :meth:`~repro.serving.cluster.ClusterRuntime.build_policy`):
+    ``batch_seconds`` holds each replica's declared service time as a
+    function of the batch size, ``router`` must already be reset, ``cache`` already keyed for ``(digest,
     generation)``, ``design`` is the first replica's accelerator design (for
     query quantisation in the cache key) or ``None``.  ``fault_plan``
     (optional) injects the seeded failure schedule; ``resilience`` carries
@@ -160,7 +198,7 @@ class ClusterPolicy:
 
     def __init__(
         self,
-        n_replicas: int,
+        batch_seconds,
         router,
         cache,
         design,
@@ -173,7 +211,8 @@ class ClusterPolicy:
         fault_plan=None,
         resilience: "ResilienceConfig | None" = None,
     ):
-        self.n_replicas = int(n_replicas)
+        self.batch_seconds = list(batch_seconds)
+        self.n_replicas = len(self.batch_seconds)
         self.router = router
         self.cache = cache
         self.design = design
@@ -187,16 +226,17 @@ class ClusterPolicy:
             _ReplicaState(queue=BatchQueue(max_batch_size, max_wait_s))
             for _ in range(self.n_replicas)
         ]
-        #: Per-request records, keyed by request id (insertion ordered).
+        #: Per-request records, keyed by request id (insertion ordered);
+        #: ``results`` fill when the data attaches, after the trace.
         self.queries: "dict[int, np.ndarray]" = {}
-        self.results: dict = {}
+        self.results: "dict[int, TopKResult]" = {}
         self.traces: "dict[int, RequestTrace]" = {}
-        #: Every successful batch in the order :meth:`complete` recorded it,
-        #: and the replica that ran each one.
+        #: Every successful batch in dispatch order, and the replica that
+        #: ran each one.
         self.all_batches: "list[ServedBatch]" = []
         self.batch_replica: "list[int]" = []
         self.n_cache_hits = 0
-        # Completion events: (time, seq, replica, n_members, [(key, result)]).
+        # Completion events: (time, seq, replica, n_members, [(key, slot)]).
         # Drained strictly in time order before any arrival/dispatch at a
         # later instant, so outstanding counts — and the cache — only ever
         # see the past.  Failed batches decrement outstanding with an empty
@@ -223,8 +263,10 @@ class ClusterPolicy:
         self.n_hedges = 0
         self.n_hedge_wasted = 0
         self.n_failed = 0
-        self.n_rescued = 0
         self.n_batch_failures = 0
+        # The latest instant decided so far (a real failure is never
+        # stamped before it).
+        self._clock_s = float("-inf")
 
     # ------------------------------------------------------------------ #
     # Event ingestion
@@ -234,9 +276,8 @@ class ClusterPolicy:
         while self._completions and self._completions[0][0] <= until_s:
             _, _, replica, n_members, inserts = heapq.heappop(self._completions)
             self.states[replica].outstanding -= n_members
-            if self.cache is not None:
-                for key, result in inserts:
-                    self.cache.put(key, result)
+            for key, slot in inserts:
+                self.cache.put(key, slot)
 
     def flush_completions(self) -> "float | None":
         """Apply every scheduled completion, however far in the virtual
@@ -250,26 +291,53 @@ class ClusterPolicy:
         self.drain_completions(float("inf"))
         return latest
 
-    def next_dispatch(
-        self, exclude: "frozenset[int] | set[int]" = frozenset()
-    ) -> "tuple[float, int] | None":
+    def _next_dispatch(self) -> "tuple[float, int] | None":
         """Earliest pending ``(dispatch time, replica)``, barring arrivals.
 
-        ``exclude`` lets the live driver skip replicas whose board-free
-        time is not yet known (a batch is still running in the executor) —
-        their next dispatch cannot precede that batch's completion anyway.
         Down replicas never dispatch (their queues are drained at the
         crash, so this is a guard, not a decision).
         """
         best = None
         best_replica = -1
         for r, state in enumerate(self.states):
-            if r in exclude or state.health == DOWN:
+            if state.health == DOWN:
                 continue
             at = state.queue.next_dispatch_s()
             if at is not None and (best is None or at < best):
                 best, best_replica = at, r
         return None if best is None else (best, best_replica)
+
+    def next_due_s(self) -> "float | None":
+        """Earliest pending policy event or dispatch (``None`` when idle)."""
+        dispatch = self._next_dispatch()
+        due = [self._events[0][0]] if self._events else []
+        if dispatch is not None:
+            due.append(dispatch[0])
+        return min(due, default=None)
+
+    def advance(self, until_s: float, launch) -> None:
+        """Run every policy event and dispatch strictly before ``until_s``.
+
+        Virtual-time order; events win ties with dispatches, and an arrival
+        the caller then offers at ``until_s`` wins its tie with a dispatch
+        (it joins the departing batch).  Every batch that survives its
+        dispatch decision goes to ``launch(batch)`` as a
+        :class:`PendingBatch`; the simulator attaches inline, the daemon
+        when the replica's worker returns.
+        """
+        while True:
+            dispatch = self._next_dispatch()
+            event_s = self._events[0][0] if self._events else None
+            if event_s is not None and event_s < until_s and (
+                dispatch is None or event_s <= dispatch[0]
+            ):
+                self._run_events(event_s)
+            elif dispatch is not None and dispatch[0] < until_s:
+                batch = self._dispatch(*dispatch)
+                if batch is not None:
+                    launch(batch)
+            else:
+                return
 
     # ------------------------------------------------------------------ #
     # Policy events: crash/recover transitions, retries, hedges
@@ -281,18 +349,11 @@ class ClusterPolicy:
         )
         self._event_seq += 1
 
-    def next_event_s(self) -> "float | None":
-        """Earliest pending policy event (``None`` when the heap is empty).
-
-        Drivers must apply events before any dispatch or arrival at a later
-        — or equal — instant: events win ties with both.
-        """
-        return self._events[0][0] if self._events else None
-
-    def run_events(self, until_s: float) -> None:
+    def _run_events(self, until_s: float) -> None:
         """Apply every policy event at or before ``until_s``, in order."""
         while self._events and self._events[0][0] <= until_s:
             at_s, _, _, kind, payload = heapq.heappop(self._events)
+            self._clock_s = at_s
             self.drain_completions(at_s)
             if kind == "crash":
                 self._apply_crash(int(payload), at_s)
@@ -345,7 +406,7 @@ class ClusterPolicy:
 
     def _requeue(self, rid: int, at_s: float) -> None:
         """A copy of ``rid`` was lost; schedule a retry or fail it out."""
-        if rid in self.results:
+        if rid in self.traces:
             return  # a hedge twin already delivered it
         if self._copies.get(rid, 0) > 0:
             return  # another copy (queued or in flight) can still serve it
@@ -358,34 +419,31 @@ class ClusterPolicy:
         delay = self.resilience.backoff_s(rid, attempt)
         self._push_event(at_s + delay, "retry", rid)
 
-    def _fail_request(self, rid: int) -> None:
-        """Retry budget exhausted: typed terminal ``failed`` trace."""
-        self.n_failed += 1
+    def _untimed(self, rid: int, status: str, replica: int = -1) -> None:
+        """A terminal trace that never dispatched: rejected or failed."""
         self.traces[rid] = RequestTrace(
             request_id=rid,
             arrival_s=self._arrival0[rid],
-            status=FAILED,
-            replica=-1,
+            status=status,
+            replica=replica,
             dispatch_s=None,
             completion_s=None,
             latency_s=None,
         )
 
-    def _apply_retry(self, rid: int, at_s: float) -> None:
-        """Re-route one lost request among the currently-up replicas."""
-        if rid in self.traces:
-            return  # terminal while the retry was pending (hedge/failure)
-        eligible = self._eligible()
-        if not eligible:
-            # The whole fleet is down.  Wait for the next scheduled
-            # recovery without consuming an attempt; fail out typed when
-            # none is coming.
-            for at, _prio, _seq, kind, _payload in sorted(self._events):
-                if kind == "recover" and at >= at_s:
-                    self._push_event(at, "retry", rid)
-                    return
-            self._fail_request(rid)
-            return
+    def _fail_request(self, rid: int) -> None:
+        """Retry budget exhausted: typed terminal ``failed`` trace."""
+        self.n_failed += 1
+        self._untimed(rid, FAILED)
+
+    def _enqueue(self, replica: int, rid: int, at_s: float) -> None:
+        state = self.states[replica]
+        state.queue.push(rid, at_s)
+        state.outstanding += 1
+        self._copies[rid] = self._copies.get(rid, 0) + 1
+
+    def _route(self, rid: int, at_s: float, eligible) -> "int | None":
+        """Route among ``eligible`` replicas and admit; ``None`` if rejected."""
         choice = int(
             self.router.select([self.states[r].outstanding for r in eligible])
         )
@@ -402,19 +460,27 @@ class ClusterPolicy:
             and state.queue.queued >= self.queue_capacity
         ):
             state.rejected += 1
-            self.traces[rid] = RequestTrace(
-                request_id=rid,
-                arrival_s=self._arrival0[rid],
-                status=REJECTED,
-                replica=replica,
-                dispatch_s=None,
-                completion_s=None,
-                latency_s=None,
-            )
+            self._untimed(rid, REJECTED, replica)
+            return None
+        self._enqueue(replica, rid, at_s)
+        return replica
+
+    def _apply_retry(self, rid: int, at_s: float) -> None:
+        """Re-route one lost request among the currently-up replicas."""
+        if rid in self.traces:
+            return  # terminal while the retry was pending (hedge/failure)
+        eligible = self._eligible()
+        if not eligible:
+            # The whole fleet is down.  Wait for the next scheduled
+            # recovery without consuming an attempt; fail out typed when
+            # none is coming.
+            for at, _prio, _seq, kind, _payload in sorted(self._events):
+                if kind == "recover" and at >= at_s:
+                    self._push_event(at, "retry", rid)
+                    return
+            self._fail_request(rid)
             return
-        state.queue.push(rid, at_s)
-        state.outstanding += 1
-        self._copies[rid] = self._copies.get(rid, 0) + 1
+        self._route(rid, at_s, eligible)
 
     def _apply_hedge(self, rid: int, replica: int, at_s: float) -> None:
         """Duplicate a still-queued slow request onto another replica."""
@@ -437,9 +503,7 @@ class ClusterPolicy:
         target = min(
             candidates, key=lambda r: (self.states[r].outstanding, r)
         )
-        self.states[target].queue.push(rid, at_s)
-        self.states[target].outstanding += 1
-        self._copies[rid] = self._copies.get(rid, 0) + 1
+        self._enqueue(target, rid, at_s)
         self.n_hedges += 1
 
     def cache_key(self, rid: int):
@@ -458,21 +522,25 @@ class ClusterPolicy:
         """One request arrives: cache → route → admit.
 
         Returns :data:`CACHE_HIT`, :data:`REJECTED` or :data:`QUEUED`.  The
-        caller must already have run every dispatch strictly before
-        ``arrival_s`` and every policy event at or before it (arrivals win
-        ties with dispatches but lose them to events); both are re-applied
-        here defensively.
+        caller must already have run :meth:`advance` to ``arrival_s``;
+        policy events *at* ``arrival_s`` run here, first (arrivals lose
+        ties to events).  A hit on a slot whose data is still in flight is
+        decided now and answered when the slot fills.
         """
         rid = int(rid)
         arrival_s = float(arrival_s)
-        self.run_events(arrival_s)
+        self._run_events(arrival_s)
+        self._clock_s = arrival_s
         self.drain_completions(arrival_s)
         self.queries[rid] = np.asarray(query, dtype=np.float64)
         self._arrival0[rid] = arrival_s
         if self.cache is not None:
-            hit = self.cache.get(self.cache_key(rid))
-            if hit is not None:
-                self.results[rid] = hit
+            slot = self.cache.get(self.cache_key(rid))
+            if slot is not None and not slot.failed:
+                if slot.result is None:
+                    slot.hits.append(rid)
+                else:
+                    self.results[rid] = slot.result
                 self.n_cache_hits += 1
                 self.traces[rid] = RequestTrace(
                     request_id=rid,
@@ -488,47 +556,14 @@ class ClusterPolicy:
         if not eligible:
             # Defensive: a generated plan always leaves a survivor, but a
             # hand-written one may not — reject typed, never hang.
-            self.traces[rid] = RequestTrace(
-                request_id=rid,
-                arrival_s=arrival_s,
-                status=REJECTED,
-                replica=-1,
-                dispatch_s=None,
-                completion_s=None,
-                latency_s=None,
-            )
+            self._untimed(rid, REJECTED)
             return REJECTED
-        choice = int(
-            self.router.select([self.states[r].outstanding for r in eligible])
-        )
-        if not 0 <= choice < len(eligible):
-            raise ConfigurationError(
-                f"router {self.router.name!r} chose replica {choice} of "
-                f"{len(eligible)}"
-            )
-        replica = eligible[choice]
+        replica = self._route(rid, arrival_s, eligible)
+        if replica is None:
+            return REJECTED
         state = self.states[replica]
-        state.routed += 1
-        if (
-            self.queue_capacity is not None
-            and state.queue.queued >= self.queue_capacity
-        ):
-            state.rejected += 1
-            self.traces[rid] = RequestTrace(
-                request_id=rid,
-                arrival_s=arrival_s,
-                status=REJECTED,
-                replica=replica,
-                dispatch_s=None,
-                completion_s=None,
-                latency_s=None,
-            )
-            return REJECTED
         if state.first_arrival_s is None:
             state.first_arrival_s = arrival_s
-        state.queue.push(rid, arrival_s)
-        state.outstanding += 1
-        self._copies[rid] = self._copies.get(rid, 0) + 1
         if self.resilience.hedge_after_s is not None and self.n_replicas > 1:
             self._push_event(
                 arrival_s + self.resilience.hedge_after_s,
@@ -537,84 +572,64 @@ class ClusterPolicy:
             )
         return QUEUED
 
-    def pop(
-        self, replica: int, until_s: "float | None" = None
-    ) -> "tuple[float, list[tuple[int, float]]]":
-        """Remove replica's next batch; ``(dispatch time, members)``.
+    def _dispatch(
+        self, dispatch_s: float, replica: int
+    ) -> "PendingBatch | None":
+        """Decide one batch in full at its dispatch instant.
 
-        ``until_s`` caps batch membership at requests that arrived by that
-        instant — the live driver passes the dispatch time, because its
-        queues may already hold arrivals from *after* the virtual dispatch
-        (the simulator never does, by event ordering).
+        Pops the batch, fixes its completion from the replica's declared
+        ``batch_seconds`` (scaled by any slow-replica window), and records
+        traces, the batch log and the cache fill at the completion instant
+        (applied by a later :meth:`drain_completions` — results never
+        time-travel into the cache).  With a fault plan, this is also where
+        injected failures land: a crash strictly inside the service
+        interval loses the batch at the crash instant, an injected engine
+        exception loses it at its completion; either way the members are
+        requeued with backoff, nothing is recorded and ``None`` is returned.
         """
+        self._clock_s = dispatch_s
+        self.drain_completions(dispatch_s)
         state = self.states[replica]
-        dispatch_s, members = state.queue.pop_batch(until_s)
+        _, members = state.queue.pop_batch()
+        batch_index = state.dispatched
         state.dispatched += 1
         for rid, _arrival in members:
             self._copies[rid] -= 1
-        return dispatch_s, members
-
-    def batch_queries(self, members) -> np.ndarray:
-        """The ``(B, n_cols)`` query block of one popped batch."""
-        return np.stack([self.queries[rid] for rid, _ in members])
-
-    def complete(
-        self, replica: int, dispatch_s: float, members, served
-    ) -> float:
-        """Apply one engine batch result; returns the modelled completion.
-
-        Advances the replica's board-free time by the *modelled*
-        ``served.seconds`` (scaled by any slow-replica window), records
-        traces/results, and schedules the cache fill at the
-        completion instant (applied by a later :meth:`drain_completions` —
-        results never time-travel into the cache).
-
-        With a fault plan, this is also where injected failures land: a
-        crash strictly inside the service interval loses the batch at the
-        crash instant, an injected engine exception loses it at its
-        completion; either way the members are requeued with backoff and
-        no result is recorded.
-        """
-        topk = check_served_batch(served, len(members))
-        state = self.states[replica]
-        batch_index = state.dispatched - 1
+        seconds = float(self.batch_seconds[replica](len(members)))
+        plan = self.fault_plan
         factor = (
-            self.fault_plan.service_factor(replica, dispatch_s)
-            if self.fault_plan is not None
+            plan.service_factor(replica, dispatch_s) if plan is not None
             else 1.0
         )
-        service_s = float(served.seconds) * factor
+        service_s = seconds * factor
         completion = dispatch_s + service_s
         crash_s = (
-            self.fault_plan.crash_in(replica, dispatch_s, completion)
-            if self.fault_plan is not None
+            plan.crash_in(replica, dispatch_s, completion)
+            if plan is not None
             else None
         )
         if crash_s is not None:
             # Lost in flight: the crash transition (still pending in the
             # event heap) owns the health flip and the recovery t_free;
             # only the loss itself is applied here.
-            return self._fail_members(replica, crash_s, members, strike=False)
-        if self.fault_plan is not None and self.fault_plan.fails_batch(
-            replica, batch_index
-        ):
+            self._fail_members(replica, crash_s, members, strike=False)
+            return None
+        if plan is not None and plan.fails_batch(replica, batch_index):
             state.queue.t_free = max(state.queue.t_free, completion)
-            return self._fail_members(replica, completion, members, strike=True)
+            self._fail_members(replica, completion, members, strike=True)
+            return None
         state.queue.t_free = completion
         state.strikes = 0
         if state.health in (SUSPECTED, RECOVERING):
             state.health = HEALTHY
-        inserts = []
-        for pos, (rid, _push_arrival) in enumerate(members):
-            if rid in self.results:
+        slots, inserts = [], []
+        for rid, _push_arrival in members:
+            if rid in self.traces:
                 # A hedge twin already delivered this request; discard.
                 self.n_hedge_wasted += 1
+                slots.append(None)
                 continue
             arrival = self._arrival0[rid]
-            self.results[rid] = topk[pos]
-            latency = completion - arrival
-            if self._attempts.get(rid, 0) > 0:
-                self.n_rescued += 1
             self.traces[rid] = RequestTrace(
                 request_id=rid,
                 arrival_s=arrival,
@@ -622,49 +637,88 @@ class ClusterPolicy:
                 replica=replica,
                 dispatch_s=float(dispatch_s),
                 completion_s=float(completion),
-                latency_s=float(latency),
+                latency_s=float(completion - arrival),
             )
-            inserts.append(
-                (self.cache_key(rid) if self.cache is not None else None,
-                 topk[pos])
-            )
-        batch = ServedBatch(
+            slots.append(_Slot(rid))
+            if self.cache is not None:
+                inserts.append((self.cache_key(rid), slots[-1]))
+        log = ServedBatch(
             indices=tuple(rid for rid, _ in members),
             dispatch_s=float(dispatch_s),
             service_s=service_s,
         )
-        self.all_batches.append(batch)
+        self.all_batches.append(log)
         self.batch_replica.append(replica)
-        state.energy_j += served.energy_j
         state.last_completion_s = completion
         heapq.heappush(
             self._completions,
             (completion, self._seq, replica, len(members), inserts),
         )
         self._seq += 1
-        return completion
+        return PendingBatch(
+            replica=replica,
+            queries=np.stack([self.queries[rid] for rid, _ in members]),
+            seconds=seconds,
+            log=log,
+            slots=tuple(slots),
+        )
 
-    def fail_batch(
-        self, replica: int, dispatch_s: float, members,
-        at_s: "float | None" = None,
-    ) -> float:
-        """A *real* (uninjected) engine failure: requeue and strike.
+    def attach(self, batch: PendingBatch, served) -> None:
+        """Hand a dispatched batch its engine answer (the only payload read).
 
-        The live driver calls this when an engine batch raises, passing a
-        detection instant ``at_s`` (clamped to the dispatch) that keeps its
-        virtual clock monotone.  Real failures are not in any plan, so this
-        path favours graceful degradation over replayability (a run that
-        hits one will not verify decision-identical, by design).
+        Fills the results and the batch's cache slots, and bills the
+        engine's energy.  Raises :class:`~repro.errors.FormatError` when
+        the engine returned the wrong number of results, or a service time
+        other than the ``batch_seconds`` it declared (the decision already
+        used the declared one).
         """
-        at_s = dispatch_s if at_s is None else max(float(at_s), dispatch_s)
-        state = self.states[replica]
-        state.queue.t_free = max(state.queue.t_free, at_s)
-        return self._fail_members(replica, at_s, members, strike=True)
+        topk = check_served_batch(served, len(batch.slots))
+        if served.seconds != batch.seconds:
+            raise FormatError(
+                f"engine reported {served.seconds} s for a batch of "
+                f"{len(batch.slots)} but declared batch_seconds = "
+                f"{batch.seconds} s, which fixed the batch's completion"
+            )
+        for slot, result in zip(batch.slots, topk):
+            if slot is not None:
+                slot.result = result
+                for rid in (slot.rid, *slot.hits):
+                    self.results[rid] = result
+        self.states[batch.replica].energy_j += served.energy_j
+
+    def fail_batch(self, batch: PendingBatch, at_s: float) -> None:
+        """A *real* (uninjected) engine failure, detected at ``at_s``.
+
+        Retracts what the batch delivered — its members' traces, every
+        cache hit answered from its slots, its batch-log entry — and hands
+        those requests to the retry path at the detection instant (never
+        before an instant already decided), striking the replica.  Real
+        failures are not in any plan, so this path favours graceful
+        degradation over replayability (a run that hits one will not
+        verify decision-identical, by design).
+        """
+        at_s = max(float(at_s), self._clock_s)
+        index = next(
+            i for i, log in enumerate(self.all_batches) if log is batch.log
+        )
+        del self.all_batches[index], self.batch_replica[index]
+        lost = []
+        for slot in batch.slots:
+            if slot is not None:
+                slot.failed = True
+                lost += [slot.rid, *slot.hits]
+        for rid in lost:
+            if self.traces.pop(rid).status == CACHE_HIT:
+                self.n_cache_hits -= 1
+        self.n_batch_failures += 1
+        for rid in lost:
+            self._requeue(rid, at_s)
+        self._strike(batch.replica, at_s)
 
     def _fail_members(
         self, replica: int, at_s: float, members, strike: bool
-    ) -> float:
-        """Common loss path: decrement copies, requeue, account."""
+    ) -> None:
+        """Injected loss at dispatch: requeue, strike, account."""
         self.n_batch_failures += 1
         for rid, _arrival in members:
             self._requeue(rid, at_s)
@@ -674,7 +728,6 @@ class ClusterPolicy:
             self._completions, (at_s, self._seq, replica, len(members), [])
         )
         self._seq += 1
-        return at_s
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -702,7 +755,12 @@ class ClusterPolicy:
         return {
             "n_batch_failures": self.n_batch_failures,
             "n_retries": self.n_retries,
-            "n_rescued": self.n_rescued,
+            # Rescued: delivered by an engine after at least one retry.
+            "n_rescued": sum(
+                self.traces[rid].status == SERVED
+                for rid in self._attempts
+                if rid in self.traces
+            ),
             "n_failed": self.n_failed,
             "n_hedges": self.n_hedges,
             "n_hedge_wasted": self.n_hedge_wasted,

@@ -389,6 +389,9 @@ class TestEngineFailure:
     class _ExplodingEngine:
         matrix = type("M", (), {"n_cols": 8})()
 
+        def batch_seconds(self, n_queries):
+            return 1e-3
+
         def query_batch(self, queries, top_k):
             raise RuntimeError("board fell over")
 

@@ -41,9 +41,9 @@ class _StubMatrix:
 class StubBatchEngine:
     """A deterministic ``query_batch`` engine with O(1) service time.
 
-    Service time is affine in the batch size; the returned top-k is a
-    distinctive per-engine ``marker`` so tests can tell which engine served
-    a request.
+    Service time (``batch_seconds``) is affine in the batch size; the
+    returned top-k is a distinctive per-engine ``marker`` so tests can tell
+    which engine served a request.
     """
 
     def __init__(self, base_s: float = 1e-3, per_query_s: float = 2e-4,
@@ -59,9 +59,12 @@ class StubBatchEngine:
             # cache on the replica's collection digest.
             self.collection = _StubCollection(digest, n_cols)
 
+    def batch_seconds(self, n_queries):
+        return self.base_s + self.per_query_s * n_queries
+
     def query_batch(self, queries, top_k):
         queries = np.atleast_2d(queries)
-        seconds = self.base_s + self.per_query_s * len(queries)
+        seconds = self.batch_seconds(len(queries))
         topk = [
             TopKResult(
                 indices=np.array([self.marker], dtype=np.int64),

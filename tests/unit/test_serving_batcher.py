@@ -217,6 +217,11 @@ class TestShortEngineReturns:
             self.drop = drop
             self.matrix = type("M", (), {"n_cols": 8})()
 
+        def batch_seconds(self, n_queries):
+            from serving_stubs import StubBatchEngine
+
+            return StubBatchEngine(n_cols=8).batch_seconds(n_queries)
+
         def query_batch(self, queries, top_k):
             from serving_stubs import StubBatchEngine
 
@@ -233,6 +238,9 @@ class TestShortEngineReturns:
         """Returns a batch result without any ``topk``."""
 
         matrix = type("M", (), {"n_cols": 8})()
+
+        def batch_seconds(self, n_queries):
+            return 1e-3
 
         def query_batch(self, queries, top_k):
             return type("R", (), {"seconds": 1e-3, "energy_j": 0.0})()
