@@ -108,7 +108,6 @@ def test_placement_tuning_speedup():
         strategies[strategy] = {
             "skip_fraction": measure_skip_fraction(collection, probes),
             "segmented_skip_fraction": segmented.skip_fraction,
-            "segmented_ordered_lanes": segmented.ordered_lanes,
             "nnz_imbalance": stats["imbalance"],
             "wall_seconds": seconds,
             "wall_qps": Q / seconds,
@@ -178,7 +177,6 @@ def test_placement_tuning_speedup():
     # ROADMAP item 3: wrapping the placed artifact in a segmented collection
     # must not forfeit its block-skip.
     assert skew["segmented_skip_fraction"] >= skew["skip_fraction"], skew
-    assert skew["segmented_ordered_lanes"] == 0, skew
 
     if QUICK:
         # Toy sizes still skip plenty here, but wall-clock QPS at Q = 16

@@ -36,7 +36,7 @@ through the one query driver,
 :func:`~repro.core.kernels.segmented.run_segmented`: a frozen artifact is
 served as a pristine one-segment collection, swept once for the whole block
 on a pluggable kernel backend (:mod:`repro.core.kernels`) into one global
-depth-``K`` scratchpad per query.  :meth:`~TopKSpmvEngine.query` is the same
+running Top-K per query.  :meth:`~TopKSpmvEngine.query` is the same
 path with a one-row block, so looping it is bit-identical and merely pays
 the per-call cost ``Q`` times:
 
@@ -377,10 +377,10 @@ class TopKSpmvEngine:
         The whole ``(Q, n_cols)`` block is validated and quantised once and
         runs through :func:`~repro.core.kernels.segmented.run_segmented`:
         every segment (a frozen artifact is one) is swept once per *batch*
-        into one global depth-``top_k`` scratchpad per query.  The answer
-        is the exact Top-K of the quantised scores at any ``top_k``, and
-        ``tracker_accepts`` counts accepts into that global scratchpad.
-        :meth:`query` is this call with one row.
+        into one global running Top-K per query.  The answer is exactly
+        :func:`~repro.core.reference.topk_from_scores` of the quantised
+        scores at any ``top_k``; ``tracker_accepts`` is 0 (a counter of
+        :meth:`query_candidates`).  :meth:`query` is this call with one row.
 
         The modelled hardware still streams the matrix once per query
         (queries are independent scans); the batch latency is therefore
@@ -405,7 +405,7 @@ class TopKSpmvEngine:
             seconds=seconds,
             queries_per_second=len(queries) / seconds if seconds else 0.0,
             energy_j=self.power_w * seconds,
-            dataflow=tuple(out.stats_per_query()),
+            dataflow=(out.base_stats,) * len(queries),
         )
 
     def _frozen_only(self, action: str) -> None:

@@ -13,7 +13,9 @@ Modules
 ``scratchpad``
     :class:`BatchScratchpads` — dense ``(lanes, k)`` Top-K scratchpads, one
     lane per query or per partition × query, foldable block by block and
-    bit-identical to sequential tracker inserts.
+    bit-identical to sequential tracker inserts (the candidate path).
+``selection``
+    :class:`RunningTopK` — the query path's order-free exact running Top-K.
 ``gather``
     The reference gather + ``reduceat`` backend (the universal fallback).
 ``streaming``
@@ -64,6 +66,7 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.executor import SharedPlanArena
 from repro.core.kernels.scratchpad import BatchScratchpads, batch_scratchpads
+from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.gather import GatherKernel
 from repro.core.kernels.streaming import StreamingKernel
 from repro.core.kernels.contraction import (
@@ -106,6 +109,7 @@ __all__ = [
     "SharedPlanArena",
     "BatchScratchpads",
     "batch_scratchpads",
+    "RunningTopK",
     "GatherKernel",
     "StreamingKernel",
     "ContractionKernel",

@@ -36,9 +36,10 @@ rule (:func:`resolve_backend`) then silently substitutes the backend's
 declared fallback, so callers always get the guaranteed bits.
 
 A per-partition backend *is* its :meth:`KernelBackend.fold_plan`.  Two thin
-drivers decide which scratchpads a plan folds into and share the rest:
-:func:`~repro.core.kernels.segmented.run_segmented` (the shared global
-depth-``K`` pads) answers every engine's ``query``/``query_batch``, frozen
+drivers decide which Top-K state a plan folds into and share the rest:
+:func:`~repro.core.kernels.segmented.run_segmented` (one global
+:class:`~repro.core.kernels.selection.RunningTopK`) answers every engine's
+``query``/``query_batch``, frozen
 or segmented, and :func:`run_kernel` (fresh depth-``local_k`` pads per
 partition) models the paper's per-core candidates behind
 ``query_candidates`` and :func:`~repro.core.dataflow.simulate_multicore_batch`.
@@ -226,13 +227,14 @@ class KernelBackend:
     def fold_plan(self, queries: Queries, plan, pads, first_row=0, live=None):
         """Offer one plan's live rows, in stream order, to ``pads``.
 
-        The one entry point of a per-partition backend.  ``pads``
-        (:class:`BatchScratchpads`, one lane per query) may be fresh or
-        warm — thresholds already raised by earlier plans.  Live row ``j``
-        (``live``: bool mask over the plan's rows, ``None`` = all) is
-        offered as row ``first_row + j`` with the score bits ``run_fast``
-        computes, so the final state equals sequential
-        :meth:`~repro.core.topk_tracker.TopKTracker.insert` calls.  Returns
+        The one entry point of a per-partition backend.  ``pads`` (one lane
+        per query: a ``RunningTopK``, or :class:`BatchScratchpads` on the
+        candidate path) may be fresh or warm — thresholds already raised by
+        earlier plans.  Live row ``j`` (``live``: bool mask over the plan's
+        rows, ``None`` = all) is offered as row ``first_row + j`` with the
+        score bits ``run_fast`` computes, so scratchpads end as sequential
+        :meth:`~repro.core.topk_tracker.TopKTracker.insert` calls leave
+        them.  Returns
         ``(skipped, screened)``: (row, query) pairs provably rejected
         ungathered, of those put through a screen at all — ``(0, 0)`` from
         a backend without one.  Collection-level backends (contraction)

@@ -32,9 +32,7 @@ def plan_row_scores(queries: Queries, plan) -> np.ndarray:
     against the query block and reduce per row with ``np.add.reduceat`` —
     the numerical twin of the hardware's adder tree, so the returned bits
     are exactly what ``run_fast`` produces for each row (the float64
-    upcast of a float32 accumulation is lossless).  Shared by the fold
-    below and the multi-segment driver's live-row-order fold of a placed
-    segment (:mod:`repro.core.kernels.segmented`).
+    upcast of a float32 accumulation is lossless).
     """
     acc = queries.acc
     n_queries = len(queries)

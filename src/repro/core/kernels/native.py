@@ -30,10 +30,11 @@ bit-preservation of single-lane segments (no ``+0.0``, which would turn
 bits in both accumulation dtypes (locked by a differential unit test
 against ``np.add.reduceat`` and by the kernel property suite).
 
-Scores then stream through a literal transcription of
-:meth:`~repro.core.topk_tracker.TopKTracker.insert` (first-argmin slot,
-accept on ``value >= worst``), so scratchpad contents, accept counts and
-result ordering match the reference by construction; the block screen
+Scores then stream into tracker scratchpads through a literal transcription
+of :meth:`~repro.core.topk_tracker.TopKTracker.insert` (first-argmin slot,
+accept on ``value >= worst``), or into the query path's
+:class:`~repro.core.kernels.selection.RunningTopK` by sorted insertion under
+its total order — the reference's state by construction.  The block screen
 reuses :func:`~repro.core.kernels.streaming.screen_blocks` — the same
 slack, per query an even *stricter* refinement of the chunk-consensus
 skip (each skipped ``(row, query)`` pair is individually provably
@@ -53,6 +54,7 @@ import os
 import numpy as np
 
 from repro.core.kernels.base import KernelBackend, KernelRequest, register_kernel
+from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import screen_blocks
 
 __all__ = [
@@ -181,6 +183,26 @@ def _segment_sum(a, lo, hi, zero, vstack, toff, tlen):
     return a[lo] + _pairwise_big(a, lo + 1, n - 1, zero, vstack, toff, tlen)
 
 
+def _ranks_above(v, r, bv, br):
+    """Whether ``(v, r)`` beats ``(bv, br)`` under the total order: value
+    descending, NaN below −inf, ties by ascending row."""
+    if bv != bv:
+        return v == v or r < br
+    return v == v and (v > bv or (v == bv and r < br))
+
+
+def _lane_worst(vals, q, total_order):
+    """Lane ``q``'s threshold: its last slot if kept sorted, else its minimum."""
+    k = vals.shape[1]
+    if total_order:
+        return vals[q, k - 1]
+    worst = vals[q, 0]
+    for j in range(1, k):
+        if vals[q, j] < worst:
+            worst = vals[q, j]
+    return worst
+
+
 def _sweep(
     X,
     kept_idx,
@@ -200,7 +222,7 @@ def _sweep(
     vals,
     rows,
     accepts,
-    evicted,
+    total_order,
     zero,
 ):
     """The whole fused sweep for one partition plan.
@@ -208,21 +230,18 @@ def _sweep(
     Walks queries x blocks x rows: screens each block against the query's
     *current* eviction threshold, gathers and reduces surviving live rows
     lane by lane (pairwise tree, or a plain sequential sum when ``exact``
-    certifies order-independence), and inserts accepted scores with the
-    tracker's first-argmin replace rule.  ``vals``/``rows``/``accepts``
-    and ``evicted`` (the value each query's latest accept replaced) are
-    updated in place (they may arrive warm from earlier segments);
-    returns the number of live (row, query) pairs provably skipped.
+    certifies order-independence), and inserts each score: with
+    ``total_order`` (a sorted ``RunningTopK``) by evicting the last slot
+    and bubbling into place, else by the tracker's first-argmin ``>=``
+    replace.  The slots may arrive warm and are updated in place; returns
+    the number of live (row, query) pairs provably skipped.
     """
     n_queries = X.shape[0]
     k = vals.shape[1]
     n_blocks = len(blocks) - 1
     skipped = 0
     for q in range(n_queries):
-        worst = vals[q, 0]
-        for j in range(1, k):
-            if vals[q, j] < worst:
-                worst = vals[q, j]
+        worst = _lane_worst(vals, q, total_order)
         xq = xmax[q]
         for b in range(n_blocks):
             r0 = blocks[b]
@@ -248,23 +267,30 @@ def _sweep(
                         l = l0 + j
                         prod[j] = values[l] * X[q, kept_idx[l]]
                     score = float(_segment_sum(prod, 0, m, zero, vstack, toff, tlen))
-                if score >= worst:
+                row = row_ids[r]
+                if total_order:
+                    if not _ranks_above(score, row, vals[q, k - 1], rows[q, k - 1]):
+                        continue
+                    slot = k - 1
+                elif score >= worst:
                     # First slot holding the current minimum (the
                     # priority-encoder argmin): a plain rescan — k is tiny.
                     slot = 0
-                    mv = vals[q, 0]
                     for j in range(1, k):
-                        if vals[q, j] < mv:
-                            mv = vals[q, j]
+                        if vals[q, j] < vals[q, slot]:
                             slot = j
-                    vals[q, slot] = score
-                    rows[q, slot] = row_ids[r]
-                    accepts[q] += 1
-                    evicted[q] = mv
-                    worst = vals[q, 0]
-                    for j in range(1, k):
-                        if vals[q, j] < worst:
-                            worst = vals[q, j]
+                else:
+                    continue
+                while total_order and slot > 0 and _ranks_above(
+                    score, row, vals[q, slot - 1], rows[q, slot - 1]
+                ):
+                    vals[q, slot] = vals[q, slot - 1]
+                    rows[q, slot] = rows[q, slot - 1]
+                    slot -= 1
+                vals[q, slot] = score
+                rows[q, slot] = row
+                accepts[q] += 1
+                worst = _lane_worst(vals, q, total_order)
     return skipped
 
 
@@ -272,6 +298,8 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
     _pairwise_base = _maybe_jit(_pairwise_base)
     _pairwise_big = _maybe_jit(_pairwise_big)
     _segment_sum = _maybe_jit(_segment_sum)
+    _ranks_above = _maybe_jit(_ranks_above)
+    _lane_worst = _maybe_jit(_lane_worst)
     _sweep = _maybe_jit(_sweep)
 
 
@@ -306,17 +334,17 @@ class NativeKernel(KernelBackend):
         return native_available()
 
     def fold_plan(self, queries, plan, pads, first_row=0, live=None):
-        """Compiled fold of one plan into (possibly warm) scratchpads.
+        """Compiled fold of one plan into (possibly warm) ``pads``.
 
-        The scratchpad state is exported dense, advanced by :func:`_sweep`
-        with live rows renumbered to ``first_row + live-position`` (exactly
-        the live-matrix ids), and imported back — the import is
-        sequential-tracker-exact, so a warm fold's cross-segment threshold
-        carry-over is preserved bit for bit.  The per-query screens refine
-        the streaming fold's all-lanes skip (each skipped pair individually
-        provably rejected).  When ``queries.exact`` certifies exact float64
-        accumulation the cheaper sequential-sum path is the same bits as the
-        pairwise tree (no partial sum ever rounds).
+        Live rows are renumbered to ``first_row + live-position`` (exactly
+        the live-matrix ids) and advanced by :func:`_sweep` under the rule
+        of ``pads``: a ``RunningTopK`` is updated in place; scratchpads are
+        exported dense and imported back, sequential-tracker-exact.  The
+        per-query screens refine the streaming fold's all-lanes skip (each
+        skipped pair individually provably rejected).  When
+        ``queries.exact`` certifies exact float64 accumulation the cheaper
+        sequential-sum path is the same bits as the pairwise tree (no
+        partial sum ever rounds).
         """
         if live is None:
             n_live = plan.n_rows
@@ -330,8 +358,11 @@ class NativeKernel(KernelBackend):
         starts = np.ascontiguousarray(plan.starts, dtype=np.int64)
         seg_ends, blocks, block_peak = screen_blocks(plan, acc, live)
         max_seg = int((seg_ends - starts).max(initial=1))
-        vals, rows, accepts = pads.export_state()
-        evicted = pads.evicted_values()
+        total_order = isinstance(pads, RunningTopK)
+        if total_order:
+            vals, rows, accepts = pads.vals, pads.rows, np.zeros(len(queries), int)
+        else:
+            vals, rows, accepts = pads.export_state()
         skipped = _sweep(
             np.ascontiguousarray(queries.Xc),
             np.ascontiguousarray(plan.kept_idx, dtype=np.int64),
@@ -351,10 +382,11 @@ class NativeKernel(KernelBackend):
             vals,
             rows,
             accepts,
-            evicted,
+            total_order,
             acc.type(0.0),
         )
-        pads.import_state(vals, rows, accepts, seen_rows=n_live, evicted=evicted)
+        if not total_order:
+            pads.import_state(vals, rows, accepts, seen_rows=n_live)
         return int(skipped), n_live * len(queries)
 
 

@@ -1,5 +1,8 @@
 """Vectorised Top-K scratchpads, one per *lane*, foldable block by block.
 
+The hardware replay behind the paper's per-core candidate path
+(``query_candidates``; ``query`` selects with
+:class:`~repro.core.kernels.selection.RunningTopK` instead):
 :class:`BatchScratchpads` carries one k-entry replace-the-minimum
 scratchpad (the hardware unit of
 :class:`~repro.core.topk_tracker.TopKTracker`) per lane across an
@@ -39,18 +42,6 @@ arrival order in both, so the schedule never changes a bit.
 Blocks containing any non-finite value (NaN or ±inf) take a per-row
 sequential path that mirrors :meth:`TopKTracker.insert` operation for
 operation, so the guarantee holds unconditionally.
-
-What offering rows out of order can change
-------------------------------------------
-A scratchpad always holds the top-k *multiset* of the values it was
-offered, whatever the order; only *which* of several rows sharing the k-th
-value survive depends on arrival order.  Each lane therefore records the
-value its latest accept evicted (:meth:`evicted_values`) — thresholds never
-decrease, so that is the largest value the lane ever dropped, and a lane
-whose final threshold is strictly above it holds exactly the rows scoring
-at or above the threshold, in any offering order.  The multi-segment driver
-(:mod:`repro.core.kernels.segmented`) uses this to fold placed segments in
-stream order (``fold(row_ids=)``) and still return the live-order bits.
 """
 
 from __future__ import annotations
@@ -77,10 +68,6 @@ class BatchScratchpads:
         self._vals = np.full((self.n_queries, self.local_k), -np.inf)
         self._rows = np.full((self.n_queries, self.local_k), -1, dtype=np.int64)
         self._accepts = np.zeros(self.n_queries, dtype=np.int64)
-        #: The value each lane's latest accept evicted (−inf while filling).
-        self._evicted = np.full(self.n_queries, -np.inf)
-        #: Lanes that were ever offered a non-finite value.
-        self._nonfinite = np.zeros(self.n_queries, dtype=bool)
         #: Rows offered (or provably-rejected-and-skipped) so far; controls
         #: the doubling window growth only — never any result bit.
         self._seen = 0
@@ -94,22 +81,6 @@ class BatchScratchpads:
     def worst_thresholds(self) -> np.ndarray:
         """Per-lane eviction thresholds (−inf while a scratchpad is unfilled)."""
         return self._vals.min(axis=1)
-
-    def evicted_values(self) -> np.ndarray:
-        """Per-lane largest value ever dropped (a copy; −inf = none yet).
-
-        Evictions are non-decreasing, so the latest one is the largest;
-        rejected and skipped rows lie strictly below the threshold they
-        met.  ``evicted == threshold`` is therefore the only way a lane can
-        have dropped a row tied with its k-th entry.
-        """
-        return self._evicted.copy()
-
-    def nonfinite_lanes(self) -> np.ndarray:
-        """Mask (a copy) of the lanes ever offered a NaN or ±inf value —
-        the one case where more than boundary ties depends on arrival
-        order (an accepted −inf parks the argmin on its own slot)."""
-        return self._nonfinite.copy()
 
     def export_state(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Dense ``(vals, rows, accepts)`` snapshot of every scratchpad.
@@ -128,7 +99,6 @@ class BatchScratchpads:
         rows: np.ndarray,
         accepts: np.ndarray,
         seen_rows: int = 0,
-        evicted: "np.ndarray | None" = None,
     ) -> None:
         """Adopt (a copy of) a state advanced outside :meth:`fold`.
 
@@ -139,20 +109,12 @@ class BatchScratchpads:
         fill shortcut is disabled afterwards (per-lane fill levels may
         now differ); the windowed fold path remains exact regardless.
         ``seen_rows`` advances the window-growth counter by the rows
-        offered or provably skipped — never any result bit.  ``evicted``
-        is :meth:`evicted_values` advanced alongside; an importer that
-        does not say what it dropped is assumed to have dropped a tie
-        (``evicted`` = the imported thresholds).
+        offered or provably skipped — never any result bit.
         """
         shape = (self.n_queries, self.local_k)
         self._vals = np.array(vals, dtype=np.float64).reshape(shape)
         self._rows = np.array(rows, dtype=np.int64).reshape(shape)
         self._accepts = np.array(accepts, dtype=np.int64).reshape(shape[0])
-        self._evicted = (
-            self.worst_thresholds()
-            if evicted is None
-            else np.array(evicted, dtype=np.float64).reshape(shape[0])
-        )
         self._seen += int(seen_rows)
         self._uniform = False
 
@@ -355,7 +317,6 @@ class BatchScratchpads:
             self._vals[lane, slot] = value[accept]
             self._rows[lane, slot] = rows[at][accept]
             self._accepts[lane] += 1
-            self._evicted[lane] = worst[accept]
 
     def _replay_scalar(self, lanes, rows, values) -> None:
         """Survivor-by-survivor replay on list copies of the touched lanes:
@@ -366,23 +327,19 @@ class BatchScratchpads:
             state = touched.get(lane)
             if state is None:
                 pad = self._vals[lane].tolist()
-                state = touched[lane] = [
-                    pad, self._rows[lane].tolist(), min(pad), 0, None
-                ]
-            pad, pad_rows, worst, _, _ = state
+                state = touched[lane] = [pad, self._rows[lane].tolist(), min(pad), 0]
+            pad, pad_rows, worst, _ = state
             if value >= worst:
                 slot = pad.index(worst)
                 pad[slot] = value
                 pad_rows[slot] = row
                 state[2] = min(pad)
                 state[3] += 1
-                state[4] = worst
-        for lane, (pad, pad_rows, _, accepted, evicted) in touched.items():
+        for lane, (pad, pad_rows, _, accepted) in touched.items():
             if accepted:
                 self._vals[lane] = pad
                 self._rows[lane] = pad_rows
                 self._accepts[lane] += accepted
-                self._evicted[lane] = evicted
 
     def _fold_sequential(self, row_values, row_ids, lane0: int) -> None:
         """Non-finite block: mirror ``TopKTracker.insert`` row by row on
@@ -396,15 +353,11 @@ class BatchScratchpads:
         accepted, so scratchpad values (and hence ``min``) stay NaN-free.
         """
         lanes = slice(lane0, lane0 + row_values.shape[0])
-        self._nonfinite[lanes] |= ~np.isfinite(row_values).all(axis=1)
         pads = self._vals[lanes].tolist()
         pad_rows = self._rows[lanes].tolist()
-        evicted = self._evicted[lanes].tolist()
         ids = row_ids.tolist()
         accepts = []
-        for i, (pad, rows, values) in enumerate(
-            zip(pads, pad_rows, row_values.tolist())
-        ):
+        for pad, rows, values in zip(pads, pad_rows, row_values.tolist()):
             worst = min(pad)
             accepted = 0
             for row, value in zip(ids, values):
@@ -413,13 +366,11 @@ class BatchScratchpads:
                     pad[slot] = value
                     rows[slot] = row
                     accepted += 1
-                    evicted[i] = worst
                     worst = min(pad)
             accepts.append(accepted)
         self._vals[lanes] = pads
         self._rows[lanes] = pad_rows
         self._accepts[lanes] += accepts
-        self._evicted[lanes] = evicted
 
     # ------------------------------------------------------------------ #
     # Results

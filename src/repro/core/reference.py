@@ -6,8 +6,9 @@ L2-normalised embeddings and ``x`` is an L2-normalised query, these are the
 ``K`` most cosine-similar embeddings.
 
 Ordering convention used across the whole library: descending value, ties
-broken by ascending row index.  This makes every comparison in the test
-suite deterministic.
+broken by ascending row index, NaN below −inf.  This makes every comparison
+in the test suite deterministic; every engine's ``query`` answers exactly
+:func:`topk_from_scores` of its quantised scores.
 """
 
 from __future__ import annotations
@@ -94,33 +95,30 @@ def results_from_dense(indices: np.ndarray, values: np.ndarray) -> "list[TopKRes
 def topk_from_scores(scores: np.ndarray, k: int) -> TopKResult:
     """Select the top ``k`` entries of a dense score vector.
 
-    Uses ``argpartition`` for O(N) selection and sorts only the selected
-    entries.  Ties are broken by ascending index (deterministic).
+    Uses ``partition`` for O(N) selection and sorts only the selected
+    entries.  Ties are broken by ascending index (deterministic), and NaN
+    ranks below −inf.
     """
     k = check_positive_int(k, "k")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ConfigurationError(f"scores must be 1-D, got shape {scores.shape}")
+    nan = np.isnan(scores)
+    if nan.any():  # NaN ranks below -inf: the rest first, then NaN rows by index
+        real = np.flatnonzero(~nan)
+        head = real[topk_from_scores(scores[real], k).indices]
+        chosen = np.concatenate([head, np.flatnonzero(nan)])[:k]
+        return TopKResult(indices=chosen, values=scores[chosen])
     n = len(scores)
     k = min(k, n)
     if k == 0:
         return TopKResult(indices=np.empty(0, dtype=np.int64), values=np.empty(0))
-    if k == n:
-        candidates = np.arange(n)
-    else:
-        partitioned = np.argpartition(scores, n - k)
-        candidates = partitioned[n - k :]
-        # argpartition picks arbitrarily among values tied at the k-th
-        # largest; enforce the ascending-index tie-break by swapping in any
-        # lower-index rows that share the boundary value.
-        boundary = scores[candidates].min()
-        excluded = partitioned[: n - k]
-        tied_out = excluded[scores[excluded] == boundary]
-        if len(tied_out):
-            tied_in = candidates[scores[candidates] == boundary]
-            keep = candidates[scores[candidates] > boundary]
-            tied = np.sort(np.concatenate([tied_in, tied_out]))[: len(tied_in)]
-            candidates = np.concatenate([keep, tied])
+    # Every row above the k-th largest value, then the lowest-index rows
+    # tied with it.
+    boundary = np.partition(scores, n - k)[n - k]
+    above = np.flatnonzero(scores > boundary)
+    tied = np.flatnonzero(scores == boundary)[: k - len(above)]
+    candidates = np.concatenate([above, tied])
     # Sort candidates: descending value, ascending index on ties.
     order = np.lexsort((candidates, -scores[candidates]))
     chosen = candidates[order]

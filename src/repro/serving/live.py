@@ -529,6 +529,10 @@ class LiveServer:
                 receipt, client_id, "bad-query",
                 f"query must be a flat list of {self.runtime.n_cols} numbers",
             )
+        if not np.isfinite(query).all():  # JSON's NaN/Infinity tokens
+            return self._error_reply(
+                receipt, client_id, "bad-query", "query values must be finite"
+            )
         requested_k = message.get("top_k", self.top_k)
         if requested_k != self.top_k:
             return self._error_reply(

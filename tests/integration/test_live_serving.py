@@ -188,6 +188,29 @@ class TestProtocolErrorPaths:
             assert reply["op"] == "error"
             assert "flat list of 8 numbers" in reply["error"]
 
+    def test_non_finite_query_gets_typed_error(self):
+        """JSON's ``NaN``/``Infinity`` tokens decode to floats: such a query
+        is refused as ``bad-query`` and logged like any other reply."""
+        replies = asyncio.run(
+            self._roundtrip(
+                [
+                    {"op": "query", "id": 1, "query": [float("nan")] + [1.0] * 7},
+                    {"op": "query", "id": 2, "query": [1.0] * 7 + [float("inf")]},
+                    {"op": "query", "id": 3, "query": [-float("inf")] * 8},
+                    {"op": "stats"},
+                ]
+            )
+        )
+        *errors, stats = replies
+        for client_id, reply in enumerate(errors, start=1):
+            assert reply["op"] == "error"
+            assert reply["code"] == "bad-query"
+            assert reply["id"] == client_id
+            assert "finite" in reply["error"]
+        assert stats["n_offered"] == 0  # never admitted to the decision core
+        assert stats["wall"]["n_offered"] == 3
+        assert stats["wall"]["error_codes"] == {"bad-query": 3}
+
     def test_mismatched_top_k_gets_typed_error(self):
         (reply,) = asyncio.run(
             self._roundtrip(

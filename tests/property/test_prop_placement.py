@@ -180,10 +180,8 @@ class TestSegmentedInvariance:
         want = TopKSpmvEngine(base).query_batch(X, top_k)
         got = TopKSpmvEngine(placed).query_batch(X, top_k)
         assert_batches_identical(got.topk, want.topk, strategy)
-        # Continuous values never tie at the K-th score: nothing falls
-        # back to the ordered fold, and the placed segment streamed.
+        # The placed segment streamed.
         out = run_segmented(placed, PAPER_DESIGNS[design_name].quantize_query(X), top_k)
-        assert out.ordered_lanes == 0
         assert out.segment_kernels == ("streaming",)
 
     @pytest.mark.parametrize("strategy", NON_UNIFORM)
@@ -198,9 +196,9 @@ class TestSegmentedInvariance:
         self, strategy, matrix, design_name, top_k, data
     ):
         """Grid values x grid queries tie at the K-th score all the time;
-        the stream-order fold plus the boundary-tie guard still returns the
-        identity compile's bits, tombstones on the placed segment and a
-        trailing unplaced segment + delta included."""
+        the heaviest-first fold still returns the identity compile's bits,
+        tombstones on the placed segment and a trailing unplaced segment +
+        delta included."""
         design = PAPER_DESIGNS[design_name]
         n_cols = matrix.n_cols
         tail = data.draw(sparse_matrices(max_rows=6, n_cols=n_cols))
@@ -229,36 +227,7 @@ class TestSegmentedInvariance:
             outs.append(run_segmented(collection, X, top_k))
         want, got = outs
         assert_batches_identical(got.results, want.results, strategy)
-        assert want.ordered_lanes == 0  # nothing placed, nothing to guard
         assert got.total_rows == want.total_rows  # every live pair accounted
-
-    @pytest.mark.parametrize("strategy", NON_UNIFORM)
-    def test_tie_guard_fires_on_grid_ties(self, strategy):
-        """Every row scores the same (rows differ only in columns the
-        queries zero out, which is what the placement sorts on): all ties
-        at the K-th score, so the guard must send every query through the
-        ordered fold."""
-        design = PAPER_DESIGNS["20b"]
-        rows = []
-        for i in range(24):
-            extra = 1 + i % 3
-            cols = np.arange(extra + 1, dtype=np.int64)
-            vals = np.concatenate([[0.5], np.full(extra, (i + 1) / 64)])
-            rows.append((cols, vals))
-        matrix = CSRMatrix.from_rows(rows, n_cols=4)
-        X = design.quantize_query(np.array([[0.5, 0, 0, 0], [0.25, 0, 0, 0]]))
-        base = SegmentedCollection.from_collection(
-            compile_collection(matrix, design, n_partitions=3)
-        )
-        placed = SegmentedCollection.from_collection(
-            compile_collection(matrix, design, n_partitions=3, placement=strategy)
-        )
-        assert placed.segments[0].artifact.placement is not None
-        want = run_segmented(base, X, 5)
-        got = run_segmented(placed, X, 5)
-        assert got.ordered_lanes == 2
-        assert_batches_identical(got.results, want.results, strategy)
-        assert got.accepts.tolist() == want.accepts.tolist()
 
 
 class TestPersistence:

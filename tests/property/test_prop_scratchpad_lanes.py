@@ -226,9 +226,9 @@ class TestLaneFoldMatchesTrackers:
 
 
 # ---------------------------------------------------------------------- #
-# fold(row_ids=): renamed rows in arrival order, and the evicted-value tracker
+# fold(row_ids=): renamed rows in arrival order
 # ---------------------------------------------------------------------- #
-class TestRenamedRowsAndEvictedValues:
+class TestRenamedRows:
     @pytest.mark.parametrize("min_width", SCHEDULES)
     @given(
         lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
@@ -244,20 +244,13 @@ class TestRenamedRowsAndEvictedValues:
     ):
         """Incremental ``fold(row_ids=perm)`` calls with provably-rejected
         rows skipped in between: slots, accepts and results equal trackers
-        offered the permuted ids in column order, and ``evicted_values`` is
-        the largest value each tracker ever dropped (``nonfinite_lanes``
-        the lanes ever offered a NaN or ±inf)."""
+        offered the permuted ids in column order."""
         trackers = [TopKTracker(k) for _ in range(n_queries)]
         accepts = [0] * n_queries
-        dropped = [-np.inf] * n_queries
-        non_finite = [False] * n_queries
 
         def offer(lane, row, value):
-            non_finite[lane] |= not np.isfinite(value)
-            worst = float(trackers[lane]._values.min())
             if trackers[lane].insert(row, value):
                 accepts[lane] += 1
-                dropped[lane] = max(dropped[lane], worst)
 
         pads = BatchScratchpads(n_queries, k)
         for n in lengths:
@@ -282,27 +275,12 @@ class TestRenamedRowsAndEvictedValues:
         vals, rows, got_accepts = pads.export_state()
         results, _ = pads.finish()
         assert got_accepts.tolist() == accepts
-        assert pads.evicted_values().tolist() == dropped
-        assert pads.nonfinite_lanes().tolist() == non_finite
         for lane, tracker in enumerate(trackers):
             assert rows[lane].tolist() == tracker._indices.tolist()
             assert vals[lane].tobytes() == tracker._values.tobytes()
             want = tracker.result()
             assert results[lane].indices.tolist() == want.indices.tolist()
             assert results[lane].values.tobytes() == want.values.tobytes()
-
-    def test_import_without_evicted_assumes_a_dropped_tie(self):
-        """An importer that does not report what it dropped must not be
-        able to hide a boundary tie from the guard."""
-        pads = BatchScratchpads(2, 2)
-        pads.fold(np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 1.0]]), 0)
-        assert pads.evicted_values().tolist() == [1.0, 1.0]
-        moved = BatchScratchpads(2, 2)
-        moved.import_state(*pads.export_state())
-        assert moved.evicted_values().tolist() == moved.worst_thresholds().tolist()
-        kept = BatchScratchpads(2, 2)
-        kept.import_state(*pads.export_state(), evicted=pads.evicted_values())
-        assert kept.evicted_values().tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------- #

@@ -203,7 +203,6 @@ class TestSegmentedEqualsRecompiled:
             got = run_segmented(collection, X, top_k, kernel=kernel)
             want = run_segmented(fresh, X, top_k, kernel=kernel)
             assert_results_identical(got.results, want.results, kernel)
-            assert got.accepts.tolist() == want.accepts.tolist(), kernel
             if reference is None:
                 reference = got
             else:

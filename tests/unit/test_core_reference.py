@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.reference import TopKResult, exact_topk_spmv, topk_from_scores
+from repro.core.reference import (
+    TopKResult,
+    dense_order,
+    exact_topk_spmv,
+    topk_from_scores,
+)
 from repro.errors import ConfigurationError
 
 
@@ -42,6 +47,18 @@ class TestTopKFromScores:
         scores = np.array([0.5, 0.9, 0.5, 0.5])
         r = topk_from_scores(scores, 3)
         assert r.indices.tolist() == [1, 0, 2]
+
+    def test_nan_ranks_below_minus_inf(self):
+        scores = np.array([np.nan, 1.0, 0.5, -np.inf])
+        assert topk_from_scores(scores, 2).indices.tolist() == [1, 2]
+        r = topk_from_scores(scores, 4)
+        assert r.indices.tolist() == [1, 2, 3, 0]
+        assert r.values[:3].tolist() == [1.0, 0.5, -np.inf]
+        assert np.isnan(r.values[3])
+        # The order dense_order sorts candidates in, NaN rows by index.
+        nans = np.array([np.nan, np.inf, np.nan, -np.inf])
+        want = dense_order(np.arange(4)[None], nans[None])[0]
+        assert topk_from_scores(nans, 4).indices.tolist() == want.tolist() == [1, 3, 0, 2]
 
     def test_matches_full_sort(self, rng):
         scores = rng.random(1000)

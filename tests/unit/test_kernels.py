@@ -263,7 +263,6 @@ class TestContractionGate:
                 return (
                     [r.values.tobytes() for r in out.results],
                     [r.indices.tolist() for r in out.results],
-                    out.accepts.tolist(),
                 )
 
         widths = []
