@@ -56,7 +56,7 @@ def test_core_scaling_sweep(benchmark):
         out = {}
         for cores in (1, 2, 4, 8, 16, 32):
             accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"].with_cores(cores))
-            out[cores] = accel.timing_estimate_from_row_lengths(lengths).makespan_s
+            out[cores] = accel.timing_from_row_lengths(lengths).makespan_s
         return out
 
     makespans = benchmark(sweep)

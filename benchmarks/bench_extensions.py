@@ -53,7 +53,7 @@ def test_board_comparison(benchmark, paper_scale_lengths):
         out = {}
         for board in (ALVEO_U280, ALVEO_U50):
             accel = accelerator_on_board(PAPER_DESIGNS["20b"], board)
-            out[board.name] = accel.timing_estimate_from_row_lengths(
+            out[board.name] = accel.timing_from_row_lengths(
                 paper_scale_lengths
             ).total_seconds
         return out

@@ -68,7 +68,7 @@ def main() -> None:
     rows = []
     for board in BOARDS.values():
         accel = accelerator_on_board(design, board)
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         power = estimate_fpga_power_w(accel.design)
         rows.append([
             board.name,

@@ -54,7 +54,7 @@ def main() -> None:
                 if max(util.values()) > 1.0:
                     continue  # does not fit the device
                 accel = TopKSpmvAccelerator(design)
-                timing = accel.timing_estimate_from_row_lengths(lengths)
+                timing = accel.timing_from_row_lengths(lengths)
                 precision = expected_precision(N_ROWS, cores, local_k, TOP_K)
                 power = estimate_fpga_power_w(design)
                 candidates.append((design, timing, precision, power))

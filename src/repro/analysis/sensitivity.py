@@ -55,7 +55,7 @@ def headline_speedups(
     accel = TopKSpmvAccelerator(
         PAPER_DESIGNS["20b"], hbm=hbm_from_calibration(constants), constants=constants
     )
-    fpga_s = accel.timing_estimate_from_row_lengths(lengths).total_seconds
+    fpga_s = accel.timing_from_row_lengths(lengths).total_seconds
     cpu_s = CpuTimingModel(constants=constants).query_time_s(nnz, n_rows)
     gpu_s = GpuTimingModel(constants=constants).query_time_s(
         nnz, n_rows, "float32", zero_cost_sort=True

@@ -166,7 +166,7 @@ def select_design(
                 workload.n_rows, cores, local_k, workload.top_k
             ) * quantisation_precision(value_bits, workload)
             accel = TopKSpmvAccelerator(design)
-            latency = accel.timing_estimate_from_row_lengths(row_lengths).total_seconds
+            latency = accel.timing_from_row_lengths(row_lengths).total_seconds
             candidates.append(
                 DesignChoice(
                     design=design,

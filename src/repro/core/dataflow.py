@@ -35,7 +35,7 @@ from repro.core.approx import CandidateBlock
 from repro.core.reference import TopKResult
 from repro.core.topk_tracker import TopKTracker
 from repro.errors import ConfigurationError, SimulationError
-from repro.formats.bscsr import BSCSRMatrix, BSCSRStream
+from repro.formats.bscsr import BSCSRMatrix, BSCSRStream, decode_lanes
 from repro.utils.validation import check_positive_int
 
 __all__ = [
@@ -293,53 +293,27 @@ class StreamPlan:
 
 
 def plan_stream(stream: BSCSRStream) -> StreamPlan:
-    """Derive a :class:`StreamPlan` (the structure half of :meth:`run_fast`).
+    """Derive a :class:`StreamPlan`: the format's decoder plus counters.
 
-    Mirrors the fast path's lane bookkeeping exactly: padding lanes are
-    dropped (they would change the float32 reduction tree), row boundaries
-    become ``reduceat`` segment starts in stream order.
+    :func:`repro.formats.bscsr.decode_lanes` drops the padding lanes (they
+    would change the float32 reduction tree) and turns row boundaries into
+    ``reduceat`` segment starts in stream order; this adds the structural
+    counters on top.
     """
-    stats = DataflowStats(packets=stream.n_packets)
-    empty = StreamPlan(
-        n_rows=0,
-        kept_idx=np.empty(0, dtype=np.int64),
-        kept_values=np.empty(0, dtype=np.float64),
-        starts=np.empty(0, dtype=np.int64),
-        stats=stats,
+    keep, starts = decode_lanes(stream)
+    stats = DataflowStats(
+        packets=stream.n_packets,
+        rows_finished=stream.n_rows,
+        max_rows_in_packet=int((stream.ptr > 0).sum(axis=1).max(initial=0)),
+        spanning_rows=int((~stream.new_row[1:]).sum()),
     )
-    if stream.n_packets == 0:
-        if stream.n_rows != 0:
-            raise SimulationError(f"empty stream declares {stream.n_rows} rows")
-        return empty
-
-    lanes = stream.layout.lanes
-    bounds = stream.ptr.astype(np.int64)
-    valid_mask = bounds > 0
-    last_bound = bounds.max(axis=1)
-    closes = np.ones(stream.n_packets, dtype=bool)
-    if stream.n_packets > 1:
-        closes[:-1] = stream.new_row[1:]
-    kept_per_packet = np.where(closes, last_bound, lanes)
-    keep = np.arange(lanes)[None, :] < kept_per_packet[:, None]
-
-    cum_kept = np.concatenate([[0], np.cumsum(kept_per_packet)])
-    packet_of_bound, _ = np.nonzero(valid_mask)
-    ends = cum_kept[packet_of_bound] + bounds[valid_mask]
-    if len(ends) != stream.n_rows:
-        raise SimulationError(
-            f"stream has {len(ends)} row boundaries, declares {stream.n_rows} rows"
-        )
-    stats.rows_finished = int(len(ends))
-    stats.max_rows_in_packet = int(valid_mask.sum(axis=1).max(initial=0))
-    stats.spanning_rows = int((~stream.new_row[1:]).sum()) if stream.n_packets > 1 else 0
     if stream.n_rows == 0:
-        return replace(empty, stats=stats)
-
+        keep = np.zeros_like(keep)
     return StreamPlan(
         n_rows=stream.n_rows,
-        kept_idx=stream.idx[keep].astype(np.int64),
+        kept_idx=stream.idx[keep],
         kept_values=stream.values()[keep],
-        starts=np.concatenate([[0], ends[:-1]]).astype(np.int64),
+        starts=starts,
         stats=stats,
     )
 

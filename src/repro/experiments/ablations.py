@@ -83,7 +83,7 @@ def run_ablations(config: ExperimentConfig | None = None) -> ExperimentReport:
     for cores in (1, 2, 4, 8, 16, 32):
         design = base.with_cores(cores)
         accel = TopKSpmvAccelerator(design)
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         thr = timing.throughput_nnz_per_s
         thr_per_core.append(thr / cores)
         rows.append(

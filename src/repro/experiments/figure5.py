@@ -54,7 +54,7 @@ def _platform_times_s(row_lengths: np.ndarray) -> dict[str, float]:
     }
     for design in PAPER_DESIGNS.values():
         accel = TopKSpmvAccelerator(design)
-        timing = accel.timing_estimate_from_row_lengths(row_lengths)
+        timing = accel.timing_from_row_lengths(row_lengths)
         times[design.name] = timing.total_seconds
     return times
 
@@ -109,7 +109,7 @@ def run_figure5(config: ExperimentConfig | None = None) -> ExperimentReport:
     thr = n1e7["mean_nnz"] / (n1e7["cpu_ms"] / 1e3 / n1e7["FPGA 20b 32C"]) / 1e9
     lengths_2e8 = derive_rng(config.seed).integers(10, 31, size=10_000_000)
     accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-    t_2e8 = accel.timing_estimate_from_row_lengths(lengths_2e8)
+    t_2e8 = accel.timing_from_row_lengths(lengths_2e8)
     gpu_adv = n1e7["FPGA 20b 32C"] / n1e7["GPU F32"]
     sort_adv = n1e7["FPGA 20b 32C"] / n1e7["GPU F32 full"]
     report.add_table(

@@ -16,6 +16,7 @@ from repro.data.datasets import TABLE3_SPECS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.paper_data import TABLE3_PAPER
 from repro.formats.layout import solve_layout
+from repro.formats.stats import count_packets
 from repro.utils.rng import derive_rng
 
 __all__ = ["run_table3"]
@@ -42,8 +43,7 @@ def run_table3(config: ExperimentConfig | None = None) -> ExperimentReport:
     for spec in TABLE3_SPECS:
         lengths = spec.row_lengths(seed=rng)
         nnz = int(lengths.sum())
-        empties = int((lengths == 0).sum())
-        packets = -(-(nnz + empties) // layout.lanes)
+        packets, _, _ = count_packets(lengths, layout.lanes)
         size_gb = packets * layout.packet_bytes / 1e9
         key = _group_key(spec)
         entry = measured.setdefault(

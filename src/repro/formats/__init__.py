@@ -5,6 +5,12 @@ Compressed Sparse Row (CSR) reference formats, and **Block-Streaming CSR
 (BS-CSR)** — the paper's contribution — in which every 512-bit HBM packet is
 a self-contained CSR fragment that can be decoded without cross-packet
 pointer chasing.
+
+The format has one home for each decision: the encoder's lane starts decide
+how rows pack into packets (``encode_bscsr``; ``count_packets`` reads the
+same starts without materialising packets), ``decode_lanes`` decides which
+lanes belong to which row (every kernel's stream plan and ``decode_to_csr``
+read it), and ``save_artifact`` is the one on-disk container.
 """
 
 from repro.formats.coo import COOMatrix
@@ -21,9 +27,8 @@ from repro.formats.bscsr import (
     BSCSRStream,
     encode_bscsr,
     encode_bscsr_reference,
-    decode_to_coo,
+    decode_lanes,
     decode_to_csr,
-    lane_row_ids,
     validate_stream,
 )
 from repro.formats.bitpack import BitWriter, BitReader, pack_packet, unpack_packet
@@ -34,14 +39,6 @@ from repro.formats.stats import (
     stats_from_row_lengths,
 )
 from repro.formats.io import (
-    save_csr,
-    load_csr,
-    save_stream,
-    load_stream,
-    save_bscsr_matrix,
-    load_bscsr_matrix,
-    save_wire,
-    load_wire,
     save_artifact,
     load_artifact,
     artifact_digest,
@@ -59,9 +56,8 @@ __all__ = [
     "BSCSRStream",
     "encode_bscsr",
     "encode_bscsr_reference",
-    "decode_to_coo",
+    "decode_lanes",
     "decode_to_csr",
-    "lane_row_ids",
     "validate_stream",
     "BitWriter",
     "BitReader",
@@ -71,14 +67,6 @@ __all__ = [
     "packing_stats",
     "count_packets",
     "stats_from_row_lengths",
-    "save_csr",
-    "load_csr",
-    "save_stream",
-    "load_stream",
-    "save_bscsr_matrix",
-    "load_bscsr_matrix",
-    "save_wire",
-    "load_wire",
     "save_artifact",
     "load_artifact",
     "artifact_digest",

@@ -34,7 +34,6 @@ import numpy as np
 from repro.arithmetic.codecs import ValueCodec
 from repro.errors import ConfigurationError, FormatError, PacketDecodeError
 from repro.formats.bitpack import pack_packet, unpack_packet
-from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.layout import PacketLayout, index_field_bits
 
@@ -43,9 +42,8 @@ __all__ = [
     "BSCSRMatrix",
     "encode_bscsr",
     "encode_bscsr_reference",
-    "decode_to_coo",
+    "decode_lanes",
     "decode_to_csr",
-    "lane_row_ids",
     "validate_stream",
 ]
 
@@ -127,18 +125,7 @@ class BSCSRStream:
     @property
     def lanes_used(self) -> int:
         """Occupied lanes (non-zeros plus empty-row placeholders)."""
-        boundaries = self.ptr.max(axis=1, initial=0).astype(np.int64)
-        # Lanes after the last boundary of each packet belong to a spanning
-        # row iff the *next* packet continues it (new_row == 0); otherwise
-        # they are padding.  Count exactly by walking continuation flags.
-        used = 0
-        for p in range(self.n_packets):
-            tail_continues = p + 1 < self.n_packets and not self.new_row[p + 1]
-            if tail_continues:
-                used += self.layout.lanes
-            else:
-                used += int(boundaries[p]) if boundaries[p] else 0
-        return used
+        return int(decode_lanes(self)[0].sum())
 
     def values(self) -> np.ndarray:
         """Decoded per-lane values, shape ``(n_packets, lanes)`` float64."""
@@ -246,20 +233,28 @@ def _lane_starts(eff: np.ndarray, lanes: int, budget: int) -> np.ndarray:
     encoder closes that packet (the tail lanes become padding) and the row
     restarts at the next packet boundary.
 
-    Fast path: with no padding anywhere, starts are a plain exclusive cumsum.
-    The first packet a row touches is the only one where the budget can bind
-    (later packets it spills into start with zero endings), so the event
-    test is vectorised: ``nb(j)`` — how many earlier rows end in row ``j``'s
-    starting packet — falls out of one ``searchsorted`` over the
-    non-decreasing ending-packet ids.  Everything before the first event is
-    exact; an exact scalar scan finishes the (rare) remainder.
+    Fast path: an early close needs ``budget + 1`` rows ending in one
+    packet — row ``j`` and the ``budget`` before it, the earliest of which
+    puts at least one lane there — so rows ``j - budget + 1 .. j`` fit in
+    ``lanes - 1`` lanes.  When no ``budget`` consecutive rows are that short
+    (always so when every row holds ``lanes / budget`` lanes or more, in
+    particular for ``budget >= lanes``) the budget is inert and starts are
+    a plain exclusive cumsum: one O(n) test that covers the paper's
+    workloads.
+
+    Otherwise the first packet a row touches is the only one where the
+    budget can bind (later packets it spills into start with zero endings),
+    so the event test is vectorised: ``nb(j)`` — how many earlier rows end
+    in row ``j``'s starting packet — falls out of one ``searchsorted`` over
+    the non-decreasing ending-packet ids.  Everything before the first event
+    is exact; an exact scalar scan finishes the remainder.
     """
     ends = np.cumsum(eff)
     starts = ends - eff
     n = len(eff)
-    if budget >= lanes:
-        # A packet ending (>= 1 lane each) can never reach `lanes` endings
-        # while lanes remain for another row to end in: the budget is inert.
+    if n <= budget or eff.min() * budget >= lanes:
+        return starts
+    if (ends[budget:] - ends[:-budget]).min() >= lanes:
         return starts
 
     end_packet = (ends - 1) // lanes
@@ -397,9 +392,10 @@ def encode_bscsr_reference(
 ) -> BSCSRStream:
     """The original per-packet greedy encoder (hardware-faithful reference).
 
-    Kept as the ground truth the vectorised :func:`encode_bscsr` is tested
-    against bit for bit, and as the baseline ``benchmarks/bench_compile.py``
-    measures the build speedup from.
+    Kept as the ground truth the vectorised :func:`encode_bscsr` and the
+    packet counter (:func:`repro.formats.stats.count_packets`, which reads
+    the same lane starts) are tested against, and as the baseline
+    ``benchmarks/bench_compile.py`` measures the build speedup from.
     """
     rows_per_packet = _check_encode_args(matrix, layout, rows_per_packet)
     lanes = layout.lanes
@@ -536,33 +532,35 @@ def validate_stream(stream: BSCSRStream) -> None:
         )
 
 
-def lane_row_ids(stream: BSCSRStream) -> np.ndarray:
-    """Assign every lane its row id; padding lanes get -1.
+def decode_lanes(stream: BSCSRStream) -> tuple[np.ndarray, np.ndarray]:
+    """The format's decoder: which lanes hold row content, where rows start.
 
-    Shape ``(n_packets, lanes)``.  Lanes between boundaries belong to the row
-    finishing at the next boundary; tail lanes after the last boundary belong
-    to the row continuing into the next packet (or are padding when the next
-    packet starts a new row).
+    Returns ``(keep, starts)``.  ``keep`` is a ``bool[n_packets, lanes]``
+    mask that drops padding: the lanes after a packet's last ``ptr``
+    boundary when the next packet starts a new row (``new_row = 1``), and
+    the final packet's tail.  Every other lane belongs to a row, so rows are
+    contiguous segments of the flattened kept lanes and ``starts[i]`` is
+    where row ``i``'s segment begins.  Raises :class:`PacketDecodeError`
+    when the stream's boundaries disagree with its declared row count.
     """
     lanes = stream.layout.lanes
-    out = np.full((stream.n_packets, lanes), -1, dtype=np.int64)
-    current_row = 0
-    for p in range(stream.n_packets):
-        bounds = stream.ptr[p]
-        valid = bounds[bounds > 0].astype(np.int64)
-        prev = 0
-        for b in valid:
-            out[p, prev:b] = current_row
-            prev = int(b)
-            current_row += 1
-        tail_continues = p + 1 < stream.n_packets and not stream.new_row[p + 1]
-        if tail_continues:
-            out[p, prev:] = current_row
-    return out
+    bounds = stream.ptr.astype(np.int64)
+    valid = bounds > 0
+    closes = np.ones(stream.n_packets, dtype=bool)
+    closes[:-1] = stream.new_row[1:]
+    kept_per_packet = np.where(closes, bounds.max(axis=1, initial=0), lanes)
+    keep = np.arange(lanes)[None, :] < kept_per_packet[:, None]
+    first_kept = np.cumsum(kept_per_packet) - kept_per_packet
+    ends = first_kept[np.nonzero(valid)[0]] + bounds[valid]
+    if len(ends) != stream.n_rows:
+        raise PacketDecodeError(
+            f"stream has {len(ends)} row boundaries, declares {stream.n_rows} rows"
+        )
+    return keep, np.concatenate([[0], ends])[:-1]
 
 
-def decode_to_coo(stream: BSCSRStream) -> COOMatrix:
-    """Reconstruct the matrix as COO.
+def decode_to_csr(stream: BSCSRStream) -> CSRMatrix:
+    """Reconstruct the matrix as CSR through :func:`decode_lanes`.
 
     Zero-valued lanes are dropped: placeholder lanes (empty rows) and values
     whose quantised code is zero carry no information for SpMV.  For lossless
@@ -570,26 +568,15 @@ def decode_to_coo(stream: BSCSRStream) -> COOMatrix:
     no explicitly-stored zeros.
     """
     validate_stream(stream)
-    row_ids = lane_row_ids(stream)
-    values = stream.values()
-    keep = (row_ids >= 0) & (values != 0.0)
-    return COOMatrix.from_arrays(
-        rows=row_ids[keep],
-        cols=stream.idx[keep],
-        vals=values[keep],
-        n_rows=stream.n_rows,
-        n_cols=stream.n_cols,
-        sort=False,
-    )
-
-
-def decode_to_csr(stream: BSCSRStream) -> CSRMatrix:
-    """Reconstruct the matrix as CSR (see :func:`decode_to_coo` caveats)."""
-    coo = decode_to_coo(stream)
-    lengths = np.bincount(coo.rows, minlength=stream.n_rows)
-    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    keep, starts = decode_lanes(stream)
+    values = stream.values()[keep]
+    nonzero = values != 0.0
+    seen = np.concatenate([[0], np.cumsum(nonzero)])
     return CSRMatrix(
-        indptr=indptr, indices=coo.cols, data=coo.vals, n_cols=stream.n_cols
+        indptr=seen[np.append(starts, len(values))],
+        indices=stream.idx[keep][nonzero],
+        data=values[nonzero],
+        n_cols=stream.n_cols,
     )
 
 

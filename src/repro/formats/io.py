@@ -1,21 +1,20 @@
-"""Persistence for sparse matrices, BS-CSR streams and compiled artifacts.
+"""Persistence for compiled artifacts: one container plus a manifest.
 
 A deployed similarity-search service encodes its collection once and serves
-it for days, so the encoded artifact must be storable.  Three formats:
+it for days, so the encoded artifact must be storable.  Two layers:
 
-* ``.npz`` containers (NumPy archives) for :class:`~repro.formats.csr.CSRMatrix`
-  and the logical (structure-of-arrays) view of
-  :class:`~repro.formats.bscsr.BSCSRStream` / ``BSCSRMatrix`` — fast,
-  self-describing, versioned;
-* the raw **wire format** (concatenated 512-bit packets, exactly what the
-  host DMA would write into HBM) via ``save_wire``/``load_wire`` with a
-  small JSON sidecar describing layout/codec/shape;
-* the generic **artifact container** (``save_artifact``/``load_artifact``):
-  one uncompressed ``.npz`` holding flat numpy buffers plus a single JSON
+* the **artifact container** (``save_artifact``/``load_artifact``): one
+  uncompressed ``.npz`` holding flat numpy buffers plus a single JSON
   header entry carrying structure and a SHA-256 content digest.  Loading
   is buffer-verbatim — arrays come back exactly as stored and slicing them
   into per-partition views copies nothing — which is what gives
-  :class:`~repro.core.collection.CompiledCollection` its instant cold-start.
+  :class:`~repro.core.collection.CompiledCollection` its instant cold-start;
+* the **manifest** (``save_manifest``/``load_manifest``): a versioned JSON
+  file over a directory of member artifacts, the mutable half of a
+  segmented collection.
+
+The raw 512-bit wire image of one stream (what the host DMA would write
+into HBM) is :meth:`~repro.formats.bscsr.BSCSRStream.to_bytes`.
 """
 
 from __future__ import annotations
@@ -29,21 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.arithmetic.codecs import codec_from_name
 from repro.errors import FormatError, ReproError
-from repro.formats.bscsr import BSCSRMatrix, BSCSRStream
-from repro.formats.csr import CSRMatrix
-from repro.formats.layout import PacketLayout
 
 __all__ = [
-    "save_csr",
-    "load_csr",
-    "save_stream",
-    "load_stream",
-    "save_bscsr_matrix",
-    "load_bscsr_matrix",
-    "save_wire",
-    "load_wire",
     "save_artifact",
     "load_artifact",
     "artifact_digest",
@@ -361,195 +348,3 @@ def load_manifest(path: "str | Path", kind: str) -> "tuple[dict, list[dict]]":
                 f"{manifest_path} references missing member file {entry['file']!r}"
             )
     return payload, members
-
-
-def save_csr(path: "str | Path", matrix: CSRMatrix) -> None:
-    """Store a CSR matrix as a ``.npz`` archive."""
-    np.savez_compressed(
-        path,
-        version=_FORMAT_VERSION,
-        kind="csr",
-        indptr=matrix.indptr,
-        indices=matrix.indices,
-        data=matrix.data,
-        n_cols=matrix.n_cols,
-    )
-
-
-def load_csr(path: "str | Path") -> CSRMatrix:
-    """Load a CSR matrix stored by :func:`save_csr`."""
-    with _corruption_as_format_error(path, "CSR container"), np.load(
-        path, allow_pickle=False
-    ) as archive:
-        _check_kind(archive, "csr", path)
-        return CSRMatrix(
-            indptr=archive["indptr"],
-            indices=archive["indices"],
-            data=archive["data"],
-            n_cols=int(archive["n_cols"]),
-        )
-
-
-def _layout_fields(layout: PacketLayout) -> dict[str, int]:
-    return {
-        "lanes": layout.lanes,
-        "ptr_bits": layout.ptr_bits,
-        "idx_bits": layout.idx_bits,
-        "val_bits": layout.val_bits,
-        "packet_bits": layout.packet_bits,
-    }
-
-
-def _stream_payload(stream: BSCSRStream, prefix: str = "") -> dict:
-    return {
-        f"{prefix}new_row": stream.new_row,
-        f"{prefix}ptr": stream.ptr,
-        f"{prefix}idx": stream.idx,
-        f"{prefix}val_raw": stream.val_raw,
-    }
-
-
-def save_stream(path: "str | Path", stream: BSCSRStream) -> None:
-    """Store one BS-CSR stream (logical view) as a ``.npz`` archive."""
-    np.savez_compressed(
-        path,
-        version=_FORMAT_VERSION,
-        kind="bscsr-stream",
-        codec=stream.codec.name,
-        n_rows=stream.n_rows,
-        n_cols=stream.n_cols,
-        nnz=stream.nnz,
-        rows_per_packet=stream.rows_per_packet,
-        layout=np.array(json.dumps(_layout_fields(stream.layout))),
-        **_stream_payload(stream),
-    )
-
-
-def load_stream(path: "str | Path") -> BSCSRStream:
-    """Load a stream stored by :func:`save_stream` (validated on load)."""
-    with _corruption_as_format_error(path, "BS-CSR stream container"), np.load(
-        path, allow_pickle=False
-    ) as archive:
-        _check_kind(archive, "bscsr-stream", path)
-        layout = PacketLayout(**json.loads(str(archive["layout"])))
-        stream = BSCSRStream(
-            layout=layout,
-            codec=codec_from_name(str(archive["codec"])),
-            n_rows=int(archive["n_rows"]),
-            n_cols=int(archive["n_cols"]),
-            nnz=int(archive["nnz"]),
-            new_row=archive["new_row"],
-            ptr=archive["ptr"],
-            idx=archive["idx"],
-            val_raw=archive["val_raw"],
-            rows_per_packet=int(archive["rows_per_packet"]),
-        )
-    from repro.formats.bscsr import validate_stream
-
-    validate_stream(stream)
-    return stream
-
-
-def save_bscsr_matrix(path: "str | Path", matrix: BSCSRMatrix) -> None:
-    """Store a partitioned BS-CSR matrix (all streams) as one archive."""
-    payload: dict = {
-        "version": _FORMAT_VERSION,
-        "kind": "bscsr-matrix",
-        "n_rows": matrix.n_rows,
-        "n_cols": matrix.n_cols,
-        "n_partitions": matrix.n_partitions,
-        "row_offsets": matrix.row_offsets,
-    }
-    for i, stream in enumerate(matrix.streams):
-        payload[f"s{i}_meta"] = np.array(
-            json.dumps(
-                {
-                    "codec": stream.codec.name,
-                    "n_rows": stream.n_rows,
-                    "n_cols": stream.n_cols,
-                    "nnz": stream.nnz,
-                    "rows_per_packet": stream.rows_per_packet,
-                    "layout": _layout_fields(stream.layout),
-                }
-            )
-        )
-        payload.update(_stream_payload(stream, prefix=f"s{i}_"))
-    np.savez_compressed(path, **payload)
-
-
-def load_bscsr_matrix(path: "str | Path") -> BSCSRMatrix:
-    """Load a partitioned matrix stored by :func:`save_bscsr_matrix`."""
-    with _corruption_as_format_error(path, "BS-CSR matrix container"), np.load(
-        path, allow_pickle=False
-    ) as archive:
-        _check_kind(archive, "bscsr-matrix", path)
-        streams = []
-        for i in range(int(archive["n_partitions"])):
-            meta = json.loads(str(archive[f"s{i}_meta"]))
-            streams.append(
-                BSCSRStream(
-                    layout=PacketLayout(**meta["layout"]),
-                    codec=codec_from_name(meta["codec"]),
-                    n_rows=meta["n_rows"],
-                    n_cols=meta["n_cols"],
-                    nnz=meta["nnz"],
-                    new_row=archive[f"s{i}_new_row"],
-                    ptr=archive[f"s{i}_ptr"],
-                    idx=archive[f"s{i}_idx"],
-                    val_raw=archive[f"s{i}_val_raw"],
-                    rows_per_packet=meta["rows_per_packet"],
-                )
-            )
-        return BSCSRMatrix(
-            streams=streams,
-            row_offsets=archive["row_offsets"],
-            n_rows=int(archive["n_rows"]),
-            n_cols=int(archive["n_cols"]),
-        )
-
-
-def save_wire(path: "str | Path", stream: BSCSRStream) -> None:
-    """Store a stream in its raw HBM wire format plus a JSON sidecar.
-
-    The ``.bin`` file holds exactly the bytes a host would DMA into the
-    board's HBM; the ``.json`` sidecar carries layout/codec/shape metadata.
-    """
-    path = Path(path)
-    path.write_bytes(stream.to_bytes())
-    sidecar = {
-        "version": _FORMAT_VERSION,
-        "kind": "bscsr-wire",
-        "codec": stream.codec.name,
-        "n_rows": stream.n_rows,
-        "n_cols": stream.n_cols,
-        "nnz": stream.nnz,
-        "rows_per_packet": stream.rows_per_packet,
-        "layout": _layout_fields(stream.layout),
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
-
-
-def load_wire(path: "str | Path") -> BSCSRStream:
-    """Load a stream stored by :func:`save_wire`."""
-    path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    if not sidecar_path.exists():
-        raise FormatError(f"missing wire sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
-    if sidecar.get("kind") != "bscsr-wire":
-        raise FormatError(f"{path} is not a BS-CSR wire dump")
-    return BSCSRStream.from_bytes(
-        path.read_bytes(),
-        layout=PacketLayout(**sidecar["layout"]),
-        codec=codec_from_name(sidecar["codec"]),
-        n_rows=sidecar["n_rows"],
-        n_cols=sidecar["n_cols"],
-        nnz=sidecar["nnz"],
-        rows_per_packet=sidecar["rows_per_packet"],
-    )
-
-
-def _check_kind(archive, expected: str, path) -> None:
-    kind = str(archive["kind"]) if "kind" in archive else "?"
-    if kind != expected:
-        raise FormatError(f"{path} holds {kind!r}, expected {expected!r}")

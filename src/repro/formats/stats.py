@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.formats.bscsr import BSCSRStream
+from repro.formats.bscsr import BSCSRStream, _lane_starts
 from repro.formats.layout import PacketLayout
 
-__all__ = ["PackingStats", "packing_stats", "count_packets", "estimate_packets"]
+__all__ = ["PackingStats", "packing_stats", "count_packets"]
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,9 @@ def count_packets(
 ) -> tuple[int, int, int]:
     """Count packets the encoder would emit, without materialising them.
 
-    Implements the same greedy packing as
-    :func:`repro.formats.bscsr.encode_bscsr` (verified equal by tests) but in
-    a single pass over row lengths — usable at paper scale (10^7 rows).
+    Reads the encoder's own lane starts
+    (:func:`repro.formats.bscsr._lane_starts`), so it is the encoder's
+    packing rule by construction — usable at paper scale (10^7 rows).
 
     Returns
     -------
@@ -85,82 +85,21 @@ def count_packets(
     r = lanes if rows_per_packet is None else int(rows_per_packet)
     if not 1 <= r <= lanes:
         raise ConfigurationError(f"rows_per_packet must be in [1, {lanes}], got {r}")
-
-    n_packets = 0
-    placeholders = 0
-    padding = 0
-    fill = 0
-    bounds = 0
-    dirty = False  # current packet has any content
-
-    def flush() -> None:
-        nonlocal n_packets, padding, fill, bounds, dirty
-        n_packets += 1
-        padding += lanes - fill
-        fill = 0
-        bounds = 0
-        dirty = False
-
-    for length in row_lengths:
-        length = int(length)
-        if length == 0:
-            if fill == lanes or bounds == r:
-                flush()
-            fill += 1
-            bounds += 1
-            placeholders += 1
-            dirty = True
-            continue
-        pos = 0
-        while pos < length:
-            if fill == lanes:
-                flush()
-            space = lanes - fill
-            remaining = length - pos
-            if bounds == r and remaining <= space:
-                flush()
-                space = lanes
-            take = min(remaining, space)
-            fill += take
-            pos += take
-            dirty = True
-            if pos == length:
-                bounds += 1
-    if dirty:
-        flush()
-    return n_packets, placeholders, padding
-
-
-def estimate_packets(
-    total_nnz: int,
-    n_rows: int,
-    lanes: int,
-    empty_row_fraction: float = 0.0,
-) -> int:
-    """Closed-form packet count estimate for well-behaved row distributions.
-
-    Valid when rows are dense enough that the per-packet row budget never
-    forces an early close (the paper's workloads: 20-40 non-zeros per row
-    with B <= 15).  Then packets = ceil((nnz + placeholders) / B); tests
-    cross-validate against :func:`count_packets`.
-    """
-    if lanes < 1:
-        raise ConfigurationError(f"lanes must be >= 1, got {lanes}")
-    placeholders = int(round(n_rows * empty_row_fraction))
-    occupied = total_nnz + placeholders
-    return -(-occupied // lanes)  # ceil division
+    if len(row_lengths) == 0:
+        return 0, 0, 0
+    eff = np.maximum(row_lengths, 1)  # empty rows hold one placeholder lane
+    n_packets = -(-int(_lane_starts(eff, lanes, r)[-1] + eff[-1]) // lanes)
+    return n_packets, int((row_lengths == 0).sum()), n_packets * lanes - int(eff.sum())
 
 
 def packing_stats(stream: BSCSRStream) -> PackingStats:
     """Compute packing statistics for an encoded stream."""
     occupied = stream.lanes_used
-    total = stream.n_packets * stream.layout.lanes
-    placeholders = occupied - stream.nnz
     return PackingStats(
         n_packets=stream.n_packets,
         nnz=stream.nnz,
-        placeholders=placeholders,
-        padding_lanes=total - occupied,
+        placeholders=occupied - stream.nnz,
+        padding_lanes=stream.n_packets * stream.layout.lanes - occupied,
         lanes=stream.layout.lanes,
         packet_bytes=stream.layout.packet_bytes,
     )

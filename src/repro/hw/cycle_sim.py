@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.formats.bscsr import BSCSRStream
+from repro.formats.bscsr import BSCSRStream, _lane_starts
 from repro.hw.calibration import CALIBRATION, CalibrationConstants
 from repro.hw.design import AcceleratorDesign
 from repro.hw.hbm import ALVEO_U280_HBM, HBMConfig
@@ -149,37 +149,14 @@ class PipelineSimulator:
 
         Handy for the short-row ablation without materialising a matrix.
         """
-        from repro.formats.stats import count_packets
         from repro.utils.validation import check_positive_int
 
         check_positive_int(n_rows, "n_rows")
         check_positive_int(nnz_per_row, "nnz_per_row")
         lengths = np.full(n_rows, nnz_per_row, dtype=np.int64)
         lanes = self.design.layout.lanes
-        r = self.design.effective_rows_per_packet
-        n_packets, _, _ = count_packets(lengths, lanes, r)
-        # Reconstruct the per-packet row-ending profile for constant rows.
-        rows_per_packet = np.zeros(n_packets, dtype=np.int64)
-        fill = 0
-        bounds = 0
-        packet = 0
-        for _ in range(n_rows):
-            remaining = nnz_per_row
-            while remaining > 0:
-                if fill == lanes:
-                    packet += 1
-                    fill = 0
-                    bounds = 0
-                space = lanes - fill
-                if bounds == r and remaining <= space:
-                    packet += 1
-                    fill = 0
-                    bounds = 0
-                    space = lanes
-                take = min(remaining, space)
-                fill += take
-                remaining -= take
-                if remaining == 0:
-                    rows_per_packet[packet] += 1
-                    bounds += 1
-        return self.simulate_rows_per_packet(rows_per_packet)
+        starts = _lane_starts(lengths, lanes, self.design.effective_rows_per_packet)
+        # Each packet's row-ending count, from the encoder's own lane starts.
+        return self.simulate_rows_per_packet(
+            np.bincount((starts + nnz_per_row - 1) // lanes)
+        )

@@ -5,12 +5,13 @@ stream time (partitions are balanced so cores finish nearly together) — plus
 the host-side invocation overhead and the final k*c-candidate merge, which
 is negligible next to streaming hundreds of millions of non-zeros.
 
-Two entry points:
+Every entry point ends in :meth:`TopKSpmvAccelerator.timing_from_packets`
+(exact per-partition packet counts):
 
-* :meth:`TopKSpmvAccelerator.timing_from_packets` — exact per-partition
-  packet counts (from encoded streams or packing stats);
+* :meth:`TopKSpmvAccelerator.timing_from_matrix` — an encoded matrix;
 * :meth:`TopKSpmvAccelerator.timing_from_row_lengths` — paper-scale sizing
-  without materialising the matrix (uses the packing counter).
+  without materialising the matrix, through ``count_packets`` (the
+  encoder's own lane starts), so it equals the encoded matrix's timing.
 """
 
 from __future__ import annotations
@@ -127,30 +128,6 @@ class TopKSpmvAccelerator:
         """Timing from an encoded :class:`repro.formats.bscsr.BSCSRMatrix`."""
         packets = [s.n_packets for s in bscsr_matrix.streams]
         return self.timing_from_packets(packets, nnz=bscsr_matrix.nnz)
-
-    def timing_estimate_from_row_lengths(
-        self, row_lengths: np.ndarray
-    ) -> AcceleratorTiming:
-        """Vectorised paper-scale timing via the closed-form packet estimate.
-
-        Exact whenever the rows-per-packet budget never forces an early
-        packet close (true for the paper's 20-40 nnz/row workloads; tests
-        cross-check against :meth:`timing_from_row_lengths`).  Use this for
-        the N = 10^7-scale Figure 5/6 sweeps where the exact greedy counter
-        would walk tens of millions of rows in Python.
-        """
-        row_lengths = np.asarray(row_lengths, dtype=np.int64)
-        from repro.core.partition import partition_rows
-
-        lanes = self.design.layout.lanes
-        cumulative = np.concatenate([[0], np.cumsum(row_lengths)])
-        empty_cumulative = np.concatenate([[0], np.cumsum(row_lengths == 0)])
-        packets = []
-        for part in partition_rows(len(row_lengths), self.design.cores):
-            nnz_part = int(cumulative[part.stop] - cumulative[part.start])
-            empties = int(empty_cumulative[part.stop] - empty_cumulative[part.start])
-            packets.append(-(-(nnz_part + empties) // lanes))
-        return self.timing_from_packets(packets, nnz=int(row_lengths.sum()))
 
     def ideal_throughput_nnz_per_s(self) -> float:
         """Upper-bound throughput with perfectly dense packets (roofline point)."""

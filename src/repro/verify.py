@@ -6,14 +6,14 @@ release artifact should pass on any machine — each check compares two
 
 1. BS-CSR encode → decode returns the source matrix (lossless codec);
 2. logical packets ↔ bit-exact 512-bit wire serialisation round-trip;
-3. the fast packet counter equals the real encoder's packet count;
+3. the packet counter equals the per-packet reference encoder's count;
 4. the vectorised dataflow equals the per-packet reference, bit for bit,
    for fixed-point and float32 accumulation;
 5. the functional hardware path's per-core candidates
    (``query_candidates``), merged, equal the algorithmic partitioned
    approximation under a lossless codec;
 6. the Monte Carlo precision estimate matches the closed form;
-7. the vectorised timing estimate matches the exact greedy packer timing;
+7. timing from row lengths equals the timing of the encoded matrix;
 8. the cycle-level pipeline simulation matches the analytic core model on
    paper-shaped workloads;
 9. every paper design point fits the U280 resource budget.
@@ -86,11 +86,11 @@ def _check_wire(rng) -> CheckResult:
 def _check_counter(rng) -> CheckResult:
     from repro.arithmetic.codecs import ExactCodec
     from repro.data.synthetic import synthetic_embeddings
-    from repro.formats import count_packets, encode_bscsr, solve_layout
+    from repro.formats import count_packets, encode_bscsr_reference, solve_layout
 
     matrix = synthetic_embeddings(2000, 256, 8, distribution="gamma", seed=rng)
     layout = solve_layout(256, 32, lanes=9)
-    stream = encode_bscsr(matrix, layout, ExactCodec(), rows_per_packet=3)
+    stream = encode_bscsr_reference(matrix, layout, ExactCodec(), rows_per_packet=3)
     counted, _, _ = count_packets(matrix.row_lengths(), 9, 3)
     return CheckResult(
         "packet-counter", counted == stream.n_packets,
@@ -155,18 +155,24 @@ def _check_precision_theory(rng) -> CheckResult:
     )
 
 
-def _check_timing_estimate(rng) -> CheckResult:
-    from repro.data.synthetic import uniform_row_lengths
+def _check_timing_rows_vs_encoded(rng) -> CheckResult:
+    from repro.data.synthetic import synthetic_embeddings
+    from repro.formats import BSCSRMatrix
     from repro.hw.design import PAPER_DESIGNS
     from repro.hw.multicore import TopKSpmvAccelerator
 
-    lengths = uniform_row_lengths(60_000, 20, rng)
-    accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-    exact = accel.timing_from_row_lengths(lengths).total_seconds
-    estimate = accel.timing_estimate_from_row_lengths(lengths).total_seconds
-    ok = abs(exact - estimate) <= 1e-3 * exact
+    design = PAPER_DESIGNS["20b"]
+    matrix = synthetic_embeddings(60_000, 1024, 20, seed=rng)
+    encoded = BSCSRMatrix.encode(
+        matrix, design.layout, design.codec, n_partitions=design.cores,
+        rows_per_packet=design.effective_rows_per_packet,
+    )
+    accel = TopKSpmvAccelerator(design)
+    rows = accel.timing_from_row_lengths(matrix.row_lengths()).total_seconds
+    encoded_s = accel.timing_from_matrix(encoded).total_seconds
     return CheckResult(
-        "timing-estimate-vs-exact", ok, f"exact {exact:.6f}s, estimate {estimate:.6f}s"
+        "timing-rows-vs-encoded", rows == encoded_s,
+        f"row lengths {rows:.6f}s, encoded {encoded_s:.6f}s",
     )
 
 
@@ -203,7 +209,7 @@ _CHECKS: "list[Callable]" = [
     _check_dataflow_equivalence,
     _check_engine_vs_algorithmic,
     _check_precision_theory,
-    _check_timing_estimate,
+    _check_timing_rows_vs_encoded,
     _check_cycle_sim,
     _check_designs_fit,
 ]

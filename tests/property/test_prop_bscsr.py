@@ -6,10 +6,15 @@ from hypothesis import strategies as st
 
 from repro.arithmetic.codecs import ExactCodec, codec_for_design
 from repro.core.dataflow import DataflowCore
-from repro.formats.bscsr import decode_to_csr, encode_bscsr, validate_stream
+from repro.formats.bscsr import (
+    decode_to_csr,
+    encode_bscsr,
+    encode_bscsr_reference,
+    validate_stream,
+)
 from repro.formats.csr import CSRMatrix
 from repro.formats.layout import solve_layout
-from repro.formats.stats import count_packets
+from repro.formats.stats import count_packets, packing_stats
 
 
 @st.composite
@@ -61,15 +66,35 @@ class TestRoundTripProperties:
         assert np.array_equal(back.indices, matrix.indices)
         assert np.array_equal(back.data, matrix.data)
 
-    @given(matrix=sparse_matrices(), lanes_r=layouts_and_budgets())
-    @settings(max_examples=60, deadline=None)
-    def test_counter_agrees_with_encoder(self, matrix, lanes_r):
-        lanes, r = lanes_r
-        layout = solve_layout(matrix.n_cols, 64, packet_bits=2048, lanes=lanes)
-        stream = encode_bscsr(matrix, layout, ExactCodec(), rows_per_packet=r)
-        n_packets, placeholders, _ = count_packets(matrix.row_lengths(), lanes, r)
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_counter_agrees_with_encoder(self, data):
+        # The counter and encode_bscsr share the lane starts, so the
+        # independent oracle is the per-packet reference encoder.  Lengths
+        # cluster where the rows-per-packet budget binds: empty rows, short
+        # rows and rows one lane either side of a whole packet.
+        lanes = data.draw(st.integers(1, 15))
+        r = data.draw(st.integers(1, lanes))
+        lengths = data.draw(
+            st.lists(
+                st.one_of(
+                    st.integers(0, 3),
+                    st.integers(max(lanes - 1, 0), lanes + 1),
+                    st.integers(0, 2 * lanes + 2),
+                ),
+                max_size=60,
+            )
+        )
+        n_cols = 2 * lanes + 3
+        matrix = CSRMatrix.from_rows(
+            [(np.arange(n), np.full(n, 0.5)) for n in lengths], n_cols=n_cols
+        )
+        layout = solve_layout(n_cols, 64, packet_bits=2048, lanes=lanes)
+        stream = encode_bscsr_reference(matrix, layout, ExactCodec(), rows_per_packet=r)
+        n_packets, placeholders, padding = count_packets(matrix.row_lengths(), lanes, r)
         assert n_packets == stream.n_packets
-        assert placeholders == int((matrix.row_lengths() == 0).sum())
+        assert placeholders == lengths.count(0)
+        assert padding == packing_stats(stream).padding_lanes
 
     @given(matrix=sparse_matrices(), lanes_r=layouts_and_budgets())
     @settings(max_examples=40, deadline=None)

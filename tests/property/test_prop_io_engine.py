@@ -1,44 +1,14 @@
-"""Property-based tests: persistence round-trips and engine invariants."""
+"""Property-based tests: engine invariants."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arithmetic.codecs import codec_for_design
 from repro.core.approx import merge_topk_candidates
 from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
-from repro.formats.bscsr import encode_bscsr
-from repro.formats.io import load_stream, save_stream
-from repro.formats.layout import solve_layout
 from repro.hw.design import AcceleratorDesign
 from repro.utils.rng import sample_unit_queries
-
-
-class TestStreamPersistenceProperties:
-    @given(
-        seed=st.integers(0, 2**16),
-        bits_arith=st.sampled_from([(20, "fixed"), (25, "fixed"), (20, "signed"), (32, "float")]),
-        n_rows=st.integers(1, 300),
-        avg_nnz=st.integers(1, 12),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_save_load_identity(self, tmp_path_factory, seed, bits_arith, n_rows, avg_nnz):
-        bits, arith = bits_arith
-        matrix = synthetic_embeddings(
-            n_rows, 128, avg_nnz, seed=seed,
-            non_negative=(arith != "signed"), distribution="gamma",
-        )
-        codec = codec_for_design(bits, arith)
-        stream = encode_bscsr(matrix, solve_layout(128, bits), codec)
-        path = tmp_path_factory.mktemp("io") / "stream.npz"
-        save_stream(path, stream)
-        back = load_stream(path)
-        assert np.array_equal(back.ptr, stream.ptr)
-        assert np.array_equal(back.idx, stream.idx)
-        assert np.array_equal(back.val_raw, stream.val_raw)
-        assert np.array_equal(back.new_row, stream.new_row)
-        assert back.codec.name == codec.name
 
 
 class TestEngineProperties:

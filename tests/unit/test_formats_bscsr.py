@@ -8,10 +8,9 @@ from repro.errors import ConfigurationError, PacketDecodeError
 from repro.formats.bscsr import (
     BSCSRMatrix,
     BSCSRStream,
-    decode_to_coo,
+    decode_lanes,
     decode_to_csr,
     encode_bscsr,
-    lane_row_ids,
     validate_stream,
 )
 from repro.formats.csr import CSRMatrix
@@ -139,11 +138,6 @@ class TestRoundTrip:
             decode_to_csr(stream).matvec(query), small_matrix.matvec(query)
         )
 
-    def test_decode_to_coo_row_sorted(self, small_matrix):
-        layout = solve_layout(small_matrix.n_cols, 64)
-        coo = decode_to_coo(encode_bscsr(small_matrix, layout, ExactCodec()))
-        assert coo.is_row_sorted()
-
 
 class TestWireFormat:
     def test_bit_exact_roundtrip_fixed20(self, small_matrix):
@@ -229,19 +223,29 @@ class TestValidation:
             validate_stream(stream)
 
 
-class TestLaneRowIds:
-    def test_ids_follow_boundaries(self):
+class TestDecodeLanes:
+    def test_segments_follow_boundaries(self):
         m = _csr([[(0, 1.0), (1, 2.0)], [(2, 3.0), (3, 4.0), (4, 5.0)]])
         stream = encode_bscsr(m, solve_layout(8, 64, lanes=4), ExactCodec())
-        ids = lane_row_ids(stream)
-        assert ids[0].tolist() == [0, 0, 1, 1]
-        assert ids[1, 0] == 1  # spanning row continues
-        assert ids[1, 1] == -1  # padding after the last boundary
+        keep, starts = decode_lanes(stream)
+        assert keep[0].tolist() == [True, True, True, True]
+        # The spanning row's last lane, then padding.
+        assert keep[1].tolist() == [True, False, False, False]
+        assert starts.tolist() == [0, 2]
 
-    def test_padding_marked_minus_one(self):
+    def test_padding_dropped(self):
         m = _csr([[(0, 1.0)]])
         stream = encode_bscsr(m, solve_layout(8, 64, lanes=4), ExactCodec())
-        assert lane_row_ids(stream)[0].tolist() == [0, -1, -1, -1]
+        keep, starts = decode_lanes(stream)
+        assert keep[0].tolist() == [True, False, False, False]
+        assert starts.tolist() == [0]
+
+    def test_row_count_mismatch_detected(self):
+        m = _csr([[(0, 1.0)], [(1, 2.0)]])
+        stream = encode_bscsr(m, solve_layout(8, 64, lanes=4), ExactCodec())
+        stream.n_rows = 3
+        with pytest.raises(PacketDecodeError):
+            decode_lanes(stream)
 
 
 class TestBSCSRMatrix:

@@ -1,22 +1,10 @@
-"""Unit tests for matrix/stream persistence."""
+"""Unit tests for codec names and the artifact container."""
 
 import numpy as np
 import pytest
 
-from repro.arithmetic.codecs import codec_for_design, codec_from_name
+from repro.arithmetic.codecs import codec_from_name
 from repro.errors import ConfigurationError, FormatError
-from repro.formats.bscsr import BSCSRMatrix, encode_bscsr
-from repro.formats.io import (
-    load_bscsr_matrix,
-    load_csr,
-    load_stream,
-    load_wire,
-    save_bscsr_matrix,
-    save_csr,
-    save_stream,
-    save_wire,
-)
-from repro.formats.layout import solve_layout
 
 
 class TestCodecFromName:
@@ -27,96 +15,6 @@ class TestCodecFromName:
     def test_unknown_rejected(self):
         with pytest.raises(ConfigurationError):
             codec_from_name("posit16")
-
-
-class TestCsrIO:
-    def test_roundtrip(self, tmp_path, small_matrix):
-        path = tmp_path / "matrix.npz"
-        save_csr(path, small_matrix)
-        back = load_csr(path)
-        assert np.array_equal(back.indptr, small_matrix.indptr)
-        assert np.array_equal(back.indices, small_matrix.indices)
-        assert np.array_equal(back.data, small_matrix.data)
-        assert back.n_cols == small_matrix.n_cols
-
-    def test_wrong_kind_rejected(self, tmp_path, small_matrix):
-        path = tmp_path / "matrix.npz"
-        save_csr(path, small_matrix)
-        stream_path = tmp_path / "stream.npz"
-        stream = encode_bscsr(
-            small_matrix, solve_layout(256, 20), codec_for_design(20, "fixed")
-        )
-        save_stream(stream_path, stream)
-        with pytest.raises(FormatError):
-            load_csr(stream_path)
-
-
-class TestStreamIO:
-    @pytest.mark.parametrize("bits,arith", [(20, "fixed"), (20, "signed"), (32, "float")])
-    def test_npz_roundtrip(self, tmp_path, small_matrix, bits, arith):
-        codec = codec_for_design(bits, arith)
-        stream = encode_bscsr(
-            small_matrix, solve_layout(256, bits), codec, rows_per_packet=7
-        )
-        path = tmp_path / "stream.npz"
-        save_stream(path, stream)
-        back = load_stream(path)
-        assert back.codec.name == codec.name
-        assert np.array_equal(back.ptr, stream.ptr)
-        assert np.array_equal(back.idx, stream.idx)
-        assert np.array_equal(back.val_raw, stream.val_raw)
-        assert back.rows_per_packet == 7
-
-    def test_wire_roundtrip(self, tmp_path, small_matrix):
-        codec = codec_for_design(20, "fixed")
-        stream = encode_bscsr(small_matrix, solve_layout(256, 20), codec)
-        path = tmp_path / "collection.bin"
-        save_wire(path, stream)
-        assert path.stat().st_size == stream.n_bytes
-        back = load_wire(path)
-        assert np.array_equal(back.val_raw, stream.val_raw)
-        assert back.n_rows == stream.n_rows
-
-    def test_wire_missing_sidecar(self, tmp_path, small_matrix):
-        codec = codec_for_design(20, "fixed")
-        stream = encode_bscsr(small_matrix, solve_layout(256, 20), codec)
-        path = tmp_path / "collection.bin"
-        save_wire(path, stream)
-        (tmp_path / "collection.bin.json").unlink()
-        with pytest.raises(FormatError):
-            load_wire(path)
-
-
-class TestBSCSRMatrixIO:
-    def test_partitioned_roundtrip(self, tmp_path, small_matrix):
-        codec = codec_for_design(20, "fixed")
-        encoded = BSCSRMatrix.encode(
-            small_matrix, solve_layout(256, 20), codec, n_partitions=4
-        )
-        path = tmp_path / "encoded.npz"
-        save_bscsr_matrix(path, encoded)
-        back = load_bscsr_matrix(path)
-        assert back.n_partitions == 4
-        assert back.nnz == encoded.nnz
-        assert np.array_equal(back.row_offsets, encoded.row_offsets)
-        for a, b in zip(back.streams, encoded.streams):
-            assert np.array_equal(a.val_raw, b.val_raw)
-
-    def test_loaded_matrix_serves_queries(self, tmp_path, small_matrix, query):
-        """A persisted collection must produce identical query results."""
-        from repro.core.dataflow import simulate_multicore
-
-        codec = codec_for_design(20, "fixed")
-        encoded = BSCSRMatrix.encode(
-            small_matrix, solve_layout(256, 20), codec, n_partitions=4
-        )
-        path = tmp_path / "encoded.npz"
-        save_bscsr_matrix(path, encoded)
-        back = load_bscsr_matrix(path)
-        a, _ = simulate_multicore(encoded, query, local_k=8)
-        b, _ = simulate_multicore(back, query, local_k=8)
-        for ra, rb in zip(a, b):
-            assert ra.indices.tolist() == rb.indices.tolist()
 
 
 class TestArtifactAuxArrays:

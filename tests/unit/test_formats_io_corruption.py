@@ -18,7 +18,6 @@ from repro.errors import FormatError, ReproError
 from repro.formats.io import (
     MANIFEST_FILENAME,
     load_artifact,
-    load_csr,
     load_manifest,
     save_artifact,
     save_manifest,
@@ -85,26 +84,6 @@ class TestTruncationSweep:
         path.write_bytes(b"\x00" * 512)
         with pytest.raises(FormatError, match=path.name):
             load_artifact(path, "test-kind")
-
-    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.97])
-    def test_truncated_csr_container_is_typed(self, tmp_path, fraction):
-        from repro.formats.csr import CSRMatrix
-        from repro.formats.io import save_csr
-
-        path = tmp_path / "m.npz"
-        save_csr(
-            path,
-            CSRMatrix(
-                indptr=np.array([0, 1, 2]),
-                indices=np.array([0, 1]),
-                data=np.array([1.0, 2.0]),
-                n_cols=4,
-            ),
-        )
-        blob = path.read_bytes()
-        path.write_bytes(blob[: int(len(blob) * fraction)])
-        with pytest.raises(FormatError, match=path.name):
-            load_csr(path)
 
 
 class TestManifestCorruption:

@@ -6,12 +6,11 @@ import pytest
 from repro.arithmetic.codecs import ExactCodec
 from repro.data.synthetic import gamma_row_lengths, uniform_row_lengths
 from repro.errors import ConfigurationError
-from repro.formats.bscsr import encode_bscsr
+from repro.formats.bscsr import encode_bscsr, encode_bscsr_reference
 from repro.formats.csr import CSRMatrix
 from repro.formats.layout import solve_layout
 from repro.formats.stats import (
     count_packets,
-    estimate_packets,
     packing_stats,
     stats_from_row_lengths,
 )
@@ -42,10 +41,11 @@ class TestCountPackets:
         lengths = np.minimum(lengths, 64)
         matrix = _matrix_with_lengths(lengths)
         layout = solve_layout(64, 32, lanes=9)
-        stream = encode_bscsr(matrix, layout, ExactCodec(), rows_per_packet=r)
+        stream = encode_bscsr_reference(matrix, layout, ExactCodec(), rows_per_packet=r)
         n, placeholders, padding = count_packets(matrix.row_lengths(), 9, r)
         assert n == stream.n_packets
         assert placeholders == int((matrix.row_lengths() == 0).sum())
+        assert padding == packing_stats(stream).padding_lanes
 
     def test_dense_stream_has_no_padding(self):
         n, placeholders, padding = count_packets(np.full(10, 15), 15, None)
@@ -74,29 +74,6 @@ class TestCountPackets:
     def test_bad_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             count_packets(np.array([1]), 15, 16)
-
-
-class TestEstimatePackets:
-    def test_matches_counter_for_dense_rows(self):
-        rng = np.random.default_rng(6)
-        lengths = uniform_row_lengths(5000, 20, rng)
-        exact, _, _ = count_packets(lengths, 15, 7)
-        estimate = estimate_packets(int(lengths.sum()), len(lengths), 15)
-        assert estimate == exact
-
-    def test_matches_counter_with_empty_rows(self):
-        rng = np.random.default_rng(7)
-        lengths = gamma_row_lengths(5000, 20, rng)
-        exact, _, _ = count_packets(lengths, 15, 7)
-        empty_fraction = float((lengths == 0).mean())
-        estimate = estimate_packets(
-            int(lengths.sum()), len(lengths), 15, empty_row_fraction=empty_fraction
-        )
-        assert abs(estimate - exact) <= 1
-
-    def test_rejects_bad_lanes(self):
-        with pytest.raises(ConfigurationError):
-            estimate_packets(100, 10, 0)
 
 
 class TestPackingStats:

@@ -37,20 +37,20 @@ class TestPlacement:
         lengths = np.random.default_rng(0).integers(10, 31, size=200_000)
         t280 = accelerator_on_board(
             PAPER_DESIGNS["20b"], ALVEO_U280
-        ).timing_estimate_from_row_lengths(lengths)
+        ).timing_from_row_lengths(lengths)
         t55c = accelerator_on_board(
             PAPER_DESIGNS["20b"], ALVEO_U55C
-        ).timing_estimate_from_row_lengths(lengths)
+        ).timing_from_row_lengths(lengths)
         assert t55c.total_seconds == pytest.approx(t280.total_seconds, rel=1e-6)
 
     def test_u50_proportionally_slower(self):
         lengths = np.random.default_rng(0).integers(10, 31, size=200_000)
         t280 = accelerator_on_board(
             PAPER_DESIGNS["20b"], ALVEO_U280
-        ).timing_estimate_from_row_lengths(lengths)
+        ).timing_from_row_lengths(lengths)
         t50 = accelerator_on_board(
             PAPER_DESIGNS["20b"], ALVEO_U50
-        ).timing_estimate_from_row_lengths(lengths)
+        ).timing_from_row_lengths(lengths)
         ratio = t50.makespan_s / t280.makespan_s
         assert ratio == pytest.approx(460.0 / 316.0, rel=0.02)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.arithmetic.codecs import codec_for_design
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import encode_bscsr
+from repro.formats.csr import CSRMatrix
 from repro.hw.cycle_sim import PipelineSimulator
 from repro.hw.design import PAPER_DESIGNS
 from repro.hw.fpga_core import FPGACoreModel
@@ -34,6 +35,28 @@ class TestBasics:
         assert report.packets == 1000
         assert 0 <= report.stall_fraction < 1
         assert report.packets_per_cycle <= 1.0
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("key", ["20b", "f32"])
+    @pytest.mark.parametrize("nnz_per_row", [1, 2, 4, 7, 8, 15, 16, 20])
+    def test_matches_encoded_stream(self, key, nnz_per_row):
+        """The closed uniform workload is the encoder's real stream."""
+        design = PAPER_DESIGNS[key]
+        n_rows = 1500
+        matrix = CSRMatrix(
+            indptr=np.arange(n_rows + 1) * nnz_per_row,
+            indices=np.tile(np.arange(nnz_per_row), n_rows),
+            data=np.full(n_rows * nnz_per_row, 0.5),
+            n_cols=1024,
+        )
+        stream = encode_bscsr(
+            matrix, design.layout, design.codec,
+            rows_per_packet=design.effective_rows_per_packet,
+        )
+        sim = PipelineSimulator(design)
+        uniform = sim.simulate_uniform_rows(n_rows, nnz_per_row)
+        assert uniform == sim.simulate_stream(stream)
 
 
 class TestAgainstAnalyticModel:

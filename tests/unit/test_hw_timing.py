@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.adaptive import WorkloadProfile, select_design
 from repro.data.synthetic import uniform_row_lengths
 from repro.errors import CapacityError, ConfigurationError
+from repro.formats.bscsr import BSCSRMatrix
+from repro.formats.csr import CSRMatrix
 from repro.hw.design import PAPER_DESIGNS
 from repro.hw.fpga_core import FPGACoreModel
 from repro.hw.multicore import TopKSpmvAccelerator
@@ -53,7 +56,7 @@ class TestAcceleratorTiming:
         """10^7 rows / ~3x10^8 nnz in ~5 ms at >55 Gnnz/s (Figure 5)."""
         lengths = uniform_row_lengths(10**7, 30, 0)
         accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         assert timing.total_seconds == pytest.approx(4.9e-3, rel=0.1)
         assert timing.throughput_nnz_per_s > 55e9
 
@@ -61,15 +64,34 @@ class TestAcceleratorTiming:
         """Section V-A: 10^7 rows and 2x10^8 nnz in < 4 ms."""
         lengths = uniform_row_lengths(10**7, 20, 0)
         accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         assert timing.total_seconds < 4e-3
 
-    def test_estimate_matches_exact_counter(self):
-        lengths = uniform_row_lengths(50_000, 20, 3)
-        accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-        exact = accel.timing_from_row_lengths(lengths)
-        estimate = accel.timing_estimate_from_row_lengths(lengths)
-        assert estimate.total_seconds == pytest.approx(exact.total_seconds, rel=1e-3)
+    def test_one_nnz_rows_time_as_encoded(self):
+        """Short rows close packets early on the rows-per-packet budget:
+        timing from row lengths, and the design selector built on it, must
+        equal the timing of the real encoding (a closed form that ignores
+        the budget reports about half the makespan here)."""
+        n_rows = 200_000
+        choice = select_design(
+            WorkloadProfile(n_rows=n_rows, n_cols=1024, avg_nnz=1, top_k=100),
+            min_precision=0.5,
+        )
+        design = choice.design
+        matrix = CSRMatrix(
+            indptr=np.arange(n_rows + 1),
+            indices=np.arange(n_rows) % 1024,
+            data=np.full(n_rows, 0.5),
+            n_cols=1024,
+        )
+        encoded = BSCSRMatrix.encode(
+            matrix, design.layout, design.codec, n_partitions=design.cores,
+            rows_per_packet=design.effective_rows_per_packet,
+        )
+        accel = TopKSpmvAccelerator(design)
+        timing = accel.timing_from_matrix(encoded)
+        assert accel.timing_from_row_lengths(matrix.row_lengths()) == timing
+        assert choice.predicted_latency_s == timing.total_seconds
 
     def test_makespan_is_slowest_core(self):
         accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
@@ -91,17 +113,17 @@ class TestAcceleratorTiming:
         times = {}
         for key, design in PAPER_DESIGNS.items():
             accel = TopKSpmvAccelerator(design)
-            times[key] = accel.timing_estimate_from_row_lengths(lengths).total_seconds
+            times[key] = accel.timing_from_row_lengths(lengths).total_seconds
         assert times["20b"] < times["25b"] < times["32b"] < times["f32"]
 
     def test_effective_bandwidth_reported(self):
         lengths = uniform_row_lengths(10**6, 30, 1)
         accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         assert 0 < timing.effective_bandwidth_gbps < 422.4
 
     def test_ideal_throughput_upper_bounds_measured(self):
         lengths = uniform_row_lengths(10**6, 30, 1)
         accel = TopKSpmvAccelerator(PAPER_DESIGNS["20b"])
-        timing = accel.timing_estimate_from_row_lengths(lengths)
+        timing = accel.timing_from_row_lengths(lengths)
         assert timing.throughput_nnz_per_s <= accel.ideal_throughput_nnz_per_s()
