@@ -196,6 +196,9 @@ class CompiledCollection:
         self._plans_all: "list[StreamPlan] | None" = None
         self._operand: "ContractionOperand | None" = None
         self._plan_stats: "DataflowStats | None" = None
+        #: The query driver's precomputes of the artifact alone (its sorted
+        #: run), shared by every collection wrapping it.
+        self.derived: dict = {}
 
     # ------------------------------------------------------------------ #
     # Shape and size

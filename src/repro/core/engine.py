@@ -552,8 +552,8 @@ def _partition_load(collection) -> "tuple[list[int], list[int]]":
         for p, stream in enumerate(segment.artifact.encoded.streams):
             packets[p] += stream.n_packets
             nnz[p] += stream.nnz
-    delta = collection.compiled_delta()
+    delta = collection.delta_segment()
     if delta is not None:
-        packets[0] += delta.encoded.total_packets
-        nnz[0] += delta.nnz
+        packets[0] += delta.artifact.encoded.total_packets
+        nnz[0] += delta.artifact.nnz
     return packets, nnz

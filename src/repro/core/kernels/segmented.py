@@ -29,24 +29,24 @@ carries the current global K-th score *across* segments, so later segments
 skip more (the LSM win: a hot head segment warms the thresholds the tail
 segments are pruned by).  The driver adds only what needs a whole segment:
 
-* **a placed segment always takes the screened streaming fold, heaviest
-  block first,** whatever backend was asked for: the placement exists to
-  feed the threshold screen, so the segment's fine screen blocks are
-  visited by descending bound under their live-matrix ids and the walk
-  stops at the first block every query provably rejects;
-* an unplaced ``streaming`` segment takes the same walk in stream order —
-  either way the query-independent half of the screen (bounds, cast
-  values, live-row ids) is cached on the segment per tombstone state;
+* a ``streaming`` segment — and a **placed** one, whatever backend was
+  asked for — is walked as its **sorted run**: its live rows heaviest
+  ``Σ|v|`` first (ties by live-matrix id), cached on the segment per
+  accumulate dtype and tombstone state, scored chunk by chunk until the
+  first chunk every query provably rejects.  The order comes from the
+  segment's own rows, so placement never changes the walk (it feeds only
+  the modelled board and the per-core candidate path);
 * a ``contraction`` segment is scored from its artifact's collection-level
   operand, one exact SpMM per byte-budgeted query chunk, each block
   selected from in its own ``(n_rows, Q)`` layout;
-* the unsealed delta buffer (a small 1-partition snapshot) is folded by the
-  reference backend.
+* the unsealed delta buffer (a small 1-partition snapshot, cached per
+  generation) is folded last, by the same rule as an unplaced sealed
+  segment.
 
-Tombstoned rows are excluded from the fold (their scores are computed with
-their block but never offered, and a block with no live row is never
-gathered), and surviving rows are renumbered to their positions in the
-live logical matrix — exactly the ids a fresh compile would produce.
+Tombstoned rows are excluded from the fold (a sorted run leaves them out;
+a plan-by-plan backend computes their scores but never offers them), and
+surviving rows are renumbered to their positions in the live logical
+matrix — exactly the ids a fresh compile would produce.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ import numpy as np
 
 from repro.core.dataflow import DataflowStats
 from repro.core.kernels.base import (
-    FALLBACK_KERNEL,
     KernelRequest,
     Queries,
     get_kernel,
@@ -66,22 +65,10 @@ from repro.core.kernels.base import (
 )
 from repro.core.kernels.contraction import score_chunks
 from repro.core.kernels.selection import RunningTopK
-from repro.core.kernels.streaming import (
-    _BLOCK_LANE_BUDGET,
-    BlockScreen,
-    build_screen,
-    fold_screen,
-)
+from repro.core.kernels.streaming import SortedRun, fold_run, sorted_run
 from repro.errors import ConfigurationError
 
 __all__ = ["SegmentedOutput", "run_segmented", "select_segment_kernel"]
-
-#: Lanes per screen block of a placed segment.  Much finer than the
-#: streaming kernel's working-set budget: here a block is the unit the
-#: heaviest-first walk can stop at, and a 1 000-row partition would be a
-#: single 16 384-lane block.  Measured flat between 256 and 2 048.
-_PLACED_BLOCK_LANES = 1_024
-
 
 @dataclass
 class SegmentedOutput:
@@ -92,11 +79,11 @@ class SegmentedOutput:
     :meth:`~repro.core.segments.SegmentedCollection.keys_for`).
     ``base_stats`` sums the segments' plan counters (``tracker_accepts``
     stays 0: accepts are a counter of the per-core candidate path).
-    ``segment_kernels`` records which backend served each sealed segment in
-    order (the delta, when present, always runs ``gather`` and is not
-    listed; a placed segment always reports ``streaming``).
-    ``skipped_rows``/``total_rows`` count live (row, query) pairs the
-    streaming screens provably pruned vs. offered — diagnostics only.
+    ``segment_kernels`` records which backend served each segment in order,
+    the delta, when present, last (a placed segment always reports
+    ``streaming``).  ``skipped_rows``/``total_rows`` count live (row,
+    query) pairs the sorted-run walks provably pruned vs. offered —
+    diagnostics only.
     """
 
     results: list
@@ -153,58 +140,44 @@ def _fold_segment_contraction(segment, queries, pads, first_live) -> int:
     return 0
 
 
-def _segment_screen(segment, acc) -> BlockScreen:
-    """Build a segment's :class:`BlockScreen` (cached by the caller per
-    accumulate dtype and tombstone state).
+def _artifact_run(artifact, acc) -> SortedRun:
+    """Every row of an artifact as one :class:`SortedRun`, named by artifact
+    row — stream position ``j`` of a placed artifact holds artifact row
+    ``placement.order[j]``."""
+    placement = artifact.placement
+    rows = np.arange(artifact.n_rows) if placement is None else placement.order
+    return sorted_run(artifact.stream_plans(), acc, rows)
 
-    Stream position ``j`` of a placed artifact holds artifact row
-    ``placement.order[j]``, so its mask and live-matrix positions are
-    gathered through ``order`` once, here.
+
+def _segment_run(segment, acc) -> SortedRun:
+    """A segment's sorted run, named by live-matrix position.
+
+    The artifact's run is built once per accumulate dtype and shared by
+    every collection wrapping the artifact; a tombstoned segment's is that
+    run with the dead rows dropped, cached on the segment per tombstone
+    state.
     """
-    placement = segment.artifact.placement
-    stream_ids = segment.live_cumsum()[:-1]
-    stream_live = None if segment.all_live else segment.live
-    if placement is not None:
-        stream_ids = stream_ids[placement.order]
-        if stream_live is not None:
-            stream_live = stream_live[placement.order]
-    return build_screen(
-        segment.artifact.stream_plans(),
-        acc,
-        stream_live,
-        stream_ids,
-        _BLOCK_LANE_BUDGET if placement is None else _PLACED_BLOCK_LANES,
-        descending=placement is not None,
-    )
-
-
-def _fold_segment_screened(segment, queries, pads, first_live) -> int:
-    """Screened fold of one sealed segment against the *global* Top-K.
-
-    The streaming backend's own block walk (:func:`~repro.core.kernels.
-    streaming.fold_screen`) over the segment's cached screen: the
-    thresholds screened against are already warmed by every earlier
-    segment, and tombstoned rows weigh nothing in the bound (they are never
-    offered, so they must never inhibit a skip).  The query block is not
-    chunked: the running Top-K is shared state, so every query folds
-    together.  An unplaced segment is walked in stream order; a **placed**
-    one, whose streams hold *permuted* rows, heaviest block first — the
-    selection is order-free, so neither order moves a bit.  Returns the
-    (row, query) pairs skipped.
-    """
-    acc = queries.acc
-    screen = segment.derived(
-        ("screen", acc.str), lambda: _segment_screen(segment, acc)
-    )
-    return fold_screen(queries, screen, pads, first_live)[0]
+    key, artifact = ("run", acc.str), segment.artifact
+    if key not in artifact.derived:
+        artifact.derived[key] = _artifact_run(artifact, acc)
+    run = artifact.derived[key]
+    if segment.all_live:
+        return run
+    if key not in segment.derived:
+        keep = segment.live[run.ids]
+        segment.derived[key] = run.select(keep, segment.live_cumsum()[run.ids])
+    return segment.derived[key]
 
 
 def _fold_segment(segment, queries, pads, kernel_name, first_live) -> int:
-    """Fold one sealed segment; returns the (row, query) pairs it skipped."""
-    # Two folds need the whole segment — its cached screen, its
+    """Fold one segment; returns the (row, query) pairs it skipped."""
+    # Two folds need the whole segment — its cached sorted run, its
     # collection-level operand; every other backend folds plan by plan.
     if kernel_name == "streaming":
-        return _fold_segment_screened(segment, queries, pads, first_live)
+        # Against the *global* Top-K: thresholds warmed by every earlier
+        # segment, all queries together (the running Top-K is shared).
+        run = _segment_run(segment, queries.acc)
+        return fold_run(queries, run, pads, first_live)
     if kernel_name == "contraction":
         return _fold_segment_contraction(segment, queries, pads, first_live)
     backend = get_kernel(kernel_name)
@@ -256,10 +229,11 @@ def run_segmented(
     stats = DataflowStats()
     kernels_used = []
     skipped = offset = 0
-    for segment in collection.segments:
+    delta = collection.delta_segment()
+    for segment in collection.segments + ([] if delta is None else [delta]):
         stats = stats.merge(segment.artifact.plan_stats())
-        # A placed segment keeps its block-skip whatever backend was asked
-        # for: it always takes the screened fold, heaviest block first.
+        # A placed segment always takes the sorted-run walk, whatever
+        # backend was asked for: the contraction fold cannot skip a row.
         if segment.artifact.placement is not None:
             name = "streaming"
         else:
@@ -269,13 +243,6 @@ def run_segmented(
         kernels_used.append(name)
         skipped += _fold_segment(segment, queries, pads, name, offset)
         offset += segment.n_live
-    delta = collection.compiled_delta()
-    if delta is not None:
-        stats = stats.merge(delta.plan_stats())
-        reference = get_kernel(FALLBACK_KERNEL)
-        for plan in delta.stream_plans():
-            reference.fold_plan(queries, plan, pads, offset)
-            offset += plan.n_rows
     return SegmentedOutput(
         pads.finish(), stats, tuple(kernels_used), skipped, offset * len(queries)
     )

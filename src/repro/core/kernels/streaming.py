@@ -31,6 +31,11 @@ compare and disable skipping.  On uniform random collections thresholds
 rarely clear the bound and the kernel degenerates to a tighter-working-set
 gather; on skewed collections (rows sorted by magnitude, power-law norms)
 whole tails of every partition are never read.
+
+The multi-segment driver walks the same bound over a **sorted run**
+instead (:func:`sorted_run`, :func:`fold_run`): a segment's live rows
+copied heaviest ``Σ|v|`` first, so its walk *stops* at the first chunk
+every query rejects, whatever order the rows are stored in.
 """
 
 from __future__ import annotations
@@ -47,16 +52,21 @@ from repro.core.kernels.base import (
 )
 
 __all__ = [
+    "SortedRun",
     "StreamingKernel",
-    "BlockScreen",
     "block_scores",
-    "build_screen",
-    "fold_screen",
+    "fold_run",
     "screen_blocks",
+    "sorted_run",
 ]
 
 #: Target lane count per row block (× query chunk × itemsize ≈ working set).
 _BLOCK_LANE_BUDGET = 16_384
+
+#: Lanes in a sorted run's first chunk; each next chunk doubles, up to the
+#: lanes whose ``(Q, lanes)`` products block holds :data:`_CHUNK_BYTES`.
+_FIRST_CHUNK_LANES = 1_024
+_CHUNK_BYTES = 1 << 20
 
 
 def _block_bounds(starts: np.ndarray, n_lanes: int, budget: int) -> np.ndarray:
@@ -77,39 +87,38 @@ def _block_bounds(starts: np.ndarray, n_lanes: int, budget: int) -> np.ndarray:
     return np.array(bounds, dtype=np.int64)
 
 
+def _slack(max_len: int, accumulate_dtype) -> float:
+    """The bound's relative slack for rows of up to ``max_len`` lanes: the
+    accumulate dtype's summation error plus the bound product's rounding
+    (module docstring)."""
+    return 1.0 + 16.0 * (max_len + 8) * float(np.finfo(accumulate_dtype).eps)
+
+
 def screen_blocks(
-    plan,
-    accumulate_dtype,
-    live: "np.ndarray | None" = None,
-    lane_budget: int = _BLOCK_LANE_BUDGET,
+    plan, accumulate_dtype, live: "np.ndarray | None" = None
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The provable-skip precompute: ``(seg_ends, blocks, block_peak)``.
 
-    One home for the correctness-critical screen math shared by this
-    backend, the native one and the multi-segment driver
-    (:mod:`repro.core.kernels.segmented`): per-row |value| sums reduced to
-    per-block peaks, scaled by the slack covering the accumulate dtype's
-    pairwise-summation error and the bound product's own rounding (see the
-    module docstring).  ``live`` zeroes tombstoned rows' weights — they
-    are never offered, so they must never inhibit a skip.  ``lane_budget``
-    sizes the row blocks; the bound holds for any cut.
+    One home for the correctness-critical screen math of this backend's
+    stream-order walk and the native one's: per-row |value| sums reduced
+    to per-block peaks (blocks of ~:data:`_BLOCK_LANE_BUDGET` lanes),
+    scaled by :func:`_slack`.  ``live`` zeroes tombstoned rows' weights —
+    they are never offered, so they must never inhibit a skip.
     """
-    acc = np.dtype(accumulate_dtype)
     starts = plan.starts
     n_lanes = len(plan.kept_values)
     row_abs = np.add.reduceat(np.abs(plan.kept_values), starts)
     if live is not None:
         row_abs = np.where(live, row_abs, 0.0)
     seg_ends = np.concatenate([starts[1:], [n_lanes]])
-    max_len = int((seg_ends - starts).max(initial=1))
-    slack = 1.0 + 16.0 * (max_len + 8) * float(np.finfo(acc).eps)
-    blocks = _block_bounds(starts, n_lanes, lane_budget)
+    slack = _slack(int((seg_ends - starts).max(initial=1)), accumulate_dtype)
+    blocks = _block_bounds(starts, n_lanes, _BLOCK_LANE_BUDGET)
     block_peak = np.maximum.reduceat(row_abs, blocks[:-1]) * slack
     return seg_ends, blocks, block_peak
 
 
 def block_scores(Xc, kept_idx, values, row_starts) -> np.ndarray:
-    """``(Q, n_rows)`` float64 scores of a run of consecutive stream rows.
+    """``(Q, n_rows)`` float64 scores of a run of consecutive rows.
 
     ``kept_idx``/``values`` are the rows' kept lanes (values already in
     ``Xc``'s accumulate dtype), ``row_starts`` each row's first lane within
@@ -123,118 +132,112 @@ def block_scores(Xc, kept_idx, values, row_starts) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BlockScreen:
-    """Query-independent screen precompute of a run of stream plans.
+class SortedRun:
+    """Rows heaviest first, with what the walk needs (:func:`sorted_run`).
 
-    Every partition stream cut into row blocks, each with its provable
-    ``Σ|v| · slack`` peak (:func:`screen_blocks`, dead rows
-    zero-weighted).  ``blocks[i]`` is ``(kept_idx, values, row_starts,
-    ids, live)``: views of one plan's lanes for a run of consecutive stream
-    rows (values in the accumulate dtype), the ids of its live rows
-    relative to the fold's ``first_row``, and the mask that selects them
-    (``None`` = all live).  Blocks without a live row are left out — they
-    are never gathered.  ``live_from[i]`` counts the live rows of blocks
-    ``i`` onwards.
-
-    By default blocks keep stream order.  A ``descending`` screen is sorted
-    heaviest bound first, which is what lets the fold *stop* at the first
-    block it can skip.
+    ``kept_idx``/``values`` hold the rows' kept lanes back to back in run
+    order (values in the accumulate dtype), ``starts`` each row's first
+    lane, ``ids`` its id relative to the fold's ``first_row``, and
+    ``bounds`` its provable score bound ``Σ|v| · slack`` — non-increasing,
+    a NaN weight counted as +inf so it sorts first and never lets the walk
+    stop.
     """
 
-    peaks: "list[float]"
-    blocks: "list[tuple]"
-    live_from: "list[int]"
-    descending: bool
+    kept_idx: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    bounds: np.ndarray
+
+    def select(self, keep: np.ndarray, ids: np.ndarray) -> "SortedRun":
+        """The rows ``keep`` marks, renamed ``ids[keep]`` (both one entry
+        per run row): same order, same bounds, so the walk over them stays
+        heaviest first and provable."""
+        lengths = np.diff(self.starts, append=len(self.values))
+        lanes = np.repeat(keep, lengths)
+        kept = lengths[keep]
+        return SortedRun(
+            self.kept_idx[lanes],
+            self.values[lanes],
+            np.cumsum(kept) - kept,
+            ids[keep],
+            self.bounds[keep],
+        )
 
 
-def build_screen(
-    plans,
-    accumulate_dtype,
-    live: "np.ndarray | None" = None,
-    ids: "np.ndarray | None" = None,
-    lane_budget: int = _BLOCK_LANE_BUDGET,
-    descending: bool = False,
-) -> BlockScreen:
-    """Build the :class:`BlockScreen` of ``plans``' concatenated rows.
+def sorted_run(plans, accumulate_dtype, ids) -> SortedRun:
+    """The :class:`SortedRun` of ``plans``' concatenated rows.
 
-    ``live`` masks those rows (``None`` = all live) and ``ids`` names them
-    (default: each row's position among the live ones).  A NaN peak (NaN
-    matrix value) sorts first, so the peaks a descending walk relies on to
-    only fall never hide one.
+    Row ``r`` is named ``ids[r]``; rows are ordered by descending
+    ``Σ|v|`` with ties by ascending id — so the run depends on the rows
+    and their ids only, never on how a placement spread them over the
+    plans.  The slack is taken at the longest row of all the plans, never
+    smaller than any one plan's, so each bound stays provable.
     """
     acc = np.dtype(accumulate_dtype)
-    plans = [plan for plan in plans if plan.n_rows]
-    if ids is None:
-        n_rows = sum(plan.n_rows for plan in plans)
-        ids = np.arange(n_rows) if live is None else np.cumsum(live) - live
-    peaks, blocks = [], []
-    offset = 0
+    lengths = np.concatenate(
+        [np.diff(plan.starts, append=len(plan.kept_values)) for plan in plans]
+    )
+    weights = np.concatenate(
+        [np.add.reduceat(np.abs(plan.kept_values), plan.starts) for plan in plans]
+    )
+    weights[np.isnan(weights)] = np.inf
+    rows = np.lexsort((ids, -weights))
+    run_lengths = lengths[rows]
+    run_starts = np.cumsum(run_lengths) - run_lengths
+    # Column ids fit a packet's ``idx_bits`` field, far below 31 bits.
+    kept_idx = np.empty(int(run_lengths.sum()), dtype=np.int32)
+    values = np.empty(len(kept_idx), dtype=acc)
+    # Plan by plan, so no copy of every lane is ever made but the run's own.
+    first = 0
     for plan in plans:
-        rows = slice(offset, offset + plan.n_rows)
-        offset += plan.n_rows
-        plan_live = None if live is None else live[rows]
-        plan_ids = ids[rows]
-        values = plan.kept_values.astype(acc, copy=False)
-        starts = plan.starts
-        seg_ends, cuts, plan_peaks = screen_blocks(plan, acc, plan_live, lane_budget)
-        plan_peaks = np.where(np.isnan(plan_peaks), np.inf, plan_peaks)
-        cuts = cuts.tolist()
-        for b, peak in enumerate(plan_peaks.tolist()):
-            r0, r1 = cuts[b], cuts[b + 1]
-            mask = None if plan_live is None else plan_live[r0:r1]
-            if mask is not None and mask.all():
-                mask = None
-            block_ids = plan_ids[r0:r1] if mask is None else plan_ids[r0:r1][mask]
-            if len(block_ids) == 0:
-                continue
-            lanes = slice(int(starts[r0]), int(seg_ends[r1 - 1]))
-            row_starts = starts[r0:r1] - lanes.start
-            peaks.append(peak)
-            blocks.append(
-                (plan.kept_idx[lanes], values[lanes], row_starts, block_ids, mask)
-            )
-    if descending:
-        heaviest_first = np.argsort(-np.array(peaks), kind="stable").tolist()
-        peaks = [peaks[i] for i in heaviest_first]
-        blocks = [blocks[i] for i in heaviest_first]
-    n_live = [len(block[3]) for block in blocks]
-    live_from = np.cumsum(n_live[::-1], dtype=np.int64)[::-1].tolist()
-    return BlockScreen(peaks, blocks, [*live_from, 0], descending)
+        mine = np.flatnonzero((rows >= first) & (rows < first + plan.n_rows))
+        n = run_lengths[mine]
+        offs = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        src = np.repeat(plan.starts[rows[mine] - first], n) + offs
+        dst = np.repeat(run_starts[mine], n) + offs
+        kept_idx[dst] = plan.kept_idx[src].astype(np.int32)
+        values[dst] = plan.kept_values[src].astype(acc)
+        first += plan.n_rows
+    return SortedRun(
+        kept_idx,
+        values,
+        run_starts,
+        ids[rows],
+        weights[rows] * _slack(int(lengths.max(initial=1)), acc),
+    )
 
 
-def fold_screen(queries: Queries, screen: BlockScreen, pads, first_row=0):
-    """The block walk (module docstring): bound → skip, else gather → fold.
+def fold_run(queries: Queries, run: SortedRun, pads, first_row=0) -> int:
+    """Walk ``run`` heaviest row first: bound → stop, else gather → fold.
 
-    All of ``queries`` fold together against the *current* thresholds of
-    ``pads`` (fresh or warm); a skip needs every lane's consent, so a
-    narrower block of queries (:meth:`StreamingKernel.fold_width`) skips
-    more.  A stream-order screen continues past a skipped block.  A
-    descending one offers its blocks out of row order, each one's live rows
-    under their own ids (``fold(row_ids=)``), and the walk **stops** at the
-    first block it can skip — peaks only fall from there and thresholds
-    only rise, so every later block is provably rejected too (accounted
-    with ``skip_rows``, never gathered).  Returns ``(skipped, screened)``
-    (row, query) pair counts.
+    Chunks of the run are scored with :func:`block_scores` and offered
+    under their ids (``fold(row_ids=)``).  Before each chunk, its first
+    row's bound — the largest left — is screened against every query's
+    *current* threshold; the walk **stops** at the first chunk every query
+    rejects, since bounds only fall and thresholds only rise, so every row
+    after it is provably rejected too (accounted with ``skip_rows``, never
+    gathered).  Chunks start at :data:`_FIRST_CHUNK_LANES` lanes and double
+    while their products block stays within :data:`_CHUNK_BYTES`.  Returns
+    the (row, query) pairs skipped.
     """
-    n_queries = len(queries)
-    live_from = screen.live_from
-    skipped = 0
-    for b, peak in enumerate(screen.peaks):
-        if np.all(peak * queries.xmax < pads.worst_thresholds()):
-            # Descending peaks: every later block is rejected with this one.
-            rest = screen.descending
-            n_skipped = live_from[b] - (0 if rest else live_from[b + 1])
-            pads.skip_rows(n_skipped)
-            skipped += n_skipped * n_queries
-            if rest:
-                break
-            continue
-        kept_idx, values, row_starts, ids, live = screen.blocks[b]
-        scores = block_scores(queries.Xc, kept_idx, values, row_starts)
-        if live is not None:
-            scores = scores[:, live]
-        pads.fold(scores, first_row, ids)
-    return skipped, live_from[0] * n_queries
+    n_rows = len(run.ids)
+    r0, budget = 0, _FIRST_CHUNK_LANES
+    cap = max(budget, _CHUNK_BYTES // (len(queries) * queries.acc.itemsize))
+    while r0 < n_rows:
+        if np.all(run.bounds[r0] * queries.xmax < pads.worst_thresholds()):
+            pads.skip_rows(n_rows - r0)
+            return (n_rows - r0) * len(queries)
+        l0 = int(run.starts[r0])
+        r1 = max(r0 + 1, int(np.searchsorted(run.starts, l0 + budget)))
+        l1 = int(run.starts[r1]) if r1 < n_rows else len(run.values)
+        scores = block_scores(
+            queries.Xc, run.kept_idx[l0:l1], run.values[l0:l1],
+            run.starts[r0:r1] - l0,
+        )
+        pads.fold(scores, first_row, run.ids[r0:r1])
+        r0, budget = r1, min(2 * budget, cap)
+    return 0
 
 
 class StreamingKernel(KernelBackend):
@@ -255,9 +258,30 @@ class StreamingKernel(KernelBackend):
         return auto_chunk_width(n_lanes, queries.acc.itemsize, len(queries))
 
     def fold_plan(self, queries, plan, pads, first_row=0, live=None):
-        """Walk the plan's own stream-order screen (:func:`fold_screen`)."""
-        screen = build_screen([plan], queries.acc, live)
-        return fold_screen(queries, screen, pads, first_row)
+        """The block walk in stream order (module docstring); a block with
+        no live row is never gathered, its live rows are offered under
+        their positions among the plan's live rows."""
+        values = plan.kept_values.astype(queries.acc, copy=False)
+        seg_ends, cuts, peaks = screen_blocks(plan, queries.acc, live)
+        ids = np.arange(plan.n_rows) if live is None else np.cumsum(live) - live
+        skipped = screened = 0
+        for r0, r1, peak in zip(cuts[:-1].tolist(), cuts[1:].tolist(), peaks.tolist()):
+            keep = slice(None) if live is None else live[r0:r1]
+            n_live = r1 - r0 if live is None else int(keep.sum())
+            screened += n_live
+            if n_live == 0:
+                continue
+            if np.all(peak * queries.xmax < pads.worst_thresholds()):
+                pads.skip_rows(n_live)
+                skipped += n_live
+                continue
+            lanes = slice(int(plan.starts[r0]), int(seg_ends[r1 - 1]))
+            scores = block_scores(
+                queries.Xc, plan.kept_idx[lanes], values[lanes],
+                plan.starts[r0:r1] - lanes.start,
+            )
+            pads.fold(scores[:, keep], first_row, ids[r0:r1][keep])
+        return skipped * len(queries), screened * len(queries)
 
 
 register_kernel(StreamingKernel())

@@ -9,11 +9,15 @@ hang on the row order:
 * **channel balance** — the accelerator's makespan is the *slowest* core
   (see :meth:`repro.hw.multicore.TopKSpmvAccelerator.timing_from_packets`),
   so a channel that drew the heavy rows stalls the whole board;
-* **threshold block-skip** — the streaming/native kernels prove whole row
-  blocks unable to beat the current top-k thresholds and never read them
+* **threshold block-skip** on the per-core candidate path — the
+  streaming/native kernels walk each partition stream in stored order and
+  prove whole row blocks unable to beat the current top-k thresholds
   (:func:`repro.core.kernels.streaming.screen_blocks`); the bound is the
   per-row |value| sum, so placing heavy rows *first* within a channel
-  fills the scratchpads early and lets the light tail be skipped.
+  fills the scratchpads early and lets the light tail be skipped.  Host
+  queries walk each segment's own sorted run instead
+  (:func:`repro.core.kernels.streaming.sorted_run`), whatever the
+  placement.
 
 A :class:`Placement` captures a full row layout — a permutation plus the
 partition boundaries cut into it — as a first-class artifact property:

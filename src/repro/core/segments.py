@@ -120,7 +120,9 @@ class Segment:
     live: np.ndarray
     _live_cum: "np.ndarray | None" = field(default=None, repr=False)
     _n_live: "int | None" = field(default=None, repr=False)
-    _derived: dict = field(default_factory=dict, repr=False)
+    #: The query driver's precomputes of the artifact *and* the mask (a
+    #: tombstoned segment's sorted run); :meth:`tombstone` drops them.
+    derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.keys = np.ascontiguousarray(self.keys, dtype=np.int64)
@@ -165,24 +167,12 @@ class Segment:
             )
         return self._live_cum
 
-    def derived(self, key, build):
-        """``build()`` memoised per ``key`` and tombstone state.
-
-        Home of the query-independent precomputes the segmented driver
-        derives from the immutable artifact *and* the mask (screen bounds,
-        live-row ids); :meth:`tombstone` drops them with the other caches.
-        """
-        value = self._derived.get(key)
-        if value is None:
-            value = self._derived[key] = build()
-        return value
-
     def tombstone(self, row: int) -> None:
         """Mark one physical row dead (idempotence is the caller's job)."""
         self.live[row] = False
         self._live_cum = None
         self._n_live = None
-        self._derived = {}
+        self.derived = {}
 
 
 class _DeltaBuffer:
@@ -194,7 +184,7 @@ class _DeltaBuffer:
     order of magnitude ahead of a full recompile.  Keys and tombstones are
     tracked per row in arrival order; every query-facing consumer reads
     the buffer through the collection's lazily compiled snapshot
-    (:meth:`SegmentedCollection.compiled_delta`), never directly.
+    (:meth:`SegmentedCollection.delta_segment`), never directly.
     """
 
     def __init__(self, n_cols: int):
@@ -571,22 +561,25 @@ class SegmentedCollection:
         """Translate query-result positions into stable row keys."""
         return self.live_keys()[np.asarray(positions, dtype=np.int64)]
 
-    def compiled_delta(self) -> "CompiledCollection | None":
-        """The live delta rows compiled as a 1-partition snapshot.
+    def delta_segment(self) -> "Segment | None":
+        """The live delta rows compiled as an all-live 1-partition segment.
 
         Rebuilt lazily per generation (the delta is bounded by the seal
-        threshold, so this is the small, cheap tail of every query);
-        ``None`` when the delta holds no live rows.
+        threshold, so this is the small, cheap tail of every query), so
+        the precomputes the driver derives from it are cached per
+        generation too; ``None`` when the delta holds no live rows.
         """
-        if "delta" in self._caches:
-            return self._caches["delta"]
-        if self.delta.n_live == 0:
-            compiled = None
-        else:
-            csr, _ = self.delta.live_rows()
-            compiled = compile_collection(csr, self.design, n_partitions=1)
-        self._caches["delta"] = compiled
-        return compiled
+        if "delta" not in self._caches:
+            segment = None
+            if self.delta.n_live:
+                csr, keys = self.delta.live_rows()
+                segment = Segment(
+                    compile_collection(csr, self.design, n_partitions=1),
+                    keys,
+                    np.ones(len(keys), dtype=bool),
+                )
+            self._caches["delta"] = segment
+        return self._caches["delta"]
 
     def describe(self) -> str:
         """Multi-line summary of the segmented collection."""

@@ -199,8 +199,8 @@ def zipf_embeddings(
 
     Real embedding collections are Zipfian twice over — in nnz per row and
     in row norm (popularity) — and the magnitude ranks are *shuffled*
-    across row ids, so neither channel balance nor the streaming kernels'
-    threshold block-skip falls out of the original row order.  This is the
+    across row ids, so neither channel balance nor the per-core streaming
+    kernels' threshold block-skip falls out of the original row order.  This is the
     corpus the placement tuner (:mod:`repro.core.tune`) is evaluated on:
     ``uniform`` placement skips ~nothing here, norm-sorting within
     nnz-balanced channels recovers the skip.

@@ -33,6 +33,7 @@ from repro.core.kernels import run_segmented
 from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
 from repro.core.segments import SegmentedCollection
 from repro.core.engine import TopKSpmvEngine
+from repro.data.synthetic import zipf_embeddings
 from repro.formats.csr import CSRMatrix
 from repro.hw.design import PAPER_DESIGNS
 
@@ -184,6 +185,29 @@ class TestSegmentedInvariance:
         out = run_segmented(placed, PAPER_DESIGNS[design_name].quantize_query(X), top_k)
         assert out.segment_kernels == ("streaming",)
 
+    @pytest.mark.parametrize("strategy", PLACEMENT_STRATEGIES)
+    def test_placement_does_not_change_the_walk(self, strategy):
+        """A segment's sorted run comes from its own rows: under every
+        strategy the walk folds the same rows and skips the same pairs as
+        the unplaced collection's, tombstones included."""
+        matrix = zipf_embeddings(n_rows=3000, n_cols=64, avg_nnz=8, seed=21)
+        design = PAPER_DESIGNS["f32"]
+        X = design.quantize_query(query_block(22, 8, matrix.n_cols))
+        outs = []
+        for placement in (None, strategy):
+            collection = SegmentedCollection.from_collection(
+                compile_collection(
+                    matrix, design, n_partitions=4, placement=placement
+                )
+            )
+            collection.delete(list(range(0, 3000, 7)))
+            outs.append(run_segmented(collection, X, 10))
+        want, got = outs
+        assert_batches_identical(got.results, want.results, strategy)
+        assert got.segment_kernels == want.segment_kernels == ("streaming",)
+        assert got.skipped_rows == want.skipped_rows > 0
+        assert got.total_rows == want.total_rows
+
     @pytest.mark.parametrize("strategy", NON_UNIFORM)
     @given(
         matrix=sparse_matrices(max_rows=40, max_cols=8),
@@ -196,7 +220,7 @@ class TestSegmentedInvariance:
         self, strategy, matrix, design_name, top_k, data
     ):
         """Grid values x grid queries tie at the K-th score all the time;
-        the heaviest-first fold still returns the identity compile's bits,
+        the sorted-run fold still returns the identity compile's bits,
         tombstones on the placed segment and a trailing unplaced segment +
         delta included."""
         design = PAPER_DESIGNS[design_name]

@@ -9,7 +9,7 @@ from repro.core.kernels import Queries, run_segmented
 from repro.core.kernels.gather import plan_row_scores
 from repro.core.reference import topk_from_scores
 from repro.core.segments import SegmentedCollection
-from repro.data.synthetic import synthetic_embeddings
+from repro.data.synthetic import synthetic_embeddings, zipf_embeddings
 from repro.errors import ConfigurationError, FormatError
 from repro.formats.io import load_manifest, save_manifest
 from repro.hw.design import PAPER_DESIGNS
@@ -347,7 +347,7 @@ class TestEngines:
 
 
 class TestPlacedSegmentFold:
-    """The stream-order screened fold of a placed segment and its caches."""
+    """The sorted-run fold of placed segments and the delta, and its caches."""
 
     @pytest.fixture
     def pair(self, base_matrix):
@@ -417,29 +417,78 @@ class TestPlacedSegmentFold:
         self._assert_same_bits(got, run_segmented(base, X, n_live))
         assert got.total_rows == n_live * 2 and got.skipped_rows == 0
 
-    def test_screens_are_built_once_per_tombstone_state(self, pair, monkeypatch):
-        from repro.core.kernels import segmented
+    def test_runs_are_built_once_per_tombstone_state(self, pair, monkeypatch):
+        from repro.core.kernels import segmented, streaming
 
         _, placed = pair
         placed.ingest(_rows(300, 96, 3))
         placed.seal()  # an unplaced segment behind the placed one
         builds = []
-        real = segmented._segment_screen
 
-        def counting(segment, acc):
-            builds.append(placed.segments.index(segment))
-            return real(segment, acc)
+        def label(artifact):
+            sealed = [s.artifact for s in placed.segments]
+            return next((i for i, a in enumerate(sealed) if a is artifact), "delta")
 
-        monkeypatch.setattr(segmented, "_segment_screen", counting)
+        real_build = segmented._artifact_run
+        real_select = streaming.SortedRun.select
+
+        def counting_build(artifact, acc):
+            builds.append(label(artifact))
+            return real_build(artifact, acc)
+
+        def counting_select(run, keep, ids):
+            builds.append(("tombstoned", int((~keep).sum())))
+            return real_select(run, keep, ids)
+
+        monkeypatch.setattr(segmented, "_artifact_run", counting_build)
+        monkeypatch.setattr(streaming.SortedRun, "select", counting_select)
         X = DESIGN.quantize_query(sample_unit_queries(derive_rng(10), 2, 96))
         for _ in range(3):
             out = run_segmented(placed, X, 10, kernel="streaming")
         assert out.segment_kernels == ("streaming", "streaming")
         assert builds == [0, 1]
+        # An artifact's run is shared: another collection wrapping the same
+        # artifact (an engine replica) reuses it.
+        twin = SegmentedCollection.from_collection(placed.segments[0].artifact)
+        run_segmented(twin, X, 10, kernel="streaming")
+        assert builds == [0, 1]
         placed.delete([0])  # a tombstone on the placed segment only
         for _ in range(2):
             run_segmented(placed, X, 10, kernel="streaming")
-        assert builds == [0, 1, 0]
+        assert builds == [0, 1, ("tombstoned", 1)]
+        placed.delete([1])
+        run_segmented(placed, X, 10, kernel="streaming")
+        assert builds == [0, 1, ("tombstoned", 1), ("tombstoned", 2)]
+        # The delta's run is built once per delta generation, not per query.
+        placed.ingest(_rows(40, 96, 4))
+        for _ in range(3):
+            out = run_segmented(placed, X, 10, kernel="streaming")
+        assert out.segment_kernels == ("streaming",) * 3
+        assert builds[4:] == ["delta"]
+        placed.ingest(_rows(5, 96, 5))
+        for _ in range(2):
+            run_segmented(placed, X, 10, kernel="streaming")
+        assert builds[4:] == ["delta", "delta"]
+
+    def test_the_delta_is_screened(self):
+        """Unsealed rows take the same sorted-run walk as a sealed segment:
+        a skewed delta is mostly skipped, and still answers exactly."""
+        design = PAPER_DESIGNS["f32"]
+        matrix = zipf_embeddings(n_rows=2000, n_cols=64, avg_nnz=8, seed=31)
+        collection = SegmentedCollection(design, matrix.n_cols)
+        collection.ingest(matrix)
+        assert collection.n_segments == 0 and collection.n_live == 2000
+        X = design.quantize_query(sample_unit_queries(derive_rng(12), 4, 64))
+        out = run_segmented(collection, X, 10)
+        assert out.segment_kernels == ("streaming",)
+        assert out.skip_fraction > 0.5
+        queries = Queries.of(X, design.accumulate_dtype)
+        plans = compile_collection(matrix, design).stream_plans()
+        scores = np.hstack([plan_row_scores(queries, plan) for plan in plans])
+        for got, row_scores in zip(out.results, scores):
+            want = topk_from_scores(row_scores, 10)
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.values.tobytes() == want.values.tobytes()
 
     def test_plan_stats_are_merged_once_per_artifact(self, pair):
         artifact = pair[1].segments[0].artifact
