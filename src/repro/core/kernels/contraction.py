@@ -3,11 +3,10 @@
 Every :class:`~repro.core.dataflow.StreamPlan` is *lowered* once into a
 collection-level CSR operand — the kept-lane values and column indices
 concatenated across partitions, with row pointers from the per-row segment
-starts — and a batch's scores become a single SciPy ``csr_matrix @ dense``
+starts — so a batch's scores become a single SciPy ``csr_matrix @ dense``
 product instead of 32 per-partition gather/reduceat sweeps.  The operand is
 built once per compiled collection (``compile_collection`` lowers it; the
-artifact persists it), so the per-batch cost is just the SpMM plus the
-scratchpad folds.
+artifact persists it).
 
 When is a sparse product bit-identical to the hardware model?
 -------------------------------------------------------------
@@ -31,8 +30,28 @@ The paper's best design (20-bit fixed point, f_v = 19) passes this gate on
 its evaluation workloads; 25/32-bit fixed designs and the float32 design
 overflow the budget (or accumulate in float32), so
 :meth:`ContractionKernel.supports` says no and the driver falls back to the
-reference kernel automatically — the bit-exactness guarantee is never
-traded for speed.
+reference kernel automatically.  The gate is the dispatch rule, and it is
+what makes any summation order give the reference bits.
+
+The query path: a certified float32 filter, then an exact rescore
+-----------------------------------------------------------------
+``query``/``query_batch`` do not need every score exact, only the Top-K.
+So a gated segment is scored by a **float32** SpMM (:class:`CertifiedOperand`:
+float32 values, int32 indices — half the bytes per score) whose error is
+bounded per query, ``|S̃ − S| ≤ E_q = (slack − 1) · W · max|x_q|`` with
+``W = max_row Σ|v|`` (the gate's own number) and the streaming screen's
+``slack`` (:func:`~repro.core.kernels.streaming._slack`) at the longest row
+in float32 — it covers rounding the query and the values to float32 and
+the float32 accumulation, about ``(n + 2)·u`` in all.  The bound needs no
+absolute term: under the gate the operands are finite and on grid, so
+every exact product is a non-zero multiple of ``2^-(f_v+31)`` or zero, far
+above float32's subnormals, and every rounding is relative.  The running
+Top-K screens the float32 block with that margin
+(:meth:`~repro.core.kernels.selection.RunningTopK.screen`), and only the
+survivors — the rows that straddle the K-th score — are rescored exactly
+(:meth:`ContractionOperand.rescore`), which the gate makes the reference
+bits.  The per-core candidate path (:meth:`ContractionKernel.run`) keeps
+exact float64 blocks: it replays every partition's ``local_k`` scratchpad.
 """
 
 from __future__ import annotations
@@ -48,12 +67,15 @@ from repro.core.kernels.base import (
     register_kernel,
 )
 from repro.core.kernels.scratchpad import BatchScratchpads
+from repro.core.kernels.streaming import _slack
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "CertifiedOperand",
     "ContractionOperand",
     "codec_grid_bits",
     "codecs_grid_bits",
+    "certified_operand",
     "lower_plans",
     "score_chunks",
     "ContractionKernel",
@@ -66,7 +88,7 @@ QUERY_GRID_BITS = 31
 #: a 2x guard band so the float64 gate arithmetic is itself conclusive).
 _EXACT_RAW_BUDGET = float(2**52)
 
-#: Byte budget of one ``(n_rows, chunk)`` float64 SpMM block.  Well under
+#: Byte budget of one ``(n_rows, chunk)`` SpMM block.  Well under
 #: the 32 MiB above which glibc maps (and the kernel page-faults in) a fresh
 #: region on every allocation, so consecutive chunks and calls recycle one
 #: block; chunking never changes a result bit (queries are independent).
@@ -116,6 +138,52 @@ class ContractionOperand:
                 shape=(self.n_rows, n_cols),
             )
         return self._matrices[n_cols]
+
+    def rescore(self, X: np.ndarray, rows: np.ndarray, queries: np.ndarray):
+        """Exact scores of operand row ``rows[i]`` against ``X[queries[i]]``.
+
+        Each pair's lanes are gathered, multiplied and summed by one
+        ``np.add.reduceat``: under the gate every summation order is exact,
+        so these are the reference kernel's bits.
+        """
+        if len(rows) == 0:
+            return np.empty(0)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        firsts = np.cumsum(lengths) - lengths
+        lane = np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
+        x = X[np.repeat(queries, lengths), self.indices[lane]]
+        return np.add.reduceat(self.data[lane] * x, firsts)
+
+
+@dataclass(frozen=True)
+class CertifiedOperand:
+    """A gated operand's float32 SpMM and its error bound (module doc).
+
+    ``matrix`` is the SciPy CSR of the operand's lanes with float32 values
+    and int32 indices; ``error · max|x_q|`` bounds how far any of its
+    scores for query ``q`` lies from the exact one.
+    """
+
+    matrix: object
+    error: float
+
+
+def certified_operand(operand: ContractionOperand, n_cols: int) -> CertifiedOperand:
+    """The :class:`CertifiedOperand` of a gated operand at a given width."""
+    import scipy.sparse as sp
+
+    matrix = sp.csr_matrix(
+        (
+            operand.data.astype(np.float32),
+            operand.indices.astype(np.int32),
+            operand.indptr,
+        ),
+        shape=(operand.n_rows, n_cols),
+    )
+    n_max = int(np.diff(operand.indptr).max(initial=1))
+    weight = operand.max_abs_row_raw / float(2**operand.value_grid_bits)
+    return CertifiedOperand(matrix, (_slack(n_max, np.float32) - 1.0) * weight)
 
 
 def codec_grid_bits(codec) -> "int | None":
@@ -197,18 +265,20 @@ def lower_plans(plans, codecs=None) -> ContractionOperand:
     )
 
 
-def score_chunks(operand: ContractionOperand, X: np.ndarray):
-    """Yield ``(q0, scores)``: the SpMM of ``X``'s queries in byte-budgeted chunks.
+def score_chunks(matrix, X: np.ndarray):
+    """Yield ``(q0, scores)``: ``matrix @ X.T`` in byte-budgeted query chunks.
 
-    ``scores`` is the provably exact ``(n_rows, width)`` float64 block of
-    queries ``q0 : q0 + width`` — the fewest equal chunks whose block fits
-    :data:`_SCORE_BLOCK_BYTES`.  Shared by both drivers' contraction folds;
-    a consumer drops its block (``del``) before asking for the next, so one
-    block is live at a time.
+    ``scores`` is the ``(n_rows, width)`` block of queries ``q0 : q0 +
+    width`` in the matrix's dtype (``X`` is cast to it) — the fewest equal
+    chunks whose block fits :data:`_SCORE_BLOCK_BYTES`, so a float32 block
+    is twice as wide as a float64 one.  Shared by both drivers' contraction
+    folds; a consumer drops its block (``del``) before asking for the next,
+    so one block is live at a time.
     """
     n_queries = X.shape[0]
-    matrix = operand.matrix(X.shape[1])
-    widest = max(1, _SCORE_BLOCK_BYTES // (8 * max(1, operand.n_rows)))
+    X = X.astype(matrix.dtype, copy=False)
+    per_query = matrix.dtype.itemsize * max(1, matrix.shape[0])
+    widest = max(1, _SCORE_BLOCK_BYTES // per_query)
     n_chunks = max(1, -(-n_queries // widest))
     chunk = max(1, -(-n_queries // n_chunks))
     for q0 in range(0, n_queries, chunk):
@@ -248,7 +318,8 @@ class ContractionKernel(KernelBackend):
         values = np.empty((n_parts, n_queries, local_k), dtype=np.float64)
         rows = np.empty((n_parts, n_queries, local_k), dtype=np.int64)
         accepts = np.empty((n_parts, n_queries), dtype=np.int64)
-        for q0, scores in score_chunks(operand, request.X):
+        matrix = operand.matrix(request.X.shape[1])
+        for q0, scores in score_chunks(matrix, request.X):
             width = scores.shape[1]
             # Every partition x query scratchpad of the chunk is one lane
             # of a single fold straight off the SpMM block.

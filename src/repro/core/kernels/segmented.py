@@ -36,9 +36,13 @@ segments are pruned by).  The driver adds only what needs a whole segment:
   first chunk every query provably rejects.  The order comes from the
   segment's own rows, so placement never changes the walk (it feeds only
   the modelled board and the per-core candidate path);
-* a ``contraction`` segment is scored from its artifact's collection-level
-  operand, one exact SpMM per byte-budgeted query chunk, each block
-  selected from in its own ``(n_rows, Q)`` layout;
+* a ``contraction`` segment — one the exactness gate passes — is scored
+  by its artifact's certified float32 SpMM, one per byte-budgeted query
+  chunk, each block screened in its own ``(n_rows, Q)`` layout with the
+  SpMM's error bound as margin; only the surviving (row, query) pairs, the
+  rows that straddle the K-th score, are rescored exactly and offered
+  (:mod:`~repro.core.kernels.contraction`).  The float32 operand is built
+  once per artifact and width and shared by every wrapper;
 * the unsealed delta buffer (a small 1-partition snapshot, cached per
   generation) is folded last, by the same rule as an unplaced sealed
   segment.
@@ -63,7 +67,7 @@ from repro.core.kernels.base import (
     resolve_backend,
     resolve_kernel_name,
 )
-from repro.core.kernels.contraction import score_chunks
+from repro.core.kernels.contraction import certified_operand, score_chunks
 from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import SortedRun, fold_run, sorted_run
 from repro.errors import ConfigurationError
@@ -82,8 +86,9 @@ class SegmentedOutput:
     ``segment_kernels`` records which backend served each segment in order,
     the delta, when present, last (a placed segment always reports
     ``streaming``).  ``skipped_rows``/``total_rows`` count live (row,
-    query) pairs the sorted-run walks provably pruned vs. offered —
-    diagnostics only.
+    query) pairs the sorted-run walks provably pruned vs. offered, and
+    ``rescored_rows`` those the contraction folds' float32 screens passed
+    to the exact rescore — diagnostics only.
     """
 
     results: list
@@ -91,6 +96,7 @@ class SegmentedOutput:
     segment_kernels: "tuple[str, ...]" = ()
     skipped_rows: int = 0
     total_rows: int = 0
+    rescored_rows: int = 0
 
     @property
     def skip_fraction(self) -> float:
@@ -125,19 +131,40 @@ def select_segment_kernel(
     return resolve_backend(request, name).name
 
 
+def _certified_operand(artifact, n_cols):
+    """The artifact's float32 scorer, built once per width and shared by
+    every collection wrapping the artifact."""
+    key = ("float32", n_cols)
+    if key not in artifact.derived:
+        artifact.derived[key] = certified_operand(
+            artifact.contraction_operand(), n_cols
+        )
+    return artifact.derived[key]
+
+
 def _fold_segment_contraction(segment, queries, pads, first_live) -> int:
-    """Contraction fold: one selection per exact SpMM query chunk, read in
-    the block's own ``(n_rows, Q)`` layout — never transposed.  Tombstoned
-    rows are written −inf and dropped.  Nothing is screened: returns 0."""
-    operand = segment.artifact.contraction_operand()
+    """Contraction fold: per float32 SpMM query chunk, screen the block in
+    its own ``(n_rows, Q)`` layout with the SpMM's error bound as margin,
+    then rescore the survivors exactly and offer them.  Tombstoned rows are
+    written −inf and dropped.  Returns the (row, query) pairs rescored."""
+    artifact = segment.artifact
+    operand = artifact.contraction_operand()
+    scorer = _certified_operand(artifact, queries.X.shape[1])
+    margins = scorer.error * queries.xmax
     live = None if segment.all_live else segment.live
     ids = first_live + segment.live_cumsum()[:-1]
-    for q0, scores in score_chunks(operand, queries.X):
+    rescored = 0
+    for q0, approx in score_chunks(scorer.matrix, queries.X):
         if live is not None:
-            scores[~live] = -np.inf
-        pads.fold_rows(scores, ids, q0, live)
-        del scores  # released before the next chunk's block is allocated
-    return 0
+            approx[~live] = -np.inf
+        rows, lanes = pads.screen(approx, q0, margins[q0 : q0 + approx.shape[1]])
+        del approx  # released before the next chunk's block is allocated
+        if live is not None:
+            keep = live[rows]
+            rows, lanes = rows[keep], lanes[keep]
+        pads.offer(rows, lanes, operand.rescore(queries.X, rows, lanes), ids)
+        rescored += len(rows)
+    return rescored
 
 
 def _artifact_run(artifact, acc) -> SortedRun:
@@ -169,17 +196,20 @@ def _segment_run(segment, acc) -> SortedRun:
     return segment.derived[key]
 
 
-def _fold_segment(segment, queries, pads, kernel_name, first_live) -> int:
-    """Fold one segment; returns the (row, query) pairs it skipped."""
+def _fold_segment(
+    segment, queries, pads, kernel_name, first_live
+) -> "tuple[int, int]":
+    """Fold one segment; returns the (row, query) pairs it skipped and
+    those it rescored."""
     # Two folds need the whole segment — its cached sorted run, its
     # collection-level operand; every other backend folds plan by plan.
     if kernel_name == "streaming":
         # Against the *global* Top-K: thresholds warmed by every earlier
         # segment, all queries together (the running Top-K is shared).
         run = _segment_run(segment, queries.acc)
-        return fold_run(queries, run, pads, first_live)
+        return fold_run(queries, run, pads, first_live), 0
     if kernel_name == "contraction":
-        return _fold_segment_contraction(segment, queries, pads, first_live)
+        return 0, _fold_segment_contraction(segment, queries, pads, first_live)
     backend = get_kernel(kernel_name)
     live = None if segment.all_live else segment.live
     live_cum = segment.live_cumsum()
@@ -190,7 +220,7 @@ def _fold_segment(segment, queries, pads, kernel_name, first_live) -> int:
             queries, plan, pads, first_live + int(live_cum[row]), part_live
         )[0]
         row += plan.n_rows
-    return skipped
+    return skipped, 0
 
 
 def run_segmented(
@@ -228,7 +258,7 @@ def run_segmented(
     pads = RunningTopK(X.shape[0], top_k)
     stats = DataflowStats()
     kernels_used = []
-    skipped = offset = 0
+    skipped = rescored = offset = 0
     delta = collection.delta_segment()
     for segment in collection.segments + ([] if delta is None else [delta]):
         stats = stats.merge(segment.artifact.plan_stats())
@@ -241,8 +271,10 @@ def run_segmented(
                 segment.artifact, X, kernel, queries.acc, top_k
             )
         kernels_used.append(name)
-        skipped += _fold_segment(segment, queries, pads, name, offset)
+        counts = _fold_segment(segment, queries, pads, name, offset)
+        skipped, rescored = skipped + counts[0], rescored + counts[1]
         offset += segment.n_live
     return SegmentedOutput(
-        pads.finish(), stats, tuple(kernels_used), skipped, offset * len(queries)
+        pads.finish(), stats, tuple(kernels_used), skipped,
+        offset * len(queries), rescored,
     )

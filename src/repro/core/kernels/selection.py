@@ -4,10 +4,21 @@
 one total order — value descending, NaN below −inf, ties by ascending row —
 so it answers exactly :func:`~repro.core.reference.topk_from_scores` of the
 scores offered, in any order and any cut (the top-K of a union is the top-K
-of its parts' top-Ks).  Rows below a lane's K-th value — raised on a long
-block to the K-th largest of its row-group maxima — are never merged; the
-rest are, by one ``lexsort`` over (lane, −value, row).  The bar only rises,
-so the strict ``<`` screens of the streaming backends keep every skip.
+of its parts' top-Ks).  A fold is two steps: :meth:`~RunningTopK.screen`
+finds the cells of a score block that may still enter, and
+:meth:`~RunningTopK.offer` merges candidate values by one ``lexsort`` over
+(lane, −value, row).  The screen drops a cell below its lane's K-th value —
+raised on a long block to the K-th largest of its row-group maxima.
+
+The screen also serves blocks of *approximate* scores, each within a
+per-lane ``margin`` of the exact one: a cell is then dropped only when its
+score is below ``max(bar − margin, peak_K − 2·margin)`` — the exact score
+is provably below the lane's K-th value ``bar``, or below ``K`` other rows'
+exact scores (each group peak's row is at least ``peak − margin``) — and
+the caller offers the survivors' *exact* scores.  The cut is compared in
+float64, so a float32 block never rounds it.  With ``margin = 0`` it is
+the exact screen.  The bar only rises, so the strict ``<`` screens of the
+streaming backends keep every skip.
 """
 
 from __future__ import annotations
@@ -26,9 +37,10 @@ _UNFILLED = np.iinfo(np.int64).max
 _GROUP_ROWS, _MIN_GROUP_ROWS = 64, 16
 
 
-def _screen_groups(block, bar, size, k):
-    """``(row, lane)`` of the rows not below ``bar`` raised to the K-th largest
-    ``size``-row group maximum, reading only the groups that reach it."""
+def _screen_groups(block, bar, margin, size, k):
+    """``(row, lane)`` of the rows not below ``bar − margin`` raised to the
+    K-th largest ``size``-row group maximum less ``2·margin``, reading only
+    the groups that reach it."""
     n, width = block.shape
     full = n // size
     if block.strides[0] == block.itemsize:  # reduce along contiguous rows
@@ -39,7 +51,7 @@ def _screen_groups(block, bar, size, k):
         peaks = np.vstack([peaks, block[full * size :].max(axis=0)])
     # A NaN group bounds nothing, and no ``<`` keeps it from being read.
     bound = np.partition(np.where(np.isnan(peaks), -np.inf, peaks), -k, axis=0)
-    bar = np.fmax(bar, bound[-k])
+    bar = np.fmax(bar - margin, bound[-k] - 2 * margin)
     group, lane = np.nonzero(~(peaks < bar))
     row = (group * size)[:, None] + np.arange(size)
     lane = np.broadcast_to(lane[:, None], row.shape)
@@ -68,31 +80,37 @@ class RunningTopK:
         """Offer ``(Q, n)`` scores as rows ``first_row + j`` (or ``+ row_ids[j]``)."""
         n = row_values.shape[1]
         ids = np.arange(n) if row_ids is None else row_ids
-        self.fold_rows(row_values.T, first_row + ids)
+        block = row_values.T
+        rows, lanes = self.screen(block)
+        self.offer(rows, lanes, block[rows, lanes], first_row + ids)
 
-    def fold_rows(self, block, ids, lane0: int = 0, live=None) -> None:
-        """Offer an ``(n_rows, lanes)`` block in its own layout to lanes
-        ``lane0`` on, row ``i`` as ``ids[i]``; rows ``live`` marks dead are
-        dropped, and must hold −inf (they may not raise a group maximum)."""
+    def screen(self, block, lane0: int = 0, margin=0.0):
+        """``(rows, lanes)`` of the cells of an ``(n_rows, lanes)`` block,
+        read in its own layout, that may enter lanes ``lane0`` on — lanes
+        returned absolute.  ``margin`` (per lane, or a scalar) bounds how
+        far each block score may lie from the exact one (module doc)."""
         width, k = block.shape[1], self.local_k
-        lanes = slice(lane0, lane0 + width)
+        bar = self.vals[lane0 : lane0 + width, -1]
         size = min(_GROUP_ROWS, len(block) // (2 * k))
         if size >= _MIN_GROUP_ROWS:
-            hit, lane = _screen_groups(block, self.vals[lanes, -1], size, k)
+            rows, lanes = _screen_groups(block, bar, margin, size, k)
         else:
-            cells = np.flatnonzero(~(block.T < self.vals[lanes, -1, None]))
-            lane, hit = np.divmod(cells, len(block))
-        if live is not None:
-            hit, lane = hit[live[hit]], lane[live[hit]]
-        if len(hit) == 0:
+            cells = np.flatnonzero(~(block.T < (bar - margin)[:, None]))
+            lanes, rows = np.divmod(cells, len(block))
+        return rows, lanes + lane0
+
+    def offer(self, rows, lanes, values, ids) -> None:
+        """Merge ``values[i]`` into lane ``lanes[i]`` as row ``ids[rows[i]]``."""
+        if len(rows) == 0:
             return
-        vals = np.concatenate([self.vals[lanes].ravel(), block[hit, lane]])
-        rows = np.concatenate([self.rows[lanes].ravel(), ids[hit]])
-        slots = np.repeat(np.arange(width), k)
-        order = np.lexsort((rows, -vals, np.concatenate([slots, lane])))
-        counts = k + np.bincount(lane, minlength=width)
+        n_lanes, k = self.vals.shape
+        vals = np.concatenate([self.vals.ravel(), values])
+        named = np.concatenate([self.rows.ravel(), ids[rows]])
+        slots = np.repeat(np.arange(n_lanes), k)
+        order = np.lexsort((named, -vals, np.concatenate([slots, lanes])))
+        counts = k + np.bincount(lanes, minlength=n_lanes)
         take = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        self.vals[lanes], self.rows[lanes] = vals[take], rows[take]
+        self.vals, self.rows = vals[take], named[take]
 
     def finish(self) -> "list[TopKResult]":
         """Per-lane results (the unfilled slots dropped)."""

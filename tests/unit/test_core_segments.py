@@ -496,3 +496,56 @@ class TestPlacedSegmentFold:
         assert merged is artifact.plan_stats()
         assert merged.packets == sum(p.stats.packets for p in artifact.stream_plans())
         assert merged.rows_finished == 600
+
+
+class TestCertifiedContractionFold:
+    """A gated segment is scored by the float32 SpMM and only the rows that
+    straddle the K-th score are rescored exactly."""
+
+    def test_rescores_at_most_2k_rows_per_query(self):
+        matrix = synthetic_embeddings(
+            n_rows=6000, n_cols=128, avg_nnz=12, distribution="uniform", seed=21
+        )
+        collection = SegmentedCollection.from_matrix(matrix, DESIGN)
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(22), 16, 128))
+        out = run_segmented(collection, X, 10)
+        assert out.segment_kernels == ("contraction",)
+        assert 10 * len(X) <= out.rescored_rows <= 2 * 10 * len(X)
+
+        f32 = PAPER_DESIGNS["f32"]
+        streaming = SegmentedCollection.from_matrix(matrix, f32)
+        out = run_segmented(streaming, f32.quantize_query(X), 10)
+        assert out.segment_kernels == ("streaming",)
+        assert out.rescored_rows == 0
+
+    def test_one_float32_operand_and_no_float64_matrix(
+        self, base_matrix, monkeypatch
+    ):
+        from repro.core.kernels import segmented
+
+        builds = []
+        real_build = segmented.certified_operand
+
+        def counting_build(operand, n_cols):
+            builds.append(n_cols)
+            return real_build(operand, n_cols)
+
+        monkeypatch.setattr(segmented, "certified_operand", counting_build)
+        artifact = compile_collection(base_matrix, DESIGN)
+        X = sample_unit_queries(derive_rng(23), 4, 96)
+        engine = TopKSpmvEngine(artifact)
+        for _ in range(3):
+            engine.query_batch(X, 10)
+        operand = artifact.contraction_operand()
+        assert not any(
+            m.dtype == np.float64 for m in operand._matrices.values()
+        )
+        assert builds == [96]
+        scorer = artifact.derived[("float32", 96)]
+        assert scorer.matrix.dtype == np.float32
+        assert scorer.matrix.indices.dtype == np.int32
+        # Another engine wrapping the same artifact reuses it.
+        TopKSpmvEngine(SegmentedCollection.from_collection(artifact)).query_batch(
+            X, 10
+        )
+        assert builds == [96]

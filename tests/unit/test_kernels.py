@@ -245,6 +245,7 @@ class TestContractionGate:
             request = self._request(tiny_matrix, X)
             n_rows = request.operand.n_rows
             home = contraction  # the module whose fold consumes the blocks
+            itemsize = 8  # the candidate path's exact float64 blocks
 
             def run():
                 out = get_kernel("contraction").run(request)
@@ -256,6 +257,7 @@ class TestContractionGate:
             )
             n_rows = collection.n_live
             home = segmented
+            itemsize = 4  # the query path's certified float32 blocks
 
             def run():
                 out = run_segmented(collection, X, 4, kernel="contraction")
@@ -268,9 +270,10 @@ class TestContractionGate:
         widths = []
         chunks = contraction.score_chunks
 
-        def spy(operand, X):
-            for q0, scores in chunks(operand, X):
+        def spy(matrix, X):
+            for q0, scores in chunks(matrix, X):
                 # No SpMM block outgrows the budget in force (20 MiB).
+                assert scores.itemsize == itemsize
                 assert scores.nbytes <= contraction._SCORE_BLOCK_BYTES
                 widths.append(scores.shape[1])
                 yield q0, scores
@@ -285,7 +288,7 @@ class TestContractionGate:
         assert widths == [9]
         # Room for 4 queries per block: 9 queries need three chunks, and
         # three equal chunks are 3 + 3 + 3, not 4 + 4 + 1.
-        monkeypatch.setattr(contraction, "_SCORE_BLOCK_BYTES", 4 * 8 * n_rows)
+        monkeypatch.setattr(contraction, "_SCORE_BLOCK_BYTES", 4 * itemsize * n_rows)
         assert run() == whole
         assert widths == [9, 3, 3, 3]
 
