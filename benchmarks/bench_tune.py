@@ -100,10 +100,7 @@ def test_placement_tuning_speedup():
         _stream_batch(collection, X)  # warm plans before the timed region
         seconds = _best_of(lambda c=collection: _stream_batch(c, X))
         segmented = run_segmented(
-            SegmentedCollection.from_collection(collection),
-            X,
-            TOP_K,
-            kernel="streaming",
+            SegmentedCollection.from_collection(collection), X, TOP_K
         )
         strategies[strategy] = {
             "skip_fraction": measure_skip_fraction(collection, probes),
@@ -112,9 +109,7 @@ def test_placement_tuning_speedup():
             "wall_seconds": seconds,
             "wall_qps": Q / seconds,
         }
-        engines[strategy] = TopKSpmvEngine.from_collection(
-            collection, kernel="streaming"
-        )
+        engines[strategy] = TopKSpmvEngine.from_collection(collection)
 
     # Bit-identity on the measured workload: every placed engine against
     # the uniform one, per query, indices and float bit patterns.

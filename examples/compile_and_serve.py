@@ -70,18 +70,17 @@ def main() -> None:
         assert a.values.tobytes() == b.values.tobytes()
         print("sanity: loaded engine's top-10 bit-identical to a direct build\n")
 
-        # 4. The kernel backend is a deployment knob on the same artifact:
-        #    `native` wants Numba (`pip install .[native]`) and otherwise
-        #    degrades to the streaming backend. Every backend returns the
-        #    same bits.
-        from repro.core.kernels import native_available
+        # 4. The query path reads each segment's fold off the artifact: a
+        #    20-bit artifact on quantised queries passes the exactness gate
+        #    and is scored by the certified contraction fold.  Backend names
+        #    (`REPRO_KERNEL`; `native` wants Numba) steer only the per-core
+        #    candidate path behind `query_candidates`.
+        from repro.core.kernels import run_segmented
+        from repro.core.segments import SegmentedCollection
 
-        fast = TopKSpmvEngine.from_collection(loaded, kernel="native")
-        c = fast.query(probe, top_k=10).topk
-        assert c.indices.tolist() == b.indices.tolist()
-        assert c.values.tobytes() == b.values.tobytes()
-        backend = "compiled native" if native_available() else "streaming fallback"
-        print(f"kernel=native ({backend}): same bits\n")
+        x = loaded.design.quantize_query(probe[None, :])
+        out = run_segmented(SegmentedCollection.from_collection(loaded), x, 10)
+        print(f"query path fold: {', '.join(out.segment_kernels)}\n")
 
         # 5. The same artifact shards across a fleet with zero re-encode:
         #    the fleet serves the loaded buffers and deals their streams.

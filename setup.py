@@ -4,8 +4,9 @@ Kept as a plain ``setup.py`` so legacy editable installs
 (``pip install -e . --no-use-pep517``) keep working on offline machines
 whose setuptools cannot build PEP 660 wheels.
 
-The ``native`` extra pulls in Numba for the compiled kernel backend
-(``--kernel native``); without it the package still imports and runs —
+The ``native`` extra pulls in Numba for the compiled kernel backend of
+the per-core candidate path (``REPRO_KERNEL=native``); without it the
+package still imports and runs —
 the registry resolves ``native`` to its streaming fallback.
 """
 

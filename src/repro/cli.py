@@ -24,7 +24,7 @@ argparse refuses any other with exit code 2, naming it
         [-o FILE]
 
 DATASET is ``--rows --cols --avg-nnz --design --seed``; FLEET is
-``--shards --cores-per-shard --kernel --replicas --router --cache-size
+``--shards --cores-per-shard --replicas --router --cache-size
 --queue-capacity --batch-size --max-wait-ms --top-k --n-queries
 --rate-qps``; FAULTS is ``--retries --backoff-ms --hedge-after-ms
 --deadline-ms --max-pending --max-frame-bytes --fault-plan | --chaos-seed``.
@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"simulated boards per replica (default {C.n_shards})")
     add("--cores-per-shard", type=int, help="time each shard as a full board "
         "with this many cores (default: deal the design's streams)")
-    add("--kernel", help="batch kernel: auto, gather, streaming, contraction "
-        "or native (default: $REPRO_KERNEL or auto); all bit-identical")
     add("--replicas", type=int, help=f"replica fleets (default {C.replicas})")
     add("--router", choices=list(ROUTERS),
         help=f"routing policy (default {C.router})")

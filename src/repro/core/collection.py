@@ -326,14 +326,14 @@ class CompiledCollection:
         ``None`` (float32/exact codecs) means the contraction kernel's
         exactness gate can never pass for this collection — callers use
         this to skip the O(nnz) :meth:`contraction_operand` build on the
-        save and auto-kernel paths for gateless designs.
+        save, query and candidate paths for gateless designs.
         """
         return codec_grid_bits(self.design.codec)
 
     def wants_contraction_operand(self, kernel_name: str) -> bool:
         """Whether a *resolved* kernel name should be handed the operand.
 
-        The single operand-eligibility policy for every engine:
+        The operand-eligibility policy of the per-core candidate path:
         ``"contraction"`` and ``"auto"`` get the cached operand only when
         the design's codec grid could ever pass the exactness gate — a
         gateless design is guaranteed to fall back to gather with

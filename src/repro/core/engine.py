@@ -35,10 +35,10 @@ Batched queries
 through the one query driver,
 :func:`~repro.core.kernels.segmented.run_segmented`: a frozen artifact is
 served as a pristine one-segment collection, swept once for the whole block
-on a pluggable kernel backend (:mod:`repro.core.kernels`) into one global
-running Top-K per query.  :meth:`~TopKSpmvEngine.query` is the same
-path with a one-row block, so looping it is bit-identical and merely pays
-the per-call cost ``Q`` times:
+into one global running Top-K per query, each segment by the fold its own
+artifact admits.  :meth:`~TopKSpmvEngine.query` is the same path with a
+one-row block, so looping it is bit-identical and merely pays the per-call
+cost ``Q`` times:
 
 >>> X = np.abs(np.random.default_rng(1).standard_normal((64, 512)))
 >>> X /= np.linalg.norm(X, axis=1, keepdims=True)
@@ -183,7 +183,6 @@ class TopKSpmvEngine:
         hbm: HBMConfig = ALVEO_U280_HBM,
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
-        kernel: "str | None" = None,
     ):
         """Attach a board to a collection, compiling it if necessary.
 
@@ -207,11 +206,6 @@ class TopKSpmvEngine:
             fixes the design it was quantised with.
         hbm, uram, constants:
             Board models; defaults model the Alveo U280.
-        kernel:
-            Batch-query kernel backend name (see :mod:`repro.core.kernels`);
-            ``None`` defers to ``$REPRO_KERNEL`` or the registry default.
-            Every backend returns bit-identical results — this is a pure
-            software-performance knob.
         """
         from repro.core.collection import (
             CompiledCollection,
@@ -239,7 +233,6 @@ class TopKSpmvEngine:
             spec=uram,
         )
         self.collection = matrix if compiled else compile_collection(matrix, design)
-        self.kernel = kernel
         # The one query driver serves every collection: a frozen artifact is
         # a pristine one-segment collection (keys and mask only, no copy).
         self._query_view = (
@@ -257,12 +250,9 @@ class TopKSpmvEngine:
         hbm: HBMConfig = ALVEO_U280_HBM,
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
-        kernel: "str | None" = None,
     ) -> "TopKSpmvEngine":
         """Serve a pre-compiled (or loaded) collection on a simulated board."""
-        return cls(
-            collection, hbm=hbm, uram=uram, constants=constants, kernel=kernel
-        )
+        return cls(collection, hbm=hbm, uram=uram, constants=constants)
 
     # The query-independent state lives on the compiled artifact; the engine
     # only adds the board (timing + power) on top.
@@ -297,7 +287,7 @@ class TopKSpmvEngine:
     def query(self, x: np.ndarray, top_k: int) -> EngineResult:
         """Run one Top-K query through the simulated hardware.
 
-        A one-row :meth:`query_batch`: the same driver, kernel backend and
+        A one-row :meth:`query_batch`: the same driver, folds and
         counters, so the two can never disagree.  Indices are positions in
         the (live logical) matrix; on a segmented collection translate them
         to stable row keys with
@@ -349,15 +339,13 @@ class TopKSpmvEngine:
         from repro.core.kernels import resolve_kernel_name
 
         x_uram = self.design.quantize_query(queries)
-        # Only lower/pass the contraction operand when the resolved backend
-        # can actually use it (see CompiledCollection.wants_contraction_
-        # operand for the policy) — gather/streaming engines and gateless
-        # auto never pay the operand's O(nnz) build or memory cost.
+        # The candidate path's backend: ``$REPRO_KERNEL`` or ``auto``.  Only
+        # lower/pass the contraction operand when it can actually use it
+        # (see CompiledCollection.wants_contraction_operand for the policy).
+        kernel = resolve_kernel_name()
         operand = (
             self.collection.contraction_operand()
-            if self.collection.wants_contraction_operand(
-                resolve_kernel_name(self.kernel)
-            )
+            if self.collection.wants_contraction_operand(kernel)
             else None
         )
         return simulate_multicore_batch(
@@ -366,7 +354,7 @@ class TopKSpmvEngine:
             local_k=self.design.local_k,
             accumulate_dtype=self.design.accumulate_dtype,
             plans=self.stream_plans(),
-            kernel=self.kernel,
+            kernel=kernel,
             operand=operand,
             row_map=self.collection.row_map,
         )
@@ -394,10 +382,7 @@ class TopKSpmvEngine:
         top_k = check_positive_int(top_k, "top_k")
         queries = self._check_query_block(queries)
         out = run_segmented(
-            self._query_view,
-            self.design.quantize_query(queries),
-            top_k,
-            kernel=self.kernel,
+            self._query_view, self.design.quantize_query(queries), top_k
         )
         seconds = self.batch_seconds(len(queries))
         return BatchResult(

@@ -5,7 +5,7 @@ Modules
 ``base``
     The :class:`KernelBackend` contract (a per-partition backend *is* its
     ``fold_plan``), the registry, request/output types, the one dispatch
-    rule (:func:`resolve_backend`) and the frozen driver :func:`run_kernel`.
+    rule (:func:`resolve_backend`) and the candidate driver :func:`run_kernel`.
 ``executor``
     Partition execution: worker/executor resolution, the thread pool and
     the ``multiprocessing.shared_memory``-backed process pool
@@ -29,15 +29,19 @@ Modules
     falls back to ``streaming`` when Numba is absent), with per-query
     threshold skipping and a gated exact sequential-sum path.
 ``segmented``
-    The driver for mutable collections: the same dispatch rule per segment,
-    the same ``fold_plan`` into one global Top-K with threshold carry.
+    The one query driver behind every engine's ``query``/``query_batch``:
+    each segment's fold is read off the segment (the exactness gate on an
+    unplaced artifact → the certified contraction fold, anything else → its
+    sorted run), into one global Top-K with threshold carry.
 
-Selection: ``kernel=`` arguments on the engines /
-``simulate_multicore_batch``, the ``--kernel`` CLI flag, or the
-``REPRO_KERNEL`` environment variable; ``REPRO_KERNEL_WORKERS`` sets the
-partition worker count (``auto``/``0`` = all cores) and
-``REPRO_KERNEL_EXECUTOR`` picks ``thread`` (default) or ``process``
-partition execution.  Every backend is locked bit-identical to
+Selection: one rule on the query path; backends are the candidate path's.
+``query``/``query_batch`` take no backend name.  The per-core candidate
+path (``query_candidates``, ``simulate_multicore_batch``, ``run_kernel``)
+picks its backend by ``kernel=`` on ``simulate_multicore_batch`` /
+``run_kernel`` or the ``REPRO_KERNEL`` environment variable;
+``REPRO_KERNEL_WORKERS`` sets its partition worker count (``auto``/``0`` =
+all cores) and ``REPRO_KERNEL_EXECUTOR`` picks ``thread`` (default) or
+``process`` partition execution.  Every backend is locked bit-identical to
 ``DataflowCore.run_fast`` by ``tests/property/test_prop_kernels.py``;
 backends that cannot guarantee a request's accumulation order fall back to
 the reference kernel automatically.
@@ -82,16 +86,11 @@ from repro.core.kernels.native import (
     reduceat_segment_sums,
 )
 from repro.core.kernels.auto import AutoKernel
-from repro.core.kernels.segmented import (
-    SegmentedOutput,
-    run_segmented,
-    select_segment_kernel,
-)
+from repro.core.kernels.segmented import SegmentedOutput, run_segmented
 
 __all__ = [
     "SegmentedOutput",
     "run_segmented",
-    "select_segment_kernel",
     "KernelBackend",
     "KernelRequest",
     "KernelOutput",

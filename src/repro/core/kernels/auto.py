@@ -1,4 +1,5 @@
-"""The default backend: first of the preference order that fits the request.
+"""The default backend of the per-core candidate path: first of the
+preference order that fits the request.
 
 Preference: ``native`` (the compiled streaming fold — fastest whenever
 Numba is installed, with per-query threshold skipping on top), then
@@ -6,9 +7,11 @@ Numba is installed, with per-query threshold skipping on top), then
 passes, e.g. the paper's 20-bit design on quantised queries), then
 ``streaming`` (unconditionally bit-exact, tighter working set than the
 reference and able to skip provably-rejected row blocks).  The reference
-``gather`` kernel remains one ``--kernel gather`` away and is the fallback
+``gather`` kernel remains one ``kernel="gather"`` away and is the fallback
 of every backend here, so "auto" can never produce different bits than the
-reference — only produce them faster.
+reference — only produce them faster.  The query path
+(:func:`~repro.core.kernels.segmented.run_segmented`) consults no backend:
+one rule, read off each segment, picks its fold.
 """
 
 from __future__ import annotations

@@ -35,14 +35,14 @@ request must say so via :meth:`KernelBackend.supports`; the one dispatch
 rule (:func:`resolve_backend`) then silently substitutes the backend's
 declared fallback, so callers always get the guaranteed bits.
 
-A per-partition backend *is* its :meth:`KernelBackend.fold_plan`.  Two thin
-drivers decide which Top-K state a plan folds into and share the rest:
-:func:`~repro.core.kernels.segmented.run_segmented` (one global
-:class:`~repro.core.kernels.selection.RunningTopK`) answers every engine's
-``query``/``query_batch``, frozen
-or segmented, and :func:`run_kernel` (fresh depth-``local_k`` pads per
-partition) models the paper's per-core candidates behind
-``query_candidates`` and :func:`~repro.core.dataflow.simulate_multicore_batch`.
+A per-partition backend *is* its :meth:`KernelBackend.fold_plan`.  The
+registry and its dispatch rule serve the paper's per-core candidate path
+only: :func:`run_kernel` (fresh depth-``local_k`` pads per partition)
+behind ``query_candidates`` and
+:func:`~repro.core.dataflow.simulate_multicore_batch`.  Every engine's
+``query``/``query_batch`` runs
+:func:`~repro.core.kernels.segmented.run_segmented` instead, which reads
+each segment's fold off the segment itself — no backend name is involved.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class KernelOutput:
 class KernelBackend:
     """Interface every kernel backend implements (see module docstring)."""
 
-    #: Registry name (stable; used by ``--kernel`` and ``REPRO_KERNEL``).
+    #: Registry name (stable; used by ``kernel=`` and ``REPRO_KERNEL``).
     name: str = ""
 
     #: Backend substituted by :func:`run_kernel` when :meth:`supports` says
@@ -224,21 +224,20 @@ class KernelBackend:
         """The backend ``request`` actually runs on (``auto`` delegates)."""
         return self
 
-    def fold_plan(self, queries: Queries, plan, pads, first_row=0, live=None):
-        """Offer one plan's live rows, in stream order, to ``pads``.
+    def fold_plan(self, queries: Queries, plan, pads):
+        """Offer one plan's rows, in stream order, to ``pads``.
 
-        The one entry point of a per-partition backend.  ``pads`` (one lane
-        per query: a ``RunningTopK``, or :class:`BatchScratchpads` on the
-        candidate path) may be fresh or warm — thresholds already raised by
-        earlier plans.  Live row ``j`` (``live``: bool mask over the plan's
-        rows, ``None`` = all) is offered as row ``first_row + j`` with the
-        score bits ``run_fast`` computes, so scratchpads end as sequential
+        The one entry point of a per-partition backend.  ``pads``
+        (:class:`BatchScratchpads`, one lane per query) may be fresh or
+        warm — thresholds already raised by earlier plans.  Row ``j`` is
+        offered under its plan-local id ``j`` with the score bits
+        ``run_fast`` computes, so scratchpads end as sequential
         :meth:`~repro.core.topk_tracker.TopKTracker.insert` calls leave
-        them.  Returns
-        ``(skipped, screened)``: (row, query) pairs provably rejected
-        ungathered, of those put through a screen at all — ``(0, 0)`` from
-        a backend without one.  Collection-level backends (contraction)
-        have no per-partition unit and leave this unimplemented.
+        them.  Returns ``(skipped, screened)``: (row, query) pairs provably
+        rejected ungathered, of those put through a screen at all —
+        ``(0, 0)`` from a backend without one.  Collection-level backends
+        (contraction) have no per-partition unit and leave this
+        unimplemented.
         """
         raise NotImplementedError
 
@@ -366,8 +365,7 @@ def resolve_backend(
     the chosen backend does not support the request — e.g. the contraction
     backend on a design whose float32 accumulation order it cannot
     reproduce — its declared fallback stands in, so the bits always honour
-    the equivalence guarantee.  The frozen driver resolves once per sweep,
-    the segmented one per sealed segment.
+    the equivalence guarantee.  Resolved once per candidate sweep.
     """
     backend = get_kernel(resolve_kernel_name(kernel))
     if not backend.supports(request):

@@ -28,10 +28,11 @@ any summation order yields the one true value.  That holds provably when
 
 The paper's best design (20-bit fixed point, f_v = 19) passes this gate on
 its evaluation workloads; 25/32-bit fixed designs and the float32 design
-overflow the budget (or accumulate in float32), so
-:meth:`ContractionKernel.supports` says no and the driver falls back to the
-reference kernel automatically.  The gate is the dispatch rule, and it is
-what makes any summation order give the reference bits.
+overflow the budget (or accumulate in float32), so :func:`exact_gate` says
+no: the query path then walks the segment's sorted run, and
+:meth:`ContractionKernel.supports` lets the candidate path fall back to the
+reference kernel.  The gate is the dispatch rule, and it is what makes any
+summation order give the reference bits.
 
 The query path: a certified float32 filter, then an exact rescore
 -----------------------------------------------------------------
@@ -76,6 +77,7 @@ __all__ = [
     "codec_grid_bits",
     "codecs_grid_bits",
     "certified_operand",
+    "exact_gate",
     "lower_plans",
     "score_chunks",
     "ContractionKernel",
@@ -265,6 +267,22 @@ def lower_plans(plans, codecs=None) -> ContractionOperand:
     )
 
 
+def exact_gate(operand: ContractionOperand, X: np.ndarray, accumulate_dtype) -> bool:
+    """The exactness gate (module doc): whether every partial sum of
+    ``operand · X`` in float64 is exact, hence any summation order gives
+    the reference bits.  It needs a value grid, float64 accumulation,
+    finite queries on the ``2^-31`` grid and the 2^52 raw budget."""
+    if operand.value_grid_bits is None:
+        return False
+    if np.dtype(accumulate_dtype) != np.dtype(np.float64):
+        return False
+    scaled = X * float(2**QUERY_GRID_BITS)
+    if not np.isfinite(scaled).all() or (scaled != np.rint(scaled)).any():
+        return False
+    max_raw_x = float(np.abs(scaled).max(initial=0.0))
+    return operand.max_abs_row_raw * max_raw_x < _EXACT_RAW_BUDGET
+
+
 def score_chunks(matrix, X: np.ndarray):
     """Yield ``(q0, scores)``: ``matrix @ X.T`` in byte-budgeted query chunks.
 
@@ -295,20 +313,12 @@ class ContractionKernel(KernelBackend):
         operand = request.operand
         if not isinstance(operand, ContractionOperand):
             return False
-        if operand.value_grid_bits is None:
-            return False
-        if np.dtype(request.accumulate_dtype) != np.dtype(np.float64):
-            return False
         if len(operand.part_rows) != len(request.plans) or any(
             int(rows) != plan.n_rows
             for rows, plan in zip(operand.part_rows, request.plans)
         ):
             return False
-        scaled = request.X * float(2**QUERY_GRID_BITS)
-        if not np.isfinite(scaled).all() or (scaled != np.rint(scaled)).any():
-            return False
-        max_raw_x = float(np.abs(scaled).max(initial=0.0))
-        return operand.max_abs_row_raw * max_raw_x < _EXACT_RAW_BUDGET
+        return exact_gate(operand, request.X, request.accumulate_dtype)
 
     def run(self, request: KernelRequest) -> KernelOutput:
         operand: ContractionOperand = request.operand

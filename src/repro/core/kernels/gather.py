@@ -56,19 +56,10 @@ class GatherKernel(KernelBackend):
     name = "gather"
     fallback = "gather"
 
-    def fold_plan(self, queries, plan, pads, first_row=0, live=None):
-        """The plan's full score block, dead columns dropped, in one fold.
-
-        Dropping dead columns before the fold is bit-neutral for the
-        equivalent matrix (those rows simply do not exist in it), and the
-        surviving columns keep their relative order, so ids ``first_row +
-        j`` are exactly the live-matrix positions.
-        """
+    def fold_plan(self, queries, plan, pads):
+        """The plan's full score block, in one fold."""
         if plan.n_rows:
-            scores = plan_row_scores(queries, plan)
-            if live is not None and not live.all():
-                scores = scores[:, live]
-            pads.fold(scores, first_row)
+            pads.fold(plan_row_scores(queries, plan))
         return 0, 0
 
 

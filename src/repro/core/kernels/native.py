@@ -32,9 +32,9 @@ against ``np.add.reduceat`` and by the kernel property suite).
 
 Scores then stream into tracker scratchpads through a literal transcription
 of :meth:`~repro.core.topk_tracker.TopKTracker.insert` (first-argmin slot,
-accept on ``value >= worst``), or into the query path's
-:class:`~repro.core.kernels.selection.RunningTopK` by sorted insertion under
-its total order — the reference's state by construction.  The block screen
+accept on ``value >= worst``) — the reference's state by construction.
+Like every per-partition backend it serves the per-core candidate path
+only; the query path never selects it.  The block screen
 reuses :func:`~repro.core.kernels.streaming.screen_blocks` — the same
 slack, per query an even *stricter* refinement of the chunk-consensus
 skip (each skipped ``(row, query)`` pair is individually provably
@@ -54,7 +54,6 @@ import os
 import numpy as np
 
 from repro.core.kernels.base import KernelBackend, KernelRequest, register_kernel
-from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import screen_blocks
 
 __all__ = [
@@ -183,21 +182,10 @@ def _segment_sum(a, lo, hi, zero, vstack, toff, tlen):
     return a[lo] + _pairwise_big(a, lo + 1, n - 1, zero, vstack, toff, tlen)
 
 
-def _ranks_above(v, r, bv, br):
-    """Whether ``(v, r)`` beats ``(bv, br)`` under the total order: value
-    descending, NaN below −inf, ties by ascending row."""
-    if bv != bv:
-        return v == v or r < br
-    return v == v and (v > bv or (v == bv and r < br))
-
-
-def _lane_worst(vals, q, total_order):
-    """Lane ``q``'s threshold: its last slot if kept sorted, else its minimum."""
-    k = vals.shape[1]
-    if total_order:
-        return vals[q, k - 1]
+def _lane_worst(vals, q):
+    """Lane ``q``'s eviction threshold: its minimum slot."""
     worst = vals[q, 0]
-    for j in range(1, k):
+    for j in range(1, vals.shape[1]):
         if vals[q, j] < worst:
             worst = vals[q, j]
     return worst
@@ -212,8 +200,6 @@ def _sweep(
     blocks,
     block_peak,
     xmax,
-    live,
-    row_ids,
     exact,
     prod,
     vstack,
@@ -222,38 +208,32 @@ def _sweep(
     vals,
     rows,
     accepts,
-    total_order,
     zero,
 ):
     """The whole fused sweep for one partition plan.
 
     Walks queries x blocks x rows: screens each block against the query's
-    *current* eviction threshold, gathers and reduces surviving live rows
-    lane by lane (pairwise tree, or a plain sequential sum when ``exact``
-    certifies order-independence), and inserts each score: with
-    ``total_order`` (a sorted ``RunningTopK``) by evicting the last slot
-    and bubbling into place, else by the tracker's first-argmin ``>=``
-    replace.  The slots may arrive warm and are updated in place; returns
-    the number of live (row, query) pairs provably skipped.
+    *current* eviction threshold, gathers and reduces surviving rows lane
+    by lane (pairwise tree, or a plain sequential sum when ``exact``
+    certifies order-independence), and inserts each score by the
+    tracker's first-argmin ``>=`` replace.  The slots may arrive warm and
+    are updated in place; returns the number of (row, query) pairs
+    provably skipped.
     """
     n_queries = X.shape[0]
     k = vals.shape[1]
     n_blocks = len(blocks) - 1
     skipped = 0
     for q in range(n_queries):
-        worst = _lane_worst(vals, q, total_order)
+        worst = _lane_worst(vals, q)
         xq = xmax[q]
         for b in range(n_blocks):
             r0 = blocks[b]
             r1 = blocks[b + 1]
             if block_peak[b] * xq < worst:
-                for r in range(r0, r1):
-                    if live[r] != 0:
-                        skipped += 1
+                skipped += r1 - r0
                 continue
             for r in range(r0, r1):
-                if live[r] == 0:
-                    continue
                 l0 = starts[r]
                 l1 = seg_ends[r]
                 if exact:
@@ -267,30 +247,17 @@ def _sweep(
                         l = l0 + j
                         prod[j] = values[l] * X[q, kept_idx[l]]
                     score = float(_segment_sum(prod, 0, m, zero, vstack, toff, tlen))
-                row = row_ids[r]
-                if total_order:
-                    if not _ranks_above(score, row, vals[q, k - 1], rows[q, k - 1]):
-                        continue
-                    slot = k - 1
-                elif score >= worst:
+                if score >= worst:
                     # First slot holding the current minimum (the
                     # priority-encoder argmin): a plain rescan — k is tiny.
                     slot = 0
                     for j in range(1, k):
                         if vals[q, j] < vals[q, slot]:
                             slot = j
-                else:
-                    continue
-                while total_order and slot > 0 and _ranks_above(
-                    score, row, vals[q, slot - 1], rows[q, slot - 1]
-                ):
-                    vals[q, slot] = vals[q, slot - 1]
-                    rows[q, slot] = rows[q, slot - 1]
-                    slot -= 1
-                vals[q, slot] = score
-                rows[q, slot] = row
-                accepts[q] += 1
-                worst = _lane_worst(vals, q, total_order)
+                    vals[q, slot] = score
+                    rows[q, slot] = r
+                    accepts[q] += 1
+                    worst = _lane_worst(vals, q)
     return skipped
 
 
@@ -298,7 +265,6 @@ if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
     _pairwise_base = _maybe_jit(_pairwise_base)
     _pairwise_big = _maybe_jit(_pairwise_big)
     _segment_sum = _maybe_jit(_segment_sum)
-    _ranks_above = _maybe_jit(_ranks_above)
     _lane_worst = _maybe_jit(_lane_worst)
     _sweep = _maybe_jit(_sweep)
 
@@ -333,36 +299,23 @@ class NativeKernel(KernelBackend):
     def supports(self, request: KernelRequest) -> bool:
         return native_available()
 
-    def fold_plan(self, queries, plan, pads, first_row=0, live=None):
+    def fold_plan(self, queries, plan, pads):
         """Compiled fold of one plan into (possibly warm) ``pads``.
 
-        Live rows are renumbered to ``first_row + live-position`` (exactly
-        the live-matrix ids) and advanced by :func:`_sweep` under the rule
-        of ``pads``: a ``RunningTopK`` is updated in place; scratchpads are
-        exported dense and imported back, sequential-tracker-exact.  The
-        per-query screens refine the streaming fold's all-lanes skip (each
-        skipped pair individually provably rejected).  When
-        ``queries.exact`` certifies exact float64 accumulation the cheaper
-        sequential-sum path is the same bits as the pairwise tree (no
-        partial sum ever rounds).
+        The scratchpads are exported dense, advanced by :func:`_sweep` and
+        imported back, sequential-tracker-exact.  The per-query screens
+        refine the streaming fold's all-lanes skip (each skipped pair
+        individually provably rejected).  When ``queries.exact`` certifies
+        exact float64 accumulation the cheaper sequential-sum path is the
+        same bits as the pairwise tree (no partial sum ever rounds).
         """
-        if live is None:
-            n_live = plan.n_rows
-            live8 = np.ones(n_live, dtype=np.uint8)
-        else:
-            n_live = int(np.count_nonzero(live))
-            live8 = np.ascontiguousarray(live, dtype=np.uint8)
-        if n_live == 0:
+        if plan.n_rows == 0:
             return 0, 0
         acc = queries.acc
         starts = np.ascontiguousarray(plan.starts, dtype=np.int64)
-        seg_ends, blocks, block_peak = screen_blocks(plan, acc, live)
+        seg_ends, blocks, block_peak = screen_blocks(plan, acc)
         max_seg = int((seg_ends - starts).max(initial=1))
-        total_order = isinstance(pads, RunningTopK)
-        if total_order:
-            vals, rows, accepts = pads.vals, pads.rows, np.zeros(len(queries), int)
-        else:
-            vals, rows, accepts = pads.export_state()
+        vals, rows, accepts = pads.export_state()
         skipped = _sweep(
             np.ascontiguousarray(queries.Xc),
             np.ascontiguousarray(plan.kept_idx, dtype=np.int64),
@@ -372,8 +325,6 @@ class NativeKernel(KernelBackend):
             np.ascontiguousarray(blocks, dtype=np.int64),
             np.ascontiguousarray(block_peak, dtype=np.float64),
             queries.xmax,
-            live8,
-            first_row + np.cumsum(live8, dtype=np.int64) - live8,
             queries.exact,
             np.empty(max_seg, dtype=acc),
             np.empty(_STACK_DEPTH, dtype=acc),
@@ -382,12 +333,10 @@ class NativeKernel(KernelBackend):
             vals,
             rows,
             accepts,
-            total_order,
             acc.type(0.0),
         )
-        if not total_order:
-            pads.import_state(vals, rows, accepts, seen_rows=n_live)
-        return int(skipped), n_live * len(queries)
+        pads.import_state(vals, rows, accepts, seen_rows=plan.n_rows)
+        return int(skipped), plan.n_rows * len(queries)
 
 
 register_kernel(NativeKernel())

@@ -13,42 +13,45 @@ path lives on behind ``query_candidates``, as the hardware model).  What
 a row's score bits do not depend on which partition, packet or segment the
 row sits in (the PR-4 kernel suite locks every backend to those bits).
 
-The driver therefore computes per-row scores segment by segment (each with
-the kernel backend best suited to it) and folds them into **one global
-running Top-K** (:class:`~repro.core.kernels.selection.RunningTopK`): an
-order-free selection under the library's total order, so the answer is
-exactly :func:`~repro.core.reference.topk_from_scores` of the live logical
-matrix's quantised scores whatever the segment layout, placement, backend
-or offering order (``tests/property/test_prop_one_driver.py`` locks it).
+The driver therefore computes per-row scores segment by segment and folds
+them into **one global running Top-K**
+(:class:`~repro.core.kernels.selection.RunningTopK`): an order-free
+selection under the library's total order, so the answer is exactly
+:func:`~repro.core.reference.topk_from_scores` of the live logical
+matrix's quantised scores whatever the segment layout, placement or
+offering order (``tests/property/test_prop_one_driver.py`` locks it).
 
-Per-segment kernel choice is the registry's (:func:`select_segment_kernel`
-→ :func:`~repro.core.kernels.base.resolve_backend`, the frozen driver's
-rule), and a per-partition backend folds the segment plan by plan through
-:meth:`~repro.core.kernels.base.KernelBackend.fold_plan`.  The running Top-K
-carries the current global K-th score *across* segments, so later segments
-skip more (the LSM win: a hot head segment warms the thresholds the tail
-segments are pruned by).  The driver adds only what needs a whole segment:
+One rule, read off each segment, picks its fold — no backend name,
+environment variable or registry lookup on this path (the registry's
+backends serve the per-core candidate path, :func:`~repro.core.kernels.
+base.run_kernel`).  The running Top-K carries the current global K-th
+score *across* segments, so later segments skip more (the LSM win: a hot
+head segment warms the thresholds the tail segments are pruned by):
 
-* a ``streaming`` segment — and a **placed** one, whatever backend was
-  asked for — is walked as its **sorted run**: its live rows heaviest
-  ``Σ|v|`` first (ties by live-matrix id), cached on the segment per
-  accumulate dtype and tombstone state, scored chunk by chunk until the
-  first chunk every query provably rejects.  The order comes from the
-  segment's own rows, so placement never changes the walk (it feeds only
-  the modelled board and the per-core candidate path);
-* a ``contraction`` segment — one the exactness gate passes — is scored
-  by its artifact's certified float32 SpMM, one per byte-budgeted query
-  chunk, each block screened in its own ``(n_rows, Q)`` layout with the
-  SpMM's error bound as margin; only the surviving (row, query) pairs, the
-  rows that straddle the K-th score, are rescored exactly and offered
+* an **unplaced** segment whose artifact passes the exactness gate
+  (:func:`~repro.core.kernels.contraction.exact_gate`) for this query
+  block is scored by its artifact's certified float32 SpMM, one per
+  byte-budgeted query chunk, each block screened in its own
+  ``(n_rows, Q)`` layout with the SpMM's error bound as margin; only the
+  surviving (row, query) pairs, the rows that straddle the K-th score,
+  are rescored exactly and offered
   (:mod:`~repro.core.kernels.contraction`).  The float32 operand is built
-  once per artifact and width and shared by every wrapper;
+  once per artifact and width and shared by every wrapper.  It reports
+  ``contraction``;
+* every other segment — a placed one, and every float32, off-grid or
+  non-finite case — is walked as its **sorted run**: its live rows
+  heaviest ``Σ|v|`` first (ties by live-matrix id), cached on the segment
+  per accumulate dtype and tombstone state, scored chunk by chunk until
+  the first chunk every query provably rejects.  The order comes from the
+  segment's own rows, so placement never changes the walk (it feeds only
+  the modelled board and the per-core candidate path).  It reports
+  ``streaming``;
 * the unsealed delta buffer (a small 1-partition snapshot, cached per
   generation) is folded last, by the same rule as an unplaced sealed
   segment.
 
 Tombstoned rows are excluded from the fold (a sorted run leaves them out;
-a plan-by-plan backend computes their scores but never offers them), and
+the contraction fold scores them −inf and never offers them), and
 surviving rows are renumbered to their positions in the live logical
 matrix — exactly the ids a fresh compile would produce.
 """
@@ -60,19 +63,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.dataflow import DataflowStats
-from repro.core.kernels.base import (
-    KernelRequest,
-    Queries,
-    get_kernel,
-    resolve_backend,
-    resolve_kernel_name,
+from repro.core.kernels.base import Queries
+from repro.core.kernels.contraction import (
+    certified_operand,
+    exact_gate,
+    score_chunks,
 )
-from repro.core.kernels.contraction import certified_operand, score_chunks
 from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import SortedRun, fold_run, sorted_run
 from repro.errors import ConfigurationError
 
-__all__ = ["SegmentedOutput", "run_segmented", "select_segment_kernel"]
+__all__ = ["SegmentedOutput", "run_segmented"]
 
 @dataclass
 class SegmentedOutput:
@@ -83,10 +84,11 @@ class SegmentedOutput:
     :meth:`~repro.core.segments.SegmentedCollection.keys_for`).
     ``base_stats`` sums the segments' plan counters (``tracker_accepts``
     stays 0: accepts are a counter of the per-core candidate path).
-    ``segment_kernels`` records which backend served each segment in order,
-    the delta, when present, last (a placed segment always reports
-    ``streaming``).  ``skipped_rows``/``total_rows`` count live (row,
-    query) pairs the sorted-run walks provably pruned vs. offered, and
+    ``segment_kernels`` records which fold served each segment in order,
+    the delta, when present, last: ``contraction`` or ``streaming`` (a
+    placed segment always reports ``streaming``).
+    ``skipped_rows``/``total_rows`` count live (row, query) pairs the
+    sorted-run walks provably pruned vs. offered, and
     ``rescored_rows`` those the contraction folds' float32 screens passed
     to the exact rescore — diagnostics only.
     """
@@ -102,33 +104,6 @@ class SegmentedOutput:
     def skip_fraction(self) -> float:
         """Skipped share of live (row, query) pairs (0.0 when none)."""
         return self.skipped_rows / self.total_rows if self.total_rows else 0.0
-
-
-def select_segment_kernel(
-    artifact, X: np.ndarray, kernel: "str | None", accumulate_dtype, top_k: int
-) -> str:
-    """The backend that will sweep one sealed segment's artifact.
-
-    Resolved exactly like :func:`~repro.core.kernels.base.run_kernel`: the
-    segment and query block are described as a :class:`KernelRequest` (the artifact's
-    contraction operand attached under the engines' own eligibility policy,
-    ``wants_contraction_operand``) and :func:`~repro.core.kernels.base.
-    resolve_backend` applies ``supports`` → declared fallback → the
-    ``auto`` preference order.
-    """
-    name = resolve_kernel_name(kernel)
-    request = KernelRequest(
-        X=X,
-        plans=tuple(artifact.stream_plans()),
-        accumulate_dtype=np.dtype(accumulate_dtype),
-        local_k=top_k,
-        operand=(
-            artifact.contraction_operand()
-            if artifact.wants_contraction_operand(name)
-            else None
-        ),
-    )
-    return resolve_backend(request, name).name
 
 
 def _certified_operand(artifact, n_cols):
@@ -196,40 +171,20 @@ def _segment_run(segment, acc) -> SortedRun:
     return segment.derived[key]
 
 
-def _fold_segment(
-    segment, queries, pads, kernel_name, first_live
-) -> "tuple[int, int]":
-    """Fold one segment; returns the (row, query) pairs it skipped and
-    those it rescored."""
-    # Two folds need the whole segment — its cached sorted run, its
-    # collection-level operand; every other backend folds plan by plan.
-    if kernel_name == "streaming":
-        # Against the *global* Top-K: thresholds warmed by every earlier
-        # segment, all queries together (the running Top-K is shared).
-        run = _segment_run(segment, queries.acc)
-        return fold_run(queries, run, pads, first_live), 0
-    if kernel_name == "contraction":
-        return 0, _fold_segment_contraction(segment, queries, pads, first_live)
-    backend = get_kernel(kernel_name)
-    live = None if segment.all_live else segment.live
-    live_cum = segment.live_cumsum()
-    skipped = row = 0
-    for plan in segment.artifact.stream_plans():
-        part_live = None if live is None else live[row : row + plan.n_rows]
-        skipped += backend.fold_plan(
-            queries, plan, pads, first_live + int(live_cum[row]), part_live
-        )[0]
-        row += plan.n_rows
-    return skipped, 0
+def _gated(artifact, queries) -> bool:
+    """Whether an artifact takes the contraction fold for this query block:
+    it is unplaced (a placed one is walked as its sorted run, the only fold
+    that can skip rows) and passes the exactness gate.  The operand is
+    lowered only for a design whose value grid could ever pass."""
+    return (
+        artifact.placement is None
+        and artifact.contraction_grid_bits() is not None
+        and exact_gate(artifact.contraction_operand(), queries.X, queries.acc)
+    )
 
 
-def run_segmented(
-    collection,
-    X: np.ndarray,
-    top_k: int,
-    kernel: "str | None" = None,
-) -> SegmentedOutput:
-    """Sweep a segmented collection: per-segment kernels, one global Top-K.
+def run_segmented(collection, X: np.ndarray, top_k: int) -> SegmentedOutput:
+    """Sweep a segmented collection: per-segment folds, one global Top-K.
 
     Parameters
     ----------
@@ -241,10 +196,6 @@ def run_segmented(
     top_k:
         Global Top-K depth ``K`` — unlike the per-core candidate path
         there is no ``k·c`` cap, the selection is exact at any depth.
-    kernel:
-        Backend preference per segment (see :func:`select_segment_kernel`);
-        ``None`` defers to ``$REPRO_KERNEL`` or the registry default.
-        Every choice returns bit-identical results.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.ndim != 2 or X.shape[1] != collection.n_cols:
@@ -262,17 +213,15 @@ def run_segmented(
     delta = collection.delta_segment()
     for segment in collection.segments + ([] if delta is None else [delta]):
         stats = stats.merge(segment.artifact.plan_stats())
-        # A placed segment always takes the sorted-run walk, whatever
-        # backend was asked for: the contraction fold cannot skip a row.
-        if segment.artifact.placement is not None:
-            name = "streaming"
+        if _gated(segment.artifact, queries):
+            kernels_used.append("contraction")
+            rescored += _fold_segment_contraction(segment, queries, pads, offset)
         else:
-            name = select_segment_kernel(
-                segment.artifact, X, kernel, queries.acc, top_k
-            )
-        kernels_used.append(name)
-        counts = _fold_segment(segment, queries, pads, name, offset)
-        skipped, rescored = skipped + counts[0], rescored + counts[1]
+            # Against the *global* Top-K: thresholds warmed by every
+            # earlier segment, all queries together.
+            kernels_used.append("streaming")
+            run = _segment_run(segment, queries.acc)
+            skipped += fold_run(queries, run, pads, offset)
         offset += segment.n_live
     return SegmentedOutput(
         pads.finish(), stats, tuple(kernels_used), skipped,

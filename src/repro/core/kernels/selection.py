@@ -17,8 +17,8 @@ is provably below the lane's K-th value ``bar``, or below ``K`` other rows'
 exact scores (each group peak's row is at least ``peak − margin``) — and
 the caller offers the survivors' *exact* scores.  The cut is compared in
 float64, so a float32 block never rounds it.  With ``margin = 0`` it is
-the exact screen.  The bar only rises, so the strict ``<`` screens of the
-streaming backends keep every skip.
+the exact screen.  The bar only rises, so the strict ``<`` screen of the
+sorted-run walk keeps every skip.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def _screen_groups(block, bar, margin, size, k):
 
 
 class RunningTopK:
-    """``vals``/``rows``: ``(lanes, K)``, each lane sorted best first (the
-    native backend inserts in place, keeping that order); an unfilled slot
-    is ``(NaN, _UNFILLED)``, which the order itself ranks last."""
+    """``vals``/``rows``: ``(lanes, K)``, each lane sorted best first; an
+    unfilled slot is ``(NaN, _UNFILLED)``, which the order itself ranks
+    last."""
 
     def __init__(self, n_queries: int, k: int):
         self.local_k = int(k)
@@ -76,13 +76,11 @@ class RunningTopK:
     def skip_rows(self, n_rows: int) -> None:
         """Rows a screen proved below every bar: nothing to record."""
 
-    def fold(self, row_values, first_row: int = 0, row_ids=None) -> None:
-        """Offer ``(Q, n)`` scores as rows ``first_row + j`` (or ``+ row_ids[j]``)."""
-        n = row_values.shape[1]
-        ids = np.arange(n) if row_ids is None else row_ids
+    def fold(self, row_values, first_row: int, row_ids) -> None:
+        """Offer ``(Q, n)`` scores as rows ``first_row + row_ids[j]``."""
         block = row_values.T
         rows, lanes = self.screen(block)
-        self.offer(rows, lanes, block[rows, lanes], first_row + ids)
+        self.offer(rows, lanes, block[rows, lanes], first_row + row_ids)
 
     def screen(self, block, lane0: int = 0, margin=0.0):
         """``(rows, lanes)`` of the cells of an ``(n_rows, lanes)`` block,

@@ -94,22 +94,17 @@ def _slack(max_len: int, accumulate_dtype) -> float:
     return 1.0 + 16.0 * (max_len + 8) * float(np.finfo(accumulate_dtype).eps)
 
 
-def screen_blocks(
-    plan, accumulate_dtype, live: "np.ndarray | None" = None
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+def screen_blocks(plan, accumulate_dtype) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The provable-skip precompute: ``(seg_ends, blocks, block_peak)``.
 
     One home for the correctness-critical screen math of this backend's
     stream-order walk and the native one's: per-row |value| sums reduced
     to per-block peaks (blocks of ~:data:`_BLOCK_LANE_BUDGET` lanes),
-    scaled by :func:`_slack`.  ``live`` zeroes tombstoned rows' weights —
-    they are never offered, so they must never inhibit a skip.
+    scaled by :func:`_slack`.
     """
     starts = plan.starts
     n_lanes = len(plan.kept_values)
     row_abs = np.add.reduceat(np.abs(plan.kept_values), starts)
-    if live is not None:
-        row_abs = np.where(live, row_abs, 0.0)
     seg_ends = np.concatenate([starts[1:], [n_lanes]])
     slack = _slack(int((seg_ends - starts).max(initial=1)), accumulate_dtype)
     blocks = _block_bounds(starts, n_lanes, _BLOCK_LANE_BUDGET)
@@ -223,7 +218,8 @@ def fold_run(queries: Queries, run: SortedRun, pads, first_row=0) -> int:
     """
     n_rows = len(run.ids)
     r0, budget = 0, _FIRST_CHUNK_LANES
-    cap = max(budget, _CHUNK_BYTES // (len(queries) * queries.acc.itemsize))
+    # An empty query block still walks (and skips) every row.
+    cap = max(budget, _CHUNK_BYTES // max(1, len(queries) * queries.acc.itemsize))
     while r0 < n_rows:
         if np.all(run.bounds[r0] * queries.xmax < pads.worst_thresholds()):
             pads.skip_rows(n_rows - r0)
@@ -257,31 +253,23 @@ class StreamingKernel(KernelBackend):
         n_lanes = min(len(plan.kept_values), _BLOCK_LANE_BUDGET)
         return auto_chunk_width(n_lanes, queries.acc.itemsize, len(queries))
 
-    def fold_plan(self, queries, plan, pads, first_row=0, live=None):
-        """The block walk in stream order (module docstring); a block with
-        no live row is never gathered, its live rows are offered under
-        their positions among the plan's live rows."""
+    def fold_plan(self, queries, plan, pads):
+        """The block walk in stream order (module docstring)."""
         values = plan.kept_values.astype(queries.acc, copy=False)
-        seg_ends, cuts, peaks = screen_blocks(plan, queries.acc, live)
-        ids = np.arange(plan.n_rows) if live is None else np.cumsum(live) - live
-        skipped = screened = 0
+        seg_ends, cuts, peaks = screen_blocks(plan, queries.acc)
+        skipped = 0
         for r0, r1, peak in zip(cuts[:-1].tolist(), cuts[1:].tolist(), peaks.tolist()):
-            keep = slice(None) if live is None else live[r0:r1]
-            n_live = r1 - r0 if live is None else int(keep.sum())
-            screened += n_live
-            if n_live == 0:
-                continue
             if np.all(peak * queries.xmax < pads.worst_thresholds()):
-                pads.skip_rows(n_live)
-                skipped += n_live
+                pads.skip_rows(r1 - r0)
+                skipped += r1 - r0
                 continue
             lanes = slice(int(plan.starts[r0]), int(seg_ends[r1 - 1]))
             scores = block_scores(
                 queries.Xc, plan.kept_idx[lanes], values[lanes],
                 plan.starts[r0:r1] - lanes.start,
             )
-            pads.fold(scores[:, keep], first_row, ids[r0:r1][keep])
-        return skipped * len(queries), screened * len(queries)
+            pads.fold(scores, r0)
+        return skipped * len(queries), plan.n_rows * len(queries)
 
 
 register_kernel(StreamingKernel())

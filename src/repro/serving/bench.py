@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.kernels import resolve_kernel_name
 from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import design_by_name
 from repro.serving.batcher import poisson_arrivals
@@ -69,7 +68,6 @@ class ServingConfig:
     router: str = "round-robin"
     cache_size: int = 0
     queue_capacity: "int | None" = None
-    kernel: "str | None" = None
 
     def quick(self) -> "ServingConfig":
         """A reduced-scale copy for smoke runs."""
@@ -124,7 +122,6 @@ def build_runtime(
                 compiled,
                 n_shards=config.n_shards,
                 cores_per_shard=config.cores_per_shard,
-                kernel=config.kernel,
             )
             for _ in range(config.replicas)
         ],
@@ -151,8 +148,6 @@ def run_serve_bench(config: ServingConfig) -> tuple[str, dict]:
         raise ConfigurationError(
             f"cache_size must be >= 0, got {config.cache_size}"
         )
-    # Fail fast on a bad kernel name before paying for the build.
-    kernel_name = resolve_kernel_name(config.kernel)
     rng = derive_rng(config.seed)
     compiled, design_name = _build_collection(config)
     n_cols = compiled.n_cols
@@ -201,7 +196,6 @@ def run_serve_bench(config: ServingConfig) -> tuple[str, dict]:
             "router": config.router,
             "cache_size": config.cache_size,
             "queue_capacity": config.queue_capacity,
-            "kernel": kernel_name,
         },
         "report": report.to_dict(),
         "recall_at_k": recall,
@@ -226,7 +220,6 @@ def run_serve_bench(config: ServingConfig) -> tuple[str, dict]:
             engine.describe(),
             "",
             f"offered load: {rate:.1f} QPS (Poisson), {frontend}",
-            f"kernel: {kernel_name}",
             report.render(),
             f"recall@{config.top_k} vs exact float64: {recall:.3f} "
             f"(over {config.recall_queries} queries)",

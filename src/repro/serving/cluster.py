@@ -335,10 +335,7 @@ class ClusterRuntime:
         service time they declare for a batch of that size (``seconds``
         must equal it) — :class:`~repro.core.engine.TopKSpmvEngine`
         or :class:`~repro.serving.sharded.ShardedEngine`, typically all built
-        from one shared compiled collection.  Each replica carries its own
-        batch-kernel selection (``kernel=`` at engine construction, see
-        :mod:`repro.core.kernels`); since every backend is
-        bit-identical, mixed-kernel replicas still replay deterministically.
+        from one shared compiled collection.
     router:
         Policy name from :data:`repro.serving.router.ROUTERS` or a
         :class:`~repro.serving.router.Router` instance; its state is reset

@@ -98,7 +98,6 @@ class ShardedEngine(TopKSpmvEngine):
         hbm: HBMConfig = ALVEO_U280_HBM,
         uram: URAMSpec = ALVEO_U280_URAM,
         constants: CalibrationConstants = CALIBRATION,
-        kernel: "str | None" = None,
     ):
         """Shard a collection across ``n_shards`` boards.
 
@@ -116,10 +115,6 @@ class ShardedEngine(TopKSpmvEngine):
         cores_per_shard:
             ``None`` selects aligned mode (see module docstring); an integer
             gives every shard its own full board with that many cores.
-        kernel:
-            Batch-query kernel backend (see :mod:`repro.core.kernels`),
-            resolved per segment; a bit-neutral performance knob, ``None``
-            defers to ``$REPRO_KERNEL``.
         """
         self.n_shards = check_positive_int(n_shards, "n_shards")
         self.cores_per_shard = (
@@ -136,9 +131,7 @@ class ShardedEngine(TopKSpmvEngine):
                 "segments, tombstones and delta do not have; use aligned "
                 "mode (cores_per_shard=None)"
             )
-        super().__init__(
-            matrix, design, hbm=hbm, uram=uram, constants=constants, kernel=kernel
-        )
+        super().__init__(matrix, design, hbm=hbm, uram=uram, constants=constants)
         # Every board starts with a stream to scan; a later compaction into
         # fewer partitions may leave a board idle (it stays powered).
         n_streams = sum(s.n_streams for s in self.shards)

@@ -74,44 +74,6 @@ class TestCompileCommand:
             main(["compile", "imagenet", str(tmp_path / "x.npz")])
 
 
-class TestKernelFlag:
-    def test_serve_bench_with_each_kernel(self, tmp_path, capsys):
-        import json
-
-        target = tmp_path / "serve.json"
-        assert main([
-            "serve-bench", "--rows", "2000", "--cols", "128", "--n-queries", "16",
-            "--shards", "2", "--kernel", "contraction",
-            "--json", str(target),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "kernel: contraction\n" in out
-        payload = json.loads(target.read_text())
-        assert payload["config"]["kernel"] == "contraction"
-        assert "kernel_workers" not in payload["config"]
-
-    def test_unknown_kernel_fails_fast(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="unknown kernel"):
-            main([
-                "serve-bench", "--rows", "2000", "--cols", "128",
-                "--n-queries", "16", "--kernel", "warp",
-            ])
-
-    def test_kernel_env_var_drives_default(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        monkeypatch.setenv("REPRO_KERNEL", "streaming")
-        target = tmp_path / "serve.json"
-        assert main([
-            "serve-bench", "--rows", "2000", "--cols", "128", "--n-queries", "16",
-            "--shards", "2", "--json", str(target),
-        ]) == 0
-        capsys.readouterr()
-        assert json.loads(target.read_text())["config"]["kernel"] == "streaming"
-
-
 class TestServeBenchFlags:
     def test_top_k_reaches_the_served_k(self, tmp_path, capsys):
         import json
@@ -230,6 +192,7 @@ class TestParserContract:
             (["serve-bench", "--delta-frac", "0.5"], "--delta-frac"),
             (["ingest", "--retries", "2"], "--retries"),
             (["serve-bench", "--deadline-ms", "5"], "--deadline-ms"),
+            (["serve-bench", "--kernel", "gather"], "--kernel"),
         ],
     )
     def test_flags_a_verb_does_not_read_are_refused(self, argv, flag, capsys):

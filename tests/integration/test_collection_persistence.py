@@ -199,10 +199,8 @@ class TestOperandPersistence:
             CompiledCollection.load(bad)
 
     def test_contraction_serving_from_loaded_artifact(self, matrix, queries, saved_path):
-        direct = TopKSpmvEngine(matrix, PAPER_DESIGNS["20b"], kernel="gather")
-        loaded = TopKSpmvEngine.from_collection(
-            CompiledCollection.load(saved_path), kernel="contraction"
-        )
+        direct = TopKSpmvEngine(matrix, PAPER_DESIGNS["20b"])
+        loaded = TopKSpmvEngine.from_collection(CompiledCollection.load(saved_path))
         batch_a = direct.query_batch(queries, top_k=10)
         batch_b = loaded.query_batch(queries, top_k=10)
         assert batch_a.dataflow == batch_b.dataflow

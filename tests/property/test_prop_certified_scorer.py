@@ -143,7 +143,7 @@ class TestCertifiedScorerProperty:
     @settings(max_examples=40, deadline=None)
     def test_same_bits_as_topk_from_scores(self, case, top_k):
         collection, X = case
-        out = run_segmented(collection, X, top_k, kernel="contraction")
+        out = run_segmented(collection, X, top_k)
         assert "contraction" in out.segment_kernels
         assert_topk_from_scores(
             out.results, exact_scores(collection.matrix, X), top_k

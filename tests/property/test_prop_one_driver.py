@@ -6,7 +6,7 @@ type, and return exactly :func:`~repro.core.reference.topk_from_scores` of
 the quantised scores — value descending, NaN below −inf, ties by ascending
 row.  So on tie-heavy grids these five must return that oracle's bits —
 indices and float bit patterns — at every ``K`` from 1 to ``n_rows``, for
-every codec, placement and kernel:
+every codec and placement:
 
 * ``TopKSpmvEngine(artifact)`` — a frozen artifact;
 * ``TopKSpmvEngine(SegmentedCollection.from_collection(artifact))`` — the
@@ -18,17 +18,14 @@ every codec, placement and kernel:
   fleet, one segment per shard.
 
 So must a mutated segmented collection (tombstones, a sealed tail, a
-delta), a NaN/±inf query, and the native loops run interpreted
-(``REPRO_NATIVE_INTERPRET=1``; compiled where Numba is installed).
+delta) and a NaN/±inf query.
 
 The paper's per-core approximation survives as ``query_candidates``: for
 ``K <= local_k`` every global top-``K`` row ranks ``<= local_k`` in its own
 core, so the host merge of those candidates is the engine's answer.
 """
 
-import os
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,7 +37,6 @@ from repro.core.collection import compile_collection
 from repro.core.engine import TopKSpmvEngine
 from repro.core.kernels import Queries, run_segmented
 from repro.core.kernels.gather import plan_row_scores
-from repro.core.kernels.native import INTERPRET_ENV_VAR
 from repro.core.reference import topk_from_scores
 from repro.core.segments import SegmentedCollection
 from repro.data.synthetic import synthetic_embeddings
@@ -59,8 +55,6 @@ DESIGNS["exact64"] = AcceleratorDesign(
     name="exact64", value_bits=64, arithmetic="fixed", cores=3, local_k=2,
     max_columns=64,
 )
-#: ``native`` falls back to ``streaming`` (same bits) where Numba is absent.
-KERNELS = ["auto", "gather", "streaming", "contraction", "native"]
 
 
 @st.composite
@@ -120,27 +114,29 @@ def assert_topk_from_scores(results, scores, top_k, label):
     assert_same_bits(results, want, f"{label} K={top_k}")
 
 
-def interpreted_native():
-    """The native loops available without Numba (a no-op where Numba is
-    installed: the compiled loops run)."""
-    return mock.patch.dict(os.environ, {INTERPRET_ENV_VAR: "1"})
+#: The five engines of the module docstring, each built from an artifact
+#: (and, for the fresh segmented compile, its matrix and design).
+ENGINE_FORMS = {
+    "frozen": lambda art, matrix, design: TopKSpmvEngine(art),
+    "one-segment": lambda art, matrix, design: TopKSpmvEngine(
+        SegmentedCollection.from_collection(art)
+    ),
+    "fresh-segmented": lambda art, matrix, design: TopKSpmvEngine(
+        SegmentedCollection.from_matrix(matrix, design)
+    ),
+    "aligned-fleet": lambda art, matrix, design: ShardedEngine(art, n_shards=2),
+    "full-board-fleet": lambda art, matrix, design: ShardedEngine(
+        art, n_shards=2, cores_per_shard=2
+    ),
+}
 
 
-def check_every_engine(matrix, codec, placement, kernel, X):
+def check_every_engine(matrix, codec, placement, X):
     design = DESIGNS[codec]
     artifact = compile_collection(matrix, design, placement=placement)
     engines = {
-        "frozen": TopKSpmvEngine(artifact, kernel=kernel),
-        "one-segment": TopKSpmvEngine(
-            SegmentedCollection.from_collection(artifact), kernel=kernel
-        ),
-        "fresh-segmented": TopKSpmvEngine(
-            SegmentedCollection.from_matrix(matrix, design), kernel=kernel
-        ),
-        "aligned-fleet": ShardedEngine(artifact, n_shards=2, kernel=kernel),
-        "full-board-fleet": ShardedEngine(
-            artifact, n_shards=2, cores_per_shard=2, kernel=kernel
-        ),
+        name: build(artifact, matrix, design)
+        for name, build in ENGINE_FORMS.items()
     }
     scores = quantised_scores(matrix, design, design.quantize_query(X))
     for top_k in range(1, matrix.n_rows + 1):
@@ -153,7 +149,7 @@ def check_every_engine(matrix, codec, placement, kernel, X):
         assert_topk_from_scores([got], scores[:1], matrix.n_rows, f"{name} query")
 
 
-def check_mutated(matrix, tail, dead, codec, placement, kernel, X):
+def check_mutated(matrix, tail, dead, codec, placement, X):
     """Tombstones on the base segment, a sealed tail segment and a delta."""
     design = DESIGNS[codec]
     collection = SegmentedCollection.from_collection(
@@ -166,7 +162,7 @@ def check_mutated(matrix, tail, dead, codec, placement, kernel, X):
     X = design.quantize_query(X)
     scores = quantised_scores(collection.matrix, design, X)
     for top_k in range(1, collection.n_live + 1):
-        got = run_segmented(collection, X, top_k, kernel=kernel).results
+        got = run_segmented(collection, X, top_k).results
         assert_topk_from_scores(got, scores, top_k, f"mutated {codec}/{placement}")
 
 
@@ -175,46 +171,46 @@ class TestOneAnswer:
         matrix=sparse_matrices(),
         codec=st.sampled_from(sorted(DESIGNS)),
         placement=st.sampled_from(["uniform", "skew"]),
-        kernel=st.sampled_from(KERNELS),
         seed=st.integers(0, 2**31),
         ties=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
     def test_every_engine_is_topk_from_scores_at_every_k(
-        self, matrix, codec, placement, kernel, seed, ties
+        self, matrix, codec, placement, seed, ties
     ):
         X = query_block(seed, matrix.n_cols, ties)
-        check_every_engine(matrix, codec, placement, kernel, X)
+        check_every_engine(matrix, codec, placement, X)
 
     @given(
         matrix=sparse_matrices(),
         codec=st.sampled_from(sorted(DESIGNS)),
         placement=st.sampled_from(["uniform", "skew"]),
-        kernel=st.sampled_from(KERNELS),
         seed=st.integers(0, 2**31),
         data=st.data(),
     )
     @settings(max_examples=25, deadline=None)
     def test_mutated_collection_is_topk_from_scores_at_every_k(
-        self, matrix, codec, placement, kernel, seed, data
+        self, matrix, codec, placement, seed, data
     ):
         tail = data.draw(sparse_matrices(max_rows=6, n_cols=matrix.n_cols))
         dead = data.draw(
             st.lists(st.integers(0, matrix.n_rows - 1), max_size=8, unique=True)
         )
         X = query_block(seed, matrix.n_cols, True)
-        check_mutated(matrix, tail, dead, codec, placement, kernel, X)
+        check_mutated(matrix, tail, dead, codec, placement, X)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("placement", ["uniform", "skew"])
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_non_finite_query_is_topk_from_scores(self, bad, placement, kernel):
+    @pytest.mark.parametrize("form", sorted(ENGINE_FORMS))
+    def test_non_finite_query_is_topk_from_scores(self, bad, placement, form):
         """NaN ranks below −inf and ±inf compare as usual, on every path —
-        a query coordinate of ``bad`` turns some scores NaN or ±inf."""
+        a query coordinate of ``bad`` turns some scores NaN or ±inf.  The
+        block goes straight to each engine's query view: the fixed-point
+        query quantiser would not keep a non-finite coordinate."""
         matrix = synthetic_embeddings(60, 16, 5, seed=3)
         design = DESIGNS["20b"]
-        collection = SegmentedCollection.from_collection(
-            compile_collection(matrix, design, placement=placement)
+        engine = ENGINE_FORMS[form](
+            compile_collection(matrix, design, placement=placement), matrix, design
         )
         X = design.quantize_query(sample_unit_queries(np.random.default_rng(3), 3, 16))
         X[0, 2] = bad
@@ -222,25 +218,8 @@ class TestOneAnswer:
         scores = quantised_scores(matrix, design, X)
         assert not np.isfinite(scores[:2]).all()
         for top_k in (1, 5, 60):
-            got = run_segmented(collection, X, top_k, kernel=kernel).results
-            assert_topk_from_scores(got, scores, top_k, f"{bad} {placement}/{kernel}")
-
-    @given(
-        matrix=sparse_matrices(),
-        codec=st.sampled_from(sorted(DESIGNS)),
-        placement=st.sampled_from(["uniform", "skew"]),
-        seed=st.integers(0, 2**31),
-        dead=st.lists(st.integers(0, 23), max_size=8, unique=True),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_interpreted_native_is_topk_from_scores(
-        self, matrix, codec, placement, seed, dead
-    ):
-        X = query_block(seed, matrix.n_cols, True)
-        dead = [row for row in dead if row < matrix.n_rows]
-        with interpreted_native():
-            check_every_engine(matrix, codec, placement, "native", X)
-            check_mutated(matrix, matrix, dead, codec, placement, "native", X)
+            got = run_segmented(engine._query_view, X, top_k).results
+            assert_topk_from_scores(got, scores, top_k, f"{bad} {placement}/{form}")
 
 
 def grid_corpus(n_rows=2000, n_cols=32, seed=0) -> CSRMatrix:
@@ -256,29 +235,39 @@ def grid_corpus(n_rows=2000, n_cols=32, seed=0) -> CSRMatrix:
 
 @pytest.mark.parametrize("codec", ["20b", "f32"])
 @pytest.mark.parametrize("placement", ["uniform", "skew"])
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_grid_corpus_is_topk_from_scores(codec, placement, kernel):
+@pytest.mark.parametrize("form", sorted(ENGINE_FORMS))
+def test_grid_corpus_is_topk_from_scores(codec, placement, form):
     """Long blocks take the grouped screen (a K-th value bounded by group
-    maxima): still exactly ``topk_from_scores`` with ties everywhere, with
-    tombstones on the base segment and a delta behind it."""
+    maxima): still exactly ``topk_from_scores`` with ties everywhere, on
+    every engine."""
     design = DESIGNS[codec]
     matrix = grid_corpus()
     X = np.random.default_rng(1).integers(0, 3, size=(50, 32)) / 2.0
-    engine = TopKSpmvEngine(
-        compile_collection(matrix, design, placement=placement), kernel=kernel
+    engine = ENGINE_FORMS[form](
+        compile_collection(matrix, design, placement=placement), matrix, design
     )
+    scores = quantised_scores(matrix, design, design.quantize_query(X))
+    for top_k in (1, 10, 64):
+        got = engine.query_batch(X, top_k).topk
+        assert_topk_from_scores(got, scores, top_k, f"{form} {codec}/{placement}")
+
+
+@pytest.mark.parametrize("codec", ["20b", "f32"])
+@pytest.mark.parametrize("placement", ["uniform", "skew"])
+def test_mutated_grid_corpus_is_topk_from_scores(codec, placement):
+    """The grouped screen with tombstones on the base segment and a delta
+    behind it."""
+    design = DESIGNS[codec]
+    X = np.random.default_rng(1).integers(0, 3, size=(50, 32)) / 2.0
     collection = SegmentedCollection.from_collection(
-        compile_collection(matrix, design, placement=placement)
+        compile_collection(grid_corpus(), design, placement=placement)
     )
     collection.delete(list(range(0, 2000, 7)))
     collection.ingest(grid_corpus(40, seed=2))
     Xq = design.quantize_query(X)
-    scores = quantised_scores(matrix, design, Xq)
     mutated = quantised_scores(collection.matrix, design, Xq)
     for top_k in (1, 10, 64):
-        got = engine.query_batch(X, top_k).topk
-        assert_topk_from_scores(got, scores, top_k, f"frozen {codec}/{placement}")
-        got = run_segmented(collection, Xq, top_k, kernel=kernel).results
+        got = run_segmented(collection, Xq, top_k).results
         assert_topk_from_scores(got, mutated, top_k, f"mutated {codec}/{placement}")
 
 

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.approx import merge_topk_candidates
 from repro.core.collection import CompiledCollection, compile_collection
+from repro.core.dataflow import simulate_multicore_batch
 from repro.core.kernels import run_segmented
 from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
 from repro.core.segments import SegmentedCollection
@@ -144,8 +145,23 @@ class TestCoveredInvariance:
         X = query_block(seed ^ 0x5EED, 4, matrix.n_cols)
 
         def merged(collection):
-            engine = TopKSpmvEngine.from_collection(collection, kernel=kernel)
-            candidates, _ = engine.query_candidates_batch(X)
+            # The call ``query_candidates_batch`` makes, with the backend
+            # named: the candidate path keeps its per-backend selection.
+            operand = (
+                collection.contraction_operand()
+                if collection.wants_contraction_operand(kernel)
+                else None
+            )
+            candidates, _ = simulate_multicore_batch(
+                collection.encoded,
+                design.quantize_query(X),
+                local_k=design.local_k,
+                accumulate_dtype=design.accumulate_dtype,
+                plans=collection.stream_plans(),
+                kernel=kernel,
+                operand=operand,
+                row_map=collection.row_map,
+            )
             return [merge_topk_candidates(c, top_k) for c in candidates]
 
         assert_batches_identical(merged(placed), merged(base), f"{strategy}/{kernel}")

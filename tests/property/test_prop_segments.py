@@ -5,8 +5,8 @@ The headline guarantee of the mutable-collection layer (ISSUE-5): after
 :class:`~repro.core.segments.SegmentedCollection`'s query results are
 bit-identical — indices and float bit patterns — to a fresh
 ``compile_collection`` of the equivalent final matrix queried through the
-same multi-segment driver, for every kernel backend (gate-engaged
-contraction included) and every design codec (fixed / signed / float32).
+same multi-segment driver, whichever fold each segment takes (gate-engaged
+contraction included), for every design codec (fixed / signed / float32).
 
 A model (an ordered list of ``(key, row)`` pairs mirroring the documented
 ordering semantics: live rows in segment order then delta order, updates
@@ -15,8 +15,6 @@ equivalent final matrix, so the collection's own bookkeeping is verified
 too, not just used.
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,28 +22,9 @@ from hypothesis import strategies as st
 
 from repro.core.collection import compile_collection
 from repro.core.kernels import run_segmented
-from repro.core.kernels.native import HAVE_NUMBA, INTERPRET_ENV_VAR
 from repro.core.segments import SegmentedCollection
 from repro.formats.csr import CSRMatrix
 from repro.hw.design import AcceleratorDesign
-
-KERNELS = ["auto", "gather", "streaming", "contraction", "native"]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _native_loops_available():
-    """Run the native backend interpreted where Numba is absent, so the
-    segmented driver's native fold (cross-segment threshold carry-over
-    included) is certified by this suite everywhere — same loop bodies,
-    same bits as the compiled functions."""
-    if HAVE_NUMBA:
-        yield
-        return
-    os.environ[INTERPRET_ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop(INTERPRET_ENV_VAR, None)
 
 #: Small design points covering every codec family (cores kept low so tiny
 #: collections still exercise multi-row partitions).
@@ -193,22 +172,14 @@ class TestSegmentedEqualsRecompiled:
         assert got_matrix.data.tobytes() == expected.data.tobytes()
 
         # Query equivalence: mutated collection vs fresh compile of the
-        # equivalent final matrix, through the same driver, every backend.
+        # equivalent final matrix, through the same driver.
         X = query_block(data, n_cols, design)
         fresh = SegmentedCollection.from_collection(
             compile_collection(expected, design)
         )
-        reference = None
-        for kernel in KERNELS:
-            got = run_segmented(collection, X, top_k, kernel=kernel)
-            want = run_segmented(fresh, X, top_k, kernel=kernel)
-            assert_results_identical(got.results, want.results, kernel)
-            if reference is None:
-                reference = got
-            else:
-                assert_results_identical(
-                    got.results, reference.results, f"{kernel} vs reference"
-                )
+        got = run_segmented(collection, X, top_k)
+        want = run_segmented(fresh, X, top_k)
+        assert_results_identical(got.results, want.results, design_key)
 
     @given(
         ops=st.lists(

@@ -444,30 +444,30 @@ class TestPlacedSegmentFold:
         monkeypatch.setattr(streaming.SortedRun, "select", counting_select)
         X = DESIGN.quantize_query(sample_unit_queries(derive_rng(10), 2, 96))
         for _ in range(3):
-            out = run_segmented(placed, X, 10, kernel="streaming")
+            out = run_segmented(placed, X, 10)
         assert out.segment_kernels == ("streaming", "streaming")
         assert builds == [0, 1]
         # An artifact's run is shared: another collection wrapping the same
         # artifact (an engine replica) reuses it.
         twin = SegmentedCollection.from_collection(placed.segments[0].artifact)
-        run_segmented(twin, X, 10, kernel="streaming")
+        run_segmented(twin, X, 10)
         assert builds == [0, 1]
         placed.delete([0])  # a tombstone on the placed segment only
         for _ in range(2):
-            run_segmented(placed, X, 10, kernel="streaming")
+            run_segmented(placed, X, 10)
         assert builds == [0, 1, ("tombstoned", 1)]
         placed.delete([1])
-        run_segmented(placed, X, 10, kernel="streaming")
+        run_segmented(placed, X, 10)
         assert builds == [0, 1, ("tombstoned", 1), ("tombstoned", 2)]
         # The delta's run is built once per delta generation, not per query.
         placed.ingest(_rows(40, 96, 4))
         for _ in range(3):
-            out = run_segmented(placed, X, 10, kernel="streaming")
+            out = run_segmented(placed, X, 10)
         assert out.segment_kernels == ("streaming",) * 3
         assert builds[4:] == ["delta"]
         placed.ingest(_rows(5, 96, 5))
         for _ in range(2):
-            run_segmented(placed, X, 10, kernel="streaming")
+            run_segmented(placed, X, 10)
         assert builds[4:] == ["delta", "delta"]
 
     def test_the_delta_is_screened(self):
@@ -549,3 +549,86 @@ class TestCertifiedContractionFold:
             X, 10
         )
         assert builds == [96]
+
+
+class TestOneFoldRule:
+    """The query path reads each segment's fold off the segment — the
+    exactness gate on an unplaced artifact, else its sorted run — with no
+    backend name, environment variable or registry lookup, so an optional
+    backend becoming available changes nothing."""
+
+    def test_the_fold_does_not_depend_on_the_optional_backend(
+        self, base_matrix, monkeypatch
+    ):
+        import sys
+
+        from repro.core import kernels
+        from repro.core.kernels import base, native
+
+        monkeypatch.setenv(native.INTERPRET_ENV_VAR, "1")
+        assert native.native_available()
+        lookups = []
+        real_resolve, real_init = base.resolve_backend, base.KernelRequest.__init__
+
+        def spy_resolve(*args, **kwargs):
+            lookups.append("resolve_backend")
+            return real_resolve(*args, **kwargs)
+
+        def spy_init(self, *args, **kwargs):
+            lookups.append("KernelRequest")
+            real_init(self, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro.") and (
+                getattr(module, "resolve_backend", None) is real_resolve
+            ):
+                monkeypatch.setattr(module, "resolve_backend", spy_resolve)
+        monkeypatch.setattr(base.KernelRequest, "__init__", spy_init)
+        served = []
+        real_run = kernels.run_segmented
+
+        def recording(*args, **kwargs):
+            out = real_run(*args, **kwargs)
+            served.append(out.segment_kernels)
+            return out
+
+        monkeypatch.setattr(kernels, "run_segmented", recording)
+        X = sample_unit_queries(derive_rng(30), 3, 96)
+
+        TopKSpmvEngine(compile_collection(base_matrix, DESIGN)).query_batch(X, 10)
+        f32 = PAPER_DESIGNS["f32"]
+        TopKSpmvEngine(compile_collection(base_matrix, f32)).query_batch(X, 10)
+        mutated = SegmentedCollection.from_matrix(base_matrix, f32)
+        mutated.ingest(_rows(50, 96, 31))
+        mutated.seal()
+        mutated.delete(list(range(0, 600, 5)))
+        mutated.compact()
+        mutated.ingest(_rows(20, 96, 32))
+        engine = TopKSpmvEngine(mutated)
+        engine.query_batch(X, 10)
+        assert mutated.n_segments == 1
+        assert mutated.segments[0].artifact.placement is None
+        assert served == [
+            ("contraction",),
+            ("streaming",),
+            ("streaming", "streaming"),
+        ]
+        assert lookups == []
+        # The candidate path keeps its selection: it resolves the backend.
+        TopKSpmvEngine(compile_collection(base_matrix, DESIGN)).query_candidates(X[0])
+        assert "resolve_backend" in lookups
+
+    @pytest.mark.parametrize("codec", ["20b", "f32"])
+    @pytest.mark.parametrize("placement", [None, "skew"])
+    @pytest.mark.parametrize("served", ["frozen", "segmented-with-delta"])
+    def test_an_empty_query_block_answers_nothing(self, codec, placement, served):
+        design = PAPER_DESIGNS[codec]
+        matrix = synthetic_embeddings(
+            n_rows=300, n_cols=32, avg_nnz=6, distribution="uniform", seed=4
+        )
+        collection = compile_collection(matrix, design, placement=placement)
+        if served != "frozen":
+            collection = SegmentedCollection.from_collection(collection)
+            collection.ingest(_rows(20, 32, 5))
+        out = TopKSpmvEngine(collection).query_batch(np.zeros((0, 32)), 5)
+        assert out.topk == []

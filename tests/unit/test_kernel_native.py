@@ -27,7 +27,6 @@ from repro.core.kernels import (
     run_kernel,
 )
 from repro.core.kernels.native import INTERPRET_ENV_VAR
-from repro.core.kernels.segmented import select_segment_kernel
 from repro.core.topk_tracker import TopKTracker
 from repro.data.synthetic import synthetic_embeddings
 from repro.formats.bscsr import BSCSRMatrix
@@ -153,44 +152,6 @@ class TestAvailabilityGate:
         )
         assert get_kernel("auto").select(request).name == "native"
 
-    def test_segment_selection_honours_availability(self, unavailable):
-        if native_available():  # pragma: no cover - numba installed
-            pytest.skip("numba present: the backend is always available")
-        from repro.core.collection import compile_collection
-        from repro.hw.design import PAPER_DESIGNS
-
-        matrix = synthetic_embeddings(
-            n_rows=60, n_cols=48, avg_nnz=5, distribution="uniform", seed=1
-        )
-        collection = compile_collection(matrix, PAPER_DESIGNS["20b"])
-        X = Q1_31.quantize(np.linspace(0, 1, 48)[None, :])
-        name = select_segment_kernel(
-            collection, X, "native", np.float64, top_k=4
-        )
-        assert name == "streaming"
-
-    def test_segment_selection_uses_native_when_available(self, interpreted):
-        from repro.core.collection import compile_collection
-        from repro.hw.design import PAPER_DESIGNS
-
-        matrix = synthetic_embeddings(
-            n_rows=60, n_cols=48, avg_nnz=5, distribution="uniform", seed=1
-        )
-        collection = compile_collection(matrix, PAPER_DESIGNS["20b"])
-        X = Q1_31.quantize(np.linspace(0, 1, 48)[None, :])
-        for request in ("native", None, "auto"):
-            assert (
-                select_segment_kernel(
-                    collection, X, request, np.float64, top_k=4
-                )
-                == "native"
-            )
-        # Explicit names other than native/auto are still honoured.
-        assert (
-            select_segment_kernel(collection, X, "gather", np.float64, top_k=4)
-            == "gather"
-        )
-
 
 class TestNativeBitIdentity:
     def test_matches_gather_and_engages_exact_path(self, interpreted):
@@ -264,45 +225,35 @@ class TestNativeBitIdentity:
         assert out.skip_fraction > 0.5
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("backend", ["gather", "streaming", "native"])
     def test_fold_plan_into_warm_pads_matches_tracker_inserts(
-        self, interpreted, backend, masked, dtype
+        self, interpreted, backend, dtype
     ):
         # The contract every per-partition backend's one entry point
-        # states (and both drivers rely on): folding plan 1's live rows
-        # into scratchpads already warmed by plan 0 equals a per-query
-        # TopKTracker offered the same rows one by one — threshold
-        # carry-over, renumbered live ids and accept counts included.
+        # states (and the candidate driver relies on): folding plan 1's
+        # rows into scratchpads already warmed by plan 0 equals a
+        # per-query TopKTracker offered the same rows one by one —
+        # threshold carry-over and accept counts included.  Each plan
+        # offers its rows under plan-local ids.
         encoded = _encoded(n_rows=180)
         plans = [plan_stream(s) for s in encoded.streams]
         X = np.linspace(0, 1, 3 * 48).reshape(3, 48)
         acc = np.dtype(dtype)
-        live = None
-        if masked:
-            live = np.random.default_rng(3).random(plans[1].n_rows) < 0.7
         kernel = get_kernel(backend)
         pads = BatchScratchpads(3, 5)
-        offset = plans[0].n_rows
         assert kernel.fold_plan(Queries.of(X, acc), plans[0], pads)[0] == 0
-        skipped, screened = kernel.fold_plan(
-            Queries.of(X, acc), plans[1], pads, offset, live
-        )
-        n_live = plans[1].n_rows if live is None else int(live.sum())
-        assert screened == (0 if backend == "gather" else 3 * n_live)
+        skipped, screened = kernel.fold_plan(Queries.of(X, acc), plans[1], pads)
+        assert screened == (0 if backend == "gather" else 3 * plans[1].n_rows)
         assert 0 <= skipped <= screened
         got, got_accepts = pads.finish()
         for q in range(3):
             tracker = TopKTracker(5)
             accepts = 0
-            row = 0
-            for plan, mask in ((plans[0], None), (plans[1], live)):
+            for plan in plans[:2]:
                 products = plan.kept_values.astype(acc) * X[q].astype(acc)[plan.kept_idx]
                 scores = np.add.reduceat(products, plan.starts).astype(acc)
                 for r, score in enumerate(scores.tolist()):
-                    if mask is None or mask[r]:
-                        accepts += tracker.insert(row, float(score))
-                        row += 1
+                    accepts += tracker.insert(r, float(score))
             want = tracker.result()
             assert got_accepts[q] == accepts
             assert got[q].indices.tolist() == want.indices.tolist()

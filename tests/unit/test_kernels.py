@@ -260,7 +260,7 @@ class TestContractionGate:
             itemsize = 4  # the query path's certified float32 blocks
 
             def run():
-                out = run_segmented(collection, X, 4, kernel="contraction")
+                out = run_segmented(collection, X, 4)
                 assert out.segment_kernels == ("contraction",)
                 return (
                     [r.values.tobytes() for r in out.results],
@@ -316,12 +316,12 @@ class TestOperandLowering:
         assert collection.contraction_operand() is operand
 
     def test_gateless_design_skips_lowering_on_save_and_auto(
-        self, tiny_matrix, tmp_path
+        self, tiny_matrix, tmp_path, monkeypatch
     ):
         # A float32 design has no fixed value grid: the contraction gate
-        # can never pass, so neither save() nor the auto-kernel batch path
-        # may pay the O(nnz) operand lowering (regression: both used to
-        # lower and then discard it).
+        # can never pass, so neither save(), the query path nor the
+        # auto-kernel candidate path may pay the O(nnz) operand lowering
+        # (regression: they used to lower and then discard it).
         from repro.core.engine import TopKSpmvEngine
         from repro.serving.sharded import ShardedEngine
 
@@ -330,19 +330,25 @@ class TestOperandLowering:
         collection.save(tmp_path / "f32.bin")
         assert collection._operand is None
         X = np.linspace(0, 1, 2 * 64).reshape(2, 64)
-        TopKSpmvEngine(collection, kernel="auto").query_batch(X, top_k=4)
+        engine = TopKSpmvEngine(collection)
+        engine.query_batch(X, top_k=4)
         assert collection._operand is None
-        ShardedEngine(collection, n_shards=2, kernel="auto").query_batch(X, top_k=4)
+        ShardedEngine(collection, n_shards=2).query_batch(X, top_k=4)
+        assert collection._operand is None
+        engine.query_candidates_batch(X)
         assert collection._operand is None
         # Even an explicit contraction request skips the lowering: with no
         # codec grid the gate is guaranteed to fall back to gather with
         # identical bits, so the operand would be pure waste.
-        want = TopKSpmvEngine(collection, kernel="gather").query_batch(X, top_k=4)
-        got = TopKSpmvEngine(collection, kernel="contraction").query_batch(X, top_k=4)
+        monkeypatch.setenv("REPRO_KERNEL", "gather")
+        want, _ = engine.query_candidates_batch(X)
+        monkeypatch.setenv("REPRO_KERNEL", "contraction")
+        got, _ = engine.query_candidates_batch(X)
         assert collection._operand is None
-        for g, w in zip(got.topk, want.topk):
-            assert g.indices.tolist() == w.indices.tolist()
-            assert g.values.tobytes() == w.values.tobytes()
+        for gq, wq in zip(got, want):
+            for g, w in zip(gq, wq):
+                assert g.indices.tolist() == w.indices.tolist()
+                assert g.values.tobytes() == w.values.tobytes()
 
     def test_gated_design_still_lowers_and_persists(self, tiny_matrix, tmp_path):
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
@@ -459,7 +465,7 @@ class TestStreamingSkip:
         collection.seal()
         x = np.zeros(n_cols)
         x[:8] = 0.5
-        got = TopKSpmvEngine(collection, kernel="streaming").query(x, 1).topk
+        got = TopKSpmvEngine(collection).query(x, 1).topk
         assert got.indices.tolist() == [1]
         assert got.values.tolist() == [1.0]
 
@@ -552,50 +558,61 @@ class TestGlobalisationAliasing:
                 assert f.values.tobytes() == s.values.tobytes()
 
 
-class TestEngineAndShardedKernelThreading:
-    """kernel= reaches the engines and stays bit-neutral."""
+class TestEngineCandidateKernelThreading:
+    """``$REPRO_KERNEL`` reaches the engines' candidate sweep (the only
+    per-backend path left) and stays bit-neutral there."""
+
+    @staticmethod
+    def _assert_same_candidates(got, want, label):
+        for gq, wq in zip(got, want):
+            for g, w in zip(gq, wq):
+                assert g.indices.tolist() == w.indices.tolist(), label
+                assert g.values.tobytes() == w.values.tobytes(), label
 
     @pytest.mark.parametrize(
         "kernel", ["gather", "streaming", "contraction", "native", "auto"]
     )
-    def test_engine_query_batch_matches_across_kernels(self, tiny_matrix, kernel):
-        from repro.core.engine import TopKSpmvEngine
+    def test_engine_candidates_match_across_kernels(
+        self, tiny_matrix, kernel, monkeypatch
+    ):
+        import repro.core.engine as engine_module
 
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
-        reference = TopKSpmvEngine(collection, kernel="gather")
-        engine = TopKSpmvEngine(collection, kernel=kernel)
+        engine = TopKSpmvEngine(collection)
         rng = np.random.default_rng(9)
         X = rng.random((5, tiny_matrix.n_cols))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        want = reference.query_batch(X, top_k=5)
-        got = engine.query_batch(X, top_k=5)
-        for g, w in zip(got.topk, want.topk):
-            assert g.indices.tolist() == w.indices.tolist()
-            assert g.values.tobytes() == w.values.tobytes()
-        assert got.dataflow == want.dataflow
+        monkeypatch.setenv("REPRO_KERNEL", "gather")
+        want, want_stats = engine.query_candidates_batch(X)
+        seen = []
+        sweep = engine_module.simulate_multicore_batch
 
-    @pytest.mark.parametrize("cores_per_shard", [None, 4])
-    def test_sharded_engine_matches_across_kernels(self, tiny_matrix, cores_per_shard):
+        def spy(*args, **kwargs):
+            seen.append(kwargs["kernel"])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "simulate_multicore_batch", spy)
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        got, got_stats = engine.query_candidates_batch(X)
+        assert seen == [kernel]
+        self._assert_same_candidates(got, want, kernel)
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_aligned_fleet_candidates_match_across_kernels(
+        self, tiny_matrix, n_shards, monkeypatch
+    ):
         from repro.serving.sharded import ShardedEngine
 
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
+        fleet = ShardedEngine(collection, n_shards=n_shards)
         rng = np.random.default_rng(11)
         X = rng.random((4, tiny_matrix.n_cols))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        want = ShardedEngine(
-            collection,
-            n_shards=2,
-            cores_per_shard=cores_per_shard,
-            kernel="gather",
-        ).query_batch(X, top_k=6)
-        for kernel in ("streaming", "contraction", "native", "auto"):
-            got = ShardedEngine(
-                collection,
-                n_shards=2,
-                cores_per_shard=cores_per_shard,
-                kernel=kernel,
-            ).query_batch(X, top_k=6)
-            for g, w in zip(got.topk, want.topk):
-                assert g.indices.tolist() == w.indices.tolist(), kernel
-                assert g.values.tobytes() == w.values.tobytes(), kernel
-            assert got.dataflow == want.dataflow
+        monkeypatch.setenv("REPRO_KERNEL", "gather")
+        want, want_stats = TopKSpmvEngine(collection).query_candidates_batch(X)
+        for kernel in ("gather", "streaming", "contraction", "native", "auto"):
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            got, got_stats = fleet.query_candidates_batch(X)
+            self._assert_same_candidates(got, want, kernel)
+            assert got_stats == want_stats
