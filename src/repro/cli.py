@@ -9,8 +9,7 @@ argparse refuses any other with exit code 2, naming it
         [--seed N] [--rows N] [-o FILE]
     repro compile {synthetic,zipf,glove} OUT.npz [DATASET]
     repro tune [{synthetic,zipf,glove}] OUT.npz [--collection IN.npz]
-        [DATASET] [--partitions N] [--n-probes N] [--anneal-iters N]
-        [--no-measure] [--json PATH] [-o FILE]
+        [DATASET] [--partitions N] [--json PATH] [-o FILE]
     repro ingest [--quick] [--collection PATH|DIR] [DATASET]
         [--delta-frac F] [--updates N] [--deletes N] [--seal-rows N]
         [--compact] [--save DIR] [--verify-queries Q] [--json PATH] [-o FILE]
@@ -193,12 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("out", metavar="OUT.npz")
     add("--partitions", type=int,
         help="HBM channels to place across (default: the design's cores)")
-    add("--n-probes", type=int, default=32,
-        help="probe queries ranking the candidates (default 32)")
-    add("--anneal-iters", type=int, default=64,
-        help="boundary-shift annealing iterations, 0 = off (default 64)")
-    add("--no-measure", action="store_true",
-        help="rank by the cost model alone (cheaper, less faithful)")
     verb.set_defaults(func=_run_tune)
 
     verb = verbs.add_parser("ingest", help="mutate a segmented collection, "
@@ -474,15 +467,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     else:
         matrix = _build_cli_matrix(args.dataset, config)
         design = design_by_name(config.design)
-    report = tune_placement(
-        matrix,
-        design,
-        n_partitions=args.partitions,
-        n_probes=args.n_probes,
-        seed=config.seed,
-        anneal_iters=args.anneal_iters,
-        measure=not args.no_measure,
-    )
+    report = tune_placement(matrix, design, n_partitions=args.partitions)
     collection = compile_collection(
         matrix,
         design,
@@ -492,32 +477,24 @@ def _run_tune(args: argparse.Namespace) -> int:
     collection.save(args.out)
     elapsed = time.perf_counter() - started
 
-    header = (
-        f"{'strategy':>20} {'model cost':>12} {'est skip':>9} "
-        f"{'nnz imb':>8} {'meas skip':>10}"
-    )
-    lines = ["# tune — placement search", "", header]
+    lines = [
+        "# tune — placement search",
+        "",
+        f"{'strategy':>10} {'makespan':>12} {'nnz imb':>8}",
+    ]
     for c in report.candidates:
-        meas = (
-            f"{c.measured_skip_fraction:.3f}"
-            if c.measured_skip_fraction is not None
-            else "-"
-        )
         lines.append(
-            f"{c.strategy:>20} {c.score.cost:>12.3e} "
-            f"{c.score.est_skip_fraction:>9.3f} {c.score.imbalance:>8.3f} "
-            f"{meas:>10}"
+            f"{c.strategy:>10} {c.score.makespan_s:>12.3e} "
+            f"{c.score.imbalance:>8.3f}"
         )
     payload = report.to_payload()
     lines.append("")
-    lines.append(
-        f"winner: {report.winner.strategy} "
-        f"(skip alpha {report.skip_alpha:.3f}, "
-        f"{report.n_probes} probes, seed {report.seed})"
-    )
-    for key in ("model_speedup_vs_uniform", "measured_speedup_vs_uniform"):
-        if key in payload:
-            lines.append(f"{key.replace('_', ' ')}: {payload[key]:.2f}x")
+    lines.append(f"winner: {report.winner.strategy}")
+    if "model_speedup_vs_uniform" in payload:
+        lines.append(
+            f"model speedup vs uniform: "
+            f"{payload['model_speedup_vs_uniform']:.2f}x"
+        )
     lines.append("")
     lines.append(collection.describe())
     text = "\n".join(lines)

@@ -130,21 +130,13 @@ class BatchScratchpads:
         """
         self._seen += int(n_rows)
 
-    def fold(
-        self,
-        row_values: np.ndarray,
-        first_row: int = 0,
-        row_ids: "np.ndarray | None" = None,
-    ) -> None:
+    def fold(self, row_values: np.ndarray, first_row: int = 0) -> None:
         """Offer rows ``first_row + j`` with values ``row_values[:, j]``.
 
         ``row_values`` must be float64 with one row per lane, columns in
         arrival order (any strides — a transposed view is screened in
         place).  Upcasting float32 scores to float64 is exact, so the float
-        bits compared downstream are unchanged.  ``row_ids`` (int64, one
-        per column) renames the rows: column ``j`` is offered as row
-        ``first_row + row_ids[j]`` — payload only, the arrival order is
-        still the column order.
+        bits compared downstream are unchanged.
         """
         n_lanes, n_block = row_values.shape
         if n_lanes != self.n_queries:
@@ -153,11 +145,7 @@ class BatchScratchpads:
             )
         if n_block == 0:
             return
-        ids = (
-            np.arange(first_row, first_row + n_block)
-            if row_ids is None
-            else first_row + row_ids
-        )
+        ids = np.arange(first_row, first_row + n_block)
         if not np.isfinite(row_values).all():
             self._uniform = False
             self._fold_sequential(row_values, ids, 0)

@@ -207,7 +207,7 @@ def fold_run(queries: Queries, run: SortedRun, pads, first_row=0) -> int:
     """Walk ``run`` heaviest row first: bound → stop, else gather → fold.
 
     Chunks of the run are scored with :func:`block_scores` and offered
-    under their ids (``fold(row_ids=)``).  Before each chunk, its first
+    to ``pads`` under their ids.  Before each chunk, its first
     row's bound — the largest left — is screened against every query's
     *current* threshold; the walk **stops** at the first chunk every query
     rejects, since bounds only fall and thresholds only rise, so every row
@@ -240,8 +240,7 @@ class StreamingKernel(KernelBackend):
     """Fused streaming backend (see module docstring).
 
     Stateless by design: skip counters ride each run's
-    :class:`KernelOutput` (the PR-5 ``last_skip_fraction`` singleton
-    mirror is gone), so concurrent engines and process workers never
+    :class:`KernelOutput`, so concurrent engines and process workers never
     observe each other's runs.
     """
 

@@ -28,18 +28,16 @@ ids so top-k output is bit-identical to the unpermuted reference.
 Strategies (:func:`plan_placement`):
 
 ``uniform``
-    Original order, balanced contiguous blocks — today's behaviour and
-    the default (resolves to *no* placement, keeping artifacts and
-    digests byte-identical to pre-placement builds).
-``norm_sorted``
-    Rows in descending |value|-sum order, balanced blocks: maximises the
-    provable block-skip (the screen bound is exactly this weight).
-``nnz_balanced``
-    Greedy LPT bin-packing of nnz across channels: minimises the nnz
-    spread that makes the slowest channel the makespan.
+    Original order, balanced contiguous blocks — the default (resolves to
+    *no* placement, keeping artifacts and digests byte-identical to
+    pre-placement builds).
 ``skew``
-    Both: LPT channel assignment, then descending weight *within* each
-    channel.  Balance picks the channel, skew picks the order inside it.
+    Greedy LPT bin-packing of nnz across channels, then descending weight
+    *within* each channel.  Balance picks the channel (the makespan),
+    skew picks the order inside it (the candidate path's screen).
+
+:func:`repro.core.tune.tune_placement` keeps whichever has the lower
+modelled makespan.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ __all__ = [
 ]
 
 #: Strategy names accepted by :func:`plan_placement` (and the CLI).
-PLACEMENT_STRATEGIES = ("uniform", "norm_sorted", "nnz_balanced", "skew")
+PLACEMENT_STRATEGIES = ("uniform", "skew")
 
 
 def default_boundaries(n_rows: int, n_partitions: int) -> np.ndarray:
@@ -104,7 +102,7 @@ class Placement:
         holds permuted positions ``[boundaries[p], boundaries[p + 1])``.
     strategy:
         The strategy that produced this placement (provenance only; a
-        hand-built or annealed placement reports ``"custom"``).
+        hand-built placement reports ``"custom"``).
     """
 
     order: np.ndarray
@@ -191,12 +189,6 @@ class Placement:
             strategy="uniform",
         )
 
-    def with_boundaries(self, boundaries: np.ndarray) -> "Placement":
-        """Same permutation, different cuts (the annealer's move)."""
-        return Placement(
-            order=self.order, boundaries=boundaries, strategy="custom"
-        )
-
 
 # ---------------------------------------------------------------------- #
 # Strategy passes
@@ -226,25 +218,15 @@ def plan_placement(
     n = matrix.n_rows
     if strategy == "uniform":
         return Placement.identity(n, n_partitions)
-    if strategy == "norm_sorted":
-        order = np.argsort(-row_weights(matrix), kind="stable")
-        return Placement(
-            order=order,
-            boundaries=default_boundaries(n, n_partitions),
-            strategy=strategy,
-        )
-    if strategy in ("nnz_balanced", "skew"):
+    if strategy == "skew":
         nnz = matrix.row_lengths().astype(np.int64)
-        bins = _lpt_bins(nnz, n_partitions)
-        if strategy == "nnz_balanced":
-            bins = [np.sort(rows) for rows in bins]
-        else:
-            weights = row_weights(matrix)
-            # Descending weight within the channel (ties: ascending id):
-            # heavy rows fill the scratchpads early, the light tail skips.
-            bins = [
-                rows[np.lexsort((rows, -weights[rows]))] for rows in bins
-            ]
+        weights = row_weights(matrix)
+        # Descending weight within the channel (ties: ascending id):
+        # heavy rows fill the scratchpads early, the light tail skips.
+        bins = [
+            rows[np.lexsort((rows, -weights[rows]))]
+            for rows in _lpt_bins(nnz, n_partitions)
+        ]
         order = (
             np.concatenate(bins) if bins else np.empty(0, dtype=np.int64)
         )

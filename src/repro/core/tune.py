@@ -1,41 +1,29 @@
-"""Placement auto-tuner: search row layouts against a cost model + probes.
+"""Placement tuner: keep the row layout with the shortest modelled board time.
 
 The searchable half of the placement layer (:mod:`repro.core.placement`).
-Two ingredients:
+Each core of the board is an independent Top-K stage over its own HBM
+channel, so the board finishes with its slowest channel (the paper's
+Section III-A).  :func:`score_placement` counts each partition's BS-CSR
+packets and feeds them to
+:meth:`~repro.hw.multicore.TopKSpmvAccelerator.timing_from_packets` — no
+compile, no encode, no query.  :func:`tune_placement` scores every
+strategy in :data:`~repro.core.placement.PLACEMENT_STRATEGIES` and keeps
+the one with the lowest makespan.
 
-* **cost model** (:func:`score_placement`) — per-partition packet counts
-  feed :meth:`~repro.hw.multicore.TopKSpmvAccelerator.timing_from_packets`
-  (channel balance: the makespan core), and a skip-fraction estimator
-  predicts how much of each channel the streaming/native kernels' provable
-  block-skip would prune for a probe-query set.  The estimator is
-  *calibrated*: one measured :attr:`KernelOutput.skip_fraction` on a real
-  compiled candidate fixes a multiplicative ``alpha`` that absorbs what
-  the final-threshold approximation cannot see (threshold warm-up order,
-  block granularity, chunk-consensus screening).
-* **search** (:func:`tune_placement`) — score every strategy pass, anneal
-  random boundary shifts on the best candidate (simulated annealing with a
-  deterministic seed), then *measure* the finalists: compile each, run the
-  streaming kernel on the probe block, and pick the winner by measured
-  effective scan time ``makespan x (1 - skip)``.
-
-The winning :class:`~repro.core.placement.Placement` compiles into an
-ordinary artifact (``repro tune`` persists it); placement never changes
-top-k output, so the tuner optimises performance only.
+That makespan is the only thing a placement changes: host queries walk
+each segment's own sorted run whatever the placement, and top-k output is
+bit-identical under every layout.  The winning
+:class:`~repro.core.placement.Placement` compiles into an ordinary
+artifact (``repro tune`` persists it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.placement import (
-    PLACEMENT_STRATEGIES,
-    Placement,
-    plan_placement,
-    row_weights,
-)
-from repro.errors import ConfigurationError
+from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
 from repro.formats.stats import count_packets
 from repro.hw.multicore import TopKSpmvAccelerator
 
@@ -43,7 +31,6 @@ __all__ = [
     "PlacementScore",
     "TuneCandidate",
     "TuneReport",
-    "measure_skip_fraction",
     "score_placement",
     "tune_placement",
 ]
@@ -51,41 +38,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlacementScore:
-    """Cost-model verdict on one candidate placement."""
+    """Modelled board verdict on one candidate placement."""
 
     makespan_s: float
-    effective_s: float
-    est_skip_fraction: float
     imbalance: float
     packets_per_core: "tuple[int, ...]"
-    part_nnz: "tuple[int, ...]"
-
-    @property
-    def cost(self) -> float:
-        """The scalar the search minimises (lower is better)."""
-        return self.effective_s
 
 
 @dataclass
 class TuneCandidate:
-    """One strategy (or annealed variant) with its model/measured scores."""
+    """One strategy's placement with its modelled score."""
 
-    strategy: str
     placement: Placement
     score: PlacementScore
-    measured_skip_fraction: "float | None" = None
-    measured_effective_s: "float | None" = None
+
+    @property
+    def strategy(self) -> str:
+        """The strategy that produced the placement."""
+        return self.placement.strategy
 
     def report(self) -> dict:
         """JSON-ready summary row."""
         return {
             "strategy": self.strategy,
             "makespan_s": self.score.makespan_s,
-            "model_effective_s": self.score.effective_s,
-            "model_skip_fraction": self.score.est_skip_fraction,
             "nnz_imbalance": self.score.imbalance,
-            "measured_skip_fraction": self.measured_skip_fraction,
-            "measured_effective_s": self.measured_effective_s,
         }
 
 
@@ -94,10 +71,7 @@ class TuneReport:
     """Everything one :func:`tune_placement` run produces."""
 
     winner: TuneCandidate
-    candidates: "list[TuneCandidate]" = field(default_factory=list)
-    skip_alpha: float = 1.0
-    n_probes: int = 0
-    seed: int = 0
+    candidates: "list[TuneCandidate]"
 
     @property
     def placement(self) -> Placement:
@@ -106,349 +80,63 @@ class TuneReport:
 
     def to_payload(self) -> dict:
         """JSON-serialisable report (what ``repro tune --json`` emits)."""
-        uniform = next(
-            (c for c in self.candidates if c.strategy == "uniform"), None
-        )
+        uniform = next(c for c in self.candidates if c.strategy == "uniform")
         payload = {
             "winner": self.winner.report(),
             "candidates": [c.report() for c in self.candidates],
-            "skip_alpha": self.skip_alpha,
-            "n_probes": self.n_probes,
-            "seed": self.seed,
         }
-        if uniform is not None and uniform.score.effective_s > 0:
+        if self.winner.score.makespan_s > 0:
             payload["model_speedup_vs_uniform"] = (
-                uniform.score.effective_s / self.winner.score.effective_s
-            )
-        if (
-            uniform is not None
-            and uniform.measured_effective_s
-            and self.winner.measured_effective_s
-        ):
-            payload["measured_speedup_vs_uniform"] = (
-                uniform.measured_effective_s / self.winner.measured_effective_s
+                uniform.score.makespan_s / self.winner.score.makespan_s
             )
         return payload
 
 
-def _partition_rows_of(placement: Placement) -> "list[np.ndarray]":
-    """Original row ids per partition, in stream order."""
-    b = placement.boundaries
-    return [
-        placement.order[int(b[p]) : int(b[p + 1])]
-        for p in range(placement.n_partitions)
-    ]
-
-
-def _estimate_partition_skip(
-    part_scores: np.ndarray,
-    part_weights: np.ndarray,
-    part_lengths: np.ndarray,
-    xmax: np.ndarray,
-    local_k: int,
-) -> float:
-    """Final-threshold skip estimate for one partition over all probes.
-
-    Mirrors the streaming screen's actual granularity: rows are grouped
-    into lane-budget blocks *in stream order*, a block's bound is its peak
-    ``weight · max|x_q|``, and — like the kernel's chunk consensus — a
-    block only skips when the bound clears the threshold for **every**
-    probe.  τ per probe is the partition's ``local_k``-th best score (the
-    value the thresholds converge to); ``alpha`` calibrates what the
-    final-threshold approximation cannot see (warm-up order, lane caps).
-
-    This is why the estimator ranks placements correctly: a per-row
-    estimate would call a scattered (uniform) layout just as prunable as
-    a sorted one, but one heavy row per block pins the whole block.
-    """
-    from repro.core.kernels.streaming import _BLOCK_LANE_BUDGET, _block_bounds
-
-    n_rows, n_probes = part_scores.shape
-    if n_rows <= local_k:
-        return 0.0
-    # τ per probe: the local_k-th largest score in this partition.
-    thresholds = -np.partition(-part_scores, local_k - 1, axis=0)[local_k - 1]
-    starts = np.concatenate([[0], np.cumsum(part_lengths[:-1])]).astype(np.int64)
-    blocks = _block_bounds(starts, int(part_lengths.sum()), _BLOCK_LANE_BUDGET)
-    peaks = np.maximum.reduceat(part_weights, blocks[:-1])
-    skipped = 0
-    for b in range(len(blocks) - 1):
-        if np.all(peaks[b] * xmax < thresholds):
-            skipped += int(blocks[b + 1] - blocks[b])
-    return skipped / n_rows
-
-
-def score_placement(
-    matrix,
-    design,
-    placement: Placement,
-    probes: "np.ndarray | None" = None,
-    probe_scores: "np.ndarray | None" = None,
-    skip_alpha: float = 1.0,
-    accelerator: "TopKSpmvAccelerator | None" = None,
-) -> PlacementScore:
-    """Cost-model one candidate placement (no compile, no encode).
-
-    ``probe_scores`` (``(n_rows, Q)`` exact float64 scores of the probe
-    block, original row order) can be precomputed once per tune run and
-    shared across every candidate — the dominant cost at tune scale.
-    """
-    lanes = design.layout.lanes
-    rpp = design.effective_rows_per_packet
+def score_placement(matrix, design, placement: Placement) -> PlacementScore:
+    """Model one candidate placement's channel timing (no compile, no encode)."""
     lengths = matrix.row_lengths().astype(np.int64)
-    weights = row_weights(matrix)
-    if accelerator is None:
-        accelerator = TopKSpmvAccelerator(design)
-    if probes is not None and probe_scores is None:
-        probe_scores = matrix.to_scipy() @ probes.T
-    xmax = (
-        np.abs(probes).max(axis=1).astype(np.float64)
-        if probes is not None
-        else None
-    )
-
-    parts = _partition_rows_of(placement)
+    b = placement.boundaries
     packets = []
     part_nnz = []
-    skips = []
-    for rows in parts:
-        n_pack, _, _ = count_packets(lengths[rows], lanes, rpp)
+    for p in range(placement.n_partitions):
+        rows = lengths[placement.order[int(b[p]) : int(b[p + 1])]]
+        n_pack, _, _ = count_packets(
+            rows, design.layout.lanes, design.effective_rows_per_packet
+        )
         packets.append(int(n_pack))
-        part_nnz.append(int(lengths[rows].sum()))
-        if probe_scores is not None and len(rows):
-            skips.append(
-                _estimate_partition_skip(
-                    probe_scores[rows],
-                    weights[rows],
-                    lengths[rows],
-                    xmax,
-                    design.local_k,
-                )
-            )
-        else:
-            skips.append(0.0)
-    timing = accelerator.timing_from_packets(packets, nnz=int(lengths.sum()))
-    skips = np.clip(np.asarray(skips) * skip_alpha, 0.0, 1.0)
-    core_seconds = np.asarray(timing.core_seconds)
-    effective = core_seconds * (1.0 - skips)
-    sizes = np.asarray(part_nnz, dtype=np.float64)
-    total = sizes.sum()
-    mean_nnz = total / max(1, len(sizes))
+        part_nnz.append(int(rows.sum()))
+    timing = TopKSpmvAccelerator(design).timing_from_packets(
+        packets, nnz=int(lengths.sum())
+    )
+    mean_nnz = sum(part_nnz) / max(1, len(part_nnz))
     return PlacementScore(
         makespan_s=timing.makespan_s,
-        effective_s=float(effective.max(initial=0.0)),
-        est_skip_fraction=(
-            float((skips * sizes).sum() / total) if total else 0.0
-        ),
-        imbalance=float(sizes.max(initial=0.0) / mean_nnz) if mean_nnz else 1.0,
+        imbalance=max(part_nnz, default=0) / mean_nnz if mean_nnz else 1.0,
         packets_per_core=tuple(packets),
-        part_nnz=tuple(int(n) for n in part_nnz),
     )
-
-
-def measure_skip_fraction(collection, probes: np.ndarray) -> float:
-    """Measured streaming-kernel skip fraction on a probe block.
-
-    The calibration (and finalist-ranking) ground truth: one real
-    streaming sweep over the compiled candidate, skip counters read off
-    the run's own :class:`~repro.core.kernels.base.KernelOutput` —
-    ``simulate_multicore_batch`` discards them, so the request is built
-    directly.
-    """
-    from repro.core.kernels import KernelRequest, run_kernel
-
-    design = collection.design
-    X = np.atleast_2d(design.quantize_query(np.asarray(probes, dtype=np.float64)))
-    request = KernelRequest(
-        X=X,
-        plans=tuple(collection.stream_plans()),
-        accumulate_dtype=design.accumulate_dtype,
-        local_k=design.local_k,
-    )
-    return run_kernel(request, "streaming").skip_fraction
-
-
-def _anneal_boundaries(
-    matrix,
-    design,
-    candidate: TuneCandidate,
-    probes,
-    probe_scores,
-    skip_alpha: float,
-    accelerator,
-    rng: np.random.Generator,
-    iterations: int,
-) -> TuneCandidate:
-    """Simulated-annealing shifts on partition boundaries (fixed order).
-
-    Moves one interior cut a few rows left/right; accepts improvements
-    always and regressions with a decaying temperature.  Deterministic for
-    a given rng seed.
-    """
-    placement = candidate.placement
-    best = current = candidate
-    n = placement.n_rows
-    n_parts = placement.n_partitions
-    if n_parts < 2 or n < 2 * n_parts or iterations <= 0:
-        return candidate
-    t0 = max(current.score.cost, 1e-12) * 0.05
-    for it in range(iterations):
-        b = current.placement.boundaries.copy()
-        i = int(rng.integers(1, n_parts))
-        span = max(1, n // (n_parts * 8))
-        delta = int(rng.integers(1, span + 1)) * (1 if rng.random() < 0.5 else -1)
-        b[i] = int(np.clip(b[i] + delta, b[i - 1], b[i + 1]))
-        if b[i] == current.placement.boundaries[i]:
-            continue
-        moved = current.placement.with_boundaries(b)
-        score = score_placement(
-            matrix,
-            design,
-            moved,
-            probes=probes,
-            probe_scores=probe_scores,
-            skip_alpha=skip_alpha,
-            accelerator=accelerator,
-        )
-        temperature = t0 * (1.0 - it / iterations) + 1e-15
-        worse_by = score.cost - current.score.cost
-        if worse_by <= 0 or rng.random() < np.exp(-worse_by / temperature):
-            current = TuneCandidate(
-                strategy=f"{candidate.strategy}+anneal",
-                placement=moved,
-                score=score,
-            )
-            if current.score.cost < best.score.cost:
-                best = current
-    return best
 
 
 def tune_placement(
-    matrix,
-    design=None,
-    n_partitions: "int | None" = None,
-    probes: "np.ndarray | None" = None,
-    n_probes: int = 32,
-    seed: int = 0,
-    anneal_iters: int = 64,
-    measure: bool = True,
-    strategies: "tuple[str, ...]" = PLACEMENT_STRATEGIES,
+    matrix, design=None, n_partitions: "int | None" = None
 ) -> TuneReport:
-    """Search strategies + boundary annealing for the best row placement.
+    """Score every placement strategy; the lowest modelled makespan wins.
 
-    Parameters
-    ----------
-    matrix:
-        The collection to place (CSRMatrix / SciPy / dense).
-    design, n_partitions:
-        As for :func:`~repro.core.collection.compile_collection`.
-    probes:
-        ``(Q, n_cols)`` probe-query block the skip estimator (and the
-        measured finalist ranking) evaluates against; omitted, ``n_probes``
-        unit queries are sampled deterministically from ``seed``.
-    anneal_iters:
-        Boundary-shift annealing iterations on the best model candidate
-        (0 disables).
-    measure:
-        Compile each finalist and rank by *measured* streaming skip (the
-        cost model alone decides when False — cheaper, less faithful).
+    ``matrix`` is the collection to place (CSRMatrix / SciPy / dense);
+    ``design`` and ``n_partitions`` are as for
+    :func:`~repro.core.collection.compile_collection`.  A tie keeps the
+    earlier strategy, so ``uniform`` wins unless a layout is faster.
     """
-    from repro.core.collection import compile_collection, resolve_design
+    from repro.core.collection import resolve_design
     from repro.core.engine import as_csr_matrix
-    from repro.utils.rng import derive_rng, sample_unit_queries
 
     matrix = as_csr_matrix(matrix)
     design = resolve_design(matrix, design)
     n_parts = design.cores if n_partitions is None else int(n_partitions)
-    if probes is None:
-        probes = sample_unit_queries(derive_rng(seed), n_probes, matrix.n_cols)
-    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    if probes.shape[1] != matrix.n_cols:
-        raise ConfigurationError(
-            f"probes must have shape (Q, {matrix.n_cols}), got {probes.shape}"
-        )
-    probe_scores = matrix.to_scipy() @ probes.T  # (n_rows, Q), shared
-    accelerator = TopKSpmvAccelerator(design)
-
-    def _score(placement, alpha):
-        return score_placement(
-            matrix,
-            design,
-            placement,
-            probes=probes,
-            probe_scores=probe_scores,
-            skip_alpha=alpha,
-            accelerator=accelerator,
-        )
-
     candidates = []
-    for name in strategies:
+    for name in PLACEMENT_STRATEGIES:
         placement = plan_placement(name, matrix, n_parts)
         candidates.append(
-            TuneCandidate(
-                strategy=name, placement=placement, score=_score(placement, 1.0)
-            )
+            TuneCandidate(placement, score_placement(matrix, design, placement))
         )
-
-    # Calibrate the skip estimator on the candidate predicting the most
-    # skip: one real compile + streaming sweep anchors alpha, then every
-    # candidate is re-scored on the calibrated model.
-    skip_alpha = 1.0
-    if measure:
-        anchor = max(candidates, key=lambda c: c.score.est_skip_fraction)
-        if anchor.score.est_skip_fraction > 1e-9:
-            compiled = compile_collection(
-                matrix, design, n_partitions=n_parts, placement=anchor.placement
-            )
-            measured = measure_skip_fraction(compiled, probes)
-            skip_alpha = measured / anchor.score.est_skip_fraction
-            candidates = [
-                TuneCandidate(c.strategy, c.placement, _score(c.placement, skip_alpha))
-                for c in candidates
-            ]
-
-    best = min(candidates, key=lambda c: c.score.cost)
-    rng = np.random.default_rng(seed)
-    annealed = _anneal_boundaries(
-        matrix,
-        design,
-        best,
-        probes,
-        probe_scores,
-        skip_alpha,
-        accelerator,
-        rng,
-        anneal_iters,
-    )
-    if annealed is not best:
-        candidates.append(annealed)
-
-    # Measured finalist ranking: the model's favourite, its annealed
-    # variant and the uniform baseline get a real streaming sweep each;
-    # the winner minimises measured makespan x (1 - skip).
-    if measure:
-        finalists = {id(c): c for c in (best, annealed)}
-        for c in candidates:
-            if c.strategy == "uniform":
-                finalists[id(c)] = c
-        for c in finalists.values():
-            compiled = compile_collection(
-                matrix, design, n_partitions=n_parts, placement=c.placement
-            )
-            c.measured_skip_fraction = measure_skip_fraction(compiled, probes)
-            c.measured_effective_s = c.score.makespan_s * (
-                1.0 - c.measured_skip_fraction
-            )
-        winner = min(
-            finalists.values(), key=lambda c: c.measured_effective_s
-        )
-    else:
-        winner = min(candidates, key=lambda c: c.score.cost)
-
-    return TuneReport(
-        winner=winner,
-        candidates=candidates,
-        skip_alpha=float(skip_alpha),
-        n_probes=int(probes.shape[0]),
-        seed=int(seed),
-    )
+    winner = min(candidates, key=lambda c: c.score.makespan_s)
+    return TuneReport(winner=winner, candidates=candidates)

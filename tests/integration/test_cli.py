@@ -193,6 +193,10 @@ class TestParserContract:
             (["ingest", "--retries", "2"], "--retries"),
             (["serve-bench", "--deadline-ms", "5"], "--deadline-ms"),
             (["serve-bench", "--kernel", "gather"], "--kernel"),
+            (["tune", "zipf", "t.npz", "--n-probes", "8"], "--n-probes"),
+            (["tune", "zipf", "t.npz", "--no-measure"], "--no-measure"),
+            (["tune", "zipf", "t.npz", "--anneal-iters", "4"],
+             "--anneal-iters"),
         ],
     )
     def test_flags_a_verb_does_not_read_are_refused(self, argv, flag, capsys):

@@ -374,7 +374,7 @@ class TestPlanPlacementShapes:
 
     @given(matrix=sparse_matrices(max_rows=30), n_partitions=st.integers(1, 4))
     @settings(max_examples=20, deadline=None)
-    def test_nnz_balanced_never_worse_than_uniform(self, matrix, n_partitions):
+    def test_skew_never_worse_than_uniform(self, matrix, n_partitions):
         from repro.core.placement import row_weights  # noqa: F401 (import check)
 
         lengths = matrix.row_lengths().astype(np.int64)
@@ -388,5 +388,5 @@ class TestPlanPlacementShapes:
             return max(loads) if loads else 0
 
         uniform = plan_placement("uniform", matrix, n_partitions)
-        balanced = plan_placement("nnz_balanced", matrix, n_partitions)
-        assert imbalance(balanced) <= imbalance(uniform)
+        skew = plan_placement("skew", matrix, n_partitions)
+        assert imbalance(skew) <= imbalance(uniform)

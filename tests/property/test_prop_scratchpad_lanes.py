@@ -226,9 +226,9 @@ class TestLaneFoldMatchesTrackers:
 
 
 # ---------------------------------------------------------------------- #
-# fold(row_ids=): renamed rows in arrival order
+# fold + skip_rows: incremental folds with skipped rows between them
 # ---------------------------------------------------------------------- #
-class TestRenamedRows:
+class TestIncrementalFolds:
     @pytest.mark.parametrize("min_width", SCHEDULES)
     @given(
         lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
@@ -239,12 +239,12 @@ class TestRenamedRows:
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_permuted_ids_match_a_tracker_loop(
+    def test_folds_between_skips_match_a_tracker_loop(
         self, lengths, n_queries, k, first_row, values, data, min_width
     ):
-        """Incremental ``fold(row_ids=perm)`` calls with provably-rejected
-        rows skipped in between: slots, accepts and results equal trackers
-        offered the permuted ids in column order."""
+        """Incremental ``fold`` calls with provably-rejected rows skipped
+        in between: slots, accepts and results equal trackers offered the
+        same rows in column order."""
         trackers = [TopKTracker(k) for _ in range(n_queries)]
         accepts = [0] * n_queries
 
@@ -258,12 +258,11 @@ class TestRenamedRows:
                 st.lists(values, min_size=n_queries * n, max_size=n_queries * n)
             )
             scores = np.array(flat, dtype=np.float64).reshape(n_queries, n)
-            ids = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
             for lane in range(n_queries):
                 for j in range(n):
-                    offer(lane, first_row + int(ids[j]), float(scores[lane, j]))
+                    offer(lane, first_row + j, float(scores[lane, j]))
             with forced_schedule(min_width):
-                pads.fold(scores, first_row, ids)
+                pads.fold(scores, first_row)
             first_row += n
             worst = float(pads.worst_thresholds().min())
             if np.isfinite(worst):
