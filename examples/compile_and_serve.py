@@ -70,9 +70,9 @@ def main() -> None:
         assert a.values.tobytes() == b.values.tobytes()
         print("sanity: loaded engine's top-10 bit-identical to a direct build\n")
 
-        # 4. The query path reads each segment's fold off the artifact: a
-        #    20-bit artifact on quantised queries passes the exactness gate
-        #    and is scored by the certified contraction fold.  Backend names
+        # 4. The query path has one fold: every segment walks its sorted
+        #    run, scoring large chunks by float32 SpMM and rescoring the
+        #    rows that straddle the K-th score exactly.  Backend names
         #    (`REPRO_KERNEL`; `native` wants Numba) steer only the per-core
         #    candidate path behind `query_candidates`.
         from repro.core.kernels import run_segmented

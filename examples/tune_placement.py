@@ -50,8 +50,8 @@ def main() -> None:
     print()
     print(tuned.describe())
 
-    # 3. TIME both layouts on the query path (the unplaced artifact takes
-    # the certified contraction fold, the placed one its sorted run).
+    # 3. TIME both layouts on the query path (each walks its sorted run;
+    # the placement feeds only the modelled board).
     engines = {
         "uniform": TopKSpmvEngine.from_collection(uniform),
         "tuned": TopKSpmvEngine.from_collection(tuned),

@@ -30,9 +30,9 @@ Modules
     threshold skipping and a gated exact sequential-sum path.
 ``segmented``
     The one query driver behind every engine's ``query``/``query_batch``:
-    each segment's fold is read off the segment (the exactness gate on an
-    unplaced artifact → the certified contraction fold, anything else → its
-    sorted run), into one global Top-K with threshold carry.
+    every segment walks its sorted run (``streaming.fold_run``: large
+    chunks scored by float32 SpMM and screened, the survivors rescored
+    exactly), into one global Top-K with threshold carry.
 
 Selection: one rule on the query path; backends are the candidate path's.
 ``query``/``query_batch`` take no backend name.  The per-core candidate

@@ -4,9 +4,12 @@ Every :class:`~repro.core.dataflow.StreamPlan` is *lowered* once into a
 collection-level CSR operand — the kept-lane values and column indices
 concatenated across partitions, with row pointers from the per-row segment
 starts — so a batch's scores become a single SciPy ``csr_matrix @ dense``
-product instead of 32 per-partition gather/reduceat sweeps.  The operand is
-built once per compiled collection (``compile_collection`` lowers it; the
-artifact persists it).
+product instead of 32 per-partition gather/reduceat sweeps.  It serves the
+per-core candidate path only: the operand is built once per compiled
+collection, on first candidate-path use or at save (the artifact persists
+it).  ``query``/``query_batch`` never lower it — they walk each segment's
+sorted run (:func:`~repro.core.kernels.streaming.fold_run`), which scores
+its large chunks with :func:`score_chunks` too.
 
 When is a sparse product bit-identical to the hardware model?
 -------------------------------------------------------------
@@ -29,30 +32,9 @@ any summation order yields the one true value.  That holds provably when
 The paper's best design (20-bit fixed point, f_v = 19) passes this gate on
 its evaluation workloads; 25/32-bit fixed designs and the float32 design
 overflow the budget (or accumulate in float32), so :func:`exact_gate` says
-no: the query path then walks the segment's sorted run, and
-:meth:`ContractionKernel.supports` lets the candidate path fall back to the
-reference kernel.  The gate is the dispatch rule, and it is what makes any
-summation order give the reference bits.
-
-The query path: a certified float32 filter, then an exact rescore
------------------------------------------------------------------
-``query``/``query_batch`` do not need every score exact, only the Top-K.
-So a gated segment is scored by a **float32** SpMM (:class:`CertifiedOperand`:
-float32 values, int32 indices — half the bytes per score) whose error is
-bounded per query, ``|S̃ − S| ≤ E_q = (slack − 1) · W · max|x_q|`` with
-``W = max_row Σ|v|`` (the gate's own number) and the streaming screen's
-``slack`` (:func:`~repro.core.kernels.streaming._slack`) at the longest row
-in float32 — it covers rounding the query and the values to float32 and
-the float32 accumulation, about ``(n + 2)·u`` in all.  The bound needs no
-absolute term: under the gate the operands are finite and on grid, so
-every exact product is a non-zero multiple of ``2^-(f_v+31)`` or zero, far
-above float32's subnormals, and every rounding is relative.  The running
-Top-K screens the float32 block with that margin
-(:meth:`~repro.core.kernels.selection.RunningTopK.screen`), and only the
-survivors — the rows that straddle the K-th score — are rescored exactly
-(:meth:`ContractionOperand.rescore`), which the gate makes the reference
-bits.  The per-core candidate path (:meth:`ContractionKernel.run`) keeps
-exact float64 blocks: it replays every partition's ``local_k`` scratchpad.
+no and :meth:`ContractionKernel.supports` lets the candidate path fall back
+to the reference kernel.  The gate is that path's dispatch rule, and it is
+what makes any summation order give the reference bits.
 """
 
 from __future__ import annotations
@@ -68,15 +50,12 @@ from repro.core.kernels.base import (
     register_kernel,
 )
 from repro.core.kernels.scratchpad import BatchScratchpads
-from repro.core.kernels.streaming import _slack
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "CertifiedOperand",
     "ContractionOperand",
     "codec_grid_bits",
     "codecs_grid_bits",
-    "certified_operand",
     "exact_gate",
     "lower_plans",
     "score_chunks",
@@ -140,52 +119,6 @@ class ContractionOperand:
                 shape=(self.n_rows, n_cols),
             )
         return self._matrices[n_cols]
-
-    def rescore(self, X: np.ndarray, rows: np.ndarray, queries: np.ndarray):
-        """Exact scores of operand row ``rows[i]`` against ``X[queries[i]]``.
-
-        Each pair's lanes are gathered, multiplied and summed by one
-        ``np.add.reduceat``: under the gate every summation order is exact,
-        so these are the reference kernel's bits.
-        """
-        if len(rows) == 0:
-            return np.empty(0)
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        firsts = np.cumsum(lengths) - lengths
-        lane = np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
-        x = X[np.repeat(queries, lengths), self.indices[lane]]
-        return np.add.reduceat(self.data[lane] * x, firsts)
-
-
-@dataclass(frozen=True)
-class CertifiedOperand:
-    """A gated operand's float32 SpMM and its error bound (module doc).
-
-    ``matrix`` is the SciPy CSR of the operand's lanes with float32 values
-    and int32 indices; ``error · max|x_q|`` bounds how far any of its
-    scores for query ``q`` lies from the exact one.
-    """
-
-    matrix: object
-    error: float
-
-
-def certified_operand(operand: ContractionOperand, n_cols: int) -> CertifiedOperand:
-    """The :class:`CertifiedOperand` of a gated operand at a given width."""
-    import scipy.sparse as sp
-
-    matrix = sp.csr_matrix(
-        (
-            operand.data.astype(np.float32),
-            operand.indices.astype(np.int32),
-            operand.indptr,
-        ),
-        shape=(operand.n_rows, n_cols),
-    )
-    n_max = int(np.diff(operand.indptr).max(initial=1))
-    weight = operand.max_abs_row_raw / float(2**operand.value_grid_bits)
-    return CertifiedOperand(matrix, (_slack(n_max, np.float32) - 1.0) * weight)
 
 
 def codec_grid_bits(codec) -> "int | None":
@@ -289,9 +222,10 @@ def score_chunks(matrix, X: np.ndarray):
     ``scores`` is the ``(n_rows, width)`` block of queries ``q0 : q0 +
     width`` in the matrix's dtype (``X`` is cast to it) — the fewest equal
     chunks whose block fits :data:`_SCORE_BLOCK_BYTES`, so a float32 block
-    is twice as wide as a float64 one.  Shared by both drivers' contraction
-    folds; a consumer drops its block (``del``) before asking for the next,
-    so one block is live at a time.
+    is twice as wide as a float64 one.  Shared by the candidate path's
+    contraction kernel and the sorted-run walk's large chunks; a consumer
+    drops its block (``del``) before asking for the next, so one block is
+    live at a time.
     """
     n_queries = X.shape[0]
     X = X.astype(matrix.dtype, copy=False)

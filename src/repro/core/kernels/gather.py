@@ -1,9 +1,9 @@
 """The reference kernel: broadcast gather + ``reduceat`` per partition.
 
-This is the PR-1 batched hot path, extracted verbatim from
-``core/dataflow.py``: for every partition the kept-lane values are gathered
-against the query block, reduced per row with ``np.add.reduceat`` (the
-numerical twin of the hardware's adder tree — same float32/float64 bits as
+This is the original batched hot path of ``core/dataflow.py``: for every
+partition the kept-lane values are gathered against the query block,
+reduced per row with ``np.add.reduceat`` (the numerical twin of the
+hardware's adder tree — same float32/float64 bits as
 :meth:`~repro.core.dataflow.DataflowCore.run_fast`), and the full
 ``(Q, n_rows)`` score block is folded through the batch scratchpads once.
 

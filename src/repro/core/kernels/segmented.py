@@ -11,7 +11,8 @@ path lives on behind ``query_candidates``, as the hardware model).  What
 *is* geometry-invariant is the per-row score itself —
 ``run_fast`` reduces each row's kept lanes contiguously in column order, so
 a row's score bits do not depend on which partition, packet or segment the
-row sits in (the PR-4 kernel suite locks every backend to those bits).
+row sits in (``tests/property/test_prop_kernels.py`` locks every backend
+to those bits).
 
 The driver therefore computes per-row scores segment by segment and folds
 them into **one global running Top-K**
@@ -21,39 +22,28 @@ selection under the library's total order, so the answer is exactly
 matrix's quantised scores whatever the segment layout, placement or
 offering order (``tests/property/test_prop_one_driver.py`` locks it).
 
-One rule, read off each segment, picks its fold — no backend name,
-environment variable or registry lookup on this path (the registry's
+One fold serves every segment, and the unsealed delta buffer (a small
+1-partition snapshot, cached per generation) last: the walk over its
+**sorted run** (:func:`~repro.core.kernels.streaming.fold_run`) — its
+live rows heaviest ``Σ|v|`` first (ties by live-matrix id), cached on the
+segment per accumulate dtype and tombstone state.  Each chunk is the rows
+the current thresholds cannot yet rule out (while the pads are empty, a
+first chunk gathered exactly fills them), gathered exactly when small,
+else scored by one SpMM in the run's dtype (float32 for the 20-bit and
+float32 designs), screened with that SpMM's error bound as margin, and
+only the survivors, the rows that straddle the K-th score, rescored
+exactly.  The walk stops at the first row every query provably rejects.  The order comes from the
+segment's own rows, so placement never changes the walk (it feeds only
+the modelled board and the per-core candidate path).  No backend name,
+environment variable or registry lookup is on this path (the registry's
 backends serve the per-core candidate path, :func:`~repro.core.kernels.
 base.run_kernel`).  The running Top-K carries the current global K-th
 score *across* segments, so later segments skip more (the LSM win: a hot
-head segment warms the thresholds the tail segments are pruned by):
+head segment warms the thresholds the tail segments are pruned by).
 
-* an **unplaced** segment whose artifact passes the exactness gate
-  (:func:`~repro.core.kernels.contraction.exact_gate`) for this query
-  block is scored by its artifact's certified float32 SpMM, one per
-  byte-budgeted query chunk, each block screened in its own
-  ``(n_rows, Q)`` layout with the SpMM's error bound as margin; only the
-  surviving (row, query) pairs, the rows that straddle the K-th score,
-  are rescored exactly and offered
-  (:mod:`~repro.core.kernels.contraction`).  The float32 operand is built
-  once per artifact and width and shared by every wrapper.  It reports
-  ``contraction``;
-* every other segment — a placed one, and every float32, off-grid or
-  non-finite case — is walked as its **sorted run**: its live rows
-  heaviest ``Σ|v|`` first (ties by live-matrix id), cached on the segment
-  per accumulate dtype and tombstone state, scored chunk by chunk until
-  the first chunk every query provably rejects.  The order comes from the
-  segment's own rows, so placement never changes the walk (it feeds only
-  the modelled board and the per-core candidate path).  It reports
-  ``streaming``;
-* the unsealed delta buffer (a small 1-partition snapshot, cached per
-  generation) is folded last, by the same rule as an unplaced sealed
-  segment.
-
-Tombstoned rows are excluded from the fold (a sorted run leaves them out;
-the contraction fold scores them −inf and never offers them), and
-surviving rows are renumbered to their positions in the live logical
-matrix — exactly the ids a fresh compile would produce.
+Tombstoned rows are left out of a segment's run, and surviving rows are
+renumbered to their positions in the live logical matrix — exactly the
+ids a fresh compile would produce.
 """
 
 from __future__ import annotations
@@ -64,11 +54,6 @@ import numpy as np
 
 from repro.core.dataflow import DataflowStats
 from repro.core.kernels.base import Queries
-from repro.core.kernels.contraction import (
-    certified_operand,
-    exact_gate,
-    score_chunks,
-)
 from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import SortedRun, fold_run, sorted_run
 from repro.errors import ConfigurationError
@@ -84,13 +69,12 @@ class SegmentedOutput:
     :meth:`~repro.core.segments.SegmentedCollection.keys_for`).
     ``base_stats`` sums the segments' plan counters (``tracker_accepts``
     stays 0: accepts are a counter of the per-core candidate path).
-    ``segment_kernels`` records which fold served each segment in order,
-    the delta, when present, last: ``contraction`` or ``streaming`` (a
-    placed segment always reports ``streaming``).
-    ``skipped_rows``/``total_rows`` count live (row, query) pairs the
-    sorted-run walks provably pruned vs. offered, and
-    ``rescored_rows`` those the contraction folds' float32 screens passed
-    to the exact rescore — diagnostics only.
+    ``segment_kernels`` names the fold that served each segment in order,
+    the delta, when present, last — always ``streaming``, the sorted-run
+    walk.  ``skipped_rows``/``total_rows`` count live (row, query) pairs
+    the walks provably pruned vs. offered, and ``rescored_rows`` the
+    pairs that every SpMM-scored chunk's screen passed to the exact
+    rescore — diagnostics only.
     """
 
     results: list
@@ -104,42 +88,6 @@ class SegmentedOutput:
     def skip_fraction(self) -> float:
         """Skipped share of live (row, query) pairs (0.0 when none)."""
         return self.skipped_rows / self.total_rows if self.total_rows else 0.0
-
-
-def _certified_operand(artifact, n_cols):
-    """The artifact's float32 scorer, built once per width and shared by
-    every collection wrapping the artifact."""
-    key = ("float32", n_cols)
-    if key not in artifact.derived:
-        artifact.derived[key] = certified_operand(
-            artifact.contraction_operand(), n_cols
-        )
-    return artifact.derived[key]
-
-
-def _fold_segment_contraction(segment, queries, pads, first_live) -> int:
-    """Contraction fold: per float32 SpMM query chunk, screen the block in
-    its own ``(n_rows, Q)`` layout with the SpMM's error bound as margin,
-    then rescore the survivors exactly and offer them.  Tombstoned rows are
-    written −inf and dropped.  Returns the (row, query) pairs rescored."""
-    artifact = segment.artifact
-    operand = artifact.contraction_operand()
-    scorer = _certified_operand(artifact, queries.X.shape[1])
-    margins = scorer.error * queries.xmax
-    live = None if segment.all_live else segment.live
-    ids = first_live + segment.live_cumsum()[:-1]
-    rescored = 0
-    for q0, approx in score_chunks(scorer.matrix, queries.X):
-        if live is not None:
-            approx[~live] = -np.inf
-        rows, lanes = pads.screen(approx, q0, margins[q0 : q0 + approx.shape[1]])
-        del approx  # released before the next chunk's block is allocated
-        if live is not None:
-            keep = live[rows]
-            rows, lanes = rows[keep], lanes[keep]
-        pads.offer(rows, lanes, operand.rescore(queries.X, rows, lanes), ids)
-        rescored += len(rows)
-    return rescored
 
 
 def _artifact_run(artifact, acc) -> SortedRun:
@@ -171,18 +119,6 @@ def _segment_run(segment, acc) -> SortedRun:
     return segment.derived[key]
 
 
-def _gated(artifact, queries) -> bool:
-    """Whether an artifact takes the contraction fold for this query block:
-    it is unplaced (a placed one is walked as its sorted run, the only fold
-    that can skip rows) and passes the exactness gate.  The operand is
-    lowered only for a design whose value grid could ever pass."""
-    return (
-        artifact.placement is None
-        and artifact.contraction_grid_bits() is not None
-        and exact_gate(artifact.contraction_operand(), queries.X, queries.acc)
-    )
-
-
 def run_segmented(collection, X: np.ndarray, top_k: int) -> SegmentedOutput:
     """Sweep a segmented collection: per-segment folds, one global Top-K.
 
@@ -208,22 +144,18 @@ def run_segmented(collection, X: np.ndarray, top_k: int) -> SegmentedOutput:
     queries = Queries.of(X, collection.design.accumulate_dtype)
     pads = RunningTopK(X.shape[0], top_k)
     stats = DataflowStats()
-    kernels_used = []
     skipped = rescored = offset = 0
     delta = collection.delta_segment()
-    for segment in collection.segments + ([] if delta is None else [delta]):
+    segments = collection.segments + ([] if delta is None else [delta])
+    for segment in segments:
         stats = stats.merge(segment.artifact.plan_stats())
-        if _gated(segment.artifact, queries):
-            kernels_used.append("contraction")
-            rescored += _fold_segment_contraction(segment, queries, pads, offset)
-        else:
-            # Against the *global* Top-K: thresholds warmed by every
-            # earlier segment, all queries together.
-            kernels_used.append("streaming")
-            run = _segment_run(segment, queries.acc)
-            skipped += fold_run(queries, run, pads, offset)
+        # Against the *global* Top-K: thresholds warmed by every earlier
+        # segment, all queries together.
+        run = _segment_run(segment, queries.acc)
+        skips, rescores = fold_run(queries, run, pads, offset)
+        skipped, rescored = skipped + skips, rescored + rescores
         offset += segment.n_live
     return SegmentedOutput(
-        pads.finish(), stats, tuple(kernels_used), skipped,
+        pads.finish(), stats, ("streaming",) * len(segments), skipped,
         offset * len(queries), rescored,
     )

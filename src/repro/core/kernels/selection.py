@@ -80,7 +80,7 @@ class RunningTopK:
         """Offer ``(Q, n)`` scores as rows ``first_row + row_ids[j]``."""
         block = row_values.T
         rows, lanes = self.screen(block)
-        self.offer(rows, lanes, block[rows, lanes], first_row + row_ids)
+        self.offer(lanes, block[rows, lanes], first_row + row_ids[rows])
 
     def screen(self, block, lane0: int = 0, margin=0.0):
         """``(rows, lanes)`` of the cells of an ``(n_rows, lanes)`` block,
@@ -97,13 +97,13 @@ class RunningTopK:
             lanes, rows = np.divmod(cells, len(block))
         return rows, lanes + lane0
 
-    def offer(self, rows, lanes, values, ids) -> None:
-        """Merge ``values[i]`` into lane ``lanes[i]`` as row ``ids[rows[i]]``."""
-        if len(rows) == 0:
+    def offer(self, lanes, values, names) -> None:
+        """Merge ``values[i]`` into lane ``lanes[i]`` as row ``names[i]``."""
+        if len(lanes) == 0:
             return
         n_lanes, k = self.vals.shape
         vals = np.concatenate([self.vals.ravel(), values])
-        named = np.concatenate([self.rows.ravel(), ids[rows]])
+        named = np.concatenate([self.rows.ravel(), names])
         slots = np.repeat(np.arange(n_lanes), k)
         order = np.lexsort((named, -vals, np.concatenate([slots, lanes])))
         counts = k + np.bincount(lanes, minlength=n_lanes)

@@ -35,12 +35,17 @@ whole tails of every partition are never read.
 The multi-segment driver walks the same bound over a **sorted run**
 instead (:func:`sorted_run`, :func:`fold_run`): a segment's live rows
 copied heaviest ``Σ|v|`` first, so its walk *stops* at the first chunk
-every query rejects, whatever order the rows are stored in.
+every query rejects, whatever order the rows are stored in.  A chunk too
+large to gather cheaply is scored by one SpMM instead: the same slack
+bounds its error, so a screen with that margin keeps every row that may
+enter, and only the survivors are rescored exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +55,7 @@ from repro.core.kernels.base import (
     auto_chunk_width,
     register_kernel,
 )
+from repro.core.kernels.contraction import score_chunks
 
 __all__ = [
     "SortedRun",
@@ -63,10 +69,11 @@ __all__ = [
 #: Target lane count per row block (× query chunk × itemsize ≈ working set).
 _BLOCK_LANE_BUDGET = 16_384
 
-#: Lanes in a sorted run's first chunk; each next chunk doubles, up to the
-#: lanes whose ``(Q, lanes)`` products block holds :data:`_CHUNK_BYTES`.
+#: Lanes in a sorted run's first chunk; a chunk is gathered while its
+#: ``(Q, lanes)`` products block holds :data:`_CHUNK_BYTES` and scored by
+#: SpMM past that, where the two cost about the same (2-vCPU VM, Q = 1–128).
 _FIRST_CHUNK_LANES = 1_024
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 def _block_bounds(starts: np.ndarray, n_lanes: int, budget: int) -> np.ndarray:
@@ -130,34 +137,62 @@ def block_scores(Xc, kept_idx, values, row_starts) -> np.ndarray:
 class SortedRun:
     """Rows heaviest first, with what the walk needs (:func:`sorted_run`).
 
-    ``kept_idx``/``values`` hold the rows' kept lanes back to back in run
-    order (values in the accumulate dtype), ``starts`` each row's first
-    lane, ``ids`` its id relative to the fold's ``first_row``, and
-    ``bounds`` its provable score bound ``Σ|v| · slack`` — non-increasing,
-    a NaN weight counted as +inf so it sorts first and never lets the walk
-    stop.
+    A CSR of the rows in run order (``kept_idx``/``values``/``indptr``),
+    the only query-path copy of an artifact's lanes: ``values`` is float32
+    wherever that holds every value in the accumulate dtype exactly (the
+    20-bit and float32 designs), else in the accumulate dtype.  ``ids``
+    names each row relative to the fold's ``first_row``; ``bounds`` is its
+    provable score bound ``Σ|v| · slack`` — non-increasing, a NaN weight
+    counted as +inf so it sorts first and never lets the walk stop.
     """
 
     kept_idx: np.ndarray
     values: np.ndarray
-    starts: np.ndarray
+    indptr: np.ndarray
     ids: np.ndarray
     bounds: np.ndarray
+    longest: int
+    _matrices: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def matrix(self, r0: int, r1: int, n_cols: int):
+        """Rows ``r0:r1`` as a SciPy CSR view of the run's lanes (no lane is
+        copied); the whole run's view is built once per width."""
+        import scipy.sparse as sp
+
+        whole = r0 == 0 and r1 == len(self.ids)
+        if whole and n_cols in self._matrices:
+            return self._matrices[n_cols]
+        l0, l1 = self.indptr[r0], self.indptr[r1]
+        indptr = self.indptr[r0 : r1 + 1]
+        matrix = sp.csr_matrix(
+            (self.values[l0:l1], self.kept_idx[l0:l1], indptr - l0 if l0 else indptr),
+            shape=(r1 - r0, n_cols),
+        )
+        if whole:
+            self._matrices[n_cols] = matrix
+        return matrix
 
     def select(self, keep: np.ndarray, ids: np.ndarray) -> "SortedRun":
         """The rows ``keep`` marks, renamed ``ids[keep]`` (both one entry
         per run row): same order, same bounds, so the walk over them stays
         heaviest first and provable."""
-        lengths = np.diff(self.starts, append=len(self.values))
+        lengths = np.diff(self.indptr)
         lanes = np.repeat(keep, lengths)
-        kept = lengths[keep]
         return SortedRun(
             self.kept_idx[lanes],
             self.values[lanes],
-            np.cumsum(kept) - kept,
+            _row_pointer(lengths[keep]),
             ids[keep],
             self.bounds[keep],
+            self.longest,
         )
+
+
+def _row_pointer(lengths: np.ndarray) -> np.ndarray:
+    """The CSR row pointer of rows ``lengths`` lanes long, int32 while the
+    lanes fit (SciPy then takes it as it is)."""
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
 
 
 def sorted_run(plans, accumulate_dtype, ids) -> SortedRun:
@@ -169,6 +204,8 @@ def sorted_run(plans, accumulate_dtype, ids) -> SortedRun:
     plans.  The slack is taken at the longest row of all the plans, never
     smaller than any one plan's, so each bound stays provable.
     """
+    import scipy.sparse as sp
+
     acc = np.dtype(accumulate_dtype)
     lengths = np.concatenate(
         [np.diff(plan.starts, append=len(plan.kept_values)) for plan in plans]
@@ -178,62 +215,150 @@ def sorted_run(plans, accumulate_dtype, ids) -> SortedRun:
     )
     weights[np.isnan(weights)] = np.inf
     rows = np.lexsort((ids, -weights))
-    run_lengths = lengths[rows]
-    run_starts = np.cumsum(run_lengths) - run_lengths
+    exact = True
+    for plan in plans:  # float32 where it holds every value exactly
+        wide = plan.kept_values.astype(acc, copy=False)
+        narrow = wide.astype(np.float32, copy=False)
+        exact = exact and (narrow is wide or np.array_equal(narrow, wide, equal_nan=True))
+    # The plans' rows laid end to end, then permuted by SciPy's row gather.
     # Column ids fit a packet's ``idx_bits`` field, far below 31 bits.
-    kept_idx = np.empty(int(run_lengths.sum()), dtype=np.int32)
-    values = np.empty(len(kept_idx), dtype=acc)
-    # Plan by plan, so no copy of every lane is ever made but the run's own.
-    first = 0
-    for plan in plans:
-        mine = np.flatnonzero((rows >= first) & (rows < first + plan.n_rows))
-        n = run_lengths[mine]
-        offs = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        src = np.repeat(plan.starts[rows[mine] - first], n) + offs
-        dst = np.repeat(run_starts[mine], n) + offs
-        kept_idx[dst] = plan.kept_idx[src].astype(np.int32)
-        values[dst] = plan.kept_values[src].astype(acc)
-        first += plan.n_rows
+    kept_idx = np.concatenate(
+        [plan.kept_idx for plan in plans], dtype=np.int32, casting="same_kind"
+    )
+    values = np.concatenate(
+        [plan.kept_values for plan in plans],
+        dtype=np.float32 if exact else acc,
+        casting="same_kind",
+    )
+    shape = (len(lengths), int(kept_idx.max(initial=0)) + 1)
+    run = sp.csr_matrix((values, kept_idx, _row_pointer(lengths)), shape=shape)[rows]
+    longest = int(lengths.max(initial=1))
     return SortedRun(
-        kept_idx,
-        values,
-        run_starts,
+        run.indices,
+        run.data,
+        run.indptr,
         ids[rows],
-        weights[rows] * _slack(int(lengths.max(initial=1)), acc),
+        weights[rows] * _slack(longest, acc),
+        longest,
     )
 
 
-def fold_run(queries: Queries, run: SortedRun, pads, first_row=0) -> int:
-    """Walk ``run`` heaviest row first: bound → stop, else gather → fold.
+#: The SpMM margin's absolute term, per lane and per unit of row weight:
+#: what float32 underflow can cost (2^-150 per rounding, with room).
+_UNDERFLOW = 2.0**-148
 
-    Chunks of the run are scored with :func:`block_scores` and offered
-    to ``pads`` under their ids.  Before each chunk, its first
-    row's bound — the largest left — is screened against every query's
-    *current* threshold; the walk **stops** at the first chunk every query
-    rejects, since bounds only fall and thresholds only rise, so every row
-    after it is provably rejected too (accounted with ``skip_rows``, never
-    gathered).  Chunks start at :data:`_FIRST_CHUNK_LANES` lanes and double
-    while their products block stays within :data:`_CHUNK_BYTES`.  Returns
-    the (row, query) pairs skipped.
+
+def _margins(run: SortedRun, r0: int, xmax: np.ndarray) -> np.ndarray:
+    """Per query, how far the run-dtype SpMM score of any row from ``r0``
+    on may lie from its exact score: both lie within ``(slack − 1) · Σ|v|
+    · max|x_q|`` of the true sum (the run dtype's slack also covers
+    rounding the query to it), plus underflow.  A NaN query, or one whose
+    SpMM could overflow, gets +inf, which screens nothing out."""
+    dtype = run.values.dtype
+    bound = float(run.bounds[r0])
+    reach = bound * xmax
+    margin = reach * (2.0 * (_slack(run.longest, dtype) - 1.0))
+    margin += (bound + run.longest) * _UNDERFLOW
+    ceiling = float(np.finfo(dtype).max) / 4
+    return np.where(np.maximum(reach, xmax) < ceiling, margin, np.inf)
+
+
+def _rescore(Xc: np.ndarray, run: SortedRun, rows, lanes) -> np.ndarray:
+    """Exact float64 scores of run row ``rows[i]`` against query
+    ``lanes[i]``: each pair's lanes gathered, multiplied and reduced by
+    one ``np.add.reduceat`` in the accumulate dtype — :func:`block_scores`'
+    float ops on the same values, hence the same bits."""
+    if len(rows) == 0:
+        return np.empty(0)
+    starts = run.indptr[rows]
+    lengths = run.indptr[rows + 1] - starts
+    firsts = np.cumsum(lengths) - lengths
+    lane = np.arange(int(lengths.sum())) + np.repeat(starts - firsts, lengths)
+    products = Xc[np.repeat(lanes, lengths), run.kept_idx[lane]]
+    products *= run.values[lane]
+    return np.add.reduceat(products, firsts).astype(np.float64)
+
+
+def _screen_chunk(queries: Queries, run: SortedRun, r0, r1, pads, first_row) -> int:
+    """Rows ``r0:r1`` scored by one SpMM in the run's dtype, one
+    byte-budgeted query block at a time (:func:`score_chunks`): each block
+    is screened with :func:`_margins` and only the survivors are rescored
+    exactly and offered.  Returns the (row, query) pairs rescored."""
+    matrix = run.matrix(r0, r1, queries.X.shape[1])
+    margins = _margins(run, r0, queries.xmax)
+    rescored = 0
+    for q0, approx in score_chunks(matrix, queries.Xc):
+        rows, lanes = pads.screen(approx, q0, margins[q0 : q0 + approx.shape[1]])
+        del approx  # released before the next block is allocated
+        rows += r0
+        pads.offer(lanes, _rescore(queries.Xc, run, rows, lanes), first_row + run.ids[rows])
+        rescored += len(rows)
+    return rescored
+
+
+def _gather(queries: Queries, run: SortedRun, r0: int, r1: int) -> np.ndarray:
+    """Rows ``r0:r1``'s exact ``(Q, rows)`` scores (:func:`block_scores`)."""
+    l0, l1 = run.indptr[r0], run.indptr[r1]
+    return block_scores(
+        queries.Xc, run.kept_idx[l0:l1], run.values[l0:l1], run.indptr[r0:r1] - l0
+    )
+
+
+def fold_run(queries: Queries, run: SortedRun, pads, first_row=0) -> "tuple[int, int]":
+    """Walk ``run`` heaviest row first: bound → stop, else score → fold.
+
+    Before each chunk, its first row's bound — the largest left — is
+    screened against every query's *current* threshold; the walk
+    **stops** at the first chunk every query rejects, since bounds only
+    fall and thresholds only rise, so every row after it is provably
+    rejected too (accounted with ``skip_rows``, never read).
+
+    Each chunk is the rows the current thresholds cannot yet rule out,
+    gathered exactly (:func:`block_scores`) while its ``(Q, lanes)``
+    products block fits :data:`_CHUNK_BYTES`, else scored by one SpMM and
+    screened (:func:`_screen_chunk`).  While some query's pads are not
+    full, the first chunk — up to :data:`_FIRST_CHUNK_LANES` lanes, at
+    least ``K`` rows — is gathered to fill them, unless its ``K``-th best
+    scores rule out not even the run's last row: then the whole run is one
+    SpMM.  Returns the (row, query) pairs skipped and rescored.
     """
-    n_rows = len(run.ids)
-    r0, budget = 0, _FIRST_CHUNK_LANES
+    n_rows, n_queries, k = len(run.ids), len(queries), pads.local_k
+    gather_lanes = max(1, _CHUNK_BYTES // max(1, n_queries * queries.acc.itemsize))
+    # In the row pointer's dtype: a wider key would make searchsorted copy it.
+    first = run.indptr.dtype.type(min(_FIRST_CHUNK_LANES, gather_lanes))
+    # A zero query leaves every row open (its rows all score 0).
+    zero_query = not queries.xmax.all()
+    r0 = rescored = 0
     # An empty query block still walks (and skips) every row.
-    cap = max(budget, _CHUNK_BYTES // max(1, len(queries) * queries.acc.itemsize))
     while r0 < n_rows:
-        if np.all(run.bounds[r0] * queries.xmax < pads.worst_thresholds()):
+        worst = pads.worst_thresholds()
+        if (run.bounds[r0] * queries.xmax < worst).all():
             pads.skip_rows(n_rows - r0)
-            return (n_rows - r0) * len(queries)
-        l0 = int(run.starts[r0])
-        r1 = max(r0 + 1, int(np.searchsorted(run.starts, l0 + budget)))
-        l1 = int(run.starts[r1]) if r1 < n_rows else len(run.values)
-        scores = block_scores(
-            queries.Xc, run.kept_idx[l0:l1], run.values[l0:l1],
-            run.starts[r0:r1] - l0,
-        )
-        pads.fold(scores, first_row, run.ids[r0:r1])
-        r0, budget = r1, min(2 * budget, cap)
-    return 0
+            return (n_rows - r0) * n_queries, rescored
+        # The least bound some threshold cannot rule out, NaN while some
+        # query's pads are not full: it sizes chunks, never stops the walk.
+        reach = -np.inf if zero_query else float((worst / queries.xmax).min())
+        if r0 == 0 and reach != reach:
+            r1 = min(n_rows, max(k, int(np.searchsorted(run.indptr, first))))
+            scores = _gather(queries, run, 0, r1)
+            if run.indptr[-1] - run.indptr[r1] > gather_lanes:
+                # If its K-th best scores rule out not even the last row,
+                # the whole run, this chunk included, is one SpMM.
+                probe = np.fmax(worst, np.partition(scores, -k, axis=1)[:, -k])
+                if not np.all(run.bounds[-1] * queries.xmax < probe):
+                    scores, r1 = None, n_rows
+        else:
+            r1 = n_rows if reach != reach else bisect.bisect_right(
+                run.bounds, -reach, lo=r0 + 1, key=operator.neg
+            )
+            fits = run.indptr[r1] - run.indptr[r0] <= gather_lanes
+            scores = _gather(queries, run, r0, r1) if fits else None
+        if scores is None:
+            rescored += _screen_chunk(queries, run, r0, r1, pads, first_row)
+        else:
+            pads.fold(scores, first_row, run.ids[r0:r1])
+        r0 = r1
+    return 0, rescored
 
 
 class StreamingKernel(KernelBackend):

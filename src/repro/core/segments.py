@@ -901,7 +901,7 @@ class SegmentedCollection:
     def load(cls, path, verify: bool = True) -> "SegmentedCollection":
         """Reload a manifest directory — or adopt a plain collection ``.npz``.
 
-        A plain PR-2/PR-4 ``CompiledCollection`` artifact loads as a
+        A plain ``CompiledCollection`` artifact (no manifest) loads as a
         pristine 1-segment collection: the artifact is adopted verbatim
         (its digest and aux operand buffers unchanged), keys
         ``0..n_rows-1`` — no migration, no re-encode.

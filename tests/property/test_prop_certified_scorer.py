@@ -1,25 +1,30 @@
-"""Property suite: the certified float32 scorer returns the exact bits.
+"""Property suite: the sorted-run walk's float32 SpMM screen keeps the bits.
 
-A contraction-gated segment is scored by a float32 SpMM, screened with the
-SpMM's error bound as margin, and only the survivors are rescored exactly
-(:mod:`repro.core.kernels.contraction`).  The answer must still be exactly
-:func:`~repro.core.reference.topk_from_scores` of the quantised scores.
+Every segment walks its sorted run; a chunk too large to gather cheaply is
+scored by one float32 SpMM, screened with that SpMM's error bound as
+margin, and only the survivors are rescored exactly
+(:func:`~repro.core.kernels.streaming.fold_run`).  The answer must still
+be exactly :func:`~repro.core.reference.topk_from_scores` of the quantised
+scores.
 
-The directed case makes the margin load-bearing: two rows whose float32
-scores rank them the other way round from their exact scores, straddling
-the K-th place.  With the margin the exact row wins; with the slack forced
-to 1.0 (margin 0) the screen drops it and the answer is wrong — so the
-margin is what keeps the bits, not luck.
+The directed cases make the margin load-bearing: two rows whose float32
+SpMM scores rank them the other way round from their exact scores,
+straddling the K-th place.  With the margin the exact row wins; with the
+slack forced to 1.0 (margin 0) the screen drops it and the answer is
+wrong — so the margin is what keeps the bits, not luck.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.collection import compile_collection
 from repro.core.engine import TopKSpmvEngine
-from repro.core.kernels import Queries, contraction, run_segmented
+from repro.core.kernels import Queries, run_segmented, streaming
 from repro.core.kernels.gather import plan_row_scores
 from repro.core.reference import topk_from_scores
 from repro.core.segments import SegmentedCollection
@@ -29,20 +34,42 @@ from repro.hw.design import PAPER_DESIGNS
 DESIGN = PAPER_DESIGNS["20b"]
 N_COLS = 8
 TOP_K = 3
+#: Queries per block: enough that the chunk after the first is past the
+#: gather budget, so the walk scores it by SpMM.
+N_QUERIES = 64
 
 #: Two one-lane rows, ``(column, raw value, raw query)`` on the 2^-19 value
 #: and 2^-31 query grids: row ``LOW`` scores below row ``HIGH`` exactly,
 #: but rounding the query to float32 ranks it above.
 LOW, HIGH = (0, 141446, 345426681), (1, 161391, 302738210)
 
+#: Rows by walk position: 1024 zero-scoring decoys are heaviest, so the
+#: first chunk scores all of them 0 and rules nothing out, and the whole
+#: run is one SpMM block.  After them, each special row leads its own
+#: 64-row screen group, padded by zero-scoring spacers of weights between.
+N_DECOYS, GROUP = 1024, 64
+A_ROW = N_DECOYS
+B_ROW = A_ROW + GROUP
+HIGH_ROW = B_ROW + GROUP
+LOW_ROW = HIGH_ROW + GROUP
 
-def exact_scores(matrix, X) -> np.ndarray:
+
+def exact_scores(matrix, X, design=DESIGN) -> np.ndarray:
     """``(Q, n_rows)`` reference score bits of ``X`` against ``matrix``."""
-    queries = Queries.of(X, DESIGN.accumulate_dtype)
-    plans = compile_collection(matrix, DESIGN).stream_plans()
+    queries = Queries.of(X, design.accumulate_dtype)
+    plans = compile_collection(matrix, design).stream_plans()
     return np.concatenate(
         [plan_row_scores(queries, plan) for plan in plans if plan.n_rows], axis=1
     )
+
+
+def float32_spmm(matrix, X) -> np.ndarray:
+    """``(n_rows, Q)`` float32 SpMM scores of ``X`` against ``matrix``."""
+    csr = sp.csr_matrix(
+        (matrix.data.astype(np.float32), matrix.indices, matrix.indptr),
+        shape=(matrix.n_rows, matrix.n_cols),
+    )
+    return csr @ X.astype(np.float32).T
 
 
 def assert_topk_from_scores(results, scores, top_k):
@@ -53,61 +80,78 @@ def assert_topk_from_scores(results, scores, top_k):
 
 
 def near_tie_case():
-    """512 one-lane rows: two clear winners (rows 0 and 100), the near-tie
-    pair for third place (rows 200 and 300), and low fillers — each of the
-    four in its own 64-row screen group."""
-    rows = [(np.array([4]), np.array([1.0 / 1024]))] * 512
-    rows[0] = (np.array([2]), np.array([0.75]))
-    rows[100] = (np.array([3]), np.array([0.5]))
-    for at, (col, raw_v, _) in ((200, LOW), (300, HIGH)):
-        rows[at] = (np.array([col]), np.array([raw_v / 2**19]))
+    """The near-tie pair for third place behind two clear winners, each of
+    the four leading its own screen group (module constants), then low
+    fillers; one query repeated ``N_QUERIES`` times."""
+
+    def on_grid(value):
+        return np.array([round(value * 2**19) / 2**19])
+
+    def zero_scoring(value):  # column 5 meets a zero query coordinate
+        return (np.array([5]), on_grid(value))
+
+    rows = [zero_scoring(0.9)] * N_DECOYS
+    rows.append((np.array([2]), np.array([0.75])))
+    rows += [zero_scoring(0.7)] * (GROUP - 1)
+    rows.append((np.array([3]), np.array([0.5])))
+    rows += [zero_scoring(0.45)] * (GROUP - 1)
+    rows.append((np.array([HIGH[0]]), np.array([HIGH[1] / 2**19])))
+    rows += [zero_scoring(0.29)] * (GROUP - 1)
+    rows.append((np.array([LOW[0]]), np.array([LOW[1] / 2**19])))
+    rows += [(np.array([4]), np.array([1.0 / 1024]))] * 1024
     x = np.zeros(N_COLS)
     x[2], x[3], x[4] = 0.5, 0.5, 1.0 / 16
     for col, _, raw_x in (LOW, HIGH):
         x[col] = raw_x / 2**31
-    return CSRMatrix.from_rows(rows, n_cols=N_COLS), x[None, :]
+    return CSRMatrix.from_rows(rows, n_cols=N_COLS), np.repeat(x[None], N_QUERIES, 0)
 
 
 class TestTheMarginIsLoadBearing:
     def test_the_case_is_misordered_by_float32(self):
         matrix, X = near_tie_case()
         assert np.array_equal(DESIGN.quantize_query(X), X)  # already on grid
-        exact = exact_scores(matrix, X)[0]
-        operand = compile_collection(matrix, DESIGN).contraction_operand()
-        approx = (
-            contraction.certified_operand(operand, N_COLS).matrix
-            @ X.astype(np.float32).T
-        )[:, 0]
-        assert exact[300] > exact[200] and approx[300] < approx[200]
+        exact = exact_scores(matrix, X[:1])[0]
+        approx = float32_spmm(matrix, X[:1])[:, 0]
+        assert exact[HIGH_ROW] > exact[LOW_ROW]
+        assert approx[HIGH_ROW] < approx[LOW_ROW]
         # ...and the pair straddles the K-th place.
-        assert np.argsort(-exact, kind="stable")[TOP_K - 1] == 300
-        assert np.argsort(-approx, kind="stable")[TOP_K - 1] == 200
+        assert np.argsort(-exact, kind="stable")[TOP_K - 1] == HIGH_ROW
+        assert np.argsort(-approx, kind="stable")[TOP_K - 1] == LOW_ROW
 
     def test_query_batch_returns_the_exact_answer(self):
         matrix, X = near_tie_case()
         engine = TopKSpmvEngine(compile_collection(matrix, DESIGN))
         got = engine.query_batch(X, TOP_K)
         assert_topk_from_scores(got.topk, exact_scores(matrix, X), TOP_K)
-        assert 300 in got.topk[0].indices
+        assert HIGH_ROW in got.topk[0].indices
 
         out = run_segmented(
             SegmentedCollection.from_matrix(matrix, DESIGN), X, TOP_K
         )
-        assert out.segment_kernels == ("contraction",)
+        assert out.segment_kernels == ("streaming",)
+        assert out.rescored_rows > 0  # the SpMM screen served the pair
         assert_topk_from_scores(out.results, exact_scores(matrix, X), TOP_K)
 
     def test_without_the_margin_the_answer_is_wrong(self, monkeypatch):
-        monkeypatch.setattr(contraction, "_slack", lambda n, dtype: 1.0)
+        monkeypatch.setattr(streaming, "_slack", lambda n, dtype: 1.0)
         matrix, X = near_tie_case()
         engine = TopKSpmvEngine(compile_collection(matrix, DESIGN))
         got = engine.query_batch(X, TOP_K).topk[0]
-        assert 300 not in got.indices and 200 in got.indices
+        assert HIGH_ROW not in got.indices and LOW_ROW in got.indices
         with pytest.raises(AssertionError):
-            assert_topk_from_scores([got], exact_scores(matrix, X), TOP_K)
+            assert_topk_from_scores([got], exact_scores(matrix, X[:1]), TOP_K)
+
+
+#: The walk's budgets: as shipped, and with every chunk after the first K
+#: rows past the gather budget, so it is scored by SpMM and screened.
+BUDGETS = {
+    "default": {"_CHUNK_BYTES": streaming._CHUNK_BYTES},
+    "spmm": {"_CHUNK_BYTES": 0},
+}
 
 
 @st.composite
-def gated_collections(draw):
+def grid_collections(draw):
     """A 20b segmented collection on grid values — several sealed segments,
     some tombstones, maybe a delta — and a grid query block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -138,13 +182,93 @@ def gated_collections(draw):
     return collection, X
 
 
-class TestCertifiedScorerProperty:
-    @given(case=gated_collections(), top_k=st.integers(1, 12))
+class TestGridProperty:
+    @pytest.mark.parametrize("budgets", sorted(BUDGETS))
+    @given(case=grid_collections(), top_k=st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
-    def test_same_bits_as_topk_from_scores(self, case, top_k):
+    def test_same_bits_as_topk_from_scores(self, budgets, case, top_k):
         collection, X = case
-        out = run_segmented(collection, X, top_k)
-        assert "contraction" in out.segment_kernels
+        with mock.patch.multiple(streaming, **BUDGETS[budgets]):
+            out = run_segmented(collection, X, top_k)
+        assert set(out.segment_kernels) == {"streaming"}
         assert_topk_from_scores(
             out.results, exact_scores(collection.matrix, X), top_k
         )
+
+
+F32 = PAPER_DESIGNS["f32"]
+
+
+@st.composite
+def f32_crossings(draw):
+    """A float32 collection whose two rows ``high`` and ``low`` cross at
+    the K-th place: ``high`` scores above ``low`` exactly (the reference's
+    pairwise float32 sum) but below it by float32 SpMM (a sequential sum).
+
+    ``high`` has several lanes of mixed sign and magnitude, so the two
+    summation orders round apart; ``low`` scores a float32 strictly
+    between the two.  Column 0 meets a query coordinate of 1 and column 1
+    one of 0, so ballast on column 1 orders the rows by weight without
+    moving a score: the ``K − 1`` winners are heaviest, then ``low``, then
+    ``high``, then fillers scoring below ``low``.  The first chunk of K
+    rows therefore puts ``low``'s exact score in the pads, and ``high`` is
+    screened against it.  Returns the matrix, the query, ``K`` and the two
+    rows' ids.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cols = 16
+    x = np.concatenate([[1.0, 0.0], rng.uniform(0.25, 1.0, n_cols - 2)])
+    x = x.astype(np.float32)
+    for _ in range(64):
+        n_lanes = int(rng.integers(3, n_cols - 1))
+        cols = np.sort(rng.choice(np.arange(2, n_cols), n_lanes, replace=False))
+        scales = 2.0 ** rng.integers(-6, 7, n_lanes)
+        values = (rng.uniform(-1.0, 1.0, n_lanes) * scales).astype(np.float32)
+        products = x[cols] * values
+        exact = np.add.reduceat(products, [0])[0]
+        approx = np.float32(0)
+        for p in products:
+            approx = np.float32(approx + p)
+        low = np.nextafter(approx, exact)
+        if 0 < approx < low < exact:
+            break
+    else:
+        assume(False)
+    weight = float(np.abs(values).sum())
+    n_winners = draw(st.integers(0, 4))
+    rows = [
+        (np.array([0, 1]), np.array([4.0 * exact + i, 4.0 * weight + i]))
+        for i in range(n_winners)
+    ]
+    rows.append((np.array([0, 1]), np.array([low, 2.0 * weight])))
+    rows.append((cols, values.astype(np.float64)))
+    for _ in range(draw(st.integers(0, 60))):
+        filler = np.sort(rng.choice(np.arange(2, n_cols), 3, replace=False))
+        rows.append((filler, rng.uniform(0.0, float(low) / 8, 3)))
+    order = rng.permutation(len(rows))
+    matrix = CSRMatrix.from_rows([rows[i] for i in order], n_cols=n_cols)
+    where = np.argsort(order)
+    return matrix, x.astype(np.float64)[None], n_winners + 1, (
+        int(where[n_winners + 1]),
+        int(where[n_winners]),
+    )
+
+
+class TestFloat32Crossings:
+    @pytest.mark.parametrize("budgets", sorted(BUDGETS))
+    @given(case=f32_crossings())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_that_cross_at_the_kth_place_are_answered_exactly(
+        self, budgets, case
+    ):
+        matrix, X, top_k, (high, low) = case
+        exact = exact_scores(matrix, X, F32)
+        approx = float32_spmm(matrix, X)[:, 0]
+        assert exact[0, high] > exact[0, low] and approx[high] < approx[low]
+        assert np.argsort(-exact[0], kind="stable")[top_k - 1] == high
+        with mock.patch.multiple(streaming, **BUDGETS[budgets]):
+            out = TopKSpmvEngine(compile_collection(matrix, F32)).query_batch(
+                X, top_k
+            )
+        assert_topk_from_scores(out.topk, exact, top_k)
+        assert high in out.topk[0].indices

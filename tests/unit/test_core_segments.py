@@ -498,64 +498,101 @@ class TestPlacedSegmentFold:
         assert merged.rows_finished == 600
 
 
-class TestCertifiedContractionFold:
-    """A gated segment is scored by the float32 SpMM and only the rows that
-    straddle the K-th score are rescored exactly."""
+class TestOneWalk:
+    """Every segment walks its sorted run: a large chunk is scored by one
+    float32 SpMM and only the rows that straddle the K-th score are
+    rescored exactly."""
 
-    def test_rescores_at_most_2k_rows_per_query(self):
+    @pytest.mark.parametrize("codec", ["20b", "f32"])
+    def test_rescores_at_most_2k_rows_per_query(self, codec):
+        design = PAPER_DESIGNS[codec]
         matrix = synthetic_embeddings(
             n_rows=6000, n_cols=128, avg_nnz=12, distribution="uniform", seed=21
         )
-        collection = SegmentedCollection.from_matrix(matrix, DESIGN)
-        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(22), 16, 128))
+        collection = SegmentedCollection.from_matrix(matrix, design)
+        X = design.quantize_query(sample_unit_queries(derive_rng(22), 16, 128))
         out = run_segmented(collection, X, 10)
-        assert out.segment_kernels == ("contraction",)
+        assert out.segment_kernels == ("streaming",)
         assert 10 * len(X) <= out.rescored_rows <= 2 * 10 * len(X)
 
-        f32 = PAPER_DESIGNS["f32"]
-        streaming = SegmentedCollection.from_matrix(matrix, f32)
-        out = run_segmented(streaming, f32.quantize_query(X), 10)
-        assert out.segment_kernels == ("streaming",)
-        assert out.rescored_rows == 0
-
-    def test_one_float32_operand_and_no_float64_matrix(
+    def test_one_float32_run_and_no_float64_operand(
         self, base_matrix, monkeypatch
     ):
-        from repro.core.kernels import segmented
+        from repro.core.kernels import contraction, segmented, streaming
 
-        builds = []
-        real_build = segmented.certified_operand
+        gates, builds = [], []
+        real_gate, real_build = contraction.exact_gate, segmented._artifact_run
 
-        def counting_build(operand, n_cols):
-            builds.append(n_cols)
-            return real_build(operand, n_cols)
+        def counting_gate(*args):
+            gates.append(args)
+            return real_gate(*args)
 
-        monkeypatch.setattr(segmented, "certified_operand", counting_build)
+        def counting_build(artifact, acc):
+            builds.append(acc)
+            return real_build(artifact, acc)
+
+        monkeypatch.setattr(contraction, "exact_gate", counting_gate)
+        monkeypatch.setattr(segmented, "_artifact_run", counting_build)
         artifact = compile_collection(base_matrix, DESIGN)
         X = sample_unit_queries(derive_rng(23), 4, 96)
         engine = TopKSpmvEngine(artifact)
         for _ in range(3):
             engine.query_batch(X, 10)
-        operand = artifact.contraction_operand()
-        assert not any(
-            m.dtype == np.float64 for m in operand._matrices.values()
-        )
-        assert builds == [96]
-        scorer = artifact.derived[("float32", 96)]
-        assert scorer.matrix.dtype == np.float32
-        assert scorer.matrix.indices.dtype == np.int32
+        engine.query(X[0], 10)
+        assert artifact._operand is None and gates == []
+        assert builds == [np.dtype(np.float64)]
+        run = artifact.derived[("run", np.dtype(np.float64).str)]
+        assert isinstance(run, streaming.SortedRun)
+        assert run.values.dtype == np.float32
+        assert run.kept_idx.dtype == np.int32
         # Another engine wrapping the same artifact reuses it.
         TopKSpmvEngine(SegmentedCollection.from_collection(artifact)).query_batch(
             X, 10
         )
-        assert builds == [96]
+        assert builds == [np.dtype(np.float64)]
+        assert artifact._operand is None and gates == []
+
+    def test_an_unplaced_skewed_20b_collection_skips(self):
+        matrix = zipf_embeddings(n_rows=20_000, n_cols=64, avg_nnz=8, seed=41)
+        artifact = compile_collection(matrix, DESIGN)
+        assert artifact.placement is None
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(24), 8, 64))
+        out = run_segmented(SegmentedCollection.from_collection(artifact), X, 10)
+        assert out.skip_fraction >= 0.9
+        queries = Queries.of(X, DESIGN.accumulate_dtype)
+        scores = np.hstack(
+            [plan_row_scores(queries, plan) for plan in artifact.stream_plans()]
+        )
+        for got, row_scores in zip(out.results, scores):
+            want = topk_from_scores(row_scores, 10)
+            assert got.indices.tolist() == want.indices.tolist()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_placed_and_unplaced_artifacts_walk_alike(self):
+        matrix = zipf_embeddings(n_rows=8000, n_cols=64, avg_nnz=8, seed=42)
+        X = DESIGN.quantize_query(sample_unit_queries(derive_rng(25), 8, 64))
+        outs = [
+            run_segmented(
+                SegmentedCollection.from_collection(
+                    compile_collection(matrix, DESIGN, placement=placement)
+                ),
+                X,
+                10,
+            )
+            for placement in (None, "skew")
+        ]
+        want, got = outs
+        for g, w in zip(got.results, want.results):
+            assert g.indices.tolist() == w.indices.tolist()
+            assert g.values.tobytes() == w.values.tobytes()
+        assert got.skipped_rows == want.skipped_rows > 0
+        assert got.rescored_rows == want.rescored_rows
 
 
 class TestOneFoldRule:
-    """The query path reads each segment's fold off the segment — the
-    exactness gate on an unplaced artifact, else its sorted run — with no
-    backend name, environment variable or registry lookup, so an optional
-    backend becoming available changes nothing."""
+    """The query path walks every segment's sorted run, with no backend
+    name, environment variable or registry lookup, so an optional backend
+    becoming available changes nothing."""
 
     def test_the_fold_does_not_depend_on_the_optional_backend(
         self, base_matrix, monkeypatch
@@ -609,7 +646,7 @@ class TestOneFoldRule:
         assert mutated.n_segments == 1
         assert mutated.segments[0].artifact.placement is None
         assert served == [
-            ("contraction",),
+            ("streaming",),
             ("streaming",),
             ("streaming", "streaming"),
         ]

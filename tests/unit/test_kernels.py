@@ -238,12 +238,12 @@ class TestContractionGate:
     def test_score_block_budget_splits_evenly_and_keeps_bits(
         self, tiny_matrix, monkeypatch, driver
     ):
-        from repro.core.kernels import contraction, segmented
+        from repro.core.kernels import contraction, streaming
 
         X = Q1_31.quantize(np.random.default_rng(5).random((9, 64)) / 8.0)
+        spmm_rows = []
         if driver == "frozen":
             request = self._request(tiny_matrix, X)
-            n_rows = request.operand.n_rows
             home = contraction  # the module whose fold consumes the blocks
             itemsize = 8  # the candidate path's exact float64 blocks
 
@@ -252,16 +252,20 @@ class TestContractionGate:
                 return out.values.tobytes(), out.rows.tolist(), out.accepts.tolist()
 
         else:
-            collection = SegmentedCollection.from_collection(
-                compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
+            # Enough uniform rows that the walk scores them by one SpMM.
+            matrix = synthetic_embeddings(
+                n_rows=4000, n_cols=64, avg_nnz=6, distribution="uniform", seed=3
             )
-            n_rows = collection.n_live
-            home = segmented
-            itemsize = 4  # the query path's certified float32 blocks
+            collection = SegmentedCollection.from_collection(
+                compile_collection(matrix, PAPER_DESIGNS["20b"])
+            )
+            home = streaming  # the sorted-run walk's large chunks
+            itemsize = 4  # the run's float32 blocks
 
             def run():
                 out = run_segmented(collection, X, 4)
-                assert out.segment_kernels == ("contraction",)
+                assert out.segment_kernels == ("streaming",)
+                assert out.rescored_rows > 0
                 return (
                     [r.values.tobytes() for r in out.results],
                     [r.indices.tolist() for r in out.results],
@@ -271,6 +275,7 @@ class TestContractionGate:
         chunks = contraction.score_chunks
 
         def spy(matrix, X):
+            spmm_rows.append(matrix.shape[0])
             for q0, scores in chunks(matrix, X):
                 # No SpMM block outgrows the budget in force (20 MiB).
                 assert scores.itemsize == itemsize
@@ -285,12 +290,13 @@ class TestContractionGate:
 
         monkeypatch.setattr(home, "score_chunks", spy)
         whole = run()
-        assert widths == [9]
+        assert widths == [9] and len(spmm_rows) == 1
         # Room for 4 queries per block: 9 queries need three chunks, and
         # three equal chunks are 3 + 3 + 3, not 4 + 4 + 1.
+        n_rows = spmm_rows[0]
         monkeypatch.setattr(contraction, "_SCORE_BLOCK_BYTES", 4 * itemsize * n_rows)
         assert run() == whole
-        assert widths == [9, 3, 3, 3]
+        assert widths == [9, 3, 3, 3] and spmm_rows == [n_rows] * 2
 
 
 class TestOperandLowering:
