@@ -33,7 +33,7 @@ from repro.core.precision_model import (
     expected_precision,
     estimate_precision_monte_carlo,
 )
-from repro.formats import BSCSRMatrix, CSRMatrix, COOMatrix, PacketLayout, solve_layout
+from repro.formats import BSCSRMatrix, CSRMatrix, PacketLayout, solve_layout
 from repro.hw.design import AcceleratorDesign, PAPER_DESIGNS, design_by_name
 from repro.errors import ReproError
 
@@ -55,7 +55,6 @@ __all__ = [
     "estimate_precision_monte_carlo",
     "BSCSRMatrix",
     "CSRMatrix",
-    "COOMatrix",
     "PacketLayout",
     "solve_layout",
     "AcceleratorDesign",

@@ -32,11 +32,6 @@ class FloatFormat:
         return 1 + self.exponent_bits + self.mantissa_bits
 
     @property
-    def machine_epsilon(self) -> float:
-        """Distance between 1.0 and the next representable value."""
-        return float(np.finfo(self.dtype).eps)
-
-    @property
     def max_value(self) -> float:
         """Largest finite representable value."""
         return float(np.finfo(self.dtype).max)

@@ -22,7 +22,6 @@ import numpy as np
 from repro.core.partition import partition_rows
 from repro.core.reference import (
     TopKResult,
-    exact_topk_spmv,
     results_from_dense,
     topk_from_scores,
 )
@@ -148,7 +147,3 @@ def approximate_topk_spmv(
         )
     return merge_topk_candidates(candidates, top_k)
 
-
-def exact_equivalent(matrix: CSRMatrix, x: np.ndarray, top_k: int) -> TopKResult:
-    """Convenience wrapper over the golden reference (same signature family)."""
-    return exact_topk_spmv(matrix, x, top_k)

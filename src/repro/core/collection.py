@@ -13,16 +13,21 @@ reproduction: it owns *everything* that does not depend on the query —
   cache shared by every consumer (single-board engine, sharded fleet);
 * a SHA-256 content digest identifying the artifact.
 
+Only the first three are content; plans and every cache derived from them
+(the candidate path's contraction operand, the query driver's sorted run)
+are rebuilt on first use and never stored.
+
 One shared pipeline (:func:`compile_collection`) builds it; every downstream
 layer — :class:`~repro.core.engine.TopKSpmvEngine`,
 :class:`~repro.serving.sharded.ShardedEngine`, the baselines, the CLI —
 constructs *from* it instead of re-running partition/encode/plan logic.
 
-``save``/``load`` persist the artifact as one uncompressed ``.npz`` with a
-JSON header (see :func:`repro.formats.io.save_artifact`).  Loading performs
-no encoding: the stacked packet buffers come back verbatim and per-partition
-streams are plain row slices (views) of them, so a serving process restarts
-in I/O time rather than re-encode time.
+``save``/``load`` persist the content as one uncompressed ``.npz`` with a
+JSON header (see :func:`repro.formats.io.save_artifact`); saving builds no
+plan and lowers no operand.  Loading performs no encoding: the stacked
+packet buffers come back verbatim and per-partition streams are plain row
+slices (views) of them, so a serving process restarts in I/O time rather
+than re-encode time.
 """
 
 from __future__ import annotations
@@ -324,9 +329,9 @@ class CompiledCollection:
         """Fraction bits of the design's value grid, without lowering.
 
         ``None`` (float32/exact codecs) means the contraction kernel's
-        exactness gate can never pass for this collection — callers use
-        this to skip the O(nnz) :meth:`contraction_operand` build on the
-        save, query and candidate paths for gateless designs.
+        exactness gate can never pass for this collection — the candidate
+        path uses this to skip the O(nnz) :meth:`contraction_operand` build
+        for gateless designs.
         """
         return codec_grid_bits(self.design.codec)
 
@@ -339,7 +344,8 @@ class CompiledCollection:
         gateless design is guaranteed to fall back to gather with
         identical bits whether the operand is present or not (and the
         dataflow driver never re-lowers for it either), so nobody pays
-        its O(nnz) build or memory cost.  Gather/streaming never take it.
+        its O(nnz) build or memory cost.  Gather/streaming never take it,
+        and no other path (query, save or load) builds it.
         """
         return (
             kernel_name in ("contraction", "auto")
@@ -349,10 +355,10 @@ class CompiledCollection:
     def contraction_operand(self) -> ContractionOperand:
         """The collection-level CSR operand for the contraction kernel.
 
-        Lowered from the stream plans once per compiled collection (on
-        first batch use or at :meth:`save`, which persists it; loading
-        restores the buffers verbatim) and shared by every consumer, like
-        the plan cache it is derived from.
+        Lowered from the stream plans on first use by the candidate path
+        and shared by every consumer, like the plan cache it is derived
+        from.  It is a cache, never persisted: :meth:`save` does not build
+        it and :meth:`load` leaves it unbuilt.
         """
         if self._operand is None:
             plans = self.stream_plans()
@@ -413,41 +419,9 @@ class CompiledCollection:
             "val_raw": val_raw,
         }
 
-    def _aux_arrays(self) -> "dict[str, np.ndarray]":
-        """Derived buffers persisted outside the content digest.
-
-        The contraction operand is lowered from the streams, so it is a
-        cache, not content: it rides along under the artifact's aux digest
-        (see :func:`repro.formats.io.save_artifact`) and artifacts written
-        before it existed still load — the operand is then rebuilt lazily.
-        Designs with no fixed value grid (float32/exact codecs) persist
-        nothing: the contraction kernel is permanently gated off for them,
-        so the operand would be dead weight in every load — they
-        short-circuit on the codec grid and never pay the lowering.
-        """
-        if self.contraction_grid_bits() is None:
-            return {}
-        operand = self.contraction_operand()
-        if operand.value_grid_bits is None:  # e.g. an empty collection
-            return {}
-        return {
-            "op_data": operand.data,
-            "op_indices": operand.indices,
-            "op_indptr": operand.indptr,
-        }
-
     def _header(self) -> dict:
-        design_fields = asdict(self.design)
-        operand_meta = None
-        if self.contraction_grid_bits() is not None:
-            operand = self.contraction_operand()
-            if operand.value_grid_bits is not None:
-                operand_meta = {
-                    "value_grid_bits": operand.value_grid_bits,
-                    "max_abs_row_raw": operand.max_abs_row_raw,
-                }
         return {
-            "design": design_fields,
+            "design": asdict(self.design),
             "codec": self.design.codec.name,
             "layout": {
                 "lanes": self.design.layout.lanes,
@@ -461,7 +435,6 @@ class CompiledCollection:
             "n_cols": self.n_cols,
             "nnz": self.nnz,
             "n_partitions": self.n_partitions,
-            "operand": operand_meta,
             "placement": (
                 None
                 if self.placement is None
@@ -470,16 +443,13 @@ class CompiledCollection:
         }
 
     def save(self, path) -> None:
-        """Persist the whole artifact as one ``.npz`` with a JSON header.
+        """Persist the artifact's content as one ``.npz`` with a JSON header.
 
         The file lands at exactly ``path`` (no ``.npz`` suffix is appended).
+        No derived cache is built or stored.
         """
         self._digest = save_artifact(
-            path,
-            COLLECTION_KIND,
-            self._header(),
-            self._payload_arrays(),
-            aux_arrays=self._aux_arrays(),
+            path, COLLECTION_KIND, self._header(), self._payload_arrays()
         )
 
     @classmethod
@@ -489,7 +459,9 @@ class CompiledCollection:
         Per-partition streams are row slices (numpy views) of the stacked
         packet buffers exactly as stored; the build pipeline is never
         invoked.  ``verify`` (default) re-derives the content digest and
-        raises :class:`~repro.errors.FormatError` on mismatch.
+        raises :class:`~repro.errors.FormatError` on mismatch.  A version-2
+        file from an older build loads too; its stored contraction operand
+        is dropped unread and lowered again on first use.
         """
         header, arrays = load_artifact(path, COLLECTION_KIND, verify=verify)
         try:
@@ -571,15 +543,4 @@ class CompiledCollection:
             matrix=matrix, design=design, encoded=encoded, placement=placement
         )
         collection._digest = header["digest"]
-        if "op_data" in arrays:
-            meta = header.get("operand") or {}
-            grid_bits = meta.get("value_grid_bits")
-            collection._operand = ContractionOperand(
-                data=arrays["op_data"],
-                indices=arrays["op_indices"],
-                indptr=arrays["op_indptr"],
-                part_rows=arrays["part_n_rows"],
-                value_grid_bits=None if grid_bits is None else int(grid_bits),
-                max_abs_row_raw=float(meta.get("max_abs_row_raw", 0.0)),
-            )
         return collection

@@ -6,8 +6,8 @@ concatenated across partitions, with row pointers from the per-row segment
 starts — so a batch's scores become a single SciPy ``csr_matrix @ dense``
 product instead of 32 per-partition gather/reduceat sweeps.  It serves the
 per-core candidate path only: the operand is built once per compiled
-collection, on first candidate-path use or at save (the artifact persists
-it).  ``query``/``query_batch`` never lower it — they walk each segment's
+collection, on first candidate-path use, and never stored in the
+artifact.  ``query``/``query_batch`` never lower it — they walk each segment's
 sorted run (:func:`~repro.core.kernels.streaming.fold_run`), which scores
 its large chunks with :func:`score_chunks` too.
 

@@ -154,11 +154,6 @@ class Placement:
         """Channels the boundaries cut."""
         return len(self.boundaries) - 1
 
-    @property
-    def partition_sizes(self) -> np.ndarray:
-        """Rows per partition."""
-        return np.diff(self.boundaries)
-
     @cached_property
     def inverse(self) -> np.ndarray:
         """``inverse[original_row] = permuted position`` (cached)."""

@@ -7,10 +7,10 @@ deleted continuously.  This module splits the collection layer the way an
 LSM tree splits a sorted store:
 
 * a :class:`Segment` is one *immutable* compiled artifact (a full BS-CSR
-  ``CompiledCollection`` with its own digest, stream plans and optional
-  contraction operand) plus the two bits of mutable bookkeeping a frozen
-  artifact cannot carry: the stable **row keys** of its rows and a
-  **tombstone mask** marking rows deleted (or superseded) since sealing;
+  ``CompiledCollection`` with its own digest and lazily built caches) plus
+  the two bits of mutable bookkeeping a frozen artifact cannot carry: the
+  stable **row keys** of its rows and a **tombstone mask** marking rows
+  deleted (or superseded) since sealing;
 * a :class:`SegmentedCollection` is an ordered list of segments plus a
   mutable in-memory **delta buffer** receiving appends/updates/deletes.
   The delta is sealed into a new segment when it reaches ``seal_rows`` live
@@ -52,7 +52,7 @@ segments — plus a ``state.npz`` artifact (keys, tombstones, delta rows) and
 the ``MANIFEST.json`` carrying the collection *generation*.
 :meth:`SegmentedCollection.load` also accepts a plain collection
 ``.npz``, adopting it verbatim as a pristine one-segment collection (the
-artifact keeps its digest and aux buffers) — no migration needed.
+artifact keeps its digest) — no migration needed.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ class SegmentedCollection:
     ) -> "SegmentedCollection":
         """Wrap one compiled artifact as a pristine 1-segment collection.
 
-        The artifact is adopted verbatim (streams, plans, operand, digest);
+        The artifact is adopted verbatim (streams, cached plans, digest);
         rows get keys ``0..n_rows-1`` unless ``keys`` overrides them.
         """
         if keys is None:
@@ -903,7 +903,7 @@ class SegmentedCollection:
 
         A plain ``CompiledCollection`` artifact (no manifest) loads as a
         pristine 1-segment collection: the artifact is adopted verbatim
-        (its digest and aux operand buffers unchanged), keys
+        (its digest unchanged), keys
         ``0..n_rows-1`` — no migration, no re-encode.
         """
         path = Path(path)

@@ -1,9 +1,10 @@
 """Sparse matrix containers and the BS-CSR streaming format.
 
-This package implements the paper's Section III-B: the Coordinate (COO) and
-Compressed Sparse Row (CSR) reference formats, and **Block-Streaming CSR
-(BS-CSR)** — the paper's contribution — in which every 512-bit HBM packet is
-a self-contained CSR fragment that can be decoded without cross-packet
+This package implements the paper's Section III-B: the Compressed Sparse
+Row (CSR) reference format, the COO packet capacities Figure 3 compares
+against (``formats.layout``), and **Block-Streaming CSR (BS-CSR)** — the
+paper's contribution — in which every 512-bit HBM packet is a
+self-contained CSR fragment that can be decoded without cross-packet
 pointer chasing.
 
 The format has one home for each decision: the encoder's lane starts decide
@@ -13,7 +14,6 @@ lanes belong to which row (every kernel's stream plan and ``decode_to_csr``
 read it), and ``save_artifact`` is the one on-disk container.
 """
 
-from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.layout import (
     PacketLayout,
@@ -45,7 +45,6 @@ from repro.formats.io import (
 )
 
 __all__ = [
-    "COOMatrix",
     "CSRMatrix",
     "PacketLayout",
     "solve_layout",

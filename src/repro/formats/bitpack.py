@@ -36,11 +36,6 @@ class BitWriter:
         """Number of bits appended so far."""
         return self._cursor
 
-    @property
-    def bits_remaining(self) -> int:
-        """Free bits left in the buffer."""
-        return self.total_bits - self._cursor
-
     def write(self, value: int, width: int) -> None:
         """Append ``value`` as an unsigned field of ``width`` bits (LSB first)."""
         if width < 0:
@@ -84,11 +79,6 @@ class BitReader:
         self._data = bytes(data)
         self.total_bits = len(self._data) * 8
         self._cursor = 0
-
-    @property
-    def bits_read(self) -> int:
-        """Number of bits consumed so far."""
-        return self._cursor
 
     def read(self, width: int) -> int:
         """Consume and return the next ``width`` bits as an unsigned int."""

@@ -8,7 +8,9 @@ it for days, so the encoded artifact must be storable.  Two layers:
   header entry carrying structure and a SHA-256 content digest.  Loading
   is buffer-verbatim — arrays come back exactly as stored and slicing them
   into per-partition views copies nothing — which is what gives
-  :class:`~repro.core.collection.CompiledCollection` its instant cold-start;
+  :class:`~repro.core.collection.CompiledCollection` its instant cold-start.
+  An artifact stores content only: the digest covers every buffer in the
+  file, and a cache derived from them is rebuilt by its owner on first use;
 * the **manifest** (``save_manifest``/``load_manifest``): a versioned JSON
   file over a directory of member artifacts, the mutable half of a
   segmented collection.
@@ -41,13 +43,9 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-#: Artifact-container version written when aux (derived) buffers ride along;
-#: plain artifacts stay at version 1 so pre-aux builds read them unchanged,
-#: and those builds reject version 2 with a clear version error instead of
-#: misdiagnosing the extra buffers as corruption.
-_AUX_FORMAT_VERSION = 2
-
-#: Container versions this build can read.
+#: Container versions this build can read.  Version 2 files, written by
+#: older builds, also carry derived buffers named in the header's ``aux``
+#: list; the loader drops them unread.
 _READABLE_VERSIONS = (1, 2)
 
 _HEADER_KEY = "header"
@@ -99,7 +97,6 @@ def save_artifact(
     kind: str,
     header: dict,
     arrays: "dict[str, np.ndarray]",
-    aux_arrays: "dict[str, np.ndarray] | None" = None,
 ) -> str:
     """Store named buffers + a JSON header as one uncompressed ``.npz``.
 
@@ -115,31 +112,16 @@ def save_artifact(
     mid-save leaves either the old artifact or the new one, never a torn
     file.  The stray ``.tmp`` from an interrupted save is removed on error
     and overwritten by the next save.
-
-    ``aux_arrays`` are *derived* buffers (caches lowered from the primary
-    ones, e.g. a compiled collection's contraction operand): they are
-    persisted and integrity-checked under their own ``aux_digest``, but
-    excluded from the content ``digest`` so adding or dropping a derived
-    cache never changes an artifact's identity.
     """
-    aux_arrays = aux_arrays or {}
-    reserved = {_HEADER_KEY}
-    for name in (*arrays, *aux_arrays):
-        if name in reserved:
-            raise FormatError(f"array name {name!r} is reserved for the header")
-    overlap = set(arrays) & set(aux_arrays)
-    if overlap:
-        raise FormatError(f"aux arrays duplicate primary names: {sorted(overlap)}")
+    if _HEADER_KEY in arrays:
+        raise FormatError(f"array name {_HEADER_KEY!r} is reserved for the header")
     digest = artifact_digest(arrays)
     full_header = {
-        "version": _AUX_FORMAT_VERSION if aux_arrays else _FORMAT_VERSION,
+        "version": _FORMAT_VERSION,
         "kind": kind,
         "digest": digest,
         **header,
     }
-    if aux_arrays:
-        full_header["aux"] = sorted(aux_arrays)
-        full_header["aux_digest"] = artifact_digest(aux_arrays)
     path = Path(path)
     tmp_path = path.with_name(path.name + ".tmp")
     try:
@@ -148,7 +130,6 @@ def save_artifact(
                 handle,
                 **{_HEADER_KEY: np.array(json.dumps(full_header))},
                 **arrays,
-                **aux_arrays,
             )
             handle.flush()
             os.fsync(handle.fileno())
@@ -168,10 +149,9 @@ def load_artifact(
     bit-flipped containers surface as typed errors naming the file, never
     raw zip/numpy exceptions), has no header, declares a different ``kind``
     or version, or (with ``verify=True``) when the stored digest does not
-    match the loaded buffers.  Auxiliary (derived) buffers declared in the
-    header's ``aux`` list are returned together with the primary ones but
-    verified against ``aux_digest`` instead of ``digest`` (see
-    :func:`save_artifact`).
+    match the loaded buffers.  Buffers a version-2 file lists in its
+    header's ``aux`` entry are derived caches, not content: they are dropped
+    unread and not returned.
 
     With ``quarantine=True`` a file that fails to load is renamed to
     ``<path>.quarantined`` before the error propagates, so a serving tier
@@ -201,30 +181,20 @@ def load_artifact(
                         f"{path} has artifact version {header.get('version')!r}, "
                         f"this build reads versions {list(_READABLE_VERSIONS)}"
                     )
+                skip = {_HEADER_KEY, *header.get("aux", ())}
                 arrays = {
                     name: archive[name]
                     for name in archive.files
-                    if name != _HEADER_KEY
+                    if name not in skip
                 }
-        aux_names = set(header.get("aux", []))
         if verify:
-            primary = {k: v for k, v in arrays.items() if k not in aux_names}
-            digest = artifact_digest(primary)
+            digest = artifact_digest(arrays)
             if digest != header.get("digest"):
                 raise FormatError(
                     f"{path} failed its content-digest check "
                     f"(stored {header.get('digest')!r}, computed {digest!r}); "
                     "the artifact is corrupted or was edited by hand"
                 )
-            if aux_names:
-                aux = {k: v for k, v in arrays.items() if k in aux_names}
-                aux_digest = artifact_digest(aux)
-                if aux_digest != header.get("aux_digest"):
-                    raise FormatError(
-                        f"{path} failed its aux-digest check "
-                        f"(stored {header.get('aux_digest')!r}, computed "
-                        f"{aux_digest!r}); the derived buffers are corrupted"
-                    )
     except FormatError:
         if quarantine:
             src = Path(path)

@@ -22,7 +22,7 @@ single board is a 1-replica cluster).
 :class:`ServingMetrics` is the one place the serving stack turns outcomes
 into numbers — counts, reject/cache-hit rates, availability, p50/p99/mean
 latency and QPS.  It has three views: :class:`ServingReport` (the
-simulator's, cluster-wide and per replica inside the persisted
+simulator's, cluster-wide and per replica inside the
 :class:`~repro.serving.cluster.ClusterReport`), the live daemon's
 ``LiveServer.wall_stats()`` and the load generator's
 :class:`~repro.serving.loadgen.LoadGenResult`.

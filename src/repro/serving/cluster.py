@@ -30,9 +30,9 @@ never before the board frees) via its own ``BatchQueue``.  This is the one
 simulated serving loop: a single board is served as a 1-replica cluster,
 ``ClusterRuntime([engine], max_batch_size=..., max_wait_s=...)``.  The run
 returns per-request results plus a :class:`ClusterReport` — the one
-persisted report type: the :class:`~repro.serving.batcher.ServingReport`
-metrics cluster-wide and per replica, reject accounting, cache counters,
-and a per-request :class:`RequestTrace` (the object the deterministic-replay
+report type: the :class:`~repro.serving.batcher.ServingReport` metrics
+cluster-wide and per replica, reject accounting, cache counters, and a
+per-request :class:`RequestTrace` (the object the deterministic-replay
 tests compare), every view derived from the trace and the batch log.
 """
 
@@ -43,18 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.reference import TopKResult
-from repro.errors import ConfigurationError, FormatError
-from repro.formats.io import load_artifact, save_artifact
-from repro.serving.batcher import (
-    CACHE_HIT,
-    COMPLETED,
-    FAILED,
-    REJECTED,
-    SERVED,
-    ServedBatch,
-    ServingReport,
-    share,
-)
+from repro.errors import ConfigurationError
+from repro.serving.batcher import COMPLETED, ServingReport, share
 from repro.serving.cache import QueryCache, collection_version
 from repro.serving.faults import FaultPlan, ResilienceConfig
 from repro.serving.policy import ClusterPolicy, RequestTrace
@@ -62,16 +52,6 @@ from repro.serving.router import Router, make_router
 from repro.utils.validation import check_positive_int
 
 __all__ = ["RequestTrace", "ClusterReport", "ClusterRuntime"]
-
-#: Artifact ``kind`` tag of a persisted :class:`ClusterReport`.
-CLUSTER_REPORT_KIND = "cluster-report"
-
-_STATUS_CODES = {SERVED: 0, CACHE_HIT: 1, REJECTED: 2, FAILED: 3}
-_STATUS_NAMES = {code: name for name, code in _STATUS_CODES.items()}
-
-#: Trace stamps stored as NaN for requests that never got them.
-_TRACE_STAMPS = ("dispatch_s", "completion_s", "latency_s")
-
 
 @dataclass(frozen=True)
 class ClusterReport(ServingReport):
@@ -86,8 +66,7 @@ class ClusterReport(ServingReport):
     ``latencies_s`` (completed requests, cache hits included, in request
     order) the :class:`~repro.serving.batcher.ServingMetrics` counts come
     from, ``energy_j``, and ``replica_reports`` — is derived from those by
-    :meth:`from_records`, the one constructor both the runtime and
-    :meth:`load` use.
+    :meth:`from_records`, the constructor the runtime uses.
     """
 
     batch_replica: "tuple[int, ...]" = ()
@@ -226,102 +205,6 @@ class ClusterReport(ServingReport):
                 f"{fs['n_hedges']} hedges ({fs['n_hedge_wasted']} wasted)"
             )
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------ #
-    # Persistence — the primary records round-trip, the views re-derive
-    # ------------------------------------------------------------------ #
-    def save(self, path) -> str:
-        """Persist the report as one digest-protected ``.npz`` artifact;
-        returns the content digest."""
-        batches, trace, replicas = self.batches, self.trace, self.replica_reports
-        f64, i64 = np.float64, np.int64
-        sizes = [b.size for b in batches]
-        arrays = {
-            "batch_offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(i64),
-            "batch_indices": np.array([i for b in batches for i in b.indices], i64),
-            "batch_dispatch_s": np.array([b.dispatch_s for b in batches], f64),
-            "batch_service_s": np.array([b.service_s for b in batches], f64),
-            "batch_replica": np.array(self.batch_replica, i64),
-            "span_s": np.array([self.span_s], f64),
-            "routed_per_replica": np.array(self.routed_per_replica, i64),
-            "rejected_per_replica": np.array(self.rejected_per_replica, i64),
-            "replica_span_s": np.array([r.span_s for r in replicas], f64),
-            "replica_energy_j": np.array([r.energy_j for r in replicas], f64),
-            "trace_request_id": np.array([t.request_id for t in trace], i64),
-            "trace_arrival_s": np.array([t.arrival_s for t in trace], f64),
-            "trace_status": np.array(
-                [_STATUS_CODES[t.status] for t in trace], np.int8
-            ),
-            "trace_replica": np.array([t.replica for t in trace], i64),
-        }
-        for name in _TRACE_STAMPS:
-            stamps = [getattr(t, name) for t in trace]
-            arrays[f"trace_{name}"] = np.array(
-                [np.nan if s is None else s for s in stamps], f64
-            )
-        # JSON round-trips Python floats exactly (shortest-repr), so the
-        # cache and fault counters stay bit-identical through the header.
-        header = {
-            "n_queries": self.n_queries,
-            "n_batches": self.n_batches,
-            "cache_stats": self.cache_stats,
-            "fault_stats": self.fault_stats,
-        }
-        return save_artifact(path, CLUSTER_REPORT_KIND, header, arrays)
-
-    @classmethod
-    def load(cls, path, verify: bool = True) -> "ClusterReport":
-        """Reload a report saved by :meth:`save` — every view comes back
-        bit-for-bit."""
-        header, arrays = load_artifact(path, CLUSTER_REPORT_KIND, verify=verify)
-        try:
-            offsets = arrays["batch_offsets"]
-            indices = arrays["batch_indices"]
-            batches = [
-                ServedBatch(
-                    indices=tuple(
-                        int(i) for i in indices[offsets[b] : offsets[b + 1]]
-                    ),
-                    dispatch_s=float(arrays["batch_dispatch_s"][b]),
-                    service_s=float(arrays["batch_service_s"][b]),
-                )
-                for b in range(len(offsets) - 1)
-            ]
-            trace = []
-            for pos, rid in enumerate(arrays["trace_request_id"]):
-                status = _STATUS_NAMES[int(arrays["trace_status"][pos])]
-                untimed = status not in COMPLETED
-                stamps = {
-                    name: None
-                    if untimed
-                    else float(arrays[f"trace_{name}"][pos])
-                    for name in _TRACE_STAMPS
-                }
-                trace.append(
-                    RequestTrace(
-                        request_id=int(rid),
-                        arrival_s=float(arrays["trace_arrival_s"][pos]),
-                        status=status,
-                        replica=int(arrays["trace_replica"][pos]),
-                        **stamps,
-                    )
-                )
-            return cls.from_records(
-                trace=trace,
-                batches=batches,
-                batch_replica=arrays["batch_replica"],
-                span_s=float(arrays["span_s"][0]),
-                replica_span_s=arrays["replica_span_s"],
-                replica_energy_j=arrays["replica_energy_j"],
-                routed_per_replica=arrays["routed_per_replica"],
-                rejected_per_replica=arrays["rejected_per_replica"],
-                cache_stats=header["cache_stats"],
-                fault_stats=header["fault_stats"],
-            )
-        except (KeyError, IndexError, ValueError) as exc:
-            raise FormatError(
-                f"{path} has an incomplete cluster-report buffer set"
-            ) from exc
 
 
 class ClusterRuntime:

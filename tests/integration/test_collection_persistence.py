@@ -15,8 +15,10 @@ import pytest
 
 import repro.formats.bscsr as bscsr_mod
 from repro import CompiledCollection, PAPER_DESIGNS, TopKSpmvEngine, compile_collection
+from repro.core.collection import COLLECTION_KIND
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import FormatError
+from repro.formats.io import artifact_digest
 from repro.serving.sharded import ShardedEngine
 from repro.utils.rng import sample_unit_queries
 
@@ -111,92 +113,84 @@ class TestRoundTrip:
         assert np.array_equal(loaded.matrix.indptr, matrix.indptr)
 
 
+def _save_version_2(compiled, path):
+    """Write ``compiled`` the way older builds did: a version-2 container
+    whose float64 contraction operand rides along as ``aux`` members."""
+    operand = compiled.contraction_operand()
+    aux = {
+        "op_data": operand.data,
+        "op_indices": operand.indices,
+        "op_indptr": operand.indptr,
+    }
+    header = {
+        "version": 2,
+        "kind": COLLECTION_KIND,
+        "digest": artifact_digest(compiled._payload_arrays()),
+        **compiled._header(),
+        "operand": {
+            "value_grid_bits": operand.value_grid_bits,
+            "max_abs_row_raw": operand.max_abs_row_raw,
+        },
+        "aux": sorted(aux),
+        "aux_digest": artifact_digest(aux),
+    }
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            header=np.array(json.dumps(header)),
+            **compiled._payload_arrays(),
+            **aux,
+        )
+    return path
+
+
+def _same_topk(got, want):
+    for g, w in zip(got, want):
+        assert g.indices.tolist() == w.indices.tolist()
+        assert g.values.tobytes() == w.values.tobytes()
+
+
 class TestOperandPersistence:
-    """The contraction operand rides along as digest-neutral aux buffers."""
+    """The contraction operand is a cache: never stored, lowered on use."""
 
-    def test_operand_restored_verbatim(self, matrix, saved_path):
+    def test_operand_is_lowered_lazily_after_load(self, matrix, saved_path):
         compiled = compile_collection(matrix, PAPER_DESIGNS["20b"])
-        want = compiled.contraction_operand()
         loaded = CompiledCollection.load(saved_path)
-        assert loaded._operand is not None  # restored, not rebuilt
-        got = loaded.contraction_operand()
-        assert got.data.tobytes() == want.data.tobytes()
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.indptr, want.indptr)
-        assert got.value_grid_bits == want.value_grid_bits
-        assert got.max_abs_row_raw == want.max_abs_row_raw
-
-    def test_operand_load_never_builds_plans(self, saved_path, monkeypatch):
-        import repro.core.collection as collection_mod
-
-        def _boom(*args, **kwargs):
-            raise AssertionError("plan_stream invoked on the operand load path")
-
-        monkeypatch.setattr(collection_mod, "plan_stream", _boom)
-        loaded = CompiledCollection.load(saved_path)
-        assert loaded.contraction_operand().n_rows == loaded.n_rows
-
-    def test_operand_does_not_change_the_digest(self, matrix, saved_path):
-        """aux buffers stay outside the content digest: identity is stable."""
-        from repro.formats.io import artifact_digest
-
-        compiled = compile_collection(matrix, PAPER_DESIGNS["20b"])
-        assert compiled.digest == artifact_digest(compiled._payload_arrays())
-        assert CompiledCollection.load(saved_path).digest == compiled.digest
-
-    def test_pre_operand_artifacts_still_load(self, matrix, tmp_path):
-        """Artifacts written before the aux layer existed (PR-2/3) load and
-        serve; the operand is then rebuilt lazily."""
-        from repro.core.collection import COLLECTION_KIND
-        from repro.formats.io import save_artifact
-
-        compiled = compile_collection(matrix, PAPER_DESIGNS["20b"])
-        legacy = tmp_path / "legacy.npz"
-        header = compiled._header()
-        header.pop("operand")
-        save_artifact(legacy, COLLECTION_KIND, header, compiled._payload_arrays())
-        loaded = CompiledCollection.load(legacy)
         assert loaded._operand is None
         assert loaded.digest == compiled.digest
         rebuilt = loaded.contraction_operand()
         assert rebuilt.data.tobytes() == compiled.contraction_operand().data.tobytes()
 
-    def test_gateless_designs_persist_no_operand(self, matrix, tmp_path):
-        """float32/exact codecs never pass the contraction gate, so their
-        artifacts must not carry dead operand weight (and stay version 1,
-        readable by pre-aux builds)."""
-        import json as json_mod
+    def test_operand_does_not_change_the_digest(self, matrix, saved_path):
+        """The digest covers the content only: identity is stable."""
+        compiled = compile_collection(matrix, PAPER_DESIGNS["20b"])
+        compiled.contraction_operand()
+        assert compiled.digest == artifact_digest(compiled._payload_arrays())
+        assert CompiledCollection.load(saved_path).digest == compiled.digest
 
+    def test_gateless_designs_persist_no_operand(self, matrix, tmp_path):
         path = tmp_path / "f32.npz"
         compile_collection(matrix, PAPER_DESIGNS["f32"]).save(path)
         with np.load(path, allow_pickle=False) as archive:
             names = set(archive.files)
-            header = json_mod.loads(str(archive["header"]))
+            header = json.loads(str(archive["header"]))
         assert "op_data" not in names
         assert header["version"] == 1
-        assert header["operand"] is None
         loaded = CompiledCollection.load(path)
         assert loaded._operand is None
         assert loaded.contraction_operand().value_grid_bits is None
 
-    def test_aux_bearing_artifacts_are_version_2(self, saved_path):
-        import json as json_mod
-
-        with np.load(saved_path, allow_pickle=False) as archive:
-            header = json_mod.loads(str(archive["header"]))
-        assert header["version"] == 2
-        assert header["aux"] == ["op_data", "op_indices", "op_indptr"]
-
-    def test_corrupted_operand_rejected(self, saved_path, tmp_path):
-        with np.load(saved_path, allow_pickle=False) as archive:
-            entries = {name: archive[name] for name in archive.files}
-        arr = entries["op_data"].copy()
-        arr.reshape(-1)[0] += 1.0
-        entries["op_data"] = arr
-        bad = tmp_path / "bad-operand.npz"
-        np.savez(bad, **entries)
-        with pytest.raises(FormatError, match="aux-digest"):
-            CompiledCollection.load(bad)
+    def test_gated_artifacts_are_version_1_without_operand(self, matrix, tmp_path):
+        compiled = compile_collection(matrix, PAPER_DESIGNS["20b"])
+        path = tmp_path / "20b.npz"
+        compiled.save(path)
+        assert compiled._operand is None  # saving lowers nothing
+        with np.load(path, allow_pickle=False) as archive:
+            names = set(archive.files)
+            header = json.loads(str(archive["header"]))
+        assert header["version"] == 1
+        assert not any(name.startswith("op_") for name in names)
+        assert "aux" not in header and "operand" not in header
 
     def test_contraction_serving_from_loaded_artifact(self, matrix, queries, saved_path):
         direct = TopKSpmvEngine(matrix, PAPER_DESIGNS["20b"])
@@ -204,14 +198,86 @@ class TestOperandPersistence:
         batch_a = direct.query_batch(queries, top_k=10)
         batch_b = loaded.query_batch(queries, top_k=10)
         assert batch_a.dataflow == batch_b.dataflow
-        for ra, rb in zip(batch_a.topk, batch_b.topk):
-            assert ra.indices.tolist() == rb.indices.tolist()
-            assert ra.values.tobytes() == rb.values.tobytes()
+        _same_topk(batch_b.topk, batch_a.topk)
+
+
+class TestVersion2Artifacts:
+    """Artifacts older builds saved, operand included, load as content.
+
+    Those builds stored an operand for every design with a fixed value
+    grid, so each such design is checked."""
+
+    @pytest.fixture(scope="class", params=["20b", "25b", "32b"])
+    def design(self, request):
+        return PAPER_DESIGNS[request.param]
+
+    @pytest.fixture(scope="class")
+    def v2_path(self, matrix, design, tmp_path_factory):
+        compiled = compile_collection(matrix, design)
+        return _save_version_2(
+            compiled, tmp_path_factory.mktemp("legacy") / "v2.npz"
+        )
+
+    def test_loads_as_content_and_serves_the_same_bits(
+        self, matrix, design, queries, v2_path
+    ):
+        compiled = compile_collection(matrix, design)
+        loaded = CompiledCollection.load(v2_path)
+        assert loaded.digest == compiled.digest
+        assert loaded._operand is None
+        got = TopKSpmvEngine.from_collection(loaded).query_batch(queries, top_k=10)
+        want = TopKSpmvEngine.from_collection(compiled).query_batch(queries, top_k=10)
+        _same_topk(got.topk, want.topk)
+        assert loaded._operand is None
+
+    def test_candidates_lower_the_operand_lazily(
+        self, matrix, design, queries, v2_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        compiled = compile_collection(matrix, design)
+        loaded = CompiledCollection.load(v2_path)
+        assert loaded._operand is None
+        got, got_stats = TopKSpmvEngine.from_collection(
+            loaded
+        ).query_candidates_batch(queries)
+        want, want_stats = TopKSpmvEngine.from_collection(
+            compiled
+        ).query_candidates_batch(queries)
+        assert loaded._operand is not None
+        assert got_stats == want_stats
+        for gq, wq in zip(got, want):
+            _same_topk(gq, wq)
+
+    def test_segmented_load_adopts_it(self, matrix, design, queries, v2_path):
+        from repro.core.segments import SegmentedCollection
+
+        compiled = compile_collection(matrix, design)
+        wrapped = SegmentedCollection.load(v2_path)
+        assert wrapped.n_segments == 1
+        assert wrapped.segments[0].digest == compiled.digest
+        assert wrapped.segments[0].artifact._operand is None
+        got = TopKSpmvEngine(wrapped).query_batch(queries, top_k=10)
+        want = TopKSpmvEngine.from_collection(compiled).query_batch(queries, top_k=10)
+        _same_topk(got.topk, want.topk)
+
+    def test_resave_writes_version_1_bit_identically(
+        self, matrix, design, v2_path, tmp_path
+    ):
+        fresh = tmp_path / "fresh.npz"
+        compile_collection(matrix, design).save(fresh)
+        resaved = tmp_path / "resaved.npz"
+        CompiledCollection.load(v2_path).save(resaved)
+        with np.load(resaved, allow_pickle=False) as archive:
+            header = json.loads(str(archive["header"]))
+            names = set(archive.files)
+        assert header["version"] == 1
+        assert not any(name.startswith("op_") for name in names)
+        assert resaved.read_bytes() == fresh.read_bytes()
 
 
 class TestSegmentedAdoption:
-    """A 1-segment SegmentedCollection round-trips PR-2/PR-4 artifacts
-    unchanged — same digest, same aux buffers, no migration."""
+    """A 1-segment SegmentedCollection adopts a plain collection artifact
+    unchanged — same digest, no migration."""
 
     def test_plain_artifact_adopts_identity_preserving(self, matrix, saved_path):
         from repro.core.segments import SegmentedCollection
@@ -223,13 +289,8 @@ class TestSegmentedAdoption:
         # The adopted artifact keeps its digest (the collection's own
         # digest is namespaced so frozen/segmented caches never collide).
         assert wrapped.segments[0].digest == compiled.digest
-        artifact = wrapped.segments[0].artifact
-        # The aux (contraction-operand) buffers came back verbatim with the
-        # artifact — no lowering on the adoption path.
-        assert artifact._operand is not None
-        op = compiled._operand
-        assert artifact._operand.data.tobytes() == op.data.tobytes()
-        assert artifact._operand.indptr.tolist() == op.indptr.tolist()
+        # No lowering on the adoption path.
+        assert wrapped.segments[0].artifact._operand is None
 
     def test_adopted_artifact_resaves_bit_identically(
         self, saved_path, tmp_path

@@ -29,7 +29,7 @@ from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
 from repro.hw.design import PAPER_DESIGNS
 from repro.serving import ClusterRuntime, poisson_arrivals
-from repro.serving.cluster import CACHE_HIT, FAILED, REJECTED, SERVED
+from repro.serving.batcher import CACHE_HIT, FAILED, REJECTED, SERVED
 from repro.serving.faults import FaultPlan, ResilienceConfig
 from repro.utils.rng import sample_unit_queries
 

@@ -32,7 +32,7 @@ from repro.serving import (
     ShardedEngine,
     poisson_arrivals,
 )
-from repro.serving.cluster import CACHE_HIT, REJECTED, SERVED
+from repro.serving.batcher import CACHE_HIT, REJECTED, SERVED
 from repro.utils.rng import sample_unit_queries
 
 

@@ -220,8 +220,6 @@ class TestPersistence:
         loaded = SegmentedCollection.load(path)
         assert loaded.n_segments == 1
         assert loaded.segments[0].digest == compiled.digest
-        # Aux buffers (the contraction operand) come back verbatim too.
-        assert loaded.segments[0].artifact._operand is not None
 
     def test_unchanged_segments_are_not_rewritten(self, collection, tmp_path):
         target = tmp_path / "col"

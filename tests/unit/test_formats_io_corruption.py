@@ -17,6 +17,7 @@ import pytest
 from repro.errors import FormatError, ReproError
 from repro.formats.io import (
     MANIFEST_FILENAME,
+    artifact_digest,
     load_artifact,
     load_manifest,
     save_artifact,
@@ -48,32 +49,43 @@ TORN = FaultPlan(
 )
 
 
+def _assert_truncation_is_typed(artifact, fraction):
+    blob = artifact.read_bytes()
+    artifact.write_bytes(blob[: int(len(blob) * fraction)])
+    try:
+        load_artifact(artifact, "test-kind")
+    except ReproError as exc:
+        assert isinstance(exc, FormatError)
+        assert artifact.name in str(exc)
+    except Exception as exc:  # noqa: BLE001 - the assertion under test
+        pytest.fail(
+            f"truncation at {fraction:.0%} leaked a raw "
+            f"{type(exc).__name__}: {exc}"
+        )
+    else:
+        pytest.fail("a truncated artifact must not load")
+
+
+def _assert_tail_cut_is_typed(artifact, cut):
+    # Cutting the end of the zip (central directory, then member data)
+    # exercises different internal failures than fractional cuts.
+    blob = artifact.read_bytes()
+    artifact.write_bytes(blob[:-cut])
+    with pytest.raises(FormatError, match=artifact.name):
+        load_artifact(artifact, "test-kind")
+
+
+TAIL_CUTS = (1, 4, 17, 100)
+
+
 class TestTruncationSweep:
     @pytest.mark.parametrize("fraction", TORN.torn_writes)
     def test_truncated_artifact_is_a_typed_error(self, artifact, fraction):
-        blob = artifact.read_bytes()
-        artifact.write_bytes(blob[: int(len(blob) * fraction)])
-        try:
-            load_artifact(artifact, "test-kind")
-        except ReproError as exc:
-            assert isinstance(exc, FormatError)
-            assert artifact.name in str(exc)
-        except Exception as exc:  # noqa: BLE001 - the assertion under test
-            pytest.fail(
-                f"truncation at {fraction:.0%} leaked a raw "
-                f"{type(exc).__name__}: {exc}"
-            )
-        else:
-            pytest.fail("a truncated artifact must not load")
+        _assert_truncation_is_typed(artifact, fraction)
 
-    @pytest.mark.parametrize("cut", [1, 4, 17, 100])
+    @pytest.mark.parametrize("cut", TAIL_CUTS)
     def test_tail_truncation_by_bytes(self, artifact, cut):
-        # Cutting the end of the zip (central directory, then member data)
-        # exercises different internal failures than fractional cuts.
-        blob = artifact.read_bytes()
-        artifact.write_bytes(blob[:-cut])
-        with pytest.raises(FormatError, match=artifact.name):
-            load_artifact(artifact, "test-kind")
+        _assert_tail_cut_is_typed(artifact, cut)
 
     def test_missing_artifact_is_a_typed_error(self, tmp_path):
         with pytest.raises(FormatError, match="does not exist"):
@@ -84,6 +96,43 @@ class TestTruncationSweep:
         path.write_bytes(b"\x00" * 512)
         with pytest.raises(FormatError, match=path.name):
             load_artifact(path, "test-kind")
+
+
+class TestVersion2Truncation:
+    """Older builds wrote version 2, with derived ``aux`` buffers after the
+    content; the loader still reads it, so a torn one must fail as typed."""
+
+    @pytest.fixture
+    def v2_artifact(self, tmp_path):
+        arrays = _arrays()
+        aux = {"op_data": np.random.default_rng(12).standard_normal(257)}
+        header = {
+            "version": 2,
+            "kind": "test-kind",
+            "digest": artifact_digest(arrays),
+            "aux": sorted(aux),
+            "aux_digest": artifact_digest(aux),
+        }
+        path = tmp_path / "collection-v2.npz"
+        with open(path, "wb") as handle:
+            np.savez(handle, header=np.array(json.dumps(header)), **arrays, **aux)
+        load_artifact(path, "test-kind")  # whole, it loads
+        return path
+
+    @pytest.mark.parametrize("fraction", TORN.torn_writes)
+    def test_truncated_artifact_is_a_typed_error(self, v2_artifact, fraction):
+        _assert_truncation_is_typed(v2_artifact, fraction)
+
+    @pytest.mark.parametrize("cut", TAIL_CUTS)
+    def test_tail_truncation_by_bytes(self, v2_artifact, cut):
+        _assert_tail_cut_is_typed(v2_artifact, cut)
+
+    def test_quarantine_sets_a_torn_file_aside(self, v2_artifact):
+        v2_artifact.write_bytes(v2_artifact.read_bytes()[:-100])
+        with pytest.raises(FormatError, match=v2_artifact.name):
+            load_artifact(v2_artifact, "test-kind", quarantine=True)
+        assert not v2_artifact.exists()
+        assert v2_artifact.with_name(v2_artifact.name + ".quarantined").exists()
 
 
 class TestManifestCorruption:

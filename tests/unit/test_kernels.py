@@ -317,7 +317,7 @@ class TestOperandLowering:
 
     def test_collection_caches_operand(self, tiny_matrix):
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
-        assert collection._operand is None  # lazy until first batch/save
+        assert collection._operand is None  # lazy until first use
         operand = collection.contraction_operand()
         assert collection.contraction_operand() is operand
 
@@ -356,11 +356,21 @@ class TestOperandLowering:
                 assert g.indices.tolist() == w.indices.tolist()
                 assert g.values.tobytes() == w.values.tobytes()
 
-    def test_gated_design_still_lowers_and_persists(self, tiny_matrix, tmp_path):
+    def test_gated_design_saves_content_only(self, tiny_matrix, tmp_path):
+        import json
+
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
         assert collection.contraction_grid_bits() == 19
-        collection.save(tmp_path / "20b.bin")
-        assert collection._operand is not None  # persisted in the artifact
+        path = tmp_path / "20b.bin"
+        collection.save(path)
+        assert collection._operand is None  # saving lowers nothing
+        with np.load(path, allow_pickle=False) as archive:
+            names = set(archive.files)
+            header = json.loads(str(archive["header"]))
+        assert header["version"] == 1
+        assert not any(name.startswith("op_") for name in names)
+        # The candidate path still lowers it on first use.
+        assert collection.contraction_operand().value_grid_bits == 19
 
 
 class TestStreamingSkip:

@@ -9,7 +9,7 @@ from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.serving import ClusterRuntime
-from repro.serving.cluster import CACHE_HIT, REJECTED, SERVED
+from repro.serving.batcher import CACHE_HIT, REJECTED, SERVED
 
 
 def _stub_cluster(n_replicas=2, **kwargs):
