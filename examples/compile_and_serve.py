@@ -71,10 +71,11 @@ def main() -> None:
         print("sanity: loaded engine's top-10 bit-identical to a direct build\n")
 
         # 4. The query path has one fold: every segment walks its sorted
-        #    run, scoring large chunks by float32 SpMM and rescoring the
-        #    rows that straddle the K-th score exactly.  Backend names
-        #    (`REPRO_KERNEL`; `native` wants Numba) steer only the per-core
-        #    candidate path behind `query_candidates`.
+        #    run, decoded straight from the packets, scoring large chunks
+        #    by float32 SpMM and rescoring the rows that straddle the K-th
+        #    score exactly.  Backend names (`kernel=` on
+        #    `simulate_multicore_batch`; `native` wants Numba) steer only
+        #    the per-core candidate path.
         from repro.core.kernels import run_segmented
         from repro.core.segments import SegmentedCollection
 

@@ -5,7 +5,7 @@ Kept as a plain ``setup.py`` so legacy editable installs
 whose setuptools cannot build PEP 660 wheels.
 
 The ``native`` extra pulls in Numba for the compiled kernel backend of
-the per-core candidate path (``REPRO_KERNEL=native``); without it the
+the per-core candidate path (``kernel="native"``); without it the
 package still imports and runs —
 the registry resolves ``native`` to its streaming fallback.
 """

@@ -21,7 +21,6 @@ quantisation step we study (2^-19) for the row lengths in the evaluation
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,32 +152,6 @@ class FixedPointFormat:
         on_grid = np.abs(values * self.scale - np.rint(values * self.scale)) <= tolerance * self.scale
         in_range = (values >= self.min_value) & (values <= self.max_value)
         return on_grid & in_range
-
-    # ------------------------------------------------------------------ #
-    # Arithmetic width bookkeeping (used by the resource model)
-    # ------------------------------------------------------------------ #
-    def product_format(self, other: "FixedPointFormat") -> "FixedPointFormat":
-        """The exact format of a product of two fixed-point values."""
-        return FixedPointFormat(
-            integer_bits=self.integer_bits + other.integer_bits,
-            fraction_bits=self.fraction_bits + other.fraction_bits,
-            signed=self.signed or other.signed,
-        )
-
-    def accumulator_format(self, terms: int) -> "FixedPointFormat":
-        """The exact format of a sum of ``terms`` values of this format.
-
-        Adds ``ceil(log2(terms))`` integer guard bits, the standard rule for
-        a lossless adder tree.
-        """
-        if terms < 1:
-            raise ConfigurationError(f"terms must be >= 1, got {terms}")
-        guard = math.ceil(math.log2(terms)) if terms > 1 else 0
-        return FixedPointFormat(
-            integer_bits=self.integer_bits + guard,
-            fraction_bits=self.fraction_bits,
-            signed=self.signed,
-        )
 
 
 #: 20-bit unsigned design value format (Table II row "20 bits").

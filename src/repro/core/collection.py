@@ -9,13 +9,13 @@ reproduction: it owns *everything* that does not depend on the query —
 * the resolved :class:`~repro.hw.design.AcceleratorDesign` (the layout/codec
   the values were quantised with);
 * the per-partition BS-CSR streams as structure-of-arrays numpy buffers;
-* the lazily-built per-partition :class:`~repro.core.dataflow.StreamPlan`
-  cache shared by every consumer (single-board engine, sharded fleet);
 * a SHA-256 content digest identifying the artifact.
 
-Only the first three are content; plans and every cache derived from them
-(the candidate path's contraction operand, the query driver's sorted run)
-are rebuilt on first use and never stored.
+Only the first three are content.  Two derived caches are rebuilt on first
+use and never stored, one per reader: the query driver's sorted run, decoded
+straight from the packet streams, and the per-core candidate path's
+:class:`~repro.core.dataflow.StreamPlan` list (with the contraction operand
+lowered from it), which no query or mutation builds.
 
 One shared pipeline (:func:`compile_collection`) builds it; every downstream
 layer — :class:`~repro.core.engine.TopKSpmvEngine`,
@@ -36,7 +36,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from repro.core.dataflow import DataflowStats, StreamPlan, plan_stream
+from repro.core.dataflow import StreamPlan, plan_stream
 from repro.core.kernels.contraction import (
     ContractionOperand,
     codec_grid_bits,
@@ -197,10 +197,8 @@ class CompiledCollection:
         self.design = design
         self.encoded = encoded
         self.placement = placement
-        self._plans: "list[StreamPlan | None]" = [None] * encoded.n_partitions
-        self._plans_all: "list[StreamPlan] | None" = None
+        self._plans: "list[StreamPlan] | None" = None
         self._operand: "ContractionOperand | None" = None
-        self._plan_stats: "DataflowStats | None" = None
         #: The query driver's precomputes of the artifact alone (its sorted
         #: run), shared by every collection wrapping it.
         self.derived: dict = {}
@@ -291,39 +289,14 @@ class CompiledCollection:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #
-    # Stream plans — the single lazy cache every consumer shares
+    # Stream plans — the per-core candidate path's lazy cache
     # ------------------------------------------------------------------ #
     def stream_plans(self) -> "list[StreamPlan]":
-        """All per-partition batch plans (built on first use, then cached)."""
-        if self._plans_all is None:
-            self._plans_all = self.stream_plans_range(0, self.n_partitions)
-        return self._plans_all
-
-    def stream_plans_range(self, start: int, stop: int) -> "list[StreamPlan]":
-        """Plans for partitions ``[start, stop)``, sharing the same cache.
-
-        Only the requested partitions are planned, and any plan another
-        consumer already built is reused.
-        """
-        if not 0 <= start <= stop <= self.n_partitions:
-            raise ConfigurationError(
-                f"invalid partition range [{start}, {stop}) for "
-                f"{self.n_partitions} partitions"
-            )
-        for i in range(start, stop):
-            if self._plans[i] is None:
-                self._plans[i] = plan_stream(self.encoded.streams[i])
-        return self._plans[start:stop]
-
-    def plan_stats(self) -> "DataflowStats":
-        """Structural counters of every stream plan, merged (cached — the
-        plans are immutable, so the sum is a per-artifact constant)."""
-        if self._plan_stats is None:
-            merged = DataflowStats()
-            for plan in self.stream_plans():
-                merged = merged.merge(plan.stats)
-            self._plan_stats = merged
-        return self._plan_stats
+        """All per-partition batch plans of the candidate path (built on
+        first use, then cached); the query path never builds them."""
+        if self._plans is None:
+            self._plans = [plan_stream(s) for s in self.encoded.streams]
+        return self._plans
 
     def contraction_grid_bits(self) -> "int | None":
         """Fraction bits of the design's value grid, without lowering.

@@ -22,7 +22,7 @@ The *batched* multi-query hot path lives in :mod:`repro.core.kernels` as a
 set of pluggable backends (reference gather, fused streaming, CSR
 contraction), all locked bit-identical to :meth:`DataflowCore.run_fast`;
 :func:`simulate_multicore_batch` selects one via its ``kernel`` argument,
-the ``REPRO_KERNEL`` environment variable, or the registry default.
+else the registry default.
 """
 
 from __future__ import annotations
@@ -307,8 +307,6 @@ def plan_stream(stream: BSCSRStream) -> StreamPlan:
         max_rows_in_packet=int((stream.ptr > 0).sum(axis=1).max(initial=0)),
         spanning_rows=int((~stream.new_row[1:]).sum()),
     )
-    if stream.n_rows == 0:
-        keep = np.zeros_like(keep)
     return StreamPlan(
         n_rows=stream.n_rows,
         kept_idx=stream.idx[keep],
@@ -401,25 +399,26 @@ def simulate_multicore_batch(
         Query block, shape ``(Q, n_cols)`` (a single 1-D query is promoted).
     plans:
         Optional pre-built per-partition :class:`StreamPlan` list (must align
-        with ``matrix.streams``); serving layers cache these across batches.
+        with ``matrix.streams``); a compiled collection caches them
+        (:meth:`~repro.core.collection.CompiledCollection.stream_plans`).
     kernel:
         Backend name (``"gather"``, ``"streaming"``, ``"contraction"``,
-        ``"native"``, ``"auto"``); ``None`` defers to ``$REPRO_KERNEL`` or
-        the default.  Backends that cannot guarantee the request's
-        accumulation order fall back to the reference kernel automatically.
+        ``"native"``, ``"auto"``); ``None`` is the default (``auto``).
+        Backends that cannot guarantee the request's accumulation order
+        fall back to the reference kernel automatically.
     n_workers:
         Partition-parallel worker count (``"auto"``/``0`` = all cores);
-        ``None`` defers to ``$REPRO_KERNEL_WORKERS`` or 1.  Bit-neutral.
+        ``None`` is 1.  Bit-neutral.
     executor:
         Partition executor, ``"thread"`` (default) or ``"process"``
         (spawned workers attaching the plan buffers through shared
-        memory); ``None`` defers to ``$REPRO_KERNEL_EXECUTOR``.
+        memory); ``None`` is the thread default.
         Bit-neutral — partitions are independent and results are
         reassembled in partition order.
     operand:
         Optional pre-lowered
         :class:`~repro.core.kernels.contraction.ContractionOperand` aligned
-        with ``plans`` (compiled collections persist one).  When omitted it
+        with ``plans`` (a compiled collection caches one).  When omitted it
         is lowered on the fly only if the contraction kernel is requested
         by name.
     row_map:

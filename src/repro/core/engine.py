@@ -43,8 +43,8 @@ cost ``Q`` times:
 >>> X = np.abs(np.random.default_rng(1).standard_normal((64, 512)))
 >>> X /= np.linalg.norm(X, axis=1, keepdims=True)
 >>> batch = engine.query_batch(X, top_k=10)
->>> len(batch), len(batch.dataflow)        # per-query topk and stats
-(64, 64)
+>>> len(batch)                              # one topk per query
+64
 >>> batch.queries_per_second > 0
 True
 """
@@ -55,11 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataflow import (
-    DataflowStats,
-    StreamPlan,
-    simulate_multicore_batch,
-)
+from repro.core.dataflow import DataflowStats, simulate_multicore_batch
 from repro.core.reference import TopKResult, exact_topk_spmv
 from repro.core.segments import SegmentedCollection
 from repro.errors import ConfigurationError
@@ -122,26 +118,17 @@ def as_csr_matrix(matrix) -> CSRMatrix:
 class BatchResult:
     """Result of a back-to-back batch of queries on one board.
 
-    ``topk`` and ``dataflow`` are per-query (index-aligned with the input
-    block); the timing/energy fields describe the whole batch.
+    ``topk`` is per-query (index-aligned with the input block); the
+    timing/energy fields describe the whole batch.
     """
 
     topk: "list[TopKResult]"
     seconds: float
     queries_per_second: float
     energy_j: float
-    dataflow: "tuple[DataflowStats, ...]" = ()
 
     def __len__(self) -> int:
         return len(self.topk)
-
-    @property
-    def dataflow_totals(self) -> DataflowStats:
-        """Counters merged over every query of the batch."""
-        totals = DataflowStats()
-        for stats in self.dataflow:
-            totals = totals.merge(stats)
-        return totals
 
 
 @dataclass(frozen=True)
@@ -150,7 +137,6 @@ class EngineResult:
 
     topk: TopKResult
     timing: AcceleratorTiming
-    dataflow: DataflowStats
     power_w: float
 
     @property
@@ -191,7 +177,7 @@ class TopKSpmvEngine:
         matrix:
             An already-compiled
             :class:`~repro.core.collection.CompiledCollection` (its encoded
-            streams and plans are reused verbatim — nothing is rebuilt), a
+            streams are reused verbatim — nothing is rebuilt), a
             mutable :class:`~repro.core.segments.SegmentedCollection`, or
             the raw sparse embedding collection
             (:class:`repro.formats.csr.CSRMatrix`, SciPy sparse, dense
@@ -297,7 +283,6 @@ class TopKSpmvEngine:
         return EngineResult(
             topk=batch.topk[0],
             timing=self.timing,
-            dataflow=batch.dataflow[0],
             power_w=self.power_w,
         )
 
@@ -336,16 +321,15 @@ class TopKSpmvEngine:
 
     def _candidate_block(self, queries: np.ndarray):
         """The cores' dense candidates + per-query stats for a checked block."""
-        from repro.core.kernels import resolve_kernel_name
+        from repro.core.kernels import DEFAULT_KERNEL
 
         x_uram = self.design.quantize_query(queries)
-        # The candidate path's backend: ``$REPRO_KERNEL`` or ``auto``.  Only
-        # lower/pass the contraction operand when it can actually use it
-        # (see CompiledCollection.wants_contraction_operand for the policy).
-        kernel = resolve_kernel_name()
+        # The candidate path runs the default backend.  Only lower/pass the
+        # contraction operand when it can actually use it (see
+        # CompiledCollection.wants_contraction_operand for the policy).
         operand = (
             self.collection.contraction_operand()
-            if self.collection.wants_contraction_operand(kernel)
+            if self.collection.wants_contraction_operand(DEFAULT_KERNEL)
             else None
         )
         return simulate_multicore_batch(
@@ -353,8 +337,8 @@ class TopKSpmvEngine:
             x_uram,
             local_k=self.design.local_k,
             accumulate_dtype=self.design.accumulate_dtype,
-            plans=self.stream_plans(),
-            kernel=kernel,
+            plans=self.collection.stream_plans(),
+            kernel=DEFAULT_KERNEL,
             operand=operand,
             row_map=self.collection.row_map,
         )
@@ -367,8 +351,7 @@ class TopKSpmvEngine:
         every segment (a frozen artifact is one) is swept once per *batch*
         into one global running Top-K per query.  The answer is exactly
         :func:`~repro.core.reference.topk_from_scores` of the quantised
-        scores at any ``top_k``; ``tracker_accepts`` is 0 (a counter of
-        :meth:`query_candidates`).  :meth:`query` is this call with one row.
+        scores at any ``top_k``.  :meth:`query` is this call with one row.
 
         The modelled hardware still streams the matrix once per query
         (queries are independent scans); the batch latency is therefore
@@ -390,7 +373,6 @@ class TopKSpmvEngine:
             seconds=seconds,
             queries_per_second=len(queries) / seconds if seconds else 0.0,
             energy_j=self.power_w * seconds,
-            dataflow=(out.base_stats,) * len(queries),
         )
 
     def _frozen_only(self, action: str) -> None:
@@ -508,11 +490,6 @@ class TopKSpmvEngine:
             f"power: {self.power_w:.1f} W",
         ]
         return "\n".join(lines)
-
-    def stream_plans(self) -> "list[StreamPlan]":
-        """Per-partition batch plans (the collection's shared lazy cache)."""
-        self._frozen_only("stream_plans")
-        return self.collection.stream_plans()
 
     def _check_query(self, x: np.ndarray) -> np.ndarray:
         return check_query_vector(x, self.collection.n_cols)

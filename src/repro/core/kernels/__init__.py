@@ -37,10 +37,10 @@ Modules
 Selection: one rule on the query path; backends are the candidate path's.
 ``query``/``query_batch`` take no backend name.  The per-core candidate
 path (``query_candidates``, ``simulate_multicore_batch``, ``run_kernel``)
-picks its backend by ``kernel=`` on ``simulate_multicore_batch`` /
-``run_kernel`` or the ``REPRO_KERNEL`` environment variable;
-``REPRO_KERNEL_WORKERS`` sets its partition worker count (``auto``/``0`` =
-all cores) and ``REPRO_KERNEL_EXECUTOR`` picks ``thread`` (default) or
+takes its settings from arguments only: ``kernel=`` on
+``simulate_multicore_batch`` / ``run_kernel`` picks the backend (``auto``
+by default), ``n_workers=`` the partition worker count (1 by default,
+``auto``/``0`` = all cores) and ``executor=`` ``thread`` (default) or
 ``process`` partition execution.  Every backend is locked bit-identical to
 ``DataflowCore.run_fast`` by ``tests/property/test_prop_kernels.py``;
 backends that cannot guarantee a request's accumulation order fall back to
@@ -49,10 +49,7 @@ the reference kernel automatically.
 
 from repro.core.kernels.base import (
     DEFAULT_KERNEL,
-    EXECUTOR_ENV_VAR,
     FALLBACK_KERNEL,
-    KERNEL_ENV_VAR,
-    WORKERS_ENV_VAR,
     KernelBackend,
     KernelOutput,
     KernelRequest,
@@ -122,7 +119,4 @@ __all__ = [
     "AutoKernel",
     "DEFAULT_KERNEL",
     "FALLBACK_KERNEL",
-    "KERNEL_ENV_VAR",
-    "WORKERS_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
 ]

@@ -47,15 +47,12 @@ each segment's fold off the segment itself — no backend name is involved.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from repro.core.kernels.executor import (  # noqa: F401 - re-exported API
-    EXECUTOR_ENV_VAR,
-    WORKERS_ENV_VAR,
     map_partitions,
     resolve_executor,
     resolve_workers,
@@ -81,15 +78,9 @@ __all__ = [
     "run_kernel",
     "DEFAULT_KERNEL",
     "FALLBACK_KERNEL",
-    "KERNEL_ENV_VAR",
-    "WORKERS_ENV_VAR",
-    "EXECUTOR_ENV_VAR",
 ]
 
-#: Environment variable overriding the default backend name.
-KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Backend used when none is named (and the env var is unset).
+#: Backend used when none is named.
 DEFAULT_KERNEL = "auto"
 
 #: Backend substituted when a request is unsupported and the chosen backend
@@ -121,10 +112,9 @@ class KernelRequest:
         Workers for partition-parallel execution (1 = inline).  Partition
         results are written by index, so scheduling cannot change any bit.
     executor:
-        ``"thread"`` or ``"process"`` partition fan-out (``None`` defers
-        to ``$REPRO_KERNEL_EXECUTOR`` or the thread default); see
-        :mod:`repro.core.kernels.executor`.  Bit-neutral like
-        ``n_workers``.
+        ``"thread"`` or ``"process"`` partition fan-out (``None`` is the
+        thread default); see :mod:`repro.core.kernels.executor`.
+        Bit-neutral like ``n_workers``.
     """
 
     X: np.ndarray
@@ -209,7 +199,7 @@ class KernelOutput:
 class KernelBackend:
     """Interface every kernel backend implements (see module docstring)."""
 
-    #: Registry name (stable; used by ``kernel=`` and ``REPRO_KERNEL``).
+    #: Registry name (stable; used by ``kernel=``).
     name: str = ""
 
     #: Backend substituted by :func:`run_kernel` when :meth:`supports` says
@@ -336,9 +326,9 @@ def available_kernels() -> "list[str]":
 
 
 def resolve_kernel_name(name: "str | None" = None) -> str:
-    """An explicit name, else ``$REPRO_KERNEL``, else :data:`DEFAULT_KERNEL`."""
-    resolved = name or os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
-    get_kernel(resolved)  # fail fast on typos, including from the env
+    """An explicit name, else :data:`DEFAULT_KERNEL`."""
+    resolved = name or DEFAULT_KERNEL
+    get_kernel(resolved)  # fail fast on typos
     return resolved
 
 
@@ -361,7 +351,7 @@ def resolve_backend(
 ) -> KernelBackend:
     """The one dispatch rule: the backend ``request`` will run on.
 
-    ``kernel`` may be a registry name or ``None`` (env var / default).  If
+    ``kernel`` may be a registry name or ``None`` (the default).  If
     the chosen backend does not support the request — e.g. the contraction
     backend on a design whose float32 accumulation order it cannot
     reproduce — its declared fallback stands in, so the bits always honour

@@ -11,8 +11,8 @@ kernel backend goes through.  Three executors serve it:
     kernels compile with ``nogil=True``, so threads scale for the compiled
     and vectorised portions.
 ``process``
-    ``REPRO_KERNEL_EXECUTOR=process`` (or ``executor="process"``): a
-    persistent *spawn* :class:`~concurrent.futures.ProcessPoolExecutor`.
+    ``executor="process"``: a persistent *spawn*
+    :class:`~concurrent.futures.ProcessPoolExecutor`.
     The query block and every partition plan are exported once per sweep
     into a single :class:`multiprocessing.shared_memory.SharedMemory`
     arena; workers attach **zero-copy** (NumPy views over the mapped
@@ -26,9 +26,9 @@ Backends opt into the process path by handing ``map_partitions`` a
 *picklable* per-partition entry point (a bound ``run_partition`` method);
 without one the call degrades to the thread pool rather than failing.
 
-``resolve_workers`` also lives here: it accepts an explicit count, the
-``REPRO_KERNEL_WORKERS`` environment variable, and — new — ``"auto"`` or
-``0``, both meaning ``os.cpu_count()``.
+``resolve_workers`` also lives here: it accepts an explicit count, or
+``"auto"``/``0``, both meaning ``os.cpu_count()``.  Both settings come from
+arguments only; no environment variable steers them.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
-    "WORKERS_ENV_VAR",
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "resolve_workers",
@@ -55,13 +53,7 @@ __all__ = [
     "SharedPlanArena",
 ]
 
-#: Environment variable overriding the partition-worker count.
-WORKERS_ENV_VAR = "REPRO_KERNEL_WORKERS"
-
-#: Environment variable selecting the partition executor.
-EXECUTOR_ENV_VAR = "REPRO_KERNEL_EXECUTOR"
-
-#: Executor used when none is named (and the env var is unset).
+#: Executor used when none is named.
 DEFAULT_EXECUTOR = "thread"
 
 #: The selectable executors (inline is implicit at ``n_workers <= 1``).
@@ -69,14 +61,10 @@ EXECUTORS = ("thread", "process")
 
 
 def resolve_workers(n_workers: "int | str | None" = None) -> int:
-    """An explicit count, else ``$REPRO_KERNEL_WORKERS``, else 1 (inline).
-
-    ``"auto"`` and ``0`` — from either the argument or the environment —
-    mean ``os.cpu_count()``.
-    """
+    """An explicit count, else 1 (inline); ``"auto"`` and ``0`` mean
+    ``os.cpu_count()``."""
     if n_workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "")
-        n_workers = raw if raw else 1
+        n_workers = 1
     if isinstance(n_workers, str):
         text = n_workers.strip()
         if text.lower() == "auto":
@@ -86,7 +74,7 @@ def resolve_workers(n_workers: "int | str | None" = None) -> int:
                 n_workers = int(text)
             except ValueError as exc:
                 raise ConfigurationError(
-                    f"{WORKERS_ENV_VAR}={n_workers!r} is not an integer"
+                    f"n_workers={n_workers!r} is not an integer"
                 ) from exc
     if n_workers == 0:
         n_workers = os.cpu_count() or 1
@@ -96,8 +84,8 @@ def resolve_workers(n_workers: "int | str | None" = None) -> int:
 
 
 def resolve_executor(executor: "str | None" = None) -> str:
-    """An explicit name, else ``$REPRO_KERNEL_EXECUTOR``, else ``thread``."""
-    resolved = executor or os.environ.get(EXECUTOR_ENV_VAR) or DEFAULT_EXECUTOR
+    """An explicit name, else :data:`DEFAULT_EXECUTOR` (``thread``)."""
+    resolved = executor or DEFAULT_EXECUTOR
     if resolved not in EXECUTORS:
         raise ConfigurationError(
             f"unknown executor {resolved!r}; available: {list(EXECUTORS)}"

@@ -25,21 +25,23 @@ offering order (``tests/property/test_prop_one_driver.py`` locks it).
 One fold serves every segment, and the unsealed delta buffer (a small
 1-partition snapshot, cached per generation) last: the walk over its
 **sorted run** (:func:`~repro.core.kernels.streaming.fold_run`) — its
-live rows heaviest ``Σ|v|`` first (ties by live-matrix id), cached on the
-segment per accumulate dtype and tombstone state.  Each chunk is the rows
-the current thresholds cannot yet rule out (while the pads are empty, a
-first chunk gathered exactly fills them), gathered exactly when small,
-else scored by one SpMM in the run's dtype (float32 for the 20-bit and
-float32 designs), screened with that SpMM's error bound as margin, and
-only the survivors, the rows that straddle the K-th score, rescored
-exactly.  The walk stops at the first row every query provably rejects.  The order comes from the
-segment's own rows, so placement never changes the walk (it feeds only
-the modelled board and the per-core candidate path).  No backend name,
-environment variable or registry lookup is on this path (the registry's
-backends serve the per-core candidate path, :func:`~repro.core.kernels.
-base.run_kernel`).  The running Top-K carries the current global K-th
-score *across* segments, so later segments skip more (the LSM win: a hot
-head segment warms the thresholds the tail segments are pruned by).
+live rows heaviest ``Σ|v|`` first (ties by live-matrix id), decoded
+straight from the segment's packet streams (no stream plan is built) and
+cached on the segment per accumulate dtype and tombstone state.  Each
+chunk is the rows the current thresholds cannot yet rule out (while the
+pads are empty, a first chunk gathered exactly fills them), gathered
+exactly when small, else scored by one SpMM in the run's dtype (float32
+for the 20-bit and float32 designs), screened with that SpMM's error
+bound as margin, and only the survivors, the rows that straddle the K-th
+score, rescored exactly.  The walk stops at the first row every query
+provably rejects.  The order comes from the segment's own rows, so
+placement never changes the walk (it feeds only the modelled board and
+the per-core candidate path).  No backend name or registry lookup is on
+this path (the registry's backends serve the per-core candidate path,
+:func:`~repro.core.kernels.base.run_kernel`).  The running Top-K carries
+the current global K-th score *across* segments, so later segments skip
+more (the LSM win: a hot head segment warms the thresholds the tail
+segments are pruned by).
 
 Tombstoned rows are left out of a segment's run, and surviving rows are
 renumbered to their positions in the live logical matrix — exactly the
@@ -52,7 +54,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dataflow import DataflowStats
 from repro.core.kernels.base import Queries
 from repro.core.kernels.selection import RunningTopK
 from repro.core.kernels.streaming import SortedRun, fold_run, sorted_run
@@ -67,8 +68,6 @@ class SegmentedOutput:
     ``results[q]`` is query ``q``'s global Top-K (indices are positions in
     the live logical matrix; translate with
     :meth:`~repro.core.segments.SegmentedCollection.keys_for`).
-    ``base_stats`` sums the segments' plan counters (``tracker_accepts``
-    stays 0: accepts are a counter of the per-core candidate path).
     ``segment_kernels`` names the fold that served each segment in order,
     the delta, when present, last — always ``streaming``, the sorted-run
     walk.  ``skipped_rows``/``total_rows`` count live (row, query) pairs
@@ -78,7 +77,6 @@ class SegmentedOutput:
     """
 
     results: list
-    base_stats: DataflowStats
     segment_kernels: "tuple[str, ...]" = ()
     skipped_rows: int = 0
     total_rows: int = 0
@@ -91,12 +89,16 @@ class SegmentedOutput:
 
 
 def _artifact_run(artifact, acc) -> SortedRun:
-    """Every row of an artifact as one :class:`SortedRun`, named by artifact
-    row — stream position ``j`` of a placed artifact holds artifact row
-    ``placement.order[j]``."""
+    """Every row of an artifact as one :class:`SortedRun`, decoded straight
+    from its packet streams and named by artifact row — stream position
+    ``j`` of a placed artifact holds artifact row ``placement.order[j]``.
+
+    The one decision of what the query path reads: the packets, never the
+    candidate path's stream plans.
+    """
     placement = artifact.placement
     rows = np.arange(artifact.n_rows) if placement is None else placement.order
-    return sorted_run(artifact.stream_plans(), acc, rows)
+    return sorted_run(artifact.encoded.streams, acc, rows)
 
 
 def _segment_run(segment, acc) -> SortedRun:
@@ -143,12 +145,10 @@ def run_segmented(collection, X: np.ndarray, top_k: int) -> SegmentedOutput:
     top_k = int(top_k)
     queries = Queries.of(X, collection.design.accumulate_dtype)
     pads = RunningTopK(X.shape[0], top_k)
-    stats = DataflowStats()
     skipped = rescored = offset = 0
     delta = collection.delta_segment()
     segments = collection.segments + ([] if delta is None else [delta])
     for segment in segments:
-        stats = stats.merge(segment.artifact.plan_stats())
         # Against the *global* Top-K: thresholds warmed by every earlier
         # segment, all queries together.
         run = _segment_run(segment, queries.acc)
@@ -156,6 +156,6 @@ def run_segmented(collection, X: np.ndarray, top_k: int) -> SegmentedOutput:
         skipped, rescored = skipped + skips, rescored + rescores
         offset += segment.n_live
     return SegmentedOutput(
-        pads.finish(), stats, ("streaming",) * len(segments), skipped,
+        pads.finish(), ("streaming",) * len(segments), skipped,
         offset * len(queries), rescored,
     )

@@ -56,6 +56,7 @@ from repro.core.kernels.base import (
     register_kernel,
 )
 from repro.core.kernels.contraction import score_chunks
+from repro.formats.bscsr import decode_lanes
 
 __all__ = [
     "SortedRun",
@@ -195,41 +196,42 @@ def _row_pointer(lengths: np.ndarray) -> np.ndarray:
     return indptr.astype(np.int32) if indptr[-1] < 2**31 else indptr
 
 
-def sorted_run(plans, accumulate_dtype, ids) -> SortedRun:
-    """The :class:`SortedRun` of ``plans``' concatenated rows.
+def sorted_run(streams, accumulate_dtype, ids) -> SortedRun:
+    """The :class:`SortedRun` of ``streams``' concatenated rows, decoded
+    straight from their packets (:func:`~repro.formats.bscsr.decode_lanes`).
 
     Row ``r`` is named ``ids[r]``; rows are ordered by descending
     ``Σ|v|`` with ties by ascending id — so the run depends on the rows
     and their ids only, never on how a placement spread them over the
-    plans.  The slack is taken at the longest row of all the plans, never
-    smaller than any one plan's, so each bound stays provable.
+    streams.  The slack is taken at the longest row of all the streams,
+    never smaller than any one stream's, so each bound stays provable.
     """
     import scipy.sparse as sp
 
     acc = np.dtype(accumulate_dtype)
-    lengths = np.concatenate(
-        [np.diff(plan.starts, append=len(plan.kept_values)) for plan in plans]
-    )
-    weights = np.concatenate(
-        [np.add.reduceat(np.abs(plan.kept_values), plan.starts) for plan in plans]
-    )
+    columns, lanes, lengths, weights = [], [], [], []
+    for stream in streams:
+        keep, starts = decode_lanes(stream)
+        decoded = stream.values()[keep]
+        lengths.append(np.diff(starts, append=len(decoded)))
+        weights.append(np.add.reduceat(np.abs(decoded), starts))
+        # Each stream's lanes are narrowed as soon as they are decoded, so
+        # the build never holds every lane at full width.  Column ids fit a
+        # packet's ``idx_bits`` field, far below 31 bits; values go to
+        # float32 where that holds them exactly in the accumulate dtype.
+        columns.append(stream.idx[keep].astype(np.int32))
+        wide = decoded.astype(acc, copy=False)
+        narrow = wide.astype(np.float32, copy=False)
+        exact = narrow is wide or np.array_equal(narrow, wide, equal_nan=True)
+        lanes.append(narrow if exact else wide)
+    lengths, weights = np.concatenate(lengths), np.concatenate(weights)
     weights[np.isnan(weights)] = np.inf
     rows = np.lexsort((ids, -weights))
-    exact = True
-    for plan in plans:  # float32 where it holds every value exactly
-        wide = plan.kept_values.astype(acc, copy=False)
-        narrow = wide.astype(np.float32, copy=False)
-        exact = exact and (narrow is wide or np.array_equal(narrow, wide, equal_nan=True))
-    # The plans' rows laid end to end, then permuted by SciPy's row gather.
-    # Column ids fit a packet's ``idx_bits`` field, far below 31 bits.
-    kept_idx = np.concatenate(
-        [plan.kept_idx for plan in plans], dtype=np.int32, casting="same_kind"
-    )
-    values = np.concatenate(
-        [plan.kept_values for plan in plans],
-        dtype=np.float32 if exact else acc,
-        casting="same_kind",
-    )
+    # The streams' rows laid end to end (float32 only if every stream's
+    # values were exact), then permuted by SciPy's row gather.
+    kept_idx = np.concatenate(columns)
+    values = np.concatenate(lanes)
+    del columns, lanes  # released before the gather allocates the run
     shape = (len(lengths), int(kept_idx.max(initial=0)) + 1)
     run = sp.csr_matrix((values, kept_idx, _row_pointer(lengths)), shape=shape)[rows]
     longest = int(lengths.max(initial=1))

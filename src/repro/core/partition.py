@@ -35,14 +35,6 @@ class RowPartition:
         """Number of rows in the partition."""
         return self.stop - self.start
 
-    def to_global(self, local_row: int) -> int:
-        """Map a partition-local row id back to a global row id."""
-        if not 0 <= local_row < self.n_rows:
-            raise ConfigurationError(
-                f"local row {local_row} out of range [0, {self.n_rows})"
-            )
-        return self.start + local_row
-
 
 def partition_rows(n_rows: int, n_partitions: int) -> list[RowPartition]:
     """Split ``n_rows`` into ``n_partitions`` balanced contiguous blocks.

@@ -221,24 +221,10 @@ class _DeltaBuffer:
 
     def live_rows(self) -> "tuple[CSRMatrix, np.ndarray]":
         """The live buffered rows, arrival order, as (CSRMatrix, keys)."""
-        if not self.blocks:
-            return _empty_csr(self.n_cols), np.empty(0, dtype=np.int64)
-        import scipy.sparse as sp
-
-        stacked = (
-            sp.vstack([b.to_scipy() for b in self.blocks], format="csr")
-            if len(self.blocks) > 1
-            else self.blocks[0].to_scipy()
-        )
+        csr = _vstack_csr([b.to_scipy() for b in self.blocks], self.n_cols)
         live = np.array(self.live, dtype=bool)
         if not live.all():
-            stacked = stacked[np.nonzero(live)[0]]
-        csr = CSRMatrix(
-            indptr=stacked.indptr,
-            indices=stacked.indices,
-            data=stacked.data,
-            n_cols=self.n_cols,
-        )
+            csr = csr.take_rows(np.nonzero(live)[0])
         return csr, np.array(self.keys, dtype=np.int64)[live]
 
     def clear(self) -> None:
@@ -384,7 +370,7 @@ class SegmentedCollection:
     ) -> "SegmentedCollection":
         """Wrap one compiled artifact as a pristine 1-segment collection.
 
-        The artifact is adopted verbatim (streams, cached plans, digest);
+        The artifact is adopted verbatim (streams, derived caches, digest);
         rows get keys ``0..n_rows-1`` unless ``keys`` overrides them.
         """
         if keys is None:

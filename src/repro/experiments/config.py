@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.utils.validation import check_positive_int
 
@@ -49,7 +49,3 @@ class ExperimentConfig:
     def paper(cls) -> "ExperimentConfig":
         """The paper's evaluation scale where feasible (30 queries)."""
         return cls(monte_carlo_trials=1000, queries=30, functional_rows=300_000)
-
-    def with_rows(self, functional_rows: int) -> "ExperimentConfig":
-        """Copy with a different functional matrix size."""
-        return replace(self, functional_rows=functional_rows)

@@ -31,11 +31,6 @@ class BitWriter:
         self._buffer = bytearray(total_bits // 8)
         self._cursor = 0
 
-    @property
-    def bits_written(self) -> int:
-        """Number of bits appended so far."""
-        return self._cursor
-
     def write(self, value: int, width: int) -> None:
         """Append ``value`` as an unsigned field of ``width`` bits (LSB first)."""
         if width < 0:

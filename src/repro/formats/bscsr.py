@@ -540,8 +540,9 @@ def decode_lanes(stream: BSCSRStream) -> tuple[np.ndarray, np.ndarray]:
     boundary when the next packet starts a new row (``new_row = 1``), and
     the final packet's tail.  Every other lane belongs to a row, so rows are
     contiguous segments of the flattened kept lanes and ``starts[i]`` is
-    where row ``i``'s segment begins.  Raises :class:`PacketDecodeError`
-    when the stream's boundaries disagree with its declared row count.
+    where row ``i``'s segment begins.  A stream of no rows keeps no lane.
+    Raises :class:`PacketDecodeError` when the stream's boundaries disagree
+    with its declared row count.
     """
     lanes = stream.layout.lanes
     bounds = stream.ptr.astype(np.int64)
@@ -556,6 +557,8 @@ def decode_lanes(stream: BSCSRStream) -> tuple[np.ndarray, np.ndarray]:
         raise PacketDecodeError(
             f"stream has {len(ends)} row boundaries, declares {stream.n_rows} rows"
         )
+    if stream.n_rows == 0:
+        keep[:] = False
     return keep, np.concatenate([[0], ends])[:-1]
 
 

@@ -217,10 +217,3 @@ class CSRMatrix:
         return CSRMatrix(
             indptr=self.indptr, indices=self.indices, data=data, n_cols=self.n_cols
         )
-
-    def memory_bytes(self, idx_bits: int = 32, val_bits: int = 32, ptr_bits: int = 64) -> int:
-        """Storage footprint under a given per-field bit budget."""
-        total_bits = (
-            self.nnz * (idx_bits + val_bits) + (self.n_rows + 1) * ptr_bits
-        )
-        return (total_bits + 7) // 8

@@ -104,11 +104,6 @@ class PacketLayout:
         return self.lanes * self.lane_bits + 1
 
     @property
-    def padding_bits(self) -> int:
-        """Unused tail bits of the packet."""
-        return self.packet_bits - self.used_bits
-
-    @property
     def packet_bytes(self) -> int:
         """Packet size in bytes as transferred over HBM."""
         return self.packet_bits // 8

@@ -130,11 +130,6 @@ class HBMChannel:
             raise ConfigurationError(f"n_bytes must be >= 0, got {n_bytes}")
         return n_bytes / bandwidth
 
-    def packets_per_second(self, packet_bytes: int, rate: str = "sustained") -> float:
-        """Packet delivery rate for ``packet_bytes``-byte packets."""
-        packet_bytes = check_positive_int(packet_bytes, "packet_bytes")
-        return 1.0 / self.transfer_time_s(packet_bytes, rate)
-
 
 def hbm_from_calibration(constants: CalibrationConstants) -> HBMConfig:
     """Build an :class:`HBMConfig` from a calibration registry."""

@@ -2,10 +2,9 @@
 
 The repo's signature discipline — everything deterministic, replayable,
 bit-identity-locked — extends to *failures*: a :class:`FaultPlan` is a pure
-data object scheduling replica crashes/recoveries, slow-replica windows,
-engine exceptions, worker-process kills and torn artifact writes, all keyed
-to the **virtual clock** (and per-replica batch sequence numbers) the
-decision core already runs on.  Both drivers — the discrete-event simulator
+data object scheduling replica crashes/recoveries, slow-replica windows and
+engine exceptions, all keyed to the **virtual clock** (and per-replica batch
+sequence numbers) the decision core already runs on.  Both drivers — the discrete-event simulator
 (:class:`~repro.serving.cluster.ClusterRuntime`) and the live daemon
 (:class:`~repro.serving.live.LiveServer`) — hand the same plan to the same
 :class:`~repro.serving.policy.ClusterPolicy`, so failover, retry and hedge
@@ -25,7 +24,7 @@ schedule it replayed (``benchmarks/bench_chaos.py`` writes it into
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -194,18 +193,14 @@ class FaultPlan:
     """A replayable schedule of injected failures, keyed to virtual time.
 
     ``crashes``/``slow``/``engine_faults`` drive the serving tier (consumed
-    by :class:`~repro.serving.policy.ClusterPolicy`).  ``worker_kills``
-    (partition indices) and ``torn_writes`` (truncation fractions) are the
-    below-the-serving-layer faults — consumed by the executor and
-    persistence test/bench harnesses, which kill pool workers and truncate
-    artifact bytes from the same seeded schedule.
+    by :class:`~repro.serving.policy.ClusterPolicy`).  A plan JSON from an
+    older build may still hold ``worker_kills``/``torn_writes`` keys; they
+    scheduled nothing and :meth:`from_dict` ignores them.
     """
 
     crashes: "tuple[ReplicaCrash, ...]" = ()
     slow: "tuple[SlowWindow, ...]" = ()
     engine_faults: "tuple[EngineFault, ...]" = ()
-    worker_kills: "tuple[int, ...]" = ()
-    torn_writes: "tuple[float, ...]" = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -213,17 +208,6 @@ class FaultPlan:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "slow", tuple(self.slow))
         object.__setattr__(self, "engine_faults", tuple(self.engine_faults))
-        object.__setattr__(
-            self, "worker_kills", tuple(int(i) for i in self.worker_kills)
-        )
-        object.__setattr__(
-            self, "torn_writes", tuple(float(f) for f in self.torn_writes)
-        )
-        for fraction in self.torn_writes:
-            if not 0.0 <= fraction < 1.0:
-                raise ConfigurationError(
-                    f"torn-write fraction must be in [0, 1), got {fraction}"
-                )
         by_replica: "dict[int, list[ReplicaCrash]]" = {}
         for crash in self.crashes:
             by_replica.setdefault(crash.replica, []).append(crash)
@@ -239,7 +223,7 @@ class FaultPlan:
 
     @property
     def is_empty(self) -> bool:
-        """True when the plan injects nothing into the serving tier."""
+        """True when the plan injects nothing."""
         return not (self.crashes or self.slow or self.engine_faults)
 
     # ------------------------------------------------------------------ #
@@ -310,8 +294,6 @@ class FaultPlan:
             "crashes": [asdict(c) for c in self.crashes],
             "slow": [asdict(w) for w in self.slow],
             "engine_faults": [asdict(f) for f in self.engine_faults],
-            "worker_kills": list(self.worker_kills),
-            "torn_writes": list(self.torn_writes),
         }
 
     @classmethod
@@ -332,8 +314,6 @@ class FaultPlan:
                 engine_faults=tuple(
                     EngineFault(**f) for f in payload.get("engine_faults", [])
                 ),
-                worker_kills=tuple(payload.get("worker_kills", [])),
-                torn_writes=tuple(payload.get("torn_writes", [])),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed fault plan: {exc}") from exc

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.dataflow import DataflowStats
 from repro.core.engine import TopKSpmvEngine, _partition_load
 from repro.core.partition import partition_rows
 from repro.core.reference import TopKResult
@@ -71,7 +70,6 @@ class ShardedResult:
     topk: TopKResult
     shard_timings: "tuple[AcceleratorTiming, ...]"
     host_overhead_s: float
-    dataflow: DataflowStats
     power_w: float
 
     @property
@@ -212,7 +210,6 @@ class ShardedEngine(TopKSpmvEngine):
             topk=batch.topk[0],
             shard_timings=tuple(s.timing for s in self.shards),
             host_overhead_s=self.constants.host_overhead_s,
-            dataflow=batch.dataflow[0],
             power_w=self.power_w,
         )
 

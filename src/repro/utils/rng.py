@@ -8,8 +8,6 @@ experiments are reproducible end-to-end from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = ["derive_rng", "spawn_rngs"]
@@ -56,14 +54,3 @@ def sample_unit_queries(
     norms = np.linalg.norm(queries, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return queries / norms
-
-
-def partition_seeds(seed: int, labels: Sequence[str]) -> dict[str, np.random.Generator]:
-    """Return one named child generator per label, derived from ``seed``.
-
-    Useful for experiments that need independent, *named* randomness streams
-    (e.g. one per dataset group) that stay stable when other streams are
-    added or removed.
-    """
-    children = spawn_rngs(seed, len(labels))
-    return dict(zip(labels, children))

@@ -114,9 +114,9 @@ class TestEngineReporting:
 
     def test_dataflow_stats_cover_matrix(self, small_matrix, query):
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
-        result = engine.query(query, top_k=10)
-        assert result.dataflow.rows_finished == small_matrix.n_rows
-        assert result.dataflow.packets == engine.encoded.total_packets
+        _, stats = engine.query_candidates(query)
+        assert stats.rows_finished == small_matrix.n_rows
+        assert stats.packets == engine.encoded.total_packets
 
 
 class TestDesignComparisons:

@@ -17,8 +17,8 @@ unpermuted compile.  Two exactness regimes are locked:
   partition contents — and is intentionally out of contract.)
 
 Also locked here: save/load round-trips the permutation digest-covered,
-identity/legacy artifacts load with no placement, and the per-partition
-plan cache is shared between ``stream_plans`` and ``stream_plans_range``.
+identity/legacy artifacts load with no placement, and the candidate path
+builds each partition's plan once.
 """
 
 import numpy as np
@@ -325,7 +325,8 @@ class TestPersistence:
 
 
 class TestPlanCacheSharing:
-    """stream_plans and stream_plans_range share one per-partition cache."""
+    """Only the candidate path plans, each partition once, and every engine
+    over the collection shares the plans."""
 
     @pytest.mark.parametrize("placement", [None, "skew"])
     def test_one_build_per_partition(self, monkeypatch, placement):
@@ -343,13 +344,16 @@ class TestPlanCacheSharing:
             return real(stream)
 
         monkeypatch.setattr(collection_mod, "plan_stream", counting)
-        col.stream_plans_range(0, 2)
-        col.stream_plans_range(1, 3)  # partition 1 must come from the cache
-        col.stream_plans()            # only 3 is still unbuilt
-        col.stream_plans_range(0, 4)
+        X = np.abs(np.random.default_rng(15).standard_normal((3, 16)))
+        TopKSpmvEngine(col).query_batch(X, 5)
+        assert calls == []  # the query path reads the packets
+        TopKSpmvEngine(col).query_candidates_batch(X)
+        plans = col.stream_plans()
+        TopKSpmvEngine(col).query_candidates_batch(X)
         assert len(calls) == col.n_partitions
+        assert all(c is s for c, s in zip(calls, col.encoded.streams))
         # And the returned plan objects are literally shared.
-        assert col.stream_plans()[1] is col.stream_plans_range(1, 2)[0]
+        assert col.stream_plans() is plans
 
 
 class TestPlanPlacementShapes:

@@ -314,7 +314,6 @@ def test_query_is_a_one_row_batch(shape):
             batch = engine.query_batch(x[None, :], top_k)
             assert single.topk.indices.tobytes() == batch.topk[0].indices.tobytes()
             assert single.topk.values.tobytes() == batch.topk[0].values.tobytes()
-            assert single.dataflow == batch.dataflow[0]
 
 
 def test_engines_no_longer_walk_the_streams_per_query():

@@ -86,21 +86,3 @@ class TestQuantisation:
         values = np.array([0.5, 0.5 + Q1_19.resolution / 3, 3.0])
         mask = Q1_19.representable(values)
         assert mask.tolist() == [True, False, False]
-
-
-class TestWidthBookkeeping:
-    def test_product_format_widths_add(self):
-        prod = Q1_19.product_format(Q1_31)
-        assert prod.integer_bits == 2
-        assert prod.fraction_bits == 50
-
-    def test_accumulator_adds_guard_bits(self):
-        acc = Q1_19.accumulator_format(40)
-        assert acc.integer_bits == 1 + 6  # ceil(log2(40)) = 6
-
-    def test_accumulator_single_term_unchanged(self):
-        assert Q1_19.accumulator_format(1) == Q1_19
-
-    def test_accumulator_rejects_zero_terms(self):
-        with pytest.raises(ConfigurationError):
-            Q1_19.accumulator_format(0)

@@ -88,20 +88,10 @@ class TestCompilePipeline:
 
 class TestPlanCacheSharing:
     def test_plans_lazy_then_cached(self, collection):
-        assert collection._plans_all is None
+        assert collection._plans is None
         plans = collection.stream_plans()
         assert plans is collection.stream_plans()
         assert len(plans) == collection.n_partitions
-
-    def test_range_and_full_share_entries(self, collection):
-        head = collection.stream_plans_range(0, 4)
-        full = collection.stream_plans()
-        for i in range(4):
-            assert full[i] is head[i]
-
-    def test_invalid_range_rejected(self, collection):
-        with pytest.raises(ConfigurationError):
-            collection.stream_plans_range(0, collection.n_partitions + 1)
 
 
 class TestAlignedShardSlices:

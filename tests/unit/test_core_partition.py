@@ -43,14 +43,6 @@ class TestPartitionRows:
 
 
 class TestRowPartition:
-    def test_to_global(self):
-        part = RowPartition(start=10, stop=20)
-        assert part.to_global(3) == 13
-
-    def test_to_global_bounds_checked(self):
-        with pytest.raises(ConfigurationError):
-            RowPartition(start=10, stop=20).to_global(10)
-
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ConfigurationError):
             RowPartition(start=5, stop=3)

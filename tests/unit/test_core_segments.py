@@ -409,8 +409,11 @@ class TestPlacedSegmentFold:
         X = DESIGN.quantize_query(sample_unit_queries(derive_rng(9), 2, 96))
         n_live = placed.n_live
         got = run_segmented(placed, X, n_live)  # depth = every row: no early stop
-        dead_lanes = artifact.stream_plans()[1].kept_idx
-        assert gathered and not any(np.shares_memory(g, dead_lanes) for g in gathered)
+        # Every gathered block is a slice of the segment's tombstoned run,
+        # which holds the live rows only.
+        run = placed.segments[0].derived[("run", np.dtype(DESIGN.accumulate_dtype).str)]
+        assert len(run.ids) == n_live
+        assert gathered and all(np.shares_memory(g, run.kept_idx) for g in gathered)
         monkeypatch.undo()
         self._assert_same_bits(got, run_segmented(base, X, n_live))
         assert got.total_rows == n_live * 2 and got.skipped_rows == 0
@@ -487,13 +490,6 @@ class TestPlacedSegmentFold:
             want = topk_from_scores(row_scores, 10)
             assert got.indices.tolist() == want.indices.tolist()
             assert got.values.tobytes() == want.values.tobytes()
-
-    def test_plan_stats_are_merged_once_per_artifact(self, pair):
-        artifact = pair[1].segments[0].artifact
-        merged = artifact.plan_stats()
-        assert merged is artifact.plan_stats()
-        assert merged.packets == sum(p.stats.packets for p in artifact.stream_plans())
-        assert merged.rows_finished == 600
 
 
 class TestOneWalk:
@@ -589,8 +585,8 @@ class TestOneWalk:
 
 class TestOneFoldRule:
     """The query path walks every segment's sorted run, with no backend
-    name, environment variable or registry lookup, so an optional backend
-    becoming available changes nothing."""
+    name or registry lookup, so an optional backend becoming available
+    changes nothing."""
 
     def test_the_fold_does_not_depend_on_the_optional_backend(
         self, base_matrix, monkeypatch
@@ -667,3 +663,155 @@ class TestOneFoldRule:
             collection.ingest(_rows(20, 32, 5))
         out = TopKSpmvEngine(collection).query_batch(np.zeros((0, 32)), 5)
         assert out.topk == []
+
+
+class TestQueryPathReadsPackets:
+    """``query``/``query_batch`` decode each segment's sorted run straight
+    from its packet streams: no stream plan is built and the plan cache
+    stays empty on every engine and through every mutation.  Only the
+    per-core candidate path fills it."""
+
+    @staticmethod
+    def _spy_plans(monkeypatch) -> list:
+        import repro.core.collection as collection_mod
+        import repro.core.dataflow as dataflow_mod
+        from repro.core.collection import CompiledCollection
+
+        calls = []
+        real_plan, real_plans = dataflow_mod.plan_stream, CompiledCollection.stream_plans
+
+        def plan_stream(stream):
+            calls.append("plan_stream")
+            return real_plan(stream)
+
+        def stream_plans(self):
+            calls.append("stream_plans")
+            return real_plans(self)
+
+        monkeypatch.setattr(dataflow_mod, "plan_stream", plan_stream)
+        monkeypatch.setattr(collection_mod, "plan_stream", plan_stream)
+        monkeypatch.setattr(CompiledCollection, "stream_plans", stream_plans)
+        return calls
+
+    @staticmethod
+    def _serve(served, base_matrix, tmp_path):
+        """An engine of kind ``served``, after its mutations; with every
+        artifact it reads."""
+        if served == "segmented":
+            collection = SegmentedCollection.from_matrix(base_matrix, DESIGN)
+            engine = TopKSpmvEngine(collection)
+            X = sample_unit_queries(derive_rng(51), 3, 96)
+            keys = engine.ingest(_rows(40, 96, 52))
+            engine.query_batch(X, 10)
+            engine.delete([int(keys[0]), 3, 7])
+            engine.query(X[0], 10)
+            engine.seal()
+            engine.query_batch(X, 10)
+            engine.compact()
+            engine.ingest(_rows(10, 96, 53))  # a live delta
+            engine.delete([int(keys[1])])
+            artifacts = [s.artifact for s in collection.segments]
+            return engine, artifacts + [collection.delta_segment().artifact]
+        if served == "skew":
+            matrix = zipf_embeddings(n_rows=600, n_cols=96, avg_nnz=8, seed=54)
+            artifact = compile_collection(matrix, DESIGN, placement="skew")
+        else:
+            artifact = compile_collection(base_matrix, DESIGN)
+        if served == "loaded":
+            artifact.save(tmp_path / "artifact.npz")
+            artifact = type(artifact).load(tmp_path / "artifact.npz")
+        if served == "sharded":
+            return ShardedEngine(artifact, n_shards=4), [artifact]
+        if served == "full-board":
+            return ShardedEngine(artifact, n_shards=2, cores_per_shard=8), [artifact]
+        return TopKSpmvEngine(artifact), [artifact]
+
+    @pytest.mark.parametrize(
+        "served", ["fresh", "loaded", "skew", "sharded", "full-board", "segmented"]
+    )
+    def test_no_plan_is_built_to_answer(
+        self, served, base_matrix, tmp_path, monkeypatch
+    ):
+        from repro.core.dataflow import simulate_multicore
+
+        calls = self._spy_plans(monkeypatch)
+        engine, artifacts = self._serve(served, base_matrix, tmp_path)
+        X = sample_unit_queries(derive_rng(55), 4, 96)
+        engine.query_batch(X, 10)
+        engine.query(X[0], 10)
+        assert calls == []
+        assert all(a._plans is None for a in artifacts)
+        if served in ("segmented", "full-board"):
+            return
+        # The candidate path still plans, and answers as the per-query oracle.
+        candidates, stats = engine.query_candidates_batch(X)
+        assert "stream_plans" in calls and artifacts[0]._plans is not None
+        design = engine.design
+        for x, got, got_stats in zip(design.quantize_query(X), candidates, stats):
+            want, want_stats = simulate_multicore(
+                engine.encoded, x, design.local_k, design.accumulate_dtype,
+                row_map=engine.collection.row_map,
+            )
+            assert got_stats == want_stats
+            for g, w in zip(got, want):
+                assert g.indices.tolist() == w.indices.tolist()
+                assert g.values.tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("design", ["20b", "25b", "32b", "f32"])
+    def test_the_run_holds_every_row_as_the_codec_quantises_it(self, design):
+        from repro.core.kernels.segmented import _artifact_run
+
+        matrix = zipf_embeddings(n_rows=300, n_cols=96, avg_nnz=8, seed=56)
+        d = PAPER_DESIGNS[design]
+        artifact = compile_collection(matrix, d, placement="skew")
+        assert artifact.placement is not None
+        acc = np.dtype(d.accumulate_dtype)
+        run = _artifact_run(artifact, acc)
+        assert sorted(run.ids.tolist()) == list(range(matrix.n_rows))
+        assert np.all(np.diff(run.bounds) <= 0)
+        for r, row in enumerate(run.ids):
+            lanes = slice(run.indptr[r], run.indptr[r + 1])
+            values = run.values[lanes].astype(acc)
+            kept = values != 0.0  # placeholder and zero-quantised lanes
+            idx, val = matrix.row(int(row))
+            want = d.codec.quantize(val).astype(acc)
+            nz = want != 0.0
+            assert run.kept_idx[lanes][kept].tolist() == idx[nz].tolist()
+            assert values[kept].tobytes() == want[nz].tobytes()
+
+
+class TestDeltaBuffer:
+    """The delta's live rows: its CSR blocks stacked, tombstones dropped."""
+
+    @staticmethod
+    def _buffer():
+        from repro.core.segments import _DeltaBuffer
+        from repro.formats.csr import CSRMatrix
+
+        dense = _rows(5, 8, 57)
+        buf = _DeltaBuffer(8)
+        buf.append_block(CSRMatrix.from_dense(dense[:3]), np.array([10, 11, 12]))
+        buf.append_block(CSRMatrix.from_dense(dense[3:]), np.array([13, 14]))
+        return buf, dense
+
+    def test_live_rows_stack_the_blocks_in_arrival_order(self):
+        buf, dense = self._buffer()
+        rows, keys = buf.live_rows()
+        assert keys.tolist() == [10, 11, 12, 13, 14]
+        assert np.array_equal(rows.to_dense(), dense)
+
+    def test_live_rows_drop_tombstoned_rows(self):
+        buf, dense = self._buffer()
+        buf.tombstone(1)
+        buf.tombstone(3)
+        rows, keys = buf.live_rows()
+        assert keys.tolist() == [10, 12, 14]
+        assert np.array_equal(rows.to_dense(), dense[[0, 2, 4]])
+        assert buf.n_live == 3
+
+    def test_an_empty_buffer_has_no_rows(self):
+        from repro.core.segments import _DeltaBuffer
+
+        rows, keys = _DeltaBuffer(8).live_rows()
+        assert rows.shape == (0, 8)
+        assert keys.dtype == np.int64 and len(keys) == 0

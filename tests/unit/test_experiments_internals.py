@@ -32,9 +32,6 @@ class TestConfig:
     def test_paper_scale_uses_30_queries(self):
         assert ExperimentConfig.paper().queries == 30
 
-    def test_with_rows(self):
-        assert ExperimentConfig().with_rows(500).functional_rows == 500
-
     def test_invalid_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(queries=0)

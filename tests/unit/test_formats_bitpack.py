@@ -25,7 +25,8 @@ class TestBitWriter:
     def test_zero_width_write_is_noop(self):
         writer = BitWriter(8)
         writer.write(0, 0)
-        assert writer.bits_written == 0
+        writer.write(0b101, 3)
+        assert writer.to_bytes() == bytes([0b101])
 
     def test_overflowing_value_rejected(self):
         writer = BitWriter(8)

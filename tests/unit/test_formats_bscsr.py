@@ -240,6 +240,17 @@ class TestDecodeLanes:
         assert keep[0].tolist() == [True, False, False, False]
         assert starts.tolist() == [0]
 
+    def test_a_stream_of_no_rows_keeps_no_lane(self):
+        # Two packets whose first does not close a row: without the
+        # no-rows rule its lanes would read as row content.
+        m = _csr([[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0), (4, 5.0)]])
+        stream = encode_bscsr(m, solve_layout(8, 64, lanes=4), ExactCodec())
+        assert stream.new_row.tolist() == [True, False]
+        stream.ptr = np.zeros_like(stream.ptr)
+        stream.n_rows = 0
+        keep, starts = decode_lanes(stream)
+        assert not keep.any() and starts.tolist() == []
+
     def test_row_count_mismatch_detected(self):
         m = _csr([[(0, 1.0)], [(1, 2.0)]])
         stream = encode_bscsr(m, solve_layout(8, 64, lanes=4), ExactCodec())

@@ -105,8 +105,3 @@ class TestComputation:
     def test_with_data_shape_check(self):
         with pytest.raises(FormatError):
             _sample().with_data(np.ones(5))
-
-    def test_memory_bytes(self):
-        m = _sample()
-        # 3 nnz x (32+32) bits + 4 ptrs x 64 bits = 448 bits = 56 bytes.
-        assert m.memory_bytes() == 56

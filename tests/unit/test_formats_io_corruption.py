@@ -2,7 +2,7 @@
 
 A serving tier that survives replica crashes must also survive what those
 crashes leave on disk.  This suite drives the persistence layer through the
-on-disk failure modes the fault plan models (``torn_writes``): every
+on-disk failure modes a crash mid-write leaves (torn writes): every
 truncated or bit-flipped artifact/manifest must surface as a typed
 :class:`~repro.errors.FormatError` naming the bad file — never a raw
 numpy/zipfile exception — and the atomic-write protocol must guarantee a
@@ -23,7 +23,6 @@ from repro.formats.io import (
     save_artifact,
     save_manifest,
 )
-from repro.serving.faults import FaultPlan
 
 
 def _arrays():
@@ -41,12 +40,9 @@ def artifact(tmp_path):
     return path
 
 
-#: The seeded torn-write schedule: each fraction is "the crash landed after
-#: this share of the bytes hit disk".  Declared as a FaultPlan so the same
-#: schedule shape the chaos benchmark persists drives this sweep.
-TORN = FaultPlan(
-    torn_writes=(0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999), seed=13
-)
+#: The torn-write schedule: each fraction is "the crash landed after this
+#: share of the bytes hit disk".
+TORN_FRACTIONS = (0.0, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.999)
 
 
 def _assert_truncation_is_typed(artifact, fraction):
@@ -79,7 +75,7 @@ TAIL_CUTS = (1, 4, 17, 100)
 
 
 class TestTruncationSweep:
-    @pytest.mark.parametrize("fraction", TORN.torn_writes)
+    @pytest.mark.parametrize("fraction", TORN_FRACTIONS)
     def test_truncated_artifact_is_a_typed_error(self, artifact, fraction):
         _assert_truncation_is_typed(artifact, fraction)
 
@@ -119,7 +115,7 @@ class TestVersion2Truncation:
         load_artifact(path, "test-kind")  # whole, it loads
         return path
 
-    @pytest.mark.parametrize("fraction", TORN.torn_writes)
+    @pytest.mark.parametrize("fraction", TORN_FRACTIONS)
     def test_truncated_artifact_is_a_typed_error(self, v2_artifact, fraction):
         _assert_truncation_is_typed(v2_artifact, fraction)
 
@@ -148,7 +144,7 @@ class TestManifestCorruption:
         )
         return root
 
-    @pytest.mark.parametrize("fraction", TORN.torn_writes)
+    @pytest.mark.parametrize("fraction", TORN_FRACTIONS)
     def test_truncated_manifest_is_a_typed_error(self, manifest_dir, fraction):
         manifest = manifest_dir / MANIFEST_FILENAME
         blob = manifest.read_bytes()

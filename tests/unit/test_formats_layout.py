@@ -66,10 +66,6 @@ class TestPacketLayout:
         with pytest.raises(LayoutError):
             PacketLayout(lanes=15, ptr_bits=3, idx_bits=10, val_bits=20)
 
-    def test_padding_bits(self):
-        layout = solve_layout(1024, 20)
-        assert layout.padding_bits == 1
-
     def test_max_index(self):
         assert solve_layout(1024, 20).max_index == 1023
 

@@ -57,11 +57,6 @@ class TestChannel:
         assert channel.bursts_for(16384) == 1
         assert channel.bursts_for(16385) == 2
 
-    def test_packets_per_second(self):
-        channel = ALVEO_U280_HBM.channel()
-        rate = channel.packets_per_second(64, "streaming")
-        assert rate == pytest.approx(13.2e9 / 64, rel=0.01)
-
     def test_unknown_rate_rejected(self):
         with pytest.raises(ConfigurationError):
             ALVEO_U280_HBM.channel().transfer_time_s(64, "warp")

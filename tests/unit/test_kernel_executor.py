@@ -6,7 +6,6 @@ import pytest
 from repro.arithmetic.codecs import codec_for_design
 from repro.core.dataflow import plan_stream
 from repro.core.kernels import SharedPlanArena, map_partitions, resolve_executor
-from repro.core.kernels.executor import EXECUTOR_ENV_VAR
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix
@@ -44,25 +43,20 @@ def _lane_count(index, plan, *, X, **params):
 
 
 class TestResolveExecutor:
-    def test_default_and_explicit(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+    def test_default_and_explicit(self):
         assert resolve_executor() == "thread"
         assert resolve_executor("thread") == "thread"
         assert resolve_executor("process") == "process"
 
-    def test_env_override_and_precedence(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
-        assert resolve_executor() == "process"
-        # An explicit name still beats the environment.
-        assert resolve_executor("thread") == "thread"
-
-    def test_typo_fails_fast(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processs")
+    def test_typo_fails_fast(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
-            resolve_executor()
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+            resolve_executor("processs")
         with pytest.raises(ConfigurationError, match="unknown executor"):
             resolve_executor("fork")
+
+    def test_the_environment_does_not_pick_the_executor(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_EXECUTOR", "processs")
+        assert resolve_executor() == "thread"
 
 
 class TestSharedPlanArena:

@@ -63,45 +63,39 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="already registered"):
             register_kernel(get_kernel("gather"))
 
-    def test_resolve_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_resolve_default(self):
         assert resolve_kernel_name() == "auto"
         assert resolve_kernel_name("streaming") == "streaming"
 
-    def test_resolve_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "contraction")
-        assert resolve_kernel_name() == "contraction"
-        # An explicit name still beats the environment.
-        assert resolve_kernel_name("gather") == "gather"
-
-    def test_resolve_env_typo_fails_fast(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "contracton")
+    def test_resolve_typo_fails_fast(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
-            resolve_kernel_name()
+            resolve_kernel_name("contracton")
 
-    def test_resolve_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL_WORKERS", raising=False)
+    def test_resolve_workers(self):
         assert resolve_workers() == 1
         assert resolve_workers(3) == 3
-        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "4")
-        assert resolve_workers() == 4
-        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "zero")
+        assert resolve_workers("4") == 4
         with pytest.raises(ConfigurationError, match="not an integer"):
-            resolve_workers()
+            resolve_workers("zero")
         with pytest.raises(ConfigurationError, match="must be >= 1"):
             resolve_workers(-2)
 
-    def test_resolve_workers_auto_means_all_cores(self, monkeypatch):
+    def test_resolve_workers_auto_means_all_cores(self):
         import os as _os
 
         cores = _os.cpu_count() or 1
-        monkeypatch.delenv("REPRO_KERNEL_WORKERS", raising=False)
         assert resolve_workers("auto") == cores
         assert resolve_workers(0) == cores
-        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "auto")
-        assert resolve_workers() == cores
-        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "0")
-        assert resolve_workers() == cores
+
+    def test_the_environment_does_not_pick_the_kernel(self, monkeypatch):
+        # The candidate path's settings come from arguments only: a name
+        # left in the environment is not read, not even a typo.
+        monkeypatch.setenv("REPRO_KERNEL", "contracton")
+        assert resolve_kernel_name() == "auto"
+
+    def test_the_environment_does_not_set_the_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_WORKERS", "zero")
+        assert resolve_workers() == 1
 
 
 class TestAutoQueryChunk:
@@ -322,7 +316,7 @@ class TestOperandLowering:
         assert collection.contraction_operand() is operand
 
     def test_gateless_design_skips_lowering_on_save_and_auto(
-        self, tiny_matrix, tmp_path, monkeypatch
+        self, tiny_matrix, tmp_path
     ):
         # A float32 design has no fixed value grid: the contraction gate
         # can never pass, so neither save(), the query path nor the
@@ -346,10 +340,19 @@ class TestOperandLowering:
         # Even an explicit contraction request skips the lowering: with no
         # codec grid the gate is guaranteed to fall back to gather with
         # identical bits, so the operand would be pure waste.
-        monkeypatch.setenv("REPRO_KERNEL", "gather")
-        want, _ = engine.query_candidates_batch(X)
-        monkeypatch.setenv("REPRO_KERNEL", "contraction")
-        got, _ = engine.query_candidates_batch(X)
+        assert not collection.wants_contraction_operand("contraction")
+        sweep = dict(
+            local_k=collection.design.local_k,
+            accumulate_dtype=collection.design.accumulate_dtype,
+            plans=collection.stream_plans(),
+        )
+        X_uram = collection.design.quantize_query(X)
+        want, _ = simulate_multicore_batch(
+            collection.encoded, X_uram, kernel="gather", **sweep
+        )
+        got, _ = simulate_multicore_batch(
+            collection.encoded, X_uram, kernel="contraction", **sweep
+        )
         assert collection._operand is None
         for gq, wq in zip(got, want):
             for g, w in zip(gq, wq):
@@ -575,8 +578,8 @@ class TestGlobalisationAliasing:
 
 
 class TestEngineCandidateKernelThreading:
-    """``$REPRO_KERNEL`` reaches the engines' candidate sweep (the only
-    per-backend path left) and stays bit-neutral there."""
+    """The engines' candidate sweep runs the default backend, and every
+    explicitly named backend of the sweep gives its bits."""
 
     @staticmethod
     def _assert_same_candidates(got, want, label):
@@ -598,8 +601,6 @@ class TestEngineCandidateKernelThreading:
         rng = np.random.default_rng(9)
         X = rng.random((5, tiny_matrix.n_cols))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        monkeypatch.setenv("REPRO_KERNEL", "gather")
-        want, want_stats = engine.query_candidates_batch(X)
         seen = []
         sweep = engine_module.simulate_multicore_batch
 
@@ -608,16 +609,22 @@ class TestEngineCandidateKernelThreading:
             return sweep(*args, **kwargs)
 
         monkeypatch.setattr(engine_module, "simulate_multicore_batch", spy)
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
-        got, got_stats = engine.query_candidates_batch(X)
-        assert seen == [kernel]
+        want, want_stats = engine.query_candidates_batch(X)
+        assert seen == ["auto"]
+        got, got_stats = sweep(
+            collection.encoded,
+            collection.design.quantize_query(X),
+            local_k=collection.design.local_k,
+            accumulate_dtype=collection.design.accumulate_dtype,
+            plans=collection.stream_plans(),
+            kernel=kernel,
+            row_map=collection.row_map,
+        )
         self._assert_same_candidates(got, want, kernel)
         assert got_stats == want_stats
 
     @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_aligned_fleet_candidates_match_across_kernels(
-        self, tiny_matrix, n_shards, monkeypatch
-    ):
+    def test_aligned_fleet_candidates_match_engine(self, tiny_matrix, n_shards):
         from repro.serving.sharded import ShardedEngine
 
         collection = compile_collection(tiny_matrix, PAPER_DESIGNS["20b"])
@@ -625,10 +632,7 @@ class TestEngineCandidateKernelThreading:
         rng = np.random.default_rng(11)
         X = rng.random((4, tiny_matrix.n_cols))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        monkeypatch.setenv("REPRO_KERNEL", "gather")
         want, want_stats = TopKSpmvEngine(collection).query_candidates_batch(X)
-        for kernel in ("gather", "streaming", "contraction", "native", "auto"):
-            monkeypatch.setenv("REPRO_KERNEL", kernel)
-            got, got_stats = fleet.query_candidates_batch(X)
-            self._assert_same_candidates(got, want, kernel)
-            assert got_stats == want_stats
+        got, got_stats = fleet.query_candidates_batch(X)
+        self._assert_same_candidates(got, want, "fleet")
+        assert got_stats == want_stats

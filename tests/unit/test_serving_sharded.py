@@ -66,9 +66,9 @@ class TestAlignedShardingEquality:
             )
 
     def test_dataflow_totals_match_unsharded(self, flat_engine, sharded_engine, query):
-        flat = flat_engine.query(query, top_k=10)
-        sharded = sharded_engine.query(query, top_k=10)
-        assert sharded.dataflow == flat.dataflow
+        _, flat = flat_engine.query_candidates(query)
+        _, sharded = sharded_engine.query_candidates(query)
+        assert sharded == flat
 
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 8])
     def test_equality_holds_for_any_shard_count(self, collection, query, n_shards):

@@ -124,15 +124,14 @@ class TestBatchQueries:
         assert batch.queries_per_second == pytest.approx(len(batch) / batch.seconds)
         assert batch.energy_j > 0
 
-    def test_batch_returns_per_query_stats(self, small_matrix, queries):
-        """The batched path must not drop DataflowStats (old looped path did)."""
+    def test_candidates_batch_returns_per_query_stats(self, small_matrix, queries):
+        """The batched candidate sweep must not drop DataflowStats."""
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
-        batch = engine.query_batch(queries, top_k=10)
-        assert len(batch.dataflow) == len(queries)
-        for x, stats in zip(queries, batch.dataflow):
-            assert stats == engine.query(x, top_k=10).dataflow
-        totals = batch.dataflow_totals
-        assert totals.rows_finished == len(queries) * small_matrix.n_rows
+        _, all_stats = engine.query_candidates_batch(queries)
+        assert len(all_stats) == len(queries)
+        for x, stats in zip(queries, all_stats):
+            assert stats == engine.query_candidates(x)[1]
+            assert stats.rows_finished == small_matrix.n_rows
 
     def test_batch_validates_top_k_once(self, small_matrix, queries):
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
@@ -160,11 +159,12 @@ class TestBatchQueries:
 
     def test_stream_plans_cached(self, small_matrix, queries):
         engine = TopKSpmvEngine(small_matrix, design=PAPER_DESIGNS["20b"])
-        # Lazy until the first batched query; the cache lives on the
-        # compiled artifact so every consumer of the collection shares it.
-        assert engine.collection._plans_all is None
+        # Lazy until the first candidate sweep (the query path never builds
+        # them); the cache lives on the compiled artifact so every consumer
+        # of the collection shares it.
         engine.query_batch(queries, top_k=10)
-        plans = engine.stream_plans()
-        assert plans is engine.stream_plans()
+        assert engine.collection._plans is None
+        engine.query_candidates_batch(queries)
+        plans = engine.collection._plans
         assert plans is engine.collection.stream_plans()
         assert len(plans) == engine.encoded.n_partitions

@@ -5,7 +5,7 @@ import pytest
 
 import repro.errors as errors
 from repro.errors import ConfigurationError, ReproError
-from repro.utils.rng import derive_rng, partition_seeds, sample_unit_queries, spawn_rngs
+from repro.utils.rng import derive_rng, sample_unit_queries, spawn_rngs
 from repro.utils.validation import (
     check_in_range,
     check_non_negative_int,
@@ -80,10 +80,6 @@ class TestRng:
     def test_sample_unit_queries_signed(self):
         queries = sample_unit_queries(derive_rng(0), 4, 32, non_negative=False)
         assert (queries < 0).any()
-
-    def test_partition_seeds_stable_names(self):
-        streams = partition_seeds(7, ["a", "b"])
-        assert set(streams) == {"a", "b"}
 
 
 class TestErrors:
