@@ -1,5 +1,4 @@
-"""Benchmarks for the pluggable SpMV kernel backends (ISSUE-4 tentpole,
-ISSUE-7 native backend).
+"""Benchmarks for the pluggable SpMV kernel backends of the candidate path.
 
 Times every registered backend on the serve-bench synthetic collection
 (20k x 512, avg 20 nnz, 20-bit design, Q = 128), checks all of them
@@ -7,25 +6,11 @@ bit-identical on the measured workload, emits
 ``benchmarks/results/kernels_speedup.json`` so successive PRs can track the
 query-path trajectory, and asserts the acceptance floors:
 
-* the best backend >= 2x over the (auto-chunked) gather kernel;
-* where Numba is installed, the compiled ``native`` backend >= 25x over the
-  gather kernel at Q = 128 — the reference every floor here divides by.
-  (It used to be ">= 10x over contraction", whose denominator moves every
-  time the contraction path gets faster: contraction measured 2.9x over
-  gather on this corpus before its Top-K fold became lane-parallel and
-  6.8x after, which would have silently raised the old floor to ~68x over
-  gather.  25x asks for slightly less than the old floor did — 10 x 2.9 —
-  and has not been re-measured with Numba.  The ratio to contraction is
-  still recorded.)  Without Numba the backend is registry-unavailable (it would
-  silently time its streaming fallback), so it is excluded from the timing
-  table and the floor is soft-skipped — the payload records
-  ``native_available`` either way so CI's with/without-Numba jobs stay
-  distinguishable.
+* the best backend >= 2x over the (auto-chunked) gather kernel.
 
 A second, skewed collection (rows sorted by decaying magnitude) records the
 streaming kernel's block-skip behaviour, where provable threshold pruning
-lets whole row blocks go ungathered; the native kernel's per-query variant
-of the same screen is timed alongside when available.
+lets whole row blocks go ungathered.
 
 ``REPRO_BENCH_QUICK=1`` (exported by ``repro bench-all --quick``) shrinks
 the collections and the query block so the emitter finishes in seconds;
@@ -43,7 +28,6 @@ import numpy as np
 from repro import PAPER_DESIGNS, compile_collection
 from repro.core.dataflow import simulate_multicore_batch
 from repro.core.kernels import KernelRequest, available_kernels, run_kernel
-from repro.core.kernels.native import native_available
 from repro.data.synthetic import synthetic_embeddings
 from repro.formats.csr import CSRMatrix
 from repro.utils.rng import derive_rng, sample_unit_queries
@@ -54,12 +38,7 @@ N_ROWS = 4_000 if QUICK else 20_000
 TOP_LOCAL_K = 8
 # The built-in concrete backends ("auto" only delegates; test stubs may join
 # the registry when the suites share a session, so the set is pinned).
-# ``native`` joins the timing table only when it will actually run compiled
-# code — unavailable it resolves to its streaming fallback and the row
-# would duplicate the streaming timing under another name.
 BACKENDS = ["gather", "streaming", "contraction"]
-if native_available():
-    BACKENDS.append("native")
 assert set(BACKENDS) <= set(available_kernels())
 
 
@@ -103,8 +82,7 @@ def test_kernel_backends_speedup():
     collection = compile_collection(matrix, design)
     X = design.quantize_query(sample_unit_queries(derive_rng(0), Q, 512))
 
-    # Warm every path once (plans, operand, allocator — and, for native,
-    # the JIT compile, which must not land in the timed region).
+    # Warm every path once (plans, operand, allocator).
     reference = _run(collection, X, "gather")
     timings = {}
     for name in BACKENDS:
@@ -157,21 +135,6 @@ def test_kernel_backends_speedup():
         "streaming_s": skew_streaming_s,
         "streaming_skip_fraction": skip_fraction,
     }
-    if "native" in BACKENDS:
-        _assert_bit_identical(skew_reference, _run(skewed, Xs, "native"), "native")
-        native_out = run_kernel(
-            KernelRequest(
-                X=Xs,
-                plans=tuple(skewed.stream_plans()),
-                accumulate_dtype=skewed.design.accumulate_dtype,
-                local_k=TOP_LOCAL_K,
-            ),
-            "native",
-        )
-        skewed_payload["native_s"] = _best_of(lambda: _run(skewed, Xs, "native"))
-        # Per-query screening prunes at least as much as the streaming
-        # kernel's chunk-consensus screen, usually more.
-        skewed_payload["native_skip_fraction"] = native_out.skip_fraction
 
     results_dir = Path(__file__).parent / "results"
     results_dir.mkdir(exist_ok=True)
@@ -180,16 +143,11 @@ def test_kernel_backends_speedup():
         "design": "20b",
         "n_queries": Q,
         "quick": QUICK,
-        "native_available": native_available(),
         "backend_seconds": timings,
         "speedup_vs_gather": speedups,
         "best_backend": best,
         "skewed": skewed_payload,
     }
-    if "native" in timings:
-        payload["speedup_native_vs_contraction"] = (
-            timings["contraction"] / timings["native"]
-        )
     with open(results_dir / "kernels_speedup.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
@@ -205,8 +163,3 @@ def test_kernel_backends_speedup():
         f"best kernel ({best}) is only {speedups[best]:.2f}x over gather at "
         f"Q={Q} (floor: 2x)"
     )
-    if "native" in timings:
-        assert speedups["native"] >= 25.0, (
-            f"native kernel is only {speedups['native']:.1f}x over gather "
-            f"at Q={Q} (floor: 25x)"
-        )

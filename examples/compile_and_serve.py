@@ -74,8 +74,8 @@ def main() -> None:
         #    run, decoded straight from the packets, scoring large chunks
         #    by float32 SpMM and rescoring the rows that straddle the K-th
         #    score exactly.  Backend names (`kernel=` on
-        #    `simulate_multicore_batch`; `native` wants Numba) steer only
-        #    the per-core candidate path.
+        #    `simulate_multicore_batch`) steer only the per-core
+        #    candidate path.
         from repro.core.kernels import run_segmented
         from repro.core.segments import SegmentedCollection
 

@@ -3,11 +3,6 @@
 Kept as a plain ``setup.py`` so legacy editable installs
 (``pip install -e . --no-use-pep517``) keep working on offline machines
 whose setuptools cannot build PEP 660 wheels.
-
-The ``native`` extra pulls in Numba for the compiled kernel backend of
-the per-core candidate path (``kernel="native"``); without it the
-package still imports and runs —
-the registry resolves ``native`` to its streaming fallback.
 """
 
 from setuptools import find_packages, setup
@@ -24,7 +19,6 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     extras_require={
-        "native": ["numba>=0.57"],
         "dev": ["pytest", "hypothesis", "pytest-cov"],
     },
 )

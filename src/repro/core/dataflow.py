@@ -403,7 +403,7 @@ def simulate_multicore_batch(
         (:meth:`~repro.core.collection.CompiledCollection.stream_plans`).
     kernel:
         Backend name (``"gather"``, ``"streaming"``, ``"contraction"``,
-        ``"native"``, ``"auto"``); ``None`` is the default (``auto``).
+        ``"auto"``); ``None`` is the default (``auto``).
         Backends that cannot guarantee the request's accumulation order
         fall back to the reference kernel automatically.
     n_workers:

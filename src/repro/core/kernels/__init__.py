@@ -24,10 +24,6 @@ Modules
 ``contraction``
     Collection-level SciPy CSR contraction, gated on provably exact
     (order-independent) float64 accumulation.
-``native``
-    The streaming fold as Numba ``@njit`` loops (optional dependency;
-    falls back to ``streaming`` when Numba is absent), with per-query
-    threshold skipping and a gated exact sequential-sum path.
 ``segmented``
     The one query driver behind every engine's ``query``/``query_batch``:
     every segment walks its sorted run (``streaming.fold_run``: large
@@ -58,6 +54,7 @@ from repro.core.kernels.base import (
     available_kernels,
     get_kernel,
     map_partitions,
+    native_available,
     register_kernel,
     resolve_backend,
     resolve_executor,
@@ -76,11 +73,6 @@ from repro.core.kernels.contraction import (
     codec_grid_bits,
     codecs_grid_bits,
     lower_plans,
-)
-from repro.core.kernels.native import (
-    NativeKernel,
-    native_available,
-    reduceat_segment_sums,
 )
 from repro.core.kernels.auto import AutoKernel
 from repro.core.kernels.segmented import SegmentedOutput, run_segmented
@@ -113,9 +105,7 @@ __all__ = [
     "codec_grid_bits",
     "codecs_grid_bits",
     "lower_plans",
-    "NativeKernel",
     "native_available",
-    "reduceat_segment_sums",
     "AutoKernel",
     "DEFAULT_KERNEL",
     "FALLBACK_KERNEL",

@@ -1,9 +1,7 @@
 """The default backend of the per-core candidate path: first of the
 preference order that fits the request.
 
-Preference: ``native`` (the compiled streaming fold — fastest whenever
-Numba is installed, with per-query threshold skipping on top), then
-``contraction`` (the fastest interpreted path when its exactness gate
+Preference: ``contraction`` (the fastest path when its exactness gate
 passes, e.g. the paper's 20-bit design on quantised queries), then
 ``streaming`` (unconditionally bit-exact, tighter working set than the
 reference and able to skip provably-rejected row blocks).  The reference
@@ -27,7 +25,7 @@ from repro.core.kernels.base import (
 __all__ = ["AutoKernel"]
 
 #: Tried in order; the last entry must support every request.
-PREFERENCE = ("native", "contraction", "streaming", "gather")
+PREFERENCE = ("contraction", "streaming", "gather")
 
 
 class AutoKernel(KernelBackend):

@@ -22,11 +22,6 @@ Backends therefore differ only in *how* they compute the same bits:
     One collection-level sparse·dense product (SciPy CSR), valid only when
     fixed-point value/query grids make float64 accumulation provably exact
     (order-independent); otherwise it falls back automatically.
-``native``
-    The streaming fold compiled with Numba (optional dependency) — flat
-    ``@njit`` loops over the plan buffers reproducing ``np.add.reduceat``'s
-    pairwise tree bit for bit; unavailable (and substituted by its
-    ``streaming`` fallback) when Numba is absent.
 ``auto``
     The first backend of the preference order that supports the request.
 
@@ -69,6 +64,7 @@ __all__ = [
     "register_kernel",
     "get_kernel",
     "available_kernels",
+    "native_available",
     "resolve_kernel_name",
     "resolve_workers",
     "resolve_executor",
@@ -137,15 +133,12 @@ class Queries:
     X: np.ndarray  # (Q, n_cols) float64, as stored in URAM
     Xc: np.ndarray  # X in the accumulate dtype
     xmax: np.ndarray  # (Q,) float64 max |x| — the query half of the bound
-    #: The contraction gate certified this sweep's float64 accumulation
-    #: exact, hence order-independent: a backend may sum lanes in any order.
-    exact: bool = False
 
     @classmethod
-    def of(cls, X: np.ndarray, accumulate_dtype, exact: bool = False) -> "Queries":
+    def of(cls, X: np.ndarray, accumulate_dtype) -> "Queries":
         Xc = X.astype(accumulate_dtype)
         xmax = np.abs(Xc).max(axis=1, initial=0.0).astype(np.float64)
-        return cls(X, Xc, xmax, exact)
+        return cls(X, Xc, xmax)
 
     @property
     def acc(self) -> np.dtype:
@@ -157,7 +150,7 @@ class Queries:
 
     def chunk(self, q0: int, q1: int) -> "Queries":
         """Queries ``q0:q1`` (views — queries are independent rows)."""
-        return Queries(self.X[q0:q1], self.Xc[q0:q1], self.xmax[q0:q1], self.exact)
+        return Queries(self.X[q0:q1], self.Xc[q0:q1], self.xmax[q0:q1])
 
 
 @dataclass
@@ -236,7 +229,7 @@ class KernelBackend:
         unless the backend sizes a working set by it)."""
         return len(queries)
 
-    def run_partition(self, index, plan, *, X, accumulate_dtype, local_k, exact=False):
+    def run_partition(self, index, plan, *, X, accumulate_dtype, local_k):
         """One partition's share of a frozen sweep, as a *picklable* entry
         point: fresh pads → :meth:`fold_plan` → ``finish_dense``, in blocks
         of :meth:`fold_width` queries (bit-neutral: lanes are independent).
@@ -248,7 +241,7 @@ class KernelBackend:
         ``(skipped, screened)``: freshly allocated arrays only, never views
         of ``plan`` or ``X``, and no state shared between pool workers.
         """
-        queries = Queries.of(X, accumulate_dtype, exact)
+        queries = Queries.of(X, accumulate_dtype)
         n_queries = len(queries)
         values = np.empty((n_queries, local_k), dtype=np.float64)
         rows = np.empty((n_queries, local_k), dtype=np.int64)
@@ -268,8 +261,6 @@ class KernelBackend:
         params = {
             "accumulate_dtype": np.dtype(request.accumulate_dtype),
             "local_k": request.local_k,
-            # See Queries.exact: the contraction backend owns the gate.
-            "exact": bool(get_kernel("contraction").supports(request)),
         }
         per_partition = map_partitions(
             partial(self.run_partition, X=request.X, **params),
@@ -323,6 +314,12 @@ def get_kernel(name: str) -> KernelBackend:
 def available_kernels() -> "list[str]":
     """Registered backend names, in registration order."""
     return list(_REGISTRY)
+
+
+def native_available() -> bool:
+    """Always ``False``: there is no compiled backend.  Kept for callers
+    that record it in a machine fingerprint."""
+    return False
 
 
 def resolve_kernel_name(name: "str | None" = None) -> str:

@@ -7,9 +7,8 @@ kernel backend goes through.  Three executors serve it:
     ``n_workers <= 1`` (or a single partition): a plain loop.
 ``thread``
     The default.  A :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy
-    releases the GIL inside the big gathers/reductions, and the native
-    kernels compile with ``nogil=True``, so threads scale for the compiled
-    and vectorised portions.
+    releases the GIL inside the big gathers/reductions, so threads scale
+    for the vectorised portions.
 ``process``
     ``executor="process"``: a persistent *spawn*
     :class:`~concurrent.futures.ProcessPoolExecutor`.

@@ -83,40 +83,12 @@ class BatchScratchpads:
         return self._vals.min(axis=1)
 
     def export_state(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Dense ``(vals, rows, accepts)`` snapshot of every scratchpad.
-
-        For kernels that advance the tracker state outside :meth:`fold`
-        (the native sweep): ``vals`` is ``(lanes, k)`` float64, ``rows``
+        """Dense ``(vals, rows, accepts)`` snapshot of every scratchpad,
+        slot for slot: ``vals`` is ``(lanes, k)`` float64, ``rows``
         ``(lanes, k)`` int64 (−1 = unfilled), ``accepts`` ``(lanes,)``
-        int64 — copies, safe to mutate and hand back to
-        :meth:`import_state`.
+        int64 — copies, safe to mutate.
         """
         return self._vals.copy(), self._rows.copy(), self._accepts.copy()
-
-    def import_state(
-        self,
-        vals: np.ndarray,
-        rows: np.ndarray,
-        accepts: np.ndarray,
-        seen_rows: int = 0,
-    ) -> None:
-        """Adopt (a copy of) a state advanced outside :meth:`fold`.
-
-        The caller guarantees the state is what sequential
-        :meth:`TopKTracker.insert` operations starting from
-        :meth:`export_state` would have produced — then every invariant
-        (thresholds never decrease, NaN-free slots) still holds.  The
-        fill shortcut is disabled afterwards (per-lane fill levels may
-        now differ); the windowed fold path remains exact regardless.
-        ``seen_rows`` advances the window-growth counter by the rows
-        offered or provably skipped — never any result bit.
-        """
-        shape = (self.n_queries, self.local_k)
-        self._vals = np.array(vals, dtype=np.float64).reshape(shape)
-        self._rows = np.array(rows, dtype=np.int64).reshape(shape)
-        self._accepts = np.array(accepts, dtype=np.int64).reshape(shape[0])
-        self._seen += int(seen_rows)
-        self._uniform = False
 
     # ------------------------------------------------------------------ #
     # Folding

@@ -105,10 +105,9 @@ def _slack(max_len: int, accumulate_dtype) -> float:
 def screen_blocks(plan, accumulate_dtype) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """The provable-skip precompute: ``(seg_ends, blocks, block_peak)``.
 
-    One home for the correctness-critical screen math of this backend's
-    stream-order walk and the native one's: per-row |value| sums reduced
-    to per-block peaks (blocks of ~:data:`_BLOCK_LANE_BUDGET` lanes),
-    scaled by :func:`_slack`.
+    The correctness-critical screen math of this backend's stream-order
+    walk: per-row |value| sums reduced to per-block peaks (blocks of
+    ~:data:`_BLOCK_LANE_BUDGET` lanes), scaled by :func:`_slack`.
     """
     starts = plan.starts
     n_lanes = len(plan.kept_values)

@@ -10,8 +10,8 @@ hang on the row order:
   (see :meth:`repro.hw.multicore.TopKSpmvAccelerator.timing_from_packets`),
   so a channel that drew the heavy rows stalls the whole board;
 * **threshold block-skip** on the per-core candidate path — the
-  streaming/native kernels walk each partition stream in stored order and
-  prove whole row blocks unable to beat the current top-k thresholds
+  streaming kernel walks each partition stream in stored order and
+  proves whole row blocks unable to beat the current top-k thresholds
   (:func:`repro.core.kernels.streaming.screen_blocks`); the bound is the
   per-row |value| sum, so placing heavy rows *first* within a channel
   fills the scratchpads early and lets the light tail be skipped.  Host
@@ -42,7 +42,6 @@ modelled makespan.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -192,16 +191,41 @@ def _lpt_bins(loads: np.ndarray, n_partitions: int) -> "list[np.ndarray]":
     """Greedy LPT: heaviest row first into the least-loaded bin.
 
     Ties (equal bin loads) break on the lowest bin index; equal row loads
-    keep ascending original id (stable sort) — fully deterministic.
+    keep ascending original id (stable sort) — fully deterministic.  Each
+    bin lists its rows in assignment order.
+
+    One step per run of equal (non-negative integer) loads, not per row:
+    a ``(load, bin)`` min-heap offered ``m`` rows of load ``L > 0`` pops
+    exactly the first ``m`` pairs of the merged sequences
+    ``(s_b + j·L, b)``, ``j >= 0``, where ``s`` are the bin loads before
+    the run.  The ``m``-th pair is at most ``max(s) + (⌈m/P⌉ − 1)·L``, so
+    bin ``b`` needs at most ``⌊(max(s) − s_b)/L⌋ + ⌈m/P⌉`` candidates.  A
+    run of ``L = 0`` rows never moves the heap: it all lands in the bin
+    least by ``(load, bin)``.
     """
+    loads = np.asarray(loads, dtype=np.int64)
     order_desc = np.argsort(-loads, kind="stable")
-    heap = [(0, b) for b in range(n_partitions)]
-    bins: "list[list[int]]" = [[] for _ in range(n_partitions)]
-    for r in order_desc:
-        load, b = heapq.heappop(heap)
-        bins[b].append(int(r))
-        heapq.heappush(heap, (load + int(loads[r]), b))
-    return [np.array(rows, dtype=np.int64) for rows in bins]
+    ordered = loads[order_desc]
+    starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+    bin_loads = np.zeros(n_partitions, dtype=np.int64)
+    assign = np.empty(len(loads), dtype=np.int64)
+    for r0, r1 in zip(starts, np.r_[starts[1:], len(loads)]):
+        m, step = int(r1 - r0), int(ordered[r0])
+        if step == 0:
+            assign[r0:r1] = np.argmin(bin_loads)
+            continue
+        depth = np.minimum(
+            m, (bin_loads.max() - bin_loads) // step + -(-m // n_partitions)
+        )
+        cand_bin = np.repeat(np.arange(n_partitions), depth)
+        first = np.repeat(np.cumsum(depth) - depth, depth)
+        cand_load = bin_loads[cand_bin] + (np.arange(len(cand_bin)) - first) * step
+        chosen = cand_bin[np.lexsort((cand_bin, cand_load))[:m]]
+        assign[r0:r1] = chosen
+        bin_loads += np.bincount(chosen, minlength=n_partitions) * step
+    by_bin = order_desc[np.argsort(assign, kind="stable")].astype(np.int64)
+    sizes = np.bincount(assign, minlength=n_partitions)
+    return np.split(by_bin, np.cumsum(sizes)[:-1])
 
 
 def plan_placement(

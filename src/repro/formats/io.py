@@ -81,6 +81,8 @@ def artifact_digest(arrays: "dict[str, np.ndarray]") -> str:
     Covers names, dtypes, shapes and raw bytes in sorted-name order, so any
     bit flip in any buffer — or a renamed/missing/extra buffer — changes the
     digest.  The header itself is not covered (it stores the digest).
+    Each buffer is hashed in place through the buffer protocol (the same
+    bytes as ``tobytes()``, without its copy).
     """
     sha = hashlib.sha256()
     for name in sorted(arrays):
@@ -88,7 +90,7 @@ def artifact_digest(arrays: "dict[str, np.ndarray]") -> str:
         sha.update(name.encode())
         sha.update(str(arr.dtype).encode())
         sha.update(repr(arr.shape).encode())
-        sha.update(arr.tobytes())
+        sha.update(arr)
     return sha.hexdigest()
 
 

@@ -16,8 +16,6 @@ exactly what these properties assert, since they never special-case the
 backend).
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,39 +29,17 @@ from repro.core.dataflow import (
     simulate_multicore_batch,
 )
 from repro.core.kernels import available_kernels, lower_plans
-from repro.core.kernels.native import HAVE_NUMBA, INTERPRET_ENV_VAR
 from repro.formats.bscsr import BSCSRMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.layout import solve_layout
 
 #: The built-in backends (test stubs may join the registry mid-session, so
 #: the suite pins the set it certifies and asserts they are all present).
-KERNELS = ["gather", "streaming", "contraction", "native", "auto"]
+KERNELS = ["gather", "streaming", "contraction", "auto"]
 assert set(KERNELS) <= set(available_kernels())
 
 #: Both partition executors must be bit-neutral.
 EXECUTORS = ["thread", "process"]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _native_loops_available():
-    """Certify the native loop *semantics* even where Numba is absent.
-
-    Without Numba the backend would silently fall back to streaming and
-    these properties would lock nothing new; forcing interpreted mode runs
-    the identical loop bodies, so the bits proven here are the bits the
-    compiled functions produce (same Python source, Numba's float
-    semantics are IEEE).  Scoped to this module so the rest of the session
-    keeps real-world availability.
-    """
-    if HAVE_NUMBA:
-        yield
-        return
-    os.environ[INTERPRET_ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop(INTERPRET_ENV_VAR, None)
 
 
 @st.composite

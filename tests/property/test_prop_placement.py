@@ -21,6 +21,8 @@ identity/legacy artifacts load with no placement, and the candidate path
 builds each partition's plan once.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -31,7 +33,12 @@ from repro.core.approx import merge_topk_candidates
 from repro.core.collection import CompiledCollection, compile_collection
 from repro.core.dataflow import simulate_multicore_batch
 from repro.core.kernels import run_segmented
-from repro.core.placement import PLACEMENT_STRATEGIES, Placement, plan_placement
+from repro.core.placement import (
+    PLACEMENT_STRATEGIES,
+    Placement,
+    _lpt_bins,
+    plan_placement,
+)
 from repro.core.segments import SegmentedCollection
 from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import zipf_embeddings
@@ -39,7 +46,7 @@ from repro.formats.csr import CSRMatrix
 from repro.hw.design import PAPER_DESIGNS
 
 NON_UNIFORM = [s for s in PLACEMENT_STRATEGIES if s != "uniform"]
-KERNELS = ["gather", "streaming", "contraction", "native"]
+KERNELS = ["gather", "streaming", "contraction"]
 
 
 @st.composite
@@ -394,3 +401,34 @@ class TestPlanPlacementShapes:
         uniform = plan_placement("uniform", matrix, n_partitions)
         skew = plan_placement("skew", matrix, n_partitions)
         assert imbalance(skew) <= imbalance(uniform)
+
+
+def heap_lpt_bins(loads, n_partitions):
+    """The LPT rule one heap operation per row: the oracle of ``_lpt_bins``."""
+    heap = [(0, b) for b in range(n_partitions)]
+    bins = [[] for _ in range(n_partitions)]
+    for r in np.argsort(-loads, kind="stable"):
+        load, b = heapq.heappop(heap)
+        bins[b].append(int(r))
+        heapq.heappush(heap, (load + int(loads[r]), b))
+    return bins
+
+
+class TestLptBins:
+    """``_lpt_bins`` assigns a run of equal loads at once; it must place
+    every row where the per-row heap does, in the same order."""
+
+    @given(
+        loads=st.lists(st.integers(0, 6), max_size=300),
+        scale=st.sampled_from([1, 50]),
+        n_partitions=st.integers(1, 11),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_heap(self, loads, scale, n_partitions):
+        loads = np.array(loads, dtype=np.int64) * scale
+        got = _lpt_bins(loads, n_partitions)
+        want = heap_lpt_bins(loads, n_partitions)
+        assert len(got) == n_partitions
+        for rows, oracle in zip(got, want):
+            assert rows.dtype == np.int64
+            assert rows.tolist() == oracle

@@ -1,6 +1,8 @@
 """Unit tests for codec names and the artifact container."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,50 @@ def _save_version_2(path, arrays, aux, kind="t"):
         "aux_digest": artifact_digest(aux),
     }
     return _save_raw(path, header, {**arrays, **aux})
+
+
+def _tobytes_digest(arrays):
+    """The digest as first specified: each buffer hashed via ``tobytes()``."""
+    sha = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        sha.update(name.encode())
+        sha.update(str(arr.dtype).encode())
+        sha.update(repr(arr.shape).encode())
+        sha.update(arr.tobytes())
+    return sha.hexdigest()
+
+
+class TestArtifactDigest:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.arange(7, dtype=np.int64),
+            np.linspace(0, 1, 5, dtype=np.float32),
+            np.array(3.5),
+            np.empty(0),
+            np.empty((0, 5)),
+            np.array([True, False, True]),
+            np.arange(40, dtype=np.uint8)[::3],
+            np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            np.arange(6, dtype=">i4"),
+        ],
+        ids=["int64", "float32", "0-d", "empty", "0x5", "bool", "strided-uint8",
+             "fortran", "big-endian"],
+    )
+    def test_same_bytes_as_tobytes(self, array):
+        arrays = {"x": array, "y": np.arange(3, dtype=np.int32)}
+        assert artifact_digest(arrays) == _tobytes_digest(arrays)
+
+    def test_hashing_copies_no_buffer(self):
+        big = np.arange(2_000_000, dtype=np.float64)  # 16 MB
+        tracemalloc.start()
+        try:
+            artifact_digest({"big": big})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes // 16
 
 
 class TestSaveArtifact:

@@ -11,14 +11,17 @@ from repro.core.collection import compile_collection
 from repro.core.dataflow import plan_stream, simulate_multicore_batch
 from repro.core.engine import TopKSpmvEngine
 from repro.core.kernels import (
+    BatchScratchpads,
     ContractionOperand,
     KernelBackend,
     KernelOutput,
     KernelRequest,
+    Queries,
     auto_chunk_width,
     available_kernels,
     get_kernel,
     lower_plans,
+    native_available,
     register_kernel,
     resolve_kernel_name,
     resolve_workers,
@@ -26,6 +29,7 @@ from repro.core.kernels import (
     run_segmented,
 )
 from repro.core.segments import SegmentedCollection
+from repro.core.topk_tracker import TopKTracker
 from repro.data.synthetic import synthetic_embeddings
 from repro.errors import ConfigurationError
 from repro.formats.bscsr import BSCSRMatrix, encode_bscsr
@@ -51,9 +55,20 @@ def tiny_matrix():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_kernels()
-        for expected in ("gather", "streaming", "contraction", "native", "auto"):
-            assert expected in names
+        # This module's stub joins the registry at import; nothing else may.
+        names = set(available_kernels()) - {_SHARED_STUB.name}
+        assert names == {"gather", "streaming", "contraction", "auto"}
+
+    def test_there_is_no_native_backend(self, tiny_matrix):
+        # A stale name fails loudly, listing what exists, instead of
+        # running some other backend.
+        assert native_available() is False
+        with pytest.raises(ConfigurationError, match="unknown kernel 'native'"):
+            get_kernel("native")
+        with pytest.raises(ConfigurationError, match="available: "):
+            simulate_multicore_batch(
+                _encoded(tiny_matrix), np.ones((1, 64)), local_k=2, kernel="native"
+            )
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown kernel"):
@@ -136,6 +151,18 @@ class TestContractionGate:
         request = self._request(tiny_matrix, X)
         assert get_kernel("contraction").supports(request)
         assert get_kernel("auto").select(request).name == "contraction"
+
+    def test_engaged_contraction_matches_gather(self, tiny_matrix):
+        # Q1.31 queries on the 20-bit grid: the gate passes, the SpMM
+        # runs, and it must still give the reference bits.
+        X = Q1_31.quantize(np.linspace(0, 1, 3 * 64).reshape(3, 64))
+        request = self._request(tiny_matrix, X)
+        assert get_kernel("contraction").supports(request)
+        out = get_kernel("contraction").run(request)
+        want = get_kernel("gather").run(request)
+        assert np.array_equal(out.accepts, want.accepts)
+        assert out.rows.tolist() == want.rows.tolist()
+        assert out.values.tobytes() == want.values.tobytes()
 
     def test_unquantised_queries_fall_back(self, tiny_matrix):
         # 1/3 is on no 2^-31 grid: order-independence is unprovable.
@@ -509,6 +536,115 @@ class TestStreamingSkip:
                 assert g.values.tobytes() == w.values.tobytes()
 
 
+class TestPartitionFoldContract:
+    """What every per-partition backend's :meth:`fold_plan` and the shared
+    :meth:`run_partition` promise the candidate driver."""
+
+    @staticmethod
+    def _plans(n_rows):
+        matrix = synthetic_embeddings(
+            n_rows=n_rows, n_cols=48, avg_nnz=6, distribution="uniform", seed=7
+        )
+        return [plan_stream(s) for s in _encoded(matrix, n_partitions=3).streams]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("backend", ["gather", "streaming"])
+    def test_fold_plan_into_warm_pads_matches_tracker_inserts(self, backend, dtype):
+        # Folding plan 1's rows into scratchpads already warmed by plan 0
+        # equals a per-query TopKTracker offered the same rows one by one —
+        # threshold carry-over and accept counts included.  Each plan
+        # offers its rows under plan-local ids.
+        plans = self._plans(180)
+        X = np.linspace(0, 1, 3 * 48).reshape(3, 48)
+        acc = np.dtype(dtype)
+        kernel = get_kernel(backend)
+        pads = BatchScratchpads(3, 5)
+        assert kernel.fold_plan(Queries.of(X, acc), plans[0], pads)[0] == 0
+        skipped, screened = kernel.fold_plan(Queries.of(X, acc), plans[1], pads)
+        assert screened == (0 if backend == "gather" else 3 * plans[1].n_rows)
+        assert 0 <= skipped <= screened
+        got, got_accepts = pads.finish()
+        for q in range(3):
+            tracker = TopKTracker(5)
+            accepts = 0
+            for plan in plans[:2]:
+                products = plan.kept_values.astype(acc) * X[q].astype(acc)[plan.kept_idx]
+                scores = np.add.reduceat(products, plan.starts).astype(acc)
+                for r, score in enumerate(scores.tolist()):
+                    accepts += tracker.insert(r, float(score))
+            want = tracker.result()
+            assert got_accepts[q] == accepts
+            assert got[q].indices.tolist() == want.indices.tolist()
+            assert got[q].values.tobytes() == want.values.tobytes()
+
+    def test_run_partition_is_neutral_to_query_chunking(self, monkeypatch):
+        # One run_partition serves every per-partition backend: fresh pads
+        # per block of queries, fold_plan, finish.  The gather sweep folds
+        # all five queries at once, the streaming walk here two at a time.
+        from repro.core.kernels import streaming
+
+        plan = self._plans(80)[0]
+        X = np.linspace(0, 1, 5 * 48).reshape(5, 48)
+        params = {"X": X, "accumulate_dtype": np.dtype(np.float64), "local_k": 3}
+        a = get_kernel("gather").run_partition(0, plan, **params)
+        monkeypatch.setattr(streaming, "auto_chunk_width", lambda *args: 2)
+        assert get_kernel("streaming").fold_width(plan, Queries.of(X, np.float64)) == 2
+        b = get_kernel("streaming").run_partition(0, plan, **params)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tolist() == b[1].tolist()
+        assert a[2].tolist() == b[2].tolist()
+
+
+class TestRowLengthBoundaries:
+    """Every candidate backend sums a row exactly as a per-query
+    ``np.add.reduceat`` over its lanes does, at the row lengths where
+    NumPy's pairwise summation changes shape: the sequential base (< 8),
+    the 8-accumulator unroll (8, 9), a full unroll block with a tail, the
+    128-lane base-case cap and the recursive split (129, 300, 1000)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "row_len", [1, 2, 7, 8, 9, 100, 127, 128, 129, 300, 1000]
+    )
+    def test_uniform_row_lengths(self, row_len, dtype):
+        rng = np.random.default_rng(row_len)
+        n_rows, n_cols, local_k = 24, 1024, 4
+        rows = [
+            (
+                np.sort(rng.choice(n_cols, size=row_len, replace=False)),
+                rng.uniform(0.05, 0.95, row_len) * rng.choice([-1.0, 1.0], row_len),
+            )
+            for _ in range(n_rows)
+        ]
+        encoded = _encoded(CSRMatrix.from_rows(rows, n_cols=n_cols), n_partitions=3)
+        plans = [plan_stream(s) for s in encoded.streams]
+        for plan in plans:
+            assert np.all(np.diff(plan.starts) == row_len)
+        # Off every fixed-point grid, so each sum depends on its order.
+        X = rng.uniform(-1.0, 1.0, (3, n_cols))
+        acc = np.dtype(dtype)
+        want = []
+        for q in range(len(X)):
+            per_part = []
+            for plan, offset in zip(plans, encoded.row_offsets):
+                products = plan.kept_values.astype(acc) * X[q].astype(acc)[plan.kept_idx]
+                scores = np.add.reduceat(products, plan.starts).astype(acc)
+                tracker = TopKTracker(local_k)
+                for r, score in enumerate(scores.tolist()):
+                    tracker.insert(r, float(score))
+                result = tracker.result()
+                per_part.append((result.indices + int(offset), result.values))
+            want.append(per_part)
+        for kernel in ["gather", "streaming", "contraction", "auto"]:
+            got, _ = simulate_multicore_batch(
+                encoded, X, local_k=local_k, accumulate_dtype=acc, kernel=kernel
+            )
+            for gq, wq in zip(got, want):
+                for g, (w_rows, w_values) in zip(gq, wq):
+                    assert g.indices.tolist() == w_rows.tolist(), kernel
+                    assert g.values.tobytes() == w_values.tobytes(), kernel
+
+
 class _SharedBufferKernel(KernelBackend):
     """Stub returning the *same* candidate buffers for every partition.
 
@@ -589,7 +725,7 @@ class TestEngineCandidateKernelThreading:
                 assert g.values.tobytes() == w.values.tobytes(), label
 
     @pytest.mark.parametrize(
-        "kernel", ["gather", "streaming", "contraction", "native", "auto"]
+        "kernel", ["gather", "streaming", "contraction", "auto"]
     )
     def test_engine_candidates_match_across_kernels(
         self, tiny_matrix, kernel, monkeypatch
