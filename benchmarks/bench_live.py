@@ -1,7 +1,8 @@
 """Benchmark for the live serving daemon (ISSUE-6 tentpole).
 
 Starts a real :class:`LiveServer` in-process (asyncio sockets, executor
-dispatch, wall-clock micro-batch deadlines), drives it with the async load
+dispatch, package batching defaults on the service clock it measures at
+start), drives it with the async load
 generator at a sustainable Poisson rate, and records what a live deployment
 actually exhibits: client round-trip p50/p99, achieved QPS, reject rate —
 real wall-clock numbers, not modelled ones.  The run finishes with the
@@ -28,7 +29,6 @@ RATE_QPS = 400.0
 N_REPLICAS = 2
 TOP_K = 10
 MAX_BATCH = 8
-MAX_WAIT_S = 2e-3
 CACHE_SIZE = 64
 DUPLICATE_FRACTION = 0.25
 SEED = 46
@@ -43,7 +43,6 @@ async def _bench() -> "tuple[dict, object]":
         router="least-outstanding",
         cache_size=CACHE_SIZE,
         max_batch_size=MAX_BATCH,
-        max_wait_s=MAX_WAIT_S,
     )
     server = LiveServer(runtime, top_k=TOP_K, warmup=True)
     await server.start()

@@ -47,7 +47,6 @@ def main() -> None:
         router_seed=7,
         cache_size=256,
         max_batch_size=16,
-        max_wait_s=2e-3,
         queue_capacity=48,
     )
     results, report = runtime.run(queries, arrivals, top_k=10)

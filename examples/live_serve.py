@@ -4,8 +4,9 @@
 Everything before this tier is a discrete-event simulation — arrivals are
 an array, time is virtual, runs replay bit-for-bit.  This example runs the
 *live* counterpart: a :class:`~repro.serving.live.LiveServer` listening on
-a real socket, micro-batch deadlines armed on the event loop, engines
-dispatched through a thread executor — then drives it with the async load
+a real socket, deciding on a service clock it measured on this host (a
+batch forms only while its replica is busy), engines dispatched through a
+thread executor — then drives it with the async load
 generator on the wall clock and asks the daemon to prove, via its
 ``verify`` op, that every decision it made (batches, routes, cache hits,
 rejects) and every result bit matches a fresh simulator replay of the
@@ -36,13 +37,16 @@ async def main() -> None:
         router="least-outstanding",
         cache_size=64,
         max_batch_size=8,
-        max_wait_s=2e-3,
     )
     server = LiveServer(runtime, top_k=10, warmup=True)
     await server.start()
     serve_task = asyncio.create_task(server.serve_until_stopped())
     print(f"live daemon up on {server.host}:{server.port} "
           f"({server.runtime.n_replicas} replicas, top_k={server.top_k})")
+    measured = server.info()["service_tables"][0]
+    print("measured service clock (batch size: ms): " + ", ".join(
+        f"{q}: {ms:.2f}" for q, ms in zip(measured["sizes"], measured["ms"])
+    ))
 
     # 2. A wall-clock Poisson stream with 25% duplicate queries (cache
     #    traffic), finishing with the server-side decision replay.

@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("--batch-size", dest="max_batch_size", type=int,
         help=f"max requests per batch (default {C.max_batch_size})")
     add("--max-wait-ms", type=float,
-        help=f"batching deadline in ms (default {C.max_wait_ms})")
+        help="ms a batch may wait on an idle replica for more requests "
+        f"(default {C.max_wait_ms:g}: batches form only while it is busy)")
     add("--top-k", type=int, help=f"K of every request (default {C.top_k})")
     add("--n-queries", type=int, help=f"stream length (default {C.n_queries}, "
         f"{C().quick().n_queries} with --quick; serve-live: sizes the "

@@ -4,7 +4,8 @@
 N simulated boards with a scatter-gather merge, and
 :class:`~repro.serving.cluster.ClusterRuntime` — the one simulated serving
 loop — coalesces a timed query stream into micro-batches
-(:class:`~repro.serving.batcher.BatchQueue`) for one or N replica engines
+(:class:`~repro.serving.batcher.BatchQueue`: a batch forms while its
+replica is busy) for one or N replica engines
 behind pluggable routing (:mod:`repro.serving.router`), an exact-result LRU
 (:class:`~repro.serving.cache.QueryCache`) and bounded-queue admission
 control, as one deterministic event simulation reported by one
@@ -25,6 +26,7 @@ build from it.
 from repro.serving.batcher import (
     BatchQueue,
     ServedBatch,
+    ServiceTable,
     ServingMetrics,
     ServingReport,
     check_served_batch,
@@ -49,6 +51,7 @@ from repro.serving.sharded import BoardShard, ShardedEngine, ShardedResult
 __all__ = [
     "BatchQueue",
     "ServedBatch",
+    "ServiceTable",
     "ServingMetrics",
     "ServingReport",
     "check_served_batch",

@@ -7,13 +7,16 @@ deterministic, *causal* per-board state machine — no wall clock, no
 threads:
 
 * requests arrive at given times (see :func:`poisson_arrivals`);
-* a batch dispatches as soon as it is **full** (``max_batch_size``) or the
-  oldest queued request has waited ``max_wait_s`` (the deadline), whichever
-  comes first — never before the board is free;
+* a batch leaves at ``max(head arrival, t_free)``, where ``t_free`` is the
+  time the board becomes free, and takes everything queued by then, up to
+  ``max_batch_size`` — so batches form while the board is busy and never
+  on an idle one.  ``max_wait_s`` (0 by default) lets a batch wait that
+  long past its oldest arrival for more requests; a full batch never waits;
 * service time per batch is the engine's declared batch latency
   (``batch_seconds(n)``, which its ``query_batch(...).seconds`` must
-  equal), so shard makespans, host overhead and design choice all flow
-  into the latency distribution.
+  equal), or a :class:`ServiceTable` measured on the serving host, so
+  shard makespans, host overhead and design choice all flow into the
+  latency distribution.
 
 The one event loop that drives it is
 :class:`~repro.serving.cluster.ClusterRuntime` (one queue per replica; a
@@ -30,6 +33,7 @@ simulator's, cluster-wide and per replica inside the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -42,7 +46,8 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "SERVED", "CACHE_HIT", "REJECTED", "FAILED", "COMPLETED", "ERROR_PREFIX",
     "LATENCY_KEYS", "poisson_arrivals", "check_served_batch", "percentile",
-    "share", "BatchQueue", "ServedBatch", "ServingMetrics", "ServingReport",
+    "share", "BatchQueue", "ServedBatch", "ServiceTable", "ServingMetrics",
+    "ServingReport",
 ]
 
 #: Terminal outcomes of an offered request (``RequestTrace.status`` values).
@@ -125,6 +130,68 @@ class ServedBatch:
         return self.dispatch_s + self.service_s
 
 
+@dataclass(frozen=True)
+class ServiceTable:
+    """A replica's service time per batch size, measured on its host.
+
+    ``sizes`` are strictly increasing batch sizes starting at 1 and
+    ``seconds`` the non-decreasing time measured at each.
+    :meth:`batch_seconds` interpolates linearly between points; a runtime
+    refuses a table that stops short of its ``max_batch_size``.  A run's
+    tables are part of its replay header
+    (:meth:`~repro.serving.cluster.ClusterRuntime.settings`), so decisions
+    taken on them replay exactly.
+    """
+
+    sizes: "tuple[int, ...]"
+    seconds: "tuple[float, ...]"
+
+    def __post_init__(self):
+        sizes = tuple(int(q) for q in self.sizes)
+        seconds = tuple(float(s) for s in self.seconds)
+        if not sizes or len(sizes) != len(seconds):
+            raise ConfigurationError(
+                f"a service table needs one time per batch size, got "
+                f"{len(sizes)} size(s) and {len(seconds)} time(s)"
+            )
+        if sizes[0] != 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigurationError(
+                f"service table sizes must start at 1 and strictly "
+                f"increase, got {sizes}"
+            )
+        if not all(np.isfinite(seconds)) or seconds[0] < 0 or any(
+            a > b for a, b in zip(seconds, seconds[1:])
+        ):
+            raise ConfigurationError(
+                f"service table times must be finite, >= 0 and "
+                f"non-decreasing, got {seconds}"
+            )
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "seconds", seconds)
+
+    def batch_seconds(self, n_queries: int) -> float:
+        """The service time of a batch of ``n_queries``."""
+        n = int(n_queries)
+        sizes, seconds = self.sizes, self.seconds
+        if not 1 <= n <= sizes[-1]:
+            raise ConfigurationError(
+                f"a batch of {n} is outside the service table's sizes "
+                f"1..{sizes[-1]}"
+            )
+        i = bisect_left(sizes, n)
+        if sizes[i] == n:
+            return seconds[i]
+        lo, hi = sizes[i - 1], sizes[i]
+        step = seconds[i] - seconds[i - 1]
+        return seconds[i - 1] + step * (n - lo) / (hi - lo)
+
+    def to_ms(self) -> dict:
+        """JSON-ready ``{"sizes": [...], "ms": [...]}`` (lists keep their
+        order through a key-sorted encoder)."""
+        return {"sizes": list(self.sizes),
+                "ms": [s * 1e3 for s in self.seconds]}
+
+
 class BatchQueue:
     """The micro-batching dispatch rule as a causal per-board state machine.
 
@@ -139,16 +206,17 @@ class BatchQueue:
       oldest queued request has arrived;
     * a full batch (``max_batch_size`` queued) leaves as soon as board and
       requests allow;
-    * otherwise the batch leaves when the oldest request's ``max_wait_s``
-      deadline expires (extended to the board-free time when busy), taking
-      everything queued by then.
+    * otherwise the batch leaves ``max_wait_s`` after the oldest request
+      arrived (extended to the board-free time when busy), taking
+      everything queued by then.  At the default ``max_wait_s = 0`` that
+      is ``max(head arrival, t_free)``: work-conserving.
 
     The queue never looks ahead: decisions depend only on requests already
     pushed and on the board-free time, which is what lets a cluster-level
     event loop interleave many queues deterministically.
     """
 
-    def __init__(self, max_batch_size: int = 16, max_wait_s: float = 2e-3):
+    def __init__(self, max_batch_size: int = 16, max_wait_s: float = 0.0):
         self.max_batch_size = check_positive_int(max_batch_size, "max_batch_size")
         if max_wait_s < 0:
             raise ConfigurationError(f"max_wait_s must be >= 0, got {max_wait_s}")

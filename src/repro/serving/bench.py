@@ -60,7 +60,7 @@ class ServingConfig:
     n_queries: int = 256
     top_k: int = 10
     max_batch_size: int = 16
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     rate_qps: "float | None" = None  # None: ~80% of the fleet's scan rate
     seed: int = 0
     recall_queries: int = 16
@@ -209,8 +209,9 @@ def run_serve_bench(config: ServingConfig) -> tuple[str, dict]:
     }
     frontend = (
         f"cluster: {config.replicas} replicas, {config.router} router, "
-        f"batches of max {config.max_batch_size} / {config.max_wait_ms:.1f} ms "
-        f"deadline, cache {config.cache_size or 'off'}, "
+        f"batches of max {config.max_batch_size}, "
+        f"{config.max_wait_ms:g} ms idle wait, "
+        f"cache {config.cache_size or 'off'}, "
         f"queue capacity {config.queue_capacity or 'unbounded'}"
     )
     text = "\n".join(

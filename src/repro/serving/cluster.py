@@ -25,11 +25,16 @@ Per arriving request, in simulated-time order:
    :class:`~repro.serving.batcher.BatchQueue`; a request routed to a full
    queue is *rejected* and accounted, never silently dropped.
 
-Each replica then runs the micro-batching dispatch rule (full-or-deadline,
-never before the board frees) via its own ``BatchQueue``.  This is the one
-simulated serving loop: a single board is served as a 1-replica cluster,
-``ClusterRuntime([engine], max_batch_size=..., max_wait_s=...)``.  The run
-returns per-request results plus a :class:`ClusterReport` — the one
+Each replica then runs the micro-batching dispatch rule via its own
+``BatchQueue``: a batch leaves when its replica frees, taking everything
+queued by then (``max_wait_s``, 0 by default, lets it wait for more on an
+idle replica).  A batch occupies its replica for the engine's declared
+``batch_seconds(n)``, or for the time a recorded
+:class:`~repro.serving.batcher.ServiceTable` gives (``service_tables``: the
+clock a live daemon measured on its host, carried into its replay).  This
+is the one simulated serving loop: a single board is served as a
+1-replica cluster, ``ClusterRuntime([engine], max_batch_size=...)``.  The
+run returns per-request results plus a :class:`ClusterReport` — the one
 report type: the :class:`~repro.serving.batcher.ServingReport` metrics
 cluster-wide and per replica, reject accounting, cache counters, and a
 per-request :class:`RequestTrace` (the object the deterministic-replay
@@ -44,7 +49,12 @@ import numpy as np
 
 from repro.core.reference import TopKResult
 from repro.errors import ConfigurationError
-from repro.serving.batcher import COMPLETED, ServingReport, share
+from repro.serving.batcher import (
+    COMPLETED,
+    ServiceTable,
+    ServingReport,
+    share,
+)
 from repro.serving.cache import QueryCache, collection_version
 from repro.serving.faults import FaultPlan, ResilienceConfig
 from repro.serving.policy import ClusterPolicy, RequestTrace
@@ -240,7 +250,8 @@ class ClusterRuntime:
         Runs stay deterministic given the same starting cache state.
     max_batch_size, max_wait_s:
         The per-replica micro-batching knobs of
-        :class:`~repro.serving.batcher.BatchQueue`.
+        :class:`~repro.serving.batcher.BatchQueue`; the default wait of 0
+        forms batches only while a replica is busy.
     queue_capacity:
         Admission bound: maximum requests *waiting* in one replica's queue
         (the batch in service does not count).  A request routed to a full
@@ -254,6 +265,13 @@ class ClusterRuntime:
     resilience:
         Optional :class:`~repro.serving.faults.ResilienceConfig` with the
         retry/backoff/hedge knobs (library defaults when ``None``).
+    service_tables:
+        Optional :class:`~repro.serving.batcher.ServiceTable` per replica:
+        the service time the policy decides on in place of each replica's
+        declared ``batch_seconds``; each must reach ``max_batch_size``.
+        The live daemon's replay runtime carries the tables the daemon
+        measured, so the replay decides on the same clock.  An engine must
+        still report its declared ``seconds``.
     """
 
     def __init__(
@@ -262,12 +280,13 @@ class ClusterRuntime:
         router: "str | Router" = "round-robin",
         cache_size: "int | None" = None,
         max_batch_size: int = 16,
-        max_wait_s: float = 2e-3,
+        max_wait_s: float = 0.0,
         queue_capacity: "int | None" = None,
         router_seed: int = 0,
         cache: "QueryCache | None" = None,
         fault_plan: "FaultPlan | None" = None,
         resilience: "ResilienceConfig | None" = None,
+        service_tables: "tuple[ServiceTable, ...] | None" = None,
     ):
         self.replicas = list(replicas)
         if not self.replicas:
@@ -327,6 +346,7 @@ class ClusterRuntime:
                     f"fault plan targets replicas {bad} but the cluster "
                     f"has {len(self.replicas)}"
                 )
+        self.service_tables = self._check_service_tables(service_tables)
         self._last_shared_version = None
         if self.cache_size is not None or self.shared_cache is not None:
             # Fail construction fast on an uncacheable fleet; the actual
@@ -362,6 +382,26 @@ class ClusterRuntime:
     def n_replicas(self) -> int:
         return len(self.replicas)
 
+    def _check_service_tables(self, tables):
+        """``tables`` as a tuple, one covering ``ServiceTable`` per replica."""
+        if tables is None:
+            return None
+        tables = tuple(tables)
+        if len(tables) != len(self.replicas) or not all(
+            isinstance(t, ServiceTable) for t in tables
+        ):
+            raise ConfigurationError(
+                f"service_tables needs one ServiceTable per replica "
+                f"({len(self.replicas)}), got {tables!r}"
+            )
+        short = [t.sizes for t in tables if t.sizes[-1] < self.max_batch_size]
+        if short:
+            raise ConfigurationError(
+                f"service tables must reach max_batch_size "
+                f"{self.max_batch_size}, got sizes {short}"
+            )
+        return tables
+
     def settings(self) -> dict:
         """The constructor knobs that fix this runtime's decisions — the one
         record the live daemon's ``info`` op and its replay both read."""
@@ -373,6 +413,7 @@ class ClusterRuntime:
             "queue_capacity": self.queue_capacity,
             "fault_plan": self.fault_plan,
             "resilience": self.resilience,
+            "service_tables": self.service_tables,
         }
 
     def _prepare_cache(self) -> "tuple[QueryCache | None, str | None, object]":
@@ -395,14 +436,20 @@ class ClusterRuntime:
                 self._last_shared_version = (digest, generation)
         return cache, digest, generation
 
-    def build_policy(self, top_k: int) -> ClusterPolicy:
+    def build_policy(
+        self, top_k: int, service_tables=None
+    ) -> ClusterPolicy:
         """A fresh decision core for one stream (router reset, cache keyed).
 
         :meth:`run` drives it from an arrival array in simulated time; the
         live daemon (:class:`repro.serving.live.LiveServer`) drives the
         same object from sockets and wall-clock timers — one policy, two
-        clocks, identical decisions.
+        clocks, identical decisions.  ``service_tables`` replaces the
+        runtime's own for this policy only (the daemon's measured clock);
+        the runtime is left as it was.
         """
+        if service_tables is None:
+            service_tables = self.service_tables
         self.router.reset()
         cache, digest, generation = self._prepare_cache()
         return ClusterPolicy(
@@ -418,6 +465,7 @@ class ClusterRuntime:
             top_k=check_positive_int(top_k, "top_k"),
             fault_plan=self.fault_plan,
             resilience=self.resilience,
+            service_tables=self._check_service_tables(service_tables),
         )
 
     def run(

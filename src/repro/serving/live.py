@@ -2,27 +2,38 @@
 
 :class:`LiveServer` points real traffic at the cluster tier: a socket
 daemon (length-prefixed JSON, :mod:`repro.serving.protocol`) that runs the
-micro-batching deadlines, routers, exact-result cache and bounded-queue
+micro-batching rule, routers, exact-result cache and bounded-queue
 admission control of :class:`~repro.serving.cluster.ClusterRuntime` against
 a wall clock.
 
 **The decision lock.**  The daemon does not reimplement the serving policy
 — it drives the very same :class:`~repro.serving.policy.ClusterPolicy` the
 simulator drives, on a *virtual clock*: arrivals are stamped off the event
-loop's monotonic clock, but board-free times advance by the engine's
-declared ``batch_seconds``.  Decisions (batch membership, dispatch order,
+loop's monotonic clock, and board-free times advance by a service time
+fixed before traffic starts.  Decisions (batch membership, dispatch order,
 route choice, cache hit/miss, rejects) therefore depend only on the
-``(request id, arrival time, query)`` stream — replaying that recorded
-stream through a fresh ``ClusterRuntime`` reproduces every decision and
-every result bit-for-bit, which :func:`decisions_equivalent` checks and
-the replay property suite asserts.
+``(request id, arrival time, query)`` stream plus the runtime's settings
+and the daemon's service clock — replaying that recorded stream through a
+fresh ``ClusterRuntime`` built from both reproduces every decision and
+every result bit-for-bit, which :func:`decisions_equivalent` checks and the replay
+property suite asserts.
+
+**The service clock.**  With ``warmup=True``, :meth:`LiveServer.start`
+times ``query_batch`` on the serving host (:func:`measure_service_table`)
+and decides on one :class:`~repro.serving.batcher.ServiceTable` per
+replica; its ``info`` shows them and its replay runtime carries them.  With
+the package's zero ``max_wait_s``, a batch then leaves when its replica
+really frees and takes everything queued by then: batches form while a
+replica is busy and never on an idle one.  Without the warm-up the daemon
+decides on the runtime as given — its ``service_tables``, or the engines'
+modelled ``batch_seconds``.  The runtime itself is never changed.
 
 The daemon runs two planes.  The **decision plane** is the policy, driven
 by the simulator's own loop — :meth:`ClusterPolicy.advance` to the arrival
 instant, then :meth:`ClusterPolicy.offer` — from every arrival, from a
 timer armed at the next due event or dispatch, and from :meth:`drain`.  It
 never waits for an engine: a dispatch fixes its batch's completion from the
-replica's declared ``batch_seconds``, so every decision is made as its
+replica's service time, so every decision is made as its
 instant comes, in the simulator's order.  Arrivals are stamped inside the
 admission lock and never before an earlier arrival (or a completion a
 ``verify`` already drained into the cache).  The **data plane** runs each
@@ -68,12 +79,18 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.errors import ConfigurationError, FormatError
-from repro.serving.batcher import COMPLETED, ERROR_PREFIX, ServingMetrics
+from repro.serving.batcher import (
+    COMPLETED,
+    ERROR_PREFIX,
+    ServiceTable,
+    ServingMetrics,
+)
 from repro.serving.cluster import ClusterRuntime
 from repro.serving.policy import PendingBatch
 from repro.serving.protocol import (
@@ -81,15 +98,47 @@ from repro.serving.protocol import (
     result_to_wire,
     write_frame,
 )
+from repro.utils.rng import derive_rng, sample_unit_queries
 from repro.utils.validation import check_positive_int
 
-__all__ = ["LiveServer", "decisions_equivalent"]
+__all__ = ["LiveServer", "decisions_equivalent", "measure_service_table"]
 
 #: Why an arrival was refused before admission, by error code.
 _REFUSALS = {
     "overloaded": "server overloaded; retry later",
     "shutting-down": "server is shutting down",
 }
+
+
+def measure_service_table(
+    replica, n_cols: int, top_k: int, max_batch_size: int
+) -> ServiceTable:
+    """Time ``replica.query_batch`` on this host, per batch size.
+
+    Batch sizes run over powers of four up to ``max_batch_size`` (always
+    included); each point is the fastest of two calls on seeded random
+    dense queries, so a slow spell does not inflate it, and the first
+    call, which builds the replica's lazy state, is an extra one.  A
+    running maximum keeps a larger batch from predicting a shorter time.
+    Powers of four, not of two, keep the measurement within about 0.1 s
+    on a 160k-row collection.
+    """
+    max_batch_size = check_positive_int(max_batch_size, "max_batch_size")
+    sizes = [1]
+    while sizes[-1] * 4 < max_batch_size:
+        sizes.append(sizes[-1] * 4)
+    if sizes[-1] < max_batch_size:
+        sizes.append(max_batch_size)
+    queries = sample_unit_queries(derive_rng(0), max_batch_size, n_cols)
+    best = []
+    for size in sizes:
+        times = []
+        for _ in range(2 + (size == 1)):
+            start = time.perf_counter()
+            replica.query_batch(queries[:size], top_k)
+            times.append(time.perf_counter() - start)
+        best.append(max(min(times), best[-1] if best else 0.0))
+    return ServiceTable(sizes=tuple(sizes), seconds=tuple(best))
 
 
 def decisions_equivalent(
@@ -147,10 +196,13 @@ class LiveServer:
         Bind address; port 0 picks an ephemeral port (see :attr:`port`
         after :meth:`start`).
     warmup:
-        Run one tiny batch through every replica before accepting traffic,
-        so lazily-built engine state (stream plans, kernels) is populated
-        outside the serving path and the executor threads never build it
-        concurrently.
+        Measure each distinct collection's
+        :class:`~repro.serving.batcher.ServiceTable` at :meth:`start` and
+        decide on it (the ``host`` clock).  The measurement runs every
+        replica before traffic, so lazily-built engine state (sorted runs,
+        timing) is populated outside the serving path and the executor
+        threads never build it concurrently.  ``False`` decides on the
+        runtime as given (the ``declared`` clock).
     deadline_s:
         Optional per-request deadline: a queued request not completed
         within this many wall seconds gets a typed ``deadline`` error
@@ -180,6 +232,11 @@ class LiveServer:
         max_frame_bytes: "int | None" = None,
     ):
         self.runtime = runtime
+        #: The tables the policy decides on: measured at :meth:`start`
+        #: under ``warmup``, else the runtime's own.
+        self.service_tables = runtime.service_tables
+        #: Wall seconds the measurement took (0.0 without ``warmup``).
+        self.clock_measure_s = 0.0
         self.top_k = check_positive_int(top_k, "top_k")
         self.host = host
         self._requested_port = int(port)
@@ -230,21 +287,41 @@ class LiveServer:
         if self._server is not None:
             raise ConfigurationError("server already started")
         self._loop = asyncio.get_running_loop()
-        self._policy = self.runtime.build_policy(self.top_k)
+        if self.warmup:
+            start = time.perf_counter()
+            self.service_tables = self._measure_tables()
+            self.clock_measure_s = time.perf_counter() - start
+        self._policy = self.runtime.build_policy(
+            self.top_k, service_tables=self.service_tables
+        )
         self._workers = [
             ThreadPoolExecutor(max_workers=1, thread_name_prefix="live-engine")
             for _ in self.runtime.replicas
         ]
-        if self.warmup:
-            probe = np.zeros((1, self.runtime.n_cols), dtype=np.float64)
-            probe[0, 0] = 1.0
-            for replica in self.runtime.replicas:
-                replica.query_batch(probe, self.top_k)
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._origin = self._loop.time()
+
+    def _measure_tables(self) -> "tuple[ServiceTable, ...]":
+        """One measured table per replica, timed once per distinct
+        collection; a replica sharing one is only warmed."""
+        rt = self.runtime
+        probe = np.zeros((1, rt.n_cols), dtype=np.float64)
+        probe[0, 0] = 1.0
+        measured: "dict[int, ServiceTable]" = {}
+        tables = []
+        for replica in rt.replicas:
+            key = id(getattr(replica, "collection", replica))
+            if key in measured:
+                replica.query_batch(probe, self.top_k)
+            else:
+                measured[key] = measure_service_table(
+                    replica, rt.n_cols, self.top_k, rt.max_batch_size
+                )
+            tables.append(measured[key])
+        return tuple(tables)
 
     def request_stop(self) -> None:
         """Stop accepting traffic; :meth:`serve_until_stopped` then drains."""
@@ -590,15 +667,22 @@ class LiveServer:
         rt = self.runtime
         knobs = rt.settings()
         knobs["router"] = rt.router.name
+        knobs["service_tables"] = self.service_tables
         for name in ("fault_plan", "resilience"):
             if knobs[name] is not None:
                 knobs[name] = knobs[name].to_dict()
+        if knobs["service_tables"] is not None:
+            knobs["service_tables"] = [
+                table.to_ms() for table in knobs["service_tables"]
+            ]
         return {
             "op": "info",
             "n_cols": int(rt.n_cols),
             "top_k": self.top_k,
             "n_replicas": rt.n_replicas,
             **knobs,
+            "clock": "host" if self.warmup else "declared",
+            "clock_measure_s": self.clock_measure_s,
             "deadline_s": self.deadline_s,
             "max_pending": self.max_pending,
         }
@@ -655,12 +739,14 @@ class LiveServer:
         return self._policy.recorded_stream()
 
     def _replay_runtime(self) -> ClusterRuntime:
-        """A fresh runtime configured exactly like the served one.
+        """A fresh runtime configured exactly like the served one, on the
+        service clock the daemon decided on.
 
         The router is a copy (the replay must not advance the served one);
         ``build_policy`` resets it, so its state at copy time is moot."""
         knobs = self.runtime.settings()
         knobs["router"] = copy.deepcopy(knobs["router"])
+        knobs["service_tables"] = self.service_tables
         return ClusterRuntime(self.runtime.replicas, **knobs)
 
     async def verify(self) -> dict:

@@ -25,7 +25,7 @@ virtual time:
   dispatch and loses it to an event).  A dispatch is a whole decision: the
   batch leaves its replica's :class:`~repro.serving.batcher.BatchQueue`,
   its completion is fixed at the dispatch instant plus the replica's
-  declared ``batch_seconds(n)`` (scaled by any slow window), injected
+  service time (scaled by any slow window), injected
   failures bite (a crash mid-service or an injected engine exception
   requeues the members with seeded backoff), and the traces, the batch log
   and the cache-fill event are written.  A surviving batch goes to the
@@ -38,10 +38,13 @@ virtual time:
 Decisions therefore never wait for data.  The simulator's ``launch`` runs
 the engine and attaches inline; the daemon's queues the batch on the
 replica's worker and attaches when it returns.  Either way the *policy
-clock* advances by the declared service time — which locks the live
-daemon's decisions to the simulator even though its requests ride a real
-wall clock.  A cache fill holds a result *slot*, so a hit may be decided
-before its data lands; it is answered when the slot fills.
+clock* advances by the service time the run recorded — each replica's
+declared ``batch_seconds(n)``, or the
+:class:`~repro.serving.batcher.ServiceTable` the daemon measured on its
+host — which locks the live daemon's decisions to the simulator even
+though its requests ride a real wall clock.  A cache fill holds a result
+*slot*, so a hit may be decided before its data lands; it is answered
+when the slot fills.
 
 **Exactly-once delivery.**  A request may be queued more than once (a
 hedge duplicate, or a requeue after a failure) but completes at most once:
@@ -184,11 +187,14 @@ class ClusterPolicy:
     constructs its policy via
     :meth:`~repro.serving.cluster.ClusterRuntime.build_policy`):
     ``batch_seconds`` holds each replica's declared service time as a
-    function of the batch size, ``router`` must already be reset, ``cache`` already keyed for ``(digest,
-    generation)``, ``design`` is the first replica's accelerator design (for
-    query quantisation in the cache key) or ``None``.  ``fault_plan``
-    (optional) injects the seeded failure schedule; ``resilience`` carries
-    the retry/backoff/hedge knobs (defaults apply when ``None``).
+    function of the batch size, and ``service_tables`` (optional) the
+    measured :class:`~repro.serving.batcher.ServiceTable` per replica that
+    replaces it on the policy clock.  ``router`` must already be reset,
+    ``cache`` already keyed for ``(digest, generation)``, ``design`` is the
+    first replica's accelerator design (for query quantisation in the
+    cache key) or ``None``.  ``fault_plan`` (optional) injects the seeded
+    failure schedule; ``resilience`` carries the retry/backoff/hedge knobs
+    (defaults apply when ``None``).
 
     The policy is single-run state: build a fresh one per stream.  It holds
     every recorded outcome — traces, per-request results, batches in
@@ -210,8 +216,10 @@ class ClusterPolicy:
         top_k: int,
         fault_plan=None,
         resilience: "ResilienceConfig | None" = None,
+        service_tables=None,
     ):
         self.batch_seconds = list(batch_seconds)
+        self.service_tables = service_tables
         self.n_replicas = len(self.batch_seconds)
         self.router = router
         self.cache = cache
@@ -577,8 +585,8 @@ class ClusterPolicy:
     ) -> "PendingBatch | None":
         """Decide one batch in full at its dispatch instant.
 
-        Pops the batch, fixes its completion from the replica's declared
-        ``batch_seconds`` (scaled by any slow-replica window), and records
+        Pops the batch, fixes its completion from the replica's service
+        time (scaled by any slow-replica window), and records
         traces, the batch log and the cache fill at the completion instant
         (applied by a later :meth:`drain_completions` — results never
         time-travel into the cache).  With a fault plan, this is also where
@@ -595,7 +603,11 @@ class ClusterPolicy:
         state.dispatched += 1
         for rid, _arrival in members:
             self._copies[rid] -= 1
-        seconds = float(self.batch_seconds[replica](len(members)))
+        declared = float(self.batch_seconds[replica](len(members)))
+        seconds = (
+            declared if self.service_tables is None
+            else self.service_tables[replica].batch_seconds(len(members))
+        )
         plan = self.fault_plan
         factor = (
             plan.service_factor(replica, dispatch_s) if plan is not None
@@ -658,7 +670,7 @@ class ClusterPolicy:
         return PendingBatch(
             replica=replica,
             queries=np.stack([self.queries[rid] for rid, _ in members]),
-            seconds=seconds,
+            seconds=declared,
             log=log,
             slots=tuple(slots),
         )
@@ -669,15 +681,15 @@ class ClusterPolicy:
         Fills the results and the batch's cache slots, and bills the
         engine's energy.  Raises :class:`~repro.errors.FormatError` when
         the engine returned the wrong number of results, or a service time
-        other than the ``batch_seconds`` it declared (the decision already
-        used the declared one).
+        other than the ``batch_seconds`` it declared — whichever clock the
+        decision ran on.
         """
         topk = check_served_batch(served, len(batch.slots))
         if served.seconds != batch.seconds:
             raise FormatError(
                 f"engine reported {served.seconds} s for a batch of "
                 f"{len(batch.slots)} but declared batch_seconds = "
-                f"{batch.seconds} s, which fixed the batch's completion"
+                f"{batch.seconds} s"
             )
         for slot, result in zip(batch.slots, topk):
             if slot is not None:

@@ -3,11 +3,14 @@
 The policy fixes a batch's completion when it dispatches it, so an arrival
 is decided at once however long any engine takes, and a reply waits only
 for its own batch's data.  Each replica runs its batches on its own
-single-worker FIFO.
+single-worker FIFO.  On the measured ``host`` clock that completion is
+when the replica really frees, so under fan-in load requests queue in the
+policy and leave together.
 """
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -95,7 +98,9 @@ class TestArrivalNeverWaitsForAnEngine:
 
 
 class TestUndeclaredServiceTime:
-    def test_seconds_other_than_declared_poison_the_run(self):
+    @pytest.mark.parametrize("warmup", [True, False],
+                             ids=["host", "declared"])
+    def test_seconds_other_than_declared_poison_the_run(self, warmup):
         class Drifting(StubBatchEngine):
             def query_batch(self, queries, top_k):
                 served = super().query_batch(queries, top_k)
@@ -106,7 +111,7 @@ class TestUndeclaredServiceTime:
             server = LiveServer(
                 ClusterRuntime([Drifting(n_cols=8)], max_batch_size=1,
                                max_wait_s=0.0),
-                top_k=1,
+                top_k=1, warmup=warmup,
             )
             await server.start()
             serve_task = asyncio.create_task(server.serve_until_stopped())
@@ -125,3 +130,74 @@ class TestUndeclaredServiceTime:
         assert reply["op"] == "error"
         assert reply["code"] == "engine-failure"
         assert wall.error_codes == {"engine-failure": 1}
+
+
+class _SleepingEngine(StubBatchEngine):
+    """Really sleeps ``sleep_s`` plus ``per_query_sleep_s`` per query, and
+    declares a time ten times shorter (the modelled board's)."""
+
+    def __init__(self, sleep_s=5e-3, per_query_sleep_s=1e-4, **kwargs):
+        super().__init__(base_s=sleep_s / 10, per_query_s=per_query_sleep_s / 10,
+                         **kwargs)
+        self.sleep_s = sleep_s
+        self.per_query_sleep_s = per_query_sleep_s
+
+    def query_batch(self, queries, top_k):
+        time.sleep(self.sleep_s + self.per_query_sleep_s * len(queries))
+        return super().query_batch(queries, top_k)
+
+
+class TestFanInFormsBatches:
+    N_CONNECTIONS = 16
+    PER_CONNECTION = 8
+
+    def _serve(self, warmup):
+        async def run():
+            server = LiveServer(
+                ClusterRuntime([_SleepingEngine(n_cols=8)], max_batch_size=16),
+                top_k=1, warmup=warmup,
+            )
+            await server.start()
+            serve_task = asyncio.create_task(server.serve_until_stopped())
+
+            async def closed_loop(c):
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                replies = [
+                    await _query(reader, writer, c * 100 + i)
+                    for i in range(self.PER_CONNECTION)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return replies
+
+            replies = await asyncio.gather(
+                *(closed_loop(c) for c in range(self.N_CONNECTIONS))
+            )
+            server.request_stop()
+            await serve_task
+            _results, report = server.decision_report()
+            return [r for conn in replies for r in conn], report, server
+
+        return asyncio.run(run())
+
+    def test_batches_form_while_the_replica_is_busy(self):
+        replies, report, server = self._serve(warmup=True)
+        n = self.N_CONNECTIONS * self.PER_CONNECTION
+        assert [r["status"] for r in replies] == ["served"] * n
+        info = server.info()
+        assert info["max_wait_s"] == 0.0 and info["clock"] == "host"
+        assert report.mean_batch_size >= 4
+        # The measured tables drive the daemon and its replay; the runtime
+        # it was given keeps its declared clock.
+        assert server.runtime.service_tables is None
+        assert server.service_tables is not None
+        assert server._replay_runtime().service_tables == server.service_tables
+        # The modelled clock, ten times shorter than the sleep, frees the
+        # replica long before it is free: batches leave as they arrive and
+        # queue in the worker's FIFO, outside the policy.
+        _, declared, _ = self._serve(warmup=False)
+        assert declared.n_offered == n
+        assert declared.n_batches > report.n_batches
+        assert declared.mean_batch_size < report.mean_batch_size

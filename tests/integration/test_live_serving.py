@@ -68,9 +68,18 @@ class TestLoadGenAgainstRealEngines:
                     verify=True,
                 )
 
-            return await _with_server(server, body)
+            return await _with_server(server, body), server
 
-        result = asyncio.run(run())
+        result, server = asyncio.run(run())
+        # The replay below ran on the host clock the warm-up measured: one
+        # table, shared by both replicas of the one collection, shown by
+        # info and kept off the runtime the server was given.
+        first, second = server.service_tables
+        assert first is second and first.sizes == (1, 4)
+        assert server.runtime.service_tables is None
+        info = server.info()
+        assert info["clock"] == "host" and info["clock_measure_s"] > 0.0
+        assert info["service_tables"] == [first.to_ms()] * 2
         assert result.n_offered == 48
         assert result.n_queries == 48  # unbounded queue: nothing rejected
         assert result.verify is not None

@@ -11,7 +11,10 @@ result.  Wall-clock timing varies run to run; the recorded trace is the
 contract, so the property is deterministic even though the schedule is not.
 
 Stub engines keep each example in the low milliseconds; the socket, the
-event loop, the executor handoff and the virtual clock are all real.
+event loop, the executor handoff and the virtual clock are all real.  The
+servers take no warm-up, so they decide on the runtime as given: its
+service table — drawn as one more axis, ``None`` or a frozen non-decreasing
+table such as a warm-up would measure — is what the policy decides on.
 """
 
 import asyncio
@@ -19,7 +22,7 @@ import asyncio
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from serving_stubs import StubBatchEngine
+from serving_stubs import StubBatchEngine, service_tables
 from repro.serving.cluster import ClusterRuntime
 from repro.serving.live import LiveServer, decisions_equivalent
 from repro.serving.protocol import read_frame, result_from_wire, write_frame
@@ -42,6 +45,7 @@ configs = st.fixed_dictionaries(
         # deep virtual backlogs (and rejects) in others.
         "base_s": st.sampled_from([1e-4, 2e-3, 2e-2]),
         "per_query_s": st.sampled_from([0.0, 5e-4]),
+        "service_table": service_tables,
     }
 )
 
@@ -73,6 +77,10 @@ def _build_runtime(config) -> ClusterRuntime:
         max_batch_size=config["max_batch_size"],
         max_wait_s=config["max_wait_s"],
         queue_capacity=config["queue_capacity"],
+        service_tables=(
+            None if config["service_table"] is None
+            else (config["service_table"],) * config["n_replicas"]
+        ),
     )
 
 

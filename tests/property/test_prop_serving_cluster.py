@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from serving_stubs import StubBatchEngine
+from serving_stubs import StubBatchEngine, service_tables
 from repro.core.collection import compile_collection
 from repro.core.engine import TopKSpmvEngine
 from repro.data.synthetic import synthetic_embeddings
@@ -49,11 +49,12 @@ cluster_params = st.tuples(
     st.sampled_from([0.0, 1e-4, 2e-3]),                        # max_wait_s
     st.sampled_from([None, 1, 3]),                             # queue_capacity
     st.integers(min_value=0, max_value=3),                     # router seed
+    service_tables,                                            # clock
 )
 
 
 def _make_runtime(params):
-    n_replicas, router, max_batch, max_wait, capacity, seed = params
+    n_replicas, router, max_batch, max_wait, capacity, seed, table = params
     replicas = [
         StubBatchEngine(base_s=1e-3, per_query_s=2e-4, marker=r)
         for r in range(n_replicas)
@@ -65,6 +66,7 @@ def _make_runtime(params):
         max_wait_s=max_wait,
         queue_capacity=capacity,
         router_seed=seed,
+        service_tables=None if table is None else (table,) * n_replicas,
     )
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.core.reference import TopKResult
+from repro.serving.batcher import ServiceTable
 
-__all__ = ["StubBatchEngine"]
+__all__ = ["StubBatchEngine", "service_tables"]
 
 
 class _StubCollection:
@@ -74,3 +76,25 @@ class StubBatchEngine:
         ]
         return _StubBatch(topk=topk, seconds=seconds,
                           energy_j=self.power_w * seconds)
+
+
+@st.composite
+def _service_table(draw) -> ServiceTable:
+    # Starts at 1 and reaches 8 or 16, covering every max_batch_size the
+    # property suites draw (at most 8), as a measured table does.
+    inner = draw(st.lists(
+        st.integers(min_value=2, max_value=7), max_size=3, unique=True,
+    ))
+    sizes = [1, *sorted(inner), draw(st.sampled_from([8, 16]))]
+    first = draw(st.sampled_from([0.0, 1e-4, 2e-3, 2e-2]))
+    steps = draw(st.lists(
+        st.sampled_from([0.0, 1e-4, 5e-4, 3e-3]),
+        min_size=len(sizes) - 1, max_size=len(sizes) - 1,
+    ))
+    return ServiceTable(tuple(sizes), tuple(np.cumsum([first, *steps])))
+
+
+#: A runtime's recorded service clock: ``None`` (the engines' declared
+#: ``batch_seconds``) or one frozen non-decreasing table up to batch size 8
+#: or more.
+service_tables = st.none() | _service_table()
